@@ -90,9 +90,9 @@ fn cold_sweep(
 /// serves the same requests through one sequential `Engine`, whose shared
 /// warm-pool registry lets collectives that reduce to the same base
 /// (Allgather, Allreduce, ReduceScatter on symmetric machines) share
-/// encoders, learnt clauses and decided-candidate memos. Satisfiable
-/// candidates decode canonically — the historic cold confirmation (and its
-/// `confirm_ms` tax) is gone from the warm path entirely. A second,
+/// encoders, learnt clauses and decided-candidate memos. Each satisfiable
+/// candidate costs the warm side one fresh confirmation solve on top of
+/// its warm verdict (`confirm_ms`, counted in the warm total). A second,
 /// parallel-mode engine then serves the same mix twice to demonstrate the
 /// registry's cross-request reuse under `SolveMode::Parallel` (the
 /// `parallel_warm` row: second-pass memo hits must be nonzero). Writes
@@ -109,15 +109,13 @@ fn bench_incremental_solver(_c: &mut Criterion) {
     struct WarmSide {
         encode_ms: f64,
         warm_solve_ms: f64,
-        /// Cold fallback time (ablation/budget exhaustion only; 0 on this
-        /// sweep). The historic `confirm_ms` column is gone — satisfiable
-        /// candidates decode canonically instead of re-solving cold.
-        cold_fallback_ms: f64,
+        /// Fresh-formula runs (encode + solve): the one confirmation solve
+        /// per satisfiable candidate; `cold_fallbacks` is 0 on this sweep.
+        confirm_ms: f64,
         solve_ms: f64,
         base_encodings: u64,
         solve_calls: u64,
         reused_clauses: u64,
-        canonical_probes: u64,
         memo_hits: u64,
         core_skips: u64,
         cold_fallbacks: u64,
@@ -220,10 +218,11 @@ fn bench_incremental_solver(_c: &mut Criterion) {
         best_speedup = best_speedup.max(speedup);
         println!(
             "bench sched/incremental/{}: cold solve {cold_solve:?} ({cold_candidates} candidates) \
-             vs warm solve {warm_solve:?} (no cold confirm; {} canonical probes) = {speedup:.2}x; \
-             reused clauses {}, base encodings {}, memo hits {}, core skips {}",
+             vs warm solve {warm_solve:?} ({} warm solver calls, confirmations {:?}) = \
+             {speedup:.2}x; reused clauses {}, base encodings {}, memo hits {}, core skips {}",
             case.name,
-            warm.canonical_probes,
+            warm.solve_calls,
+            warm.cold_solve_time,
             warm.reused_clauses,
             warm.base_encodings,
             warm.memo_hits,
@@ -277,12 +276,11 @@ fn bench_incremental_solver(_c: &mut Criterion) {
             warm: WarmSide {
                 encode_ms: ms(warm.encode_time),
                 warm_solve_ms: ms(warm.warm_solve_time),
-                cold_fallback_ms: ms(warm.cold_solve_time),
+                confirm_ms: ms(warm.cold_solve_time),
                 solve_ms: ms(warm_solve),
                 base_encodings: warm.base_encodings,
                 solve_calls: warm.solve_calls,
                 reused_clauses: warm.reused_clauses,
-                canonical_probes: warm.canonical_probes,
                 memo_hits: warm.memo_hits,
                 core_skips: warm.core_skips,
                 cold_fallbacks: warm.cold_fallbacks,
@@ -300,10 +298,10 @@ fn bench_incremental_solver(_c: &mut Criterion) {
 
     let json = serde_json::to_string_pretty(&SolverBench {
         bench: "sched/incremental".to_string(),
-        unit_note: "solver-internal times in milliseconds; warm solve = assumption solves \
-                    incl. canonical-decode probes (no cold confirmation — frontier entries \
-                    decode canonically); parallel_warm = second serving pass through a \
-                    SolveMode::Parallel engine sharing the warm-pool registry"
+        unit_note: "solver-internal times in milliseconds; warm solve_ms = warm assumption \
+                    solves (warm_solve_ms) + one fresh confirmation solve per satisfiable \
+                    candidate (confirm_ms, encode included); parallel_warm = second serving \
+                    pass through a SolveMode::Parallel engine sharing the warm-pool registry"
             .to_string(),
         topologies: rows,
         best_solve_speedup: best_speedup,

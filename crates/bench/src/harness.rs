@@ -263,18 +263,18 @@ mod tests {
         assert!(!synthesized.closed_form_fallback);
         let fallback = Series::from_cost("(1,3,3)", 1, 3, 3, lowering);
         let model = CostModel::nvlink();
-        // The closed form charges the full R/C bandwidth term; the
-        // canonical (lexicographically minimal) schedule front-loads
-        // arrivals, so its link-level simulation can only be at least as
-        // fast — and never slower — than the closed-form envelope of the
-        // same (C, S, R) point.
+        // The closed form charges every step its full round count on the
+        // busiest link; a synthesized schedule uses each link at most that
+        // much, so its link-level simulation can only be at least as fast
+        // — and never slower — than the closed-form envelope of the same
+        // (C, S, R) point.
         for bytes in [1_000u64, 1_000_000] {
             let a = synthesized.time(&topo, bytes, &model);
             let b = fallback.time(&topo, bytes, &model);
             assert!(a > 0.0);
             assert!(
                 a <= b * (1.0 + 1e-6),
-                "simulated canonical schedule ({a}) slower than its closed form ({b})"
+                "simulated synthesized schedule ({a}) slower than its closed form ({b})"
             );
         }
     }

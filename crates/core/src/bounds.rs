@@ -2,6 +2,7 @@
 //! the latency lower bound `a_l` and bandwidth lower bound `b_l`.
 
 use sccl_collectives::CollectiveSpec;
+use sccl_topology::metrics::cut_bandwidth;
 use sccl_topology::{Rational, Topology};
 
 /// Latency lower bound `a_l` in steps: the largest shortest-path distance
@@ -55,44 +56,58 @@ pub fn bandwidth_lower_bound(
     if p == 1 {
         return Some(Rational::zero());
     }
-    let crossing = |inside: &[bool]| -> u64 {
-        (0..spec.num_chunks)
-            .filter(|&c| {
-                let pre_inside = spec.pre.iter().any(|&(pc, n)| pc == c && inside[n]);
-                let post_inside = spec.post.iter().any(|&(pc, n)| pc == c && inside[n]);
-                !pre_inside && post_inside
-            })
-            .count() as u64
-    };
+    let links = topology.link_bandwidths();
     let mut best = Rational::zero();
-    let mut consider = |inside: &[bool]| -> Option<()> {
-        let size = inside.iter().filter(|&&b| b).count();
-        if size == 0 || size == p {
-            return Some(());
-        }
-        let need = crossing(inside);
-        if need == 0 {
-            return Some(());
-        }
-        let bw = topology.cut_in_bandwidth(inside);
+    // One cut: `need > 0` chunks must cross into it, `bw` per round can.
+    let mut consider = |need: usize, bw: u64| -> Option<()> {
         if bw == 0 {
             return None;
         }
-        best = best.max(Rational::new(need, bw * per_node_chunks as u64));
+        best = best.max(Rational::new(need as u64, bw * per_node_chunks as u64));
         Some(())
     };
     if p <= 16 {
-        for mask in 1u32..(1 << p) - 1 {
-            let inside: Vec<bool> = (0..p).map(|i| mask >> i & 1 == 1).collect();
-            consider(&inside)?;
+        // Node sets as bitmasks, built once: a 16-node stage has 65 534
+        // cuts, and each must cost `O(G + |links|)` bit tests rather than
+        // a rescan of the pre/post relations.
+        let mut chunks = vec![(0u32, 0u32); spec.num_chunks];
+        for &(c, n) in &spec.pre {
+            chunks[c].0 |= 1 << n;
+        }
+        for &(c, n) in &spec.post {
+            chunks[c].1 |= 1 << n;
+        }
+        for inside in 1u32..(1 << p) - 1 {
+            let need = chunks
+                .iter()
+                .filter(|&&(pre, post)| pre & inside == 0 && post & inside != 0)
+                .count();
+            if need > 0 {
+                consider(need, cut_bandwidth(&links, |n| inside >> n & 1 == 1))?;
+            }
         }
     } else {
+        let mut chunks = vec![(Vec::new(), Vec::new()); spec.num_chunks];
+        for &(c, n) in &spec.pre {
+            chunks[c].0.push(n);
+        }
+        for &(c, n) in &spec.post {
+            chunks[c].1.push(n);
+        }
         for n in 0..p {
-            let mut inside = vec![false; p];
-            inside[n] = true;
-            consider(&inside)?;
-            let complement: Vec<bool> = inside.iter().map(|b| !b).collect();
-            consider(&complement)?;
+            // `{n}`, then its complement.
+            for single in [true, false] {
+                let inside = |m: usize| (m == n) == single;
+                let need = chunks
+                    .iter()
+                    .filter(|(pre, post)| {
+                        !pre.iter().any(|&m| inside(m)) && post.iter().any(|&m| inside(m))
+                    })
+                    .count();
+                if need > 0 {
+                    consider(need, cut_bandwidth(&links, inside))?;
+                }
+            }
         }
     }
     Some(best)
@@ -101,8 +116,125 @@ pub fn bandwidth_lower_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sccl_collectives::Collective;
+    use proptest::prelude::*;
+    use sccl_collectives::{Collective, CollectiveClass};
     use sccl_topology::builders;
+
+    /// The per-cut implementation [`bandwidth_lower_bound`] replaced: one
+    /// `Vec<bool>` per cut, the pre/post relations rescanned per chunk per
+    /// cut. Kept as the reference the bitmask enumeration must equal.
+    fn reference_bandwidth_lower_bound(
+        topology: &Topology,
+        spec: &CollectiveSpec,
+        per_node_chunks: usize,
+    ) -> Option<Rational> {
+        let p = topology.num_nodes();
+        if p == 1 {
+            return Some(Rational::zero());
+        }
+        let mut best = Rational::zero();
+        let mut consider = |inside: &[bool]| -> Option<()> {
+            let need = (0..spec.num_chunks)
+                .filter(|&c| {
+                    let pre_inside = spec.pre.iter().any(|&(pc, n)| pc == c && inside[n]);
+                    let post_inside = spec.post.iter().any(|&(pc, n)| pc == c && inside[n]);
+                    !pre_inside && post_inside
+                })
+                .count() as u64;
+            if need == 0 {
+                return Some(());
+            }
+            let bw = topology.cut_in_bandwidth(inside);
+            if bw == 0 {
+                return None;
+            }
+            best = best.max(Rational::new(need, bw * per_node_chunks as u64));
+            Some(())
+        };
+        if p <= 16 {
+            for mask in 1u32..(1 << p) - 1 {
+                let inside: Vec<bool> = (0..p).map(|i| mask >> i & 1 == 1).collect();
+                consider(&inside)?;
+            }
+        } else {
+            for n in 0..p {
+                let mut inside = vec![false; p];
+                inside[n] = true;
+                consider(&inside)?;
+                let complement: Vec<bool> = inside.iter().map(|b| !b).collect();
+                consider(&complement)?;
+            }
+        }
+        Some(best)
+    }
+
+    fn non_combining() -> Vec<Collective> {
+        Collective::all_with_root_zero()
+            .into_iter()
+            .filter(|c| c.class() == CollectiveClass::NonCombining)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random directed topologies (a chain backbone some cases break,
+        /// so `None` answers are compared too), random link budgets and an
+        /// optional shared egress cap, every non-combining collective.
+        #[test]
+        fn bitmask_bound_equals_the_per_cut_reference(
+            n in 2usize..=10,
+            backbone in any::<bool>(),
+            links in prop::collection::vec((0usize..10, 0usize..10, 0u64..4), 0..14),
+            shared_cap in 0u64..3,
+            chunks in 1usize..3,
+        ) {
+            let mut topo = Topology::new(format!("random-{n}"), n);
+            if backbone {
+                for i in 0..n - 1 {
+                    topo.add_bidi_link(i, i + 1, 1);
+                }
+            }
+            for &(a, b, bw) in &links {
+                if a % n != b % n {
+                    topo.add_link(a % n, b % n, bw);
+                }
+            }
+            if shared_cap > 0 {
+                topo.add_shared_constraint((1..n).map(|d| (0, d)), shared_cap);
+            }
+            for collective in non_combining() {
+                let c = chunks * if collective == Collective::Alltoall { n } else { 1 };
+                let spec = collective.spec(n, c);
+                prop_assert_eq!(
+                    bandwidth_lower_bound(&topo, &spec, c),
+                    reference_bandwidth_lower_bound(&topo, &spec, c),
+                    "{} on {:?}", collective, topo
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_node_cuts_beyond_sixteen_nodes_equal_the_reference() {
+        for topo in [builders::ring(20, 2), builders::ring_of_rings(3, 6, 2, 1)] {
+            let p = topo.num_nodes();
+            for collective in non_combining() {
+                let c = if collective == Collective::Alltoall {
+                    p
+                } else {
+                    1
+                };
+                let spec = collective.spec(p, c);
+                assert_eq!(
+                    bandwidth_lower_bound(&topo, &spec, c),
+                    reference_bandwidth_lower_bound(&topo, &spec, c),
+                    "{collective} on {}",
+                    topo.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn dgx1_allgather_bounds_match_paper() {

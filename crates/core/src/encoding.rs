@@ -14,9 +14,8 @@
 #![allow(clippy::needless_range_loop)] // chunk x node grids read best with explicit indices
 
 use crate::algorithm::{Algorithm, Send};
-use crate::canonical::{canonical_schedule, raw_schedule, CanonicalInstance};
 use sccl_collectives::CollectiveSpec;
-use sccl_solver::{add_linear_eq, IntVar, Limits, Lit, SolveResult, Solver, SolverConfig};
+use sccl_solver::{add_linear_eq, IntVar, Limits, Lit, Model, SolveResult, Solver, SolverConfig};
 use sccl_topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -32,11 +31,12 @@ use std::time::{Duration, Instant};
 /// unchanged, so the inversion duals of combining collectives encode
 /// against the original constraint order (different variable ordering,
 /// hence possibly different — equally valid — decoded models).
-/// 3 — satisfiable instances decode through the canonical
-/// (lexicographically minimal) schedule reconstruction of
-/// [`crate::canonical`] instead of reporting the solver's incidental model,
-/// so cached algorithms from older encoders no longer match.
-pub const ENCODER_VERSION: u32 = 3;
+/// 3 — satisfiable instances decoded through a lexicographically minimal
+/// schedule reconstruction (~70 assumption probes per candidate).
+/// 4 — that reconstruction is gone: the reported algorithm is the fresh
+/// solver's own model with dead sends pruned ([`synthesize`]), so cached
+/// algorithms from older encoders no longer match.
+pub const ENCODER_VERSION: u32 = 4;
 
 /// One synthesis query: find a `(S, R)` k-synchronous schedule implementing
 /// `spec` on `topology` (the SynColl instance of §3.2 with its parameters).
@@ -306,57 +306,13 @@ pub fn synthesize(
     };
     let encode_time = encode_start.elapsed();
 
-    // Solve, then decode canonically: the reported algorithm is the
-    // greedy-lexicographically-minimal schedule of the instance, not the
-    // solver's incidental model, so the warm (incremental) path decodes to
-    // the byte-identical algorithm without ever re-solving cold. The
-    // canonicalization probes are part of the solve time (they are solver
-    // work the candidate costs).
     let solve_start = Instant::now();
-    let conflicts_before = solver.stats().conflicts;
-    let result = solver.solve_limited(limits.clone());
-
-    let outcome = match result {
+    let outcome = match solver.solve_limited(limits) {
         SolveResult::Unsat => SynthesisOutcome::Unsatisfiable,
         SolveResult::Unknown => SynthesisOutcome::Unknown,
         SolveResult::Sat(model) => {
-            let canonical_instance = CanonicalInstance {
-                spec,
-                num_steps: s_steps,
-                time_vars: &time_vars,
-                snd_vars: &snd_vars,
-                round_vars: &round_vars,
-                context: &[],
-            };
-            // The chronological-backtracking ablation cannot answer
-            // assumption probes; its raw decode stays deterministic through
-            // the solver's fixed model-completion rule. With clause
-            // learning, a decode cut short by the budget or the stop flag
-            // degrades the whole run to Unknown rather than report a
-            // model-dependent schedule: every Satisfiable outcome of this
-            // function is canonical, so callers (and the warm pools' memos)
-            // may rely on byte-identical algorithms unconditionally.
-            // The decode spends what is *left* of the candidate's budget
-            // after the main solve, not a fresh grant of it.
-            let decode_limits = limits.minus_consumed(
-                solve_start.elapsed(),
-                solver.stats().conflicts - conflicts_before,
-            );
-            let (rounds_per_step, sends) = if solver.config().clause_learning {
-                match canonical_schedule(&canonical_instance, &mut solver, &model, &decode_limits) {
-                    Some(schedule) => (schedule.rounds_per_step, schedule.sends),
-                    None => {
-                        return SynthesisRun {
-                            outcome: SynthesisOutcome::Unknown,
-                            encode_time,
-                            solve_time: solve_start.elapsed(),
-                            encoding,
-                        }
-                    }
-                }
-            } else {
-                raw_schedule(&canonical_instance, &model)
-            };
+            let (rounds_per_step, sends) =
+                decode_schedule(spec, s_steps, &time_vars, &snd_vars, &round_vars, &model);
             SynthesisOutcome::Satisfiable(Algorithm {
                 collective: spec.collective,
                 topology_name: topology.name().to_string(),
@@ -376,6 +332,78 @@ pub fn synthesize(
         solve_time,
         encoding,
     }
+}
+
+/// Read a model out as `(rounds_per_step, sends)` through the variables
+/// the cold encoding above and the warm layered one in
+/// [`crate::incremental`] share — `time(c, n)` indexed `[chunk][node]`,
+/// `snd(c, src, dst)` and the `S` per-step round counts: every true send
+/// whose destination arrives within the `num_steps` deadline (later means
+/// "never"), scheduled one step before the arrival, with the sends no post
+/// pair depends on pruned (see [`prune_dead_sends`]). The result is a
+/// function of the model, so it is only as deterministic as the solve that
+/// produced it: a fresh solver is deterministic given `(topology,
+/// instance, options, SolverConfig)`, a warm one depends on its history.
+pub(crate) fn decode_schedule(
+    spec: &CollectiveSpec,
+    num_steps: usize,
+    time_vars: &[Vec<IntVar>],
+    snd_vars: &BTreeMap<(usize, usize, usize), Lit>,
+    round_vars: &[IntVar],
+    model: &Model,
+) -> (Vec<u64>, Vec<Send>) {
+    let deadline = num_steps as i64;
+    let raw = snd_vars
+        .iter()
+        .filter(|&(_, &lit)| model.lit_value(lit))
+        .filter_map(|(&(c, src, dst), _)| {
+            let arrival = time_vars[c][dst].value_in(model);
+            (arrival <= deadline).then(|| Send::copy(c, src, dst, (arrival - 1) as usize))
+        })
+        .collect();
+    let rounds_per_step = round_vars
+        .iter()
+        .map(|r| r.value_in(model) as u64)
+        .collect();
+    (rounds_per_step, prune_dead_sends(spec, raw))
+}
+
+/// Drop every send no post pair depends on, and sort the rest by `(step,
+/// chunk, src, dst)`. A model may deliver chunks nobody asked for (Gather,
+/// Scatter and Alltoall leave most `(chunk, node)` pairs out of the
+/// post-condition, and nothing in C1–C6 forbids a spurious arrival); such
+/// sends cost bandwidth at run time and buy nothing.
+///
+/// Requires at most one send per `(chunk, dst)` — constraint C3, which
+/// every decoded model satisfies. Walks back from the post pairs through
+/// each pair's unique incoming send, so the result is send-minimal for its
+/// routing: removing any remaining send starves a post pair. Linear in
+/// `sends.len() + G·P`.
+fn prune_dead_sends(spec: &CollectiveSpec, sends: Vec<Send>) -> Vec<Send> {
+    let p = spec.num_nodes;
+    let mut incoming: Vec<Option<usize>> = vec![None; spec.num_chunks * p];
+    for (i, send) in sends.iter().enumerate() {
+        let slot = &mut incoming[send.chunk * p + send.dst];
+        debug_assert!(slot.is_none(), "C3: one incoming send per (chunk, dst)");
+        *slot = Some(i);
+    }
+    let mut live = vec![false; sends.len()];
+    let mut pending: Vec<(usize, usize)> = spec.post.iter().copied().collect();
+    while let Some((c, n)) = pending.pop() {
+        // Pre pairs have no incoming send; a pair already walked has its
+        // send marked.
+        if let Some(i) = incoming[c * p + n].take() {
+            live[i] = true;
+            pending.push((c, sends[i].src));
+        }
+    }
+    let mut kept: Vec<Send> = sends
+        .into_iter()
+        .zip(live)
+        .filter_map(|(send, live)| live.then_some(send))
+        .collect();
+    kept.sort_by_key(|s| (s.step, s.chunk, s.src, s.dst));
+    kept
 }
 
 /// Synthesize with the naive encoding: one Boolean per send tuple
@@ -751,6 +779,75 @@ mod tests {
         let careful = run_default(&topo, &inst);
         let naive = synthesize_naive(&topo, &inst, SolverConfig::default(), Limits::none());
         assert!(naive.encoding.num_vars > careful.encoding.num_vars);
+    }
+
+    #[test]
+    fn prune_drops_exactly_the_sends_no_post_pair_depends_on() {
+        // Gather to node 0 on the chain 0 - 1 - 2, one chunk per node.
+        let spec = Collective::Gather { root: 0 }.spec(3, 1);
+        let needed = [
+            Send::copy(1, 1, 0, 0),
+            Send::copy(2, 2, 1, 0),
+            Send::copy(2, 1, 0, 1),
+        ];
+        let dead = [
+            // Chunk 0 wanders down the chain and chunk 1 visits node 2:
+            // legal under C1–C6, wanted by nobody.
+            Send::copy(0, 0, 1, 0),
+            Send::copy(0, 1, 2, 1),
+            Send::copy(1, 1, 2, 0),
+        ];
+        let mut raw: Vec<Send> = dead.iter().chain(&needed).copied().collect();
+        raw.reverse();
+        assert_eq!(prune_dead_sends(&spec, raw), needed);
+        // Nothing to prune when every pair is a post pair.
+        let allgather = Collective::Allgather.spec(3, 1);
+        let mut all: Vec<Send> = needed.iter().chain(&dead).copied().collect();
+        all.sort_by_key(|s| (s.step, s.chunk, s.src, s.dst));
+        assert_eq!(prune_dead_sends(&allgather, all.clone()), all);
+    }
+
+    /// A decoded schedule is send-minimal for its routing: it validates,
+    /// and it stops validating when any one send is taken out.
+    fn assert_send_minimal(topo: &Topology, spec: &CollectiveSpec, alg: &Algorithm) {
+        alg.validate(topo, spec).expect("valid");
+        for i in 0..alg.sends.len() {
+            let mut without = alg.clone();
+            let removed = without.sends.remove(i);
+            assert!(
+                without.validate(topo, spec).is_err(),
+                "{} on {}: {removed:?} was dead weight",
+                spec.collective,
+                topo.name()
+            );
+        }
+    }
+
+    #[test]
+    fn decoded_schedules_are_send_minimal() {
+        let ring = builders::ring(4, 1);
+        let cube = builders::hypercube(3, 1);
+        for (topo, inst) in [
+            (&ring, instance(Collective::Gather { root: 0 }, 4, 2, 4, 5)),
+            (&ring, instance(Collective::Scatter { root: 1 }, 4, 2, 4, 5)),
+            (&ring, instance(Collective::Alltoall, 4, 4, 3, 4)),
+            (&cube, instance(Collective::Gather { root: 0 }, 8, 1, 4, 5)),
+            (&cube, instance(Collective::Scatter { root: 0 }, 8, 2, 5, 6)),
+        ] {
+            let alg = run_default(topo, &inst).outcome.algorithm().expect("SAT");
+            assert_send_minimal(topo, &inst.spec, &alg);
+        }
+        // Where every pair is a post pair there is nothing to prune: one
+        // receive per pair that does not start with its chunk.
+        for collective in [Collective::Allgather, Collective::Broadcast { root: 0 }] {
+            let inst = instance(collective, 8, 2, 4, 5);
+            let alg = run_default(&cube, &inst).outcome.algorithm().expect("SAT");
+            assert_send_minimal(&cube, &inst.spec, &alg);
+            assert_eq!(
+                alg.sends.len(),
+                inst.spec.num_chunks * 8 - inst.spec.pre.len()
+            );
+        }
     }
 
     #[test]

@@ -52,26 +52,29 @@
 //! "never" value and dropping sends whose destination never arrives. A
 //! warm sweep therefore reaches exactly the verdicts the cold sweep would.
 //!
-//! # The confirm-free invariant
+//! # Verdict warm, bytes from one fresh solve
 //!
 //! Verdicts alone are not enough for frontier equality — satisfiable
-//! candidates contribute their *algorithms* to the report, and the warm
-//! solver's incidental model differs from the cold solver's. Instead of
-//! re-solving satisfiable candidates cold (the historic "cold confirm",
-//! which cost 40%+ of warm solve time on some machines), both paths now
-//! decode through [`crate::canonical`]: the greedy-lexicographically-
-//! minimal schedule reconstruction, whose assumption probes see identical
-//! feasibility answers in either encoding precisely because of the
-//! equisatisfiability above. A warm SAT answer therefore produces the
-//! byte-identical algorithm the cold path reports, without any duplicate
-//! solve; equality is enforced by the three-way `incremental_consistency`
-//! suite rather than re-derived per candidate at runtime.
+//! candidates contribute their *algorithms* to the report, and a warm
+//! solver's model depends on everything it solved before. This module
+//! therefore only promises verdicts: the schedule
+//! [`IncrementalEncoder::solve_candidate`] returns is valid (and pruned
+//! of dead sends) but *witness-dependent*. Reported bytes come from
+//! [`ChunkPool::solve`](crate::pareto::ChunkPool::solve), which follows a
+//! warm `Satisfiable` with one fresh-formula
+//! [`synthesize`](crate::encoding::synthesize) of that candidate — a
+//! solver whose model is a function of `(topology, instance, options,
+//! SolverConfig)` alone — and reports *that* run. Cold, warm, parallel and
+//! resumed sweeps are byte-identical by construction: every reported
+//! algorithm is the output of the same deterministic function, whichever
+//! driver asked.
 
 #![allow(clippy::needless_range_loop)] // chunk x node grids read best with explicit indices
 
 use crate::algorithm::Algorithm;
-use crate::canonical::{canonical_schedule, CanonicalInstance};
-use crate::encoding::{EncodingOptions, EncodingStats, SynthesisOutcome, SynthesisRun};
+use crate::encoding::{
+    decode_schedule, EncodingOptions, EncodingStats, SynthesisOutcome, SynthesisRun,
+};
 use sccl_collectives::CollectiveSpec;
 use sccl_solver::{IntVar, Limits, Lit, SolveResult, Solver, SolverConfig, SolverStats};
 use sccl_topology::Topology;
@@ -86,27 +89,24 @@ pub struct IncrementalStats {
     /// Wall-clock time spent building encodings (base layers + candidate
     /// deltas).
     pub encode_time: Duration,
-    /// Wall-clock time spent in warm assumption solves, including the
-    /// canonical-decode probes of satisfiable candidates.
+    /// Wall-clock time spent in warm assumption solves.
     pub warm_solve_time: Duration,
-    /// Wall-clock time of cold fallback runs (encode + solve): the
-    /// clause-learning ablation and budget-exhausted warm probes are served
-    /// by the cold path. Zero on the normal warm path — the historic cold
-    /// confirmation of satisfiable candidates is gone (see the
-    /// [module docs](crate::incremental) on the confirm-free invariant).
+    /// Wall-clock time of fresh-formula runs (encode + solve): the one
+    /// confirmation solve behind every satisfiable candidate (see the
+    /// [module docs](crate::incremental)), plus any cold fallbacks.
     pub cold_solve_time: Duration,
     /// Candidates decided by a warm assumption solve.
     pub warm_candidates: u64,
     /// Distinct base encodings built (one per chunk count touched).
     pub base_encodings: u64,
-    /// `solve_under_assumptions` calls issued to warm solvers (including
-    /// canonical-decode probes).
+    /// `solve_under_assumptions` calls issued to warm solvers: at most one
+    /// per warm candidate.
     pub solve_calls: u64,
     /// Learnt clauses already present at the start of warm solve calls,
     /// summed: the clause reuse the incremental path gets for free.
     pub reused_clauses: u64,
-    /// Assumption probes issued by the canonical decode of satisfiable
-    /// candidates (zero when the witness model already was canonical).
+    /// Always zero: the lexicographic decode that issued these probes is
+    /// gone. The field stays because the benchmark ledger reads it.
     pub canonical_probes: u64,
     /// Probes answered from a failed-assumption core without a solve (a
     /// previous UNSAT at the same step count implicated no budget literal,
@@ -117,7 +117,9 @@ pub struct IncrementalStats {
     pub memo_hits: u64,
     /// Probes whose warm solve exhausted its adaptive conflict budget and
     /// were decided by the cold solver instead (bounding the warm search's
-    /// worst-case variance on hard satisfiable instances).
+    /// worst-case variance on hard satisfiable instances), plus every
+    /// candidate of the clause-learning ablation. A confirmation solve is
+    /// not a fallback.
     pub cold_fallbacks: u64,
     /// Times a warm chunk pool was checked back into a shared pool registry
     /// after deciding a candidate (counted by the scheduler's registry;
@@ -162,10 +164,8 @@ impl IncrementalStats {
         }
     }
 
-    /// Total time attributed to solving (warm assumption solves, canonical
-    /// probes included, plus any cold fallback runs), the figure the `≥ 2×`
-    /// bench criterion compares against the cold sweep's summed solve
-    /// times.
+    /// Total time attributed to solving: warm assumption solves plus the
+    /// fresh-formula confirmation and fallback runs.
     pub fn total_solve_time(&self) -> Duration {
         self.warm_solve_time + self.cold_solve_time
     }
@@ -218,8 +218,6 @@ pub struct IncrementalEncoder {
     candidates: u64,
     /// Probes answered from `rounds_independent_unsat` without a solve.
     core_skips: u64,
-    /// Assumption probes spent canonicalizing satisfiable candidates.
-    canonical_probes: u64,
 }
 
 impl IncrementalEncoder {
@@ -352,7 +350,6 @@ impl IncrementalEncoder {
             warm_solve_time: Duration::ZERO,
             candidates: 0,
             core_skips: 0,
-            canonical_probes: 0,
         }
     }
 
@@ -370,11 +367,6 @@ impl IncrementalEncoder {
     /// solver call.
     pub fn core_skips(&self) -> u64 {
         self.core_skips
-    }
-
-    /// Assumption probes spent canonicalizing satisfiable candidates.
-    pub fn canonical_probes(&self) -> u64 {
-        self.canonical_probes
     }
 
     /// Cumulative encode time (base layer + candidate deltas).
@@ -530,7 +522,11 @@ impl IncrementalEncoder {
     /// `T_S = R` (C6). Nothing is asserted permanently, so no retiring is
     /// needed. The returned run's `encoding` reports the warm formula's
     /// cumulative size (not the cold per-instance size); its outcome and
-    /// timings are the candidate's own.
+    /// timings are the candidate's own. The verdict is history-independent;
+    /// a satisfiable run's schedule is valid and pruned of dead sends but
+    /// *witness-dependent* — it is this solver's current model, which
+    /// varies with the candidates solved before (see the
+    /// [module docs](crate::incremental)).
     pub fn solve_candidate(
         &mut self,
         num_steps: usize,
@@ -575,7 +571,6 @@ impl IncrementalEncoder {
 
         self.step_layer(num_steps);
         let gate = self.layers[&num_steps].gate;
-        let round_vars = self.layers[&num_steps].round_vars.clone();
         let total = self.layers[&num_steps].total.clone();
 
         // The assumption set: the layer gate, the C2 deadlines and the C6
@@ -607,12 +602,7 @@ impl IncrementalEncoder {
         self.encode_time += encode_time;
 
         let solve_start = Instant::now();
-        let conflicts_before = self.solver.stats().conflicts;
-        let result = self
-            .solver
-            .solve_under_assumptions(&assumptions, limits.clone());
-
-        let outcome = match result {
+        let outcome = match self.solver.solve_under_assumptions(&assumptions, limits) {
             SolveResult::Unsat => {
                 // If the failed-assumption core avoided every budget
                 // literal, the deadline assumptions alone are refuted:
@@ -626,47 +616,23 @@ impl IncrementalEncoder {
             }
             SolveResult::Unknown => SynthesisOutcome::Unknown,
             SolveResult::Sat(model) => {
-                // Canonical decode: pin the reported algorithm to the
-                // lexicographically minimal schedule, which is exactly what
-                // the cold path reports for this candidate — no cold
-                // re-solve needed. A probe running out of budget degrades
-                // the candidate to Unknown, so a budgeted caller falls back
-                // to the cold path rather than report a model-dependent
-                // algorithm.
-                let canonical_instance = CanonicalInstance {
-                    spec: &self.spec,
+                let (rounds_per_step, sends) = decode_schedule(
+                    &self.spec,
                     num_steps,
-                    time_vars: &self.time_vars,
-                    snd_vars: &self.snd_vars,
-                    round_vars: &round_vars,
-                    context: &assumptions,
-                };
-                // The decode spends the *remainder* of the candidate's
-                // budget, not a fresh grant of it.
-                let decode_limits = limits.minus_consumed(
-                    solve_start.elapsed(),
-                    self.solver.stats().conflicts - conflicts_before,
-                );
-                match canonical_schedule(
-                    &canonical_instance,
-                    &mut self.solver,
+                    &self.time_vars,
+                    &self.snd_vars,
+                    &self.layers[&num_steps].round_vars,
                     &model,
-                    &decode_limits,
-                ) {
-                    Some(schedule) => {
-                        self.canonical_probes += schedule.probes;
-                        SynthesisOutcome::Satisfiable(Algorithm {
-                            collective: self.spec.collective,
-                            topology_name: self.topology_name.clone(),
-                            num_nodes: self.spec.num_nodes,
-                            per_node_chunks: self.per_node_chunks,
-                            num_chunks: self.spec.num_chunks,
-                            rounds_per_step: schedule.rounds_per_step,
-                            sends: schedule.sends,
-                        })
-                    }
-                    None => SynthesisOutcome::Unknown,
-                }
+                );
+                SynthesisOutcome::Satisfiable(Algorithm {
+                    collective: self.spec.collective,
+                    topology_name: self.topology_name.clone(),
+                    num_nodes: self.spec.num_nodes,
+                    per_node_chunks: self.per_node_chunks,
+                    num_chunks: self.spec.num_chunks,
+                    rounds_per_step,
+                    sends,
+                })
             }
         };
         let solve_time = solve_start.elapsed();
@@ -747,8 +713,8 @@ mod tests {
         }
     }
 
-    /// Warm-decoded (canonical) algorithms are valid schedules — they are
-    /// the frontier entries now, with no cold re-decode behind them.
+    /// Warm-decoded algorithms are valid schedules (witness-dependent, so
+    /// only validity and cost are asserted, never bytes).
     #[test]
     fn warm_models_decode_to_valid_algorithms() {
         let topo = builders::ring(4, 1);
@@ -784,14 +750,9 @@ mod tests {
         assert!(enc.solve_candidate(2, 2, Limits::none()).outcome.is_sat());
         assert!(!enc.solve_candidate(1, 1, Limits::none()).outcome.is_sat());
         assert_eq!(enc.candidates(), 3);
-        // Two candidate solves; the SAT candidate's canonical decode may
-        // add assumption probes on top, but nothing else touches the
-        // solver.
-        assert_eq!(
-            enc.solver_stats().solve_calls,
-            2 + enc.canonical_probes(),
-            "only candidate solves and canonical probes may hit the solver"
-        );
+        // Exactly two candidate solves: decoding the SAT model touches the
+        // solver no further.
+        assert_eq!(enc.solver_stats().solve_calls, 2);
         assert_eq!(enc.core_skips(), 1);
     }
 

@@ -17,6 +17,15 @@
 //! 4. [`combining`] derives Reduce/ReduceScatter by inversion and Allreduce
 //!    as ReduceScatter followed by Allgather (§3.5).
 //!
+//! Determinism: *verdict warm, bytes from one fresh solve*. Sweeps decide
+//! candidates on long-lived [`incremental`] solvers, whose verdicts are
+//! history-independent but whose models are not; every *reported*
+//! algorithm is instead the model of one fresh-formula
+//! [`encoding::synthesize`] of its candidate (dead sends pruned), a
+//! function of `(topology, instance, options, SolverConfig)` alone. Cold,
+//! warm, parallel and resumed frontiers are therefore byte-identical by
+//! construction — see [`pareto::ChunkPool`].
+//!
 //! ```
 //! use sccl_core::pareto::{pareto_synthesize, SynthesisConfig};
 //! use sccl_collectives::Collective;
@@ -34,7 +43,6 @@
 pub mod algorithm;
 pub mod analysis;
 pub mod bounds;
-pub mod canonical;
 pub mod combining;
 pub mod cost;
 pub mod encoding;

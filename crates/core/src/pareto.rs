@@ -213,8 +213,8 @@ impl SynthesisReport {
     /// termination and `(C, S, R)` entries with identical algorithms —
     /// everything except wall-clock synthesis times and formula-size
     /// statistics. Algorithms are compared byte-for-byte: every driver
-    /// decodes through the canonical schedule reconstruction of
-    /// [`crate::canonical`], so cold, warm and parallel-warm searches
+    /// reports the model of one fresh-formula [`synthesize`] per
+    /// satisfiable candidate, so cold, warm and parallel-warm searches
     /// report the identical algorithm per entry. Formula sizes are
     /// *diagnostic* and legitimately differ between drivers (the cold path
     /// reports the per-instance formula, the warm path its cumulative
@@ -424,9 +424,10 @@ pub const SWEEP_CHECKPOINT_VERSION: u32 = 1;
 /// re-enumerated deterministically at resume time from the same request.
 ///
 /// Resuming from a checkpoint is *provably* equivalent to never having
-/// been interrupted: candidate outcomes are deterministic (warm Sat/Unsat
-/// answers decode canonically, and warm `Unknown`s fall back to a cold
-/// solve under the caller's limits), `supply` is strictly cursor-ordered,
+/// been interrupted: candidate outcomes are deterministic (verdicts are
+/// history-independent, satisfiable candidates report a fresh-formula
+/// solve, and warm `Unknown`s fall back to a cold solve under the caller's
+/// limits), `supply` is strictly cursor-ordered,
 /// and the skip rules depend only on `(cursor, best_bw, settled_step)` —
 /// all captured here. So replaying the remaining candidates from `cursor`
 /// reaches the byte-identical frontier (the property the resume
@@ -865,13 +866,18 @@ fn pareto_synthesize_noncombining(
 /// [`WarmPool`], which is simply a per-base-problem collection of chunk
 /// pools.
 ///
-/// Warm solving is the *only* solving: satisfiable candidates decode
-/// through the canonical schedule reconstruction of [`crate::canonical`],
-/// which yields the byte-identical algorithm the cold path reports — the
-/// historic cold re-solve ("confirmation") of frontier entries is gone.
-/// The cold path remains only as a fallback for the clause-learning
-/// ablation (assumption semantics need learning) and for warm probes that
-/// exhaust their adaptive conflict budget.
+/// Verdict warm, bytes from one fresh solve: the warm solver decides
+/// every candidate, but a warm model depends on the pool's history, so a
+/// warm `Satisfiable` is followed by one fresh-formula [`synthesize`] of
+/// that candidate — deterministic given `(topology, instance, options,
+/// SolverConfig)` — and the pool memoizes and returns *that* run. Every
+/// algorithm any driver reports is therefore the output of the same
+/// function of the request, which is what makes cold, warm, parallel and
+/// resumed frontiers byte-identical by construction. Unsatisfiable
+/// candidates (the bulk of a sweep) never leave the warm solver. The same
+/// cold path also serves the clause-learning ablation (assumption
+/// semantics need learning) and warm probes that exhaust their adaptive
+/// conflict budget; only those two count as `cold_fallbacks`.
 ///
 /// Equality holds verbatim for runs that complete (no per-instance
 /// budget); under conflict or wall-clock budgets warm and cold searches
@@ -925,8 +931,8 @@ impl ChunkPool {
     /// gradually along the sweep) complete, while a pathological search —
     /// warm CDCL occasionally diverges on hard satisfiable instances the
     /// cold solver gets lucky on — is cut off and handed to the cold
-    /// solver. Correctness is unaffected: the cold fallback decodes
-    /// through the same canonical reconstruction.
+    /// solver. Correctness is unaffected: the cold fallback is the same
+    /// fresh-formula solve a satisfiable candidate is confirmed by.
     fn warm_budget(&self) -> u64 {
         20_000 + 16 * self.hardest_probe_conflicts
     }
@@ -962,8 +968,9 @@ impl ChunkPool {
     }
 
     /// One cold [`synthesize`] call for `job`, its wall time folded into
-    /// the pool's cold-solve accounting. Shared by the ablation and
-    /// budget-exhaustion fallbacks so they cannot drift apart.
+    /// the pool's cold-solve accounting. Shared by the confirmation of
+    /// satisfiable candidates and the ablation and budget-exhaustion
+    /// fallbacks, so the bytes they report cannot drift apart.
     fn cold_run(&mut self, job: &CandidateJob, limits: Limits) -> SynthesisRun {
         let start = Instant::now();
         let cold = synthesize(
@@ -977,8 +984,9 @@ impl ChunkPool {
         cold
     }
 
-    /// Decide one candidate, warm; satisfiable outcomes carry the
-    /// canonical algorithm directly (no cold re-solve).
+    /// Decide one candidate: the verdict warm, a satisfiable candidate's
+    /// algorithm from one fresh-formula confirmation solve under the same
+    /// `limits` (see the type docs).
     pub fn solve(&mut self, job: &CandidateJob, limits: Limits) -> SynthesisRun {
         assert_eq!(
             job.chunks, self.chunks,
@@ -992,34 +1000,41 @@ impl ChunkPool {
         // The chronological-backtracking ablation cannot honour assumption
         // semantics (it flips decisions), so such configs are served by the
         // cold path outright — candidate memoization still applies.
-        if !self.config.solver.clause_learning {
-            let cold = self.cold_run(job, limits);
+        let run = if !self.config.solver.clause_learning {
             self.cold_fallbacks += 1;
-            if !matches!(cold.outcome, SynthesisOutcome::Unknown) {
-                self.memo.insert(key, cold.clone());
-            }
-            return cold;
-        }
-        let warm = self.warm_probe(job.steps, job.rounds, &limits);
-        let run = match warm.outcome {
-            SynthesisOutcome::Unknown => {
+            self.cold_run(job, limits)
+        } else {
+            let warm = self.warm_probe(job.steps, job.rounds, &limits);
+            match warm.outcome {
+                // Unsatisfiable verdicts are encoding-independent.
+                SynthesisOutcome::Unsatisfiable => warm,
                 // A cancelled probe stays cancelled: re-encoding cold just
                 // to have the stop flag abort the solve again would waste
                 // the hot parallel path on work the merge already decided
-                // never to read.
-                if limits.stop_requested() {
-                    return warm;
+                // never to read. (A warm model is never reported, so a
+                // cancelled Satisfiable is Unknown too.)
+                _ if limits.stop_requested() => SynthesisRun {
+                    outcome: SynthesisOutcome::Unknown,
+                    ..warm
+                },
+                // Satisfiable: confirm, and report the fresh solve — an
+                // `Unknown` under the caller's limits is what the cold
+                // sweep would report for this candidate, so it stands.
+                SynthesisOutcome::Satisfiable(_) => {
+                    let confirmed = self.cold_run(job, limits);
+                    debug_assert!(
+                        !matches!(confirmed.outcome, SynthesisOutcome::Unsatisfiable),
+                        "warm and cold encodings are equisatisfiable per candidate"
+                    );
+                    confirmed
                 }
-                // The warm search (or its canonical decode) ran over the
-                // adaptive budget or the caller's: decide the candidate
-                // cold, which reports the identical canonical algorithm.
-                let cold = self.cold_run(job, limits);
-                self.cold_fallbacks += 1;
-                cold
+                // The warm search ran over the adaptive budget or the
+                // caller's: decide the candidate cold.
+                SynthesisOutcome::Unknown => {
+                    self.cold_fallbacks += 1;
+                    self.cold_run(job, limits)
+                }
             }
-            // Satisfiable runs already carry the canonical algorithm;
-            // unsatisfiable verdicts are encoding-independent.
-            _ => warm,
         };
         if !matches!(run.outcome, SynthesisOutcome::Unknown) {
             self.memo.insert(key, run.clone());
@@ -1066,7 +1081,6 @@ impl ChunkPool {
             stats.warm_candidates = encoder.candidates();
             stats.solve_calls = encoder.solver_stats().solve_calls;
             stats.reused_clauses = encoder.solver_stats().reused_clauses;
-            stats.canonical_probes = encoder.canonical_probes();
             stats.core_skips = encoder.core_skips();
         }
         stats
@@ -1227,9 +1241,9 @@ pub struct WarmSynthesis {
 /// Run Algorithm 1 with warm, assumption-based incremental solving: one
 /// long-lived solver per chunk count instead of one throwaway solver per
 /// candidate. Produces the same frontier as [`pareto_synthesize`] (see
-/// [`ChunkPool`] for the exact guarantee) in a fraction of the solve time —
-/// unsatisfiable probes reuse learnt clauses and satisfiable ones decode
-/// canonically instead of re-solving cold.
+/// [`ChunkPool`] for the exact guarantee): unsatisfiable probes — the bulk
+/// of a sweep — reuse learnt clauses and never build a second formula;
+/// satisfiable ones are confirmed by one fresh solve.
 pub fn pareto_synthesize_warm(
     topology: &Topology,
     collective: Collective,
@@ -1585,12 +1599,76 @@ mod tests {
                 warm.report.same_frontier(&cold),
                 "{collective} warm frontier diverged from cold"
             );
-            // The confirm-free invariant: the warm sweep never ran a cold
-            // solver, yet its algorithms matched byte-for-byte above.
+            // A confirmation is not a fallback, and nothing but the one
+            // warm solve per candidate touches the warm solvers.
             assert_eq!(warm.incremental.cold_fallbacks, 0);
-            assert_eq!(warm.incremental.cold_solve_time, Duration::ZERO);
-            assert!(warm.incremental.solve_calls >= warm.incremental.warm_candidates);
+            assert!(warm.incremental.cold_solve_time > Duration::ZERO);
+            assert_eq!(warm.incremental.canonical_probes, 0);
+            assert!(warm.incremental.solve_calls <= warm.incremental.warm_candidates);
         }
+    }
+
+    #[test]
+    fn dgx1_sweep_costs_one_warm_solve_per_candidate() {
+        // The decode this replaced issued ~70 assumption probes per
+        // satisfiable candidate (1 928 of a sweep's 1 969 solver calls): a
+        // probe blow-up must not be able to come back silently.
+        let topo = builders::dgx1();
+        let config = SynthesisConfig {
+            k: 1,
+            max_steps: 3,
+            max_chunks: 3,
+            ..Default::default()
+        };
+        let warm = pareto_synthesize_warm(&topo, Collective::Allgather, &config).expect("warm");
+        let stats = warm.incremental;
+        assert!(warm.report.entries.len() >= 2, "a real sweep ran");
+        assert!(stats.warm_candidates >= warm.report.entries.len() as u64);
+        assert_eq!(stats.canonical_probes, 0);
+        assert!(stats.solve_calls <= stats.warm_candidates);
+        assert_eq!(stats.cold_fallbacks, 0);
+    }
+
+    #[test]
+    fn a_confirmation_out_of_budget_leaves_the_candidate_unknown() {
+        let topo = builders::dgx1();
+        let base = base_problem(&topo, Collective::Allgather);
+        let config = SynthesisConfig {
+            k: 2,
+            max_steps: 4,
+            ..Default::default()
+        };
+        let mut pool = ChunkPool::new(&base, &config, 1);
+        let job = |steps, rounds| CandidateJob {
+            index: 0,
+            steps,
+            rounds,
+            chunks: 1,
+        };
+        assert!(pool.solve(&job(3, 5), Limits::none()).outcome.is_sat());
+        // The phases saved from (3, 5) decide (3, 4) warm without a single
+        // conflict; a fresh solver needs about forty. The budget therefore
+        // runs out in the confirmation, and the candidate must come back
+        // Unknown — what the cold sweep reports under this budget — not
+        // carrying the warm model's schedule.
+        let starved = pool.solve(&job(3, 4), Limits::conflicts(10));
+        assert!(matches!(starved.outcome, SynthesisOutcome::Unknown));
+        assert_eq!(pool.stats().cold_fallbacks, 0, "the warm probe decided");
+        assert_eq!(pool.decided(), 1, "Unknown is never memoized");
+        // Given the budget, the same pool reports the cold sweep's bytes.
+        let confirmed = pool.solve(&job(3, 4), Limits::none());
+        let cold = synthesize(
+            &topo,
+            &job(3, 4).instance(Collective::Allgather, 8),
+            &config.encoding,
+            config.solver.clone(),
+            Limits::none(),
+        );
+        assert_eq!(
+            confirmed.outcome.algorithm().expect("SAT"),
+            cold.outcome.algorithm().expect("SAT")
+        );
+        assert_eq!(pool.stats().cold_fallbacks, 0);
     }
 
     #[test]

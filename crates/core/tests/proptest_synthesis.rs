@@ -9,6 +9,7 @@ use sccl_core::combining::{
     allreduce_required, compose_allreduce, invert, reducescatter_required, validate_combining,
 };
 use sccl_core::encoding::{synthesize, EncodingOptions, SynCollInstance, SynthesisOutcome};
+use sccl_core::incremental::IncrementalEncoder;
 use sccl_solver::{Limits, SolverConfig};
 use sccl_topology::{builders, Rational, Topology};
 
@@ -71,6 +72,72 @@ proptest! {
                 "decoded schedule fails validation: {:?}", alg.validate(&topo, &spec));
             prop_assert_eq!(alg.total_rounds(), rounds);
             prop_assert_eq!(alg.num_steps(), steps);
+        }
+    }
+
+    /// Both decodes — the fresh solver's and the warm encoder's — prune
+    /// dead sends: the schedule validates, stops validating when any one
+    /// send is removed, and where every pair is a post pair (Allgather,
+    /// Broadcast) keeps exactly one receive per pair that does not start
+    /// with its chunk.
+    #[test]
+    fn decoded_schedules_are_send_minimal(
+        topo in small_topology(),
+        kind in 0usize..5,
+        chunks in 1usize..3,
+        extra_steps in 0usize..3,
+        extra_rounds in 0u64..2,
+    ) {
+        let p = topo.num_nodes();
+        let (collective, chunks) = match kind {
+            0 => (Collective::Allgather, chunks),
+            1 => (Collective::Broadcast { root: 0 }, chunks),
+            2 => (Collective::Gather { root: 0 }, chunks),
+            3 => (Collective::Scatter { root: 0 }, chunks),
+            _ => (Collective::Alltoall, p),
+        };
+        let spec = collective.spec(p, chunks);
+        let al = latency_lower_bound(&topo, &spec).expect("connected");
+        let steps = al.max(1) + extra_steps;
+        let rounds = steps as u64 + extra_rounds;
+        let instance = SynCollInstance {
+            spec: spec.clone(),
+            per_node_chunks: chunks,
+            num_steps: steps,
+            num_rounds: rounds,
+        };
+        let cold = synthesize(
+            &topo,
+            &instance,
+            &EncodingOptions::default(),
+            SolverConfig::default(),
+            Limits::none(),
+        );
+        let warm = IncrementalEncoder::new(
+            &topo,
+            spec.clone(),
+            chunks,
+            steps,
+            extra_rounds,
+            &EncodingOptions::default(),
+            SolverConfig::default(),
+        )
+        .solve_candidate(steps, rounds, Limits::none());
+        prop_assert_eq!(cold.outcome.is_sat(), warm.outcome.is_sat());
+        for outcome in [cold.outcome, warm.outcome] {
+            let SynthesisOutcome::Satisfiable(alg) = outcome else { continue };
+            prop_assert!(alg.validate(&topo, &spec).is_ok());
+            for i in 0..alg.sends.len() {
+                let mut without = alg.clone();
+                let removed = without.sends.remove(i);
+                prop_assert!(
+                    without.validate(&topo, &spec).is_err(),
+                    "{} on {}: {:?} was dead weight", collective, topo.name(), removed
+                );
+            }
+            if kind < 2 {
+                prop_assert_eq!(alg.sends.len(), spec.num_chunks * p - spec.pre.len());
+            }
         }
     }
 

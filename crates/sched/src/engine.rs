@@ -13,8 +13,9 @@
 //!    check chunk-granular solver pools out of the engine's shared
 //!    [warm-pool registry](crate::registry::WarmPoolRegistry) instead of
 //!    re-encoding every candidate from scratch, and both produce the same
-//!    frontier the cold sequential loop would (satisfiable candidates
-//!    decode canonically, so no cold re-solve is ever needed),
+//!    frontier the cold sequential loop would (the verdict is warm, a
+//!    satisfiable candidate's bytes come from one fresh confirmation
+//!    solve),
 //! 4. persist reproducible results (evicting LRU entries when a
 //!    [`EngineBuilder::cache_capacity`] is configured), and
 //! 5. return a [`SynthesisResponse`] carrying the report, its
@@ -320,11 +321,12 @@ pub struct ResponseTimings {
     /// Time spent building encodings — base layers plus per-candidate
     /// deltas of the warm sweep (zero on a cache hit).
     pub encode: Duration,
-    /// Time spent in warm assumption solves (canonical-decode probes
-    /// included). In sequential mode this is the incremental share of
-    /// `solve` (the remainder being driver overhead and any cold fallback
-    /// runs); in parallel mode it is summed across workers and may exceed
-    /// the wall-clock `solve`.
+    /// Time spent in warm assumption solves. In sequential mode this is
+    /// the incremental share of `solve` (the remainder being the fresh
+    /// confirmation solves of satisfiable candidates — see
+    /// `IncrementalStats::cold_solve_time` — driver overhead and any cold
+    /// fallback runs); in parallel mode it is summed across workers and
+    /// may exceed the wall-clock `solve`.
     pub solve_incremental: Duration,
     /// End-to-end solver time (zero on a cache hit).
     pub solve: Duration,
@@ -1349,10 +1351,10 @@ mod tests {
             let inc = response.incremental.expect("solved responses carry stats");
             // The first (sequential) request decides candidates warm; the
             // second may be answered entirely from the registry's memos —
-            // both are warm work, neither touches a cold solver.
+            // both are warm work.
             assert!(inc.warm_candidates > 0 || inc.memo_hits > 0);
-            // Warm solving is the only solving: no cold fallback ran, and
-            // every decided candidate passed through the registry's
+            // No cold fallback ran (a confirmation is not one), and every
+            // decided candidate passed through the registry's
             // check-out/check-in protocol.
             assert_eq!(inc.cold_fallbacks, 0);
             assert!(inc.pool_checkins > 0);

@@ -25,11 +25,12 @@
 //! Determinism: the merge consumes exactly the candidates the sequential
 //! loop would have solved, in the same order. Unsatisfiable verdicts are
 //! independent of the warm state that produced them (each candidate layer
-//! is equisatisfiable with the cold encoding), and satisfiable candidates
-//! decode through the canonical schedule reconstruction of
-//! `sccl_core::canonical`, which is model- and driver-independent — so the
-//! assembled frontier is identical to `pareto_synthesize`'s (modulo
-//! wall-clock timings), with no cold re-solve anywhere. Cancellation is
+//! is equisatisfiable with the cold encoding), and a satisfiable candidate
+//! reports the model of one fresh-formula solve of it (see
+//! [`ChunkPool`](sccl_core::pareto::ChunkPool)), which depends on neither
+//! the pool's history nor the driver — so the assembled frontier is
+//! identical to `pareto_synthesize`'s (modulo wall-clock timings) by
+//! construction. Cancellation is
 //! only ever applied to candidates the procedure has already decided never
 //! to read, so speculation cannot leak into the result. One caveat: a
 //! *wall-clock* `per_instance_limits.max_time` makes individual outcomes

@@ -418,7 +418,11 @@ fn a_dropped_connection_is_survived_by_reconnect_and_replay() {
 
 #[test]
 fn malformed_request_lines_get_typed_errors_without_killing_the_connection() {
-    // No failpoints: this is the daemon's own input hardening.
+    // No failpoints armed here: this is the daemon's own input hardening.
+    // The guard is still needed — the well-formed request below runs a real
+    // `synthesize`, which would eat a neighbour's one-shot `pool.solve`
+    // failpoint out of the process-global registry.
+    let _chaos = ChaosGuard::lock();
     let server = Server::start(
         sccl_sched::Engine::builder()
             .sequential()

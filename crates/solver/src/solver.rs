@@ -137,20 +137,6 @@ impl Limits {
     }
 
     /// The budget left after part of it was spent: a limit set derived from
-    /// `self` with `elapsed` wall clock and `conflicts` deducted
-    /// (saturating at zero — a zero remainder means the very next budget
-    /// check fires). Lets a caller split one nominal budget across several
-    /// solver calls, e.g. a solve followed by decode probes, without each
-    /// call receiving a fresh grant.
-    pub fn minus_consumed(&self, elapsed: Duration, conflicts: u64) -> Limits {
-        Limits {
-            max_conflicts: self.max_conflicts.map(|c| c.saturating_sub(conflicts)),
-            max_time: self.max_time.map(|t| t.saturating_sub(elapsed)),
-            stop: self.stop.clone(),
-            deadline: self.deadline.clone(),
-        }
-    }
-
     /// `true` once either attached stop flag (if any) has been raised.
     pub fn stop_requested(&self) -> bool {
         self.stop

@@ -6,6 +6,17 @@ use crate::model::Topology;
 use crate::rational::Rational;
 use std::collections::VecDeque;
 
+/// Total per-round budget of the `links` (as [`Topology::link_bandwidths`]
+/// lists them) that cross *into* the node set `inside` from its complement.
+/// Cut enumeration lists the links once and calls this per cut.
+pub fn cut_bandwidth(links: &[(usize, usize, u64)], inside: impl Fn(usize) -> bool) -> u64 {
+    links
+        .iter()
+        .filter(|&&(src, dst, _)| !inside(src) && inside(dst))
+        .map(|&(_, _, bw)| bw)
+        .sum()
+}
+
 impl Topology {
     /// Shortest hop distances from `src` to every node (BFS over usable
     /// links). Unreachable nodes get `None`.
@@ -93,32 +104,28 @@ impl Topology {
         if p == 1 {
             return Some(Rational::zero());
         }
+        let links = self.link_bandwidths();
         let mut best = Rational::zero();
-        let consider = |inside: &[bool], best: &mut Rational| -> Option<()> {
-            let size = inside.iter().filter(|&&b| b).count();
-            if size == 0 || size == p {
-                return Some(());
-            }
-            let outside = p - size;
-            let bw = self.cut_in_bandwidth(inside);
+        // One cut: `outside` chunks (per per-node chunk) must enter it over
+        // `bw` chunks per round.
+        let mut consider = |outside: usize, bw: u64| -> Option<()> {
             if bw == 0 {
                 return None; // disconnected: no finite bound
             }
-            *best = (*best).max(Rational::new(outside as u64, bw));
+            best = best.max(Rational::new(outside as u64, bw));
             Some(())
         };
         if p <= 20 {
-            for mask in 1..(1u32 << p) - 1 {
-                let inside: Vec<bool> = (0..p).map(|i| mask >> i & 1 == 1).collect();
-                consider(&inside, &mut best)?;
+            // Node sets as bitmasks: a million cuts at `P = 20`, each
+            // `O(|links|)` bit tests.
+            for inside in 1u32..(1 << p) - 1 {
+                let bw = cut_bandwidth(&links, |n| inside >> n & 1 == 1);
+                consider(p - inside.count_ones() as usize, bw)?;
             }
         } else {
             for n in 0..p {
-                let mut inside = vec![false; p];
-                inside[n] = true;
-                consider(&inside, &mut best)?;
-                let complement: Vec<bool> = inside.iter().map(|b| !b).collect();
-                consider(&complement, &mut best)?;
+                consider(p - 1, cut_bandwidth(&links, |m| m == n))?;
+                consider(1, cut_bandwidth(&links, |m| m != n))?;
             }
         }
         Some(best)
@@ -198,6 +205,59 @@ mod tests {
             t.allgather_bandwidth_lower_bound(),
             Some(Rational::new(7, 6))
         );
+    }
+
+    /// The per-cut implementation the bitmask enumeration replaced, kept as
+    /// its reference: one `Vec<bool>` and one `cut_in_bandwidth` per cut.
+    fn reference_allgather_bound(t: &Topology) -> Option<Rational> {
+        let p = t.num_nodes();
+        let masks: Vec<Vec<bool>> = if p <= 20 {
+            (1u32..(1 << p) - 1)
+                .map(|mask| (0..p).map(|i| mask >> i & 1 == 1).collect())
+                .collect()
+        } else {
+            (0..p)
+                .flat_map(|n| {
+                    [true, false].map(|single| (0..p).map(|m| (m == n) == single).collect())
+                })
+                .collect()
+        };
+        let mut best = Rational::zero();
+        for inside in masks {
+            let outside = inside.iter().filter(|&&b| !b).count() as u64;
+            match t.cut_in_bandwidth(&inside) {
+                0 => return None,
+                bw => best = best.max(Rational::new(outside, bw)),
+            }
+        }
+        Some(best)
+    }
+
+    #[test]
+    fn bitmask_allgather_bound_equals_the_per_cut_reference() {
+        let mut lopsided = builders::chain(6, 2);
+        lopsided.add_link(5, 0, 1).add_link(2, 4, 3);
+        lopsided.add_shared_constraint([(0, 1), (2, 1)], 1);
+        let mut one_way = Topology::new("one-way", 3);
+        one_way.add_link(0, 1, 1).add_link(1, 2, 1);
+        for t in [
+            builders::dgx1(),
+            builders::ring(5, 1),
+            builders::mesh2d(3, 4, 1),
+            builders::star(6, 2),
+            lopsided,
+            one_way,
+            // Beyond 20 nodes: single-node cuts and complements only.
+            builders::ring(24, 2),
+            builders::ring_of_rings(4, 6, 2, 1),
+        ] {
+            assert_eq!(
+                t.allgather_bandwidth_lower_bound(),
+                reference_allgather_bound(&t),
+                "{}",
+                t.name()
+            );
+        }
     }
 
     #[test]

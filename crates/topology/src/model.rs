@@ -192,6 +192,26 @@ impl Topology {
             .min()
     }
 
+    /// Every usable edge with its per-round chunk budget, `(src, dst, b)` in
+    /// edge order: what [`Topology::links`] and [`Topology::link_bandwidth`]
+    /// answer edge by edge, in one pass over the constraints (each of those
+    /// calls walks every constraint again, which cut enumeration cannot
+    /// afford per cut).
+    pub fn link_bandwidths(&self) -> Vec<(usize, usize, u64)> {
+        let mut budgets: BTreeMap<Edge, u64> = BTreeMap::new();
+        for c in &self.constraints {
+            for &e in &c.edges {
+                let budget = budgets.entry(e).or_insert(c.chunks_per_round);
+                *budget = (*budget).min(c.chunks_per_round);
+            }
+        }
+        budgets
+            .into_iter()
+            .filter(|&(_, b)| b > 0)
+            .map(|((src, dst), b)| (src, dst, b))
+            .collect()
+    }
+
     /// Outgoing neighbours of a node.
     pub fn out_neighbors(&self, node: usize) -> Vec<usize> {
         self.links()
