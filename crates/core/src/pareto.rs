@@ -1107,9 +1107,14 @@ pub fn warm_frontier(
 /// [`SweepCheckpoint`] to resume the sweep from (already-decided
 /// candidates are not re-solved — the merge re-enters at the checkpoint's
 /// cursor with its partial frontier intact), and an `on_progress` callback
-/// invoked with the merge after every supplied candidate (the caller
-/// calls [`ParetoMerge::checkpoint`] as often as it wants to persist one,
-/// so progress that is never persisted costs nothing). A resumed sweep
+/// invoked with the merge after every supplied candidate *that leaves
+/// another one to decide* (the caller calls [`ParetoMerge::checkpoint`] as
+/// often as it wants to persist one, so progress that is never persisted
+/// costs nothing). The candidate that finishes the sweep reports no
+/// progress: the frontier is about to be returned, and a checkpoint of a
+/// finished sweep would be a durable write that recovers nothing. A sweep
+/// that supplies `k` candidates therefore calls back `k - 1` times, the
+/// merge already advanced to the next needed candidate. A resumed sweep
 /// reaches the byte-identical frontier an uninterrupted one would — see
 /// [`SweepCheckpoint`] for the argument. A checkpoint that fails
 /// validation (wrong version, different caps) is discarded and the sweep
@@ -1136,10 +1141,14 @@ pub fn warm_frontier_resumable(
         }
         None => ParetoMerge::new(plan),
     };
-    while let MergeAction::Need(index) = merge.next() {
+    let mut action = merge.next();
+    while let MergeAction::Need(index) = action {
         let job = merge.plan().jobs[index].clone();
         merge.supply(index, solve(&job));
-        on_progress(&merge);
+        action = merge.next();
+        if action != MergeAction::Done {
+            on_progress(&merge);
+        }
     }
     Ok(finalize_report(topology, collective, merge.into_report()))
 }
@@ -1721,6 +1730,48 @@ mod tests {
             pareto_synthesize_warm(&split, Collective::Allgather, &quick_config()).unwrap_err(),
             SynthesisError::Disconnected
         );
+    }
+
+    /// Solves and progress callbacks of one resumable sweep.
+    fn sweep_counts(topo: &Topology, collective: Collective) -> (usize, usize) {
+        let config = quick_config();
+        let base = base_problem(topo, collective);
+        let mut pool = WarmPool::new(&base, &config);
+        let (mut solves, mut progress) = (0, 0);
+        warm_frontier_resumable(
+            &base,
+            topo,
+            collective,
+            &config,
+            None,
+            |merge| {
+                progress += 1;
+                assert!(
+                    merge.checkpoint().cursor < merge.plan().jobs.len(),
+                    "progress is only reported while a candidate remains to decide"
+                );
+            },
+            |job| {
+                solves += 1;
+                pool.solve(job, Limits::none())
+            },
+        )
+        .expect("sweep");
+        (solves, progress)
+    }
+
+    #[test]
+    fn a_sweep_reports_progress_only_while_candidates_remain() {
+        // The candidate that finishes a sweep is not progress worth
+        // persisting: k supplied candidates, k - 1 callbacks.
+        let (solves, progress) = sweep_counts(&builders::ring(4, 1), Collective::Allgather);
+        assert!(solves > 1, "ring:4 allgather decides several candidates");
+        assert_eq!(progress, solves - 1);
+        // A sweep whose first candidate already meets the bandwidth bound
+        // never calls back at all.
+        let (solves, progress) =
+            sweep_counts(&builders::fully_connected(3, 1), Collective::Allgather);
+        assert_eq!((solves, progress), (1, 0));
     }
 
     #[test]

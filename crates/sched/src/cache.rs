@@ -261,6 +261,20 @@ impl AlgorithmCache {
         self.len() == 0
     }
 
+    /// Whether the index holds an entry for `hash`: one map probe, no
+    /// filesystem access and no hit/miss accounting. The index tracks the
+    /// store — entries leave it when they are pruned, quarantined or found
+    /// missing by a lookup — but an indexed file is only *verified* when
+    /// [`AlgorithmCache::lookup`] reads it, so `true` means "a lookup will
+    /// find a file to read", not "a lookup will hit".
+    pub fn contains(&self, hash: &str) -> bool {
+        self.state
+            .lock()
+            .expect("cache lock")
+            .index
+            .contains_key(hash)
+    }
+
     /// Hit/miss counters of this handle.
     pub fn stats(&self) -> CacheStats {
         self.state.lock().expect("cache lock").stats
@@ -827,6 +841,44 @@ mod tests {
         assert_eq!(cache.take_quarantined(), vec![hash_b]);
         // The correctly addressed entry still serves.
         assert_eq!(cache.lookup(&key_a), Some(report_a));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn contains_follows_entries_out_of_the_index() {
+        // The daemon skips the journal for a key `contains` vouches for,
+        // so each way an entry leaves the store must leave the index too.
+        let dir = tmp_dir("contains");
+        let cache = AlgorithmCache::open(&dir).expect("open");
+        let stored: Vec<(CacheKey, SynthesisReport)> = (1..=3).map(tiny_report).collect();
+        let hashes: Vec<String> = stored.iter().map(|(key, _)| key.content_hash()).collect();
+        assert!(!cache.contains(&hashes[0]), "nothing stored yet");
+        for (key, report) in &stored {
+            cache.store(key, report).expect("store");
+        }
+        assert!(hashes.iter().all(|hash| cache.contains(hash)));
+        let stats = cache.stats();
+
+        // 1. Pruned: the least recently used entry goes.
+        assert_eq!(cache.prune(2).expect("prune"), vec![hashes[0].clone()]);
+        assert!(!cache.contains(&hashes[0]));
+        // 2. Quarantined (here by the caller; a corrupt read takes the
+        //    same exit).
+        assert!(cache.quarantine(&hashes[1], "test"));
+        assert!(!cache.contains(&hashes[1]));
+        // 3. Vanished: a fresh handle indexes the file, another process
+        //    unlinks it, and the lookup that finds it gone drops it.
+        let reopened = AlgorithmCache::open(&dir).expect("reopen");
+        assert!(reopened.contains(&hashes[2]));
+        assert!(!reopened.contains(&hashes[0]) && !reopened.contains(&hashes[1]));
+        std::fs::remove_file(reopened.sharded_path(&hashes[2])).expect("unlink");
+        assert!(reopened.contains(&hashes[2]), "the index cannot know yet");
+        assert!(reopened.lookup(&stored[2].0).is_none());
+        assert!(!reopened.contains(&hashes[2]));
+
+        // A probe is not a lookup: it counts as neither hit nor miss.
+        assert_eq!(cache.stats().hits, stats.hits);
+        assert_eq!(cache.stats().misses, stats.misses);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

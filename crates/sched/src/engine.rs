@@ -558,10 +558,11 @@ impl EngineBuilder {
     /// absent when the engine is built). With a journal attached the
     /// sequential sweep persists a
     /// [`SweepCheckpoint`](sccl_core::pareto::SweepCheckpoint) after
-    /// every decided
-    /// candidate, keyed by the request's cache-key hash; a process that
-    /// dies mid-solve resumes the sweep on the next request for the same
-    /// key instead of starting over, and reaches the identical frontier.
+    /// every decided candidate but the one that finishes the sweep (whose
+    /// frontier is stored next), keyed by the request's cache-key hash; a
+    /// process that dies mid-solve resumes the sweep on the next request
+    /// for the same key instead of starting over, and reaches the
+    /// identical frontier.
     /// Checkpoints are removed once the solve completes. Parallel sweeps
     /// ignore checkpoints (their supply order is nondeterministic); the
     /// daemon's crash-recovery path therefore serves in sequential mode.
@@ -709,7 +710,7 @@ pub struct Engine {
     cache: Option<AlgorithmCache>,
     cache_capacity: Option<usize>,
     /// Crash-recovery journal: sweep checkpoints (written by the
-    /// sequential solve path) plus the daemon's write-ahead queue records.
+    /// sequential solve path) plus the daemon's queue records.
     /// `None` unless [`EngineBuilder::journal_dir`] was configured.
     journal: Option<Arc<Journal>>,
     parallel: ParallelConfig,
@@ -765,7 +766,7 @@ impl Engine {
     }
 
     /// The attached crash-recovery journal, if any. The daemon layered on
-    /// this engine shares the handle for its write-ahead queue records, so
+    /// this engine shares the handle for its queue records, so
     /// one directory holds both record families.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
         self.journal.as_ref()
@@ -966,11 +967,12 @@ impl Engine {
             SolveMode::Sequential => {
                 let limits = config.per_instance_limits.clone();
                 // With a journal attached, the sweep checkpoints after
-                // every decided candidate and resumes from any checkpoint
-                // a crashed process left behind. Checkpoints are addressed
-                // by the *request's* cache-key hash (not the pooled base
-                // key): the merge state being saved belongs to this
-                // request's candidate plan.
+                // every decided candidate that leaves another to decide
+                // and resumes from any checkpoint a crashed process left
+                // behind. Checkpoints are addressed by the *request's*
+                // cache-key hash (not the pooled base key): the merge
+                // state being saved belongs to this request's candidate
+                // plan.
                 let checkpoint_key = self.journal.as_ref().map(|journal| {
                     let hash = key
                         .as_ref()
@@ -1220,6 +1222,40 @@ mod tests {
             "checkpoint is consumed once the solve completes"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sweep_checkpoints_every_candidate_but_its_last() {
+        // The candidate that finishes a sweep writes no checkpoint: its
+        // frontier is returned (and stored) next, so the write would
+        // recover nothing. k decided candidates, k - 1 checkpoints; a
+        // one-candidate sweep never touches the journal.
+        for (topology, one_candidate) in [
+            (builders::ring(4, 1), false),
+            (builders::fully_connected(3, 1), true),
+        ] {
+            let dir = tmp_dir(&format!("ckpt-count-{}", topology.num_nodes()));
+            let engine = Engine::builder()
+                .sequential()
+                .synthesis_defaults(quick_config())
+                .journal_dir(&dir)
+                .build()
+                .expect("engine with journal");
+            let served = engine
+                .synthesize(SynthesisRequest::new(&topology, Collective::Allgather))
+                .expect("journaled solve");
+            // One registry check-in per candidate the sweep asked for.
+            let candidates = served.incremental.expect("solved").pool_checkins;
+            assert_eq!(candidates == 1, one_candidate, "{candidates} candidates");
+            let journal = engine.journal().expect("journal attached");
+            // Attempts, not successes: the `journal.write` failpoint is
+            // process-global and another test may hold it armed.
+            assert_eq!(
+                journal.checkpoints_written() + journal.write_errors(),
+                candidates - 1
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

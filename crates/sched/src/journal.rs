@@ -1,6 +1,6 @@
 //! The durable journal behind crash recovery: synthesis checkpoints for
-//! long-running solves and write-ahead records of the daemon's admitted
-//! request queue, both surviving `kill -9` and power loss.
+//! long-running solves and records of the daemon's admitted requests that
+//! may solve, both surviving `kill -9` and power loss.
 //!
 //! Two record families share one directory (and one write discipline —
 //! temp file + rename + fsync of both the file and its parent directory,
@@ -13,17 +13,33 @@
 //!   removed when the solve completes. A restarted solve for the same key
 //!   resumes the sweep instead of starting over.
 //! * **Queue records** (`queue/<seq>.json`) — the raw request line of
-//!   every admitted daemon job, written at *admission* time (write-ahead,
-//!   so nothing depends on a graceful exit) and removed when the job's
-//!   response has been produced. On startup the daemon replays surviving
-//!   records in admission order, so requests in flight at the moment of a
-//!   `kill -9` are solved and cached as if the crash never happened.
+//!   every admitted daemon job *that may run a solve*, written right
+//!   after admission — while the worker is already on the job, and
+//!   before the caller starts waiting for the outcome, so nothing depends
+//!   on a graceful exit and no response can precede its record — and
+//!   removed when the job's outcome exists. On startup the daemon replays
+//!   surviving records in admission order, so requests in flight at the
+//!   moment of a `kill -9` are solved and cached as if the crash never
+//!   happened. A request a cache tier answers gets no record: replaying
+//!   one would be a lookup whose result is thrown away.
+//!
+//! The rule for both families is *a durable write only where a crash can
+//! lose work*. Two things are given up for it, neither observable by a
+//! client: a record becomes durable one write after admission instead of
+//! one write before it (a crash in that window loses a solve that had
+//! just begun and that nobody was yet told about), and a request whose
+//! key the disk cache indexes but whose entry turns out torn is re-solved
+//! without a record (a crash during that re-solve loses its head start,
+//! never an answer). Likewise the sweep's last candidate writes no
+//! checkpoint: the finished frontier goes to the durable cache in the next
+//! statement.
 //!
 //! Records are self-contained single files, so crash atomicity needs no
 //! log compaction: a record either fully exists or does not. Unreadable
 //! records are skipped at replay (recovery must never wedge startup on a
 //! torn file) and the `journal.write` / `checkpoint.restore` failpoints
-//! inject those faults for the chaos suite.
+//! inject those faults for the chaos suite. The temp file a writer dies
+//! holding is removed by the next [`Journal::open`].
 
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -40,6 +56,11 @@ pub struct Journal {
     next_seq: AtomicU64,
     /// Checkpoints durably written since this handle opened.
     checkpoints_written: AtomicU64,
+    /// Queue records durably written since this handle opened.
+    records_written: AtomicU64,
+    /// Durable writes (of either family) that failed since this handle
+    /// opened: each one is a request or a sweep running unprotected.
+    write_errors: AtomicU64,
 }
 
 /// One surviving queue record, in admission order.
@@ -55,7 +76,8 @@ pub struct QueueRecord {
 impl Journal {
     /// Open (creating if needed) the journal rooted at `root`. Scans the
     /// queue directory once to seed the sequence counter past any records
-    /// a previous process left behind.
+    /// a previous process left behind, and removes the temp files of
+    /// writers that died between their write and their rename.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Journal> {
         let root = root.into();
         std::fs::create_dir_all(root.join("checkpoints"))?;
@@ -67,10 +89,14 @@ impl Journal {
                 max_seq = max_seq.max(seq);
             }
         }
+        remove_stale_temp_files(&root.join("checkpoints"))?;
+        remove_stale_temp_files(&root.join("queue"))?;
         Ok(Journal {
             root,
             next_seq: AtomicU64::new(max_seq + 1),
             checkpoints_written: AtomicU64::new(0),
+            records_written: AtomicU64::new(0),
+            write_errors: AtomicU64::new(0),
         })
     }
 
@@ -82,6 +108,19 @@ impl Journal {
     /// Checkpoints durably written through this handle.
     pub fn checkpoints_written(&self) -> u64 {
         self.checkpoints_written.load(Ordering::Relaxed)
+    }
+
+    /// Queue records durably written through this handle.
+    pub fn records_written(&self) -> u64 {
+        self.records_written.load(Ordering::Relaxed)
+    }
+
+    /// Durable writes through this handle that failed — checkpoints and
+    /// queue records alike. Callers carry on without the record (serving
+    /// beats refusing), so this counter is the only place a full or
+    /// read-only journal disk shows.
+    pub fn write_errors(&self) -> u64 {
+        self.write_errors.load(Ordering::Relaxed)
     }
 
     fn checkpoint_path(&self, hash: &str) -> PathBuf {
@@ -96,8 +135,15 @@ impl Journal {
     /// same directory, fsync, rename, fsync the directory. The
     /// `journal.write` failpoint simulates dying between the temp write
     /// and the rename (the temp file stays behind, as a crash would leave
-    /// it; replay ignores it).
+    /// it; replay ignores it and the next [`Journal::open`] removes it).
+    /// Failures are counted in [`Journal::write_errors`].
     fn write_durable(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.try_write_durable(path, bytes).inspect_err(|_| {
+            self.write_errors.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
+    fn try_write_durable(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let dir = path.parent().expect("journal paths have a parent");
         static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
         let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -153,12 +199,13 @@ impl Journal {
         let _ = std::fs::remove_file(self.checkpoint_path(hash));
     }
 
-    /// Write-ahead journal one admitted request line. Returns the record's
+    /// Durably journal one admitted request line. Returns the record's
     /// sequence number; pass it to [`Journal::remove_queue_record`] once
     /// the request has been answered.
     pub fn append_queue_record(&self, line: &str) -> io::Result<u64> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         self.write_durable(&self.queue_path(seq), line.as_bytes())?;
+        self.records_written.fetch_add(1, Ordering::Relaxed);
         Ok(seq)
     }
 
@@ -204,6 +251,40 @@ fn parse_seq(name: &str) -> Option<u64> {
     name.strip_suffix(".json")?.parse().ok()
 }
 
+/// Remove from `dir` every temp file whose writer is no longer running:
+/// what a `kill -9` between the write and the rename (or the
+/// `journal.write` failpoint) leaves behind, which nothing else ever
+/// deletes.
+fn remove_stale_temp_files(dir: &Path) -> io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let writer = temp_file_writer(&entry.file_name().to_string_lossy());
+        if writer.is_some_and(|pid| !process_alive(pid)) {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+    Ok(())
+}
+
+/// The pid in a `.<file>.tmp-<pid>-<n>` name, as
+/// [`Journal::write_durable`] builds it; `None` for any other name.
+fn temp_file_writer(name: &str) -> Option<u32> {
+    let (_, writer) = name.strip_prefix('.')?.rsplit_once(".tmp-")?;
+    let (pid, n) = writer.split_once('-')?;
+    n.parse::<u64>().ok()?;
+    pid.parse().ok()
+}
+
+/// Whether `pid` names a running process, asked of `/proc`. A temp file
+/// is stale only once its writer is gone: this process and any other live
+/// one (the kill-9 suite polls a running daemon's journal by opening it
+/// from the test process) may be between their write and their rename.
+/// Without a `/proc` every pid counts as alive, so the cleanup degrades to
+/// never removing anything rather than to removing a live writer's file.
+fn process_alive(pid: u32) -> bool {
+    !Path::new("/proc/self").exists() || Path::new("/proc").join(pid.to_string()).exists()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +294,23 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sccl-journal-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Every dot-prefixed file under the journal's two directories.
+    fn temp_files(root: &Path) -> Vec<PathBuf> {
+        let mut found = Vec::new();
+        for family in ["checkpoints", "queue"] {
+            for entry in std::fs::read_dir(root.join(family)).expect("read_dir") {
+                let path = entry.expect("entry").path();
+                if path
+                    .file_name()
+                    .is_some_and(|name| name.to_string_lossy().starts_with('.'))
+                {
+                    found.push(path);
+                }
+            }
+        }
+        found
     }
 
     fn checkpoint(cursor: usize) -> SweepCheckpoint {
@@ -291,10 +389,53 @@ mod tests {
         assert_eq!(journal.queue_len(), 0);
         assert!(journal.load_checkpoint("abc").is_none());
         assert_eq!(journal.checkpoints_written(), 0);
+        // The two failures are the only trace the caller-ignored errors
+        // leave.
+        assert_eq!(journal.write_errors(), 2);
+        assert_eq!(journal.records_written(), 0);
         // And the journal still works afterwards.
         journal.append_queue_record("published").expect("append");
         assert_eq!(journal.replay_queue().len(), 1);
+        assert_eq!(journal.records_written(), 1);
+
+        // A reopen while the writer (this process) is alive must leave
+        // its temp files alone: it may be between write and rename.
+        assert_eq!(temp_files(&dir).len(), 2, "one torn write per family");
+        Journal::open(&dir).expect("reopen beside a live writer");
+        assert_eq!(temp_files(&dir).len(), 2);
+        // Once the writer is dead — the same files under a pid no process
+        // has — the next open leaves both directories clean and the
+        // published record alone.
+        let own = format!(".tmp-{}-", std::process::id());
+        for path in temp_files(&dir) {
+            let name = path.file_name().expect("name").to_string_lossy();
+            let dead = name.replace(&own, &format!(".tmp-{}-", u32::MAX));
+            std::fs::rename(&path, path.with_file_name(dead)).expect("rename");
+        }
+        let reopened = Journal::open(&dir).expect("reopen after the crash");
+        assert_eq!(temp_files(&dir), Vec::<PathBuf>::new());
+        assert_eq!(reopened.queue_len(), 1);
+        assert!(reopened.load_checkpoint("abc").is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_write_durable_temp_names_are_recognised() {
+        assert_eq!(
+            temp_file_writer(".00000000000000000007.json.tmp-4242-13"),
+            Some(4242)
+        );
+        assert_eq!(temp_file_writer(".abc.json.tmp-1-0"), Some(1));
+        for other in [
+            "00000000000000000007.json",
+            "abc.json.tmp-1-0",
+            ".abc.json.tmp-1",
+            ".abc.json.tmp-x-0",
+            ".abc.json.tmp-1-x",
+            ".hidden",
+        ] {
+            assert_eq!(temp_file_writer(other), None, "{other}");
+        }
     }
 
     #[test]

@@ -10,13 +10,37 @@
 //! # Crash recovery and graceful drain
 //!
 //! When the server's engine carries a journal
-//! ([`sccl_sched::EngineBuilder::journal_dir`]), every admitted
-//! `synthesize` line is write-ahead journaled before it is served and
-//! removed once answered. On startup the accept thread first *replays*
-//! surviving records through the normal serve path — requests that were
-//! in flight when a previous process was `kill -9`ed are solved (resuming
-//! from their sweep checkpoints where possible) and land in the cache, so
-//! the retrying client hits instead of waiting through a second solve.
+//! ([`sccl_sched::EngineBuilder::journal_dir`]), the daemon writes a
+//! durable record of a `synthesize` line only where a crash could lose
+//! work: for an admitted job that may run a solve — every `groups`
+//! composition, and a flat request that missed the hot tier and whose key
+//! the disk cache does not index
+//! ([`crate::server::Ticket::wants_journal_record`]). The
+//! record is written by the connection thread *after* admission, while a
+//! worker is already on the job and the connection would otherwise only
+//! block waiting for it, so a miss costs the longer of the two rather than
+//! their sum; it is removed once the outcome exists. A request a cache
+//! tier answers, and a request admission refuses (queue full, quota, rate
+//! limit, drain), writes nothing. On startup the accept thread first
+//! *replays* surviving records through the normal serve path — requests
+//! that were in flight when a previous process was `kill -9`ed are solved
+//! (resuming from their sweep checkpoints where possible) and land in the
+//! cache, so the retrying client hits instead of waiting through a second
+//! solve.
+//!
+//! The invariant: the append returns before the connection starts
+//! waiting, so the response to a request that solved is only ever written
+//! after that request's record was durable — whatever a client has seen,
+//! a crash finds a finished solve in the cache or a record to replay. Two
+//! things are given up against journaling every line before serving it,
+//! neither observable from outside. The record becomes durable one write
+//! after admission instead of one write before it: a crash inside that
+//! window drops a solve that began a moment ago, which the retrying
+//! client begins again. And a request whose key the disk cache indexes
+//! but whose entry turns out torn (or fails decode-time verification) is
+//! re-solved without a record: a crash during that re-solve loses its
+//! head start, never an answer. A record whose write fails is counted
+//! (`daemon.journal_write_errors`) and the request served regardless.
 //!
 //! The `drain` verb (and `SIGTERM`) stops admission, finishes every
 //! in-flight job, and exits cleanly; `health` reports
@@ -193,7 +217,9 @@ fn replay_journal(server: &Arc<Server>) {
         if let Ok(WireRequest::Synthesize(synthesize)) =
             serde_json::from_str::<WireRequest>(&record.line)
         {
-            let _ = serve_synthesize(server, synthesize);
+            // No line to journal: the record being replayed stands for
+            // this request until the removal below.
+            let _ = serve_synthesize(server, synthesize, None);
         }
         journal.remove_queue_record(record.seq);
         replayed += 1;
@@ -249,20 +275,7 @@ fn handle_connection(
                 return Ok(());
             }
             Ok(WireRequest::Synthesize(synthesize)) => {
-                // Write-ahead journal the admitted line; if the process
-                // dies mid-solve the restarted daemon replays it. The
-                // record is removed once a response exists.
-                let journaled = server.engine().journal().and_then(|journal| {
-                    journal
-                        .append_queue_record(&line)
-                        .ok()
-                        .map(|seq| (Arc::clone(journal), seq))
-                });
-                let response = serve_synthesize(server, synthesize);
-                if let Some((journal, seq)) = journaled {
-                    journal.remove_queue_record(seq);
-                }
-                response
+                serve_synthesize(server, synthesize, Some(&line))
             }
         };
         write_line(&mut writer, &response)?;
@@ -270,7 +283,34 @@ fn handle_connection(
     Ok(())
 }
 
-fn serve_synthesize(server: &Arc<Server>, request: crate::wire::WireSynthesize) -> WireResponse {
+/// Wait for an admitted job with `line` journaled: append the record now
+/// — the job is already queued or running, so the two fsyncs overlap the
+/// solve instead of preceding it — and remove it once the outcome exists.
+/// If the process dies in between, the restarted daemon replays the
+/// record. `None` (no journal attached, a job a cache tier answers, a
+/// replay) just waits. A failed append is counted by the journal and the
+/// job served without its record.
+fn wait_journaled<T>(server: &Server, line: Option<&str>, wait: impl FnOnce() -> T) -> T {
+    let journaled = line.and_then(|line| {
+        let journal = server.engine().journal()?;
+        let seq = journal.append_queue_record(line).ok()?;
+        Some((journal, seq))
+    });
+    let outcome = wait();
+    if let Some((journal, seq)) = journaled {
+        journal.remove_queue_record(seq);
+    }
+    outcome
+}
+
+/// Serve one `synthesize` request; `line` is its verbatim wire line, to be
+/// journaled if the admitted job may solve (absent on a replay, whose
+/// record already exists).
+fn serve_synthesize(
+    server: &Arc<Server>,
+    request: crate::wire::WireSynthesize,
+    line: Option<&str>,
+) -> WireResponse {
     let topology = match request.parse_topology() {
         Ok(t) => t,
         Err(error) => {
@@ -308,7 +348,7 @@ fn serve_synthesize(server: &Arc<Server>, request: crate::wire::WireSynthesize) 
         config.k = k;
     }
     if request.groups.is_some() {
-        return serve_hier(server, &request, topology, collective, config);
+        return serve_hier(server, &request, topology, collective, config, line);
     }
     let deadline = request.deadline_ms.map(Duration::from_millis);
     match server.submit_with_deadline(
@@ -320,10 +360,13 @@ fn serve_synthesize(server: &Arc<Server>, request: crate::wire::WireSynthesize) 
         deadline,
     ) {
         Err(reject) => error_response(&reject),
-        Ok(ticket) => match ticket.wait() {
-            Ok(served) => report_response(served),
-            Err(error) => error_response(&error),
-        },
+        Ok(ticket) => {
+            let line = line.filter(|_| ticket.wants_journal_record());
+            match wait_journaled(server, line, || ticket.wait()) {
+                Ok(served) => report_response(served),
+                Err(error) => error_response(&error),
+            }
+        }
     }
 }
 
@@ -340,6 +383,7 @@ fn serve_hier(
     topology: sccl_topology::Topology,
     collective: sccl_collectives::Collective,
     config: SynthesisConfig,
+    line: Option<&str>,
 ) -> WireResponse {
     let spec = request.groups.as_deref().expect("caller checked presence");
     let groups = match sccl_hier::GroupSpec::parse(spec) {
@@ -384,7 +428,8 @@ fn serve_hier(
             }
             error_response(&reject)
         }
-        Ok(ticket) => match ticket.wait() {
+        // Compositions are not cached whole: every admitted one may solve.
+        Ok(ticket) => match wait_journaled(server, line, || ticket.wait()) {
             Ok(served) => hier_report_response(served),
             Err(error) => error_response(&error),
         },

@@ -15,8 +15,9 @@
 //! * [`Daemon`] — the socket shell: newline-delimited JSON over a Unix
 //!   domain socket, verbs `synthesize` / `metrics` / `health` / `drain`
 //!   / `shutdown` (see [`wire`] for the exact protocol), one handler
-//!   thread per connection. With a journal attached it write-ahead
-//!   journals admitted requests and replays survivors after a crash;
+//!   thread per connection. With a journal attached it journals the
+//!   admitted requests that may solve (a cache-answerable request writes
+//!   nothing) and replays survivors after a crash;
 //!   `drain` (or SIGTERM) stops admission and exits with zero dropped
 //!   in-flight jobs.
 //! * [`ServeClient`] — a minimal blocking client for that protocol.

@@ -379,6 +379,8 @@ impl EngineMetrics {
                 started_unix_ms: daemon.started_unix_ms,
                 journal_replayed: daemon.journal_replayed,
                 checkpoints_written: daemon.checkpoints_written,
+                journal_records_written: daemon.journal_records_written,
+                journal_write_errors: daemon.journal_write_errors,
                 rate_limited: self.rejected_rate_limited.load(Ordering::Relaxed),
                 brownout_active: daemon.brownout_active,
                 brownout_entered: self.brownout_entered.load(Ordering::Relaxed),
@@ -426,6 +428,10 @@ pub struct DaemonGauges {
     pub journal_replayed: u64,
     /// Sweep checkpoints durably written by the engine's journal.
     pub checkpoints_written: u64,
+    /// Queue records durably written by the engine's journal.
+    pub journal_records_written: u64,
+    /// Journal writes (checkpoints and queue records) that failed.
+    pub journal_write_errors: u64,
     /// Whether the brownout controller is currently active.
     pub brownout_active: bool,
     /// Whether the server has stopped admitting (drain or shutdown).
@@ -508,6 +514,14 @@ pub struct DaemonCounters {
     pub journal_replayed: u64,
     /// Sweep checkpoints durably written by the engine's journal.
     pub checkpoints_written: u64,
+    /// Queue records durably written: one per admitted request that may
+    /// solve (a cache-answerable or refused request writes none).
+    pub journal_records_written: u64,
+    /// Journal writes (checkpoints and queue records) that failed. The
+    /// daemon serves on without the record, so a non-zero value means
+    /// crash recovery is partly or wholly off — a full or read-only
+    /// journal disk shows here and nowhere else.
+    pub journal_write_errors: u64,
     /// Submissions rejected by the per-client token bucket.
     pub rate_limited: u64,
     /// Whether the brownout controller is active right now.
@@ -674,6 +688,8 @@ mod tests {
                 started_unix_ms: 1_700_000_000_000,
                 journal_replayed: 2,
                 checkpoints_written: 5,
+                journal_records_written: 3,
+                journal_write_errors: 1,
                 brownout_active: false,
                 draining: false,
             },
@@ -685,6 +701,8 @@ mod tests {
         assert_eq!(snap.daemon.uptime_ms, 1234);
         assert_eq!(snap.daemon.journal_replayed, 2);
         assert_eq!(snap.daemon.checkpoints_written, 5);
+        assert_eq!(snap.daemon.journal_records_written, 3);
+        assert_eq!(snap.daemon.journal_write_errors, 1);
         assert_eq!(snap.daemon.rate_limited, 0);
         assert!(!snap.daemon.brownout_active);
         let json = serde_json::to_string(&snap).expect("snapshot serializes");
@@ -703,6 +721,8 @@ mod tests {
             "\"started_unix_ms\"",
             "\"journal_replayed\"",
             "\"checkpoints_written\"",
+            "\"journal_records_written\"",
+            "\"journal_write_errors\"",
             "\"rate_limited\"",
             "\"brownout_active\"",
             "\"brownout_entered\"",

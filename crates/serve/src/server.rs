@@ -364,31 +364,49 @@ type HierTicketState = Slot<HierOutcome>;
 
 /// A completion handle for one admitted job. [`Ticket::wait`] blocks
 /// until a worker resolves it.
-pub struct Ticket(Arc<TicketState>);
+pub struct Ticket {
+    state: Arc<TicketState>,
+    wants_journal_record: bool,
+}
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket")
-            .field("resolved", &self.0.is_resolved())
+            .field("resolved", &self.state.is_resolved())
+            .field("wants_journal_record", &self.wants_journal_record)
             .finish()
     }
 }
 
 impl Ticket {
-    fn pair() -> (Ticket, Arc<TicketState>) {
+    fn pair(wants_journal_record: bool) -> (Ticket, Arc<TicketState>) {
         let state = Slot::new();
-        (Ticket(Arc::clone(&state)), state)
+        let ticket = Ticket {
+            state: Arc::clone(&state),
+            wants_journal_record,
+        };
+        (ticket, state)
     }
 
     fn resolved(outcome: Outcome) -> Ticket {
-        let (ticket, state) = Ticket::pair();
+        let (ticket, state) = Ticket::pair(false);
         state.complete(outcome);
         ticket
     }
 
+    /// `true` when a crash before this ticket resolves could lose work a
+    /// journal record would recover: the engine carries a journal, and the
+    /// job may run a solve — it missed the hot tier and the disk cache
+    /// does not index its key. A ticket a cache tier will answer says
+    /// `false`; replaying its record would be a lookup whose result is
+    /// thrown away (see the daemon's module docs for what that gives up).
+    pub fn wants_journal_record(&self) -> bool {
+        self.wants_journal_record
+    }
+
     /// Block until the job completes and take its outcome.
     pub fn wait(self) -> Outcome {
-        self.0.wait()
+        self.state.wait()
     }
 
     /// Block until the job completes or `timeout` elapses. Returns `None`
@@ -397,12 +415,14 @@ impl Ticket {
     /// afford to trust worker liveness (workers already complete tickets
     /// with [`ServeError::WorkerLost`] when a solve panics).
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Outcome> {
-        self.0.wait_timeout(timeout)
+        self.state.wait_timeout(timeout)
     }
 }
 
 /// A completion handle for one admitted hierarchical job — the same
 /// contract as [`Ticket`], resolving to a [`HierServed`] composition.
+/// There is no cache tier for whole compositions, so every admitted one
+/// may solve and is worth a journal record.
 pub struct HierTicket(Arc<HierTicketState>);
 
 impl std::fmt::Debug for HierTicket {
@@ -610,6 +630,7 @@ impl Server {
     /// Snapshot every metric, folding in the hot tier's and the warm
     /// registry's current occupancy plus the engine's quarantine gauges.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let journal = self.engine.journal();
         self.metrics.snapshot(
             HotTierGauges {
                 len: self.hot.len() as u64,
@@ -627,10 +648,9 @@ impl Server {
                 uptime_ms: self.started.elapsed().as_millis() as u64,
                 started_unix_ms: self.started_unix_ms,
                 journal_replayed: self.journal_replayed.load(Ordering::Relaxed),
-                checkpoints_written: self
-                    .engine
-                    .journal()
-                    .map_or(0, |journal| journal.checkpoints_written()),
+                checkpoints_written: journal.map_or(0, |j| j.checkpoints_written()),
+                journal_records_written: journal.map_or(0, |j| j.records_written()),
+                journal_write_errors: journal.map_or(0, |j| j.write_errors()),
                 brownout_active: self.browned_out.load(Ordering::Relaxed),
                 draining: self.health().draining,
             },
@@ -781,12 +801,19 @@ impl Server {
             })));
         }
 
+        // Only a journaling daemon has use for the answer, so only it
+        // pays the index probe.
+        let wants_journal_record = self.engine.journal().is_some()
+            && !self
+                .engine
+                .cache()
+                .is_some_and(|cache| cache.contains(&key_hash));
         let reserve = solve_estimate_cells(&topology, &config);
         let mut request = SynthesisRequest::new(&topology, collective).with_config(config);
         if let Some(mode) = mode {
             request = request.with_mode(mode);
         }
-        let (ticket, ticket_state) = Ticket::pair();
+        let (ticket, ticket_state) = Ticket::pair(wants_journal_record);
         {
             let mut state = self.state.lock().expect("queue lock");
             let deadline = self.admit(&mut state, client, reserve, deadline)?;
