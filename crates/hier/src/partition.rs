@@ -14,7 +14,7 @@
 
 use sccl_topology::Topology;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// How to carve the topology into process groups.
@@ -276,7 +276,13 @@ impl Partition {
             return Err(PartitionError::NotAPartition { node: n });
         }
 
-        let links = topology.links();
+        // One pass over the constraints; asking the topology edge by edge
+        // (`links()`, `link_bandwidth()`) rescans all of them per edge.
+        let links: BTreeMap<(usize, usize), u64> = topology
+            .link_bandwidths()
+            .into_iter()
+            .map(|(s, d, bandwidth)| ((s, d), bandwidth))
+            .collect();
         // Leaders first: the member with the most inter-group links (in
         // either direction), ties to the smallest global index, so the
         // leader graph uses the best-connected node of each group.
@@ -288,7 +294,7 @@ impl Partition {
                     .copied()
                     .max_by_key(|&n| {
                         let degree = links
-                            .iter()
+                            .keys()
                             .filter(|&&(s, d)| {
                                 (s == n && node_group[d] != node_group[n])
                                     || (d == n && node_group[s] != node_group[n])
@@ -345,12 +351,12 @@ impl Partition {
         );
         for (i, &li) in leaders.iter().enumerate() {
             for (j, &lj) in leaders.iter().enumerate() {
-                if i == j || !links.contains(&(li, lj)) {
+                if i == j {
                     continue;
                 }
-                let bandwidth = topology
-                    .link_bandwidth(li, lj)
-                    .expect("edge is in the usable link set");
+                let Some(&bandwidth) = links.get(&(li, lj)) else {
+                    continue;
+                };
                 leader_topology.add_link(i, j, bandwidth);
                 if let Some(t) = topology.transport(li, lj) {
                     leader_topology.set_transport(i, j, t);
@@ -433,10 +439,10 @@ fn restrict(
 /// Auto-detect groups: nodes joined (in either direction) by a link at the
 /// machine's maximum per-link bandwidth form one group.
 fn auto_groups(topology: &Topology) -> Result<Vec<Vec<usize>>, PartitionError> {
-    let links = topology.links();
+    let links = topology.link_bandwidths();
     let max_bw = links
         .iter()
-        .filter_map(|&(s, d)| topology.link_bandwidth(s, d))
+        .map(|&(_, _, bandwidth)| bandwidth)
         .max()
         .ok_or(PartitionError::NoBandwidthTiers)?;
     let mut parent: Vec<usize> = (0..topology.num_nodes()).collect();
@@ -447,8 +453,8 @@ fn auto_groups(topology: &Topology) -> Result<Vec<Vec<usize>>, PartitionError> {
         }
         parent[n]
     }
-    for &(s, d) in &links {
-        if topology.link_bandwidth(s, d) == Some(max_bw) {
+    for &(s, d, bandwidth) in &links {
+        if bandwidth == max_bw {
             let (a, b) = (find(&mut parent, s), find(&mut parent, d));
             if a != b {
                 parent[a] = b;
@@ -503,6 +509,46 @@ mod tests {
         assert_eq!(p.num_groups(), 3);
         assert_eq!(p.groups[0].members, vec![0, 1, 2, 3]);
         assert_eq!(p.groups[2].members, vec![8, 9, 10, 11]);
+    }
+
+    /// The one-pass link table carves what the edge-by-edge queries
+    /// (`links()`, `link_bandwidth()`) carved: on two-tier machines up to
+    /// 16×16 nodes `Auto` finds the uniform groups, and the leader graph is
+    /// the one those queries build.
+    #[test]
+    fn auto_carves_like_uniform_and_like_the_per_edge_queries() {
+        let sizes = [2, 3, 4, 8, 16];
+        let rings = sizes.iter().flat_map(|&g| {
+            sizes
+                .iter()
+                .map(move |&m| (builders::ring_of_rings(g, m, 2, 1), m))
+        });
+        let racks = [2, 4, 16, 32].map(|boxes| (builders::dgx_rack(boxes, 1), 8));
+        for (topo, m) in rings.chain(racks) {
+            let auto = Partition::new(&topo, &GroupSpec::Auto).expect("auto partition");
+            let uniform =
+                Partition::new(&topo, &GroupSpec::Uniform { group_size: m }).expect("uniform");
+            assert_eq!(auto, uniform, "{}", topo.name());
+            assert_eq!(auto.num_classes(), 1, "{}", topo.name());
+            // The bridged node of every group is its first.
+            let leaders: Vec<usize> = (0..topo.num_nodes() / m).map(|g| g * m).collect();
+            assert_eq!(auto.leaders(), leaders, "{}", topo.name());
+            let mut expected = Topology::new(auto.leader_topology.name(), leaders.len());
+            for (i, &li) in leaders.iter().enumerate() {
+                for (j, &lj) in leaders.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    if let Some(bandwidth) = topo.link_bandwidth(li, lj) {
+                        expected.add_link(i, j, bandwidth);
+                        if let Some(transport) = topo.transport(li, lj) {
+                            expected.set_transport(i, j, transport);
+                        }
+                    }
+                }
+            }
+            assert_eq!(auto.leader_topology, expected, "{}", topo.name());
+        }
     }
 
     #[test]

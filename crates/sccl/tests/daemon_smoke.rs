@@ -163,6 +163,10 @@ fn serve_subcommand_serves_concurrent_clients() {
     assert_eq!(metrics_field(&snapshot, &["cache", "solved"]), 1.0);
     assert_eq!(metrics_field(&snapshot, &["cache", "hot_hits"]), 8.0);
     assert!(metrics_field(&snapshot, &["cache", "hit_rate"]) > 0.8);
+    // The eight hot hits named their key through the memo the warm-up
+    // filled, and were written from the one payload it left in the tier.
+    assert_eq!(metrics_field(&snapshot, &["hot", "key_memo_hits"]), 8.0);
+    assert!(metrics_field(&snapshot, &["hot", "resident_bytes"]) > 0.0);
     // Every served answer went through the decode-time verifier; a clean
     // run must not flag any of them.
     assert_eq!(

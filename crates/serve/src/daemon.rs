@@ -45,17 +45,46 @@
 //! The `drain` verb (and `SIGTERM`) stops admission, finishes every
 //! in-flight job, and exits cleanly; `health` reports
 //! `ready`/`draining`/`browned-out` without touching the queue.
+//!
+//! # What a `synthesize` answer costs
+//!
+//! A report is rendered to JSON once — the payload lives in its hot-tier
+//! entry ([`crate::HotEntry`]) — and every `synthesize` success, whatever
+//! its provenance, is written as a splice around those bytes
+//! ([`crate::wire::report_line`]); no `Content` tree of a report is built
+//! here. On the request side the daemon remembers which content hash a
+//! flat request's `(topology, collective, root, caps)` spells (the
+//! server's key memo, filled by every request that takes the ordinary
+//! path) and on a memo hit goes to [`Server::front_gates`] with the hash
+//! alone: a hot hit is then a line parse, two map probes and a copy of
+//! bytes, with no topology built and no key hashed. A memoized request the
+//! tier no longer holds carries on down the ordinary path from past the
+//! gates, its hash in hand. `groups` requests bypass the memo.
+//!
+//! A request line is read into one buffer reused for the connection's
+//! life and may not run past [`MAX_REQUEST_LINE_BYTES`]: a longer one gets
+//! a typed `bad_request` and the connection is closed, since what follows
+//! on it is the rest of that line.
 
-use crate::server::{HierServed, ServeError, Served, Server};
-use crate::wire::{WireErrorKind, WireRequest, WireResponse};
+use crate::hot::MemoKey;
+use crate::server::{Front, HierServed, PastGates, ServeError, Served, Server};
+use crate::wire::{report_line, WireErrorKind, WireRequest, WireResponse};
 use sccl_core::pareto::SynthesisConfig;
-use sccl_sched::Error;
-use std::io::{self, BufRead, BufReader, Write};
+use sccl_sched::{CacheKey, Error, SynthesisRequest};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::ops::ControlFlow;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The longest request line the daemon reads, newline included. The
+/// largest well-formed request is a `groups` partition spelled out node by
+/// node — a few bytes a node — so 1 MiB is far above any real line and
+/// far below what a client streaming bytes with no newline could
+/// otherwise make the daemon buffer.
+const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// Raised by the process-wide SIGTERM handler; every accept loop polls
 /// it and begins a graceful drain when it flips.
@@ -227,6 +256,75 @@ fn replay_journal(server: &Arc<Server>) {
     server.note_journal_replayed(replayed);
 }
 
+/// What one request is answered with. A served report is kept as it is
+/// until the line is wanted, so a journal replay — which throws its
+/// answers away — renders nothing.
+enum Reply {
+    Response(WireResponse),
+    Report(Served),
+    Composition(HierServed),
+}
+
+impl Reply {
+    fn bad_request(server: &Server, error: String) -> Reply {
+        server.metrics().bad_request();
+        Reply::Response(WireResponse::Error {
+            kind: WireErrorKind::BadRequest,
+            error,
+            retry_after_ms: None,
+        })
+    }
+
+    /// Build the wire error for a [`ServeError`], attaching the
+    /// retry-after hint when the rejection is a rate limit.
+    fn error(error: &ServeError) -> Reply {
+        let retry_after_ms = match error {
+            ServeError::RateLimited { retry_after_ms, .. } => Some(*retry_after_ms),
+            _ => None,
+        };
+        Reply::Response(WireResponse::Error {
+            kind: error_kind(error),
+            error: error.to_string(),
+            retry_after_ms,
+        })
+    }
+
+    /// The response line, without its newline.
+    fn into_line(self) -> io::Result<String> {
+        let invalid =
+            |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+        match self {
+            Reply::Response(response) => serde_json::to_string(&response).map_err(invalid),
+            Reply::Report(served) => {
+                let mut provenance = match served.from {
+                    crate::server::ServedFrom::HotTier => "hot".to_string(),
+                    crate::server::ServedFrom::DiskCache => "cache".to_string(),
+                    crate::server::ServedFrom::Solved(mode) => match mode {
+                        sccl_sched::SolveMode::Sequential => "solved:sequential".to_string(),
+                        sccl_sched::SolveMode::Parallel => "solved:parallel".to_string(),
+                    },
+                };
+                if served.degraded {
+                    provenance.push_str(":degraded");
+                }
+                Ok(report_line(&provenance, &served.timings, &served.payload()))
+            }
+            // Provenance `"hier"` (suffixed `:degraded` when a deadline cut
+            // a stage's frontier short), the real per-stage timing
+            // breakdown and the composition summary as the report payload.
+            Reply::Composition(served) => {
+                let provenance = if served.degraded {
+                    "hier:degraded"
+                } else {
+                    "hier"
+                };
+                let payload = serde_json::to_string(&served.summary).map_err(invalid)?;
+                Ok(report_line(provenance, &served.timings, &payload))
+            }
+        }
+    }
+}
+
 /// Serve one connection: read request lines, write response lines, in
 /// order, until EOF or a `shutdown` verb.
 fn handle_connection(
@@ -235,52 +333,61 @@ fn handle_connection(
     stop: &Arc<AtomicBool>,
 ) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let mut buffer = Vec::new();
+    loop {
+        buffer.clear();
+        let read = (&mut reader)
+            .take(MAX_REQUEST_LINE_BYTES as u64)
+            .read_until(b'\n', &mut buffer)?;
+        if read == 0 {
+            return Ok(());
+        }
+        if read == MAX_REQUEST_LINE_BYTES && buffer.last() != Some(&b'\n') {
+            server.metrics().request();
+            let error = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+            write_line(&mut writer, Reply::bad_request(server, error))?;
+            return Ok(());
+        }
+        let line = std::str::from_utf8(&buffer)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let line = line.strip_suffix('\n').unwrap_or(line);
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
         server.metrics().request();
-        let response = match serde_json::from_str::<WireRequest>(&line) {
-            Err(e) => {
-                server.metrics().bad_request();
-                WireResponse::Error {
-                    kind: WireErrorKind::BadRequest,
-                    error: e.to_string(),
-                    retry_after_ms: None,
-                }
-            }
+        let reply = match serde_json::from_str::<WireRequest>(line) {
+            Err(e) => Reply::bad_request(server, e.to_string()),
             Ok(WireRequest::Metrics) => {
                 server.metrics().metrics_request();
-                WireResponse::Metrics(serde::to_content(&server.snapshot()))
+                Reply::Response(WireResponse::Metrics(serde::to_content(&server.snapshot())))
             }
             Ok(WireRequest::Health) => {
                 let health = server.health();
-                WireResponse::Health {
+                Reply::Response(WireResponse::Health {
                     state: health.state().to_string(),
                     draining: health.draining,
                     browned_out: health.browned_out,
-                }
+                })
             }
             Ok(WireRequest::Drain) => {
                 server.begin_drain();
                 stop.store(true, Ordering::SeqCst);
-                write_line(&mut writer, &WireResponse::Drain)?;
+                write_line(&mut writer, Reply::Response(WireResponse::Drain))?;
                 return Ok(());
             }
             Ok(WireRequest::Shutdown) => {
                 stop.store(true, Ordering::SeqCst);
-                write_line(&mut writer, &WireResponse::Shutdown)?;
+                write_line(&mut writer, Reply::Response(WireResponse::Shutdown))?;
                 return Ok(());
             }
             Ok(WireRequest::Synthesize(synthesize)) => {
-                serve_synthesize(server, synthesize, Some(&line))
+                serve_synthesize(server, synthesize, Some(line))
             }
         };
-        write_line(&mut writer, &response)?;
+        write_line(&mut writer, reply)?;
     }
-    Ok(())
 }
 
 /// Wait for an admitted job with `line` journaled: append the record now
@@ -310,28 +417,23 @@ fn serve_synthesize(
     server: &Arc<Server>,
     request: crate::wire::WireSynthesize,
     line: Option<&str>,
-) -> WireResponse {
+) -> Reply {
+    // A request seen before names its content hash without a topology
+    // built or a key hashed: go to the gates with that.
+    let memo_key = MemoKey::of(&request);
+    let memoized = memo_key.as_ref().and_then(|key| server.key_memo().get(key));
+    let past = match memoized.map(|hash| past_gates(server, hash, &request.client)) {
+        Some(ControlFlow::Break(reply)) => return reply,
+        Some(ControlFlow::Continue(past)) => Some(past),
+        None => None,
+    };
     let topology = match request.parse_topology() {
         Ok(t) => t,
-        Err(error) => {
-            server.metrics().bad_request();
-            return WireResponse::Error {
-                kind: WireErrorKind::BadRequest,
-                error,
-                retry_after_ms: None,
-            };
-        }
+        Err(error) => return Reply::bad_request(server, error),
     };
     let collective = match request.parse_collective() {
         Ok(c) => c,
-        Err(error) => {
-            server.metrics().bad_request();
-            return WireResponse::Error {
-                kind: WireErrorKind::BadRequest,
-                error,
-                retry_after_ms: None,
-            };
-        }
+        Err(error) => return Reply::bad_request(server, error),
     };
     // Fold the wire's overrides onto the engine's defaults; the result is
     // the exact config the cache key and solve use, so a daemon answer is
@@ -350,23 +452,42 @@ fn serve_synthesize(
     if request.groups.is_some() {
         return serve_hier(server, &request, topology, collective, config, line);
     }
+    let past = match past {
+        Some(past) => past,
+        None => {
+            let key_hash = CacheKey::new(&topology, collective, &config).content_hash();
+            if let Some(key) = memo_key {
+                server.key_memo().put(key, &key_hash);
+            }
+            match past_gates(server, key_hash, &request.client) {
+                ControlFlow::Continue(past) => past,
+                ControlFlow::Break(reply) => return reply,
+            }
+        }
+    };
+    let mut job = SynthesisRequest::new(&topology, collective).with_config(config);
+    job.mode = request.mode;
     let deadline = request.deadline_ms.map(Duration::from_millis);
-    match server.submit_with_deadline(
-        topology,
-        collective,
-        config,
-        request.mode,
-        &request.client,
-        deadline,
-    ) {
-        Err(reject) => error_response(&reject),
+    match server.enqueue_flat(past, job, &request.client, deadline) {
+        Err(reject) => Reply::error(&reject),
         Ok(ticket) => {
             let line = line.filter(|_| ticket.wants_journal_record());
             match wait_journaled(server, line, || ticket.wait()) {
-                Ok(served) => report_response(served),
-                Err(error) => error_response(&error),
+                Ok(served) => Reply::Report(served),
+                Err(error) => Reply::error(&error),
             }
         }
+    }
+}
+
+/// Take a flat request's content hash through [`Server::front_gates`]:
+/// past them with a job still to queue, or the reply that ends the request
+/// here — a refusal, or the hot tier's answer.
+fn past_gates(server: &Server, key_hash: String, client: &str) -> ControlFlow<Reply, PastGates> {
+    match server.front_gates(key_hash, client) {
+        Err(reject) => ControlFlow::Break(Reply::error(&reject)),
+        Ok(Front::Hot(served)) => ControlFlow::Break(Reply::Report(served)),
+        Ok(Front::Miss(past)) => ControlFlow::Continue(past),
     }
 }
 
@@ -384,30 +505,19 @@ fn serve_hier(
     collective: sccl_collectives::Collective,
     config: SynthesisConfig,
     line: Option<&str>,
-) -> WireResponse {
+) -> Reply {
     let spec = request.groups.as_deref().expect("caller checked presence");
     let groups = match sccl_hier::GroupSpec::parse(spec) {
         Ok(groups) => groups,
-        Err(error) => {
-            server.metrics().bad_request();
-            return WireResponse::Error {
-                kind: WireErrorKind::BadRequest,
-                error: error.to_string(),
-                retry_after_ms: None,
-            };
-        }
+        Err(error) => return Reply::bad_request(server, error.to_string()),
     };
     let pick = match request.pick.as_deref() {
         None => sccl_hier::EntryPick::Latency,
         Some(value) => match sccl_hier::EntryPick::parse(value) {
             Some(pick) => pick,
             None => {
-                server.metrics().bad_request();
-                return WireResponse::Error {
-                    kind: WireErrorKind::BadRequest,
-                    error: format!("invalid pick `{value}` (latency | bandwidth)"),
-                    retry_after_ms: None,
-                };
+                let error = format!("invalid pick `{value}` (latency | bandwidth)");
+                return Reply::bad_request(server, error);
             }
         },
     };
@@ -426,43 +536,13 @@ fn serve_hier(
             if matches!(reject, ServeError::BadRequest { .. }) {
                 server.metrics().bad_request();
             }
-            error_response(&reject)
+            Reply::error(&reject)
         }
         // Compositions are not cached whole: every admitted one may solve.
         Ok(ticket) => match wait_journaled(server, line, || ticket.wait()) {
-            Ok(served) => hier_report_response(served),
-            Err(error) => error_response(&error),
+            Ok(served) => Reply::Composition(served),
+            Err(error) => Reply::error(&error),
         },
-    }
-}
-
-/// Build the wire success for a served composition: provenance `"hier"`
-/// (suffixed `:degraded` when a deadline cut a stage's frontier short),
-/// the real per-stage timing breakdown and the composition summary as
-/// the report payload.
-fn hier_report_response(served: HierServed) -> WireResponse {
-    let mut provenance = "hier".to_string();
-    if served.degraded {
-        provenance.push_str(":degraded");
-    }
-    WireResponse::Report {
-        provenance,
-        timings: served.timings,
-        report: serde::to_content(&served.summary),
-    }
-}
-
-/// Build the wire error for a [`ServeError`], attaching the retry-after
-/// hint when the rejection is a rate limit.
-fn error_response(error: &ServeError) -> WireResponse {
-    let retry_after_ms = match error {
-        ServeError::RateLimited { retry_after_ms, .. } => Some(*retry_after_ms),
-        _ => None,
-    };
-    WireResponse::Error {
-        kind: error_kind(error),
-        error: error.to_string(),
-        retry_after_ms,
     }
 }
 
@@ -483,26 +563,7 @@ fn error_kind(error: &ServeError) -> WireErrorKind {
     }
 }
 
-fn report_response(served: Served) -> WireResponse {
-    let mut provenance = match served.from {
-        crate::server::ServedFrom::HotTier => "hot".to_string(),
-        crate::server::ServedFrom::DiskCache => "cache".to_string(),
-        crate::server::ServedFrom::Solved(mode) => match mode {
-            sccl_sched::SolveMode::Sequential => "solved:sequential".to_string(),
-            sccl_sched::SolveMode::Parallel => "solved:parallel".to_string(),
-        },
-    };
-    if served.degraded {
-        provenance.push_str(":degraded");
-    }
-    WireResponse::Report {
-        provenance,
-        timings: served.timings,
-        report: serde::to_content(served.report.as_ref()),
-    }
-}
-
-fn write_line(writer: &mut UnixStream, response: &WireResponse) -> io::Result<()> {
+fn write_line(writer: &mut UnixStream, reply: Reply) -> io::Result<()> {
     // Chaos hook: simulate the peer vanishing mid-response. The handler
     // treats the error like any broken pipe — it gives up on this
     // connection without touching daemon-wide state.
@@ -513,9 +574,55 @@ fn write_line(writer: &mut UnixStream, response: &WireResponse) -> io::Result<()
             "failpoint conn.write: injected connection drop",
         ));
     }
-    let mut line = serde_json::to_string(response)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let mut line = reply.into_line()?;
     line.push('\n');
     writer.write_all(line.as_bytes())?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both composition provenances — `hier:degraded` cannot be had from a
+    /// live daemon on demand — render the line `Serialize for WireResponse`
+    /// writes for the same summary.
+    #[test]
+    fn composition_replies_render_the_serialized_response_line() {
+        let golden = include_str!("../tests/golden/report_lines.ndjson");
+        let mut compositions = 0;
+        for line in golden.lines() {
+            let decoded: WireResponse = serde_json::from_str(line).expect("golden line decodes");
+            let WireResponse::Report {
+                provenance,
+                timings,
+                ..
+            } = &decoded
+            else {
+                panic!("golden lines are reports");
+            };
+            if provenance != "hier" {
+                continue;
+            }
+            compositions += 1;
+            let summary = decoded.hier_summary().expect("composition summary");
+            for (degraded, provenance) in [(false, "hier"), (true, "hier:degraded")] {
+                let reply = Reply::Composition(HierServed {
+                    summary: summary.clone(),
+                    timings: *timings,
+                    degraded,
+                });
+                let expected = WireResponse::Report {
+                    provenance: provenance.to_string(),
+                    timings: *timings,
+                    report: serde::to_content(&summary),
+                };
+                assert_eq!(
+                    reply.into_line().expect("renders"),
+                    serde_json::to_string(&expected).expect("encodes")
+                );
+            }
+        }
+        assert!(compositions > 0, "the goldens hold composition lines");
+    }
 }

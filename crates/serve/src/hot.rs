@@ -1,10 +1,26 @@
 //! The in-memory hot tier in front of the on-disk
 //! [`AlgorithmCache`](sccl_sched::AlgorithmCache): recently served
-//! frontiers kept as `Arc<SynthesisReport>`s under their cache-key
-//! content hash, with a **lock-free read path** — a connection thread
-//! serving a hot hit touches three atomics and a `HashMap` probe, never
-//! a mutex, so hot hits cannot convoy behind a solver storing a
-//! multi-megabyte report.
+//! frontiers kept under their cache-key content hash, with a **lock-free
+//! read path** — a connection thread serving a hot hit touches three
+//! atomics and a `HashMap` probe, never a mutex, so hot hits cannot convoy
+//! behind a solver storing a multi-megabyte report.
+//!
+//! # What a slot holds
+//!
+//! A slot is one [`HotEntry`]: the verified `Arc<SynthesisReport>` and the
+//! report's rendered wire payload — the JSON text a `synthesize` response
+//! carries under `"report"`. The payload is rendered at most once per
+//! entry, by the first response that needs it (an in-process
+//! [`Server::submit`](crate::Server::submit) caller that never asks never
+//! pays), and every later hot hit writes those bytes as they are. Report
+//! and bytes share the slot, so whatever drops the entry — capacity
+//! eviction, a disk-cache prune, a quarantine's [`HotTier::invalidate`] —
+//! drops both: a payload cannot outlive its report.
+//!
+//! Beside the tier sits the [`KeyMemo`]: the daemon's bounded memory of
+//! which content hash a request's `(topology, collective, root, caps)`
+//! spells, so a repeated request can ask the tier before it builds the
+//! topology and hashes the key again.
 //!
 //! # Design: RCU over an immutable map
 //!
@@ -32,12 +48,52 @@
 //! wait-free; writers pay the map clone, which is the right trade for a
 //! tier whose hit path is orders of magnitude hotter than its fill path.
 
+use crate::wire::WireSynthesize;
 use sccl_core::pareto::SynthesisReport;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-type Map = HashMap<String, Arc<SynthesisReport>>;
+/// One verified report and, once a response has needed it, the report's
+/// rendered wire payload (see the module docs).
+#[derive(Debug)]
+pub struct HotEntry {
+    report: Arc<SynthesisReport>,
+    payload: OnceLock<Arc<str>>,
+}
+
+impl HotEntry {
+    /// Wrap a report that passed decode-time verification. Nothing is
+    /// rendered yet.
+    pub fn new(report: Arc<SynthesisReport>) -> Arc<HotEntry> {
+        Arc::new(HotEntry {
+            report,
+            payload: OnceLock::new(),
+        })
+    }
+
+    /// The report.
+    pub fn report(&self) -> &Arc<SynthesisReport> {
+        &self.report
+    }
+
+    /// The report as the wire carries it: `serde_json::to_string(report)`,
+    /// rendered by the first caller and shared by every later one.
+    pub fn payload(&self) -> Arc<str> {
+        Arc::clone(self.payload.get_or_init(|| {
+            serde_json::to_string(self.report.as_ref())
+                .expect("a report holds no float, the one value JSON rendering can refuse")
+                .into()
+        }))
+    }
+
+    /// Payload bytes this entry currently holds (0 until first rendered).
+    fn resident_bytes(&self) -> usize {
+        self.payload.get().map_or(0, |payload| payload.len())
+    }
+}
+
+type Map = HashMap<String, Arc<HotEntry>>;
 
 /// State only writers touch, behind the writer mutex.
 struct WriterState {
@@ -62,7 +118,7 @@ pub struct HotTier {
 }
 
 // SAFETY: the raw pointers in `map` and `graveyard` address heap maps of
-// `String → Arc<SynthesisReport>`, both `Send + Sync`; all mutation is
+// `String → Arc<HotEntry>`, both `Send + Sync`; all mutation is
 // funneled through the writer mutex and the documented publish/retire
 // protocol, and readers only ever take shared references.
 unsafe impl Send for HotTier {}
@@ -94,6 +150,13 @@ impl HotTier {
     /// Look up a report by cache-key content hash. Lock-free: two
     /// `SeqCst` counter updates and one pointer load, no mutex.
     pub fn lookup(&self, hash: &str) -> Option<Arc<SynthesisReport>> {
+        self.lookup_entry(hash)
+            .map(|entry| Arc::clone(entry.report()))
+    }
+
+    /// [`HotTier::lookup`], returning the whole slot: the report and its
+    /// once-rendered payload.
+    pub fn lookup_entry(&self, hash: &str) -> Option<Arc<HotEntry>> {
         // Increment BEFORE the pointer load: a writer that later observes
         // readers == 0 is thereby guaranteed this load saw its new map.
         self.readers.fetch_add(1, Ordering::SeqCst);
@@ -114,6 +177,12 @@ impl HotTier {
     /// entries if the tier is over capacity. Writers serialize on a
     /// mutex; readers are never blocked.
     pub fn insert(&self, hash: String, report: Arc<SynthesisReport>) {
+        self.insert_entry(hash, HotEntry::new(report));
+    }
+
+    /// [`HotTier::insert`] for an entry the caller keeps a handle to, so
+    /// the payload its response renders is the one the tier then holds.
+    pub fn insert_entry(&self, hash: String, entry: Arc<HotEntry>) {
         if self.capacity == 0 {
             return;
         }
@@ -123,7 +192,7 @@ impl HotTier {
         // SAFETY: only writers retire maps, and this thread holds the
         // writer lock, so `current` stays valid for the clone.
         let mut next = unsafe { &*current }.clone();
-        if next.insert(hash.clone(), report).is_none() {
+        if next.insert(hash.clone(), entry).is_none() {
             state.order.push(hash);
         }
         while next.len() > self.capacity {
@@ -171,6 +240,19 @@ impl HotTier {
         len
     }
 
+    /// Rendered payload bytes the published entries hold right now.
+    pub fn resident_bytes(&self) -> usize {
+        self.readers.fetch_add(1, Ordering::SeqCst);
+        let map = self.map.load(Ordering::SeqCst);
+        // SAFETY: as in `lookup`.
+        let bytes = unsafe { &*map }
+            .values()
+            .map(|entry| entry.resident_bytes())
+            .sum();
+        self.readers.fetch_sub(1, Ordering::SeqCst);
+        bytes
+    }
+
     /// `true` if no report is published.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -215,6 +297,99 @@ impl Drop for HotTier {
         let current = *self.map.get_mut();
         // SAFETY: the published map is a leaked box owned by `self`.
         drop(unsafe { Box::from_raw(current) });
+    }
+}
+
+/// A memo key longer than this is not remembered: a spec can be padded
+/// (`ring:000…04`) to any length the request-line cap allows, and the memo
+/// must stay small whatever clients send.
+const MEMO_KEY_MAX_BYTES: usize = 256;
+
+/// The memo is emptied when it would outgrow this many entries per hot-tier
+/// slot: several spellings may name one hash (`k` absent or spelled out),
+/// and a key the tier no longer holds is worth nothing here.
+const MEMO_ENTRIES_PER_HOT_SLOT: usize = 4;
+
+/// Everything a flat request's content hash depends on that the wire can
+/// vary. The rest of the hash's input — the engine's search defaults and
+/// `ENCODER_VERSION` — is fixed for a daemon's life.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct MemoKey {
+    topology: String,
+    collective: String,
+    root: usize,
+    max_steps: Option<usize>,
+    max_chunks: Option<usize>,
+    k: Option<u64>,
+}
+
+impl MemoKey {
+    /// The memo key of `request`; `None` for a `groups` request (a
+    /// composition has no single content hash) and for an oversized spec.
+    pub(crate) fn of(request: &WireSynthesize) -> Option<MemoKey> {
+        if request.groups.is_some()
+            || request.topology.len() + request.collective.len() > MEMO_KEY_MAX_BYTES
+        {
+            return None;
+        }
+        Some(MemoKey {
+            topology: request.topology.clone(),
+            collective: request.collective.clone(),
+            root: request.root,
+            max_steps: request.max_steps,
+            max_chunks: request.max_chunks,
+            k: request.k,
+        })
+    }
+}
+
+/// Request → content hash, remembered so a repeated request reaches the
+/// hot tier without rebuilding its topology and re-hashing its key. The
+/// mapping is a pure function, so an entry is never wrong, only useless
+/// once the tier has dropped the hash — hence no invalidation, just a
+/// bound: the memo is cleared wholesale when full and refills from the
+/// requests that still arrive.
+pub(crate) struct KeyMemo {
+    map: RwLock<HashMap<MemoKey, String>>,
+    bound: usize,
+    hits: AtomicU64,
+}
+
+impl KeyMemo {
+    /// A memo sized for a hot tier of `hot_capacity` slots (none: a memo
+    /// that remembers nothing, since no hit could use it).
+    pub(crate) fn new(hot_capacity: usize) -> KeyMemo {
+        KeyMemo {
+            map: RwLock::new(HashMap::new()),
+            bound: hot_capacity.saturating_mul(MEMO_ENTRIES_PER_HOT_SLOT),
+            hits: AtomicU64::new(0),
+        }
+    }
+
+    /// The remembered content hash of `key`, if any.
+    pub(crate) fn get(&self, key: &MemoKey) -> Option<String> {
+        let hash = self.map.read().expect("key-memo lock").get(key).cloned();
+        if hash.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hash
+    }
+
+    /// Remember that `key` hashes to `hash`.
+    pub(crate) fn put(&self, key: MemoKey, hash: &str) {
+        if self.bound == 0 {
+            return;
+        }
+        let mut map = self.map.write().expect("key-memo lock");
+        if map.len() >= self.bound {
+            map.clear();
+        }
+        map.insert(key, hash.to_string());
+    }
+
+    /// Lookups answered from the memo so far.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
     }
 }
 
@@ -293,6 +468,82 @@ mod tests {
         assert!(tier.lookup("b").is_none());
         assert!(tier.lookup("c").is_some());
         assert!(tier.lookup("d").is_some());
+    }
+
+    #[test]
+    fn a_payload_is_rendered_once_and_leaves_with_its_entry() {
+        let tier = HotTier::new(2);
+        let entry = HotEntry::new(report(1));
+        tier.insert_entry("a".to_string(), Arc::clone(&entry));
+        tier.insert("b".to_string(), report(2));
+        assert_eq!(tier.resident_bytes(), 0, "nothing rendered yet");
+        // The response that renders first renders for the tier's slot…
+        let payload = entry.payload();
+        assert_eq!(
+            &*payload,
+            serde_json::to_string(entry.report().as_ref()).expect("json")
+        );
+        let hit = tier.lookup_entry("a").expect("published entry");
+        assert!(Arc::ptr_eq(&hit.payload(), &payload), "one render, shared");
+        assert_eq!(tier.resident_bytes(), payload.len());
+        // …and the bytes go when the entry goes, by invalidation or eviction.
+        let other = tier.lookup_entry("b").expect("published entry").payload();
+        assert_eq!(tier.resident_bytes(), payload.len() + other.len());
+        assert!(tier.invalidate("a"));
+        assert_eq!(tier.resident_bytes(), other.len());
+        tier.insert("c".to_string(), report(1));
+        tier.insert("d".to_string(), report(1));
+        assert!(tier.lookup("b").is_none(), "evicted");
+        assert_eq!(tier.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn the_key_memo_keeps_spellings_apart_and_stays_bounded() {
+        let base = WireSynthesize::new("ring:4", "broadcast");
+        let key = |request: &WireSynthesize| MemoKey::of(request).expect("a flat request");
+        let mut rooted = base.clone();
+        rooted.root = 1;
+        let mut with_k = base.clone();
+        with_k.k = Some(0);
+        let spellings = [
+            base.clone(),
+            rooted,
+            with_k,
+            base.clone().with_caps(6, 4),
+            base.clone().with_caps(6, 3),
+            base.clone().with_caps(5, 4),
+            WireSynthesize::new("ring:4", "gather"),
+            WireSynthesize::new("ring:5", "broadcast"),
+        ];
+        for (i, a) in spellings.iter().enumerate() {
+            for b in &spellings[i + 1..] {
+                assert_ne!(key(a), key(b), "{a:?} vs {b:?}");
+            }
+        }
+        // What the hash does not depend on is not in the key.
+        assert_eq!(
+            key(&base),
+            key(&base.clone().with_client("x").with_deadline_ms(5))
+        );
+        // A composition has no single hash; a padded spec is not worth a slot.
+        assert!(MemoKey::of(&base.clone().with_groups("auto")).is_none());
+        let padded = format!("ring:{}4", "0".repeat(MEMO_KEY_MAX_BYTES));
+        assert!(MemoKey::of(&WireSynthesize::new(padded, "broadcast")).is_none());
+
+        // Capacity 1 → at most 4 entries: the fifth put empties the memo.
+        let memo = KeyMemo::new(1);
+        for (i, request) in spellings.iter().take(4).enumerate() {
+            memo.put(key(request), &format!("hash-{i}"));
+        }
+        assert_eq!(memo.get(&key(&spellings[2])).as_deref(), Some("hash-2"));
+        memo.put(key(&spellings[4]), "hash-4");
+        assert_eq!(memo.get(&key(&spellings[2])), None, "cleared wholesale");
+        assert_eq!(memo.get(&key(&spellings[4])).as_deref(), Some("hash-4"));
+        assert_eq!(memo.hits(), 2);
+        // No tier, no memo.
+        let disabled = KeyMemo::new(0);
+        disabled.put(key(&base), "hash");
+        assert_eq!(disabled.get(&key(&base)), None);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!   **admission control** (per-client in-flight quotas plus a global
 //!   cap on the estimated solver memory of everything admitted) and the
 //!   [`HotTier`], an in-memory cache of recently served frontiers in
-//!   front of the engine's on-disk store with a **lock-free read path**.
+//!   front of the engine's on-disk store with a **lock-free read path**;
+//!   each slot ([`HotEntry`]) keeps the report's once-rendered wire
+//!   payload, so a hot hit is answered with a copy of bytes.
 //! * [`EngineMetrics`] — a lock-free metrics registry (cache hit rates,
 //!   p50/p99 solve latency, queue depth, warm-pool efficiency,
 //!   rejection counts) snapshottable as JSON.
@@ -37,11 +39,11 @@ pub mod wire;
 
 pub use client::{RetryPolicy, ServeClient};
 pub use daemon::Daemon;
-pub use hot::HotTier;
+pub use hot::{HotEntry, HotTier};
 pub use metrics::{
     CacheCounters, DaemonCounters, DaemonGauges, EngineMetrics, FaultCounters, FaultGauges,
-    HierCounters, Histogram, HotTierGauges, LatencyCounters, LatencySnapshot, MetricsSnapshot,
-    PoolCounters, QueueGauges, RegistryGauges, RejectionCounters, RequestCounters,
+    HierCounters, Histogram, HotCounters, HotTierGauges, LatencyCounters, LatencySnapshot,
+    MetricsSnapshot, PoolCounters, QueueGauges, RegistryGauges, RejectionCounters, RequestCounters,
 };
 pub use server::{
     solve_estimate_cells, Health, HierOutcome, HierServed, HierTicket, Outcome, ServeConfig,

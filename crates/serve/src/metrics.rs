@@ -342,6 +342,10 @@ impl EngineMetrics {
                 hot_len: hot.len,
                 hot_capacity: hot.capacity,
             },
+            hot: HotCounters {
+                resident_bytes: hot.resident_bytes,
+                key_memo_hits: hot.key_memo_hits,
+            },
             queue: QueueGauges {
                 depth: self.queue_depth.load(Ordering::Relaxed),
                 peak_depth: self.queue_peak_depth.load(Ordering::Relaxed),
@@ -399,6 +403,10 @@ impl EngineMetrics {
 pub struct HotTierGauges {
     pub len: u64,
     pub capacity: u64,
+    /// Rendered payload bytes the tier's entries hold.
+    pub resident_bytes: u64,
+    /// Requests whose content hash the key memo supplied.
+    pub key_memo_hits: u64,
 }
 
 /// Current warm-pool-registry occupancy, supplied at snapshot time.
@@ -444,6 +452,7 @@ pub struct MetricsSnapshot {
     pub requests: RequestCounters,
     pub rejections: RejectionCounters,
     pub cache: CacheCounters,
+    pub hot: HotCounters,
     pub queue: QueueGauges,
     pub pool: PoolCounters,
     pub faults: FaultCounters,
@@ -546,6 +555,17 @@ pub struct CacheCounters {
     pub hot_len: u64,
     /// The hot tier's entry bound.
     pub hot_capacity: u64,
+}
+
+/// What the hot tier spends beyond its entry count (`cache.hot_len`):
+/// memory on rendered payloads, and a second lookup in front of the first.
+#[derive(Clone, Copy, Debug, Default, Serialize)]
+pub struct HotCounters {
+    /// Rendered wire-payload bytes the tier's entries hold right now.
+    pub resident_bytes: u64,
+    /// `synthesize` requests whose content hash came from the key memo
+    /// instead of a topology build and a key hash.
+    pub key_memo_hits: u64,
 }
 
 #[derive(Clone, Copy, Debug, Default, Serialize)]
@@ -674,6 +694,8 @@ mod tests {
             HotTierGauges {
                 len: 2,
                 capacity: 64,
+                resident_bytes: 4096,
+                key_memo_hits: 7,
             },
             RegistryGauges {
                 len: 1,
@@ -713,6 +735,8 @@ mod tests {
             "\"queue_full\"",
             "\"registry_weight\"",
             "\"hot_capacity\"",
+            "\"resident_bytes\":4096",
+            "\"key_memo_hits\":7",
             "\"panics_caught\"",
             "\"verify_failures\"",
             "\"deadline_degraded\"",

@@ -26,7 +26,7 @@
 //! [`Engine`] (one warm-pool registry and one on-disk cache across all
 //! workers), publish results into the hot tier and complete tickets.
 
-use crate::hot::HotTier;
+use crate::hot::{HotEntry, HotTier, KeyMemo};
 use crate::metrics::{EngineMetrics, FaultGauges, HotTierGauges, MetricsSnapshot, RegistryGauges};
 use crate::wire::WireTimings;
 use sccl_collectives::Collective;
@@ -280,6 +280,18 @@ pub struct Served {
     /// is the partial frontier found before the cut. Degraded reports are
     /// never persisted or hot-tier cached — a later request re-solves.
     pub degraded: bool,
+    /// `report` with its once-rendered wire payload: the hot tier's own
+    /// slot unless the answer is degraded, so whichever response renders
+    /// the payload first renders it for every later hot hit.
+    entry: Arc<HotEntry>,
+}
+
+impl Served {
+    /// `report` as the wire carries it (`serde_json::to_string(report)`),
+    /// rendered at most once for the life of the hot-tier entry.
+    pub fn payload(&self) -> Arc<str> {
+        self.entry.payload()
+    }
 }
 
 /// The outcome a [`Ticket`] resolves to.
@@ -452,6 +464,23 @@ impl HierTicket {
     }
 }
 
+/// What [`Server::front_gates`] made of a flat submission.
+pub(crate) enum Front {
+    /// The hot tier answered; nothing was queued.
+    Hot(Served),
+    /// Every gate passed and the tier does not hold the key.
+    Miss(PastGates),
+}
+
+/// Proof that a flat submission passed [`Server::front_gates`] — counted,
+/// not draining, a token spent — and missed the hot tier: the only way
+/// into [`Server::enqueue_flat`], so no job reaches the queue around the
+/// gates or through them twice.
+pub(crate) struct PastGates {
+    key_hash: String,
+    submitted: Instant,
+}
+
 /// What an admitted job actually solves: a flat synthesis problem or a
 /// hierarchical composition. Both kinds share one queue, one worker
 /// pool and one reservation ledger — drain, quotas and the memory
@@ -527,6 +556,7 @@ impl Health {
 pub struct Server {
     engine: Arc<Engine>,
     hot: HotTier,
+    key_memo: KeyMemo,
     metrics: EngineMetrics,
     config: ServeConfig,
     state: Mutex<QueueState>,
@@ -565,6 +595,7 @@ impl Server {
         let server = Arc::new(Server {
             engine: Arc::new(engine),
             hot: HotTier::new(config.hot_capacity),
+            key_memo: KeyMemo::new(config.hot_capacity),
             metrics: EngineMetrics::new(),
             config,
             state: Mutex::new(QueueState {
@@ -622,6 +653,11 @@ impl Server {
         &self.metrics
     }
 
+    /// The daemon's request → content-hash memo.
+    pub(crate) fn key_memo(&self) -> &KeyMemo {
+        &self.key_memo
+    }
+
     /// The serving configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
@@ -635,6 +671,8 @@ impl Server {
             HotTierGauges {
                 len: self.hot.len() as u64,
                 capacity: self.hot.capacity() as u64,
+                resident_bytes: self.hot.resident_bytes() as u64,
+                key_memo_hits: self.key_memo.hits(),
             },
             RegistryGauges {
                 len: self.engine.warm_pool_len() as u64,
@@ -774,6 +812,24 @@ impl Server {
         client: &str,
         deadline: Option<std::time::Duration>,
     ) -> Result<Ticket, ServeError> {
+        let key_hash = CacheKey::new(&topology, collective, &config).content_hash();
+        match self.front_gates(key_hash, client)? {
+            Front::Hot(served) => Ok(Ticket::resolved(Ok(served))),
+            Front::Miss(past) => {
+                let mut request = SynthesisRequest::new(&topology, collective).with_config(config);
+                request.mode = mode;
+                self.enqueue_flat(past, request, client, deadline)
+            }
+        }
+    }
+
+    /// The gates every flat submission passes before anything is queued,
+    /// in their one order — drain/shutdown, then the client's token bucket,
+    /// then the hot tier — with the counters each of them owns. All the
+    /// content hash's owner needs to get here is the hash, which is what
+    /// lets the daemon answer a memoized request without building its
+    /// topology; [`Server::submit_with_deadline`] comes through here too.
+    pub(crate) fn front_gates(&self, key_hash: String, client: &str) -> Result<Front, ServeError> {
         self.metrics.synthesize_request();
         if self.is_shutting_down() || self.draining.load(Ordering::SeqCst) {
             self.metrics.rejected_shutdown();
@@ -783,24 +839,44 @@ impl Server {
         // *request* rate, so hot-tier hits spend tokens too.
         self.check_rate_limit(client)?;
         let submitted = Instant::now();
-        let key_hash = CacheKey::new(&topology, collective, &config).content_hash();
-        if let Some(report) = self.hot.lookup(&key_hash) {
-            self.metrics.hot_hit();
-            let total = submitted.elapsed();
-            self.metrics.served(total);
-            return Ok(Ticket::resolved(Ok(Served {
-                report,
-                from: ServedFrom::HotTier,
-                timings: WireTimings {
-                    lookup_micros: micros(total),
-                    total_micros: micros(total),
-                    ..WireTimings::default()
-                },
-                incremental: None,
-                degraded: false,
-            })));
-        }
+        let Some(entry) = self.hot.lookup_entry(&key_hash) else {
+            return Ok(Front::Miss(PastGates {
+                key_hash,
+                submitted,
+            }));
+        };
+        self.metrics.hot_hit();
+        let total = submitted.elapsed();
+        self.metrics.served(total);
+        Ok(Front::Hot(Served {
+            report: Arc::clone(entry.report()),
+            from: ServedFrom::HotTier,
+            timings: WireTimings {
+                lookup_micros: micros(total),
+                total_micros: micros(total),
+                ..WireTimings::default()
+            },
+            incremental: None,
+            degraded: false,
+            entry,
+        }))
+    }
 
+    /// Queue a flat job that passed [`Server::front_gates`] and missed the
+    /// hot tier: the under-lock admission checks, then a worker's turn.
+    /// `request.config` must be the config `past`'s key was hashed from;
+    /// `deadline` is measured from the gates, `request.deadline` unused.
+    pub(crate) fn enqueue_flat(
+        &self,
+        past: PastGates,
+        request: SynthesisRequest,
+        client: &str,
+        deadline: Option<Duration>,
+    ) -> Result<Ticket, ServeError> {
+        let PastGates {
+            key_hash,
+            submitted,
+        } = past;
         // Only a journaling daemon has use for the answer, so only it
         // pays the index probe.
         let wants_journal_record = self.engine.journal().is_some()
@@ -808,11 +884,10 @@ impl Server {
                 .engine
                 .cache()
                 .is_some_and(|cache| cache.contains(&key_hash));
-        let reserve = solve_estimate_cells(&topology, &config);
-        let mut request = SynthesisRequest::new(&topology, collective).with_config(config);
-        if let Some(mode) = mode {
-            request = request.with_mode(mode);
-        }
+        let reserve = solve_estimate_cells(
+            &request.topology,
+            request.config.as_ref().unwrap_or(self.engine.defaults()),
+        );
         let (ticket, ticket_state) = Ticket::pair(wants_journal_record);
         {
             let mut state = self.state.lock().expect("queue lock");
@@ -860,8 +935,8 @@ impl Server {
         let submitted = Instant::now();
         // Admission-time partition: sizes the reservation and bounces a
         // malformed carve before it occupies a queue slot. The planner
-        // re-partitions when the job runs — partitioning is microseconds
-        // against stage solves.
+        // re-partitions when the job runs: one pass over the links each
+        // time, ~1 ms at 256 nodes against stage solves of tens of ms.
         let reserve = self.hier_estimate_cells(&request)?;
         let (ticket, ticket_state) = HierTicket::pair();
         {
@@ -1180,13 +1255,14 @@ impl Server {
             }
             self.metrics.deadline_degraded();
         }
-        let report = Arc::new(response.report);
+        let entry = HotEntry::new(Arc::new(response.report));
         if !response.degraded {
             // Only complete reports enter the hot tier: a degraded
             // frontier is timing-dependent and must not be replayed
             // forever (the engine refuses to persist it for the same
             // reason).
-            self.hot.insert(key_hash.to_string(), Arc::clone(&report));
+            self.hot
+                .insert_entry(key_hash.to_string(), Arc::clone(&entry));
         }
         // The store above may have pushed the disk cache over capacity and
         // pruned entries this tier still holds; drain the engine's
@@ -1195,7 +1271,7 @@ impl Server {
         self.drain_pruned();
         let total = submitted.elapsed();
         Ok(Served {
-            report,
+            report: Arc::clone(entry.report()),
             from,
             timings: WireTimings {
                 queue_micros: micros(queue_wait),
@@ -1208,6 +1284,7 @@ impl Server {
             },
             incremental: response.incremental,
             degraded: response.degraded,
+            entry,
         })
     }
 
@@ -1482,6 +1559,10 @@ mod tests {
         )
         .expect("server");
         let ring = builders::ring(4, 1);
+        // What a memoized request holds of the problem about to be pruned:
+        // its content hash.
+        let pruned_hash =
+            CacheKey::new(&ring, Collective::Allgather, &quick_config()).content_hash();
         // Three distinct problems through a capacity-1 store: the third
         // store trips the slack bound and prunes the two oldest entries,
         // whose hashes the worker drains into hot-tier invalidations.
@@ -1498,7 +1579,13 @@ mod tests {
         }
         // The pruned problem must be re-solved — its hot copy was
         // invalidated alongside the disk eviction, so the tier cannot
-        // replay a frontier the durable store no longer backs.
+        // replay a frontier the durable store no longer backs. Going to
+        // the gates with the hash alone (a key-memo hit) finds no entry
+        // and no payload either: they left the tier in one slot.
+        assert!(matches!(
+            server.front_gates(pruned_hash.clone(), "t"),
+            Ok(Front::Miss(_))
+        ));
         let evicted = server
             .submit(
                 ring.clone(),
@@ -1514,6 +1601,17 @@ mod tests {
             matches!(evicted.from, ServedFrom::Solved(_)),
             "pruned entry replayed from {:?}",
             evicted.from
+        );
+        // The hash now names the new entry, whose payload is the re-solved
+        // report's — rendered by whichever answer asks first, once.
+        let Ok(Front::Hot(rehit)) = server.front_gates(pruned_hash, "t") else {
+            panic!("the re-solved entry must serve hot");
+        };
+        assert!(Arc::ptr_eq(&rehit.report, &evicted.report));
+        assert!(Arc::ptr_eq(&rehit.payload(), &evicted.payload()));
+        assert_eq!(
+            &*rehit.payload(),
+            serde_json::to_string(evicted.report.as_ref()).expect("json")
         );
         // The surviving (most recent) entry still serves hot.
         let kept = server

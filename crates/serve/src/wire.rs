@@ -483,6 +483,26 @@ impl WireResponse {
     }
 }
 
+/// The line [`WireResponse::Report`] serializes to, spliced around an
+/// already rendered `report` payload instead of re-rendering a [`Content`]
+/// tree: `{"ok":true,"provenance":…,"timings":…,"report":` + `payload` +
+/// `}`. With `payload` the `serde_json::to_string` of a report, the line is
+/// byte for byte `serde_json::to_string` of the `WireResponse::Report`
+/// carrying that report — this is how the daemon writes every `synthesize`
+/// success, so a hot hit costs a copy of bytes rendered once.
+pub fn report_line(provenance: &str, timings: &WireTimings, payload: &str) -> String {
+    const RENDERS: &str = "strings and integers always render";
+    let mut line = String::with_capacity(payload.len() + 320);
+    line.push_str("{\"ok\":true,\"provenance\":");
+    line.push_str(&serde_json::to_string(provenance).expect(RENDERS));
+    line.push_str(",\"timings\":");
+    line.push_str(&serde_json::to_string(timings).expect(RENDERS));
+    line.push_str(",\"report\":");
+    line.push_str(payload);
+    line.push('}');
+    line
+}
+
 impl Serialize for WireResponse {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let mut fields: Vec<(String, Content)> = Vec::new();

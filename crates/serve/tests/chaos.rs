@@ -469,6 +469,31 @@ fn malformed_request_lines_get_typed_errors_without_killing_the_connection() {
         "the connection must still serve real work: {response}"
     );
     assert_eq!(server.snapshot().requests.bad, 5);
+
+    // A line that does not end within 1 MiB is refused typed as well — the
+    // daemon will not buffer a client's endless line — and, since the rest
+    // of the stream is the rest of that line, the connection is closed.
+    writer.write_all(&vec![b'x'; 1 << 20]).expect("write");
+    writer.flush().expect("flush");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("read");
+    assert!(
+        response.contains("\"kind\":\"bad_request\"") && response.contains("exceeds 1048576 bytes"),
+        "an oversized line must get a typed bad_request, got: {response}"
+    );
+    response.clear();
+    assert_eq!(
+        reader.read_line(&mut response).unwrap_or(0),
+        0,
+        "the connection must be closed after an oversized line"
+    );
+    assert_eq!(server.snapshot().requests.bad, 6);
+    // Only that connection: the daemon still serves the next one.
+    let mut client = ServeClient::connect(daemon.socket_path()).expect("connect");
+    assert!(matches!(
+        client.health().expect("health"),
+        WireResponse::Health { .. }
+    ));
     daemon.shutdown();
 }
 

@@ -181,11 +181,11 @@ pub fn nvswitch(n: usize, bandwidth: u64) -> Topology {
 pub fn dual_dgx1(cross_links: usize, cross_bandwidth: u64) -> Topology {
     assert!((1..=8).contains(&cross_links));
     let single = dgx1();
+    let links = single.link_bandwidths();
     let mut t = Topology::new("dual-dgx1", 16);
     for box_id in 0..2usize {
         let offset = box_id * 8;
-        for &(src, dst) in &single.links() {
-            let bw = single.link_bandwidth(src, dst).expect("link exists");
+        for &(src, dst, bw) in &links {
             t.add_link(src + offset, dst + offset, bw);
             t.set_transport(src + offset, dst + offset, "nvlink");
         }
@@ -245,11 +245,11 @@ pub fn ring_of_rings(
 pub fn dgx_rack(boxes: usize, cross_bandwidth: u64) -> Topology {
     assert!(boxes >= 2, "a rack needs at least two boxes");
     let single = dgx1();
+    let links = single.link_bandwidths();
     let mut t = Topology::new(format!("dgx-rack-{boxes}"), boxes * 8);
     for box_id in 0..boxes {
         let offset = box_id * 8;
-        for &(src, dst) in &single.links() {
-            let bw = single.link_bandwidth(src, dst).expect("link exists");
+        for &(src, dst, bw) in &links {
             t.add_link(src + offset, dst + offset, bw);
             if let Some(transport) = single.transport(src, dst) {
                 t.set_transport(src + offset, dst + offset, transport);
