@@ -1,8 +1,17 @@
 //! Clause storage.
 //!
-//! Clauses live in a flat arena ([`ClauseDb`]) and are referenced by the
-//! index type [`CRef`]. Learnt clauses carry an activity score and an LBD
-//! (literal block distance) used by the clause-database reduction policy.
+//! A [`ClauseDb`] keeps one fixed-size header per clause and the literals
+//! of *all* clauses back to back in a single `Vec<Lit>` — the arena. A
+//! [`CRef`] indexes the header table and stays valid for the life of the
+//! database: deleting a clause flags its header, and [`ClauseDb::compact`]
+//! then squeezes the deleted clauses' literals out of the arena and
+//! repoints the surviving headers, so watch lists and reasons never need
+//! rewriting. Propagation and conflict analysis touch a clause through one
+//! header load and one contiguous slice instead of a heap allocation per
+//! clause.
+//!
+//! Learnt clauses carry an activity score and an LBD (literal block
+//! distance) used by the clause-database reduction policy.
 
 use crate::types::Lit;
 
@@ -17,69 +26,26 @@ impl CRef {
     }
 }
 
-/// A disjunction of literals.
-#[derive(Clone, Debug)]
-pub struct Clause {
-    pub(crate) lits: Vec<Lit>,
-    pub(crate) learnt: bool,
-    pub(crate) deleted: bool,
-    pub(crate) activity: f64,
-    pub(crate) lbd: u32,
-}
-
-impl Clause {
-    pub(crate) fn new(lits: Vec<Lit>, learnt: bool) -> Self {
-        Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd: 0,
-        }
-    }
-
-    /// The literals of the clause. The first two are the watched literals.
-    #[inline]
-    pub fn lits(&self) -> &[Lit] {
-        &self.lits
-    }
-
-    /// Number of literals.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// `true` if the clause has no literals.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.lits.is_empty()
-    }
-
-    /// `true` if this clause was learnt during conflict analysis.
-    #[inline]
-    pub fn is_learnt(&self) -> bool {
-        self.learnt
-    }
-
-    /// `true` if this clause has been removed by database reduction.
-    #[inline]
-    pub fn is_deleted(&self) -> bool {
-        self.deleted
-    }
-
-    /// Literal block distance assigned when the clause was learnt.
-    #[inline]
-    pub fn lbd(&self) -> u32 {
-        self.lbd
-    }
+/// Everything about a clause but its literals.
+#[derive(Clone, Copy, Debug)]
+struct Header {
+    /// Offset of the first literal in the arena.
+    start: u32,
+    len: u32,
+    lbd: u32,
+    learnt: bool,
+    deleted: bool,
+    activity: f64,
 }
 
 /// Arena of clauses.
 #[derive(Default)]
 pub struct ClauseDb {
-    clauses: Vec<Clause>,
-    /// Number of literals across live (non-deleted) clauses; used for stats.
+    headers: Vec<Header>,
+    /// The literals of every clause not yet compacted away, in `CRef`
+    /// order.
+    arena: Vec<Lit>,
+    /// Number of literals across live (non-deleted) clauses.
     live_literals: usize,
 }
 
@@ -89,40 +55,131 @@ impl ClauseDb {
     }
 
     /// Add a clause and return its reference.
-    pub fn push(&mut self, lits: Vec<Lit>, learnt: bool) -> CRef {
-        let cref = CRef(self.clauses.len() as u32);
+    pub fn push(&mut self, lits: &[Lit], learnt: bool) -> CRef {
+        let cref = CRef(self.headers.len() as u32);
+        let start = u32::try_from(self.arena.len()).expect("clause arena fits 32-bit offsets");
+        self.headers.push(Header {
+            start,
+            len: lits.len() as u32,
+            lbd: 0,
+            learnt,
+            deleted: false,
+            activity: 0.0,
+        });
+        self.arena.extend_from_slice(lits);
         self.live_literals += lits.len();
-        self.clauses.push(Clause::new(lits, learnt));
         cref
     }
 
-    /// Mark a clause deleted. Watch lists drop deleted clauses lazily.
+    /// Mark a clause deleted. Watch lists drop deleted clauses lazily; the
+    /// literals stay in the arena until the next [`ClauseDb::compact`].
     pub fn delete(&mut self, cref: CRef) {
-        let c = &mut self.clauses[cref.index()];
-        if !c.deleted {
-            c.deleted = true;
-            self.live_literals -= c.lits.len();
+        let h = &mut self.headers[cref.index()];
+        if !h.deleted {
+            h.deleted = true;
+            self.live_literals -= h.len as usize;
         }
     }
 
+    /// Squeeze the literals of deleted clauses out of the arena. Headers
+    /// (and therefore every [`CRef`]) stay where they are; a deleted
+    /// clause keeps its flag and loses its literals.
+    pub fn compact(&mut self) {
+        if self.arena.len() == self.live_literals {
+            return;
+        }
+        let mut write = 0usize;
+        for h in &mut self.headers {
+            let (start, len) = (h.start as usize, h.len as usize);
+            if h.deleted {
+                h.len = 0;
+                continue;
+            }
+            // Headers are in arena order, so `write` never passes `start`.
+            self.arena.copy_within(start..start + len, write);
+            h.start = write as u32;
+            write += len;
+        }
+        self.arena.truncate(write);
+    }
+
+    /// The literals of a clause. The first two are the watched literals.
+    /// Empty for a deleted clause after compaction.
     #[inline]
-    pub fn get(&self, cref: CRef) -> &Clause {
-        &self.clauses[cref.index()]
+    pub fn lits(&self, cref: CRef) -> &[Lit] {
+        let h = &self.headers[cref.index()];
+        &self.arena[h.start as usize..(h.start + h.len) as usize]
     }
 
     #[inline]
-    pub fn get_mut(&mut self, cref: CRef) -> &mut Clause {
-        &mut self.clauses[cref.index()]
+    pub fn lits_mut(&mut self, cref: CRef) -> &mut [Lit] {
+        let h = &self.headers[cref.index()];
+        &mut self.arena[h.start as usize..(h.start + h.len) as usize]
+    }
+
+    /// The arena positions of a clause's literals, for walking them with
+    /// [`ClauseDb::lit_at`] while the rest of the solver is being mutated.
+    #[inline]
+    pub fn span(&self, cref: CRef) -> std::ops::Range<usize> {
+        let h = &self.headers[cref.index()];
+        h.start as usize..(h.start + h.len) as usize
+    }
+
+    /// The literal at an arena position (see [`ClauseDb::span`]).
+    #[inline]
+    pub fn lit_at(&self, position: usize) -> Lit {
+        self.arena[position]
+    }
+
+    /// `true` if this clause was learnt during conflict analysis.
+    #[inline]
+    pub fn is_learnt(&self, cref: CRef) -> bool {
+        self.headers[cref.index()].learnt
+    }
+
+    /// `true` if this clause has been removed by database reduction.
+    #[inline]
+    pub fn is_deleted(&self, cref: CRef) -> bool {
+        self.headers[cref.index()].deleted
+    }
+
+    /// Literal block distance assigned when the clause was learnt.
+    #[inline]
+    pub fn lbd(&self, cref: CRef) -> u32 {
+        self.headers[cref.index()].lbd
+    }
+
+    pub fn set_lbd(&mut self, cref: CRef, lbd: u32) {
+        self.headers[cref.index()].lbd = lbd;
+    }
+
+    #[inline]
+    pub fn activity(&self, cref: CRef) -> f64 {
+        self.headers[cref.index()].activity
+    }
+
+    #[inline]
+    pub fn activity_mut(&mut self, cref: CRef) -> &mut f64 {
+        &mut self.headers[cref.index()].activity
+    }
+
+    /// Multiply the activity of every live learnt clause by `factor`.
+    pub fn rescale_learnt_activities(&mut self, factor: f64) {
+        for h in &mut self.headers {
+            if h.learnt && !h.deleted {
+                h.activity *= factor;
+            }
+        }
     }
 
     /// Total number of clauses ever added (including deleted ones).
     pub fn len(&self) -> usize {
-        self.clauses.len()
+        self.headers.len()
     }
 
     /// `true` if no clause was ever added.
     pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
+        self.headers.is_empty()
     }
 
     /// Number of literals in live clauses.
@@ -130,21 +187,27 @@ impl ClauseDb {
         self.live_literals
     }
 
+    /// Number of literals the arena holds: [`ClauseDb::live_literals`]
+    /// plus those of clauses deleted since the last compaction.
+    pub fn arena_len(&self) -> usize {
+        self.arena.len()
+    }
+
     /// Iterate over references of all live learnt clauses.
     pub fn learnt_refs(&self) -> impl Iterator<Item = CRef> + '_ {
-        self.clauses
+        self.headers
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted)
+            .filter(|(_, h)| h.learnt && !h.deleted)
             .map(|(i, _)| CRef(i as u32))
     }
 
     /// Iterate over references of all live clauses.
     pub fn all_refs(&self) -> impl Iterator<Item = CRef> + '_ {
-        self.clauses
+        self.headers
             .iter()
             .enumerate()
-            .filter(|(_, c)| !c.deleted)
+            .filter(|(_, h)| !h.deleted)
             .map(|(i, _)| CRef(i as u32))
     }
 }
@@ -161,14 +224,14 @@ mod tests {
     #[test]
     fn push_get_delete() {
         let mut db = ClauseDb::new();
-        let c0 = db.push(vec![lit(0), lit(1)], false);
-        let c1 = db.push(vec![lit(2), lit(3), lit(4)], true);
+        let c0 = db.push(&[lit(0), lit(1)], false);
+        let c1 = db.push(&[lit(2), lit(3), lit(4)], true);
         assert_eq!(db.len(), 2);
         assert_eq!(db.live_literals(), 5);
-        assert_eq!(db.get(c0).len(), 2);
-        assert!(db.get(c1).is_learnt());
+        assert_eq!(db.lits(c0).len(), 2);
+        assert!(db.is_learnt(c1));
         db.delete(c1);
-        assert!(db.get(c1).is_deleted());
+        assert!(db.is_deleted(c1));
         assert_eq!(db.live_literals(), 2);
         // Deleting twice is a no-op.
         db.delete(c1);
@@ -178,12 +241,38 @@ mod tests {
     #[test]
     fn learnt_refs_filters() {
         let mut db = ClauseDb::new();
-        db.push(vec![lit(0)], false);
-        let l1 = db.push(vec![lit(1)], true);
-        let l2 = db.push(vec![lit(2)], true);
+        db.push(&[lit(0)], false);
+        let l1 = db.push(&[lit(1)], true);
+        let l2 = db.push(&[lit(2)], true);
         db.delete(l2);
         let learnt: Vec<_> = db.learnt_refs().collect();
         assert_eq!(learnt, vec![l1]);
         assert_eq!(db.all_refs().count(), 2);
+    }
+
+    #[test]
+    fn compaction_frees_deleted_literals_and_keeps_references() {
+        let mut db = ClauseDb::new();
+        let clauses: Vec<Vec<Lit>> = (0..6)
+            .map(|i| (0..=i + 1).map(|k| lit(10 * i + k)).collect())
+            .collect();
+        let refs: Vec<CRef> = clauses.iter().map(|c| db.push(c, true)).collect();
+        db.lits_mut(refs[3]).swap(0, 2);
+        let swapped = db.lits(refs[3]).to_vec();
+        for &r in &[refs[0], refs[2], refs[5]] {
+            db.delete(r);
+        }
+        assert!(db.arena_len() > db.live_literals(), "deleting only flags");
+        db.compact();
+        assert_eq!(db.arena_len(), db.live_literals());
+        assert_eq!(db.lits(refs[1]), &clauses[1][..]);
+        assert_eq!(db.lits(refs[3]), &swapped[..]);
+        assert_eq!(db.lits(refs[4]), &clauses[4][..]);
+        assert!(db.is_deleted(refs[2]) && db.lits(refs[2]).is_empty());
+        // The database keeps growing behind the compacted prefix.
+        let late = db.push(&[lit(90), lit(91)], false);
+        assert_eq!(db.lits(late), &[lit(90), lit(91)]);
+        assert_eq!(db.lits(refs[4]), &clauses[4][..]);
+        assert_eq!(db.arena_len(), db.live_literals());
     }
 }

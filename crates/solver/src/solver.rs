@@ -9,7 +9,17 @@
 //! Features: two-watched-literal propagation, first-UIP clause learning,
 //! VSIDS branching with phase saving, Luby restarts, LBD-based learnt-clause
 //! database reduction, and pseudo-Boolean constraints propagated by slack
-//! counting with eagerly materialized explanations.
+//! counting.
+//!
+//! The inner loops allocate nothing: clause literals live in one arena
+//! ([`crate::clause`]), a watcher list is compacted in place while it is
+//! scanned, a pseudo-Boolean propagation records only *which* constraint
+//! fired and its explanation is rebuilt from the trail if conflict
+//! analysis ever asks (see `Reason::Pb`), and analysis walks reason
+//! clauses where they are stored. None of this is visible in the search:
+//! `tests/pinned_search.rs` pins the conflict, propagation, decision and
+//! restart counts of three formulas, and they did not move when the
+//! per-clause vectors and stored explanations went away.
 //!
 //! # Incremental solving
 //!
@@ -192,17 +202,25 @@ impl Default for SolverConfig {
 }
 
 /// Why a variable is currently assigned.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 enum Reason {
     /// Unassigned, a decision, or a level-0 fact.
     #[default]
     None,
     /// Propagated by a clause; the asserted literal is `lits[0]`.
     Clause(CRef),
-    /// Propagated by a pseudo-Boolean constraint; the boxed slice is the
-    /// reason clause with the asserted literal at position 0 and the
-    /// negations of the constraint's true literals after it.
-    Pb(Box<[Lit]>),
+    /// Propagated by the pseudo-Boolean constraint with this index. The
+    /// reason clause is not stored: it is the asserted literal plus the
+    /// negations of the constraint's literals that were true when it
+    /// fired, and those are exactly the constraint's literals that are
+    /// true *now* with a trail position below the asserted literal's —
+    /// the trail only ever loses a suffix, so while the asserted literal
+    /// is assigned everything that preceded it still is. Conflict
+    /// analysis walks the constraint's terms with that filter (in term
+    /// order, the order the stored slice used to have) on the rare
+    /// occasion it needs the clause; most propagations are undone
+    /// without anyone asking why they happened.
+    Pb(u32),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -242,6 +260,10 @@ pub struct Solver {
     assigns: Vec<LBool>,
     polarity: Vec<bool>,
     level: Vec<u32>,
+    /// Index into `trail` of each assigned variable's literal; what orders
+    /// a lazily explained PB propagation against the constraint's other
+    /// literals.
+    trail_pos: Vec<u32>,
     reason: Vec<Reason>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
@@ -253,6 +275,10 @@ pub struct Solver {
     order_heap: VarHeap,
     seen: Vec<bool>,
     analyze_toclear: Vec<Lit>,
+    /// Per decision level, the `lbd_epoch` of the last learnt clause that
+    /// had a literal there: counting distinct levels without sorting them.
+    level_stamp: Vec<u32>,
+    lbd_epoch: u32,
 
     ok: bool,
     true_lit: Option<Lit>,
@@ -289,6 +315,7 @@ impl Solver {
             assigns: Vec::new(),
             polarity: Vec::new(),
             level: Vec::new(),
+            trail_pos: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -299,6 +326,8 @@ impl Solver {
             order_heap: VarHeap::new(),
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_epoch: 0,
             ok: true,
             true_lit: None,
             stats: SolverStats::default(),
@@ -346,6 +375,7 @@ impl Solver {
         self.assigns.push(LBool::Undef);
         self.polarity.push(self.config.default_polarity);
         self.level.push(0);
+        self.trail_pos.push(0);
         self.reason.push(Reason::None);
         self.activity.push(0.0);
         self.seen.push(false);
@@ -434,7 +464,7 @@ impl Solver {
                 true
             }
             _ => {
-                let cref = self.clauses.push(out, false);
+                let cref = self.clauses.push(&out, false);
                 self.attach_clause(cref);
                 true
             }
@@ -442,10 +472,8 @@ impl Solver {
     }
 
     fn attach_clause(&mut self, cref: CRef) {
-        let (l0, l1) = {
-            let c = self.clauses.get(cref);
-            (c.lits[0], c.lits[1])
-        };
+        let lits = self.clauses.lits(cref);
+        let (l0, l1) = (lits[0], lits[1]);
         self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
     }
@@ -618,13 +646,13 @@ impl Solver {
         let v = lit.var().index();
         self.assigns[v] = LBool::from_bool(lit.sign());
         self.level[v] = self.decision_level();
+        self.trail_pos[v] = self.trail.len() as u32;
         self.reason[v] = reason;
         self.trail.push(lit);
         // Keep PB slack counters in sync with the assignment at enqueue time
         // (symmetric with the decrement in `cancel_until`), so counters stay
         // consistent even when propagation is cut short by a conflict.
-        for occ_idx in 0..self.pb_occ[lit.code()].len() {
-            let (ci, coef) = self.pb_occ[lit.code()][occ_idx];
+        for &(ci, coef) in &self.pb_occ[lit.code()] {
             self.pbs[ci as usize].sum_true += coef;
         }
     }
@@ -670,7 +698,10 @@ impl Solver {
         None
     }
 
-    /// Process clause watchers of the newly true literal `p`.
+    /// Process clause watchers of the newly true literal `p`. The list is
+    /// compacted in place as it is scanned: a watcher that stays is copied
+    /// down over the ones that moved to another literal's list, so a scan
+    /// allocates nothing.
     fn propagate_clauses(
         &mut self,
         p: Lit,
@@ -678,82 +709,76 @@ impl Solver {
         visits: &mut u32,
         stopped: &mut bool,
     ) -> Option<Conflict> {
-        let watchers = std::mem::take(&mut self.watches[p.code()]);
-        let mut keep: Vec<Watcher> = Vec::with_capacity(watchers.len());
+        // No clause moves a watch onto `¬p`'s own list (a new watch is
+        // never false), so the list can leave `self` for the scan.
+        let mut watchers = std::mem::take(&mut self.watches[p.code()]);
+        let false_lit = !p;
         let mut conflict = None;
-        let mut idx = 0;
-        while idx < watchers.len() {
+        let (mut read, mut write) = (0, 0);
+        while read < watchers.len() {
             *visits += 1;
             if *visits >= Self::STOP_POLL_INTERVAL {
                 *visits = 0;
                 if limits.stop_requested() {
-                    // Abort mid-list: retain every unprocessed watcher so the
-                    // list stays complete for the re-scan.
+                    // Abort mid-list: every unprocessed watcher is retained
+                    // below, so the list stays complete for the re-scan.
                     *stopped = true;
-                    keep.extend_from_slice(&watchers[idx..]);
                     break;
                 }
             }
-            let w = watchers[idx];
-            idx += 1;
+            let w = watchers[read];
+            read += 1;
             if self.value(w.blocker).is_true() {
-                keep.push(w);
+                watchers[write] = w;
+                write += 1;
                 continue;
             }
-            if self.clauses.get(w.cref).is_deleted() {
+            if self.clauses.is_deleted(w.cref) {
                 continue;
             }
             // Make sure the false watched literal (¬p) is at position 1.
-            let false_lit = !p;
-            {
-                let c = self.clauses.get_mut(w.cref);
-                if c.lits[0] == false_lit {
-                    c.lits.swap(0, 1);
-                }
-                debug_assert_eq!(c.lits[1], false_lit);
+            let lits = self.clauses.lits_mut(w.cref);
+            if lits[0] == false_lit {
+                lits.swap(0, 1);
             }
-            let first = self.clauses.get(w.cref).lits[0];
+            debug_assert_eq!(lits[1], false_lit);
+            let first = lits[0];
+            let keep = Watcher {
+                cref: w.cref,
+                blocker: first,
+            };
             if first != w.blocker && self.value(first).is_true() {
-                keep.push(Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                });
+                watchers[write] = keep;
+                write += 1;
                 continue;
             }
             // Look for a new literal to watch.
-            let new_watch = {
-                let c = self.clauses.get(w.cref);
-                c.lits[2..]
-                    .iter()
-                    .position(|&l| !self.value(l).is_false())
-                    .map(|off| off + 2)
-            };
+            let lits = self.clauses.lits(w.cref);
+            let new_watch = lits[2..]
+                .iter()
+                .position(|&l| !self.value(l).is_false())
+                .map(|off| off + 2);
             if let Some(k) = new_watch {
-                let c = self.clauses.get_mut(w.cref);
-                c.lits.swap(1, k);
-                let new_lit = c.lits[1];
-                self.watches[(!new_lit).code()].push(Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                });
+                let lits = self.clauses.lits_mut(w.cref);
+                lits.swap(1, k);
+                let new_lit = lits[1];
+                self.watches[(!new_lit).code()].push(keep);
                 continue;
             }
             // Clause is unit or conflicting.
-            keep.push(Watcher {
-                cref: w.cref,
-                blocker: first,
-            });
+            watchers[write] = keep;
+            write += 1;
             if self.value(first).is_false() {
-                // Conflict: retain remaining (unprocessed) watchers and stop.
+                // Conflict: the unprocessed watchers are retained below.
                 self.qhead = self.trail.len();
-                keep.extend_from_slice(&watchers[idx..]);
                 conflict = Some(Conflict::Clause(w.cref));
                 break;
-            } else {
-                self.unchecked_enqueue(first, Reason::Clause(w.cref));
             }
+            self.unchecked_enqueue(first, Reason::Clause(w.cref));
         }
-        self.watches[p.code()] = keep;
+        watchers.copy_within(read.., write);
+        watchers.truncate(write + watchers.len() - read);
+        self.watches[p.code()] = watchers;
         conflict
     }
 
@@ -780,15 +805,14 @@ impl Solver {
                 }
             }
             let (ci, _coef) = self.pb_occ[p.code()][occ_idx];
-            let ci = ci as usize;
             let (sum_true, bound, max_coef) = {
-                let c = &self.pbs[ci];
+                let c = &self.pbs[ci as usize];
                 (c.sum_true, c.bound, c.max_coef)
             };
             if sum_true > bound {
                 self.stats.pb_conflicts += 1;
                 self.qhead = self.trail.len();
-                let conflict_lits: Vec<Lit> = self.pbs[ci]
+                let conflict_lits: Vec<Lit> = self.pbs[ci as usize]
                     .terms
                     .iter()
                     .filter(|&&(_, l)| self.value(l).is_true())
@@ -798,28 +822,16 @@ impl Solver {
             }
             let slack = bound - sum_true;
             if slack < max_coef {
-                // Some unassigned literal may be forced false.
-                let forced: Vec<Lit> = self.pbs[ci]
-                    .terms
-                    .iter()
-                    .filter(|&&(c, l)| c > slack && self.value(l).is_undef())
-                    .map(|&(_, l)| l)
-                    .collect();
-                if !forced.is_empty() {
-                    let true_negs: Vec<Lit> = self.pbs[ci]
-                        .terms
-                        .iter()
-                        .filter(|&&(_, l)| self.value(l).is_true())
-                        .map(|&(_, l)| !l)
-                        .collect();
-                    for l in forced {
-                        if self.value(l).is_undef() {
-                            let mut reason = Vec::with_capacity(true_negs.len() + 1);
-                            reason.push(!l);
-                            reason.extend_from_slice(&true_negs);
-                            self.stats.pb_propagations += 1;
-                            self.unchecked_enqueue(!l, Reason::Pb(reason.into_boxed_slice()));
-                        }
+                // Every unassigned literal heavier than the slack is forced
+                // false. A constraint mentions a variable once, so forcing
+                // one of its literals changes neither its slack nor the
+                // value of its other literals: the scan and the enqueues
+                // can share one pass.
+                for k in 0..self.pbs[ci as usize].terms.len() {
+                    let (coef, l) = self.pbs[ci as usize].terms[k];
+                    if coef > slack && self.value(l).is_undef() {
+                        self.stats.pb_propagations += 1;
+                        self.unchecked_enqueue(!l, Reason::Pb(ci));
                     }
                 }
             }
@@ -831,6 +843,9 @@ impl Solver {
     // Conflict analysis
     // ------------------------------------------------------------------
 
+    /// First-UIP conflict analysis. Reason clauses are walked where they
+    /// live — arena positions for clauses, filtered constraint terms for
+    /// pseudo-Boolean propagations — and never copied out.
     fn analyze(&mut self, conflict: Conflict) -> (Vec<Lit>, u32, u32) {
         let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for the asserting literal
         let mut path_count: u32 = 0;
@@ -838,30 +853,22 @@ impl Solver {
         let current_level = self.decision_level();
         self.analyze_toclear.clear();
 
-        // Literals of the current reason/conflict side being examined.
-        let mut pending: Vec<Lit> = match &conflict {
+        match conflict {
             Conflict::Clause(cref) => {
-                self.bump_clause_activity(*cref);
-                self.clauses.get(*cref).lits.clone()
-            }
-            Conflict::Pb(lits) => lits.clone(),
-        };
-        let mut first_iteration = true;
-
-        loop {
-            for &q in pending.iter().skip(if first_iteration { 0 } else { 1 }) {
-                let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    self.seen[v.index()] = true;
-                    self.analyze_toclear.push(q);
-                    self.bump_var_activity(v);
-                    if self.level[v.index()] >= current_level {
-                        path_count += 1;
-                    } else {
-                        learnt.push(q);
-                    }
+                self.bump_clause_activity(cref);
+                for at in self.clauses.span(cref) {
+                    let q = self.clauses.lit_at(at);
+                    self.analyze_lit(q, current_level, &mut path_count, &mut learnt);
                 }
             }
+            Conflict::Pb(lits) => {
+                for q in lits {
+                    self.analyze_lit(q, current_level, &mut path_count, &mut learnt);
+                }
+            }
+        }
+
+        loop {
             // Find the next trail literal to resolve on.
             loop {
                 index -= 1;
@@ -876,25 +883,34 @@ impl Solver {
                 learnt[0] = !p;
                 break;
             }
-            pending = match &self.reason[p.var().index()] {
+            // The reason of `p`, minus `p` itself.
+            match self.reason[p.var().index()] {
                 Reason::Clause(cref) => {
-                    let cref = *cref;
                     self.bump_clause_activity(cref);
-                    self.clauses.get(cref).lits.clone()
+                    let span = self.clauses.span(cref);
+                    debug_assert_eq!(self.clauses.lit_at(span.start), p);
+                    for at in span.skip(1) {
+                        let q = self.clauses.lit_at(at);
+                        self.analyze_lit(q, current_level, &mut path_count, &mut learnt);
+                    }
                 }
-                Reason::Pb(lits) => lits.to_vec(),
+                Reason::Pb(ci) => {
+                    let before = self.trail_pos[p.var().index()];
+                    for k in 0..self.pbs[ci as usize].terms.len() {
+                        let (_, t) = self.pbs[ci as usize].terms[k];
+                        if self.pb_explains(t, before) {
+                            self.analyze_lit(!t, current_level, &mut path_count, &mut learnt);
+                        }
+                    }
+                }
                 Reason::None => unreachable!("resolved literal must have a reason"),
-            };
-            debug_assert_eq!(pending[0].var(), p.var());
-            first_iteration = false;
+            }
         }
 
         // Clear the seen flags.
         for &l in &self.analyze_toclear {
             self.seen[l.var().index()] = false;
         }
-        let toclear = std::mem::take(&mut self.analyze_toclear);
-        drop(toclear);
 
         // Backtrack level: the second-highest decision level in the clause.
         let backtrack_level = if learnt.len() == 1 {
@@ -910,13 +926,57 @@ impl Solver {
             self.level[learnt[1].var().index()]
         };
 
-        // Literal block distance.
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
+        // Literal block distance: the number of distinct decision levels,
+        // counted by stamping each level with this clause's epoch.
+        if self.level_stamp.len() <= current_level as usize {
+            self.level_stamp.resize(current_level as usize + 1, 0);
+        }
+        self.lbd_epoch = self.lbd_epoch.wrapping_add(1);
+        if self.lbd_epoch == 0 {
+            self.level_stamp.fill(0);
+            self.lbd_epoch = 1;
+        }
+        let mut lbd = 0;
+        for l in &learnt {
+            let stamp = &mut self.level_stamp[self.level[l.var().index()] as usize];
+            if *stamp != self.lbd_epoch {
+                *stamp = self.lbd_epoch;
+                lbd += 1;
+            }
+        }
 
         (learnt, backtrack_level, lbd)
+    }
+
+    /// One literal of the conflict side under analysis: count it towards
+    /// the current level's open paths or add it to the learnt clause.
+    #[inline]
+    fn analyze_lit(
+        &mut self,
+        q: Lit,
+        current_level: u32,
+        path_count: &mut u32,
+        learnt: &mut Vec<Lit>,
+    ) {
+        let v = q.var();
+        if !self.seen[v.index()] && self.level[v.index()] > 0 {
+            self.seen[v.index()] = true;
+            self.analyze_toclear.push(q);
+            self.bump_var_activity(v);
+            if self.level[v.index()] >= current_level {
+                *path_count += 1;
+            } else {
+                learnt.push(q);
+            }
+        }
+    }
+
+    /// Does the constraint literal `t` belong to the explanation of a
+    /// pseudo-Boolean propagation that sits at trail position `before`?
+    /// (See [`Reason::Pb`].)
+    #[inline]
+    fn pb_explains(&self, t: Lit, before: u32) -> bool {
+        self.value(t).is_true() && self.trail_pos[t.var().index()] < before
     }
 
     fn bump_var_activity(&mut self, v: Var) {
@@ -933,16 +993,13 @@ impl Solver {
     }
 
     fn bump_clause_activity(&mut self, cref: CRef) {
-        let c = self.clauses.get_mut(cref);
-        if !c.learnt {
+        if !self.clauses.is_learnt(cref) {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            let refs: Vec<CRef> = self.clauses.learnt_refs().collect();
-            for r in refs {
-                self.clauses.get_mut(r).activity *= 1e-20;
-            }
+        let activity = self.clauses.activity_mut(cref);
+        *activity += self.cla_inc;
+        if *activity > 1e20 {
+            self.clauses.rescale_learnt_activities(1e-20);
             self.cla_inc *= 1e-20;
         }
     }
@@ -964,8 +1021,7 @@ impl Solver {
         for i in (keep..self.trail.len()).rev() {
             let lit = self.trail[i];
             let v = lit.var();
-            for occ_idx in 0..self.pb_occ[lit.code()].len() {
-                let (ci, coef) = self.pb_occ[lit.code()][occ_idx];
+            for &(ci, coef) in &self.pb_occ[lit.code()] {
                 self.pbs[ci as usize].sum_true -= coef;
             }
             self.assigns[v.index()] = LBool::Undef;
@@ -1024,7 +1080,7 @@ impl Solver {
 
     /// Is the clause `cref` currently the reason of its first literal?
     fn is_reason_locked(&self, cref: CRef) -> bool {
-        let first = self.clauses.get(cref).lits[0];
+        let first = self.clauses.lits(cref)[0];
         if !self.value(first).is_true() {
             return false;
         }
@@ -1036,10 +1092,7 @@ impl Solver {
             .clauses
             .learnt_refs()
             .filter(|&r| !self.is_reason_locked(r))
-            .map(|r| {
-                let c = self.clauses.get(r);
-                (r, c.lbd(), c.activity)
-            })
+            .map(|r| (r, self.clauses.lbd(r), self.clauses.activity(r)))
             .filter(|&(_, lbd, _)| lbd > 2)
             .collect();
         // Delete the worse half: high LBD first, low activity first.
@@ -1053,6 +1106,7 @@ impl Solver {
             self.learnt_count -= 1;
             self.stats.removed_clauses += 1;
         }
+        self.clauses.compact();
         self.learnt_limit = (self.learnt_limit as f64 * self.config.learnt_limit_growth) as usize;
     }
 
@@ -1077,21 +1131,20 @@ impl Solver {
             if !self.seen[v] {
                 continue;
             }
-            match &self.reason[v] {
+            match self.reason[v] {
                 Reason::None => core.push(x),
                 Reason::Clause(cref) => {
-                    let lits = self.clauses.get(*cref).lits.clone();
-                    for q in &lits[1..] {
+                    for &q in &self.clauses.lits(cref)[1..] {
                         if self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
                     }
                 }
-                Reason::Pb(lits) => {
-                    let lits = lits.clone();
-                    for q in &lits[1..] {
-                        if self.level[q.var().index()] > 0 {
-                            self.seen[q.var().index()] = true;
+                Reason::Pb(ci) => {
+                    let before = self.trail_pos[v];
+                    for &(_, t) in &self.pbs[ci as usize].terms {
+                        if self.level[t.var().index()] > 0 && self.pb_explains(t, before) {
+                            self.seen[t.var().index()] = true;
                         }
                     }
                 }
@@ -1167,8 +1220,8 @@ impl Solver {
                         if learnt.len() == 1 {
                             self.unchecked_enqueue(learnt[0], Reason::None);
                         } else {
-                            let cref = self.clauses.push(learnt.clone(), true);
-                            self.clauses.get_mut(cref).lbd = lbd;
+                            let cref = self.clauses.push(&learnt, true);
+                            self.clauses.set_lbd(cref, lbd);
                             self.attach_clause(cref);
                             self.bump_clause_activity(cref);
                             self.learnt_count += 1;
@@ -1778,6 +1831,34 @@ mod tests {
         let r = s.solve_under_assumptions(&[a], Limits::conflicts(3));
         assert_eq!(r, SolveResult::Unknown);
         assert!(s.failed_assumptions().is_empty());
+    }
+
+    #[test]
+    fn database_reduction_returns_the_literals_of_deleted_clauses() {
+        let mut s = Solver::with_config(SolverConfig {
+            learnt_limit_start: 40,
+            ..SolverConfig::default()
+        });
+        let n = 7;
+        let p: Vec<Vec<Lit>> = (0..n)
+            .map(|_| (0..n - 1).map(|_| s.new_var().positive()).collect())
+            .collect();
+        for row in &p {
+            s.add_clause(row);
+        }
+        for hole in 0..n - 1 {
+            let column: Vec<Lit> = p.iter().map(|row| row[hole]).collect();
+            s.add_at_most_one(&column);
+        }
+        assert!(s.solve().is_unsat());
+        assert!(s.stats().removed_clauses > 0, "reductions must have run");
+        // Nothing deleted is still stored: the arena is exactly the live
+        // clauses, and the counter agrees with a recount.
+        assert_eq!(s.clauses.arena_len(), s.clauses.live_literals());
+        let recount: usize = s.clauses.all_refs().map(|r| s.clauses.lits(r).len()).sum();
+        assert_eq!(recount, s.clauses.live_literals());
+        let retained = s.stats().learnt_clauses - s.stats().removed_clauses;
+        assert_eq!(s.clauses.learnt_refs().count() as u64, retained);
     }
 
     #[test]

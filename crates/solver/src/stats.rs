@@ -12,7 +12,9 @@ pub struct SolverStats {
     pub conflicts: u64,
     /// Number of restarts performed.
     pub restarts: u64,
-    /// Number of learnt clauses currently retained.
+    /// Number of clauses learnt and stored so far (cumulative; unit
+    /// learnts become level-0 facts and are not counted). Subtract
+    /// `removed_clauses` for the number currently retained.
     pub learnt_clauses: u64,
     /// Number of learnt clauses removed by database reduction.
     pub removed_clauses: u64,
