@@ -9,13 +9,38 @@
 //!   and per-step round-count integers `r_s`.
 //! * [`synthesize_naive`] — the direct encoding with one Boolean per tuple
 //!   `(c, n, n', s)` plus per-step presence Booleans, which the paper
-//!   reports does not scale (§5.4.3). Kept for the encoding-ablation bench.
+//!   reports does not scale (§5.4.3). Kept for the encoding-ablation bench
+//!   and as the reference the property tests hold the other two encoders
+//!   to: it has none of the strengthenings below.
+//!
+//! # Redundant strengthenings
+//!
+//! [`synthesize`] adds two families of constraints that C1–C6 already
+//! imply, because stating them turns an argument the solver would have to
+//! rediscover conflict by conflict into unit propagation. *Distance
+//! pruning* ([`EncodingOptions::distance_pruning`]) floors `time(c, n)` at
+//! the hop distance from the chunk's sources. The *ingress cuts*
+//! (`add_ingress_cuts`) say, per node and per step boundary, that the
+//! post chunks still missing at the node fit through its incoming links in
+//! the rounds that remain. That is the node-level sum of C5 over the
+//! node's links and the remaining steps — C2 makes the chunks arrive, C3
+//! gives each arrival exactly one send, C5 caps the sends per link and
+//! step — and at the first boundary it is the paper's §3.6 single-node
+//! bandwidth bound, the same knowledge Algorithm 1 uses to pick its
+//! candidates. Clause learning cannot shorten a counting argument (these
+//! are pigeonhole instances), pseudo-Boolean slack counting does it in one
+//! pass: the DGX-1 Allgather rows that break the bound by one round are
+//! refuted before the first decision instead of after 60 000 or 300 000
+//! conflicts, and the rows that meet it exactly are found satisfiable in a
+//! few thousand. The cuts are always on — there is no option to tune — and
+//! are written once, for this encoder and the warm one alike.
 
 #![allow(clippy::needless_range_loop)] // chunk x node grids read best with explicit indices
 
 use crate::algorithm::{Algorithm, Send};
 use sccl_collectives::CollectiveSpec;
 use sccl_solver::{add_linear_eq, IntVar, Limits, Lit, Model, SolveResult, Solver, SolverConfig};
+use sccl_topology::metrics::cut_bandwidth;
 use sccl_topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -36,7 +61,11 @@ use std::time::{Duration, Instant};
 /// 4 — that reconstruction is gone: the reported algorithm is the fresh
 /// solver's own model with dead sends pruned ([`synthesize`]), so cached
 /// algorithms from older encoders no longer match.
-pub const ENCODER_VERSION: u32 = 4;
+/// 5 — both encoders state the per-node ingress cuts
+/// (`add_ingress_cuts`): verdicts are unchanged (the cuts are implied),
+/// but the search, and with it the model behind a satisfiable candidate,
+/// is not.
+pub const ENCODER_VERSION: u32 = 5;
 
 /// One synthesis query: find a `(S, R)` k-synchronous schedule implementing
 /// `spec` on `topology` (the SynColl instance of §3.2 with its parameters).
@@ -299,6 +328,15 @@ pub fn synthesize(
         }
     }
 
+    add_ingress_cuts(
+        &mut solver,
+        &node_ingress(topology),
+        spec,
+        &time_vars,
+        &round_vars,
+        None,
+    );
+
     let encoding = EncodingStats {
         num_vars: solver.num_vars(),
         num_clauses: solver.num_clauses(),
@@ -331,6 +369,102 @@ pub fn synthesize(
         encode_time,
         solve_time,
         encoding,
+    }
+}
+
+/// Per-round ingress of every node: the summed budgets of its incoming
+/// links, the single-node cut of §3.6.
+pub(crate) fn node_ingress(topology: &Topology) -> Vec<u64> {
+    let links = topology.link_bandwidths();
+    (0..topology.num_nodes())
+        .map(|n| cut_bandwidth(&links, |m| m == n))
+        .collect()
+}
+
+/// Add `Σ terms ≤ bound`, or — for a constraint that belongs to a warm
+/// step layer — `gate → Σ terms ≤ bound`: the gate enters with the
+/// big-M coefficient that uses up exactly the slack a false gate leaves,
+/// so the budget is real while the layer is assumed and vacuous
+/// otherwise. A constraint whose coefficients cannot exceed its bound is
+/// not added at all.
+pub(crate) fn add_budget(
+    solver: &mut Solver,
+    mut terms: Vec<(u64, Lit)>,
+    bound: u64,
+    gate: Option<Lit>,
+) {
+    let total: u64 = terms.iter().map(|&(coef, _)| coef).sum();
+    if total <= bound {
+        return;
+    }
+    match gate {
+        None => solver.add_pb_le(&terms, bound),
+        Some(gate) => {
+            let big_m = total - bound;
+            terms.push((big_m, gate));
+            solver.add_pb_le(&terms, bound + big_m)
+        }
+    };
+}
+
+/// The ingress cuts: for every node `n` and every step boundary
+/// `s ∈ 0..S`, the post chunks that have not reached `n` after step `s`
+/// must fit through `n`'s incoming links in the rounds that are left,
+///
+/// ```text
+/// Σ_{c : (c,n) ∈ post∖pre} [time(c,n) > s]  ≤  ingress(n) · Σ_{i>s} r_i .
+/// ```
+///
+/// The constraint is redundant — a post chunk arrives by step `S` (C2)
+/// over exactly one incoming send (C3), that send occupies its link in
+/// the step of the arrival, and C5 caps every link at its budget times
+/// the step's rounds, so summing C5 over the links into `n` and the
+/// steps after `s` gives the right-hand side — and therefore sound for
+/// any topology and collective, like distance pruning. But it is a
+/// *counting* consequence, the kind resolution can only reach by
+/// enumerating cases: C5 speaks per link per step and nothing else ties
+/// the arrivals at a node together. Stated once as a pseudo-Boolean sum
+/// over the order encoding's own `[time ≥ s+1]` literals (the right side
+/// over the round counts' slack terms, as in C5), slack counting does the
+/// arithmetic: at `s = 0` this is the §3.6 single-node bandwidth bound,
+/// so an instance that breaks it is refuted before the first decision,
+/// and on a tight instance the cut forces "this many arrivals per step"
+/// before any link is chosen.
+///
+/// `round_vars[i]` is the round count of step `i + 1`; `gate` is the
+/// step layer's literal when the rounds belong to one (see
+/// [`add_budget`]). One emitter, called by the fresh-formula encoding
+/// above and by [`crate::incremental::IncrementalEncoder`]'s step layers.
+pub(crate) fn add_ingress_cuts(
+    solver: &mut Solver,
+    ingress: &[u64],
+    spec: &CollectiveSpec,
+    time_vars: &[Vec<IntVar>],
+    round_vars: &[IntVar],
+    gate: Option<Lit>,
+) {
+    for (n, &bw) in ingress.iter().enumerate() {
+        let needed: Vec<usize> = spec
+            .post
+            .iter()
+            .filter(|&&(c, node)| node == n && !spec.pre.contains(&(c, n)))
+            .map(|&(c, _)| c)
+            .collect();
+        if needed.is_empty() {
+            continue;
+        }
+        for s in 0..round_vars.len() {
+            let mut terms: Vec<(u64, Lit)> = needed
+                .iter()
+                .map(|&c| (1, time_vars[c][n].ge(solver, s as i64 + 1)))
+                .collect();
+            let mut bound = 0;
+            for r in &round_vars[s..] {
+                terms.extend(r.slack_terms(bw));
+                bound += bw * r.hi() as u64;
+            }
+            add_budget(solver, terms, bound, gate);
+        }
     }
 }
 
@@ -741,6 +875,81 @@ mod tests {
             run.outcome,
             SynthesisOutcome::Unknown | SynthesisOutcome::Satisfiable(_)
         ));
+    }
+
+    #[test]
+    fn ingress_bound_breakers_are_refuted_without_search() {
+        // 7·C chunks into a DGX-1 node's 6 link-rounds per round: C = 3 in
+        // R = 3 and C = 4 in R = 4 break the §3.6 bandwidth bound. Without
+        // the ingress cut CDCL enumerates pigeonhole cases (59 370 conflicts
+        // for the first, over 300 000 for the second); with it the s = 0
+        // cut is violated by constants.
+        let topo = builders::dgx1();
+        for c in [3usize, 4] {
+            let inst = instance(Collective::Allgather, 8, c, c, c as u64);
+            let run = synthesize(
+                &topo,
+                &inst,
+                &EncodingOptions::default(),
+                SolverConfig::default(),
+                Limits::conflicts(1),
+            );
+            assert!(
+                matches!(run.outcome, SynthesisOutcome::Unsatisfiable),
+                "Allgather ({c},{c},{c}): {:?}",
+                run.outcome
+            );
+        }
+    }
+
+    #[test]
+    fn ingress_cuts_are_stated_only_where_they_can_bind() {
+        // Gather to node 0 down the one-way chain 2 → 1 → 0 in two
+        // one-round steps. Node 2 has no ingress and node 1 has some, but
+        // neither is owed a chunk: no cut. The root is owed two chunks over
+        // one link: at s = 0 two chunks fit the two rounds left (cannot
+        // bind, not stated), at s = 1 only one of them may be outstanding.
+        let mut topo = Topology::new("one-way-chain", 3);
+        topo.add_link(2, 1, 1).add_link(1, 0, 1);
+        assert_eq!(node_ingress(&topo), vec![1, 1, 0]);
+        let inst = instance(Collective::Gather { root: 0 }, 3, 1, 2, 2);
+        let mut solver = Solver::new();
+        let time_vars: Vec<Vec<IntVar>> = (0..3)
+            .map(|c| {
+                (0..3)
+                    .map(|n| match c == n {
+                        true => IntVar::new(&mut solver, 0, 0),
+                        false => IntVar::new(&mut solver, 1, 3),
+                    })
+                    .collect()
+            })
+            .collect();
+        let round_vars = [
+            IntVar::new(&mut solver, 1, 1),
+            IntVar::new(&mut solver, 1, 1),
+        ];
+        add_ingress_cuts(
+            &mut solver,
+            &node_ingress(&topo),
+            &inst.spec,
+            &time_vars,
+            &round_vars,
+            None,
+        );
+        assert_eq!(solver.num_pb_constraints(), 1);
+        let late: Vec<Lit> = [1, 2]
+            .iter()
+            .map(|&c| time_vars[c][0].ge(&mut solver, 2))
+            .collect();
+        assert!(solver
+            .solve_under_assumptions(&late, Limits::none())
+            .is_unsat());
+        assert!(solver
+            .solve_under_assumptions(&late[..1], Limits::none())
+            .is_sat());
+        // The whole encoding agrees with the checker on this machine.
+        let alg = run_default(&topo, &inst).outcome.algorithm().expect("SAT");
+        alg.validate(&topo, &inst.spec).expect("valid");
     }
 
     #[test]

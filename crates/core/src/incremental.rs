@@ -27,7 +27,19 @@
 //!   step counts leave the gate unassumed, so a retired layer costs their
 //!   searches nothing, while the gate is never retired, so clauses learnt
 //!   from C5 conflicts stay valid and reusable for every later candidate
-//!   at this `S`.
+//!   at this `S`. The ingress cuts (`encoding::add_ingress_cuts`: per
+//!   node and step boundary, the post chunks still missing fit through
+//!   the node's links in the layer's remaining rounds) are emitted here,
+//!   by the same function the cold encoding calls, and sit behind the
+//!   same gate for a stronger reason than economy: a cut is implied only
+//!   together with the deadlines `time(c, n) ≤ S` of *this* step count,
+//!   which a candidate assumes next to the gate and never without it.
+//!   Ungated, a layer's cut would hold a longer candidate's arrivals to
+//!   the shorter layer's rounds and refute satisfiable probes. Gated, a
+//!   probe at another step count sets the gate false and the cut is
+//!   vacuous, a probe at this one gets exactly the cold encoding's cut,
+//!   and a failed core made of the gate and deadlines alone still refutes
+//!   the whole row (`rounds_independent_unsat`).
 //! * **Candidate activation** — per `(S, R)`: *no clauses at all*. The
 //!   deadline constraint C2 and the round budget C6 are expressed purely
 //!   as assumption literals over existing structure: the layer gate,
@@ -73,7 +85,8 @@
 
 use crate::algorithm::Algorithm;
 use crate::encoding::{
-    decode_schedule, EncodingOptions, EncodingStats, SynthesisOutcome, SynthesisRun,
+    add_budget, add_ingress_cuts, decode_schedule, node_ingress, EncodingOptions, EncodingStats,
+    SynthesisOutcome, SynthesisRun,
 };
 use sccl_collectives::CollectiveSpec;
 use sccl_solver::{IntVar, Limits, Lit, SolveResult, Solver, SolverConfig, SolverStats};
@@ -200,6 +213,8 @@ pub struct IncrementalEncoder {
     /// bounds every per-step round count by `k + 1`.
     max_extra_rounds: u64,
     constraints: Vec<(u64, Vec<(usize, usize)>)>,
+    /// Per-round ingress of every node, for the step layers' ingress cuts.
+    ingress: Vec<u64>,
     time_vars: Vec<Vec<IntVar>>,
     snd_vars: BTreeMap<(usize, usize, usize), Lit>,
     /// Memoized `time(c, dst) = arrival` literals, shared across layers.
@@ -340,6 +355,7 @@ impl IncrementalEncoder {
             max_steps,
             max_extra_rounds,
             constraints,
+            ingress: node_ingress(topology),
             time_vars,
             snd_vars,
             eq_lits: BTreeMap::new(),
@@ -493,19 +509,23 @@ impl IncrementalEncoder {
                 }
                 // Σ occupancy ≤ b · r_s over the order encoding of r_s,
                 // relaxed to vacuity unless the layer gate is assumed.
-                terms.extend(round_vars[step_idx].slack_terms(b));
-                let bound = b * r_var.hi() as u64;
-                let total_coefs: u64 = terms.iter().map(|&(c, _)| c).sum();
-                if total_coefs > bound {
-                    // `gate` true consumes the escape slack, leaving the
-                    // real budget; `gate` false relaxes the bound to the
-                    // coefficient total, i.e. vacuity.
-                    let big_m = total_coefs - bound;
-                    terms.push((big_m, gate));
-                    self.solver.add_pb_le(&terms, bound + big_m);
-                }
+                terms.extend(r_var.slack_terms(b));
+                add_budget(&mut self.solver, terms, b * r_var.hi() as u64, Some(gate));
             }
         }
+
+        // The ingress cuts over this layer's rounds. They hold for a
+        // candidate because it assumes the layer's deadlines (C2) next to
+        // the gate, so like C5 they sit behind the gate: a probe at
+        // another step count must not be held to this layer's rounds.
+        add_ingress_cuts(
+            &mut self.solver,
+            &self.ingress,
+            &self.spec,
+            &self.time_vars,
+            &round_vars,
+            Some(gate),
+        );
         self.layers.insert(
             num_steps,
             StepLayer {
@@ -781,6 +801,38 @@ mod tests {
             "S=3 R=9 C=3 chain broadcast must be satisfiable"
         );
         assert_eq!(enc.core_skips(), 0);
+    }
+
+    #[test]
+    fn ingress_bound_breakers_are_refuted_through_the_layer_gate() {
+        // The same two rows the cold encoder refutes by constants: behind
+        // the gate the s = 0 cut forces the gate itself false, so the probe
+        // fails at assumption placement — and names no budget literal, which
+        // settles the whole row.
+        let topo = builders::dgx1();
+        for c in [3usize, 4] {
+            let mut enc = IncrementalEncoder::new(
+                &topo,
+                Collective::Allgather.spec(8, c),
+                c,
+                c,
+                0,
+                &EncodingOptions::default(),
+                SolverConfig::default(),
+            );
+            let run = enc.solve_candidate(c, c as u64, Limits::conflicts(1));
+            assert!(
+                matches!(run.outcome, SynthesisOutcome::Unsatisfiable),
+                "Allgather ({c},{c},{c}): {:?}",
+                run.outcome
+            );
+            assert_eq!(enc.solver_stats().conflicts, 0);
+            assert!(!enc
+                .solve_candidate(c, c as u64, Limits::none())
+                .outcome
+                .is_sat());
+            assert_eq!(enc.core_skips(), 1);
+        }
     }
 
     #[test]

@@ -1682,14 +1682,21 @@ mod tests {
 
     #[test]
     fn warm_driver_reuses_base_encodings_across_step_counts() {
-        // Broadcast on a ring probes the same chunk counts at several step
-        // counts, so the pool must build fewer base encodings than it
+        // Broadcast on the DGX-1 probes the same chunk counts at several
+        // step counts, so the pool must build fewer base encodings than it
         // decides candidates, and later candidates must observe retained
-        // learnt clauses.
-        let topo = builders::ring(4, 1);
-        let warm =
-            pareto_synthesize_warm(&topo, Collective::Broadcast { root: 0 }, &quick_config())
-                .expect("warm");
+        // learnt clauses. (A ring will not do: the ingress cuts settle
+        // every candidate of a small ring by propagation alone, so nothing
+        // is ever learnt there.)
+        let topo = builders::dgx1();
+        let config = SynthesisConfig {
+            k: 2,
+            max_steps: 4,
+            max_chunks: 6,
+            ..Default::default()
+        };
+        let warm = pareto_synthesize_warm(&topo, Collective::Broadcast { root: 0 }, &config)
+            .expect("warm");
         assert!(warm.incremental.warm_candidates > warm.incremental.base_encodings);
         assert!(warm.incremental.reused_clauses > 0);
     }

@@ -25,6 +25,41 @@ fn small_topology() -> impl Strategy<Value = Topology> {
     })
 }
 
+/// Arbitrary machines of 3–5 nodes: each ordered pair is a link or not,
+/// with its own budget of 1–3 chunks per round; one node may have all its
+/// outgoing links share a smaller cap. Nothing makes them connected.
+fn arbitrary_topology() -> impl Strategy<Value = Topology> {
+    (
+        3usize..6,
+        prop::collection::vec((any::<bool>(), 1u64..4), 20),
+        prop::option::of((0usize..5, 1u64..3)),
+    )
+        .prop_map(|(n, pairs, egress_cap)| {
+            let mut topo = Topology::new(format!("arbitrary-{n}"), n);
+            let mut pairs = pairs.into_iter();
+            for src in 0..n {
+                for dst in (0..n).filter(|&dst| dst != src) {
+                    let (linked, budget) = pairs.next().expect("20 pairs cover 5 nodes");
+                    if linked {
+                        topo.add_link(src, dst, budget);
+                    }
+                }
+            }
+            if let Some((node, cap)) = egress_cap {
+                let node = node % n;
+                let out: Vec<(usize, usize)> = topo
+                    .links()
+                    .into_iter()
+                    .filter(|&(src, _)| src == node)
+                    .collect();
+                if !out.is_empty() {
+                    topo.add_shared_constraint(out, cap);
+                }
+            }
+            topo
+        })
+}
+
 fn collective_strategy() -> impl Strategy<Value = Collective> {
     prop_oneof![
         Just(Collective::Allgather),
@@ -246,21 +281,49 @@ proptest! {
         }
     }
 
-    /// The naive and careful encodings agree on satisfiability for small
-    /// instances.
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The naive encoding is the reference: it states C1–C6 directly, one
+    /// Boolean per send tuple, and none of the redundant strengthenings
+    /// (distance pruning, ingress cuts). On arbitrary small machines —
+    /// directed, with unequal link budgets, optionally a shared egress
+    /// cap, sometimes disconnected — and every non-combining collective,
+    /// at `(C, S, R)` from below the bounds to above them, the careful
+    /// encoding and the warm layered one reach the naive verdict, and
+    /// every schedule they return validates.
     #[test]
     fn encodings_agree(
-        n in 3usize..5,
-        steps in 1usize..4,
+        topo in arbitrary_topology(),
+        kind in 0usize..5,
+        chunks in 1usize..3,
+        steps in 1usize..5,
+        extra_rounds in 0u64..3,
     ) {
-        let topo = builders::ring(n, 1);
-        let spec = Collective::Allgather.spec(n, 1);
-        let instance = SynCollInstance {
-            spec,
-            per_node_chunks: 1,
-            num_steps: steps,
-            num_rounds: steps as u64,
+        let p = topo.num_nodes();
+        let (collective, chunks) = match kind {
+            0 => (Collective::Allgather, chunks),
+            1 => (Collective::Broadcast { root: 0 }, chunks + 1),
+            2 => (Collective::Gather { root: p - 1 }, chunks),
+            3 => (Collective::Scatter { root: 1 }, chunks),
+            _ => (Collective::Alltoall, p),
         };
+        let spec = collective.spec(p, chunks);
+        let rounds = steps as u64 + extra_rounds;
+        let instance = SynCollInstance {
+            spec: spec.clone(),
+            per_node_chunks: chunks,
+            num_steps: steps,
+            num_rounds: rounds,
+        };
+        let naive = sccl_core::encoding::synthesize_naive(
+            &topo,
+            &instance,
+            SolverConfig::default(),
+            Limits::none(),
+        );
         let careful = synthesize(
             &topo,
             &instance,
@@ -268,12 +331,35 @@ proptest! {
             SolverConfig::default(),
             Limits::none(),
         );
-        let naive = sccl_core::encoding::synthesize_naive(
+        // The warm encoder has built the step layers on both sides of the
+        // candidate first, with round counts no wider than the candidate
+        // needs: a layer's constraints must not bind a probe at another
+        // step count, and the tighter its rounds the sooner one would.
+        let mut warm = IncrementalEncoder::new(
             &topo,
-            &instance,
+            spec.clone(),
+            chunks,
+            steps + 1,
+            extra_rounds,
+            &EncodingOptions::default(),
             SolverConfig::default(),
-            Limits::none(),
         );
-        prop_assert_eq!(careful.outcome.is_sat(), naive.outcome.is_sat());
+        for neighbour in [steps + 1, steps - 1] {
+            warm.solve_candidate(neighbour, neighbour as u64, Limits::none());
+        }
+        let warm = warm.solve_candidate(steps, rounds, Limits::none());
+        for (name, run) in [("careful", careful), ("warm", warm)] {
+            prop_assert_eq!(
+                run.outcome.is_sat(), naive.outcome.is_sat(),
+                "{} disagrees with the naive encoding on {} {} at C={} S={} R={}",
+                name, topo.name(), collective, chunks, steps, rounds
+            );
+            prop_assert!(!matches!(run.outcome, SynthesisOutcome::Unknown));
+            if let SynthesisOutcome::Satisfiable(alg) = run.outcome {
+                prop_assert!(alg.validate(&topo, &spec).is_ok(),
+                    "{} schedule fails validation: {:?}", name, alg.validate(&topo, &spec));
+                prop_assert_eq!((alg.num_steps(), alg.total_rounds()), (steps, rounds));
+            }
+        }
     }
 }
