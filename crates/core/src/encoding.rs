@@ -40,7 +40,6 @@
 use crate::algorithm::{Algorithm, Send};
 use sccl_collectives::CollectiveSpec;
 use sccl_solver::{add_linear_eq, IntVar, Limits, Lit, Model, SolveResult, Solver, SolverConfig};
-use sccl_topology::metrics::cut_bandwidth;
 use sccl_topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -375,10 +374,11 @@ pub fn synthesize(
 /// Per-round ingress of every node: the summed budgets of its incoming
 /// links, the single-node cut of §3.6.
 pub(crate) fn node_ingress(topology: &Topology) -> Vec<u64> {
-    let links = topology.link_bandwidths();
-    (0..topology.num_nodes())
-        .map(|n| cut_bandwidth(&links, |m| m == n))
-        .collect()
+    let mut ingress = vec![0; topology.num_nodes()];
+    for (_, dst, budget) in topology.link_bandwidths() {
+        ingress[dst] += budget;
+    }
+    ingress
 }
 
 /// Add `Σ terms ≤ bound`, or — for a constraint that belongs to a warm

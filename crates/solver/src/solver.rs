@@ -277,8 +277,8 @@ pub struct Solver {
     analyze_toclear: Vec<Lit>,
     /// Per decision level, the `lbd_epoch` of the last learnt clause that
     /// had a literal there: counting distinct levels without sorting them.
-    level_stamp: Vec<u32>,
-    lbd_epoch: u32,
+    level_stamp: Vec<u64>,
+    lbd_epoch: u64,
 
     ok: bool,
     true_lit: Option<Lit>,
@@ -736,8 +736,12 @@ impl Solver {
             if self.clauses.is_deleted(w.cref) {
                 continue;
             }
-            // Make sure the false watched literal (¬p) is at position 1.
+            // One look-up of the clause; `value` reads `assigns` alone, so
+            // the literals can stay mutably borrowed beside it.
+            let assigns = &self.assigns;
+            let value = |l: Lit| assigns[l.var().index()].of_lit(l);
             let lits = self.clauses.lits_mut(w.cref);
+            // Make sure the false watched literal (¬p) is at position 1.
             if lits[0] == false_lit {
                 lits.swap(0, 1);
             }
@@ -747,22 +751,15 @@ impl Solver {
                 cref: w.cref,
                 blocker: first,
             };
-            if first != w.blocker && self.value(first).is_true() {
+            if first != w.blocker && value(first).is_true() {
                 watchers[write] = keep;
                 write += 1;
                 continue;
             }
             // Look for a new literal to watch.
-            let lits = self.clauses.lits(w.cref);
-            let new_watch = lits[2..]
-                .iter()
-                .position(|&l| !self.value(l).is_false())
-                .map(|off| off + 2);
-            if let Some(k) = new_watch {
-                let lits = self.clauses.lits_mut(w.cref);
-                lits.swap(1, k);
-                let new_lit = lits[1];
-                self.watches[(!new_lit).code()].push(keep);
+            if let Some(off) = lits[2..].iter().position(|&l| !value(l).is_false()) {
+                lits.swap(1, off + 2);
+                self.watches[(!lits[1]).code()].push(keep);
                 continue;
             }
             // Clause is unit or conflicting.
@@ -931,11 +928,7 @@ impl Solver {
         if self.level_stamp.len() <= current_level as usize {
             self.level_stamp.resize(current_level as usize + 1, 0);
         }
-        self.lbd_epoch = self.lbd_epoch.wrapping_add(1);
-        if self.lbd_epoch == 0 {
-            self.level_stamp.fill(0);
-            self.lbd_epoch = 1;
-        }
+        self.lbd_epoch += 1;
         let mut lbd = 0;
         for l in &learnt {
             let stamp = &mut self.level_stamp[self.level[l.var().index()] as usize];

@@ -69,10 +69,7 @@ proptest! {
             solver.add_clause(&lits);
         }
         for (terms, bound) in &pbs {
-            let t: Vec<(u64, Lit)> = terms
-                .iter()
-                .map(|&(c, v, sign)| (c, Lit::new(Var::from_index(v), sign)))
-                .collect();
+            let t = to_terms(terms);
             reference.add_pb_le(&t, *bound);
             solver.add_pb_le(&t, *bound);
         }
