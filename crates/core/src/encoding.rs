@@ -11,7 +11,58 @@
 //!   `(c, n, n', s)` plus per-step presence Booleans, which the paper
 //!   reports does not scale (§5.4.3). Kept for the encoding-ablation bench
 //!   and as the reference the property tests hold the other two encoders
-//!   to: it has none of the strengthenings below.
+//!   to: it has neither the symmetry nor the strengthenings below.
+//!
+//! # Symmetry
+//!
+//! The paper scales by "exploiting symmetries in topologies and
+//! collectives". A *symmetry* of an instance is an automorphism `σ` of the
+//! machine (a node permutation mapping the bandwidth relation onto
+//! itself) with the chunk permutation `π` it induces such that `pre` and
+//! `post` are mapped onto themselves. Acting on indices — `time(c, n) ↦
+//! time(π c, σ n)`, `snd(c, n, n') ↦ snd(π c, σ n, σ n')`, step indices
+//! untouched — it maps every constraint of the formula onto a constraint
+//! of the formula: C1/C2 because `pre`/`post` are kept, C3/C4 because links
+//! are, C5 and the ingress cuts because budgets are, the distance floors
+//! because hop counts are.
+//!
+//! **What is merged.** [`synthesize`] first solves the formula's
+//! *quotient* under a group `H` of symmetries: one `time` variable per
+//! orbit of `(chunk, node)` pairs, one `snd` literal per orbit of `(chunk,
+//! src, dst)` triples (likewise the `time = s` and occupancy literals
+//! behind C5), which every other index of the orbit aliases, and each
+//! constraint stated for its orbit's least member only. That is the
+//! formula plus `x = h(x)` for every variable and every `h ∈ H`, at
+//! `1/|H|` of the size: the DGX-1 Alltoall `(8,3,3)` is 8 705 variables,
+//! its quotient under the machine's four rotations 2 177. There is one
+//! emitter; the full formula is the quotient under the trivial group.
+//!
+//! **Why a satisfiable quotient is a model of the full formula.** The
+//! aliases give every index of the full grids a value. A constraint of
+//! the full formula is the image `h(K)` of a stated one; its variables
+//! alias those of `K`, and `K` holds. The schedule is decoded from the
+//! full grids by the same `decode_schedule` and checked by the same
+//! validators as any other.
+//!
+//! **Why an unsatisfiable one is not a verdict.** The quotient's models
+//! are exactly the `H`-invariant schedules. An instance may have schedules
+//! and none that looks the same from every node of an orbit; so a refuted
+//! quotient — and one that ran out of budget — proves nothing, and the
+//! full formula is solved under what is left of the same [`Limits`]. The
+//! quotient is never the source of an `Unsatisfiable`.
+//!
+//! **Why the group must act freely.** If some `h ≠ id` fixes a node `n`,
+//! two different sends into `n` — `m → n` and `h(m) → n` — fall into one
+//! orbit and share a literal; C3's at-most-one over the sends into `n`
+//! then counts that literal twice and forbids it, and the quotient is
+//! refuted at level 0 although the instance is fine. `H` is therefore
+//! grown (`crate::symmetry`) as a group in which only the identity fixes
+//! a node — the rotations of a ring, the translations of a hypercube —
+//! out of the fixed-point-free automorphisms the topology finds
+//! ([`Topology::fixed_point_free_automorphisms`], once per sweep). Every
+//! orbit of nodes then has `|H|` members, and no two literals of one C3
+//! or of one ingress cut are merged. Rooted collectives have no such
+//! symmetry (every one fixes the root) and are solved as before.
 //!
 //! # Redundant strengthenings
 //!
@@ -33,11 +84,13 @@
 //! refuted before the first decision instead of after 60 000 or 300 000
 //! conflicts, and the rows that meet it exactly are found satisfiable in a
 //! few thousand. The cuts are always on — there is no option to tune — and
-//! are written once, for this encoder and the warm one alike.
+//! are written once, for this encoder and the layered one in
+//! [`crate::incremental`] alike.
 
 #![allow(clippy::needless_range_loop)] // chunk x node grids read best with explicit indices
 
 use crate::algorithm::{Algorithm, Send};
+use crate::symmetry::Group;
 use sccl_collectives::CollectiveSpec;
 use sccl_solver::{add_linear_eq, IntVar, Limits, Lit, Model, SolveResult, Solver, SolverConfig};
 use sccl_topology::Topology;
@@ -64,7 +117,10 @@ use std::time::{Duration, Instant};
 /// (`add_ingress_cuts`): verdicts are unchanged (the cuts are implied),
 /// but the search, and with it the model behind a satisfiable candidate,
 /// is not.
-pub const ENCODER_VERSION: u32 = 5;
+/// 6 — a candidate whose instance has symmetries is decided on the
+/// quotient formula first (see "Symmetry" in the module docs): the same
+/// `(C, S, R)` points, symmetric schedules behind them.
+pub const ENCODER_VERSION: u32 = 6;
 
 /// One synthesis query: find a `(S, R)` k-synchronous schedule implementing
 /// `spec` on `topology` (the SynColl instance of §3.2 with its parameters).
@@ -136,10 +192,28 @@ pub struct SynthesisRun {
     pub outcome: SynthesisOutcome,
     pub encode_time: Duration,
     pub solve_time: Duration,
+    /// Size of the last formula solved: the quotient's when its model
+    /// settled the candidate, the full formula's otherwise.
     pub encoding: EncodingStats,
+    /// Formulas handed to the solver: none for a candidate rejected or
+    /// cancelled before encoding, two where the quotient settled nothing
+    /// and the full formula was solved as well.
+    pub solves: u64,
 }
 
 impl SynthesisRun {
+    /// A run that handed the solver nothing: a candidate rejected before
+    /// it was encoded (`Unsatisfiable`) or cancelled (`Unknown`).
+    pub fn unsolved(outcome: SynthesisOutcome) -> Self {
+        SynthesisRun {
+            outcome,
+            encode_time: Duration::ZERO,
+            solve_time: Duration::ZERO,
+            encoding: EncodingStats::default(),
+            solves: 0,
+        }
+    }
+
     /// Total synthesis time ("Time includes both encoding and solving",
     /// Tables 4–5).
     pub fn total_time(&self) -> Duration {
@@ -147,7 +221,11 @@ impl SynthesisRun {
     }
 }
 
-/// Synthesize with the paper's scalable encoding.
+/// Synthesize with the paper's scalable encoding: the quotient of the
+/// formula under the machine's symmetries first, the full formula if that
+/// settles nothing (see "Symmetry" in the [module docs](self)). A pure
+/// function of its arguments: every driver that reports a schedule for a
+/// candidate reports this one.
 pub fn synthesize(
     topology: &Topology,
     instance: &SynCollInstance,
@@ -155,24 +233,108 @@ pub fn synthesize(
     solver_config: SolverConfig,
     limits: Limits,
 ) -> SynthesisRun {
+    let start = Instant::now();
+    let automorphisms = topology.fixed_point_free_automorphisms();
+    let searched = start.elapsed();
+    let mut run = synthesize_on(
+        topology,
+        &automorphisms,
+        instance,
+        options,
+        solver_config,
+        limits,
+    );
+    run.encode_time += searched;
+    run
+}
+
+/// [`synthesize`] for a sweep that searched its machine once:
+/// `automorphisms` are `topology`'s
+/// ([`Topology::fixed_point_free_automorphisms`]; any subset is sound,
+/// anything else is not).
+pub(crate) fn synthesize_on(
+    topology: &Topology,
+    automorphisms: &[Vec<usize>],
+    instance: &SynCollInstance,
+    options: &EncodingOptions,
+    solver_config: SolverConfig,
+    limits: Limits,
+) -> SynthesisRun {
+    let start = Instant::now();
+    let spec = &instance.spec;
+    assert_eq!(
+        spec.num_nodes,
+        topology.num_nodes(),
+        "spec/topology node count mismatch"
+    );
+    debug_assert!(automorphisms.iter().all(|a| topology.is_automorphism(a)));
+
+    // A step with zero rounds sends nothing, so R < S is vacuously
+    // infeasible for any schedule that actually uses S steps.
+    if (instance.num_rounds as usize) < instance.num_steps || instance.num_steps == 0 {
+        return SynthesisRun::unsolved(SynthesisOutcome::Unsatisfiable);
+    }
+
+    // The quotient first. Only a model settles the candidate there: a
+    // refuted quotient says that no schedule has the symmetry, one out of
+    // budget says nothing — either way the full formula decides, on what
+    // is left of the limits.
+    let symmetries = Group::free(spec, automorphisms);
+    let mut limits = limits;
+    let (mut solve_time, mut solves) = (Duration::ZERO, 0);
+    if symmetries.order() > 1 {
+        let (run, conflicts) = solve_quotient(
+            topology,
+            instance,
+            options,
+            solver_config.clone(),
+            &symmetries,
+            limits.clone(),
+        );
+        if run.outcome.is_sat() {
+            // Whatever was not solving — growing the group included — was
+            // encoding.
+            return SynthesisRun {
+                encode_time: start.elapsed().saturating_sub(run.solve_time),
+                ..run
+            };
+        }
+        limits = limits.after(conflicts, run.solve_time);
+        (solve_time, solves) = (run.solve_time, run.solves);
+    }
+    let full = Group::trivial(spec);
+    let (run, _) = solve_quotient(topology, instance, options, solver_config, &full, limits);
+    solve_time += run.solve_time;
+    SynthesisRun {
+        encode_time: start.elapsed().saturating_sub(solve_time),
+        solve_time,
+        solves: solves + run.solves,
+        ..run
+    }
+}
+
+/// Encode the quotient of `instance`'s formula under `group` — C1–C6, the
+/// distance floors and the ingress cuts, every variable and constraint
+/// once per orbit — and solve it within `limits`. Under the trivial group
+/// this is the full formula. Returns the run and the conflicts it took. A
+/// cancelled candidate builds no formula.
+fn solve_quotient(
+    topology: &Topology,
+    instance: &SynCollInstance,
+    options: &EncodingOptions,
+    solver_config: SolverConfig,
+    group: &Group,
+    limits: Limits,
+) -> (SynthesisRun, u64) {
     let encode_start = Instant::now();
+    if limits.stop_requested() {
+        return (SynthesisRun::unsolved(SynthesisOutcome::Unknown), 0);
+    }
     let spec = &instance.spec;
     let g = spec.num_chunks;
     let p = spec.num_nodes;
     let s_steps = instance.num_steps;
     let r_rounds = instance.num_rounds;
-    assert_eq!(p, topology.num_nodes(), "spec/topology node count mismatch");
-
-    // A step with zero rounds sends nothing, so R < S is vacuously
-    // infeasible for any schedule that actually uses S steps.
-    if (r_rounds as usize) < s_steps || s_steps == 0 {
-        return SynthesisRun {
-            outcome: SynthesisOutcome::Unsatisfiable,
-            encode_time: encode_start.elapsed(),
-            solve_time: Duration::ZERO,
-            encoding: EncodingStats::default(),
-        };
-    }
 
     let mut solver = Solver::with_config(solver_config);
     let edges: Vec<(usize, usize)> = topology.links().into_iter().collect();
@@ -189,7 +351,8 @@ pub fn synthesize(
             .min()
     };
 
-    // r_s: rounds per step, each at least 1 (C6 ties their sum to R).
+    // r_s: rounds per step, each at least 1 (C6 ties their sum to R). No
+    // symmetry moves a step, so these are their own orbits.
     let max_per_step = r_rounds as i64 - (s_steps as i64 - 1);
     let round_vars: Vec<IntVar> = (0..s_steps)
         .map(|_| IntVar::new(&mut solver, 1, max_per_step))
@@ -199,11 +362,20 @@ pub fn synthesize(
         add_linear_eq(&mut solver, &refs, r_rounds as i64);
     }
 
-    // time(c, n) arrival times with C1/C2 and optional distance pruning.
+    // time(c, n) arrival times with C1/C2 and optional distance pruning:
+    // one variable per orbit, which every other pair of the orbit aliases
+    // (its representative is the least pair, so it came first).
     let mut time_vars: Vec<Vec<IntVar>> = Vec::with_capacity(g);
     for c in 0..g {
-        let mut row = Vec::with_capacity(p);
+        let mut row: Vec<IntVar> = Vec::with_capacity(p);
         for n in 0..p {
+            let (rep_c, rep_n) = group.pair(c, n);
+            if (rep_c, rep_n) != (c, n) {
+                let rep_row = if rep_c == c { &row } else { &time_vars[rep_c] };
+                let alias = rep_row[rep_n].clone();
+                row.push(alias);
+                continue;
+            }
             let in_pre = spec.pre.contains(&(c, n));
             let var = if in_pre {
                 IntVar::new(&mut solver, 0, 0) // C1: time = 0
@@ -227,15 +399,19 @@ pub fn synthesize(
         time_vars.push(row);
     }
 
-    // snd(n, c, n') Booleans. Sends into a chunk's pre-nodes are useless and
-    // omitted (those nodes hold the chunk from time 0).
+    // snd(n, c, n') Booleans, one per orbit. Sends into a chunk's pre-nodes
+    // are useless and omitted (those nodes hold the chunk from time 0).
     let mut snd_vars: BTreeMap<(usize, usize, usize), Lit> = BTreeMap::new();
     for c in 0..g {
         for &(src, dst) in &edges {
             if spec.pre.contains(&(c, dst)) {
                 continue;
             }
-            let lit = solver.new_var().positive();
+            let rep = group.triple(c, src, dst);
+            let lit = match rep == (c, src, dst) {
+                true => solver.new_var().positive(),
+                false => snd_vars[&rep],
+            };
             snd_vars.insert((c, src, dst), lit);
         }
     }
@@ -243,7 +419,7 @@ pub fn synthesize(
     // C3: a non-pre node that obtains a chunk receives it exactly once.
     for c in 0..g {
         for n in 0..p {
-            if spec.pre.contains(&(c, n)) {
+            if spec.pre.contains(&(c, n)) || group.pair(c, n) != (c, n) {
                 continue;
             }
             let incoming: Vec<Lit> = edges
@@ -265,19 +441,24 @@ pub fn synthesize(
     // C4: a chunk must be present at the source strictly before it becomes
     // available at the destination.
     for (&(c, src, dst), &snd) in &snd_vars {
-        IntVar::imply_less_than(&mut solver, snd, &time_vars[c][src], &time_vars[c][dst]);
+        if group.triple(c, src, dst) == (c, src, dst) {
+            IntVar::imply_less_than(&mut solver, snd, &time_vars[c][src], &time_vars[c][dst]);
+        }
     }
 
-    // C5: per-step bandwidth constraints, scaled by the step's round count.
-    // A send over edge (src, dst) of chunk c "occupies" step s iff
-    // snd(c, src, dst) ∧ time(c, dst) = s; the product is Tseitin-encoded
-    // once per (c, dst, s) arrival literal and (c, src, dst, s) tuple.
+    // C5: per-step bandwidth constraints, scaled by the step's round count,
+    // for the constraint that leads its orbit. A send over edge (src, dst)
+    // of chunk c "occupies" step s iff snd(c, src, dst) ∧ time(c, dst) = s;
+    // the product is Tseitin-encoded once per orbit of (c, dst, s) arrival
+    // literals and of (c, src, dst, s) tuples. Where a symmetry maps the
+    // constraint onto itself two of its sends share a literal, which
+    // `add_pb_le` merges into one term of twice the weight.
     let mut eq_lits: BTreeMap<(usize, usize, usize), Lit> = BTreeMap::new();
     let mut occupy_lits: BTreeMap<(usize, usize, usize, usize), Lit> = BTreeMap::new();
     let usable: std::collections::BTreeSet<(usize, usize)> = topology.links();
     for constraint in topology.constraints() {
         let b = constraint.chunks_per_round;
-        if b == 0 {
+        if b == 0 || !group.leads(&constraint.edges) {
             continue;
         }
         let constrained_edges: Vec<(usize, usize)> = constraint
@@ -302,11 +483,13 @@ pub fn synthesize(
                     if (arrival_time as i64) < t.lo() || (arrival_time as i64) > t.hi() {
                         continue;
                     }
-                    let eq = *eq_lits.entry((c, dst, arrival_time)).or_insert_with(|| {
-                        time_vars[c][dst].eq_lit(&mut solver, arrival_time as i64)
-                    });
+                    let (rep_c, rep_dst) = group.pair(c, dst);
+                    let eq = *eq_lits
+                        .entry((rep_c, rep_dst, arrival_time))
+                        .or_insert_with(|| t.eq_lit(&mut solver, arrival_time as i64));
+                    let (rep_c, rep_src, rep_dst) = group.triple(c, src, dst);
                     let occ = *occupy_lits
-                        .entry((c, src, dst, arrival_time))
+                        .entry((rep_c, rep_src, rep_dst, arrival_time))
                         .or_insert_with(|| {
                             let x = solver.new_var().positive();
                             // snd ∧ (time = s) → x ; the reverse directions are
@@ -330,6 +513,7 @@ pub fn synthesize(
     add_ingress_cuts(
         &mut solver,
         &node_ingress(topology),
+        |n| group.node(n) == n,
         spec,
         &time_vars,
         &round_vars,
@@ -347,6 +531,10 @@ pub fn synthesize(
     let outcome = match solver.solve_limited(limits) {
         SolveResult::Unsat => SynthesisOutcome::Unsatisfiable,
         SolveResult::Unknown => SynthesisOutcome::Unknown,
+        // The model assigns every orbit's variable, hence — through the
+        // aliases — every index of the full grids: read as a model of the
+        // full formula it satisfies each constraint, because each is the
+        // image of one that was stated.
         SolveResult::Sat(model) => {
             let (rounds_per_step, sends) =
                 decode_schedule(spec, s_steps, &time_vars, &snd_vars, &round_vars, &model);
@@ -361,14 +549,14 @@ pub fn synthesize(
             })
         }
     };
-    let solve_time = solve_start.elapsed();
-
-    SynthesisRun {
+    let run = SynthesisRun {
         outcome,
         encode_time,
-        solve_time,
+        solve_time: solve_start.elapsed(),
         encoding,
-    }
+        solves: 1,
+    };
+    (run, solver.stats().conflicts)
 }
 
 /// Per-round ingress of every node: the summed budgets of its incoming
@@ -433,11 +621,14 @@ pub(crate) fn add_budget(
 ///
 /// `round_vars[i]` is the round count of step `i + 1`; `gate` is the
 /// step layer's literal when the rounds belong to one (see
-/// [`add_budget`]). One emitter, called by the fresh-formula encoding
-/// above and by [`crate::incremental::IncrementalEncoder`]'s step layers.
+/// [`add_budget`]); `stated_for` picks the nodes to state the cut for —
+/// one per orbit in a quotient, whose other nodes' cuts are its images.
+/// One emitter, called by the fresh-formula encoding above and by
+/// [`crate::incremental::IncrementalEncoder`]'s step layers.
 pub(crate) fn add_ingress_cuts(
     solver: &mut Solver,
     ingress: &[u64],
+    stated_for: impl Fn(usize) -> bool,
     spec: &CollectiveSpec,
     time_vars: &[Vec<IntVar>],
     round_vars: &[IntVar],
@@ -450,7 +641,7 @@ pub(crate) fn add_ingress_cuts(
             .filter(|&&(c, node)| node == n && !spec.pre.contains(&(c, n)))
             .map(|&(c, _)| c)
             .collect();
-        if needed.is_empty() {
+        if needed.is_empty() || !stated_for(n) {
             continue;
         }
         for s in 0..round_vars.len() {
@@ -469,7 +660,7 @@ pub(crate) fn add_ingress_cuts(
 }
 
 /// Read a model out as `(rounds_per_step, sends)` through the variables
-/// the cold encoding above and the warm layered one in
+/// the encoding above and the layered one in
 /// [`crate::incremental`] share — `time(c, n)` indexed `[chunk][node]`,
 /// `snd(c, src, dst)` and the `S` per-step round counts: every true send
 /// whose destination arrives within the `num_steps` deadline (later means
@@ -477,7 +668,8 @@ pub(crate) fn add_ingress_cuts(
 /// pair depends on pruned (see [`prune_dead_sends`]). The result is a
 /// function of the model, so it is only as deterministic as the solve that
 /// produced it: a fresh solver is deterministic given `(topology,
-/// instance, options, SolverConfig)`, a warm one depends on its history.
+/// instance, options, SolverConfig)`, a long-lived one depends on its
+/// history.
 pub(crate) fn decode_schedule(
     spec: &CollectiveSpec,
     num_steps: usize,
@@ -561,12 +753,7 @@ pub fn synthesize_naive(
     assert_eq!(p, topology.num_nodes());
 
     if (r_rounds as usize) < s_steps || s_steps == 0 {
-        return SynthesisRun {
-            outcome: SynthesisOutcome::Unsatisfiable,
-            encode_time: encode_start.elapsed(),
-            solve_time: Duration::ZERO,
-            encoding: EncodingStats::default(),
-        };
+        return SynthesisRun::unsolved(SynthesisOutcome::Unsatisfiable);
     }
 
     let mut solver = Solver::with_config(solver_config);
@@ -709,6 +896,7 @@ pub fn synthesize_naive(
         encode_time,
         solve_time,
         encoding,
+        solves: 1,
     }
 }
 
@@ -902,6 +1090,135 @@ mod tests {
         }
     }
 
+    /// The two formulas [`synthesize`] may solve for `inst`, each on its
+    /// own and without limits: `(run, conflicts)` of the quotient under
+    /// the machine's free group and of the full formula.
+    fn both_formulas(topo: &Topology, inst: &SynCollInstance) -> [(SynthesisRun, u64); 2] {
+        let symmetries = Group::free(&inst.spec, &topo.fixed_point_free_automorphisms());
+        assert!(symmetries.order() > 1, "the instance has symmetries");
+        [symmetries, Group::trivial(&inst.spec)].map(|group| {
+            solve_quotient(
+                topo,
+                inst,
+                &EncodingOptions::default(),
+                SolverConfig::default(),
+                &group,
+                Limits::none(),
+            )
+        })
+    }
+
+    #[test]
+    fn the_quotient_of_a_dgx1_alltoall_is_a_quarter_of_the_formula() {
+        // Four rotations, acting freely on pairs and triples: every orbit
+        // has four members, and only the constant-true variable is alone.
+        let topo = builders::dgx1();
+        let inst = instance(Collective::Alltoall, 8, 8, 3, 3);
+        let [(quotient, _), (full, _)] = both_formulas(&topo, &inst);
+        assert_eq!(quotient.encoding.num_vars, 2_177);
+        assert_eq!(full.encoding.num_vars, 8_705);
+        assert_eq!(4 * (2_177 - 1), 8_705 - 1);
+        assert!(4 * quotient.encoding.num_clauses <= full.encoding.num_clauses + 4);
+        // Both are satisfiable, both schedules valid; `synthesize` stops
+        // at the quotient's.
+        let symmetric = quotient.outcome.algorithm().expect("SAT");
+        symmetric.validate(&topo, &inst.spec).expect("valid");
+        let plain = full.outcome.algorithm().expect("SAT");
+        plain.validate(&topo, &inst.spec).expect("valid");
+        let run = run_default(&topo, &inst);
+        assert_eq!((run.solves, run.encoding.num_vars), (1, 2_177));
+        assert_eq!(run.outcome.algorithm().expect("SAT"), symmetric);
+    }
+
+    #[test]
+    fn a_refuted_quotient_leaves_the_full_formula_what_is_left_of_the_limits() {
+        // DGX-1 Allgather (3,2,4) has no schedule. Its quotient is refuted
+        // first — which proves nothing — and the full formula after it.
+        let topo = builders::dgx1();
+        let inst = instance(Collective::Allgather, 8, 3, 2, 4);
+        let [(quotient, q), (full, f)] = both_formulas(&topo, &inst);
+        assert!(matches!(quotient.outcome, SynthesisOutcome::Unsatisfiable));
+        assert!(matches!(full.outcome, SynthesisOutcome::Unsatisfiable));
+        assert!(q > 0 && f > 0, "both took search: {q} + {f} conflicts");
+        let under = |conflicts: u64| {
+            synthesize(
+                &topo,
+                &inst,
+                &EncodingOptions::default(),
+                SolverConfig::default(),
+                Limits::conflicts(conflicts),
+            )
+        };
+        // The least budget the full formula is refuted under on its own
+        // (budgets are checked between conflicts, so it can be under `f`).
+        let need = (0..=f)
+            .find(|&budget| {
+                let (run, _) = solve_quotient(
+                    &topo,
+                    &inst,
+                    &EncodingOptions::default(),
+                    SolverConfig::default(),
+                    &Group::trivial(&inst.spec),
+                    Limits::conflicts(budget),
+                );
+                matches!(run.outcome, SynthesisOutcome::Unsatisfiable)
+            })
+            .expect("f conflicts refute it");
+        assert!(need > 0);
+        // One budget for both formulas: after the quotient's `q` conflicts
+        // exactly `need` more decide the candidate, one fewer does not.
+        let decided = under(q + need);
+        assert!(matches!(decided.outcome, SynthesisOutcome::Unsatisfiable));
+        assert_eq!(decided.solves, 2);
+        assert_eq!(decided.encoding, full.encoding, "the formula that decided");
+        let short = under(q + need - 1);
+        assert!(matches!(short.outcome, SynthesisOutcome::Unknown));
+        assert_eq!(short.solves, 2);
+        // A quotient that runs out of budget is no verdict either.
+        assert!(matches!(under(q - 1).outcome, SynthesisOutcome::Unknown));
+        // Nor is a raised stop flag, which builds no formula at all.
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let cancelled = synthesize(
+            &topo,
+            &inst,
+            &EncodingOptions::default(),
+            SolverConfig::default(),
+            Limits::none().with_stop(stop),
+        );
+        assert!(matches!(cancelled.outcome, SynthesisOutcome::Unknown));
+        assert_eq!((cancelled.solves, cancelled.encoding.num_vars), (0, 0));
+    }
+
+    #[test]
+    fn a_schedule_without_the_symmetry_is_still_found() {
+        // Two nodes on a half-duplex link: one chunk per round, whichever
+        // way. Swapping the nodes is a free symmetry, and a schedule that
+        // looks the same from both sends both chunks in one step — of two
+        // rounds, which (1,2,2) with its one round per step does not have.
+        // Taking turns is a schedule; the quotient cannot see it.
+        let mut topo = Topology::new("half-duplex-pair", 2);
+        topo.add_bidi_link(0, 1, 1);
+        topo.add_shared_constraint([(0, 1), (1, 0)], 1);
+        let inst = instance(Collective::Allgather, 2, 1, 2, 2);
+        let [(quotient, _), (full, _)] = both_formulas(&topo, &inst);
+        assert!(matches!(quotient.outcome, SynthesisOutcome::Unsatisfiable));
+        assert!(full.outcome.is_sat());
+        let run = run_default(&topo, &inst);
+        assert_eq!(run.solves, 2);
+        let alg = run.outcome.algorithm().expect("SAT");
+        alg.validate(&topo, &inst.spec).expect("valid");
+        assert_ne!(alg.sends[0].step, alg.sends[1].step);
+        // With a second round in one step the symmetric schedule exists,
+        // and the link's constraint — which the swap maps onto itself —
+        // counts the one shared literal for both directions.
+        let relaxed = instance(Collective::Allgather, 2, 1, 2, 3);
+        let run = run_default(&topo, &relaxed);
+        assert_eq!(run.solves, 1);
+        let alg = run.outcome.algorithm().expect("SAT");
+        alg.validate(&topo, &relaxed.spec).expect("valid");
+        assert_eq!(alg.sends[0].step, alg.sends[1].step);
+    }
+
     #[test]
     fn ingress_cuts_are_stated_only_where_they_can_bind() {
         // Gather to node 0 down the one-way chain 2 → 1 → 0 in two
@@ -931,6 +1248,7 @@ mod tests {
         add_ingress_cuts(
             &mut solver,
             &node_ingress(&topo),
+            |_| true,
             &inst.spec,
             &time_vars,
             &round_vars,

@@ -1,5 +1,20 @@
 //! Assumption-based incremental layering of the synthesis encoding.
 //!
+//! **Out of production.** No sweep driver builds an
+//! [`IncrementalEncoder`] any more: since the ingress cuts a long-lived
+//! solver is no cheaper a refuter than a fresh formula, a model of one
+//! depends on its history and had to be re-derived by a fresh solve
+//! anyway, and the retained encoders were most of a daemon's memory.
+//! Every candidate of every driver is now one fresh
+//! [`synthesize`](crate::encoding::synthesize) (see
+//! [`ChunkPool`](crate::pareto::ChunkPool)). The encoder stays as a
+//! library type for two users: the frozen benchmark ledger's
+//! `core.incremental.*` replays construct it, and
+//! `core/tests/proptest_synthesis.rs::encodings_agree` holds its verdicts
+//! to the naive reference. It goes when a benchmark PR re-cuts those
+//! metrics. [`IncrementalStats`], the accounting type the scheduler's
+//! responses carry, lives here for the same reason.
+//!
 //! The Pareto search solves many SynColl instances that differ only in
 //! their step/round budget `(S, R)`: for a fixed `(topology, collective,
 //! C)` the chunk-arrival variables, the send Booleans and constraints
@@ -64,22 +79,12 @@
 //! "never" value and dropping sends whose destination never arrives. A
 //! warm sweep therefore reaches exactly the verdicts the cold sweep would.
 //!
-//! # Verdict warm, bytes from one fresh solve
+//! # Verdicts only
 //!
-//! Verdicts alone are not enough for frontier equality — satisfiable
-//! candidates contribute their *algorithms* to the report, and a warm
-//! solver's model depends on everything it solved before. This module
-//! therefore only promises verdicts: the schedule
+//! A long-lived solver's model depends on everything it solved before, so
+//! this module only promises verdicts: the schedule
 //! [`IncrementalEncoder::solve_candidate`] returns is valid (and pruned
-//! of dead sends) but *witness-dependent*. Reported bytes come from
-//! [`ChunkPool::solve`](crate::pareto::ChunkPool::solve), which follows a
-//! warm `Satisfiable` with one fresh-formula
-//! [`synthesize`](crate::encoding::synthesize) of that candidate — a
-//! solver whose model is a function of `(topology, instance, options,
-//! SolverConfig)` alone — and reports *that* run. Cold, warm, parallel and
-//! resumed sweeps are byte-identical by construction: every reported
-//! algorithm is the output of the same deterministic function, whichever
-//! driver asked.
+//! of dead sends) but *witness-dependent*, and nothing reports it.
 
 #![allow(clippy::needless_range_loop)] // chunk x node grids read best with explicit indices
 
@@ -95,54 +100,47 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Aggregated accounting of a warm (incremental) synthesis sweep, surfaced
-/// through the scheduler's response timings and the solver benchmarks.
+/// Aggregated accounting of a synthesis sweep, surfaced through the
+/// scheduler's responses and the benchmarks. The name and the fields that
+/// now read zero are from when sweeps ran on warm [`IncrementalEncoder`]s;
+/// the benchmark ledger reads them, so they stay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct IncrementalStats {
-    /// Wall-clock time spent building encodings (base layers + candidate
-    /// deltas).
+    /// Always zero (time spent building warm encodings).
     pub encode_time: Duration,
-    /// Wall-clock time spent in warm assumption solves.
+    /// Always zero (time spent in warm assumption solves).
     pub warm_solve_time: Duration,
-    /// Wall-clock time of fresh-formula runs (encode + solve): the one
-    /// confirmation solve behind every satisfiable candidate (see the
-    /// [module docs](crate::incremental)), plus any cold fallbacks.
+    /// Wall-clock time of the fresh-formula runs (encode + solve) that
+    /// decided the sweep's candidates: all of a sweep but its memo hits.
     pub cold_solve_time: Duration,
-    /// Candidates decided by a warm assumption solve.
+    /// Candidates decided by a solver, as opposed to a memo.
     pub warm_candidates: u64,
-    /// Distinct base encodings built (one per chunk count touched).
+    /// Always zero (warm base encodings built).
     pub base_encodings: u64,
-    /// `solve_under_assumptions` calls issued to warm solvers: at most one
-    /// per warm candidate.
+    /// Solver runs those candidates took: one each, two where a candidate's
+    /// quotient under the machine's symmetries settled nothing and the full
+    /// formula was solved as well (see "Symmetry" in [`crate::encoding`]).
     pub solve_calls: u64,
-    /// Learnt clauses already present at the start of warm solve calls,
-    /// summed: the clause reuse the incremental path gets for free.
+    /// Always zero (learnt clauses carried between warm solves).
     pub reused_clauses: u64,
     /// Always zero: the lexicographic decode that issued these probes is
     /// gone. The field stays because the benchmark ledger reads it.
     pub canonical_probes: u64,
-    /// Probes answered from a failed-assumption core without a solve (a
-    /// previous UNSAT at the same step count implicated no budget literal,
-    /// refuting the whole row).
+    /// Always zero (probes a warm encoder answered from a failed core).
     pub core_skips: u64,
     /// Probes answered from a pool's candidate memo without a solve (a
     /// previous sweep over the same base problem already decided them).
     pub memo_hits: u64,
-    /// Probes whose warm solve exhausted its adaptive conflict budget and
-    /// were decided by the cold solver instead (bounding the warm search's
-    /// worst-case variance on hard satisfiable instances), plus every
-    /// candidate of the clause-learning ablation. A confirmation solve is
-    /// not a fallback.
+    /// Always zero (warm probes handed to a fresh solver).
     pub cold_fallbacks: u64,
-    /// Times a warm chunk pool was checked back into a shared pool registry
+    /// Times a chunk pool was checked back into a shared pool registry
     /// after deciding a candidate (counted by the scheduler's registry;
     /// zero for the standalone sequential driver).
     pub pool_checkins: u64,
 }
 
 impl IncrementalStats {
-    /// Fold another accounting into this one (used to merge per-worker
-    /// pools after a parallel sweep).
+    /// Fold another accounting into this one.
     pub fn absorb(&mut self, other: &IncrementalStats) {
         self.encode_time += other.encode_time;
         self.warm_solve_time += other.warm_solve_time;
@@ -175,12 +173,6 @@ impl IncrementalStats {
             cold_fallbacks: self.cold_fallbacks - before.cold_fallbacks,
             pool_checkins: self.pool_checkins - before.pool_checkins,
         }
-    }
-
-    /// Total time attributed to solving: warm assumption solves plus the
-    /// fresh-formula confirmation and fallback runs.
-    pub fn total_solve_time(&self) -> Duration {
-        self.warm_solve_time + self.cold_solve_time
     }
 }
 
@@ -521,6 +513,7 @@ impl IncrementalEncoder {
         add_ingress_cuts(
             &mut self.solver,
             &self.ingress,
+            |_| true,
             &self.spec,
             &self.time_vars,
             &round_vars,
@@ -557,12 +550,7 @@ impl IncrementalEncoder {
         // A step with zero rounds sends nothing: R < S is vacuously
         // infeasible (mirrors the cold path's up-front rejection).
         if (num_rounds as usize) < num_steps || num_steps == 0 {
-            return SynthesisRun {
-                outcome: SynthesisOutcome::Unsatisfiable,
-                encode_time: encode_start.elapsed(),
-                solve_time: Duration::ZERO,
-                encoding: EncodingStats::default(),
-            };
+            return SynthesisRun::unsolved(SynthesisOutcome::Unsatisfiable);
         }
         assert!(
             num_steps <= self.max_steps,
@@ -586,6 +574,7 @@ impl IncrementalEncoder {
                 encode_time: encode_start.elapsed(),
                 solve_time: Duration::ZERO,
                 encoding: self.encoding_stats(),
+                solves: 0,
             };
         }
 
@@ -663,6 +652,7 @@ impl IncrementalEncoder {
             encode_time,
             solve_time,
             encoding: self.encoding_stats(),
+            solves: 1,
         }
     }
 }

@@ -17,14 +17,16 @@
 //! 4. [`combining`] derives Reduce/ReduceScatter by inversion and Allreduce
 //!    as ReduceScatter followed by Allgather (§3.5).
 //!
-//! Determinism: *verdict warm, bytes from one fresh solve*. Sweeps decide
-//! candidates on long-lived [`incremental`] solvers, whose verdicts are
-//! history-independent but whose models are not; every *reported*
-//! algorithm is instead the model of one fresh-formula
-//! [`encoding::synthesize`] of its candidate (dead sends pruned), a
-//! function of `(topology, instance, options, SolverConfig)` alone. Cold,
-//! warm, parallel and resumed frontiers are therefore byte-identical by
-//! construction — see [`pareto::ChunkPool`].
+//! Determinism: *one fresh solve per candidate*. Every driver — the
+//! sequential loop, the scheduler's pooled and parallel sweeps, a sweep
+//! resumed from a checkpoint — decides a candidate by one
+//! [`encoding::synthesize`] of it (on the quotient of its formula under
+//! the machine's symmetries first, on the full formula if that settles
+//! nothing), a function of `(topology, instance, options, SolverConfig)`
+//! alone; a pool only remembers what that function returned. Their
+//! frontiers are therefore byte-identical by construction — see
+//! [`pareto::ChunkPool`]. The layered [`incremental`] encoder of earlier
+//! sweeps is out of production and kept as a library type.
 //!
 //! ```
 //! use sccl_core::pareto::{pareto_synthesize, SynthesisConfig};
@@ -49,6 +51,7 @@ pub mod encoding;
 pub mod failpoint;
 pub mod incremental;
 pub mod pareto;
+mod symmetry;
 
 pub use algorithm::{Algorithm, Send, SendOp, ValidationError};
 pub use analysis::LinkUtilization;

@@ -25,9 +25,9 @@ use crate::bounds::{bandwidth_lower_bound, latency_lower_bound};
 use crate::combining::{compose_allreduce, invert};
 use crate::cost::AlgorithmCost;
 use crate::encoding::{
-    synthesize, EncodingOptions, EncodingStats, SynCollInstance, SynthesisOutcome, SynthesisRun,
+    synthesize_on, EncodingOptions, EncodingStats, SynCollInstance, SynthesisOutcome, SynthesisRun,
 };
-use crate::incremental::{IncrementalEncoder, IncrementalStats};
+use crate::incremental::IncrementalStats;
 use sccl_collectives::{Collective, CollectiveClass};
 use sccl_solver::{Limits, SolverConfig};
 use sccl_topology::{Rational, Topology};
@@ -213,12 +213,10 @@ impl SynthesisReport {
     /// termination and `(C, S, R)` entries with identical algorithms —
     /// everything except wall-clock synthesis times and formula-size
     /// statistics. Algorithms are compared byte-for-byte: every driver
-    /// reports the model of one fresh-formula [`synthesize`] per
-    /// satisfiable candidate, so cold, warm and parallel-warm searches
-    /// report the identical algorithm per entry. Formula sizes are
-    /// *diagnostic* and legitimately differ between drivers (the cold path
-    /// reports the per-instance formula, the warm path its cumulative
-    /// layered formula), so they are excluded, like the timings.
+    /// decides a candidate by one fresh
+    /// [`synthesize`](crate::encoding::synthesize), so sequential, pooled,
+    /// parallel and resumed searches report the identical algorithm per
+    /// entry. Formula sizes are diagnostic and excluded, like the timings.
     pub fn same_frontier(&self, other: &SynthesisReport) -> bool {
         self.collective == other.collective
             && self.topology_name == other.topology_name
@@ -424,10 +422,9 @@ pub const SWEEP_CHECKPOINT_VERSION: u32 = 1;
 /// re-enumerated deterministically at resume time from the same request.
 ///
 /// Resuming from a checkpoint is *provably* equivalent to never having
-/// been interrupted: candidate outcomes are deterministic (verdicts are
-/// history-independent, satisfiable candidates report a fresh-formula
-/// solve, and warm `Unknown`s fall back to a cold solve under the caller's
-/// limits), `supply` is strictly cursor-ordered,
+/// been interrupted: candidate outcomes are deterministic (each is one
+/// fresh-formula solve under the caller's limits, whatever was solved
+/// before), `supply` is strictly cursor-ordered,
 /// and the skip rules depend only on `(cursor, best_bw, settled_step)` —
 /// all captured here. So replaying the remaining candidates from `cursor`
 /// reaches the byte-identical frontier (the property the resume
@@ -722,28 +719,26 @@ pub struct BaseProblem {
     pub topology: Topology,
     /// Non-combining collective to synthesize.
     pub collective: Collective,
+    /// [`Topology::fixed_point_free_automorphisms`] of `topology`, searched
+    /// once here for every candidate of the sweep to take its quotient
+    /// under (see "Symmetry" in [`crate::encoding`]).
+    automorphisms: Vec<Vec<usize>>,
 }
 
 /// Reduce a synthesis request to its underlying non-combining search.
 pub fn base_problem(topology: &Topology, collective: Collective) -> BaseProblem {
-    match collective.class() {
-        CollectiveClass::NonCombining => BaseProblem {
-            topology: topology.clone(),
-            collective,
-        },
-        CollectiveClass::Combining => match collective.inversion_dual() {
-            Some(dual) => BaseProblem {
-                topology: topology.reversed(),
-                collective: dual,
-            },
-            None => {
-                debug_assert_eq!(collective, Collective::Allreduce);
-                BaseProblem {
-                    topology: topology.clone(),
-                    collective: Collective::Allgather,
-                }
-            }
-        },
+    let (topology, collective) = match (collective.class(), collective.inversion_dual()) {
+        (CollectiveClass::NonCombining, _) => (topology.clone(), collective),
+        (CollectiveClass::Combining, Some(dual)) => (topology.reversed(), dual),
+        (CollectiveClass::Combining, None) => {
+            debug_assert_eq!(collective, Collective::Allreduce);
+            (topology.clone(), Collective::Allgather)
+        }
+    };
+    BaseProblem {
+        automorphisms: topology.fixed_point_free_automorphisms(),
+        topology,
+        collective,
     }
 }
 
@@ -812,95 +807,65 @@ pub fn finalize_report(
 
 /// Run Algorithm 1 for any collective (non-combining directly; Reduce and
 /// ReduceScatter via their inversion duals on the reversed topology;
-/// Allreduce as inverse-Allgather followed by Allgather).
+/// Allreduce as inverse-Allgather followed by Allgather), one fresh
+/// [`synthesize`](crate::encoding::synthesize) per candidate and nothing
+/// kept between them.
 pub fn pareto_synthesize(
     topology: &Topology,
     collective: Collective,
     config: &SynthesisConfig,
 ) -> Result<SynthesisReport, SynthesisError> {
-    if topology.num_nodes() < 2 {
-        return Err(SynthesisError::TooFewNodes);
-    }
     let base = base_problem(topology, collective);
-    let report = pareto_synthesize_noncombining(&base.topology, base.collective, config)?;
-    Ok(finalize_report(topology, collective, report))
-}
-
-fn pareto_synthesize_noncombining(
-    topology: &Topology,
-    collective: Collective,
-    config: &SynthesisConfig,
-) -> Result<SynthesisReport, SynthesisError> {
-    let plan = enumerate_candidates(topology, collective, config)?;
     let num_nodes = topology.num_nodes();
-    let mut merge = ParetoMerge::new(plan);
-    while let MergeAction::Need(index) = merge.next() {
-        let instance = merge.plan().jobs[index].instance(collective, num_nodes);
-        let run = synthesize(
-            topology,
-            &instance,
+    warm_frontier(&base, topology, collective, config, |job| {
+        synthesize_on(
+            &base.topology,
+            &base.automorphisms,
+            &job.instance(base.collective, num_nodes),
             &config.encoding,
             config.solver.clone(),
             config.per_instance_limits.clone(),
-        );
-        merge.supply(index, run);
-    }
-    Ok(merge.into_report())
+        )
+    })
 }
 
 // ---------------------------------------------------------------------
-// The warm (incremental) driver
+// Pools: what a long-lived driver keeps between candidates
 // ---------------------------------------------------------------------
 
-/// The warm solver state of a single `(base problem, chunk count)` pair:
-/// the [`IncrementalEncoder`] for that chunk count, the memo of decided
-/// `(S, R)` candidates and the adaptive conflict budget that bounds warm
-/// search pathology.
+/// The decided candidates of a single `(base problem, chunk count)` pair:
+/// a memo of `(S, R)` → the run that settled it, in front of
+/// [`synthesize`](crate::encoding::synthesize).
 ///
 /// A `ChunkPool` is the unit of check-out/check-in for the scheduler's
-/// shared warm-pool registry: a worker thread borrows exactly the chunk
-/// count its candidate needs, solves, and returns the pool, so concurrent
-/// workers on different chunk counts never serialize on one solver while
-/// cross-request reuse (memo hits, learnt clauses, phases) still
+/// shared pool registry: a worker thread borrows exactly the chunk count
+/// its candidate needs, solves, and returns the pool, so concurrent
+/// workers on different chunk counts never serialize on one memo while
+/// cross-request reuse (a second sweep over the same base problem — an
+/// Allreduce after an Allgather — touches no solver at all) still
 /// accumulates. The sequential drivers use the same type through
 /// [`WarmPool`], which is simply a per-base-problem collection of chunk
 /// pools.
 ///
-/// Verdict warm, bytes from one fresh solve: the warm solver decides
-/// every candidate, but a warm model depends on the pool's history, so a
-/// warm `Satisfiable` is followed by one fresh-formula [`synthesize`] of
-/// that candidate — deterministic given `(topology, instance, options,
-/// SolverConfig)` — and the pool memoizes and returns *that* run. Every
-/// algorithm any driver reports is therefore the output of the same
-/// function of the request, which is what makes cold, warm, parallel and
-/// resumed frontiers byte-identical by construction. Unsatisfiable
-/// candidates (the bulk of a sweep) never leave the warm solver. The same
-/// cold path also serves the clause-learning ablation (assumption
-/// semantics need learning) and warm probes that exhaust their adaptive
-/// conflict budget; only those two count as `cold_fallbacks`.
-///
-/// Equality holds verbatim for runs that complete (no per-instance
-/// budget); under conflict or wall-clock budgets warm and cold searches
-/// may time out on different candidates, exactly as two cold runs on
-/// different machines already might (`Unknown` outcomes are never
-/// memoized).
+/// Every candidate that is not a memo hit is one fresh `synthesize` — a
+/// pure function of `(topology, instance, options, SolverConfig)` — so
+/// the algorithm any driver reports for a candidate is the same bytes,
+/// which is what makes cold, pooled, parallel and resumed frontiers
+/// identical by construction. Equality holds verbatim for runs that
+/// complete; under a wall-clock budget two runs may time out on different
+/// candidates, exactly as on two different machines (`Unknown` outcomes
+/// are never memoized).
 pub struct ChunkPool {
     topology: Topology,
+    automorphisms: Vec<Vec<usize>>,
     collective: Collective,
     config: SynthesisConfig,
     chunks: usize,
-    /// Built on the first candidate that actually needs a warm solve (the
-    /// memo and the cold ablation path never touch it).
-    encoder: Option<IncrementalEncoder>,
     /// Decided candidates: `(S, R)` → the run the sweep was supplied.
     /// Only settled verdicts (Sat/Unsat) are memoized.
     memo: HashMap<(usize, u64), SynthesisRun>,
-    /// Conflicts of the hardest single warm probe decided so far, the
-    /// basis of the adaptive budget below.
-    hardest_probe_conflicts: u64,
-    cold_solve_time: Duration,
-    memo_hits: u64,
-    cold_fallbacks: u64,
+    /// Accounting since the pool was created; see [`ChunkPool::stats`].
+    stats: IncrementalStats,
 }
 
 impl ChunkPool {
@@ -909,15 +874,12 @@ impl ChunkPool {
     pub fn new(base: &BaseProblem, config: &SynthesisConfig, chunks: usize) -> Self {
         ChunkPool {
             topology: base.topology.clone(),
+            automorphisms: base.automorphisms.clone(),
             collective: base.collective,
             config: config.clone(),
             chunks,
-            encoder: None,
             memo: HashMap::new(),
-            hardest_probe_conflicts: 0,
-            cold_solve_time: Duration::ZERO,
-            memo_hits: 0,
-            cold_fallbacks: 0,
+            stats: IncrementalStats::default(),
         }
     }
 
@@ -926,67 +888,8 @@ impl ChunkPool {
         self.chunks
     }
 
-    /// Conflict budget for one warm probe: generous relative to the
-    /// hardest probe decided so far, so legitimate proofs (which grow
-    /// gradually along the sweep) complete, while a pathological search —
-    /// warm CDCL occasionally diverges on hard satisfiable instances the
-    /// cold solver gets lucky on — is cut off and handed to the cold
-    /// solver. Correctness is unaffected: the cold fallback is the same
-    /// fresh-formula solve a satisfiable candidate is confirmed by.
-    fn warm_budget(&self) -> u64 {
-        20_000 + 16 * self.hardest_probe_conflicts
-    }
-
-    /// A budgeted warm probe of `(S, R)`: solve on the incremental encoder
-    /// under the adaptive conflict budget, tracking the hardest probe seen.
-    fn warm_probe(&mut self, steps: usize, rounds: u64, limits: &Limits) -> SynthesisRun {
-        let warm_budget = self.warm_budget();
-        if self.encoder.is_none() {
-            self.encoder = Some(IncrementalEncoder::new(
-                &self.topology,
-                self.collective.spec(self.topology.num_nodes(), self.chunks),
-                self.chunks,
-                self.config.max_steps,
-                self.config.k,
-                &self.config.encoding,
-                self.config.solver.clone(),
-            ));
-        }
-        let encoder = self.encoder.as_mut().expect("encoder built above");
-        let warm_limits = limits.clone().cap_conflicts(warm_budget);
-        let conflicts_before = encoder.solver_stats().conflicts;
-        let warm = encoder.solve_candidate(steps, rounds, warm_limits);
-        let probe_conflicts = encoder.solver_stats().conflicts - conflicts_before;
-        // Only settled probes raise the adaptive budget: folding in a
-        // budget-exhausted probe would grow the cap ~16× after every cold
-        // fallback, unbounding exactly the pathological searches the
-        // budget exists to cut off.
-        if !matches!(warm.outcome, SynthesisOutcome::Unknown) {
-            self.hardest_probe_conflicts = self.hardest_probe_conflicts.max(probe_conflicts);
-        }
-        warm
-    }
-
-    /// One cold [`synthesize`] call for `job`, its wall time folded into
-    /// the pool's cold-solve accounting. Shared by the confirmation of
-    /// satisfiable candidates and the ablation and budget-exhaustion
-    /// fallbacks, so the bytes they report cannot drift apart.
-    fn cold_run(&mut self, job: &CandidateJob, limits: Limits) -> SynthesisRun {
-        let start = Instant::now();
-        let cold = synthesize(
-            &self.topology,
-            &job.instance(self.collective, self.topology.num_nodes()),
-            &self.config.encoding,
-            self.config.solver.clone(),
-            limits,
-        );
-        self.cold_solve_time += start.elapsed();
-        cold
-    }
-
-    /// Decide one candidate: the verdict warm, a satisfiable candidate's
-    /// algorithm from one fresh-formula confirmation solve under the same
-    /// `limits` (see the type docs).
+    /// Decide one candidate: from the memo, or by one fresh
+    /// [`synthesize`](crate::encoding::synthesize) under `limits`.
     pub fn solve(&mut self, job: &CandidateJob, limits: Limits) -> SynthesisRun {
         assert_eq!(
             job.chunks, self.chunks,
@@ -994,48 +897,22 @@ impl ChunkPool {
         );
         let key = (job.steps, job.rounds);
         if let Some(run) = self.memo.get(&key) {
-            self.memo_hits += 1;
+            self.stats.memo_hits += 1;
             return run.clone();
         }
-        // The chronological-backtracking ablation cannot honour assumption
-        // semantics (it flips decisions), so such configs are served by the
-        // cold path outright — candidate memoization still applies.
-        let run = if !self.config.solver.clause_learning {
-            self.cold_fallbacks += 1;
-            self.cold_run(job, limits)
-        } else {
-            let warm = self.warm_probe(job.steps, job.rounds, &limits);
-            match warm.outcome {
-                // Unsatisfiable verdicts are encoding-independent.
-                SynthesisOutcome::Unsatisfiable => warm,
-                // A cancelled probe stays cancelled: re-encoding cold just
-                // to have the stop flag abort the solve again would waste
-                // the hot parallel path on work the merge already decided
-                // never to read. (A warm model is never reported, so a
-                // cancelled Satisfiable is Unknown too.)
-                _ if limits.stop_requested() => SynthesisRun {
-                    outcome: SynthesisOutcome::Unknown,
-                    ..warm
-                },
-                // Satisfiable: confirm, and report the fresh solve — an
-                // `Unknown` under the caller's limits is what the cold
-                // sweep would report for this candidate, so it stands.
-                SynthesisOutcome::Satisfiable(_) => {
-                    let confirmed = self.cold_run(job, limits);
-                    debug_assert!(
-                        !matches!(confirmed.outcome, SynthesisOutcome::Unsatisfiable),
-                        "warm and cold encodings are equisatisfiable per candidate"
-                    );
-                    confirmed
-                }
-                // The warm search ran over the adaptive budget or the
-                // caller's: decide the candidate cold.
-                SynthesisOutcome::Unknown => {
-                    self.cold_fallbacks += 1;
-                    self.cold_run(job, limits)
-                }
-            }
-        };
+        let start = Instant::now();
+        let run = synthesize_on(
+            &self.topology,
+            &self.automorphisms,
+            &job.instance(self.collective, self.topology.num_nodes()),
+            &self.config.encoding,
+            self.config.solver.clone(),
+            limits,
+        );
+        self.stats.cold_solve_time += start.elapsed();
+        // A candidate cancelled before it was encoded took no solver.
+        self.stats.warm_candidates += u64::from(run.solves > 0);
+        self.stats.solve_calls += run.solves;
         if !matches!(run.outcome, SynthesisOutcome::Unknown) {
             self.memo.insert(key, run.clone());
         }
@@ -1049,50 +926,37 @@ impl ChunkPool {
         self.memo.len()
     }
 
-    /// Size of the pool's incremental encoder in solver cells — variables
-    /// plus clauses, the quantities that dominate a retained pool's memory.
-    /// Zero until the first warm probe builds the encoder (memo-only pools
-    /// are nearly free). A bounded pool store weights its eviction by this,
-    /// so its capacity bounds actual solver memory rather than pool count.
-    pub fn encoder_cells(&self) -> usize {
-        match &self.encoder {
-            Some(encoder) => {
-                let stats = encoder.encoding_stats();
-                stats.num_vars + stats.num_clauses
-            }
-            None => 0,
-        }
+    /// What the pool retains, in memo cells: one per decided candidate
+    /// plus one per send of a memoized schedule. A bounded pool store
+    /// weights its eviction by this, so its capacity bounds retained
+    /// memory rather than pool count.
+    pub fn memo_weight(&self) -> usize {
+        self.memo
+            .values()
+            .map(|run| match &run.outcome {
+                SynthesisOutcome::Satisfiable(algorithm) => 1 + algorithm.sends.len(),
+                _ => 1,
+            })
+            .sum()
     }
 
     /// Cumulative accounting since the pool was created (see
     /// [`IncrementalStats::delta_since`] for per-candidate or per-request
-    /// figures).
+    /// figures): solver-decided candidates, the solver runs they took, the
+    /// wall clock of those fresh solves, and memo hits.
     pub fn stats(&self) -> IncrementalStats {
-        let mut stats = IncrementalStats {
-            cold_solve_time: self.cold_solve_time,
-            memo_hits: self.memo_hits,
-            cold_fallbacks: self.cold_fallbacks,
-            ..IncrementalStats::default()
-        };
-        if let Some(encoder) = &self.encoder {
-            stats.base_encodings = 1;
-            stats.encode_time = encoder.encode_time();
-            stats.warm_solve_time = encoder.solve_time();
-            stats.warm_candidates = encoder.candidates();
-            stats.solve_calls = encoder.solver_stats().solve_calls;
-            stats.reused_clauses = encoder.solver_stats().reused_clauses;
-            stats.core_skips = encoder.core_skips();
-        }
-        stats
+        self.stats
     }
 }
 
-/// Drive the warm Pareto search for `collective` on `topology`, answering
+/// Drive the Pareto search for `collective` on `topology`, answering
 /// every candidate through `solve`. `base` must be the request's
 /// [`base_problem`] — computed once by the caller and passed through, so
-/// neither this driver nor the pools re-derive the topology clone and dual
-/// reversal. This is the one sweep loop shared by [`WarmPool::frontier`]
-/// and the scheduler's registry-backed sequential path.
+/// neither this driver nor the pools re-derive the topology clone, the
+/// dual reversal and the machine's symmetries. This is the one sequential
+/// sweep loop: [`pareto_synthesize`], [`WarmPool::frontier`] and the
+/// scheduler's registry-backed path differ only in what `solve` keeps
+/// between candidates.
 pub fn warm_frontier(
     base: &BaseProblem,
     topology: &Topology,
@@ -1154,7 +1018,7 @@ pub fn warm_frontier_resumable(
 }
 
 /// A per-base-problem collection of [`ChunkPool`]s, for callers that keep
-/// their warm state private (the standalone sequential driver
+/// their memos private (the standalone sequential driver
 /// [`pareto_synthesize_warm`] and tests). The scheduler shares chunk pools
 /// across threads and requests through its own registry instead.
 ///
@@ -1181,7 +1045,7 @@ impl WarmPool {
         }
     }
 
-    /// Decide one candidate, warm (see [`ChunkPool::solve`]).
+    /// Decide one candidate (see [`ChunkPool::solve`]).
     pub fn solve(&mut self, job: &CandidateJob, limits: Limits) -> SynthesisRun {
         let (base, config) = (&self.base, &self.config);
         self.pools
@@ -1190,8 +1054,8 @@ impl WarmPool {
             .solve(job, limits)
     }
 
-    /// Run the full warm Pareto search for `collective` on `topology`
-    /// through this pool. `base` is the request's already-computed
+    /// Run the full Pareto search for `collective` on `topology` through
+    /// this pool. `base` is the request's already-computed
     /// [`base_problem`]; a real check (not a debug_assert) verifies it
     /// matches the base this pool was built for — probing a mismatched
     /// base in a release build would silently answer with the wrong
@@ -1236,31 +1100,23 @@ impl WarmPool {
     }
 }
 
-/// A [`SynthesisReport`] produced by the warm (incremental) driver,
-/// alongside the sweep's incremental accounting.
+/// A [`SynthesisReport`] produced through a [`WarmPool`], alongside the
+/// sweep's accounting.
 #[derive(Clone, Debug)]
 pub struct WarmSynthesis {
-    /// The frontier — byte-identical to [`pareto_synthesize`]'s on runs
-    /// that complete within their budgets.
+    /// The frontier — byte-identical to [`pareto_synthesize`]'s.
     pub report: SynthesisReport,
-    /// Warm-sweep accounting (encode/solve split, clause reuse).
+    /// The sweep's accounting (candidates, solver runs, memo hits).
     pub incremental: IncrementalStats,
 }
 
-/// Run Algorithm 1 with warm, assumption-based incremental solving: one
-/// long-lived solver per chunk count instead of one throwaway solver per
-/// candidate. Produces the same frontier as [`pareto_synthesize`] (see
-/// [`ChunkPool`] for the exact guarantee): unsatisfiable probes — the bulk
-/// of a sweep — reuse learnt clauses and never build a second formula;
-/// satisfiable ones are confirmed by one fresh solve.
+/// [`pareto_synthesize`] through a private [`WarmPool`], returning the
+/// pool's accounting with the (identical) frontier.
 pub fn pareto_synthesize_warm(
     topology: &Topology,
     collective: Collective,
     config: &SynthesisConfig,
 ) -> Result<WarmSynthesis, SynthesisError> {
-    if topology.num_nodes() < 2 {
-        return Err(SynthesisError::TooFewNodes);
-    }
     let base = base_problem(topology, collective);
     let mut pool = WarmPool::new(&base, config);
     let report = pool.frontier(topology, collective, &base)?;
@@ -1274,6 +1130,7 @@ pub fn pareto_synthesize_warm(
 mod tests {
     use super::*;
     use crate::combining::{allreduce_required, reducescatter_required, validate_combining};
+    use crate::encoding::synthesize;
     use sccl_topology::builders;
 
     fn quick_config() -> SynthesisConfig {
@@ -1564,12 +1421,7 @@ mod tests {
         };
         merge.supply(
             0,
-            SynthesisRun {
-                outcome: SynthesisOutcome::Satisfiable(algorithm),
-                encode_time: Duration::ZERO,
-                solve_time: Duration::ZERO,
-                encoding: EncodingStats::default(),
-            },
+            SynthesisRun::unsolved(SynthesisOutcome::Satisfiable(algorithm)),
         );
         assert_eq!(merge.next(), MergeAction::Done);
         let report = merge.into_report();
@@ -1608,38 +1460,57 @@ mod tests {
                 warm.report.same_frontier(&cold),
                 "{collective} warm frontier diverged from cold"
             );
-            // A confirmation is not a fallback, and nothing but the one
-            // warm solve per candidate touches the warm solvers.
-            assert_eq!(warm.incremental.cold_fallbacks, 0);
+            // Every candidate was a fresh solve, and the books say so.
+            assert!(warm.incremental.warm_candidates > 0);
+            assert!(warm.incremental.solve_calls >= warm.incremental.warm_candidates);
             assert!(warm.incremental.cold_solve_time > Duration::ZERO);
-            assert_eq!(warm.incremental.canonical_probes, 0);
-            assert!(warm.incremental.solve_calls <= warm.incremental.warm_candidates);
+            assert_eq!(warm.incremental.warm_solve_time, Duration::ZERO);
+            assert_eq!(warm.incremental.cold_fallbacks, 0);
         }
     }
 
     #[test]
     fn dgx1_sweep_costs_one_warm_solve_per_candidate() {
-        // The decode this replaced issued ~70 assumption probes per
-        // satisfiable candidate (1 928 of a sweep's 1 969 solver calls): a
-        // probe blow-up must not be able to come back silently.
+        // One solver run per decided candidate, a second only where the
+        // quotient under the machine's symmetries was refuted (a model of
+        // it settles the candidate; a refutation of it does not), and none
+        // on a memo hit. The lexicographic decode of PR 3 issued ~70 runs
+        // per satisfiable candidate: a blow-up must not come back silently.
         let topo = builders::dgx1();
         let config = SynthesisConfig {
-            k: 1,
+            k: 2,
             max_steps: 3,
-            max_chunks: 3,
+            max_chunks: 8,
             ..Default::default()
         };
-        let warm = pareto_synthesize_warm(&topo, Collective::Allgather, &config).expect("warm");
-        let stats = warm.incremental;
-        assert!(warm.report.entries.len() >= 2, "a real sweep ran");
-        assert!(stats.warm_candidates >= warm.report.entries.len() as u64);
-        assert_eq!(stats.canonical_probes, 0);
-        assert!(stats.solve_calls <= stats.warm_candidates);
-        assert_eq!(stats.cold_fallbacks, 0);
+        let base = base_problem(&topo, Collective::Allgather);
+        let mut pool = WarmPool::new(&base, &config);
+        let report = pool
+            .frontier(&topo, Collective::Allgather, &base)
+            .expect("sweep");
+        let first = pool.stats();
+        let (candidates, satisfiable) = (pool.decided() as u64, report.entries.len() as u64);
+        assert!(satisfiable >= 2 && candidates > satisfiable, "a real sweep");
+        assert_eq!(first.warm_candidates, candidates);
+        assert!(first.solve_calls > candidates, "some quotient is refuted");
+        assert!(first.solve_calls <= candidates + (candidates - satisfiable));
+        assert_eq!(first.memo_hits, 0);
+        let again = pool
+            .frontier(&topo, Collective::Allgather, &base)
+            .expect("memoized sweep");
+        assert!(again.same_frontier(&report));
+        let second = pool.stats().delta_since(&first);
+        assert_eq!((second.solve_calls, second.warm_candidates), (0, 0));
+        assert_eq!(second.memo_hits, candidates);
+        assert_eq!(second.cold_solve_time, Duration::ZERO);
     }
 
     #[test]
     fn a_confirmation_out_of_budget_leaves_the_candidate_unknown() {
+        // (The name is from when a warm verdict was confirmed by a fresh
+        // solve; what it pins outlived that: out of budget is Unknown, is
+        // not memoized, and leaves nothing behind that changes the bytes
+        // the same pool reports once it is given the budget.)
         let topo = builders::dgx1();
         let base = base_problem(&topo, Collective::Allgather);
         let config = SynthesisConfig {
@@ -1647,65 +1518,36 @@ mod tests {
             max_steps: 4,
             ..Default::default()
         };
-        let mut pool = ChunkPool::new(&base, &config, 1);
-        let job = |steps, rounds| CandidateJob {
+        let mut pool = ChunkPool::new(&base, &config, 2);
+        let job = CandidateJob {
             index: 0,
-            steps,
-            rounds,
-            chunks: 1,
+            steps: 3,
+            rounds: 4,
+            chunks: 2,
         };
-        assert!(pool.solve(&job(3, 5), Limits::none()).outcome.is_sat());
-        // The phases saved from (3, 5) decide (3, 4) warm without a single
-        // conflict; a fresh solver needs about forty. The budget therefore
-        // runs out in the confirmation, and the candidate must come back
-        // Unknown — what the cold sweep reports under this budget — not
-        // carrying the warm model's schedule.
-        let starved = pool.solve(&job(3, 4), Limits::conflicts(10));
+        let starved = pool.solve(&job, Limits::conflicts(1));
         assert!(matches!(starved.outcome, SynthesisOutcome::Unknown));
-        assert_eq!(pool.stats().cold_fallbacks, 0, "the warm probe decided");
-        assert_eq!(pool.decided(), 1, "Unknown is never memoized");
-        // Given the budget, the same pool reports the cold sweep's bytes.
-        let confirmed = pool.solve(&job(3, 4), Limits::none());
-        let cold = synthesize(
+        assert_eq!(starved.solves, 2, "quotient and full formula, one budget");
+        assert_eq!(pool.decided(), 0, "Unknown is never memoized");
+        let decided = pool.solve(&job, Limits::none());
+        let fresh = synthesize(
             &topo,
-            &job(3, 4).instance(Collective::Allgather, 8),
+            &job.instance(Collective::Allgather, 8),
             &config.encoding,
             config.solver.clone(),
             Limits::none(),
         );
         assert_eq!(
-            confirmed.outcome.algorithm().expect("SAT"),
-            cold.outcome.algorithm().expect("SAT")
+            decided.outcome.algorithm().expect("SAT"),
+            fresh.outcome.algorithm().expect("SAT")
         );
-        assert_eq!(pool.stats().cold_fallbacks, 0);
-    }
-
-    #[test]
-    fn warm_driver_reuses_base_encodings_across_step_counts() {
-        // Broadcast on the DGX-1 probes the same chunk counts at several
-        // step counts, so the pool must build fewer base encodings than it
-        // decides candidates, and later candidates must observe retained
-        // learnt clauses. (A ring will not do: the ingress cuts settle
-        // every candidate of a small ring by propagation alone, so nothing
-        // is ever learnt there.)
-        let topo = builders::dgx1();
-        let config = SynthesisConfig {
-            k: 2,
-            max_steps: 4,
-            max_chunks: 6,
-            ..Default::default()
-        };
-        let warm = pareto_synthesize_warm(&topo, Collective::Broadcast { root: 0 }, &config)
-            .expect("warm");
-        assert!(warm.incremental.warm_candidates > warm.incremental.base_encodings);
-        assert!(warm.incremental.reused_clauses > 0);
+        assert_eq!((pool.decided(), pool.stats().warm_candidates), (1, 2));
     }
 
     #[test]
     fn warm_driver_supports_the_clause_learning_ablation() {
-        // Assumption solving requires clause learning; the warm driver
-        // must serve the chronological-backtracking ablation through the
-        // cold path instead of panicking — with the identical frontier.
+        // The chronological-backtracking ablation goes through the pools
+        // like any other configuration, with the identical frontier.
         let topo = builders::ring(4, 1);
         let config = SynthesisConfig {
             max_steps: 4,
@@ -1719,8 +1561,6 @@ mod tests {
         let cold = pareto_synthesize(&topo, Collective::Allgather, &config).expect("cold");
         let warm = pareto_synthesize_warm(&topo, Collective::Allgather, &config).expect("warm");
         assert!(warm.report.same_frontier(&cold));
-        assert!(warm.incremental.cold_fallbacks > 0);
-        assert_eq!(warm.incremental.solve_calls, 0);
     }
 
     #[test]

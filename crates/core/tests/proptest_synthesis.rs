@@ -60,6 +60,79 @@ fn arbitrary_topology() -> impl Strategy<Value = Topology> {
         })
 }
 
+/// Machines symmetric by construction — a ring, a ring whose clockwise
+/// cycle has twice the budget, a hypercube, a 2×k torus, a complete graph,
+/// an even ring of half-duplex hops (where taking turns beats any schedule
+/// that looks the same from every node) — under a random relabelling of
+/// their nodes, so that no symmetry is the one a builder's numbering
+/// suggests, and optionally with the outgoing links of every node sharing
+/// one cap (a constraint over several links, which a symmetry moves as a
+/// whole).
+fn symmetric_topology() -> impl Strategy<Value = Topology> {
+    (
+        0usize..6,
+        0usize..3,
+        prop::collection::vec(any::<u64>(), 8),
+        prop::option::of(1u64..3),
+    )
+        .prop_map(|(kind, size, keys, egress_cap)| {
+            let model = match kind {
+                0 => builders::ring(4 + size, 1),
+                1 => {
+                    let n = 3 + size;
+                    let mut ring = Topology::new(format!("lopsided-ring-{n}"), n);
+                    for i in 0..n {
+                        ring.add_link(i, (i + 1) % n, 2);
+                        ring.add_link((i + 1) % n, i, 1);
+                    }
+                    ring
+                }
+                2 => builders::hypercube(2 + (size as u32) % 2, 1),
+                3 => {
+                    let k = 3 + size % 2;
+                    let mut torus = Topology::new(format!("torus-2x{k}"), 2 * k);
+                    for col in 0..k {
+                        torus.add_bidi_link(col, k + col, 1);
+                        for row in [0, k] {
+                            torus.add_bidi_link(row + col, row + (col + 1) % k, 1);
+                        }
+                    }
+                    torus
+                }
+                4 => builders::fully_connected(3 + size, 1),
+                _ => {
+                    let n = 2 + 2 * size;
+                    let mut ring = Topology::new(format!("half-duplex-ring-{n}"), n);
+                    // (Two nodes have one hop between them, not two.)
+                    for i in 0..if n == 2 { 1 } else { n } {
+                        let next = (i + 1) % n;
+                        ring.add_bidi_link(i, next, 1);
+                        ring.add_shared_constraint([(i, next), (next, i)], 1);
+                    }
+                    ring
+                }
+            };
+            let n = model.num_nodes();
+            let mut label: Vec<usize> = (0..n).collect();
+            label.sort_by_key(|&node| keys[node]);
+            let mut topo = Topology::new(format!("{}-relabelled", model.name()), n);
+            for constraint in model.constraints() {
+                let edges = constraint.edges.iter();
+                topo.add_shared_constraint(
+                    edges.map(|&(src, dst)| (label[src], label[dst])),
+                    constraint.chunks_per_round,
+                );
+            }
+            if let Some(cap) = egress_cap {
+                for node in 0..n {
+                    let out = topo.links().into_iter().filter(|&(src, _)| src == node);
+                    topo.add_shared_constraint(out.collect::<Vec<_>>(), cap);
+                }
+            }
+            topo
+        })
+}
+
 fn collective_strategy() -> impl Strategy<Value = Collective> {
     prop_oneof![
         Just(Collective::Allgather),
@@ -360,6 +433,73 @@ proptest! {
                     "{} schedule fails validation: {:?}", name, alg.validate(&topo, &spec));
                 prop_assert_eq!((alg.num_steps(), alg.total_rounds()), (steps, rounds));
             }
+        }
+    }
+
+    /// [`synthesize`] decides a candidate on the quotient of its formula
+    /// under the machine's symmetries where it can, and the naive encoding
+    /// knows nothing of symmetry (nor of cuts or pruning): on machines
+    /// that have symmetries by construction, and on the arbitrary ones
+    /// above that mostly have none, the two reach one verdict for every
+    /// non-combining collective — rooted ones, which no symmetry survives,
+    /// included — and every schedule found validates. A quotient taken
+    /// under a group that does not act freely, or trusted when refuted,
+    /// shows here as a lost schedule; one taken under a permutation that
+    /// does not preserve `post`, as an invalid one.
+    #[test]
+    fn the_quotient_agrees_with_the_naive_reference(
+        symmetric in symmetric_topology(),
+        arbitrary in arbitrary_topology(),
+        kind in 0usize..7,
+        chunks in 1usize..4,
+        size in (0usize..4, 1usize..5, 0u64..3),
+    ) {
+        // Three cases in four on the machines that have symmetries, four
+        // in seven on the collectives that keep them.
+        let (by_construction, steps, extra_rounds) = size;
+        let topo = if by_construction > 0 { &symmetric } else { &arbitrary };
+        let p = topo.num_nodes();
+        let (collective, chunks) = match kind {
+            0 | 1 => (Collective::Allgather, chunks),
+            2 | 3 => (Collective::Alltoall, p),
+            4 => (Collective::Broadcast { root: p / 2 }, chunks),
+            5 => (Collective::Gather { root: 0 }, chunks),
+            _ => (Collective::Scatter { root: p - 1 }, chunks),
+        };
+        let spec = collective.spec(p, chunks);
+        let rounds = steps as u64 + extra_rounds;
+        let instance = SynCollInstance {
+            spec: spec.clone(),
+            per_node_chunks: chunks,
+            num_steps: steps,
+            num_rounds: rounds,
+        };
+        // The reference has nothing to shorten a counting argument with:
+        // the few instances it cannot settle in a second are redrawn.
+        let naive = sccl_core::encoding::synthesize_naive(
+            topo,
+            &instance,
+            SolverConfig::default(),
+            Limits::conflicts(3_000),
+        );
+        prop_assume!(!matches!(naive.outcome, SynthesisOutcome::Unknown));
+        let run = synthesize(
+            topo,
+            &instance,
+            &EncodingOptions::default(),
+            SolverConfig::default(),
+            Limits::none(),
+        );
+        prop_assert!(!matches!(run.outcome, SynthesisOutcome::Unknown));
+        prop_assert_eq!(
+            run.outcome.is_sat(), naive.outcome.is_sat(),
+            "{} {} at C={} S={} R={} ({} solver runs)",
+            topo, collective, chunks, steps, rounds, run.solves
+        );
+        if let SynthesisOutcome::Satisfiable(alg) = run.outcome {
+            prop_assert!(alg.validate(topo, &spec).is_ok(),
+                "{} {}: {:?}", topo, collective, alg.validate(topo, &spec));
+            prop_assert_eq!((alg.num_steps(), alg.total_rounds()), (steps, rounds));
         }
     }
 }

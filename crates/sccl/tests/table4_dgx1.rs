@@ -2,13 +2,17 @@
 //! under the benchmark ledger's per-probe budget of 20 000 conflicts, so
 //! that Table 4 coverage does not depend on running a benchmark.
 //!
-//! The rows are the ones the ingress cuts of `sccl_core::encoding` moved
-//! from "undecided at 20 000 conflicts" to decided — the bandwidth-optimal
+//! The rows are the ones `sccl_core::encoding` moved from "undecided at
+//! 20 000 conflicts" to decided. Its ingress cuts: the bandwidth-optimal
 //! 3-step Allgather and Gather `(6,3,7)` of §2.4, and the Allgather rows
 //! `(3,3,3)` / `(4,4,4)` that sit one round under the §3.6 bandwidth bound
-//! (7·C chunks into 6 link-rounds per round) — plus two rows that were
-//! decided before and must stay so. Every satisfiable row's schedule is
-//! replayed by `Algorithm::validate`.
+//! (7·C chunks into 6 link-rounds per round). Its quotient under the
+//! DGX-1's four rotations, which acts on Allgather and Alltoall (a rooted
+//! collective has no symmetry): Allgather `(6,7,7)`, the last row the
+//! ledger left undecided, and the three Alltoall rows, found on a quarter
+//! of the formula. Plus two rows that were decided before and must stay
+//! so. Every satisfiable row's schedule is replayed by
+//! `Algorithm::validate`.
 
 use sccl::prelude::*;
 use sccl_core::encoding::{synthesize, EncodingOptions, SynCollInstance, SynthesisOutcome};
@@ -78,4 +82,15 @@ fn allgather_one_round_under_the_bandwidth_bound_is_refuted() {
 fn rows_decided_before_the_cuts_stay_decided() {
     assert_row_is_synthesized(Collective::Allgather, (5, 6, 6));
     assert_row_is_synthesized(Collective::Broadcast { root: 0 }, (18, 5, 5));
+}
+
+#[test]
+fn the_quotient_decides_the_last_allgather_row_and_the_alltoall_rows() {
+    // The 7-step bandwidth-optimal Allgather: undecided at 20 000 conflicts
+    // on the full formula, about a thousand on the quotient.
+    let allgather = assert_row_is_synthesized(Collective::Allgather, (6, 7, 7));
+    assert_eq!(allgather.cost().bandwidth_cost(), Rational::new(7, 6));
+    for row in [(8, 2, 3), (8, 3, 3), (24, 2, 8)] {
+        assert_row_is_synthesized(Collective::Alltoall, row);
+    }
 }

@@ -8,20 +8,19 @@
 //!
 //! 1. build the canonical [`CacheKey`] for the request,
 //! 2. look it up in the cache (if one is attached),
-//! 3. on a miss, solve through the warm (assumption-based incremental)
-//!    sequential or parallel driver per the request's [`SolveMode`] — both
-//!    check chunk-granular solver pools out of the engine's shared
-//!    [warm-pool registry](crate::registry::WarmPoolRegistry) instead of
-//!    re-encoding every candidate from scratch, and both produce the same
-//!    frontier the cold sequential loop would (the verdict is warm, a
-//!    satisfiable candidate's bytes come from one fresh confirmation
-//!    solve),
+//! 3. on a miss, solve through the sequential or parallel driver per the
+//!    request's [`SolveMode`] — both check chunk-granular pools of decided
+//!    candidates out of the engine's shared
+//!    [pool registry](crate::registry::WarmPoolRegistry), decide every
+//!    candidate that is not memoized there by one fresh solve (of the
+//!    formula's quotient under the machine's symmetries first; see
+//!    `sccl_core::encoding`), and so produce the same frontier the plain
+//!    sequential loop would, byte for byte,
 //! 4. persist reproducible results (evicting LRU entries when a
 //!    [`EngineBuilder::cache_capacity`] is configured), and
 //! 5. return a [`SynthesisResponse`] carrying the report, its
-//!    [`Provenance`] (cache hit or freshly solved), per-stage timings
-//!    (including the encode / warm-solve split) and the sweep's
-//!    [`IncrementalStats`].
+//!    [`Provenance`] (cache hit or freshly solved), per-stage timings and
+//!    the sweep's [`IncrementalStats`].
 //!
 //! The response offers a fluent follow-on stage: [`SynthesisResponse::lower`]
 //! turns a frontier entry into a [`LoweredAlgorithm`] that can emit
@@ -318,17 +317,14 @@ pub enum Provenance {
 pub struct ResponseTimings {
     /// Cache lookup time (zero when no cache is attached).
     pub lookup: Duration,
-    /// Time spent building encodings — base layers plus per-candidate
-    /// deltas of the warm sweep (zero on a cache hit).
+    /// Always zero: no solve keeps an encoding between candidates any
+    /// more, so none is built outside a candidate's own fresh solve (which
+    /// `solve` and `IncrementalStats::cold_solve_time` count, encode
+    /// included). The field stays because the benchmark ledger reads it.
     pub encode: Duration,
-    /// Time spent in warm assumption solves. In sequential mode this is
-    /// the incremental share of `solve` (the remainder being the fresh
-    /// confirmation solves of satisfiable candidates — see
-    /// `IncrementalStats::cold_solve_time` — driver overhead and any cold
-    /// fallback runs); in parallel mode it is summed across workers and
-    /// may exceed the wall-clock `solve`.
+    /// Always zero, like `encode`: there are no warm assumption solves.
     pub solve_incremental: Duration,
-    /// End-to-end solver time (zero on a cache hit).
+    /// End-to-end sweep time (zero on a cache hit).
     pub solve: Duration,
     /// Cache store time (zero on a hit or without a cache).
     pub store: Duration,
@@ -345,8 +341,8 @@ pub struct SynthesisResponse {
     pub provenance: Provenance,
     /// Wall-clock breakdown of the request.
     pub timings: ResponseTimings,
-    /// Warm-sweep accounting of the solve (clause reuse, base-encoding
-    /// count, warm-vs-confirm solve split). `None` on a cache hit.
+    /// The sweep's accounting (solver-decided candidates, the solver runs
+    /// they took, memo hits, pool check-ins). `None` on a cache hit.
     pub incremental: Option<IncrementalStats>,
     /// `true` when the request's deadline expired mid-solve and the report
     /// is the partial frontier found before the cut — graceful degradation
@@ -571,13 +567,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Bound the engine's shared warm-pool registry to roughly `n` encoder
-    /// cells — solver variables plus clauses, summed over every retained
-    /// chunk pool (mirroring [`EngineBuilder::cache_capacity`] for the
-    /// on-disk cache). Each pool holds a full incremental solver whose size
-    /// varies by orders of magnitude with the topology, so the bound is by
-    /// *weight*, not pool count: it caps the actual solver memory a
-    /// long-lived engine retains across requests. Once a check-in pushes
+    /// Bound the engine's shared pool registry to roughly `n` memo cells —
+    /// one per decided candidate plus one per send of a memoized schedule,
+    /// summed over every retained chunk pool (mirroring
+    /// [`EngineBuilder::cache_capacity`] for the on-disk cache). A pool's
+    /// memo varies by orders of magnitude with the topology and the chunk
+    /// count, so the bound is by *weight*, not pool count: it caps the
+    /// memory a long-lived engine retains across requests. Once a check-in pushes
     /// the stored weight 10% past the bound, least-recently-used pools are
     /// evicted back down to `n` cells (the newest pool always survives) —
     /// the slack keeps a registry at capacity from paying a full scan on
@@ -662,7 +658,7 @@ impl EngineBuilder {
         if self.warm_pool_capacity == 0 {
             return Err(Error::Config {
                 field: "warm_pool_capacity",
-                message: "a 0-cell registry retains no warm state; omit \
+                message: "a 0-cell registry retains no decided candidates; omit \
                           warm_pool_capacity() for the default bound"
                     .to_string(),
             });
@@ -718,15 +714,15 @@ pub struct Engine {
     cost_model: CostModel,
     defaults: SynthesisConfig,
     lowering: LoweringOptions,
-    /// The shared warm-pool registry: chunk-granular solver pools held
-    /// across requests, keyed by the content hash of `(base topology, base
-    /// collective, config)` and sharded by chunk count. Different requests
-    /// that reduce to the same base — e.g. Allgather and Allreduce on one
-    /// machine — share encoders, learnt clauses and decided-candidate
-    /// memos, reuse the report cache cannot see because the requests have
-    /// distinct cache keys. Both the sequential driver and parallel
-    /// workers check pools out of and back into this registry, so
-    /// `SolveMode::Parallel` gets the same cross-request warm state.
+    /// The shared pool registry: chunk-granular memos of decided
+    /// candidates held across requests, keyed by the content hash of
+    /// `(base topology, base collective, config)` and sharded by chunk
+    /// count. Different requests that reduce to the same base — e.g.
+    /// Allgather and Allreduce on one machine — share them, reuse the
+    /// report cache cannot see because the requests have distinct cache
+    /// keys. Both the sequential driver and parallel workers check pools
+    /// out of and back into this registry, so `SolveMode::Parallel` gets
+    /// the same cross-request reuse.
     /// Bounded by [`EngineBuilder::warm_pool_capacity`],
     /// least-recently-used first out.
     warm: WarmPoolRegistry,
@@ -740,14 +736,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Default bound on the warm-pool registry, in encoder cells — solver
-    /// variables plus clauses summed over every retained chunk pool (LRU
-    /// eviction beyond it; see [`EngineBuilder::warm_pool_capacity`]).
-    /// Weighting by encoder size (instead of the historic pool count) keeps
-    /// a long-lived engine's *memory* proportional to its working set of
-    /// base problems: 16 Mi cells holds a few hundred small-ring pools or a
-    /// few dozen dgx1-class ones, where a flat pool count would differ by
-    /// orders of magnitude between those mixes.
+    /// Default bound on the pool registry, in memo cells — decided
+    /// candidates plus the sends of their schedules, summed over every
+    /// retained chunk pool (LRU eviction beyond it; see
+    /// [`EngineBuilder::warm_pool_capacity`]). Weighting by what a pool
+    /// memoizes (instead of the historic pool count) keeps a long-lived
+    /// engine's *memory* proportional to its working set of base problems.
     pub const DEFAULT_WARM_POOL_CAPACITY: usize = 16 << 20;
 
     /// Start configuring an engine.
@@ -772,19 +766,18 @@ impl Engine {
         self.journal.as_ref()
     }
 
-    /// Chunk pools currently retained in the shared warm-pool registry.
+    /// Chunk pools currently retained in the shared pool registry.
     pub fn warm_pool_len(&self) -> usize {
         self.warm.len()
     }
 
-    /// Encoder cells (solver variables + clauses) currently retained in
-    /// the shared warm-pool registry — the quantity
-    /// [`EngineBuilder::warm_pool_capacity`] bounds.
+    /// Memo cells currently retained in the shared pool registry — the
+    /// quantity [`EngineBuilder::warm_pool_capacity`] bounds.
     pub fn warm_pool_weight(&self) -> usize {
         self.warm.weight()
     }
 
-    /// Warm pools quarantined (dropped instead of checked in because their
+    /// Pools quarantined (dropped instead of checked in because their
     /// solve panicked) over the engine's lifetime.
     pub fn warm_pools_quarantined(&self) -> u64 {
         self.warm.quarantined()
@@ -955,11 +948,11 @@ impl Engine {
         }
         let solve_start = Instant::now();
         // The base problem is computed exactly once per request (it clones
-        // the topology and reverses it for inversion duals) and passed
-        // through to the sweep drivers and the pool registry; both solve
-        // modes check chunk pools out of and back into the engine's shared
-        // registry, so cross-request warm reuse applies to parallel sweeps
-        // too.
+        // the topology, reverses it for inversion duals and searches it
+        // for symmetries) and passed through to the sweep drivers and the
+        // pool registry; both solve modes check chunk pools out of and
+        // back into the engine's shared registry, so cross-request reuse
+        // applies to parallel sweeps too.
         let base = base_problem(topology, collective);
         let pool_key = CacheKey::new(&base.topology, base.collective, config).content_hash();
         let session = self.warm.session(pool_key, base.clone(), config.clone());
@@ -1014,8 +1007,6 @@ impl Engine {
         };
         let incremental = session.stats();
         timings.solve = solve_start.elapsed();
-        timings.encode = incremental.encode_time;
-        timings.solve_incremental = incremental.warm_solve_time;
 
         if let (Some(cache), Some(key)) = (cache, &key) {
             // Budget-truncated frontiers are timing-dependent (a contended
@@ -1293,7 +1284,7 @@ mod tests {
             ),
             "was: {err:?}"
         );
-        // A zero-cell warm-pool registry retains no warm state.
+        // A zero-cell pool registry retains nothing.
         let err = build_err(Engine::builder().warm_pool_capacity(0));
         assert!(
             matches!(
@@ -1385,21 +1376,28 @@ mod tests {
             let sequential = matches!(request.mode, Some(SolveMode::Sequential));
             let response = engine.synthesize(request).expect("solved");
             let inc = response.incremental.expect("solved responses carry stats");
-            // The first (sequential) request decides candidates warm; the
-            // second may be answered entirely from the registry's memos —
-            // both are warm work.
-            assert!(inc.warm_candidates > 0 || inc.memo_hits > 0);
-            // No cold fallback ran (a confirmation is not one), and every
-            // decided candidate passed through the registry's
-            // check-out/check-in protocol.
-            assert_eq!(inc.cold_fallbacks, 0);
-            assert!(inc.pool_checkins > 0);
+            // The first (sequential) request decides its candidates by
+            // fresh solves; the second is answered from the memos those
+            // left in the registry.
             if sequential {
-                // Only meaningful sequentially: parallel workers' warm
-                // solve time is summed across threads (so it can exceed
-                // the wall clock).
-                assert!(response.timings.solve >= response.timings.solve_incremental);
+                assert!(inc.warm_candidates > 0 && inc.memo_hits == 0);
+                assert!(inc.solve_calls >= inc.warm_candidates);
+                // Only meaningful sequentially: parallel workers' solve
+                // time is summed across threads (so it can exceed the
+                // wall clock).
+                assert!(response.timings.solve >= inc.cold_solve_time);
+                assert!(inc.cold_solve_time > Duration::ZERO);
+            } else {
+                assert!(inc.memo_hits > 0);
             }
+            // Every candidate passed through the registry's
+            // check-out/check-in protocol, and what the deleted warm path
+            // accounted for reads zero.
+            assert!(inc.pool_checkins > 0);
+            assert!(engine.warm_pool_weight() > engine.warm_pool_len());
+            assert_eq!((inc.cold_fallbacks, inc.core_skips), (0, 0));
+            assert_eq!(response.timings.encode, Duration::ZERO);
+            assert_eq!(response.timings.solve_incremental, Duration::ZERO);
         }
     }
 

@@ -12,23 +12,21 @@
 //! `sccl_solver::Limits::stop`.
 //!
 //! Each worker solves its candidates through the engine's shared
-//! [warm-pool registry](crate::registry::WarmPoolRegistry): per candidate
-//! it checks out the [`ChunkPool`](sccl_core::pareto::ChunkPool) of
-//! exactly the chunk count it needs (the base encoding, learnt clauses,
-//! VSIDS activities, saved phases and the decided-candidate memo of every
-//! previous request over the same base problem), solves outside any lock,
-//! and checks the pool back in. Workers therefore share warm state both
-//! *within* a request — a pool freed by one worker is picked up by the
-//! next — and *across* requests, which private per-worker pools never
-//! could.
+//! [pool registry](crate::registry::WarmPoolRegistry): per candidate it
+//! checks out the [`ChunkPool`](sccl_core::pareto::ChunkPool) of exactly
+//! the chunk count it needs (the decided-candidate memo of every previous
+//! request over the same base problem), solves outside any lock, and
+//! checks the pool back in. Workers therefore share decided candidates
+//! both *within* a request — a pool freed by one worker is picked up by
+//! the next — and *across* requests, which private per-worker pools never
+//! could. A candidate cancelled before a worker reaches it — or before
+//! the worker has encoded it — builds no formula.
 //!
 //! Determinism: the merge consumes exactly the candidates the sequential
-//! loop would have solved, in the same order. Unsatisfiable verdicts are
-//! independent of the warm state that produced them (each candidate layer
-//! is equisatisfiable with the cold encoding), and a satisfiable candidate
-//! reports the model of one fresh-formula solve of it (see
+//! loop would have solved, in the same order, and every candidate is
+//! decided by one fresh-formula solve of it (see
 //! [`ChunkPool`](sccl_core::pareto::ChunkPool)), which depends on neither
-//! the pool's history nor the driver — so the assembled frontier is
+//! a pool's history nor the driver — so the assembled frontier is
 //! identical to `pareto_synthesize`'s (modulo wall-clock timings) by
 //! construction. Cancellation is
 //! only ever applied to candidates the procedure has already decided never
@@ -36,9 +34,8 @@
 //! *wall-clock* `per_instance_limits.max_time` makes individual outcomes
 //! timing-dependent (under worker contention a solve can hit the budget
 //! that it would beat running alone), exactly as it already does between
-//! two sequential runs on different machines; a `max_conflicts` budget can
-//! likewise fire on a warm solver at a different point than on a cold one.
-//! For a bit-identical guarantee, run without per-instance budgets.
+//! two sequential runs on different machines. A `max_conflicts` budget
+//! does not: a fresh solve spends its conflicts the same way every time.
 
 use crate::registry::PoolSession;
 use sccl_collectives::Collective;
@@ -50,7 +47,6 @@ use sccl_core::pareto::{
 use sccl_topology::Topology;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Configuration of the worker pool.
 #[derive(Clone, Debug, Default)]
@@ -129,12 +125,7 @@ impl WorkQueue {
 /// A placeholder outcome for candidates cancelled before they started; the
 /// merge never reads these.
 fn cancelled_run() -> SynthesisRun {
-    SynthesisRun {
-        outcome: SynthesisOutcome::Unknown,
-        encode_time: Duration::ZERO,
-        solve_time: Duration::ZERO,
-        encoding: Default::default(),
-    }
+    SynthesisRun::unsolved(SynthesisOutcome::Unknown)
 }
 
 /// Parallel drop-in for `sccl_core::pareto::pareto_synthesize`: same
@@ -167,7 +158,7 @@ pub fn pareto_synthesize_parallel(
 /// The work-queue parallel Pareto driver (the engine's `SolveMode::Parallel`
 /// path). `base` is the request's already-computed
 /// [`base_problem`](sccl_core::pareto::base_problem) and `pools` the
-/// engine's registry session for it; the warm-sweep accounting accumulates
+/// engine's registry session for it; the sweep's accounting accumulates
 /// on the session as workers check pools in.
 pub(crate) fn parallel_frontier(
     base: &BaseProblem,
@@ -209,10 +200,10 @@ fn parallel_noncombining(
     std::thread::scope(|scope| {
         for _ in 0..num_threads {
             scope.spawn(|| {
-                // Workers own no solver state: per candidate they check the
+                // Workers own no state: per candidate they check the
                 // matching chunk pool out of the shared registry through
-                // the session, solve, and check it back in — so warm state
-                // flows between workers and across requests.
+                // the session, solve, and check it back in — so decided
+                // candidates flow between workers and across requests.
                 loop {
                     let index = queue.next.fetch_add(1, Ordering::Relaxed);
                     if index >= num_jobs {
@@ -235,7 +226,7 @@ fn parallel_noncombining(
                                 slot.get_or_insert(payload);
                                 // The checked-out pool died with the panic
                                 // (the session drops it rather than check a
-                                // half-updated solver back in); later
+                                // half-updated pool back in); later
                                 // candidates materialize a fresh one.
                                 cancelled_run()
                             }

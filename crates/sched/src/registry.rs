@@ -1,12 +1,9 @@
-//! The engine-owned warm-pool registry: shared, sharded, bounded.
+//! The engine-owned pool registry: shared, sharded, bounded.
 //!
-//! PR 3 gave the engine per-base-problem [`WarmPool`]s, but only the
-//! sequential solve path could use them — parallel workers held *private*
-//! pools that died with the request, so `SolveMode::Parallel` got no
-//! cross-request solver-state reuse at all. The registry fixes that by
-//! making the unit of sharing the [`ChunkPool`] (one incremental encoder +
-//! candidate memo for a single `(base problem, chunk count)` pair) and the
-//! sharing protocol *check-out / check-in*:
+//! What a long-lived engine keeps between requests is, per `(base problem,
+//! chunk count)`, a [`ChunkPool`]: the memo of the candidates it has
+//! decided, in front of one fresh solve per candidate. The unit of sharing
+//! is the pool and the sharing protocol is *check-out / check-in*:
 //!
 //! * a worker (or the sequential driver) checks out the pool for exactly
 //!   the chunk count its candidate needs, solves **outside** any lock, and
@@ -16,28 +13,23 @@
 //!   so they never contend on one mutex;
 //! * two workers racing on the *same* chunk count simply materialize a
 //!   second pool — both are checked in afterwards and both keep serving
-//!   future requests, so the race costs a duplicate base encoding, never
+//!   future requests, so the race costs a duplicate memo, never
 //!   correctness;
-//! * the registry is bounded **by encoder size, not pool count**: every
-//!   check-in weighs its pool by the pool's encoder cells (solver variables
-//!   plus clauses — the quantities that dominate retained memory; see
-//!   [`ChunkPool::encoder_cells`]), and once the stored total runs past
+//! * the registry is bounded **by what the pools retain, not by pool
+//!   count**: every check-in weighs its pool by its memoized runs (one
+//!   cell per decided candidate plus one per send of a memoized schedule;
+//!   see [`ChunkPool::memo_weight`]), and once the stored total runs past
 //!   [`EngineBuilder::warm_pool_capacity`](crate::EngineBuilder::warm_pool_capacity)
 //!   cells (plus 10% slack so the bound is amortized, not a per-check-in
 //!   scan), the least-recently-used pools (by check-in tick) are evicted
-//!   back down to capacity. A dgx1 pool is two orders of magnitude heavier
-//!   than a 4-ring one, so counting pools would let the configured bound
-//!   mean wildly different memory footprints; counting cells makes the
-//!   capacity a bound on actual solver memory. The most recently checked-in
-//!   pool always survives, so a capacity below one pool's size degrades to
+//!   back down to capacity. The most recently checked-in pool always
+//!   survives, so a capacity below one pool's size degrades to
 //!   keep-newest rather than thrashing to empty.
 //!
 //! Per-request accounting goes through a [`PoolSession`]: every check-in
 //! folds the pool's stat delta into the session, which is what the engine
-//! reports as the response's [`IncrementalStats`] (including the new
+//! reports as the response's [`IncrementalStats`] (including the
 //! `pool_checkins` counter).
-//!
-//! [`WarmPool`]: sccl_core::pareto::WarmPool
 
 use parking_lot::Mutex;
 use sccl_core::encoding::SynthesisRun;
@@ -52,8 +44,8 @@ use std::sync::Arc;
 /// any realistic worker count, so check-out/check-in stay uncontended.
 const NUM_SHARDS: usize = 16;
 
-/// One stored pool: its check-in recency tick, its weight in encoder cells
-/// at check-in time (weights are re-measured on every check-in, so a pool
+/// One stored pool: its check-in recency tick, its weight in memo cells at
+/// check-in time (weights are re-measured on every check-in, so a pool
 /// that grew while checked out is re-weighed when it returns), and the pool
 /// itself.
 struct Stored {
@@ -74,17 +66,17 @@ struct Shard {
     slots: HashMap<Key, Slot>,
 }
 
-/// The shared store of warm [`ChunkPool`]s, keyed by base-problem content
-/// hash and sharded by chunk count under `parking_lot` mutexes.
+/// The shared store of [`ChunkPool`]s, keyed by base-problem content hash
+/// and sharded by chunk count under `parking_lot` mutexes.
 pub struct WarmPoolRegistry {
     shards: Box<[Mutex<Shard>]>,
-    /// Most encoder cells (solver variables + clauses, summed over stored
-    /// pools) retained across requests; LRU eviction beyond it.
+    /// Most memo cells (summed over stored pools) retained across
+    /// requests; LRU eviction beyond it.
     capacity: usize,
     /// Pools currently *stored* (checked-out pools are not counted; they
     /// return through `check_in`).
     len: AtomicUsize,
-    /// Encoder cells currently stored (same accounting as `len`).
+    /// Memo cells currently stored (same accounting as `len`).
     weight: AtomicUsize,
     /// Monotonic recency tick, stamped on every check-in.
     tick: AtomicU64,
@@ -93,8 +85,8 @@ pub struct WarmPoolRegistry {
 }
 
 impl WarmPoolRegistry {
-    /// An empty registry bounded to `capacity` encoder cells (solver
-    /// variables + clauses summed over every stored pool).
+    /// An empty registry bounded to `capacity` memo cells, summed over
+    /// every stored pool.
     pub fn new(capacity: usize) -> Self {
         WarmPoolRegistry {
             shards: (0..NUM_SHARDS)
@@ -119,7 +111,7 @@ impl WarmPoolRegistry {
         self.len.load(Ordering::Relaxed)
     }
 
-    /// Encoder cells currently stored across all pools (approximate under
+    /// Memo cells currently stored across all pools (approximate under
     /// concurrent check-outs) — the quantity the capacity bounds.
     pub fn weight(&self) -> usize {
         self.weight.load(Ordering::Relaxed)
@@ -166,19 +158,19 @@ impl WarmPoolRegistry {
         Some(stored.pool)
     }
 
-    /// Return a pool to the registry, weighing it by its current encoder
-    /// size. Eviction is amortized with 10% slack (like the on-disk cache's
+    /// Return a pool to the registry, weighing it by what it now
+    /// memoizes. Eviction is amortized with 10% slack (like the on-disk cache's
     /// prune): only once the stored weight runs past `capacity + slack`
     /// cells does one pass evict the oldest pools back down to `capacity`,
     /// so a registry sitting at capacity does not pay a full scan on every
     /// check-in of the hot path.
     fn check_in(&self, key: Arc<str>, chunks: usize, pool: ChunkPool) {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        // Weigh the pool as it returns: the encoder is built (and grows)
-        // while checked out, so check-in is the one moment its size is
-        // both current and observable without a lock on the pool. The +1
-        // keeps encoderless (memo-only) pools from being free.
-        let weight = 1 + pool.encoder_cells();
+        // Weigh the pool as it returns: its memo grows while checked out,
+        // so check-in is the one moment its size is both current and
+        // observable without a lock on the pool. The +1 keeps a pool that
+        // decided nothing from being free.
+        let weight = 1 + pool.memo_weight();
         let new_weight = {
             let mut shard = self.shards[Self::shard_index(&key, chunks)].lock();
             shard
@@ -203,7 +195,7 @@ impl WarmPoolRegistry {
     /// most recent pool is never evicted (a capacity below one pool's size
     /// keeps the newest instead of thrashing to empty), and a pool checked
     /// out between the scan and the removal simply survives — the capacity
-    /// is a bound on retained solver memory, not an exact invariant.
+    /// is a bound on retained memory, not an exact invariant.
     fn evict_down_to(&self, target: usize) {
         let mut stored: Vec<(usize, Key, u64, usize)> = Vec::new();
         for (shard_idx, shard) in self.shards.iter().enumerate() {
@@ -280,8 +272,8 @@ impl PoolSession<'_> {
     /// taken from the registry (or freshly built on a registry miss),
     /// solved on outside any lock, and checked back in afterwards; its
     /// stat delta is folded into the session. If the solve panics, the
-    /// pool is **quarantined**: dropped rather than checked in — a
-    /// half-updated solver must not serve later candidates — counted in
+    /// pool is **quarantined**: dropped rather than checked in — a pool
+    /// that may be half-updated must not serve later candidates — counted in
     /// [`WarmPoolRegistry::quarantined`], and the panic is re-raised for
     /// the serving layer's isolation wrapper to catch.
     pub fn solve(&self, job: &CandidateJob, limits: Limits) -> SynthesisRun {
@@ -367,8 +359,8 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_stored_weight() {
-        // A capacity of 1 cell is below any pool with a built encoder, so
-        // every check-in evicts everything but the newest pool.
+        // A capacity of 1 cell is below any pool with a decided candidate,
+        // so every check-in evicts everything but the newest pool.
         let registry = WarmPoolRegistry::new(1);
         let session = session_for(&registry, "ring4", 4);
         for chunks in 1..=4 {
@@ -397,7 +389,7 @@ mod tests {
     }
 
     /// Eviction order is pinned: oldest check-in first, and the *weights*
-    /// (encoder cells, not pool count) decide how many go. Three pools of
+    /// (memo cells, not pool count) decide how many go. Three pools of
     /// known sizes are checked in; a capacity that holds the two newest but
     /// not all three must evict exactly the oldest.
     #[test]
@@ -409,20 +401,23 @@ mod tests {
             max_chunks: 4,
             ..Default::default()
         };
-        // Build three pools with real encoders (solving one candidate each
-        // forces the base encoding); bigger chunk counts encode more cells.
+        // Build three pools that each memoize one schedule (the 2-step
+        // Allgather at 2 rounds per chunk); more chunks, more sends.
         let weigh = |chunks: usize| {
             let mut pool = ChunkPool::new(&base, &config, chunks);
-            pool.solve(&job(2, 2, chunks), Limits::none());
-            (1 + pool.encoder_cells(), pool)
+            assert!(pool
+                .solve(&job(2, 2 * chunks as u64, chunks), Limits::none())
+                .outcome
+                .is_sat());
+            (1 + pool.memo_weight(), pool)
         };
         let (w1, p1) = weigh(1);
         let (w2, p2) = weigh(2);
         let (w3, p3) = weigh(3);
-        assert!(w2 > w1 && w3 > w2, "encoder size must grow with chunks");
+        assert!(w2 > w1 && w3 > w2, "a memo grows with its schedules");
 
         // Capacity fits the two newest pools, not all three; slack (10%,
-        // min 1) is small against real encoder sizes.
+        // min 1) is small against these weights.
         let registry = WarmPoolRegistry::new(w2 + w3);
         let key: Arc<str> = Arc::from("ring4");
         registry.check_in(Arc::clone(&key), 1, p1);
@@ -443,7 +438,7 @@ mod tests {
         assert_eq!(registry.weight(), 0, "all stored weight checked out");
     }
 
-    /// A second check-in re-weighs the pool: growing an encoder while
+    /// A second check-in re-weighs the pool: a memo that grew while
     /// checked out must grow the stored weight, not reuse the stale one.
     #[test]
     fn check_in_reweighs_grown_pools() {
@@ -458,13 +453,13 @@ mod tests {
         let key: Arc<str> = Arc::from("ring4");
         registry.check_in(Arc::clone(&key), 1, ChunkPool::new(&base, &config, 1));
         let light = registry.weight();
-        assert_eq!(light, 1, "an encoderless pool weighs the minimum");
+        assert_eq!(light, 1, "an empty pool weighs the minimum");
         let mut pool = registry.check_out(&key, 1).expect("stored");
         pool.solve(&job(2, 2, 1), Limits::none());
         registry.check_in(Arc::clone(&key), 1, pool);
         assert!(
             registry.weight() > light,
-            "building the encoder while checked out must raise the stored weight"
+            "deciding a candidate while checked out must raise the stored weight"
         );
     }
 }

@@ -135,7 +135,7 @@ pub struct EngineMetrics {
     // Queue gauges.
     queue_depth: AtomicU64,
     queue_peak_depth: AtomicU64,
-    // Warm-sweep efficiency (summed from per-response IncrementalStats).
+    // Sweep efficiency (summed from per-response IncrementalStats).
     memo_hits: AtomicU64,
     warm_candidates: AtomicU64,
     pool_checkins: AtomicU64,
@@ -227,8 +227,7 @@ impl EngineMetrics {
         self.total_latency.record(total_latency);
     }
 
-    /// Fold one response's warm-sweep accounting into the efficiency
-    /// counters.
+    /// Fold one response's sweep accounting into the efficiency counters.
     pub fn incremental(&self, stats: &sccl_core::incremental::IncrementalStats) {
         self.memo_hits.fetch_add(stats.memo_hits, Ordering::Relaxed);
         self.warm_candidates
@@ -578,18 +577,17 @@ pub struct QueueGauges {
 
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct PoolCounters {
-    /// Candidate probes answered from warm-pool memos, summed over
-    /// responses.
+    /// Candidates answered from pool memos, summed over responses.
     pub memo_hits: u64,
-    /// Candidates decided by warm assumption solves, summed.
+    /// Candidates decided by a solver, summed.
     pub warm_candidates: u64,
-    /// Warm-pool check-ins, summed.
+    /// Pool check-ins, summed.
     pub pool_checkins: u64,
     /// `memo_hits / (memo_hits + warm_candidates)`.
     pub memo_hit_rate: f64,
     /// Pools currently retained by the engine's registry.
     pub registry_len: u64,
-    /// Encoder cells currently retained by the registry.
+    /// Memo cells currently retained by the registry.
     pub registry_weight: u64,
 }
 

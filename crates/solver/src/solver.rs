@@ -136,17 +136,16 @@ impl Limits {
         self
     }
 
-    /// Tighten the conflict cap to at most `budget` (builder style): a
-    /// caller-supplied cap survives when it is already tighter, an absent
-    /// one becomes `budget`. This is how the warm Pareto sweep bounds one
-    /// probe by its adaptive budget without ever *loosening* limits a
-    /// user or a resumed solve already imposed.
-    pub fn cap_conflicts(mut self, budget: u64) -> Limits {
-        self.max_conflicts = Some(self.max_conflicts.map_or(budget, |user| user.min(budget)));
+    /// What is left of these limits after a solve that took `conflicts`
+    /// conflicts and `elapsed` wall clock (saturating at zero, where the
+    /// next budget check fires); the stop and deadline flags are shared.
+    /// Lets two solver runs for one query draw on one budget.
+    pub fn after(mut self, conflicts: u64, elapsed: Duration) -> Limits {
+        self.max_conflicts = self.max_conflicts.map(|c| c.saturating_sub(conflicts));
+        self.max_time = self.max_time.map(|t| t.saturating_sub(elapsed));
         self
     }
 
-    /// The budget left after part of it was spent: a limit set derived from
     /// `true` once either attached stop flag (if any) has been raised.
     pub fn stop_requested(&self) -> bool {
         self.stop
@@ -1575,6 +1574,26 @@ mod tests {
             }
         }
         s
+    }
+
+    #[test]
+    fn limits_after_a_solve_keep_the_flags_and_what_is_left() {
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let limits = Limits::conflicts(10)
+            .with_stop(std::sync::Arc::clone(&stop))
+            .after(4, Duration::from_secs(1));
+        assert_eq!((limits.max_conflicts, limits.max_time), (Some(6), None));
+        let spent = limits.clone().after(7, Duration::ZERO);
+        assert_eq!(spent.max_conflicts, Some(0), "saturating");
+        // Nothing left: the first budget check gives up.
+        assert_eq!(
+            hard_pigeonhole(6).solve_limited(spent),
+            SolveResult::Unknown
+        );
+        let timed = Limits::time(Duration::from_secs(3)).after(0, Duration::from_secs(2));
+        assert_eq!(timed.max_time, Some(Duration::from_secs(1)));
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(limits.stop_requested(), "the flag is shared, not copied");
     }
 
     #[test]

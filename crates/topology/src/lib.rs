@@ -26,6 +26,7 @@ pub mod builders;
 pub mod metrics;
 pub mod model;
 pub mod rational;
+pub mod symmetry;
 
 pub use model::{BandwidthConstraint, Edge, Topology};
 pub use rational::Rational;
