@@ -1,11 +1,11 @@
-//! Shared synthesis-probing harness for the table/figure binaries.
+//! Shared synthesis-probing harness for the figure binaries.
 //!
-//! The tables of the paper are lists of `(C, S, R)` points per collective;
-//! each binary probes exactly those points with a per-row time budget and
-//! reports SAT/UNSAT plus synthesis time, which is how Tables 4 and 5 are
-//! regenerated. Figures additionally need concrete schedules to feed the
-//! link-level simulator; when a probe exceeds its budget the harness falls
-//! back to the closed-form (α, β) cost of §3.6, flagging the row.
+//! The figures of the paper plot `(C, S, R)` points of Tables 4 and 5
+//! (which the tier-1 tests `table4_dgx1.rs` / `table5_z52.rs` and the
+//! benchmark ledger decide): each binary probes its points with a per-row
+//! time budget and feeds the concrete schedules to the link-level
+//! simulator; when a probe exceeds its budget the harness falls back to
+//! the closed-form (α, β) cost of §3.6, flagging the row.
 
 use sccl_collectives::Collective;
 use sccl_core::encoding::{synthesize, EncodingOptions, SynCollInstance, SynthesisOutcome};

@@ -5,10 +5,10 @@
 //! solver is no cheaper a refuter than a fresh formula, a model of one
 //! depends on its history and had to be re-derived by a fresh solve
 //! anyway, and the retained encoders were most of a daemon's memory.
-//! Every candidate of every driver is now one fresh
+//! Every candidate of every sweep is now one fresh
 //! [`synthesize`](crate::encoding::synthesize) (see
-//! [`ChunkPool`](crate::pareto::ChunkPool)). The encoder stays as a
-//! library type for two users: the frozen benchmark ledger's
+//! [`BaseProblem::solve`](crate::pareto::BaseProblem::solve)). The encoder
+//! stays as a library type for two users: the frozen benchmark ledger's
 //! `core.incremental.*` replays construct it, and
 //! `core/tests/proptest_synthesis.rs::encodings_agree` holds its verdicts
 //! to the naive reference. It goes when a benchmark PR re-cuts those
@@ -128,14 +128,14 @@ pub struct IncrementalStats {
     pub canonical_probes: u64,
     /// Always zero (probes a warm encoder answered from a failed core).
     pub core_skips: u64,
-    /// Probes answered from a pool's candidate memo without a solve (a
+    /// Candidates answered from the scheduler's memo without a solve (a
     /// previous sweep over the same base problem already decided them).
     pub memo_hits: u64,
     /// Always zero (warm probes handed to a fresh solver).
     pub cold_fallbacks: u64,
-    /// Times a chunk pool was checked back into a shared pool registry
-    /// after deciding a candidate (counted by the scheduler's registry;
-    /// zero for the standalone sequential driver).
+    /// Candidates the scheduler answered, from its memo or a solver (the
+    /// name is from when each borrowed a pool from a registry; zero for
+    /// the standalone sequential driver).
     pub pool_checkins: u64,
 }
 

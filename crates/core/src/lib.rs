@@ -17,16 +17,16 @@
 //! 4. [`combining`] derives Reduce/ReduceScatter by inversion and Allreduce
 //!    as ReduceScatter followed by Allgather (§3.5).
 //!
-//! Determinism: *one fresh solve per candidate*. Every driver — the
-//! sequential loop, the scheduler's pooled and parallel sweeps, a sweep
-//! resumed from a checkpoint — decides a candidate by one
+//! Determinism: *one fresh solve per candidate*. Every sweep — plain,
+//! memoized or parallel in the scheduler, resumed from a checkpoint — is
+//! [`pareto::sweep`] and decides a candidate by one
 //! [`encoding::synthesize`] of it (on the quotient of its formula under
 //! the machine's symmetries first, on the full formula if that settles
 //! nothing), a function of `(topology, instance, options, SolverConfig)`
-//! alone; a pool only remembers what that function returned. Their
+//! alone; a memo only remembers what that function returned. Their
 //! frontiers are therefore byte-identical by construction — see
-//! [`pareto::ChunkPool`]. The layered [`incremental`] encoder of earlier
-//! sweeps is out of production and kept as a library type.
+//! [`pareto::BaseProblem::solve`]. The layered [`incremental`] encoder of
+//! earlier sweeps is out of production and kept as a library type.
 //!
 //! ```
 //! use sccl_core::pareto::{pareto_synthesize, SynthesisConfig};

@@ -3,22 +3,27 @@
 //! find the cheapest-bandwidth k-synchronous schedule, until the bandwidth
 //! lower bound is reached.
 //!
-//! The procedure is factored into three composable pieces so that the
-//! sequential driver here and the parallel work-queue driver in
-//! `sccl-sched` share one decision procedure:
+//! There is one driver, [`sweep`], and one function that decides a
+//! candidate, [`BaseProblem::solve`]. The pieces they are made of:
 //!
 //! 1. [`enumerate_candidates`] turns a synthesis request into a
 //!    [`CandidatePlan`]: the full, ordered list of `(S, R, C)` SynColl
-//!    instances the sequential loop could ever consider.
-//! 2. [`ParetoMerge`] is the decision procedure itself, expressed as a
-//!    state machine over the plan: it asks for the outcome of one candidate
-//!    at a time ([`MergeAction::Need`]), records which candidates became
-//!    skippable (so a parallel driver can cancel their in-flight solves),
-//!    and assembles the frontier. Any driver that answers `Need` with the
-//!    solver's outcome reproduces the sequential frontier exactly.
+//!    instances the loop could ever consider.
+//! 2. [`ParetoMerge`] is the decision procedure itself, a state machine
+//!    over the plan: it asks for the outcome of one candidate at a time
+//!    ([`MergeAction::Need`]), in increasing index order, and assembles the
+//!    frontier. Only [`sweep`] drives it.
 //! 3. [`base_problem`] / [`finalize_report`] bracket the non-combining
 //!    search with the combining-collective derivations of §3.5 (inversion
 //!    duals and the Allreduce composition).
+//!
+//! [`sweep`] asks an `answer` callback for every outcome the merge needs.
+//! [`pareto_synthesize`] answers with [`BaseProblem::solve`] and keeps
+//! nothing; the scheduler answers from its memo of decided candidates or
+//! from worker threads that solve ahead of the merge. Whatever answers,
+//! a decided outcome is what [`BaseProblem::solve`] returns for that
+//! candidate — a pure function — so every way of running a sweep reports
+//! the same frontier, byte for byte.
 
 use crate::algorithm::Algorithm;
 use crate::bounds::{bandwidth_lower_bound, latency_lower_bound};
@@ -27,13 +32,11 @@ use crate::cost::AlgorithmCost;
 use crate::encoding::{
     synthesize_on, EncodingOptions, EncodingStats, SynCollInstance, SynthesisOutcome, SynthesisRun,
 };
-use crate::incremental::IncrementalStats;
 use sccl_collectives::{Collective, CollectiveClass};
 use sccl_solver::{Limits, SolverConfig};
 use sccl_topology::{Rational, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Parameters of the Pareto search.
 #[derive(Clone, Debug)]
@@ -212,9 +215,8 @@ impl SynthesisReport {
     /// `true` if two reports describe the same frontier: identical bounds,
     /// termination and `(C, S, R)` entries with identical algorithms —
     /// everything except wall-clock synthesis times and formula-size
-    /// statistics. Algorithms are compared byte-for-byte: every driver
-    /// decides a candidate by one fresh
-    /// [`synthesize`](crate::encoding::synthesize), so sequential, pooled,
+    /// statistics. Algorithms are compared byte-for-byte: every candidate
+    /// is decided by [`BaseProblem::solve`], so sequential, memoized,
     /// parallel and resumed searches report the identical algorithm per
     /// entry. Formula sizes are diagnostic and excluded, like the timings.
     pub fn same_frontier(&self, other: &SynthesisReport) -> bool {
@@ -448,10 +450,11 @@ pub struct SweepCheckpoint {
     pub budget_exhausted: bool,
 }
 
-/// Replays the sequential Algorithm 1 decision order over candidate
-/// outcomes, wherever those outcomes come from (an inline solver call or a
-/// pool of worker threads). Feeding it the deterministic solver's outcomes
-/// yields the identical frontier as the sequential loop, by construction.
+/// The Algorithm 1 decision order over candidate outcomes, wherever those
+/// outcomes come from (an inline solver call, a memo, worker threads).
+/// It asks for candidates in strictly increasing index order and never
+/// returns to one it passed over, so when it asks for index `i` every
+/// candidate below `i` is either supplied or will never be read.
 #[derive(Debug)]
 pub struct ParetoMerge {
     plan: CandidatePlan,
@@ -463,9 +466,6 @@ pub struct ParetoMerge {
     entries: Vec<FrontierEntry>,
     budget_exhausted: bool,
     termination: Option<TerminationReason>,
-    /// Candidates the procedure decided never to solve since the last
-    /// [`ParetoMerge::drain_skipped`] call (for cancellation).
-    skipped: Vec<usize>,
 }
 
 impl ParetoMerge {
@@ -479,7 +479,6 @@ impl ParetoMerge {
             entries: Vec::new(),
             budget_exhausted: false,
             termination,
-            skipped: Vec::new(),
         }
     }
 
@@ -553,7 +552,6 @@ impl ParetoMerge {
             entries: checkpoint.entries.clone(),
             budget_exhausted: checkpoint.budget_exhausted,
             termination,
-            skipped: Vec::new(),
         })
     }
 
@@ -570,8 +568,8 @@ impl ParetoMerge {
         }
     }
 
-    /// Advance to the next candidate whose outcome is needed, recording
-    /// everything passed over as skipped.
+    /// Advance to the next candidate whose outcome is needed, passing
+    /// over every dominated one.
     ///
     /// (Deliberately named like, but not implementing, `Iterator::next`:
     /// the caller must answer each `Need` with `supply` before advancing.)
@@ -583,7 +581,6 @@ impl ParetoMerge {
         while self.cursor < self.plan.jobs.len() {
             let job = &self.plan.jobs[self.cursor];
             if self.skippable(job) {
-                self.skipped.push(job.index);
                 self.cursor += 1;
                 continue;
             }
@@ -651,9 +648,6 @@ impl ParetoMerge {
                 self.best_bw = Some(ratio);
                 if ratio == self.plan.bandwidth_lower_bound {
                     // Everything still outstanding is now moot.
-                    for job in &self.plan.jobs[self.cursor..] {
-                        self.skipped.push(job.index);
-                    }
                     self.cursor = self.plan.jobs.len();
                     self.termination = Some(TerminationReason::BandwidthOptimal);
                 } else {
@@ -666,12 +660,6 @@ impl ParetoMerge {
                 self.budget_exhausted = true;
             }
         }
-    }
-
-    /// Candidate indices the procedure has decided never to solve since the
-    /// last call (a parallel driver cancels their in-flight solves).
-    pub fn drain_skipped(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.skipped)
     }
 
     /// `true` once [`ParetoMerge::next`] has returned [`MergeAction::Done`].
@@ -742,6 +730,32 @@ pub fn base_problem(topology: &Topology, collective: Collective) -> BaseProblem 
     }
 }
 
+impl BaseProblem {
+    /// Decide one candidate of this base problem under `limits`: one fresh
+    /// [`synthesize`](crate::encoding::synthesize) of it, on the quotient
+    /// under the automorphisms found when the base was built. A pure
+    /// function of the base, the candidate and `config`'s encoding and
+    /// solver options, and the only way a candidate of any sweep is
+    /// decided: whoever reports a schedule for a candidate reports this
+    /// one. Under a wall-clock budget two calls may time out on different
+    /// candidates, exactly as on two different machines.
+    pub fn solve(
+        &self,
+        job: &CandidateJob,
+        config: &SynthesisConfig,
+        limits: Limits,
+    ) -> SynthesisRun {
+        synthesize_on(
+            &self.topology,
+            &self.automorphisms,
+            &job.instance(self.collective, self.topology.num_nodes()),
+            &config.encoding,
+            config.solver.clone(),
+            limits,
+        )
+    }
+}
+
 /// Transform the report of the [`base_problem`] search back into a report
 /// for the requested collective (inverting or composing every entry).
 pub fn finalize_report(
@@ -802,202 +816,78 @@ pub fn finalize_report(
 }
 
 // ---------------------------------------------------------------------
-// The sequential driver
+// The driver
 // ---------------------------------------------------------------------
 
 /// Run Algorithm 1 for any collective (non-combining directly; Reduce and
 /// ReduceScatter via their inversion duals on the reversed topology;
-/// Allreduce as inverse-Allgather followed by Allgather), one fresh
-/// [`synthesize`](crate::encoding::synthesize) per candidate and nothing
-/// kept between them.
+/// Allreduce as inverse-Allgather followed by Allgather): [`sweep`] over
+/// [`BaseProblem::solve`], nothing kept between candidates. This is the
+/// reference every memoized, parallel or resumed sweep is compared with.
 pub fn pareto_synthesize(
     topology: &Topology,
     collective: Collective,
     config: &SynthesisConfig,
 ) -> Result<SynthesisReport, SynthesisError> {
     let base = base_problem(topology, collective);
-    let num_nodes = topology.num_nodes();
-    warm_frontier(&base, topology, collective, config, |job| {
-        synthesize_on(
-            &base.topology,
-            &base.automorphisms,
-            &job.instance(base.collective, num_nodes),
-            &config.encoding,
-            config.solver.clone(),
-            config.per_instance_limits.clone(),
-        )
-    })
+    sweep(
+        &base,
+        topology,
+        collective,
+        config,
+        None,
+        |_| {},
+        |jobs, index| base.solve(&jobs[index], config, config.per_instance_limits.clone()),
+    )
 }
 
-// ---------------------------------------------------------------------
-// Pools: what a long-lived driver keeps between candidates
-// ---------------------------------------------------------------------
-
-/// The decided candidates of a single `(base problem, chunk count)` pair:
-/// a memo of `(S, R)` → the run that settled it, in front of
-/// [`synthesize`](crate::encoding::synthesize).
+/// The Pareto search for `collective` on `topology`: the one loop over
+/// [`ParetoMerge`]. `base` must be the request's [`base_problem`] —
+/// computed once by the caller and passed through, so neither this driver
+/// nor what answers it re-derives the topology clone, the dual reversal and
+/// the machine's symmetries.
 ///
-/// A `ChunkPool` is the unit of check-out/check-in for the scheduler's
-/// shared pool registry: a worker thread borrows exactly the chunk count
-/// its candidate needs, solves, and returns the pool, so concurrent
-/// workers on different chunk counts never serialize on one memo while
-/// cross-request reuse (a second sweep over the same base problem — an
-/// Allreduce after an Allgather — touches no solver at all) still
-/// accumulates. The sequential drivers use the same type through
-/// [`WarmPool`], which is simply a per-base-problem collection of chunk
-/// pools.
+/// `answer(jobs, index)` returns the outcome of `jobs[index]`, the plan's
+/// candidates in decision order. It is asked for strictly increasing
+/// indices and for nothing else, and a *decided* outcome (anything but
+/// `Unknown`) must be what [`BaseProblem::solve`] returns for that
+/// candidate; where it comes from is the caller's business — solved on the
+/// spot, read from a memo of earlier sweeps, or taken from a worker that
+/// solved it ahead of time. An answer source that works ahead needs no
+/// list of the candidates the merge passed over: being asked for `index`
+/// *is* the statement that nothing below it will be read again, and the
+/// return of `sweep` that nothing at all will.
 ///
-/// Every candidate that is not a memo hit is one fresh `synthesize` — a
-/// pure function of `(topology, instance, options, SolverConfig)` — so
-/// the algorithm any driver reports for a candidate is the same bytes,
-/// which is what makes cold, pooled, parallel and resumed frontiers
-/// identical by construction. Equality holds verbatim for runs that
-/// complete; under a wall-clock budget two runs may time out on different
-/// candidates, exactly as on two different machines (`Unknown` outcomes
-/// are never memoized).
-pub struct ChunkPool {
-    topology: Topology,
-    automorphisms: Vec<Vec<usize>>,
-    collective: Collective,
-    config: SynthesisConfig,
-    chunks: usize,
-    /// Decided candidates: `(S, R)` → the run the sweep was supplied.
-    /// Only settled verdicts (Sat/Unsat) are memoized.
-    memo: HashMap<(usize, u64), SynthesisRun>,
-    /// Accounting since the pool was created; see [`ChunkPool::stats`].
-    stats: IncrementalStats,
-}
-
-impl ChunkPool {
-    /// A pool for candidates of `chunks` chunks per node against `base`
-    /// (reduce combining collectives with [`base_problem`] first).
-    pub fn new(base: &BaseProblem, config: &SynthesisConfig, chunks: usize) -> Self {
-        ChunkPool {
-            topology: base.topology.clone(),
-            automorphisms: base.automorphisms.clone(),
-            collective: base.collective,
-            config: config.clone(),
-            chunks,
-            memo: HashMap::new(),
-            stats: IncrementalStats::default(),
-        }
-    }
-
-    /// The chunk count this pool serves.
-    pub fn chunks(&self) -> usize {
-        self.chunks
-    }
-
-    /// Decide one candidate: from the memo, or by one fresh
-    /// [`synthesize`](crate::encoding::synthesize) under `limits`.
-    pub fn solve(&mut self, job: &CandidateJob, limits: Limits) -> SynthesisRun {
-        assert_eq!(
-            job.chunks, self.chunks,
-            "candidate chunk count does not match this pool"
-        );
-        let key = (job.steps, job.rounds);
-        if let Some(run) = self.memo.get(&key) {
-            self.stats.memo_hits += 1;
-            return run.clone();
-        }
-        let start = Instant::now();
-        let run = synthesize_on(
-            &self.topology,
-            &self.automorphisms,
-            &job.instance(self.collective, self.topology.num_nodes()),
-            &self.config.encoding,
-            self.config.solver.clone(),
-            limits,
-        );
-        self.stats.cold_solve_time += start.elapsed();
-        // A candidate cancelled before it was encoded took no solver.
-        self.stats.warm_candidates += u64::from(run.solves > 0);
-        self.stats.solve_calls += run.solves;
-        if !matches!(run.outcome, SynthesisOutcome::Unknown) {
-            self.memo.insert(key, run.clone());
-        }
-        run
-    }
-
-    /// Number of candidates this pool has decided and memoized. A bounded
-    /// pool store uses this to prefer the more valuable pool when several
-    /// exist for one `(base problem, chunk count)` slot.
-    pub fn decided(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// What the pool retains, in memo cells: one per decided candidate
-    /// plus one per send of a memoized schedule. A bounded pool store
-    /// weights its eviction by this, so its capacity bounds retained
-    /// memory rather than pool count.
-    pub fn memo_weight(&self) -> usize {
-        self.memo
-            .values()
-            .map(|run| match &run.outcome {
-                SynthesisOutcome::Satisfiable(algorithm) => 1 + algorithm.sends.len(),
-                _ => 1,
-            })
-            .sum()
-    }
-
-    /// Cumulative accounting since the pool was created (see
-    /// [`IncrementalStats::delta_since`] for per-candidate or per-request
-    /// figures): solver-decided candidates, the solver runs they took, the
-    /// wall clock of those fresh solves, and memo hits.
-    pub fn stats(&self) -> IncrementalStats {
-        self.stats
-    }
-}
-
-/// Drive the Pareto search for `collective` on `topology`, answering
-/// every candidate through `solve`. `base` must be the request's
-/// [`base_problem`] — computed once by the caller and passed through, so
-/// neither this driver nor the pools re-derive the topology clone, the
-/// dual reversal and the machine's symmetries. This is the one sequential
-/// sweep loop: [`pareto_synthesize`], [`WarmPool::frontier`] and the
-/// scheduler's registry-backed path differ only in what `solve` keeps
-/// between candidates.
-pub fn warm_frontier(
+/// Crash recovery: `resume` is an optional [`SweepCheckpoint`] to re-enter
+/// the sweep from (already-decided candidates are not asked for again —
+/// the first index asked is at or past the checkpoint's cursor, partial
+/// frontier intact), and `on_progress` is called with the merge after
+/// every supplied candidate *that leaves another one to decide* (the
+/// caller calls [`ParetoMerge::checkpoint`] as often as it wants to persist
+/// one, so progress that is never persisted costs nothing). The candidate
+/// that finishes the sweep reports no progress: the frontier is about to
+/// be returned, and a checkpoint of a finished sweep would be a durable
+/// write that recovers nothing. A sweep that supplies `k` candidates
+/// therefore calls back `k - 1` times, the merge already advanced to the
+/// next needed candidate. A resumed sweep reaches the byte-identical
+/// frontier an uninterrupted one would — see [`SweepCheckpoint`] for the
+/// argument. A checkpoint that fails validation (wrong version, different
+/// caps) is discarded and the sweep restarts cold: a stale checkpoint must
+/// degrade to extra work, never to a wrong frontier.
+pub fn sweep(
     base: &BaseProblem,
     topology: &Topology,
     collective: Collective,
     config: &SynthesisConfig,
-    solve: impl FnMut(&CandidateJob) -> SynthesisRun,
-) -> Result<SynthesisReport, SynthesisError> {
-    warm_frontier_resumable(base, topology, collective, config, None, |_| {}, solve)
-}
-
-/// [`warm_frontier`] with crash-recovery hooks: an optional
-/// [`SweepCheckpoint`] to resume the sweep from (already-decided
-/// candidates are not re-solved — the merge re-enters at the checkpoint's
-/// cursor with its partial frontier intact), and an `on_progress` callback
-/// invoked with the merge after every supplied candidate *that leaves
-/// another one to decide* (the caller calls [`ParetoMerge::checkpoint`] as
-/// often as it wants to persist one, so progress that is never persisted
-/// costs nothing). The candidate that finishes the sweep reports no
-/// progress: the frontier is about to be returned, and a checkpoint of a
-/// finished sweep would be a durable write that recovers nothing. A sweep
-/// that supplies `k` candidates therefore calls back `k - 1` times, the
-/// merge already advanced to the next needed candidate. A resumed sweep
-/// reaches the byte-identical frontier an uninterrupted one would — see
-/// [`SweepCheckpoint`] for the argument. A checkpoint that fails
-/// validation (wrong version, different caps) is discarded and the sweep
-/// restarts cold: a stale checkpoint must degrade to extra work, never to
-/// a wrong frontier.
-pub fn warm_frontier_resumable(
-    base: &BaseProblem,
-    topology: &Topology,
-    collective: Collective,
-    config: &SynthesisConfig,
-    resume_from: Option<&SweepCheckpoint>,
+    resume: Option<&SweepCheckpoint>,
     mut on_progress: impl FnMut(&ParetoMerge),
-    mut solve: impl FnMut(&CandidateJob) -> SynthesisRun,
+    mut answer: impl FnMut(&[CandidateJob], usize) -> SynthesisRun,
 ) -> Result<SynthesisReport, SynthesisError> {
     if topology.num_nodes() < 2 {
         return Err(SynthesisError::TooFewNodes);
     }
     let plan = enumerate_candidates(&base.topology, base.collective, config)?;
-    let mut merge = match resume_from {
+    let mut merge = match resume {
         // An invalid checkpoint (version skew, different caps) must not
         // poison the solve: fall back to a cold start of the sweep.
         Some(checkpoint) => {
@@ -1007,123 +897,14 @@ pub fn warm_frontier_resumable(
     };
     let mut action = merge.next();
     while let MergeAction::Need(index) = action {
-        let job = merge.plan().jobs[index].clone();
-        merge.supply(index, solve(&job));
+        let run = answer(&merge.plan().jobs, index);
+        merge.supply(index, run);
         action = merge.next();
         if action != MergeAction::Done {
             on_progress(&merge);
         }
     }
     Ok(finalize_report(topology, collective, merge.into_report()))
-}
-
-/// A per-base-problem collection of [`ChunkPool`]s, for callers that keep
-/// their memos private (the standalone sequential driver
-/// [`pareto_synthesize_warm`] and tests). The scheduler shares chunk pools
-/// across threads and requests through its own registry instead.
-///
-/// The pool is long-lived by design: decided candidates are memoized, so a
-/// *second* sweep over the same base problem — e.g. an Allreduce request
-/// after an Allgather request (both reduce to the same Allgather base), or
-/// ReduceScatter on a symmetric topology — answers its probes without
-/// touching a solver at all. This is reuse the report cache cannot see,
-/// because the requests have different cache keys.
-pub struct WarmPool {
-    base: BaseProblem,
-    config: SynthesisConfig,
-    pools: HashMap<usize, ChunkPool>,
-}
-
-impl WarmPool {
-    /// A pool for the given base problem (reduce combining collectives
-    /// with [`base_problem`] first).
-    pub fn new(base: &BaseProblem, config: &SynthesisConfig) -> Self {
-        WarmPool {
-            base: base.clone(),
-            config: config.clone(),
-            pools: HashMap::new(),
-        }
-    }
-
-    /// Decide one candidate (see [`ChunkPool::solve`]).
-    pub fn solve(&mut self, job: &CandidateJob, limits: Limits) -> SynthesisRun {
-        let (base, config) = (&self.base, &self.config);
-        self.pools
-            .entry(job.chunks)
-            .or_insert_with(|| ChunkPool::new(base, config, job.chunks))
-            .solve(job, limits)
-    }
-
-    /// Run the full Pareto search for `collective` on `topology` through
-    /// this pool. `base` is the request's already-computed
-    /// [`base_problem`]; a real check (not a debug_assert) verifies it
-    /// matches the base this pool was built for — probing a mismatched
-    /// base in a release build would silently answer with the wrong
-    /// machine's verdicts.
-    pub fn frontier(
-        &mut self,
-        topology: &Topology,
-        collective: Collective,
-        base: &BaseProblem,
-    ) -> Result<SynthesisReport, SynthesisError> {
-        assert!(
-            base.collective == self.base.collective && base.topology == self.base.topology,
-            "pool was built for a different base problem \
-             ({:?} on {}, asked for {:?} on {})",
-            self.base.collective,
-            self.base.topology.name(),
-            base.collective,
-            base.topology.name()
-        );
-        let own_base = self.base.clone();
-        let config = self.config.clone();
-        let limits = config.per_instance_limits.clone();
-        warm_frontier(&own_base, topology, collective, &config, |job| {
-            self.solve(job, limits.clone())
-        })
-    }
-
-    /// Number of candidates decided and memoized across all chunk counts.
-    pub fn decided(&self) -> usize {
-        self.pools.values().map(ChunkPool::decided).sum()
-    }
-
-    /// Aggregated accounting across every chunk pool (cumulative since the
-    /// pool was created; see [`IncrementalStats::delta_since`] for
-    /// per-request figures).
-    pub fn stats(&self) -> IncrementalStats {
-        let mut stats = IncrementalStats::default();
-        for pool in self.pools.values() {
-            stats.absorb(&pool.stats());
-        }
-        stats
-    }
-}
-
-/// A [`SynthesisReport`] produced through a [`WarmPool`], alongside the
-/// sweep's accounting.
-#[derive(Clone, Debug)]
-pub struct WarmSynthesis {
-    /// The frontier — byte-identical to [`pareto_synthesize`]'s.
-    pub report: SynthesisReport,
-    /// The sweep's accounting (candidates, solver runs, memo hits).
-    pub incremental: IncrementalStats,
-}
-
-/// [`pareto_synthesize`] through a private [`WarmPool`], returning the
-/// pool's accounting with the (identical) frontier.
-pub fn pareto_synthesize_warm(
-    topology: &Topology,
-    collective: Collective,
-    config: &SynthesisConfig,
-) -> Result<WarmSynthesis, SynthesisError> {
-    let base = base_problem(topology, collective);
-    let mut pool = WarmPool::new(&base, config);
-    let report = pool.frontier(topology, collective, &base)?;
-    Ok(WarmSynthesis {
-        report,
-        incremental: pool.stats(),
-    })
 }
 
 #[cfg(test)]
@@ -1355,10 +1136,12 @@ mod tests {
         let total = plan.jobs.len();
         let mut merge = ParetoMerge::new(plan);
         let config = quick_config();
-        let mut solved = Vec::new();
-        let mut skipped = Vec::new();
+        // The `Need` sequence alone says what is passed over: asking for an
+        // index gives up everything below it that was not asked for, and
+        // `Done` gives up the rest.
+        let (mut solved, mut passed_over) = (Vec::new(), Vec::new());
         while let MergeAction::Need(index) = merge.next() {
-            skipped.extend(merge.drain_skipped());
+            passed_over.extend(solved.last().map_or(0, |last| last + 1)..index);
             let instance = merge.plan().jobs[index].instance(Collective::Allgather, 4);
             let run = synthesize(
                 &topo,
@@ -1370,9 +1153,10 @@ mod tests {
             solved.push(index);
             merge.supply(index, run);
         }
-        skipped.extend(merge.drain_skipped());
-        // Every candidate was either solved or explicitly skipped.
-        let mut all: Vec<usize> = solved.iter().chain(skipped.iter()).copied().collect();
+        passed_over.extend(solved.last().map_or(0, |last| last + 1)..total);
+        // Every candidate was either solved or passed over, exactly once.
+        assert!(!passed_over.is_empty(), "ring:4 has dominated candidates");
+        let mut all: Vec<usize> = solved.iter().chain(&passed_over).copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..total).collect::<Vec<_>>());
         // And the assembled report matches the one-shot driver.
@@ -1447,35 +1231,12 @@ mod tests {
     }
 
     #[test]
-    fn warm_driver_matches_cold_frontier() {
-        let topo = builders::ring(4, 1);
-        for collective in [
-            Collective::Allgather,
-            Collective::Broadcast { root: 0 },
-            Collective::Allreduce,
-        ] {
-            let cold = pareto_synthesize(&topo, collective, &quick_config()).expect("cold");
-            let warm = pareto_synthesize_warm(&topo, collective, &quick_config()).expect("warm");
-            assert!(
-                warm.report.same_frontier(&cold),
-                "{collective} warm frontier diverged from cold"
-            );
-            // Every candidate was a fresh solve, and the books say so.
-            assert!(warm.incremental.warm_candidates > 0);
-            assert!(warm.incremental.solve_calls >= warm.incremental.warm_candidates);
-            assert!(warm.incremental.cold_solve_time > Duration::ZERO);
-            assert_eq!(warm.incremental.warm_solve_time, Duration::ZERO);
-            assert_eq!(warm.incremental.cold_fallbacks, 0);
-        }
-    }
-
-    #[test]
     fn dgx1_sweep_costs_one_warm_solve_per_candidate() {
         // One solver run per decided candidate, a second only where the
         // quotient under the machine's symmetries was refuted (a model of
-        // it settles the candidate; a refutation of it does not), and none
-        // on a memo hit. The lexicographic decode of PR 3 issued ~70 runs
-        // per satisfiable candidate: a blow-up must not come back silently.
+        // it settles the candidate; a refutation of it does not). The
+        // lexicographic decode of PR 3 issued ~70 runs per satisfiable
+        // candidate: a blow-up must not come back silently.
         let topo = builders::dgx1();
         let config = SynthesisConfig {
             k: 2,
@@ -1484,33 +1245,35 @@ mod tests {
             ..Default::default()
         };
         let base = base_problem(&topo, Collective::Allgather);
-        let mut pool = WarmPool::new(&base, &config);
-        let report = pool
-            .frontier(&topo, Collective::Allgather, &base)
-            .expect("sweep");
-        let first = pool.stats();
-        let (candidates, satisfiable) = (pool.decided() as u64, report.entries.len() as u64);
+        let mut runs = Vec::new();
+        let report = sweep(
+            &base,
+            &topo,
+            Collective::Allgather,
+            &config,
+            None,
+            |_| {},
+            |jobs, index| {
+                let run = base.solve(&jobs[index], &config, Limits::none());
+                runs.push(run.solves);
+                run
+            },
+        )
+        .expect("sweep");
+        let (candidates, satisfiable) = (runs.len() as u64, report.entries.len() as u64);
         assert!(satisfiable >= 2 && candidates > satisfiable, "a real sweep");
-        assert_eq!(first.warm_candidates, candidates);
-        assert!(first.solve_calls > candidates, "some quotient is refuted");
-        assert!(first.solve_calls <= candidates + (candidates - satisfiable));
-        assert_eq!(first.memo_hits, 0);
-        let again = pool
-            .frontier(&topo, Collective::Allgather, &base)
-            .expect("memoized sweep");
-        assert!(again.same_frontier(&report));
-        let second = pool.stats().delta_since(&first);
-        assert_eq!((second.solve_calls, second.warm_candidates), (0, 0));
-        assert_eq!(second.memo_hits, candidates);
-        assert_eq!(second.cold_solve_time, Duration::ZERO);
+        assert!(runs.iter().all(|solves| (1..=2).contains(solves)));
+        let solve_calls: u64 = runs.iter().sum();
+        assert!(solve_calls > candidates, "some quotient is refuted");
+        assert!(solve_calls <= candidates + (candidates - satisfiable));
     }
 
     #[test]
     fn a_confirmation_out_of_budget_leaves_the_candidate_unknown() {
         // (The name is from when a warm verdict was confirmed by a fresh
-        // solve; what it pins outlived that: out of budget is Unknown, is
-        // not memoized, and leaves nothing behind that changes the bytes
-        // the same pool reports once it is given the budget.)
+        // solve; what it pins outlived that: out of budget is Unknown, and
+        // given the budget the same base reports the bytes of a fresh
+        // `synthesize` that searches the machine's symmetries itself.)
         let topo = builders::dgx1();
         let base = base_problem(&topo, Collective::Allgather);
         let config = SynthesisConfig {
@@ -1518,18 +1281,16 @@ mod tests {
             max_steps: 4,
             ..Default::default()
         };
-        let mut pool = ChunkPool::new(&base, &config, 2);
         let job = CandidateJob {
             index: 0,
             steps: 3,
             rounds: 4,
             chunks: 2,
         };
-        let starved = pool.solve(&job, Limits::conflicts(1));
+        let starved = base.solve(&job, &config, Limits::conflicts(1));
         assert!(matches!(starved.outcome, SynthesisOutcome::Unknown));
         assert_eq!(starved.solves, 2, "quotient and full formula, one budget");
-        assert_eq!(pool.decided(), 0, "Unknown is never memoized");
-        let decided = pool.solve(&job, Limits::none());
+        let decided = base.solve(&job, &config, Limits::none());
         let fresh = synthesize(
             &topo,
             &job.instance(Collective::Allgather, 8),
@@ -1541,51 +1302,14 @@ mod tests {
             decided.outcome.algorithm().expect("SAT"),
             fresh.outcome.algorithm().expect("SAT")
         );
-        assert_eq!((pool.decided(), pool.stats().warm_candidates), (1, 2));
     }
 
-    #[test]
-    fn warm_driver_supports_the_clause_learning_ablation() {
-        // The chronological-backtracking ablation goes through the pools
-        // like any other configuration, with the identical frontier.
-        let topo = builders::ring(4, 1);
-        let config = SynthesisConfig {
-            max_steps: 4,
-            max_chunks: 2,
-            solver: SolverConfig {
-                clause_learning: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let cold = pareto_synthesize(&topo, Collective::Allgather, &config).expect("cold");
-        let warm = pareto_synthesize_warm(&topo, Collective::Allgather, &config).expect("warm");
-        assert!(warm.report.same_frontier(&cold));
-    }
-
-    #[test]
-    fn warm_driver_propagates_errors_like_cold() {
-        let solo = sccl_topology::Topology::new("solo", 1);
-        assert_eq!(
-            pareto_synthesize_warm(&solo, Collective::Allgather, &quick_config()).unwrap_err(),
-            SynthesisError::TooFewNodes
-        );
-        let mut split = sccl_topology::Topology::new("split", 4);
-        split.add_bidi_link(0, 1, 1);
-        split.add_bidi_link(2, 3, 1);
-        assert_eq!(
-            pareto_synthesize_warm(&split, Collective::Allgather, &quick_config()).unwrap_err(),
-            SynthesisError::Disconnected
-        );
-    }
-
-    /// Solves and progress callbacks of one resumable sweep.
+    /// Solves and progress callbacks of one sweep.
     fn sweep_counts(topo: &Topology, collective: Collective) -> (usize, usize) {
         let config = quick_config();
         let base = base_problem(topo, collective);
-        let mut pool = WarmPool::new(&base, &config);
         let (mut solves, mut progress) = (0, 0);
-        warm_frontier_resumable(
+        sweep(
             &base,
             topo,
             collective,
@@ -1598,9 +1322,9 @@ mod tests {
                     "progress is only reported while a candidate remains to decide"
                 );
             },
-            |job| {
+            |jobs, index| {
                 solves += 1;
-                pool.solve(job, Limits::none())
+                base.solve(&jobs[index], &config, Limits::none())
             },
         )
         .expect("sweep");

@@ -1,14 +1,12 @@
 //! Property-based test for checkpointable synthesis: interrupting a
 //! Pareto sweep at a random point, persisting the checkpoint (through a
 //! JSON round trip, as the scheduler's journal does) and resuming over a
-//! re-enumerated plan with a *fresh* warm pool reaches the byte-identical
-//! frontier of an uninterrupted sweep.
+//! re-enumerated plan reaches the byte-identical frontier of an
+//! uninterrupted sweep.
 
 use proptest::prelude::*;
 use sccl_collectives::Collective;
-use sccl_core::pareto::{
-    base_problem, warm_frontier_resumable, SweepCheckpoint, SynthesisConfig, WarmPool,
-};
+use sccl_core::pareto::{base_problem, sweep, SweepCheckpoint, SynthesisConfig};
 use sccl_solver::Limits;
 use sccl_topology::{builders, Topology};
 
@@ -50,34 +48,32 @@ proptest! {
         // every decided candidate (exactly what `Engine::serve` persists
         // through the journal).
         let mut checkpoints: Vec<SweepCheckpoint> = Vec::new();
-        let mut pool = WarmPool::new(&base, &config);
-        let reference = warm_frontier_resumable(
+        let reference = sweep(
             &base,
             &topo,
             collective,
             &config,
             None,
             |merge| checkpoints.push(merge.checkpoint()),
-            |job| pool.solve(job, Limits::none()),
+            |jobs, index| base.solve(&jobs[index], &config, Limits::none()),
         )
         .expect("connected topology");
 
         // "Interrupt" after a random decided candidate: resume from that
-        // checkpoint — after a JSON round trip, over a re-enumerated plan,
-        // with a fresh warm pool (a restarted process has no warm state).
+        // checkpoint — after a JSON round trip, over a re-enumerated plan
+        // (a restarted process has nothing but the checkpoint).
         prop_assume!(!checkpoints.is_empty());
         let checkpoint = &checkpoints[interrupt_at % checkpoints.len()];
         let json = serde_json::to_string(checkpoint).expect("serializable");
         let restored: SweepCheckpoint = serde_json::from_str(&json).expect("round trips");
-        let mut fresh = WarmPool::new(&base, &config);
-        let resumed = warm_frontier_resumable(
+        let resumed = sweep(
             &base,
             &topo,
             collective,
             &config,
             Some(&restored),
             |_| {},
-            |job| fresh.solve(job, Limits::none()),
+            |jobs, index| base.solve(&jobs[index], &config, Limits::none()),
         )
         .expect("connected topology");
 

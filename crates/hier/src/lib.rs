@@ -4,8 +4,9 @@
 //! Flat SAT synthesis tops out at a dozen-odd nodes; real machines have
 //! hundreds. This crate carves a large topology into *process groups*
 //! ([`partition`]), plans a collective as per-level stages solved through
-//! the existing [`sccl_sched::Engine`] ([`plan`]) — so warm pools, the
-//! on-disk cache and any serving tier apply per group — and re-checks the
+//! the existing [`sccl_sched::Engine`] ([`plan`]) — so its memo of
+//! decided candidates, the on-disk cache and any serving tier apply per
+//! group — and re-checks the
 //! stitched schedule chunk-by-chunk against the collective's pre/post
 //! relation and the full machine's bandwidth constraints ([`verify`]).
 //!

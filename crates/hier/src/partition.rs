@@ -162,7 +162,7 @@ pub struct Group {
     pub leader: usize,
     /// Structural equivalence class: groups with identical remapped
     /// subtopologies share a class, a subtopology name, and hence every
-    /// cache and warm-pool key downstream.
+    /// cache and memo key downstream.
     pub class: usize,
     /// The group's machine, remapped to `0..members.len()` and named by
     /// class so identical groups are identical topology values.

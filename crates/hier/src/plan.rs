@@ -16,8 +16,9 @@
 //!
 //! The solver never sees more than one group: an 8×8 machine costs three
 //! 8-node solves instead of one infeasible 64-node solve, and every stage
-//! solve goes through [`Engine::synthesize`], so warm pools, the on-disk
-//! cache and any serving tier in front of the engine apply per group. The
+//! solve goes through [`Engine::synthesize`], so the engine's memo of
+//! decided candidates, the on-disk cache and any serving tier in front of
+//! the engine apply per group. The
 //! stitched result is a plain [`Algorithm`] over the full topology whose
 //! cost is the sum of the stage (α, β) costs, and it is re-checked by the
 //! [composition verifier](crate::verify) before being returned.
@@ -154,9 +155,8 @@ pub enum HierError {
     /// The request's deadline expired before every stage could produce a
     /// usable frontier — not even a degraded composition is achievable.
     Deadline { deadline_ms: u64 },
-    /// A stage solve panicked. The panic was contained here; the warm
-    /// pool it unwound through was quarantined by the engine rather than
-    /// checked back in.
+    /// A stage solve panicked. The panic was contained here; the solve it
+    /// unwound through stored nothing in the engine.
     StagePanic {
         stage: &'static str,
         message: String,
@@ -523,10 +523,10 @@ impl StageSolver<'_> {
         }
         // The stage solve is isolated: a panic anywhere under it (the
         // `hier.stage` chaos site included) is contained as a typed
-        // error, and the warm pool it unwound through is quarantined by
-        // the engine's session RAII rather than checked back in. The
-        // failpoint fires *before* the remaining budget is computed so a
-        // Sleep action faithfully eats the deadline.
+        // error, and the solve it unwound through stores nothing in the
+        // engine's memo. The failpoint fires *before* the remaining
+        // budget is computed so a Sleep action faithfully eats the
+        // deadline.
         let deadline = self.deadline;
         let start = self.start;
         let engine = self.engine;

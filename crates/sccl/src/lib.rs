@@ -7,10 +7,11 @@
 //! infrastructure around it.
 //!
 //! The front door is [`Engine`]: a long-lived handle that owns the worker
-//! pool, the persistent algorithm cache and the cost model, and serves
-//! typed [`SynthesisRequest`] → [`SynthesisResponse`] calls. Single-shot,
-//! parallel, batch and warm-cache execution share one request path; the
-//! response chains into lowering, code generation and simulation.
+//! threads, the persistent algorithm cache, the memo of decided candidates
+//! and the cost model, and serves typed [`SynthesisRequest`] →
+//! [`SynthesisResponse`] calls. Single-shot, parallel, batch and library
+//! requests share one request path; the response chains into lowering,
+//! code generation and simulation.
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
@@ -21,7 +22,7 @@
 //! * [`program`] — rank-program IR, lowering and CUDA-flavoured codegen.
 //! * [`runtime`] — threaded executor and (α, β) simulator.
 //! * [`baselines`] — NCCL/RCCL-style ring algorithms.
-//! * [`sched`] — the [`Engine`], parallel work-queue search, persistent
+//! * [`sched`] — the [`Engine`], its memo and worker threads, persistent
 //!   cache, batch manifests.
 //! * [`hier`] — hierarchical process-group synthesis: partition a large
 //!   topology into groups, compose per-level stage schedules through the
@@ -64,7 +65,6 @@ pub use sccl_solver as solver;
 pub use sccl_topology as topology;
 
 pub use sccl_core::incremental::IncrementalStats;
-pub use sccl_core::pareto::{pareto_synthesize_warm, WarmPool, WarmSynthesis};
 pub use sccl_hier::{
     GroupSpec, HierEngineExt, HierError, HierRequest, HierResponse, HierarchicalAlgorithm,
 };

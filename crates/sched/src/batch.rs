@@ -1,7 +1,6 @@
 //! The batch front-end: parse a manifest of `topology × collective` jobs
 //! (text or JSON), render manifests back out, and summarize throughput.
-//! Batch execution itself runs through [`crate::Engine::run_batch`]; the
-//! free [`run_batch`] function survives as a deprecated wrapper.
+//! Batch execution itself runs through [`crate::Engine::run_batch`].
 //!
 //! Text manifest format — one job per line:
 //!
@@ -26,29 +25,23 @@
 //! collective names those of `Collective::parse_spec`. In the text format,
 //! blank lines and `#` comments are ignored.
 
-use crate::cache::AlgorithmCache;
-use crate::parallel::ParallelConfig;
 use sccl_collectives::Collective;
-use sccl_core::pareto::{SynthesisConfig, SynthesisError, SynthesisReport};
+use sccl_core::pareto::{SynthesisError, SynthesisReport};
 use sccl_topology::{builders, Topology};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::time::Duration;
 
-/// How a cache miss is solved: the plain sequential Algorithm 1 loop or the
-/// work-queue parallel scheduler. The frontier is identical either way; the
-/// mode is pure execution policy.
+/// How a cache miss is solved: every candidate on the sweep's own thread,
+/// or on worker threads that solve ahead of it. The frontier is identical
+/// either way; the mode is pure execution policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolveMode {
-    /// The plain sequential Algorithm 1 loop (baseline / comparison).
+    /// One candidate at a time, in decision order.
     Sequential,
-    /// The work-queue parallel scheduler.
+    /// Worker threads deciding candidates ahead of the sweep.
     #[default]
     Parallel,
 }
-
-/// Pre-engine name of [`SolveMode`], kept for source compatibility.
-#[deprecated(since = "0.1.0", note = "use SolveMode")]
-pub type BatchMode = SolveMode;
 
 /// One synthesis job of a batch.
 #[derive(Clone, Debug)]
@@ -272,17 +265,6 @@ pub fn render_manifest_json(jobs: &[BatchJob]) -> String {
     serde_json::to_string_pretty(&entries).expect("manifest entries serialize")
 }
 
-/// Batch execution options of the deprecated [`run_batch`] wrapper.
-#[deprecated(
-    since = "0.1.0",
-    note = "configure sccl::Engine via its builder instead"
-)]
-#[derive(Clone, Debug, Default)]
-pub struct BatchOptions {
-    pub mode: SolveMode,
-    pub parallel: ParallelConfig,
-}
-
 /// Outcome of one job.
 #[derive(Clone, Debug)]
 pub struct BatchResult {
@@ -336,29 +318,11 @@ impl BatchReport {
     }
 }
 
-/// Run a batch of synthesis jobs, consulting (and populating) the cache
-/// when one is provided.
-#[deprecated(since = "0.1.0", note = "use sccl::Engine::run_batch")]
-#[allow(deprecated)]
-pub fn run_batch(
-    jobs: &[BatchJob],
-    config: &SynthesisConfig,
-    options: &BatchOptions,
-    cache: Option<&AlgorithmCache>,
-) -> BatchReport {
-    let engine = crate::Engine::builder()
-        .mode(options.mode)
-        .threads_or_auto(options.parallel.num_threads)
-        .build()
-        .expect("an engine without a cache directory builds infallibly");
-    engine.run_batch_on(cache, jobs, config)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::Engine;
+    use sccl_core::pareto::SynthesisConfig;
 
     #[test]
     fn manifest_parses_jobs_comments_and_roots() {
@@ -398,13 +362,12 @@ chain:3 allreduce
 
     #[test]
     fn budget_truncated_frontiers_are_not_cached() {
-        use crate::cache::AlgorithmCache;
         use sccl_solver::Limits;
-        use std::time::Duration;
 
         let dir = std::env::temp_dir().join(format!("sccl-batch-trunc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = AlgorithmCache::open(&dir).expect("open");
+        let engine = Engine::builder().cache_dir(&dir).build().expect("engine");
+        let cache = engine.cache().expect("cache attached");
         let jobs = parse_manifest("ring:4 allgather\n").expect("jobs");
         // A zero wall-clock budget makes every solve return Unknown, so the
         // report is budget-truncated — a timing-dependent result that must
@@ -415,7 +378,7 @@ chain:3 allreduce
             per_instance_limits: Limits::time(Duration::ZERO),
             ..Default::default()
         };
-        let report = run_batch(&jobs, &config, &BatchOptions::default(), Some(&cache));
+        let report = engine.run_batch(&jobs, Some(&config));
         let truncated = report.results[0].outcome.as_ref().expect("report");
         assert!(truncated.budget_exhausted);
         assert_eq!(cache.stats().stores, 0, "truncated report was cached");
@@ -431,7 +394,8 @@ chain:3 allreduce
             max_chunks: 4,
             ..Default::default()
         };
-        let report = run_batch(&jobs, &config, &BatchOptions::default(), None);
+        let engine = Engine::builder().build().expect("engine");
+        let report = engine.run_batch(&jobs, Some(&config));
         assert_eq!(report.results.len(), 2);
         assert_eq!(report.failures(), 0);
         assert_eq!(report.cache_hits(), 0);

@@ -1,26 +1,30 @@
 //! The serving engine: one request/response API over synthesis, caching,
 //! scheduling and lowering.
 //!
-//! [`Engine`] is a long-lived handle that owns the worker-pool
-//! configuration, the persistent [`AlgorithmCache`] and the cost model. All
-//! execution modes — single-shot sequential, work-queue parallel, batch
-//! manifests and warm-cache serving — are one code path:
+//! [`Engine`] is a long-lived handle that owns the worker-thread count,
+//! the persistent [`AlgorithmCache`], the [`Memo`] of decided candidates
+//! and the cost model. All execution modes — single-shot sequential,
+//! parallel, batch manifests and cached serving — are one code path:
 //!
 //! 1. build the canonical [`CacheKey`] for the request,
 //! 2. look it up in the cache (if one is attached),
-//! 3. on a miss, solve through the sequential or parallel driver per the
-//!    request's [`SolveMode`] — both check chunk-granular pools of decided
-//!    candidates out of the engine's shared
-//!    [pool registry](crate::registry::WarmPoolRegistry), decide every
-//!    candidate that is not memoized there by one fresh solve (of the
-//!    formula's quotient under the machine's symmetries first; see
-//!    `sccl_core::encoding`), and so produce the same frontier the plain
-//!    sequential loop would, byte for byte,
+//! 3. on a miss, run the one [`sweep`] over one solve closure: a candidate
+//!    is answered from the memo if an earlier sweep over the same base
+//!    problem decided it, and by one fresh
+//!    [`BaseProblem::solve`](sccl_core::pareto::BaseProblem::solve)
+//!    otherwise (of the formula's quotient under the machine's symmetries
+//!    first; see `sccl_core::encoding`), which the memo then keeps. The
+//!    request's [`SolveMode`] only says whether the closure runs on the
+//!    sweep's thread or on worker threads ahead of it; the frontier is
+//!    the plain sequential loop's either way, byte for byte,
 //! 4. persist reproducible results (evicting LRU entries when a
 //!    [`EngineBuilder::cache_capacity`] is configured), and
 //! 5. return a [`SynthesisResponse`] carrying the report, its
 //!    [`Provenance`] (cache hit or freshly solved), per-stage timings and
 //!    the sweep's [`IncrementalStats`].
+//!
+//! With a [journal](EngineBuilder::journal_dir) attached the sweep also
+//! checkpoints and resumes, in either mode.
 //!
 //! The response offers a fluent follow-on stage: [`SynthesisResponse::lower`]
 //! turns a frontier entry into a [`LoweredAlgorithm`] that can emit
@@ -49,16 +53,18 @@
 use crate::batch::{BatchJob, BatchReport, BatchResult, ManifestError, SolveMode};
 use crate::cache::{AlgorithmCache, CacheKey, CacheStats};
 use crate::journal::Journal;
-use crate::parallel::{parallel_frontier, ParallelConfig};
-use crate::registry::WarmPoolRegistry;
+use crate::memo::Memo;
+use crate::parallel::with_workers;
 use sccl_collectives::Collective;
+use sccl_core::encoding::SynthesisRun;
 use sccl_core::incremental::IncrementalStats;
 use sccl_core::pareto::{
-    base_problem, warm_frontier_resumable, SynthesisConfig, SynthesisError, SynthesisReport,
+    base_problem, sweep, CandidateJob, SynthesisConfig, SynthesisError, SynthesisReport,
 };
 use sccl_core::{Algorithm, CostModel};
 use sccl_program::{generate_cuda, lower, LoweringOptions, Program};
 use sccl_runtime::{simulate_time, CollectiveLibrary};
+use sccl_solver::Limits;
 use sccl_topology::Topology;
 use std::io;
 use std::path::PathBuf;
@@ -225,12 +231,13 @@ impl SynthesisRequest {
         self
     }
 
-    /// Solve cache misses with the plain sequential Algorithm 1 loop.
+    /// Solve cache misses one candidate at a time.
     pub fn sequential(self) -> Self {
         self.with_mode(SolveMode::Sequential)
     }
 
-    /// Solve cache misses with the work-queue parallel scheduler.
+    /// Solve cache misses with worker threads deciding candidates ahead of
+    /// the sweep.
     pub fn parallel(self) -> Self {
         self.with_mode(SolveMode::Parallel)
     }
@@ -341,8 +348,9 @@ pub struct SynthesisResponse {
     pub provenance: Provenance,
     /// Wall-clock breakdown of the request.
     pub timings: ResponseTimings,
-    /// The sweep's accounting (solver-decided candidates, the solver runs
-    /// they took, memo hits, pool check-ins). `None` on a cache hit.
+    /// The sweep's accounting (candidates answered, how many of them by a
+    /// solver, the solver runs those took, memo hits). `None` on a cache
+    /// hit.
     pub incremental: Option<IncrementalStats>,
     /// `true` when the request's deadline expired mid-solve and the report
     /// is the partial frontier found before the cut — graceful degradation
@@ -505,7 +513,7 @@ pub struct EngineBuilder {
     cache_dir: Option<PathBuf>,
     cache_capacity: Option<usize>,
     journal_dir: Option<PathBuf>,
-    warm_pool_capacity: usize,
+    memo_capacity: usize,
     /// `None` = one worker per available core; an explicit count otherwise.
     /// `Some(0)` is representable but rejected by [`EngineBuilder::build`].
     threads: Option<usize>,
@@ -521,7 +529,7 @@ impl Default for EngineBuilder {
             cache_dir: None,
             cache_capacity: None,
             journal_dir: None,
-            warm_pool_capacity: Engine::DEFAULT_WARM_POOL_CAPACITY,
+            memo_capacity: Engine::DEFAULT_MEMO_CAPACITY,
             threads: None,
             mode: SolveMode::Parallel,
             cost_model: CostModel::nvlink(),
@@ -551,35 +559,32 @@ impl EngineBuilder {
     }
 
     /// Attach a crash-recovery [`Journal`] rooted at `dir` (created if
-    /// absent when the engine is built). With a journal attached the
-    /// sequential sweep persists a
-    /// [`SweepCheckpoint`](sccl_core::pareto::SweepCheckpoint) after
-    /// every decided candidate but the one that finishes the sweep (whose
+    /// absent when the engine is built). With a journal attached a sweep
+    /// persists a [`SweepCheckpoint`](sccl_core::pareto::SweepCheckpoint)
+    /// after every decided candidate but the one that finishes it (whose
     /// frontier is stored next), keyed by the request's cache-key hash; a
     /// process that dies mid-solve resumes the sweep on the next request
     /// for the same key instead of starting over, and reaches the
-    /// identical frontier.
-    /// Checkpoints are removed once the solve completes. Parallel sweeps
-    /// ignore checkpoints (their supply order is nondeterministic); the
-    /// daemon's crash-recovery path therefore serves in sequential mode.
+    /// identical frontier. Checkpoints are removed once the solve
+    /// completes. Both solve modes checkpoint and resume: the merge is
+    /// supplied in its own cursor order whichever thread decided a
+    /// candidate, and a resumed parallel sweep starts its workers at the
+    /// checkpoint's cursor.
     pub fn journal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.journal_dir = Some(dir.into());
         self
     }
 
-    /// Bound the engine's shared pool registry to roughly `n` memo cells —
-    /// one per decided candidate plus one per send of a memoized schedule,
-    /// summed over every retained chunk pool (mirroring
-    /// [`EngineBuilder::cache_capacity`] for the on-disk cache). A pool's
-    /// memo varies by orders of magnitude with the topology and the chunk
-    /// count, so the bound is by *weight*, not pool count: it caps the
-    /// memory a long-lived engine retains across requests. Once a check-in pushes
-    /// the stored weight 10% past the bound, least-recently-used pools are
-    /// evicted back down to `n` cells (the newest pool always survives) —
-    /// the slack keeps a registry at capacity from paying a full scan on
-    /// every check-in.
-    pub fn warm_pool_capacity(mut self, n: usize) -> Self {
-        self.warm_pool_capacity = n;
+    /// Bound the engine's [`Memo`] of decided candidates to `n` cells — one
+    /// per decided candidate plus one per send of a memoized schedule
+    /// (mirroring [`EngineBuilder::cache_capacity`] for the on-disk
+    /// cache). What a base problem's candidates retain varies by orders of
+    /// magnitude with the topology and the chunk count, so the bound is by
+    /// *weight*, not entry count: it caps the memory a long-lived engine
+    /// retains across requests. Past it, whole base problems are evicted
+    /// least recently used first; the newest always survives.
+    pub fn memo_capacity(mut self, n: usize) -> Self {
+        self.memo_capacity = n;
         self
     }
 
@@ -591,23 +596,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Legacy [`ParallelConfig`] thread semantics for the deprecated free
-    /// functions: `0` means auto (the builder's default), not an error.
-    pub(crate) fn threads_or_auto(self, threads: usize) -> Self {
-        if threads == 0 {
-            self
-        } else {
-            self.threads(threads)
-        }
-    }
-
     /// Default solve mode for requests that don't specify one.
     pub fn mode(mut self, mode: SolveMode) -> Self {
         self.mode = mode;
         self
     }
 
-    /// Solve with the plain sequential loop by default.
+    /// Solve one candidate at a time by default.
     pub fn sequential(self) -> Self {
         self.mode(SolveMode::Sequential)
     }
@@ -637,7 +632,7 @@ impl EngineBuilder {
     /// Nonsense knob values are rejected with [`Error::Config`] rather than
     /// silently reinterpreted: an explicit `threads(0)` (a pool that could
     /// never solve anything), `cache_capacity(0)` (a cache evicted on every
-    /// store) or `warm_pool_capacity(0)` (a registry that retains nothing).
+    /// store) or `memo_capacity(0)` (a memo that retains nothing).
     pub fn build(self) -> Result<Engine, Error> {
         if self.threads == Some(0) {
             return Err(Error::Config {
@@ -655,11 +650,11 @@ impl EngineBuilder {
                     .to_string(),
             });
         }
-        if self.warm_pool_capacity == 0 {
+        if self.memo_capacity == 0 {
             return Err(Error::Config {
-                field: "warm_pool_capacity",
-                message: "a 0-cell registry retains no decided candidates; omit \
-                          warm_pool_capacity() for the default bound"
+                field: "memo_capacity",
+                message: "a 0-cell memo retains no decided candidates; omit \
+                          memo_capacity() for the default bound"
                     .to_string(),
             });
         }
@@ -675,12 +670,14 @@ impl EngineBuilder {
             cache,
             cache_capacity: self.cache_capacity,
             journal,
-            parallel: ParallelConfig::with_threads(self.threads.unwrap_or(0)),
+            threads: self
+                .threads
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
             mode: self.mode,
             cost_model: self.cost_model,
             defaults: self.config,
             lowering: self.lowering,
-            warm: WarmPoolRegistry::new(self.warm_pool_capacity),
+            memo: Memo::new(self.memo_capacity),
             pruned: Mutex::new(Vec::new()),
         })
     }
@@ -692,40 +689,34 @@ impl EngineBuilder {
 
 /// How the unified request path treats a cache miss.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum MissPolicy {
+enum MissPolicy {
     /// Solve the problem (the normal serving path).
     Solve(SolveMode),
     /// Report the miss without solving (cache-only hydration).
     Skip,
 }
 
-/// A long-lived synthesis-serving handle: owns the worker-pool
-/// configuration, the persistent cache and the cost model, and serves
-/// single-shot, parallel, batch and warm-cache requests through one path.
+/// A long-lived synthesis-serving handle: owns the worker-thread count,
+/// the persistent cache, the memo of decided candidates and the cost
+/// model, and serves single-shot, parallel, batch and library requests
+/// through one path.
 pub struct Engine {
     cache: Option<AlgorithmCache>,
     cache_capacity: Option<usize>,
-    /// Crash-recovery journal: sweep checkpoints (written by the
-    /// sequential solve path) plus the daemon's queue records.
+    /// Crash-recovery journal: sweep checkpoints (written by the solve
+    /// path, in either mode) plus the daemon's queue records.
     /// `None` unless [`EngineBuilder::journal_dir`] was configured.
     journal: Option<Arc<Journal>>,
-    parallel: ParallelConfig,
+    /// Worker threads of a parallel solve.
+    threads: usize,
     mode: SolveMode,
     cost_model: CostModel,
     defaults: SynthesisConfig,
     lowering: LoweringOptions,
-    /// The shared pool registry: chunk-granular memos of decided
-    /// candidates held across requests, keyed by the content hash of
-    /// `(base topology, base collective, config)` and sharded by chunk
-    /// count. Different requests that reduce to the same base — e.g.
-    /// Allgather and Allreduce on one machine — share them, reuse the
-    /// report cache cannot see because the requests have distinct cache
-    /// keys. Both the sequential driver and parallel workers check pools
-    /// out of and back into this registry, so `SolveMode::Parallel` gets
-    /// the same cross-request reuse.
-    /// Bounded by [`EngineBuilder::warm_pool_capacity`],
-    /// least-recently-used first out.
-    warm: WarmPoolRegistry,
+    /// Decided candidates held across requests, keyed by the content hash
+    /// of `(base topology, base collective, config)` (see [`Memo`]).
+    /// Bounded by [`EngineBuilder::memo_capacity`].
+    memo: Memo,
     /// Content hashes evicted from the disk cache (capacity prunes and
     /// encoder-version sweeps) that no layer above has collected yet.
     /// A serving tier that replicates cache entries drains this mailbox
@@ -736,13 +727,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Default bound on the pool registry, in memo cells — decided
-    /// candidates plus the sends of their schedules, summed over every
-    /// retained chunk pool (LRU eviction beyond it; see
-    /// [`EngineBuilder::warm_pool_capacity`]). Weighting by what a pool
-    /// memoizes (instead of the historic pool count) keeps a long-lived
-    /// engine's *memory* proportional to its working set of base problems.
-    pub const DEFAULT_WARM_POOL_CAPACITY: usize = 16 << 20;
+    /// Default bound on the memo of decided candidates, in cells —
+    /// decided candidates plus the sends of their schedules (see
+    /// [`EngineBuilder::memo_capacity`]). Weighing what is retained
+    /// (instead of counting entries) keeps a long-lived engine's *memory*
+    /// proportional to its working set of base problems.
+    pub const DEFAULT_MEMO_CAPACITY: usize = 16 << 20;
 
     /// Start configuring an engine.
     pub fn builder() -> EngineBuilder {
@@ -766,21 +756,15 @@ impl Engine {
         self.journal.as_ref()
     }
 
-    /// Chunk pools currently retained in the shared pool registry.
-    pub fn warm_pool_len(&self) -> usize {
-        self.warm.len()
+    /// Base problems currently held in the memo of decided candidates.
+    pub fn memo_len(&self) -> usize {
+        self.memo.len()
     }
 
-    /// Memo cells currently retained in the shared pool registry — the
-    /// quantity [`EngineBuilder::warm_pool_capacity`] bounds.
-    pub fn warm_pool_weight(&self) -> usize {
-        self.warm.weight()
-    }
-
-    /// Pools quarantined (dropped instead of checked in because their
-    /// solve panicked) over the engine's lifetime.
-    pub fn warm_pools_quarantined(&self) -> u64 {
-        self.warm.quarantined()
+    /// Cells currently held in the memo — the quantity
+    /// [`EngineBuilder::memo_capacity`] bounds.
+    pub fn memo_weight(&self) -> usize {
+        self.memo.weight()
     }
 
     /// Forcibly quarantine the persisted cache entry at `hash` (e.g. after
@@ -874,7 +858,6 @@ impl Engine {
             }
         };
         let response = self.serve(
-            self.cache.as_ref(),
             &request.topology,
             request.collective,
             config,
@@ -891,23 +874,77 @@ impl Engine {
     /// [`BatchResult`] per job. Failures are per-job; the batch itself
     /// always completes.
     pub fn run_batch(&self, jobs: &[BatchJob], config: Option<&SynthesisConfig>) -> BatchReport {
-        self.run_batch_on(self.cache.as_ref(), jobs, config.unwrap_or(&self.defaults))
+        let config = config.unwrap_or(&self.defaults);
+        let start = Instant::now();
+        let mut results = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let job_start = Instant::now();
+            let served = self.serve(
+                &job.topology,
+                job.collective,
+                config,
+                MissPolicy::Solve(self.mode),
+            );
+            let (outcome, from_cache) = match served {
+                Ok(Some(response)) => {
+                    let from_cache = response.from_cache();
+                    (Ok(response.report), from_cache)
+                }
+                Ok(None) => unreachable!("a solving policy always produces a response"),
+                Err(Error::Synthesis(e)) => (Err(e), false),
+                Err(other) => {
+                    unreachable!("the serve path only fails with synthesis errors, got {other}")
+                }
+            };
+            results.push(BatchResult {
+                job: job.clone(),
+                outcome,
+                from_cache,
+                elapsed: job_start.elapsed(),
+            });
+        }
+        BatchReport {
+            results,
+            wall_time: start.elapsed(),
+        }
     }
 
     /// Hydrate (and optionally warm) a size-switching collective library
     /// through the same request path.
     pub fn library(&self, request: LibraryRequest) -> Result<LibraryResponse, Error> {
-        self.library_on(self.cache.as_ref(), request)
+        let config = request.config.as_ref().unwrap_or(&self.defaults);
+        let lowering = request.lowering.unwrap_or(self.lowering);
+        let policy = if request.solve_misses {
+            MissPolicy::Solve(self.mode)
+        } else {
+            MissPolicy::Skip
+        };
+        let mut library = CollectiveLibrary::new(request.topology.clone(), self.cost_model);
+        let mut synthesized = 0;
+        let mut misses = Vec::new();
+        for &collective in &request.collectives {
+            match self.serve(&request.topology, collective, config, policy)? {
+                Some(response) => {
+                    if !response.from_cache() {
+                        synthesized += 1;
+                    }
+                    library.register_frontier(&response.report, lowering);
+                }
+                None => misses.push(collective),
+            }
+        }
+        Ok(LibraryResponse {
+            library,
+            synthesized,
+            misses,
+        })
     }
 
     // -- the one code path -------------------------------------------------
 
-    /// The unified request path. `cache` is a parameter (rather than always
-    /// `self.cache`) so the deprecated free functions can route their
-    /// caller-owned cache handles through the same code.
-    pub(crate) fn serve(
+    /// The unified request path.
+    fn serve(
         &self,
-        cache: Option<&AlgorithmCache>,
         topology: &Topology,
         collective: Collective,
         config: &SynthesisConfig,
@@ -915,6 +952,7 @@ impl Engine {
     ) -> Result<Option<SynthesisResponse>, Error> {
         let start = Instant::now();
         let mut timings = ResponseTimings::default();
+        let cache = self.cache.as_ref();
         let key = cache.map(|_| CacheKey::new(topology, collective, config));
 
         if let (Some(cache), Some(key)) = (cache, &key) {
@@ -943,69 +981,84 @@ impl Engine {
             MissPolicy::Solve(mode) => mode,
             MissPolicy::Skip => return Ok(None),
         };
-        if topology.num_nodes() < 2 {
-            return Err(SynthesisError::TooFewNodes.into());
-        }
         let solve_start = Instant::now();
         // The base problem is computed exactly once per request (it clones
         // the topology, reverses it for inversion duals and searches it
-        // for symmetries) and passed through to the sweep drivers and the
-        // pool registry; both solve modes check chunk pools out of and
-        // back into the engine's shared registry, so cross-request reuse
-        // applies to parallel sweeps too.
+        // for symmetries).
         let base = base_problem(topology, collective);
-        let pool_key = CacheKey::new(&base.topology, base.collective, config).content_hash();
-        let session = self.warm.session(pool_key, base.clone(), config.clone());
-        let report = match mode {
-            SolveMode::Sequential => {
-                let limits = config.per_instance_limits.clone();
-                // With a journal attached, the sweep checkpoints after
-                // every decided candidate that leaves another to decide
-                // and resumes from any checkpoint a crashed process left
-                // behind. Checkpoints are addressed by the *request's*
-                // cache-key hash (not the pooled base key): the merge
-                // state being saved belongs to this request's candidate
-                // plan.
-                let checkpoint_key = self.journal.as_ref().map(|journal| {
-                    let hash = key
-                        .as_ref()
-                        .map(|key| key.content_hash())
-                        .unwrap_or_else(|| {
-                            CacheKey::new(topology, collective, config).content_hash()
-                        });
-                    (journal, hash)
-                });
-                let resume = checkpoint_key
-                    .as_ref()
-                    .and_then(|(journal, hash)| journal.load_checkpoint(hash));
-                let report = warm_frontier_resumable(
-                    &base,
-                    topology,
-                    collective,
-                    config,
-                    resume.as_ref(),
-                    |merge| {
-                        if let Some((journal, hash)) = &checkpoint_key {
-                            let _ = journal.store_checkpoint(hash, &merge.checkpoint());
-                        }
-                    },
-                    |job| session.solve(job, limits.clone()),
-                )?;
-                if let Some((journal, hash)) = &checkpoint_key {
-                    journal.remove_checkpoint(hash);
+        let base_hash = CacheKey::new(&base.topology, base.collective, config).content_hash();
+        // How this request decides a candidate, on whichever thread: the
+        // memo's answer if an earlier sweep over the same base left one,
+        // one fresh solve otherwise, which the memo then keeps.
+        let stats = parking_lot::Mutex::new(IncrementalStats::default());
+        let solve = |job: &CandidateJob, limits: Limits| -> SynthesisRun {
+            let mut answered = IncrementalStats {
+                pool_checkins: 1,
+                ..Default::default()
+            };
+            let run = match self.memo.get(&base_hash, job) {
+                Some(run) => {
+                    answered.memo_hits = 1;
+                    run
                 }
-                report
-            }
-            SolveMode::Parallel => parallel_frontier(
+                None => {
+                    sccl_core::failpoint::fire("pool.solve");
+                    let solve_start = Instant::now();
+                    let run = base.solve(job, config, limits);
+                    answered.cold_solve_time = solve_start.elapsed();
+                    // A candidate cancelled before it was encoded took no
+                    // solver.
+                    answered.warm_candidates = u64::from(run.solves > 0);
+                    answered.solve_calls = run.solves;
+                    self.memo.put(&base_hash, job, &run);
+                    run
+                }
+            };
+            stats.lock().absorb(&answered);
+            run
+        };
+        // With a journal attached, the sweep checkpoints after every
+        // decided candidate that leaves another to decide and resumes from
+        // any checkpoint a crashed process left behind. Checkpoints are
+        // addressed by the *request's* cache-key hash (not the memo's base
+        // hash): the merge state being saved belongs to this request's
+        // candidate plan.
+        let checkpoint_key = self.journal.as_ref().map(|journal| {
+            let hash = key
+                .as_ref()
+                .map(|key| key.content_hash())
+                .unwrap_or_else(|| CacheKey::new(topology, collective, config).content_hash());
+            (journal, hash)
+        });
+        let resume = checkpoint_key
+            .as_ref()
+            .and_then(|(journal, hash)| journal.load_checkpoint(hash));
+        let limits = &config.per_instance_limits;
+        let run_sweep = |answer: &mut dyn FnMut(&[CandidateJob], usize) -> SynthesisRun| {
+            sweep(
                 &base,
                 topology,
                 collective,
                 config,
-                &self.parallel,
-                &session,
-            )?,
+                resume.as_ref(),
+                |merge| {
+                    if let Some((journal, hash)) = &checkpoint_key {
+                        let _ = journal.store_checkpoint(hash, &merge.checkpoint());
+                    }
+                },
+                answer,
+            )
         };
-        let incremental = session.stats();
+        let report = match mode {
+            SolveMode::Sequential => {
+                run_sweep(&mut |jobs, index| solve(&jobs[index], limits.clone()))
+            }
+            SolveMode::Parallel => with_workers(self.threads, limits, &solve, run_sweep),
+        }?;
+        if let Some((journal, hash)) = &checkpoint_key {
+            journal.remove_checkpoint(hash);
+        }
+        let incremental = stats.into_inner();
         timings.solve = solve_start.elapsed();
 
         if let (Some(cache), Some(key)) = (cache, &key) {
@@ -1041,80 +1094,6 @@ impl Engine {
             topology: topology.clone(),
             cost_model: self.cost_model,
         }))
-    }
-
-    pub(crate) fn run_batch_on(
-        &self,
-        cache: Option<&AlgorithmCache>,
-        jobs: &[BatchJob],
-        config: &SynthesisConfig,
-    ) -> BatchReport {
-        let start = Instant::now();
-        let mut results = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let job_start = Instant::now();
-            let served = self.serve(
-                cache,
-                &job.topology,
-                job.collective,
-                config,
-                MissPolicy::Solve(self.mode),
-            );
-            let (outcome, from_cache) = match served {
-                Ok(Some(response)) => {
-                    let from_cache = response.from_cache();
-                    (Ok(response.report), from_cache)
-                }
-                Ok(None) => unreachable!("a solving policy always produces a response"),
-                Err(Error::Synthesis(e)) => (Err(e), false),
-                Err(other) => {
-                    unreachable!("the serve path only fails with synthesis errors, got {other}")
-                }
-            };
-            results.push(BatchResult {
-                job: job.clone(),
-                outcome,
-                from_cache,
-                elapsed: job_start.elapsed(),
-            });
-        }
-        BatchReport {
-            results,
-            wall_time: start.elapsed(),
-        }
-    }
-
-    pub(crate) fn library_on(
-        &self,
-        cache: Option<&AlgorithmCache>,
-        request: LibraryRequest,
-    ) -> Result<LibraryResponse, Error> {
-        let config = request.config.as_ref().unwrap_or(&self.defaults);
-        let lowering = request.lowering.unwrap_or(self.lowering);
-        let policy = if request.solve_misses {
-            MissPolicy::Solve(self.mode)
-        } else {
-            MissPolicy::Skip
-        };
-        let mut library = CollectiveLibrary::new(request.topology.clone(), self.cost_model);
-        let mut synthesized = 0;
-        let mut misses = Vec::new();
-        for &collective in &request.collectives {
-            match self.serve(cache, &request.topology, collective, config, policy)? {
-                Some(response) => {
-                    if !response.from_cache() {
-                        synthesized += 1;
-                    }
-                    library.register_frontier(&response.report, lowering);
-                }
-                None => misses.push(collective),
-            }
-        }
-        Ok(LibraryResponse {
-            library,
-            synthesized,
-            misses,
-        })
     }
 }
 
@@ -1159,27 +1138,21 @@ mod tests {
 
     #[test]
     fn sequential_serves_checkpoint_through_the_journal() {
-        let dir = tmp_dir("journal");
+        // (Named for the mode that checkpointed first; both do.)
         let ring = builders::ring(4, 1);
-
+        // A sweep long enough to be interrupted in several places.
+        let collective = Collective::Broadcast { root: 0 };
+        let config = quick_config();
         let reference = Engine::builder()
             .sequential()
-            .synthesis_defaults(quick_config())
+            .synthesis_defaults(config.clone())
             .build()
             .expect("engine")
-            .synthesize(SynthesisRequest::new(&ring, Collective::Allgather))
+            .synthesize(SynthesisRequest::new(&ring, collective))
             .expect("reference solve");
-
-        let engine = Engine::builder()
-            .sequential()
-            .synthesis_defaults(quick_config())
-            .journal_dir(&dir)
-            .build()
-            .expect("engine with journal");
-        let hash = CacheKey::new(&ring, Collective::Allgather, &quick_config()).content_hash();
-        // Pre-seed a stale checkpoint (wrong plan length): resume must
-        // discard it and restart cold rather than decide the wrong
-        // candidates — the served frontier still matches the reference.
+        let hash = CacheKey::new(&ring, collective, &config).content_hash();
+        // A stale checkpoint (wrong plan length): resume must discard it
+        // and restart cold rather than decide the wrong candidates.
         let stale = sccl_core::pareto::SweepCheckpoint {
             version: sccl_core::pareto::SWEEP_CHECKPOINT_VERSION,
             plan_len: 1,
@@ -1189,30 +1162,61 @@ mod tests {
             entries: Vec::new(),
             budget_exhausted: false,
         };
-        engine
-            .journal()
-            .expect("journal attached")
-            .store_checkpoint(&hash, &stale)
-            .expect("seed checkpoint");
+        // A checkpoint a crashed process left mid-sweep: every one an
+        // uninterrupted sweep would have written, tried in turn.
+        let base = base_problem(&ring, collective);
+        let mut interrupted = Vec::new();
+        sweep(
+            &base,
+            &ring,
+            collective,
+            &config,
+            None,
+            |merge| interrupted.push(merge.checkpoint()),
+            |jobs, index| base.solve(&jobs[index], &config, Limits::none()),
+        )
+        .expect("uninterrupted sweep");
+        assert!(interrupted.len() > 2, "{} checkpoints", interrupted.len());
 
-        let served = engine
-            .synthesize(SynthesisRequest::new(&ring, Collective::Allgather))
-            .expect("journaled solve");
-        assert!(
-            served.report.same_frontier(&reference.report),
-            "stale checkpoint must degrade to a cold start, not a wrong frontier"
-        );
-
-        let journal = engine.journal().expect("journal attached");
-        assert!(
-            journal.checkpoints_written() > 0,
-            "sweep persisted progress through the journal"
-        );
-        assert!(
-            journal.load_checkpoint(&hash).is_none(),
-            "checkpoint is consumed once the solve completes"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        for mode in [SolveMode::Sequential, SolveMode::Parallel] {
+            let dir = tmp_dir(&format!("journal-{mode:?}"));
+            let engine = Engine::builder()
+                .mode(mode)
+                .threads(2)
+                .synthesis_defaults(config.clone())
+                .journal_dir(&dir)
+                .build()
+                .expect("engine with journal");
+            let journal = engine.journal().expect("journal attached");
+            // Attempts, not successes: the `journal.write` failpoint is
+            // process-global and a journal test holds it armed for a moment.
+            let attempts = || journal.checkpoints_written() + journal.write_errors();
+            for (seeded, checkpoint) in std::iter::once(&stale).chain(&interrupted).enumerate() {
+                while journal.store_checkpoint(&hash, checkpoint).is_err() {}
+                let before = attempts();
+                let served = engine
+                    .synthesize(SynthesisRequest::new(&ring, collective))
+                    .expect("journaled solve");
+                assert!(
+                    served.report.same_frontier(&reference.report),
+                    "{mode:?}: a stale checkpoint must degrade to a cold start and a \
+                     valid one resume, neither to a wrong frontier (checkpoint {seeded})"
+                );
+                // The stale checkpoint (0) restarts cold and persists the
+                // whole sweep's progress; resuming from the i-th skips the
+                // i candidates it had already decided.
+                assert_eq!(
+                    (attempts() - before) as usize,
+                    interrupted.len() - seeded,
+                    "{mode:?}, checkpoint {seeded}"
+                );
+                assert!(
+                    journal.load_checkpoint(&hash).is_none(),
+                    "checkpoint is consumed once the solve completes"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1220,32 +1224,42 @@ mod tests {
         // The candidate that finishes a sweep writes no checkpoint: its
         // frontier is returned (and stored) next, so the write would
         // recover nothing. k decided candidates, k - 1 checkpoints; a
-        // one-candidate sweep never touches the journal.
+        // one-candidate sweep never touches the journal. In either mode:
+        // workers may decide more candidates than the sweep reads, but
+        // only what it reads is progress.
         for (topology, one_candidate) in [
             (builders::ring(4, 1), false),
             (builders::fully_connected(3, 1), true),
         ] {
-            let dir = tmp_dir(&format!("ckpt-count-{}", topology.num_nodes()));
-            let engine = Engine::builder()
-                .sequential()
-                .synthesis_defaults(quick_config())
-                .journal_dir(&dir)
-                .build()
-                .expect("engine with journal");
-            let served = engine
-                .synthesize(SynthesisRequest::new(&topology, Collective::Allgather))
-                .expect("journaled solve");
-            // One registry check-in per candidate the sweep asked for.
-            let candidates = served.incremental.expect("solved").pool_checkins;
-            assert_eq!(candidates == 1, one_candidate, "{candidates} candidates");
-            let journal = engine.journal().expect("journal attached");
-            // Attempts, not successes: the `journal.write` failpoint is
-            // process-global and another test may hold it armed.
-            assert_eq!(
-                journal.checkpoints_written() + journal.write_errors(),
-                candidates - 1
-            );
-            let _ = std::fs::remove_dir_all(&dir);
+            let mut read = None;
+            for mode in [SolveMode::Sequential, SolveMode::Parallel] {
+                let dir = tmp_dir(&format!("ckpt-count-{}-{mode:?}", topology.num_nodes()));
+                let engine = Engine::builder()
+                    .mode(mode)
+                    .threads(2)
+                    .synthesis_defaults(quick_config())
+                    .journal_dir(&dir)
+                    .build()
+                    .expect("engine with journal");
+                let served = engine
+                    .synthesize(SynthesisRequest::new(&topology, Collective::Allgather))
+                    .expect("journaled solve");
+                // Sequentially, the candidates answered are the candidates
+                // read; the parallel sweep reads the same ones.
+                let answered = served.incremental.expect("solved").pool_checkins;
+                let candidates = *read.get_or_insert(answered);
+                assert!(answered >= candidates);
+                assert_eq!(candidates == 1, one_candidate, "{candidates} candidates");
+                let journal = engine.journal().expect("journal attached");
+                // Attempts, not successes: the `journal.write` failpoint is
+                // process-global and another test may hold it armed.
+                assert_eq!(
+                    journal.checkpoints_written() + journal.write_errors(),
+                    candidates - 1,
+                    "{mode:?}"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 
@@ -1284,13 +1298,13 @@ mod tests {
             ),
             "was: {err:?}"
         );
-        // A zero-cell pool registry retains nothing.
-        let err = build_err(Engine::builder().warm_pool_capacity(0));
+        // A zero-cell memo retains nothing.
+        let err = build_err(Engine::builder().memo_capacity(0));
         assert!(
             matches!(
                 err,
                 Error::Config {
-                    field: "warm_pool_capacity",
+                    field: "memo_capacity",
                     ..
                 }
             ),
@@ -1377,8 +1391,8 @@ mod tests {
             let response = engine.synthesize(request).expect("solved");
             let inc = response.incremental.expect("solved responses carry stats");
             // The first (sequential) request decides its candidates by
-            // fresh solves; the second is answered from the memos those
-            // left in the registry.
+            // fresh solves; the second is answered from the memo those
+            // left behind.
             if sequential {
                 assert!(inc.warm_candidates > 0 && inc.memo_hits == 0);
                 assert!(inc.solve_calls >= inc.warm_candidates);
@@ -1390,11 +1404,10 @@ mod tests {
             } else {
                 assert!(inc.memo_hits > 0);
             }
-            // Every candidate passed through the registry's
-            // check-out/check-in protocol, and what the deleted warm path
-            // accounted for reads zero.
+            // Every candidate answered is counted, and what the deleted
+            // warm path accounted for reads zero.
             assert!(inc.pool_checkins > 0);
-            assert!(engine.warm_pool_weight() > engine.warm_pool_len());
+            assert!(engine.memo_weight() > engine.memo_len());
             assert_eq!((inc.cold_fallbacks, inc.core_skips), (0, 0));
             assert_eq!(response.timings.encode, Duration::ZERO);
             assert_eq!(response.timings.solve_incremental, Duration::ZERO);

@@ -7,24 +7,30 @@
 //! Layers:
 //!
 //! * [`engine`] — the [`Engine`]: a long-lived handle (built via
-//!   [`Engine::builder`]) that owns the worker-pool configuration, the
-//!   persistent [`AlgorithmCache`] and the cost model, and serves
-//!   [`SynthesisRequest`] → [`SynthesisResponse`] calls. Single-shot,
-//!   parallel, batch and warm-cache execution are one code path differing
-//!   only in policy; responses chain into lowering, code generation and
-//!   simulation.
-//! * [`parallel`] — the work-queue Pareto search: candidate `(S, R, C)`
-//!   instances fan out over a `std::thread` worker pool with cooperative
-//!   cancellation plumbed into the CDCL solver, while the deterministic
-//!   merge state machine from `sccl_core::pareto` guarantees the identical
-//!   frontier as the sequential loop.
+//!   [`Engine::builder`]) that owns the worker-thread count, the
+//!   persistent [`AlgorithmCache`], the [`Memo`] and the cost model, and
+//!   serves [`SynthesisRequest`] → [`SynthesisResponse`] calls.
+//!   Single-shot, parallel, batch and library requests are one code path
+//!   differing only in policy; responses chain into lowering, code
+//!   generation and simulation. It is the only way into this crate's
+//!   synthesis: every request runs `sccl_core::pareto::sweep` once.
+//! * [`memo`] — what the engine keeps between requests: per base problem,
+//!   the runs that decided its candidates, in one bounded map. A second
+//!   request over the same base (an Allreduce after an Allgather) is
+//!   answered without a solver.
+//! * `parallel` (private) — worker threads as the sweep's answer source:
+//!   candidate `(S, R, C)` instances are solved ahead of the merge on
+//!   `std::thread` workers with cooperative cancellation plumbed into the
+//!   CDCL solver; the sweep that reads them is the sequential mode's, so
+//!   the frontier is too.
 //! * [`cache`] — a persistent, content-addressed algorithm cache: SHA-256
 //!   of the canonical `(encoder version, topology, collective,
 //!   SynthesisConfig)` JSON keys on-disk `SynthesisReport` blobs with an
 //!   in-memory index, so nothing is ever synthesized twice.
-//! * [`batch`] + [`library`] — manifest parsing/rendering (text and JSON)
-//!   and the deprecated free-function front-ends, kept as thin wrappers
-//!   over the engine.
+//! * [`journal`] — the crash-recovery journal: sweep checkpoints and the
+//!   daemon's queue records.
+//! * [`batch`] — manifest parsing/rendering (text and JSON) and the batch
+//!   report types.
 //!
 //! ## Example
 //!
@@ -50,27 +56,19 @@ pub mod batch;
 pub mod cache;
 pub mod engine;
 pub mod journal;
-pub mod library;
-pub mod parallel;
-pub mod registry;
+pub mod memo;
+mod parallel;
 mod sha256;
 
 pub use batch::{
     parse_manifest, render_manifest, render_manifest_json, BatchJob, BatchReport, BatchResult,
     ManifestError, SolveMode,
 };
-#[allow(deprecated)]
-pub use batch::{run_batch, BatchMode, BatchOptions};
 pub use cache::{AlgorithmCache, CacheKey, CacheStats};
 pub use engine::{
     Engine, EngineBuilder, Error, LibraryRequest, LibraryResponse, LoweredAlgorithm, Provenance,
     ResponseTimings, SynthesisRequest, SynthesisResponse,
 };
 pub use journal::{Journal, QueueRecord};
-#[allow(deprecated)]
-pub use library::{hydrate_library, warm_library};
-#[allow(deprecated)]
-pub use parallel::pareto_synthesize_parallel;
-pub use parallel::ParallelConfig;
-pub use registry::{PoolSession, WarmPoolRegistry};
+pub use memo::Memo;
 pub use sccl_core::incremental::IncrementalStats;

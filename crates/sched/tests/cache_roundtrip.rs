@@ -2,18 +2,10 @@
 //! by a cold process returns the identical `SynthesisReport`, a warm batch
 //! run never invokes the solver, and hydrated libraries preserve the
 //! size-based selection crossover.
-//!
-//! Deliberately exercises the deprecated `run_batch`/`hydrate_library`
-//! wrappers: they must keep these guarantees through the engine path.
-#![allow(deprecated)]
 
 use sccl_collectives::Collective;
 use sccl_core::pareto::{pareto_synthesize, SynthesisConfig};
-use sccl_core::CostModel;
-use sccl_program::LoweringOptions;
-use sccl_sched::{
-    hydrate_library, parse_manifest, run_batch, AlgorithmCache, BatchOptions, CacheKey,
-};
+use sccl_sched::{parse_manifest, AlgorithmCache, CacheKey, Engine, LibraryRequest};
 use sccl_topology::builders;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -72,21 +64,26 @@ fn warm_batch_run_never_invokes_the_solver() {
     let cold_elapsed;
     let cold;
     {
-        let cache = AlgorithmCache::open(&dir).expect("open");
+        let engine = Engine::builder().cache_dir(&dir).build().expect("open");
         let start = Instant::now();
-        cold = run_batch(&jobs, &config, &BatchOptions::default(), Some(&cache));
+        cold = engine.run_batch(&jobs, Some(&config));
         cold_elapsed = start.elapsed();
         assert_eq!(cold.failures(), 0);
         assert_eq!(cold.cache_hits(), 0);
         assert_eq!(cold.solved(), jobs.len());
-        assert_eq!(cache.stats().stores as usize, jobs.len());
+        assert_eq!(
+            engine.cache_stats().expect("cache").stores as usize,
+            jobs.len()
+        );
     }
 
-    // Second run, fresh handle: every job must come straight from the
-    // store, with no synthesis at all — and dramatically faster.
-    let cache = AlgorithmCache::open(&dir).expect("reopen");
+    // Second run, fresh engine (a cold process: new index scan, empty
+    // memos): every job must come straight from the store, with no
+    // synthesis at all — and dramatically faster.
+    let engine = Engine::builder().cache_dir(&dir).build().expect("reopen");
+    let cache = engine.cache().expect("cache attached");
     let start = Instant::now();
-    let warm = run_batch(&jobs, &config, &BatchOptions::default(), Some(&cache));
+    let warm = engine.run_batch(&jobs, Some(&config));
     let warm_elapsed = start.elapsed();
     assert_eq!(warm.failures(), 0);
     assert_eq!(warm.solved(), 0, "warm run must not invoke the solver");
@@ -134,16 +131,16 @@ fn hydrated_library_preserves_size_crossover() {
             .expect("store");
     }
 
-    let cache = AlgorithmCache::open(&dir).expect("reopen");
-    let (library, misses) = hydrate_library(
-        &cache,
-        &ring,
-        CostModel::nvlink(),
-        &[Collective::Allgather],
-        &config,
-        LoweringOptions::default(),
-    );
-    assert!(misses.is_empty());
+    let engine = Engine::builder().cache_dir(&dir).build().expect("reopen");
+    let hydrated = engine
+        .library(
+            LibraryRequest::new(&ring, &[Collective::Allgather])
+                .with_config(config)
+                .cache_only(),
+        )
+        .expect("cache-only hydration never solves");
+    assert!(hydrated.misses.is_empty());
+    let library = hydrated.library;
     assert_eq!(library.len(), report.entries.len());
 
     // Small buffer → fewest steps (latency-optimal).

@@ -1,35 +1,39 @@
-//! Incremental == cold equivalence: the warm (assumption-based) drivers
-//! must produce byte-identical frontiers to the cold sequential Algorithm 1
-//! loop — `same_frontier` compares bounds, termination, per-entry `(C, S,
-//! R)` costs, optimality labels and the synthesized algorithms themselves,
-//! everything except wall-clock timings and (driver-dependent) formula
+//! One sweep, however it is answered: the engine's sequential and parallel
+//! modes must produce byte-identical frontiers to the memo-free reference
+//! `pareto_synthesize` — `same_frontier` compares bounds, termination,
+//! per-entry `(C, S, R)` costs, optimality labels and the synthesized
+//! algorithms themselves, everything except wall-clock timings and formula
 //! statistics.
 //!
-//! Since the cold-confirm elision, the warm paths never re-solve a
-//! satisfiable candidate cold: both sides decode through the canonical
-//! (lexicographically minimal) schedule reconstruction of
-//! `sccl_core::canonical`, so algorithm equality is a property of the
-//! decode, not of a runtime comparison — which is exactly what this suite
-//! pins down, including `cold_fallbacks == 0` on the warm side.
+//! All three run `sccl_core::pareto::sweep` and decide a candidate by one
+//! fresh `BaseProblem::solve`, a pure function, so equality holds by
+//! construction; what this suite pins down is that nothing around that
+//! function — the engine's memo of decided candidates, worker threads
+//! solving ahead of the merge, cancellation — leaks into the result. (The
+//! file's name is from when the engine's sweeps ran on warm incremental
+//! encoders and this was a property of their decode.)
 //!
 //! Three paths are compared on every topology of the acceptance matrix
 //! (ring:4, ring:8, line:4, dgx1):
 //!
-//! * **sequential-cold** — `sccl_core::pareto::pareto_synthesize`, one
-//!   throwaway solver per candidate (the reference semantics),
-//! * **sequential-warm** — `pareto_synthesize_warm`, one incremental
-//!   encoder per chunk count,
-//! * **parallel-warm** — the engine's work-queue driver, whose workers
-//!   check chunk pools out of the engine's shared registry.
+//! * **reference** — `sccl_core::pareto::pareto_synthesize`: nothing kept
+//!   between candidates,
+//! * **sequential** — an `Engine` request in `SolveMode::Sequential`: each
+//!   candidate through the memo, on the sweep's thread,
+//! * **parallel** — the same request in `SolveMode::Parallel`: each
+//!   candidate through the memo, on worker threads.
 //!
-//! A property test then re-checks cold == warm on random small connected
-//! topologies, where the encoder cannot rely on any structure the named
-//! topologies happen to have.
+//! A property test then re-checks the equality on random small connected
+//! topologies, where nothing can rely on any structure the named
+//! topologies happen to have. The memo's own contract — reuse across
+//! requests, the capacity bound — is checked through the engine below and
+//! directly in `sccl_sched::memo`.
 
 use proptest::prelude::*;
 use sccl_collectives::Collective;
-use sccl_core::pareto::{pareto_synthesize, pareto_synthesize_warm, SynthesisConfig};
-use sccl_sched::{Engine, SynthesisRequest};
+use sccl_core::pareto::{pareto_synthesize, SynthesisConfig, SynthesisReport};
+use sccl_sched::{Engine, IncrementalStats, SynthesisRequest};
+use sccl_solver::SolverConfig;
 use sccl_topology::{builders, Topology};
 
 fn config(max_steps: usize, max_chunks: usize, k: u64) -> SynthesisConfig {
@@ -41,18 +45,36 @@ fn config(max_steps: usize, max_chunks: usize, k: u64) -> SynthesisConfig {
     }
 }
 
-/// Assert frontier equality across sequential-cold, sequential-warm and
-/// parallel-warm for one synthesis problem.
+/// One sequential request to a fresh engine: the frontier and the sweep's
+/// accounting.
+fn engine_sequential(
+    topology: &Topology,
+    collective: Collective,
+    config: &SynthesisConfig,
+) -> (SynthesisReport, IncrementalStats) {
+    let engine = Engine::builder().build().expect("engine");
+    let response = engine
+        .synthesize(
+            SynthesisRequest::new(topology, collective)
+                .with_config(config.clone())
+                .sequential(),
+        )
+        .expect("sequential");
+    (response.report, response.incremental.expect("solved"))
+}
+
+/// Assert frontier equality across the reference, the engine's sequential
+/// mode and its parallel mode for one synthesis problem.
 fn assert_three_way(topology: &Topology, collective: Collective, config: &SynthesisConfig) {
     let cold = pareto_synthesize(topology, collective, config).expect("sequential-cold");
-    let warm = pareto_synthesize_warm(topology, collective, config).expect("sequential-warm");
+    let (warm, incremental) = engine_sequential(topology, collective, config);
     assert!(
-        warm.report.same_frontier(&cold),
+        warm.same_frontier(&cold),
         "sequential-warm diverged from sequential-cold for {collective} on {}",
         topology.name()
     );
     assert_eq!(
-        warm.incremental.cold_fallbacks,
+        incremental.cold_fallbacks,
         0,
         "the warm sweep must not re-solve anything cold for {collective} on {}",
         topology.name()
@@ -86,6 +108,16 @@ fn ring4_frontiers_are_identical_across_drivers() {
     ] {
         assert_three_way(&topo, collective, &cfg);
     }
+    // The chronological-backtracking ablation goes through the memo and
+    // the workers like any other configuration.
+    let ablation = SynthesisConfig {
+        solver: SolverConfig {
+            clause_learning: false,
+            ..Default::default()
+        },
+        ..config(4, 2, 0)
+    };
+    assert_three_way(&topo, Collective::Allgather, &ablation);
 }
 
 #[test]
@@ -119,11 +151,11 @@ fn dgx1_frontiers_are_identical_across_drivers() {
     }
 }
 
-/// Cross-request warm reuse: Allgather, Allreduce and ReduceScatter all
-/// reduce to the same Allgather base problem (the ring is symmetric, so
-/// its reversal is itself), and the engine holds one warm pool per base —
-/// the later requests must be answered from the pool's candidate memo and
-/// still be byte-identical to their cold references.
+/// Cross-request reuse: Allgather, Allreduce and ReduceScatter all reduce
+/// to the same Allgather base problem (the ring is symmetric, so its
+/// reversal is itself), and the engine memoizes decided candidates per
+/// base — the later requests must be answered from the memo and still be
+/// byte-identical to their cold references.
 #[test]
 fn engine_reuses_warm_pools_across_requests() {
     let topo = builders::ring(4, 1);
@@ -139,7 +171,7 @@ fn engine_reuses_warm_pools_across_requests() {
     assert_eq!(
         first.incremental.expect("stats").memo_hits,
         0,
-        "a cold pool has nothing memoized"
+        "a fresh engine has nothing memoized"
     );
     for collective in [Collective::Allreduce, Collective::ReduceScatter] {
         let response = engine
@@ -148,11 +180,11 @@ fn engine_reuses_warm_pools_across_requests() {
         let stats = response.incremental.expect("stats");
         assert!(
             stats.memo_hits > 0,
-            "{collective} must reuse the Allgather base pool"
+            "{collective} must reuse the Allgather base's memo"
         );
         assert_eq!(
             stats.solve_calls, 0,
-            "{collective} sweep must not touch a warm solver"
+            "{collective} sweep must not touch a solver"
         );
         let cold = pareto_synthesize(&topo, collective, &cfg).expect("cold reference");
         assert!(
@@ -162,11 +194,10 @@ fn engine_reuses_warm_pools_across_requests() {
     }
 }
 
-/// Cross-request warm reuse under `SolveMode::Parallel`: workers check
-/// chunk pools out of the engine's shared registry and back in, so a
-/// second parallel request over the same base problem must be answered
-/// (at least partly) from the first request's candidate memos — reuse the
-/// per-request private pools of the pre-registry design could never see.
+/// Cross-request reuse under `SolveMode::Parallel`: workers decide
+/// candidates through the same memo-backed solve, so a second parallel
+/// request over the same base problem must be answered (at least partly)
+/// from what the first request stored.
 #[test]
 fn parallel_workers_reuse_warm_pools_across_requests() {
     let topo = builders::ring(4, 1);
@@ -182,7 +213,7 @@ fn parallel_workers_reuse_warm_pools_across_requests() {
     let first_stats = first.incremental.expect("stats");
     assert!(
         first_stats.pool_checkins > 0,
-        "parallel workers must check pools in and out of the registry"
+        "parallel workers must answer through the engine's solve"
     );
     let second = engine
         .synthesize(SynthesisRequest::new(&topo, Collective::Allgather).parallel())
@@ -195,26 +226,26 @@ fn parallel_workers_reuse_warm_pools_across_requests() {
     let cold = pareto_synthesize(&topo, Collective::Allgather, &cfg).expect("cold reference");
     assert!(second.report.same_frontier(&cold));
     // A combining collective reducing to the same Allgather base shares the
-    // same pools, parallel mode included.
+    // same memo, parallel mode included.
     let allreduce = engine
         .synthesize(SynthesisRequest::new(&topo, Collective::Allreduce).parallel())
         .expect("allreduce over the shared base");
     assert!(
         allreduce.incremental.expect("stats").memo_hits > 0,
-        "Allreduce must reuse the Allgather base pools under parallelism"
+        "Allreduce must reuse the Allgather base's memo under parallelism"
     );
 }
 
-/// The engine's warm-pool registry is bounded by *encoder cells*, not pool
-/// count: with a 1-cell capacity (below any real encoder), serving distinct
-/// base problems cannot accumulate chunk pools — only the newest survives
-/// each check-in.
+/// The engine's memo is bounded by *cells*, not entry count: with a 1-cell
+/// capacity (below any real schedule), serving distinct base problems
+/// cannot accumulate them — only the newest survives each store. (The
+/// name is from when the memo was a registry of warm pools.)
 #[test]
 fn warm_pool_capacity_bounds_the_registry() {
     let cfg = config(4, 2, 0);
     let engine = Engine::builder()
         .sequential()
-        .warm_pool_capacity(1)
+        .memo_capacity(1)
         .synthesis_defaults(cfg)
         .build()
         .expect("engine");
@@ -225,20 +256,19 @@ fn warm_pool_capacity_bounds_the_registry() {
                 Collective::Allgather,
             ))
             .expect("request");
-        // The bound holds *during* serving, not just at the end: a stored
-        // weight of at most capacity + slack, which at capacity 1 means a
-        // single (the newest) encoder-bearing pool.
+        // The bound holds *during* serving, not just at the end: at
+        // capacity 1 a single (the newest) base problem.
         assert_eq!(
-            engine.warm_pool_len(),
+            engine.memo_len(),
             1,
-            "a 1-cell capacity must retain only the newest pool"
+            "a 1-cell capacity must retain only the newest base problem"
         );
     }
-    // The weight gauge agrees with what eviction retained: one pool's
-    // encoder, far above the capacity (keep-newest), but exactly one.
+    // The weight gauge agrees with what eviction retained: one base's
+    // runs, far above the capacity (keep-newest), but exactly one.
     assert!(
-        engine.warm_pool_weight() > 1,
-        "the surviving pool's encoder weight must be visible"
+        engine.memo_weight() > 1,
+        "the surviving base's weight must be visible"
     );
 }
 
@@ -286,7 +316,7 @@ fn cloud_topology(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Warm frontiers equal cold frontiers on random small connected
+    /// Engine frontiers equal reference frontiers on random small connected
     /// topologies, for both a gather-style and a rooted collective.
     #[test]
     fn warm_matches_cold_on_random_topologies(
@@ -302,31 +332,26 @@ proptest! {
         };
         let cfg = config(5, 3, 1);
         let cold = pareto_synthesize(&topo, collective, &cfg).expect("cold");
-        let warm = pareto_synthesize_warm(&topo, collective, &cfg).expect("warm");
+        let (warm, _) = engine_sequential(&topo, collective, &cfg);
         prop_assert!(
-            warm.report.same_frontier(&cold),
+            warm.same_frontier(&cold),
             "warm diverged from cold for {collective} on {} ({:?} extra links)",
             topo.name(),
             extra
         );
-        // Spell the canonical-decode guarantee out beyond same_frontier:
-        // the algorithms are byte-identical, not merely equal in cost.
-        // (Unlike the named-topology suites above, cold_fallbacks is NOT
-        // pinned to zero here: on adversarial random instances the
-        // adaptive conflict budget may legitimately hand a pathological
-        // warm probe to the cold solver, and the frontier stays canonical
-        // either way — that safety valve must not read as a failure.)
-        for (a, b) in warm.report.entries.iter().zip(&cold.entries) {
+        // Spell the guarantee out beyond same_frontier: the algorithms
+        // are byte-identical, not merely equal in cost.
+        for (a, b) in warm.entries.iter().zip(&cold.entries) {
             prop_assert_eq!(&a.algorithm, &b.algorithm);
         }
     }
 
-    /// Warm and parallel-warm frontiers equal cold frontiers on random
-    /// cloud-shape topologies: ring-of-rings backbones with asymmetric
+    /// Sequential and parallel engine frontiers equal reference frontiers on
+    /// random cloud-shape topologies: ring-of-rings backbones with asymmetric
     /// local/cross bandwidths and a random subset of groups carrying a
     /// second NIC. The named suites above all run on symmetric machines;
     /// here bandwidth tiers and link multiplicity vary per instance, so
-    /// the encoder cannot lean on uniform per-link rounds.
+    /// nothing can lean on uniform per-link rounds.
     #[test]
     fn warm_matches_cold_on_cloud_shapes(
         groups in 2usize..=3,
@@ -352,9 +377,9 @@ proptest! {
         };
         let cfg = config(4, 2, 0);
         let cold = pareto_synthesize(&topo, collective, &cfg).expect("cold");
-        let warm = pareto_synthesize_warm(&topo, collective, &cfg).expect("warm");
+        let (warm, _) = engine_sequential(&topo, collective, &cfg);
         prop_assert!(
-            warm.report.same_frontier(&cold),
+            warm.same_frontier(&cold),
             "warm diverged from cold for {collective} on {} (nics {:?})",
             topo.name(),
             second_nics

@@ -1,27 +1,31 @@
-//! Acceptance test for the parallel scheduler: the work-queue search must
-//! produce the *identical* Pareto frontier — same `(steps, rounds, chunks)`
-//! entries, same algorithms, same termination — as the sequential
-//! Algorithm 1 loop, on every topology the paper evaluates.
-//!
-//! Deliberately exercises the deprecated `pareto_synthesize_parallel`
-//! wrapper: it must keep producing these frontiers through the engine path.
-#![allow(deprecated)]
+//! Acceptance test for the parallel solve mode: a sweep answered by
+//! worker threads must produce the *identical* Pareto frontier — same
+//! `(steps, rounds, chunks)` entries, same algorithms, same termination —
+//! as the sequential Algorithm 1 loop, on every topology the paper
+//! evaluates.
 
 use sccl_collectives::Collective;
-use sccl_core::pareto::{pareto_synthesize, SynthesisConfig};
-use sccl_sched::{pareto_synthesize_parallel, ParallelConfig};
-use sccl_topology::builders;
+use sccl_core::pareto::{pareto_synthesize, SynthesisConfig, SynthesisReport};
+use sccl_sched::{Engine, SynthesisRequest};
+use sccl_topology::{builders, Topology};
 
-fn check_identical(topology: &sccl_topology::Topology, config: &SynthesisConfig, threads: usize) {
+/// The Allgather frontier of a fresh engine's parallel mode.
+fn parallel_allgather(
+    topology: &Topology,
+    config: &SynthesisConfig,
+    threads: usize,
+) -> SynthesisReport {
+    let engine = Engine::builder().threads(threads).build().expect("engine");
+    let request = SynthesisRequest::new(topology, Collective::Allgather)
+        .with_config(config.clone())
+        .parallel();
+    engine.synthesize(request).expect("parallel").report
+}
+
+fn check_identical(topology: &Topology, config: &SynthesisConfig, threads: usize) {
     let sequential =
         pareto_synthesize(topology, Collective::Allgather, config).expect("sequential");
-    let parallel = pareto_synthesize_parallel(
-        topology,
-        Collective::Allgather,
-        config,
-        &ParallelConfig::with_threads(threads),
-    )
-    .expect("parallel");
+    let parallel = parallel_allgather(topology, config, threads);
     assert!(
         parallel.same_frontier(&sequential),
         "parallel frontier diverged on {}:\n  sequential: {:?}\n  parallel:   {:?}",
@@ -95,13 +99,7 @@ fn thread_count_does_not_change_the_frontier() {
     };
     let reference = pareto_synthesize(&topo, Collective::Allgather, &config).expect("seq");
     for threads in [1, 2, 3, 8] {
-        let parallel = pareto_synthesize_parallel(
-            &topo,
-            Collective::Allgather,
-            &config,
-            &ParallelConfig::with_threads(threads),
-        )
-        .expect("parallel");
+        let parallel = parallel_allgather(&topo, &config, threads);
         assert!(
             parallel.same_frontier(&reference),
             "diverged with {threads} threads"

@@ -12,7 +12,7 @@
 //!   each slot ([`HotEntry`]) keeps the report's once-rendered wire
 //!   payload, so a hot hit is answered with a copy of bytes.
 //! * [`EngineMetrics`] — a lock-free metrics registry (cache hit rates,
-//!   p50/p99 solve latency, queue depth, warm-pool efficiency,
+//!   p50/p99 solve latency, queue depth, candidate-memo hit rate,
 //!   rejection counts) snapshottable as JSON.
 //! * [`Daemon`] — the socket shell: newline-delimited JSON over a Unix
 //!   domain socket, verbs `synthesize` / `metrics` / `health` / `drain`

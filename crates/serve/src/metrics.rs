@@ -297,9 +297,9 @@ impl EngineMetrics {
     }
 
     /// Snapshot every counter into a serializable report. `hot`,
-    /// `registry` and `faults` describe current hot-tier, warm-pool
-    /// registry and quarantine state (the metrics registry itself holds
-    /// no references to any of them).
+    /// `registry` and `faults` describe current hot-tier, candidate-memo
+    /// and quarantine state (the metrics registry itself holds no
+    /// references to any of them).
     pub fn snapshot(
         &self,
         hot: HotTierGauges,
@@ -367,7 +367,6 @@ impl EngineMetrics {
                 deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
                 deadline_degraded: self.deadline_degraded.load(Ordering::Relaxed),
                 verify_failures: self.verify_failures.load(Ordering::Relaxed),
-                pools_quarantined: faults.pools_quarantined,
                 cache_quarantined: faults.cache_quarantined,
             },
             hier: HierCounters {
@@ -408,18 +407,18 @@ pub struct HotTierGauges {
     pub key_memo_hits: u64,
 }
 
-/// Current warm-pool-registry occupancy, supplied at snapshot time.
+/// Current occupancy of the engine's memo of decided candidates, supplied
+/// at snapshot time (the wire names are from when it was a pool registry).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RegistryGauges {
     pub len: u64,
     pub weight: u64,
 }
 
-/// Quarantine gauges owned by the engine (warm-pool registry and on-disk
-/// cache), supplied at snapshot time.
+/// Quarantine gauges owned by the engine (its on-disk cache), supplied at
+/// snapshot time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultGauges {
-    pub pools_quarantined: u64,
     pub cache_quarantined: u64,
 }
 
@@ -577,17 +576,17 @@ pub struct QueueGauges {
 
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct PoolCounters {
-    /// Candidates answered from pool memos, summed over responses.
+    /// Candidates answered from the engine's memo, summed over responses.
     pub memo_hits: u64,
     /// Candidates decided by a solver, summed.
     pub warm_candidates: u64,
-    /// Pool check-ins, summed.
+    /// Candidates the engine answered (memo or solver), summed.
     pub pool_checkins: u64,
     /// `memo_hits / (memo_hits + warm_candidates)`.
     pub memo_hit_rate: f64,
-    /// Pools currently retained by the engine's registry.
+    /// Base problems currently retained by the engine's memo.
     pub registry_len: u64,
-    /// Memo cells currently retained by the registry.
+    /// Memo cells currently retained.
     pub registry_weight: u64,
 }
 
@@ -606,9 +605,6 @@ pub struct FaultCounters {
     pub deadline_degraded: u64,
     /// Reports that failed decode-time verification.
     pub verify_failures: u64,
-    /// Warm pools dropped because a solve panicked inside them (gauge,
-    /// from the engine's registry).
-    pub pools_quarantined: u64,
     /// Cache entries moved to `quarantine/` (gauge, from the engine's
     /// cache stats).
     pub cache_quarantined: u64,
@@ -700,7 +696,6 @@ mod tests {
                 weight: 12345,
             },
             FaultGauges {
-                pools_quarantined: 1,
                 cache_quarantined: 2,
             },
             DaemonGauges {
@@ -716,7 +711,6 @@ mod tests {
         );
         assert_eq!(snap.queue.depth, 1);
         assert_eq!(snap.queue.peak_depth, 3);
-        assert_eq!(snap.faults.pools_quarantined, 1);
         assert_eq!(snap.faults.cache_quarantined, 2);
         assert_eq!(snap.daemon.uptime_ms, 1234);
         assert_eq!(snap.daemon.journal_replayed, 2);

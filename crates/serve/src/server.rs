@@ -15,16 +15,16 @@
 //!   per client identity (queued or solving), so one greedy load
 //!   generator cannot starve the fleet;
 //! * **global memory budget** — every admitted job reserves an estimate
-//!   of its solver footprint (encoder cells, the same unit the engine's
-//!   warm-pool registry is bounded in) against `memory_budget_cells`;
+//!   of its solver footprint (in encoder cells: variables + clauses)
+//!   against `memory_budget_cells`;
 //!   jobs that would push the reservation past the budget are rejected.
 //!   A job whose own estimate exceeds the whole budget is still admitted
 //!   when nothing else is running — the budget caps *concurrent* memory,
 //!   it must not make any single problem permanently unserveable.
 //!
 //! Workers drain the queue in FIFO order, solve through the shared
-//! [`Engine`] (one warm-pool registry and one on-disk cache across all
-//! workers), publish results into the hot tier and complete tickets.
+//! [`Engine`] (one memo of decided candidates and one on-disk cache
+//! across all workers), publish results into the hot tier and complete tickets.
 
 use crate::hot::{HotEntry, HotTier, KeyMemo};
 use crate::metrics::{EngineMetrics, FaultGauges, HotTierGauges, MetricsSnapshot, RegistryGauges};
@@ -160,8 +160,8 @@ pub enum ServeError {
     /// deadline that cuts a partially solved frontier is not an error:
     /// the partial report is served with [`Served::degraded`] set.)
     Deadline { deadline_ms: u64 },
-    /// The job's solve panicked; the worker caught the panic, quarantined
-    /// the warm pool it was using and kept serving. Nothing about the
+    /// The job's solve panicked; the worker caught the panic (the solve
+    /// had stored nothing) and kept serving. Nothing about the
     /// request itself is known to be wrong — a retry may succeed.
     WorkerLost,
     /// The engine failed to synthesize (the underlying
@@ -234,7 +234,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Rough solver-memory footprint of one synthesis problem, in encoder
-/// cells (variables + clauses, the warm-pool registry's unit). The SMT
+/// cells (variables + clauses). The SMT
 /// encoding is dominated by per-(chunk, node, step) send variables and
 /// their link constraints, so the estimate scales as
 /// `nodes² × max_chunks × max_steps`; the constant is calibrated so a
@@ -663,8 +663,8 @@ impl Server {
         &self.config
     }
 
-    /// Snapshot every metric, folding in the hot tier's and the warm
-    /// registry's current occupancy plus the engine's quarantine gauges.
+    /// Snapshot every metric, folding in the hot tier's and the candidate
+    /// memo's current occupancy plus the engine's quarantine gauge.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let journal = self.engine.journal();
         self.metrics.snapshot(
@@ -675,11 +675,10 @@ impl Server {
                 key_memo_hits: self.key_memo.hits(),
             },
             RegistryGauges {
-                len: self.engine.warm_pool_len() as u64,
-                weight: self.engine.warm_pool_weight() as u64,
+                len: self.engine.memo_len() as u64,
+                weight: self.engine.memo_weight() as u64,
             },
             FaultGauges {
-                pools_quarantined: self.engine.warm_pools_quarantined(),
                 cache_quarantined: self.engine.cache_stats().map_or(0, |s| s.quarantined),
             },
             crate::metrics::DaemonGauges {
@@ -1096,8 +1095,7 @@ impl Server {
     /// reservations and resolve its ticket.
     ///
     /// The solve-and-publish stage runs inside `catch_unwind`: a panicking
-    /// solver (whose warm pool the registry has already quarantined) must
-    /// not take the reservation accounting or the waiter's ticket down
+    /// solver (which stores nothing in the engine's memo) must not take the reservation accounting or the waiter's ticket down
     /// with it. On a caught panic the ticket resolves to
     /// [`ServeError::WorkerLost`] and the worker keeps draining the queue.
     fn run(&self, job: Job) {
