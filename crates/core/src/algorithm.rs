@@ -1,9 +1,9 @@
 //! Synthesized collective algorithms: the `(Q, T)` candidate solutions of
 //! §3.3 of the paper, plus validation of the run semantics and bandwidth
-//! constraints.
+//! constraints (a call into the one replay, [`crate::check`]).
 
+use crate::check::Replay;
 use crate::cost::AlgorithmCost;
-use sccl_collectives::relations::Placement;
 use sccl_collectives::{Collective, CollectiveSpec};
 use sccl_topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -97,7 +97,25 @@ pub enum ValidationError {
     /// The post-condition does not hold after the final step.
     PostConditionUnsatisfied { chunk: usize, node: usize },
     /// A chunk/node index is out of range.
-    IndexOutOfRange,
+    IndexOutOfRange { chunk: usize, node: usize },
+    /// A reducing send would fold the same contribution in twice.
+    DoubleCounted {
+        chunk: usize,
+        node: usize,
+        step: usize,
+    },
+    /// A buffer required to hold the full reduction misses contributions.
+    IncompleteReduction {
+        chunk: usize,
+        node: usize,
+        missing: usize,
+    },
+    /// The schedule is for another `(collective, nodes, chunks)` instance
+    /// than the one it is checked against.
+    WrongInstance {
+        expected: (Collective, usize, usize),
+        found: (Collective, usize, usize),
+    },
 }
 
 impl fmt::Display for ValidationError {
@@ -124,7 +142,25 @@ impl fmt::Display for ValidationError {
             ValidationError::PostConditionUnsatisfied { chunk, node } => {
                 write!(f, "chunk {chunk} never reaches node {node}")
             }
-            ValidationError::IndexOutOfRange => write!(f, "chunk or node index out of range"),
+            ValidationError::IndexOutOfRange { chunk, node } => {
+                write!(f, "chunk {chunk} / node {node} out of range")
+            }
+            ValidationError::DoubleCounted { chunk, node, step } => write!(
+                f,
+                "chunk {chunk}: contribution folded twice into node {node} at step {step}"
+            ),
+            ValidationError::IncompleteReduction {
+                chunk,
+                node,
+                missing,
+            } => write!(
+                f,
+                "chunk {chunk}: node {node} is missing {missing} contributions"
+            ),
+            ValidationError::WrongInstance { expected, found } => write!(
+                f,
+                "schedule is for (collective, nodes, chunks) {found:?}, expected {expected:?}"
+            ),
         }
     }
 }
@@ -165,102 +201,17 @@ impl Algorithm {
         self.sends.iter().any(|s| s.op == SendOp::Reduce)
     }
 
-    /// Compute the run `V_0, …, V_S` of §3.3: the set of `(chunk, node)`
-    /// pairs present after each step, starting from `pre`.
-    ///
-    /// Reduce sends are treated like copies for placement purposes (the
-    /// destination ends up holding a version of the chunk either way);
-    /// contribution tracking for combining algorithms lives in
-    /// [`crate::combining`].
-    pub fn run(&self, pre: &Placement) -> Vec<Placement> {
-        let steps = self.num_steps();
-        let mut states: Vec<Placement> = Vec::with_capacity(steps + 1);
-        states.push(pre.clone());
-        for s in 0..steps {
-            let mut next = states[s].clone();
-            for send in self.sends.iter().filter(|snd| snd.step == s) {
-                if states[s].contains(&(send.chunk, send.src)) {
-                    next.insert((send.chunk, send.dst));
-                }
-            }
-            states.push(next);
-        }
-        states
-    }
-
     /// Validate the algorithm against a topology and collective spec:
-    /// link existence, chunk availability (the source must hold the chunk
-    /// before sending it), per-step bandwidth constraints scaled by the
-    /// step's round count, and the post-condition.
+    /// index ranges, link existence, chunk availability (the source must
+    /// hold the chunk before sending it), per-step bandwidth constraints
+    /// scaled by the step's round count, and the post-condition. A Reduce
+    /// send places its chunk like a Copy.
     pub fn validate(
         &self,
         topology: &Topology,
         spec: &CollectiveSpec,
     ) -> Result<(), ValidationError> {
-        let steps = self.num_steps();
-        let links = topology.links();
-
-        for send in &self.sends {
-            if send.chunk >= self.num_chunks
-                || send.src >= self.num_nodes
-                || send.dst >= self.num_nodes
-            {
-                return Err(ValidationError::IndexOutOfRange);
-            }
-            if send.step >= steps {
-                return Err(ValidationError::StepOutOfRange {
-                    step: send.step,
-                    num_steps: steps,
-                });
-            }
-            if !links.contains(&(send.src, send.dst)) {
-                return Err(ValidationError::MissingLink {
-                    src: send.src,
-                    dst: send.dst,
-                });
-            }
-        }
-
-        // Run semantics: a chunk may only be forwarded once it is present.
-        let states = self.run(&spec.pre);
-        for send in &self.sends {
-            if !states[send.step].contains(&(send.chunk, send.src)) {
-                return Err(ValidationError::ChunkNotPresent {
-                    chunk: send.chunk,
-                    src: send.src,
-                    step: send.step,
-                });
-            }
-        }
-
-        // Bandwidth constraints, scaled by the rounds of each step (§3.3).
-        for (ci, constraint) in topology.constraints().iter().enumerate() {
-            for step in 0..steps {
-                let used = self
-                    .sends
-                    .iter()
-                    .filter(|s| s.step == step && constraint.edges.contains(&(s.src, s.dst)))
-                    .count() as u64;
-                let allowed = constraint.chunks_per_round * self.rounds_per_step[step];
-                if used > allowed {
-                    return Err(ValidationError::BandwidthExceeded {
-                        step,
-                        constraint_index: ci,
-                        used,
-                        allowed,
-                    });
-                }
-            }
-        }
-
-        // Post-condition.
-        let last = states.last().expect("at least the pre state");
-        for &(c, n) in &spec.post {
-            if !last.contains(&(c, n)) {
-                return Err(ValidationError::PostConditionUnsatisfied { chunk: c, node: n });
-            }
-        }
-        Ok(())
+        Replay::new(topology, self, spec.pre.iter().copied())?.finish(spec.post.iter().copied())
     }
 
     /// The set of distinct links used by the schedule.
@@ -347,16 +298,6 @@ mod tests {
         alg.validate(&topo, &spec).expect("valid schedule");
         assert!(!alg.is_combining());
         assert_eq!(alg.label(), "(1,3,3)");
-    }
-
-    #[test]
-    fn run_tracks_placement() {
-        let (alg, _, spec) = ring_allgather();
-        let states = alg.run(&spec.pre);
-        assert_eq!(states.len(), 4);
-        assert_eq!(states[0].len(), 4);
-        assert_eq!(states[1].len(), 8);
-        assert_eq!(states[3].len(), 16);
     }
 
     #[test]

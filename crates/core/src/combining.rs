@@ -5,15 +5,13 @@
 //! Allgather. Allreduce is synthesized as a ReduceScatter (the inverse of
 //! an Allgather) followed by that same Allgather.
 //!
-//! This module also provides a schedule-level correctness check for
-//! combining algorithms based on *contribution tracking*: every node's
-//! initial contribution to a chunk must reach the chunk's destination(s)
-//! exactly once (no drops, no double counting).
+//! [`validate_combining`] checks a combining schedule by contribution
+//! tracking, a call into the one replay of [`crate::check`].
 
-use crate::algorithm::{Algorithm, Send, SendOp};
+use crate::algorithm::{Algorithm, Send, SendOp, ValidationError};
+use crate::check::Replay;
 use sccl_collectives::Collective;
 use sccl_topology::Topology;
-use std::collections::BTreeSet;
 
 /// Invert a non-combining algorithm into its combining dual.
 ///
@@ -81,149 +79,16 @@ pub fn compose_allreduce(allgather: &Algorithm) -> Algorithm {
     }
 }
 
-/// Errors found by the combining-schedule checker.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CombiningError {
-    /// A send uses a link that does not exist in the topology.
-    MissingLink { src: usize, dst: usize },
-    /// A bandwidth constraint is violated at a step.
-    BandwidthExceeded {
-        step: usize,
-        used: u64,
-        allowed: u64,
-    },
-    /// A reducing send would fold the same contribution in twice.
-    DoubleCounted {
-        chunk: usize,
-        node: usize,
-        step: usize,
-    },
-    /// A node required to hold the full reduction is missing contributions.
-    IncompleteReduction {
-        chunk: usize,
-        node: usize,
-        missing: usize,
-    },
-}
-
-impl std::fmt::Display for CombiningError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CombiningError::MissingLink { src, dst } => {
-                write!(f, "send over missing link {src}->{dst}")
-            }
-            CombiningError::BandwidthExceeded {
-                step,
-                used,
-                allowed,
-            } => {
-                write!(f, "bandwidth exceeded at step {step}: {used} > {allowed}")
-            }
-            CombiningError::DoubleCounted { chunk, node, step } => write!(
-                f,
-                "chunk {chunk}: contribution folded twice into node {node} at step {step}"
-            ),
-            CombiningError::IncompleteReduction {
-                chunk,
-                node,
-                missing,
-            } => write!(
-                f,
-                "chunk {chunk}: node {node} is missing {missing} contributions"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CombiningError {}
-
 /// Check a combining (or mixed) schedule by tracking which nodes'
-/// contributions each buffer holds.
-///
-/// * Every node starts holding exactly its own contribution to every chunk.
-/// * A `Reduce` send folds the sender's contribution set into the receiver;
-///   overlapping sets mean a value would be double counted.
-/// * A `Copy` send replaces the receiver's buffer with the sender's set
-///   (the allgather phase of Allreduce distributes finished reductions).
-///
-/// At the end, for every `(chunk, node)` in `required`, the node must hold
-/// contributions from all `num_nodes` ranks.
+/// contributions each buffer holds ([`crate::check::Replay::reducing`]):
+/// every node starts with its own contribution to every chunk, and every
+/// `(chunk, node)` in `required` must end up with all `num_nodes` ranks'.
 pub fn validate_combining(
     algorithm: &Algorithm,
     topology: &Topology,
     required: &[(usize, usize)],
-) -> Result<(), CombiningError> {
-    let p = algorithm.num_nodes;
-    let g = algorithm.num_chunks;
-    let links = topology.links();
-    let steps = algorithm.num_steps();
-
-    // Link existence and per-step bandwidth (scaled by rounds).
-    for snd in &algorithm.sends {
-        if !links.contains(&(snd.src, snd.dst)) {
-            return Err(CombiningError::MissingLink {
-                src: snd.src,
-                dst: snd.dst,
-            });
-        }
-    }
-    for constraint in topology.constraints() {
-        for step in 0..steps {
-            let used = algorithm
-                .sends
-                .iter()
-                .filter(|s| s.step == step && constraint.edges.contains(&(s.src, s.dst)))
-                .count() as u64;
-            let allowed = constraint.chunks_per_round * algorithm.rounds_per_step[step];
-            if used > allowed {
-                return Err(CombiningError::BandwidthExceeded {
-                    step,
-                    used,
-                    allowed,
-                });
-            }
-        }
-    }
-
-    // Contribution tracking.
-    let mut contrib: Vec<Vec<BTreeSet<usize>>> = (0..g)
-        .map(|_| (0..p).map(|n| BTreeSet::from([n])).collect())
-        .collect();
-    for step in 0..steps {
-        // Synchronous semantics: all sends of a step read the state at the
-        // beginning of the step.
-        let snapshot = contrib.clone();
-        for snd in algorithm.sends.iter().filter(|s| s.step == step) {
-            let incoming = &snapshot[snd.chunk][snd.src];
-            match snd.op {
-                SendOp::Reduce => {
-                    if !incoming.is_disjoint(&contrib[snd.chunk][snd.dst]) {
-                        return Err(CombiningError::DoubleCounted {
-                            chunk: snd.chunk,
-                            node: snd.dst,
-                            step,
-                        });
-                    }
-                    let dst = &mut contrib[snd.chunk][snd.dst];
-                    dst.extend(incoming.iter().copied());
-                }
-                SendOp::Copy => {
-                    contrib[snd.chunk][snd.dst] = incoming.clone();
-                }
-            }
-        }
-    }
-    for &(chunk, node) in required {
-        let have = contrib[chunk][node].len();
-        if have != p {
-            return Err(CombiningError::IncompleteReduction {
-                chunk,
-                node,
-                missing: p - have,
-            });
-        }
-    }
-    Ok(())
+) -> Result<(), ValidationError> {
+    Replay::reducing(topology, algorithm)?.finish(required.iter().copied())
 }
 
 /// The `(chunk, node)` pairs a ReduceScatter must fully reduce: chunk `c`
@@ -344,7 +209,7 @@ mod tests {
             ],
         };
         let err = validate_combining(&alg, &topo, &reduce_required(1, 0)).unwrap_err();
-        assert!(matches!(err, CombiningError::DoubleCounted { .. }));
+        assert!(matches!(err, ValidationError::DoubleCounted { .. }));
     }
 
     #[test]
@@ -362,7 +227,7 @@ mod tests {
         let err = validate_combining(&alg, &topo, &reduce_required(1, 0)).unwrap_err();
         assert_eq!(
             err,
-            CombiningError::IncompleteReduction {
+            ValidationError::IncompleteReduction {
                 chunk: 0,
                 node: 0,
                 missing: 1
@@ -383,7 +248,7 @@ mod tests {
             sends: vec![Send::reduce(0, 2, 0, 0)],
         };
         let err = validate_combining(&alg, &topo, &[]).unwrap_err();
-        assert_eq!(err, CombiningError::MissingLink { src: 2, dst: 0 });
+        assert_eq!(err, ValidationError::MissingLink { src: 2, dst: 0 });
     }
 
     #[test]
@@ -399,7 +264,7 @@ mod tests {
             sends: vec![Send::reduce(0, 1, 0, 0), Send::reduce(1, 1, 0, 0)],
         };
         let err = validate_combining(&alg, &topo, &[]).unwrap_err();
-        assert!(matches!(err, CombiningError::BandwidthExceeded { .. }));
+        assert!(matches!(err, ValidationError::BandwidthExceeded { .. }));
     }
 
     #[test]

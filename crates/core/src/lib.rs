@@ -16,6 +16,9 @@
 //!    cheapest-bandwidth feasible schedule per step count.
 //! 4. [`combining`] derives Reduce/ReduceScatter by inversion and Allreduce
 //!    as ReduceScatter followed by Allgather (§3.5).
+//! 5. [`check`] replays a schedule under the run semantics of §3.3;
+//!    `Algorithm::validate`, `validate_combining` and the serving and
+//!    hierarchical verifiers are calls to it.
 //!
 //! Determinism: *one fresh solve per candidate*. Every sweep — plain,
 //! memoized or parallel in the scheduler, resumed from a checkpoint — is
@@ -45,6 +48,7 @@
 pub mod algorithm;
 pub mod analysis;
 pub mod bounds;
+pub mod check;
 pub mod combining;
 pub mod cost;
 pub mod encoding;

@@ -662,11 +662,6 @@ impl ParetoMerge {
         }
     }
 
-    /// `true` once [`ParetoMerge::next`] has returned [`MergeAction::Done`].
-    pub fn is_done(&self) -> bool {
-        self.termination.is_some()
-    }
-
     /// Finish the merge and assemble the report.
     pub fn into_report(self) -> SynthesisReport {
         let termination = match self.termination {

@@ -25,7 +25,6 @@
 
 use crate::partition::{GroupSpec, Partition, PartitionError};
 use crate::verify::{verify_composition, CompositionError};
-use sccl_collectives::relations::Placement;
 use sccl_collectives::Collective;
 use sccl_core::failpoint;
 use sccl_core::pareto::{SynthesisConfig, TerminationReason};
@@ -262,7 +261,7 @@ pub struct ComposedStage {
     pub stage_cost: AlgorithmCost,
     /// Placements this stage guarantees once its last step completes
     /// (checked by the composition verifier as a boundary invariant).
-    pub post: Placement,
+    pub post: Vec<(usize, usize)>,
 }
 
 /// A verified hierarchical schedule: the stitched stage list plus the
@@ -462,7 +461,6 @@ struct Instance {
     algorithm: Algorithm,
     node_map: Vec<usize>,
     chunk_lanes: Vec<Vec<usize>>,
-    post_local: Placement,
 }
 
 impl Instance {
@@ -647,7 +645,7 @@ pub fn synthesize_hier(engine: &Engine, request: &HierRequest) -> Result<HierRes
             .max()
             .unwrap_or(0);
         let mut stage_rounds = vec![0u64; steps];
-        let mut post = Placement::new();
+        let mut post = Vec::new();
         let mut lanes = 1u64;
         for instance in &stage.instances {
             let scale = instance.lane_scale();
@@ -666,9 +664,15 @@ pub fn synthesize_hier(engine: &Engine, request: &HierRequest) -> Result<HierRes
                     });
                 }
             }
-            for &(c, n) in &instance.post_local {
+            // The stage's post relation, lane by lane, is what it hands on.
+            let local = &instance.algorithm;
+            let (_, post_local) = local
+                .collective
+                .relations()
+                .expect("stages are non-combining");
+            for (c, n) in post_local.pairs(local.num_chunks, local.num_nodes) {
                 for &chunk in &instance.chunk_lanes[c] {
-                    post.insert((chunk, instance.node_map[n]));
+                    post.push((chunk, instance.node_map[n]));
                 }
             }
         }
@@ -762,7 +766,6 @@ fn plan_stages(
                     algorithm,
                     node_map: group.members.clone(),
                     chunk_lanes: group.members.iter().map(|&m| vec![m]).collect(),
-                    post_local: Collective::Allgather.spec(group.len(), 1).post,
                 });
             }
             let leader_alg = solver.solve(
@@ -774,7 +777,6 @@ fn plan_stages(
                 algorithm: leader_alg,
                 node_map: leaders.clone(),
                 chunk_lanes: groups.iter().map(|g| g.members.clone()).collect(),
-                post_local: Collective::Allgather.spec(num_groups, 1).post,
             };
             let mut intra_bcast = Vec::with_capacity(num_groups);
             for (gi, group) in groups.iter().enumerate() {
@@ -791,7 +793,6 @@ fn plan_stages(
                     algorithm,
                     node_map: group.members.clone(),
                     chunk_lanes: vec![remote],
-                    post_local: Collective::Broadcast { root }.spec(group.len(), 1).post,
                 });
             }
             Ok(vec![
@@ -831,9 +832,6 @@ fn plan_stages(
                 algorithm: seed_alg,
                 node_map: root_group.members.clone(),
                 chunk_lanes: vec![vec![0]],
-                post_local: Collective::Broadcast { root: root_local }
-                    .spec(root_group.len(), 1)
-                    .post,
             };
             let leader_alg = solver.solve(
                 &partition.leader_topology,
@@ -844,7 +842,6 @@ fn plan_stages(
                 algorithm: leader_alg,
                 node_map: leaders.clone(),
                 chunk_lanes: vec![vec![0]],
-                post_local: Collective::Broadcast { root: rg }.spec(num_groups, 1).post,
             };
             let mut fanout = Vec::new();
             for (gi, group) in groups.iter().enumerate() {
@@ -861,7 +858,6 @@ fn plan_stages(
                     algorithm,
                     node_map: group.members.clone(),
                     chunk_lanes: vec![vec![0]],
-                    post_local: Collective::Broadcast { root: gr }.spec(group.len(), 1).post,
                 });
             }
             Ok(vec![
@@ -900,7 +896,6 @@ fn plan_stages(
                     algorithm,
                     node_map: group.members.clone(),
                     chunk_lanes: group.members.iter().map(|&m| vec![m]).collect(),
-                    post_local: Collective::Gather { root: gr }.spec(group.len(), 1).post,
                 });
             }
             let leader_alg = solver.solve(
@@ -912,7 +907,6 @@ fn plan_stages(
                 algorithm: leader_alg,
                 node_map: leaders.clone(),
                 chunk_lanes: groups.iter().map(|g| g.members.clone()).collect(),
-                post_local: Collective::Gather { root: rg }.spec(num_groups, 1).post,
             };
             let mut delivery = Vec::new();
             if leaders[rg] != root {
@@ -930,7 +924,6 @@ fn plan_stages(
                     algorithm,
                     node_map: group.members.clone(),
                     chunk_lanes: vec![all_chunks.clone()],
-                    post_local: Collective::Broadcast { root: gr }.spec(group.len(), 1).post,
                 });
             }
             Ok(vec![
@@ -975,9 +968,6 @@ fn plan_stages(
                     algorithm,
                     node_map: root_group.members.clone(),
                     chunk_lanes: vec![all_chunks.clone()],
-                    post_local: Collective::Broadcast { root: root_local }
-                        .spec(root_group.len(), 1)
-                        .post,
                 });
             }
             let leader_alg = solver.solve(
@@ -989,7 +979,6 @@ fn plan_stages(
                 algorithm: leader_alg,
                 node_map: leaders.clone(),
                 chunk_lanes: groups.iter().map(|g| g.members.clone()).collect(),
-                post_local: Collective::Scatter { root: rg }.spec(num_groups, 1).post,
             };
             let mut intra = Vec::with_capacity(num_groups);
             for group in groups {
@@ -1003,7 +992,6 @@ fn plan_stages(
                     algorithm,
                     node_map: group.members.clone(),
                     chunk_lanes: group.members.iter().map(|&m| vec![m]).collect(),
-                    post_local: Collective::Scatter { root: gr }.spec(group.len(), 1).post,
                 });
             }
             Ok(vec![

@@ -5,18 +5,20 @@
 //! The planner is allowed to be optimistic — its leader graph projects
 //! per-link bandwidths and ignores shared constraints that span several
 //! leader links — because nothing it produces is trusted: every composed
-//! schedule is replayed here send-by-send, with the same run semantics as
-//! [`sccl_core::Algorithm::run`], before it is returned to a caller. A
-//! composition that drops a chunk, oversubscribes a constraint, or fails a
-//! stage's declared boundary guarantee is rejected with a typed
-//! [`CompositionError`] naming the stage.
+//! schedule is stepped through [`sccl_core::check::Replay`], the one replay
+//! of the run semantics, before it is returned to a caller, and each
+//! stage's boundary placements are checked against the replay's state
+//! after the stage's last step. A composition that drops a chunk,
+//! oversubscribes a constraint, or fails a stage's declared boundary
+//! guarantee is rejected with a typed [`CompositionError`] naming the
+//! stage.
 
 use crate::plan::HierarchicalAlgorithm;
-use sccl_collectives::relations::Placement;
 use sccl_collectives::Collective;
+use sccl_core::check::Replay;
+use sccl_core::ValidationError;
 use sccl_topology::Topology;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Every way a stitched schedule can fail verification.
@@ -25,34 +27,12 @@ pub enum CompositionError {
     /// The composed collective has no pre/post relation to verify against
     /// (combining collectives are planned through their duals).
     UnsupportedCollective { collective: Collective },
-    /// A send references a chunk or node outside the problem.
-    IndexOutOfRange {
+    /// The replay rejected a send of `stage`: an index or step out of
+    /// range, a missing link, an absent chunk or an oversubscribed
+    /// full-topology constraint.
+    Replay {
         stage: String,
-        chunk: usize,
-        node: usize,
-    },
-    /// A send's step lies outside the stitched schedule.
-    StepOutOfRange { step: usize, num_steps: usize },
-    /// A send uses an edge the full topology does not have.
-    MissingLink {
-        stage: String,
-        src: usize,
-        dst: usize,
-    },
-    /// A send's source does not hold the chunk when the send fires.
-    ChunkNotPresent {
-        stage: String,
-        chunk: usize,
-        src: usize,
-        step: usize,
-    },
-    /// A full-topology bandwidth constraint is oversubscribed at a step.
-    BandwidthExceeded {
-        stage: String,
-        step: usize,
-        constraint_index: usize,
-        used: u64,
-        allowed: u64,
+        error: ValidationError,
     },
     /// A stage's declared boundary guarantee does not hold after its last
     /// step: the next stage would start from a placement it did not plan
@@ -72,38 +52,7 @@ impl fmt::Display for CompositionError {
             CompositionError::UnsupportedCollective { collective } => {
                 write!(f, "{collective} has no pre/post relation to verify against")
             }
-            CompositionError::IndexOutOfRange { stage, chunk, node } => {
-                write!(f, "stage {stage}: chunk {chunk} / node {node} out of range")
-            }
-            CompositionError::StepOutOfRange { step, num_steps } => {
-                write!(
-                    f,
-                    "send at step {step} outside the {num_steps}-step schedule"
-                )
-            }
-            CompositionError::MissingLink { stage, src, dst } => {
-                write!(f, "stage {stage}: send over missing link {src}->{dst}")
-            }
-            CompositionError::ChunkNotPresent {
-                stage,
-                chunk,
-                src,
-                step,
-            } => write!(
-                f,
-                "stage {stage}: chunk {chunk} not on node {src} at step {step}"
-            ),
-            CompositionError::BandwidthExceeded {
-                stage,
-                step,
-                constraint_index,
-                used,
-                allowed,
-            } => write!(
-                f,
-                "stage {stage}: constraint {constraint_index} oversubscribed at step {step}: \
-                 {used} > {allowed}"
-            ),
+            CompositionError::Replay { stage, error } => write!(f, "stage {stage}: {error}"),
             CompositionError::StageBoundary { stage, chunk, node } => write!(
                 f,
                 "stage {stage}: boundary guarantee broken: chunk {chunk} missing on node {node}"
@@ -119,120 +68,68 @@ impl std::error::Error for CompositionError {}
 
 /// Replay the stitched schedule chunk-by-chunk on the full topology.
 ///
-/// Checks, in order: index ranges, step ranges, link existence, chunk
-/// presence at the source when each send fires, per-step bandwidth against
-/// every full-topology constraint (scaled by the stitched round counts),
-/// each stage's declared boundary placement, and finally the collective's
-/// post relation.
+/// Checks, in order: step ranges, then step by step index ranges, link
+/// existence, chunk presence at the source when each send fires, per-step
+/// bandwidth against every full-topology constraint (scaled by the
+/// stitched round counts) and the boundary placement of each stage that
+/// ends with the step, and finally the collective's post relation.
 pub fn verify_composition(
     hier: &HierarchicalAlgorithm,
     topology: &Topology,
 ) -> Result<(), CompositionError> {
     let composed = &hier.composed;
-    if composed.collective.relations().is_none() {
+    let Some((pre, post)) = composed.collective.relations() else {
         return Err(CompositionError::UnsupportedCollective {
             collective: composed.collective,
         });
-    }
-    let spec = composed
-        .collective
-        .spec(composed.num_nodes, composed.per_node_chunks);
-    let num_steps = composed.num_steps();
+    };
+    let (chunks, nodes) = (composed.num_chunks, composed.num_nodes);
 
-    // Stage attribution: map a step index to the stage that scheduled it.
+    // Stage attribution: the stage that scheduled a step, and an error of
+    // the replay in it.
+    const UNATTRIBUTED: &str = "<unattributed>";
     let stage_of = |step: usize| -> &str {
         hier.stages
             .iter()
             .find(|s| step >= s.step_offset && step < s.step_offset + s.steps)
-            .map(|s| s.name.as_str())
-            .unwrap_or("<unattributed>")
+            .map_or(UNATTRIBUTED, |s| s.name.as_str())
+    };
+    let attribute = |stage: &str, error: ValidationError| match error {
+        ValidationError::PostConditionUnsatisfied { chunk, node } => {
+            CompositionError::StageBoundary {
+                stage: stage.to_string(),
+                chunk,
+                node,
+            }
+        }
+        error => CompositionError::Replay {
+            stage: stage.to_string(),
+            error,
+        },
     };
 
-    let mut by_step: Vec<Vec<&sccl_core::Send>> = vec![Vec::new(); num_steps];
-    for send in &composed.sends {
-        if send.step >= num_steps {
-            return Err(CompositionError::StepOutOfRange {
-                step: send.step,
-                num_steps,
-            });
-        }
-        if send.chunk >= composed.num_chunks
-            || send.src >= composed.num_nodes
-            || send.dst >= composed.num_nodes
-        {
-            return Err(CompositionError::IndexOutOfRange {
-                stage: stage_of(send.step).to_string(),
-                chunk: send.chunk,
-                node: send.src.max(send.dst),
-            });
-        }
-        by_step[send.step].push(send);
-    }
-
-    let links = topology.links();
-    let constraints = topology.constraints();
-    let mut state: Placement = spec.pre.clone();
-    for (step, sends) in by_step.iter().enumerate() {
-        let stage = stage_of(step);
-        let mut edge_use: HashMap<(usize, usize), u64> = HashMap::new();
-        for send in sends {
-            if !links.contains(&(send.src, send.dst)) {
-                return Err(CompositionError::MissingLink {
-                    stage: stage.to_string(),
-                    src: send.src,
-                    dst: send.dst,
-                });
-            }
-            if !state.contains(&(send.chunk, send.src)) {
-                return Err(CompositionError::ChunkNotPresent {
-                    stage: stage.to_string(),
-                    chunk: send.chunk,
-                    src: send.src,
-                    step,
-                });
-            }
-            *edge_use.entry((send.src, send.dst)).or_insert(0) += 1;
-        }
-        for (constraint_index, constraint) in constraints.iter().enumerate() {
-            let used: u64 = constraint
-                .edges
-                .iter()
-                .filter_map(|e| edge_use.get(e))
-                .sum();
-            let allowed = constraint.chunks_per_round * composed.rounds_per_step[step];
-            if used > allowed {
-                return Err(CompositionError::BandwidthExceeded {
-                    stage: stage.to_string(),
-                    step,
-                    constraint_index,
-                    used,
-                    allowed,
-                });
-            }
-        }
-        // All sends of a step observe the state at the start of the step.
-        for send in sends {
-            state.insert((send.chunk, send.dst));
-        }
+    let mut replay = Replay::new(topology, composed, pre.pairs(chunks, nodes))
+        .map_err(|error| attribute(UNATTRIBUTED, error))?;
+    for step in 0..composed.num_steps() {
+        replay
+            .step()
+            .map_err(|error| attribute(stage_of(step), error))?;
         // Boundary check after the last step of each stage: every placement
         // the stage promised downstream stages must actually hold.
         for s in &hier.stages {
             if step + 1 == s.step_offset + s.steps {
-                if let Some(&(chunk, node)) =
-                    s.post.iter().find(|&&(c, n)| !state.contains(&(c, n)))
-                {
-                    return Err(CompositionError::StageBoundary {
-                        stage: s.name.clone(),
-                        chunk,
-                        node,
-                    });
-                }
+                replay
+                    .holds(s.post.iter().copied())
+                    .map_err(|error| attribute(&s.name, error))?;
             }
         }
     }
-
-    if let Some(&(chunk, node)) = spec.post.iter().find(|&&(c, n)| !state.contains(&(c, n))) {
-        return Err(CompositionError::PostConditionUnsatisfied { chunk, node });
-    }
-    Ok(())
+    replay
+        .holds(post.pairs(chunks, nodes))
+        .map_err(|error| match error {
+            ValidationError::PostConditionUnsatisfied { chunk, node } => {
+                CompositionError::PostConditionUnsatisfied { chunk, node }
+            }
+            error => attribute(UNATTRIBUTED, error),
+        })
 }

@@ -1,21 +1,17 @@
 //! Decode-time verification for the flat serve path: every frontier
-//! algorithm is independently re-checked against its collective's pre/post
-//! relation (and the topology's links and bandwidth constraints) before it
-//! can enter the hot tier — the same trust posture as the hierarchical
-//! path's composition verifier (`sccl_hier::verify_composition`): nothing
-//! a solver or a disk read produced is replayed to clients unchecked.
+//! algorithm is independently re-checked before it can enter the hot tier
+//! — the same trust posture as the hierarchical path's composition
+//! verifier (`sccl_hier::verify_composition`): nothing a solver or a disk
+//! read produced is replayed to clients unchecked.
 //!
-//! Non-combining collectives replay through [`sccl_core::Algorithm::validate`]
-//! against the Table-2 spec from `sccl_collectives::relations`; combining
-//! collectives (whose correctness is a statement about reduction
-//! *contribution sets*, not placements) go through
-//! [`sccl_core::combining::validate_combining`] with the collective's
-//! required end-state.
+//! Each entry must be a schedule for the requested instance — the
+//! topology's node count, the requested collective, and the `(C, S, R)`
+//! the entry claims — and must pass [`sccl_core::check::check`], the one
+//! replay of the run semantics: Table 2's pre/post relations for the
+//! non-combining collectives, contributor sets for the combining ones.
 
 use sccl_collectives::Collective;
-use sccl_core::combining::{
-    allreduce_required, reduce_required, reducescatter_required, validate_combining,
-};
+use sccl_core::check::check;
 use sccl_core::pareto::SynthesisReport;
 use sccl_topology::Topology;
 
@@ -37,35 +33,25 @@ pub fn verify_report(
                 entry.chunks, entry.steps, entry.rounds
             )
         };
-        let result: Result<(), String> = match collective {
-            Collective::Reduce { root } => validate_combining(
-                algorithm,
-                topology,
-                &reduce_required(algorithm.num_chunks, root),
-            )
-            .map_err(|e| e.to_string()),
-            Collective::ReduceScatter => validate_combining(
-                algorithm,
-                topology,
-                &reducescatter_required(algorithm.num_chunks, algorithm.num_nodes),
-            )
-            .map_err(|e| e.to_string()),
-            Collective::Allreduce => validate_combining(
-                algorithm,
-                topology,
-                &allreduce_required(algorithm.num_chunks, algorithm.num_nodes),
-            )
-            .map_err(|e| e.to_string()),
-            _ => {
-                let spec = collective.spec(algorithm.num_nodes, algorithm.per_node_chunks);
-                algorithm
-                    .validate(topology, &spec)
-                    .map_err(|e| e.to_string())
-            }
+        // A ReduceScatter frontier reports the `C` of its Allgather dual
+        // (the paper's footnote); its inverted schedule splits every input
+        // into `P·C` chunks.
+        let chunks = match collective {
+            Collective::ReduceScatter => entry.chunks.saturating_mul(topology.num_nodes()),
+            _ => entry.chunks,
         };
-        if let Err(error) = result {
-            return Err(format!("{}: {error}", label()));
+        let schedule = (
+            algorithm.per_node_chunks,
+            algorithm.num_steps(),
+            algorithm.total_rounds(),
+        );
+        if (chunks, entry.steps, entry.rounds) != schedule {
+            return Err(format!(
+                "{}: the schedule's (chunks, steps, rounds) are {schedule:?}",
+                label()
+            ));
         }
+        check(topology, collective, algorithm).map_err(|error| format!("{}: {error}", label()))?;
     }
     Ok(())
 }
@@ -74,6 +60,7 @@ pub fn verify_report(
 mod tests {
     use super::*;
     use sccl_core::pareto::{pareto_synthesize, SynthesisConfig};
+    use sccl_core::{Algorithm, Send};
     use sccl_topology::builders;
 
     fn quick_config() -> SynthesisConfig {
@@ -119,6 +106,44 @@ mod tests {
             error.contains("frontier entry 0"),
             "error names the entry: {error}"
         );
+    }
+
+    #[test]
+    fn an_entry_must_be_a_schedule_for_the_instance() {
+        let ring = builders::ring(8, 1);
+        let report =
+            pareto_synthesize(&ring, Collective::Allgather, &quick_config()).expect("synthesis");
+        assert_eq!(
+            (
+                report.entries[0].chunks,
+                report.entries[0].steps,
+                report.entries[0].rounds
+            ),
+            (1, 4, 4)
+        );
+        // Entry 0 replaced by a 2-node, 1-step schedule over link 0<->1: a
+        // valid Allgather, but of another instance than the entry claims.
+        let two_nodes = Algorithm {
+            collective: Collective::Allgather,
+            topology_name: ring.name().to_string(),
+            num_nodes: 2,
+            per_node_chunks: 1,
+            num_chunks: 2,
+            rounds_per_step: vec![1],
+            sends: vec![Send::copy(0, 0, 1, 0), Send::copy(1, 1, 0, 0)],
+        };
+        let mut tampered = report.clone();
+        tampered.entries[0].algorithm = two_nodes;
+        assert!(verify_report(&ring, Collective::Allgather, &tampered).is_err());
+
+        // Nor may an entry claim another collective or another (C, S, R).
+        let mut relabelled = report.clone();
+        relabelled.entries[0].algorithm.collective = Collective::Broadcast { root: 0 };
+        assert!(verify_report(&ring, Collective::Allgather, &relabelled).is_err());
+        let mut overclaimed = report.clone();
+        overclaimed.entries[0].rounds -= 1;
+        assert!(verify_report(&ring, Collective::Allgather, &overclaimed).is_err());
+        assert!(verify_report(&ring, Collective::Allgather, &report).is_ok());
     }
 
     #[test]
