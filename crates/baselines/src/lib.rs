@@ -24,8 +24,7 @@ pub mod rings;
 
 pub use nccl::{
     amd_rings, dgx1_rings, nccl_allgather_dgx1, nccl_allreduce_dgx1, nccl_broadcast_dgx1,
-    nccl_reduce_dgx1, nccl_reducescatter_dgx1, nccl_table3, rccl_allgather_amd, rccl_allreduce_amd,
-    Table3Row,
+    nccl_reduce_dgx1, nccl_reducescatter_dgx1, rccl_allgather_amd, rccl_allreduce_amd,
 };
 pub use rings::{
     pipelined_broadcast, pipelined_reduce, recursive_doubling_allgather, ring_allgather,

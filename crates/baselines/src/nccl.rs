@@ -12,7 +12,6 @@ use crate::rings::{
 };
 use sccl_core::Algorithm;
 use sccl_topology::builders::{AMD_Z52_RING, DGX1_DOUBLE_RING, DGX1_SINGLE_RING};
-use serde::Serialize;
 
 /// The 6 logical single-NVLink rings NCCL uses on the DGX-1 (§2.2):
 /// 2 copies of the double-NVLink cycle and 1 copy of the single-NVLink
@@ -76,40 +75,6 @@ pub fn rccl_allreduce_amd() -> Algorithm {
     ring_allreduce("amd-z52", 8, &amd_rings())
 }
 
-/// One row of Table 3.
-#[derive(Clone, Debug, Serialize, PartialEq, Eq)]
-pub struct Table3Row {
-    pub collective: &'static str,
-    pub chunks: String,
-    pub steps: String,
-    pub rounds: String,
-}
-
-/// The contents of Table 3: NCCL's hand-written collectives and their
-/// chunk/step/round accounting on a DGX-1.
-pub fn nccl_table3() -> Vec<Table3Row> {
-    vec![
-        Table3Row {
-            collective: "Allgather/Reducescatter",
-            chunks: "6".to_string(),
-            steps: "7".to_string(),
-            rounds: "7".to_string(),
-        },
-        Table3Row {
-            collective: "Allreduce",
-            chunks: "48".to_string(),
-            steps: "14".to_string(),
-            rounds: "14".to_string(),
-        },
-        Table3Row {
-            collective: "Broadcast/Reduce",
-            chunks: "6m".to_string(),
-            steps: "6+m".to_string(),
-            rounds: "6+m".to_string(),
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +118,11 @@ mod tests {
     fn nccl_reducescatter_is_valid() {
         let topo = builders::dgx1();
         let alg = nccl_reducescatter_dgx1();
+        // Table 3 shares the row with Allgather, (6, 7, 7); the combining
+        // schedule counts global chunks, 8 nodes × 6.
+        assert_eq!(alg.per_node_chunks, 48);
+        assert_eq!(alg.num_steps(), 7);
+        assert_eq!(alg.total_rounds(), 7);
         validate_combining(&alg, &topo, &reducescatter_required(alg.num_chunks, 8))
             .expect("valid NCCL reduce-scatter");
     }
@@ -196,14 +166,6 @@ mod tests {
         assert_eq!(alg.num_steps(), 14);
         validate_combining(&alg, &topo, &allreduce_required(alg.num_chunks, 8))
             .expect("valid RCCL allreduce");
-    }
-
-    #[test]
-    fn table3_rows() {
-        let rows = nccl_table3();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[1].chunks, "48");
-        assert_eq!(rows[2].steps, "6+m");
     }
 
     #[test]

@@ -59,16 +59,6 @@ impl ChunkRelation {
             ChunkRelation::Transpose => node == (chunk / num_nodes) % num_nodes,
         }
     }
-
-    /// Short human-readable name as used in the paper's tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ChunkRelation::All => "All",
-            ChunkRelation::Root(_) => "Root",
-            ChunkRelation::Scattered => "Scattered",
-            ChunkRelation::Transpose => "Transpose",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,13 +142,5 @@ mod tests {
     #[should_panic]
     fn root_out_of_range_panics() {
         ChunkRelation::Root(9).materialize(2, 4);
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(ChunkRelation::All.name(), "All");
-        assert_eq!(ChunkRelation::Root(0).name(), "Root");
-        assert_eq!(ChunkRelation::Scattered.name(), "Scattered");
-        assert_eq!(ChunkRelation::Transpose.name(), "Transpose");
     }
 }
