@@ -1643,8 +1643,19 @@ mod tests {
             max_chunks: 8,
             ..Default::default()
         };
+        // The first job is deliberately slow (a DGX-1 frontier, a couple
+        // of hundred milliseconds in a debug build against a few for the
+        // ring) so it is still in flight when the second submission
+        // arrives — a quick first job can finish within the scheduling
+        // gap between the two submits on a loaded box.
         let first = server
-            .submit(ring.clone(), Collective::Allgather, big.clone(), None, "a")
+            .submit(
+                builders::dgx1(),
+                Collective::Allgather,
+                big.clone(),
+                None,
+                "a",
+            )
             .expect("first admitted");
         let err = server
             .submit(
