@@ -750,6 +750,7 @@ fn plan_stages(
     partition: &Partition,
     solver: &mut StageSolver<'_>,
 ) -> Result<Vec<PlannedStage>, HierError> {
+    check_composable(collective)?;
     let groups = &partition.groups;
     let leaders = partition.leaders();
     let num_groups = partition.num_groups();
@@ -1016,17 +1017,27 @@ fn plan_stages(
             ])
         }
 
-        Collective::Alltoall => Err(HierError::Unsupported {
-            collective,
-            reason: "Alltoall needs cross-group chunk re-indexing; composition is a \
-                     roadmap follow-on",
-        }),
-        Collective::Reduce { .. } | Collective::ReduceScatter | Collective::Allreduce => {
-            Err(HierError::Unsupported {
-                collective,
-                reason: "combining collectives compose through their non-combining duals; \
-                         hierarchical reduction is a roadmap follow-on",
-            })
-        }
+        _ => unreachable!("check_composable admits only the collectives planned above"),
     }
+}
+
+/// `Ok` when `collective` has a hierarchical composition rule, else the
+/// [`HierError::Unsupported`] a request for it fails with. The one list of
+/// composable collectives: the planner checks it before planning, and a
+/// serving layer can refuse the rest before it queues them.
+pub fn check_composable(collective: Collective) -> Result<(), HierError> {
+    let reason = match collective {
+        Collective::Allgather
+        | Collective::Broadcast { .. }
+        | Collective::Gather { .. }
+        | Collective::Scatter { .. } => return Ok(()),
+        Collective::Alltoall => {
+            "Alltoall needs cross-group chunk re-indexing; composition is a roadmap follow-on"
+        }
+        Collective::Reduce { .. } | Collective::ReduceScatter | Collective::Allreduce => {
+            "combining collectives compose through their non-combining duals; \
+             hierarchical reduction is a roadmap follow-on"
+        }
+    };
+    Err(HierError::Unsupported { collective, reason })
 }

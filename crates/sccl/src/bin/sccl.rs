@@ -106,7 +106,7 @@ const SEARCH_FLAGS: &[FlagSpec] = &[
     ),
 ];
 
-/// Engine construction: worker pool and persistent cache.
+/// Engine construction: worker pool, solve mode and persistent cache.
 const ENGINE_FLAGS: &[FlagSpec] = &[
     val(
         "threads",
@@ -114,7 +114,8 @@ const ENGINE_FLAGS: &[FlagSpec] = &[
         "worker threads, 0 = one per core (default 0)",
     ),
     val("cache", "DIR", "persistent algorithm cache directory"),
-    switch("sequential", "solve with the sequential loop"),
+    switch("sequential", "solve with the sequential loop (the default)"),
+    switch("parallel", "solve with the work-queue parallel scheduler"),
 ];
 
 /// Group selection and stage picking for hierarchical composition.
@@ -252,7 +253,6 @@ const COMMANDS: &[CommandSpec] = &[
             SEARCH_FLAGS,
             ENGINE_FLAGS,
             &[
-                switch("parallel", "solve with the work-queue parallel scheduler"),
                 switch("json", "print the report as JSON"),
                 val(
                     "deadline-ms",
@@ -271,7 +271,6 @@ const COMMANDS: &[CommandSpec] = &[
             SEARCH_FLAGS,
             ENGINE_FLAGS,
             &[
-                switch("parallel", "solve stages with the work-queue scheduler"),
                 switch("json", "print the composition summary as JSON"),
                 val(
                     "deadline-ms",
@@ -310,15 +309,7 @@ const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "serve",
         summary: "serve synthesis requests over a Unix socket (NDJSON protocol)",
-        flags: &[
-            SERVE_FLAGS,
-            SEARCH_FLAGS,
-            ENGINE_FLAGS,
-            &[switch(
-                "parallel",
-                "solve with the work-queue parallel scheduler",
-            )],
-        ],
+        flags: &[SERVE_FLAGS, SEARCH_FLAGS, ENGINE_FLAGS],
     },
     CommandSpec {
         name: "client",
@@ -520,11 +511,12 @@ fn synthesis_config(
     })
 }
 
-/// Build the engine a command's flags describe: worker pool, solve mode,
-/// optional persistent cache.
+/// Build the engine a command's flags describe: worker pool, solve mode
+/// (sequential unless `--parallel` opts in: under a sweep of small
+/// candidates, and under a daemon whose request workers are already the
+/// parallelism, the work-queue scheduler loses), optional persistent cache.
 fn build_engine(
     flags: &HashMap<String, String>,
-    default_mode: SolveMode,
     default_cache: Option<&str>,
     defaults: Option<SynthesisConfig>,
 ) -> Result<Engine, Error> {
@@ -538,9 +530,8 @@ fn build_engine(
                 message: "conflicts with --sequential".to_string(),
             })
         }
-        (true, false) => SolveMode::Sequential,
         (false, true) => SolveMode::Parallel,
-        (false, false) => default_mode,
+        _ => SolveMode::Sequential,
     };
     // The CLI keeps `--threads 0` meaning "one per core" (its documented
     // default); the builder reserves an explicit 0 as a config error, so
@@ -743,9 +734,7 @@ fn cmd_pareto(
     flags: &HashMap<String, String>,
 ) -> Result<ExitCode, Error> {
     let config = synthesis_config(flags, 120)?;
-    // Single-shot requests default to the sequential loop (historic CLI
-    // behavior); --parallel opts into the work-queue scheduler.
-    let engine = build_engine(flags, SolveMode::Sequential, None, None)?;
+    let engine = build_engine(flags, None, None)?;
     let mut request = SynthesisRequest::new(topology, collective).with_config(config);
     let deadline_ms = get_usize(flags, "deadline-ms", 0)?;
     if deadline_ms > 0 {
@@ -824,9 +813,7 @@ fn cmd_hier(
         })?,
     };
     let config = synthesis_config(flags, 120)?;
-    // Stage problems are small; the sequential loop is the predictable
-    // default, --parallel opts stage misses into the work-queue scheduler.
-    let engine = build_engine(flags, SolveMode::Sequential, None, None)?;
+    let engine = build_engine(flags, None, None)?;
     let mut request = HierRequest::new(topology, collective)
         .with_groups(groups)
         .with_config(config);
@@ -927,7 +914,7 @@ fn cmd_batch(flags: &HashMap<String, String>, warmup: bool) -> Result<ExitCode, 
     // `warmup` is batch whose whole point is the cache: default the
     // directory rather than requiring the flag.
     let default_cache = warmup.then_some(".sccl-cache");
-    let engine = build_engine(flags, SolveMode::Parallel, default_cache, None)?;
+    let engine = build_engine(flags, default_cache, None)?;
     let report = engine.run_batch(&jobs, Some(&config));
     print_batch_report(&report, &engine, warmup);
     if report.failures() > 0 {
@@ -941,7 +928,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, Error> {
     // The search flags become the daemon's synthesis defaults; each wire
     // request may override max-steps/max-chunks/k per call.
     let config = synthesis_config(flags, 120)?;
-    let engine = build_engine(flags, SolveMode::Parallel, None, Some(config))?;
+    let engine = build_engine(flags, None, Some(config))?;
     let defaults = ServeConfig::default();
     let serve_config = ServeConfig {
         queue_capacity: get_usize(flags, "queue", defaults.queue_capacity)?,

@@ -67,12 +67,13 @@
 //! on it is the rest of that line.
 
 use crate::hot::MemoKey;
-use crate::server::{Front, HierServed, PastGates, ServeError, Served, Server};
-use crate::wire::{report_line, WireErrorKind, WireRequest, WireResponse};
-use sccl_core::pareto::SynthesisConfig;
+use crate::metrics::Counter;
+use crate::server::{Front, HierServed, ServeError, Served, Server, Ticket};
+use crate::wire::{report_line, WireErrorKind, WireRequest, WireResponse, WireSynthesize};
+use sccl_hier::{EntryPick, GroupSpec, HierRequest};
 use sccl_sched::{CacheKey, Error, SynthesisRequest};
+use std::borrow::Cow;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::ops::ControlFlow;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -99,6 +100,7 @@ extern "C" fn on_sigterm(_signum: i32) {
 /// Install the SIGTERM → graceful-drain handler, once per process.
 /// Best-effort: a failed registration leaves the default disposition
 /// (immediate termination), which the journal already survives.
+#[allow(unsafe_code)]
 fn install_sigterm_handler() {
     static INSTALLED: AtomicBool = AtomicBool::new(false);
     if INSTALLED.swap(true, Ordering::SeqCst) {
@@ -256,73 +258,88 @@ fn replay_journal(server: &Arc<Server>) {
     server.note_journal_replayed(replayed);
 }
 
-/// What one request is answered with. A served report is kept as it is
+/// What one request is answered with. A served answer is kept as it is
 /// until the line is wanted, so a journal replay — which throws its
 /// answers away — renders nothing.
 enum Reply {
     Response(WireResponse),
-    Report(Served),
-    Composition(HierServed),
+    Served(Box<dyn Answer>),
 }
 
 impl Reply {
-    fn bad_request(server: &Server, error: String) -> Reply {
-        server.metrics().bad_request();
-        Reply::Response(WireResponse::Error {
-            kind: WireErrorKind::BadRequest,
-            error,
-            retry_after_ms: None,
-        })
-    }
-
-    /// Build the wire error for a [`ServeError`], attaching the
-    /// retry-after hint when the rejection is a rate limit.
-    fn error(error: &ServeError) -> Reply {
-        let retry_after_ms = match error {
-            ServeError::RateLimited { retry_after_ms, .. } => Some(*retry_after_ms),
-            _ => None,
-        };
-        Reply::Response(WireResponse::Error {
-            kind: error_kind(error),
-            error: error.to_string(),
-            retry_after_ms,
-        })
-    }
-
     /// The response line, without its newline.
     fn into_line(self) -> io::Result<String> {
-        let invalid =
-            |e: serde_json::Error| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         match self {
-            Reply::Response(response) => serde_json::to_string(&response).map_err(invalid),
-            Reply::Report(served) => {
-                let mut provenance = match served.from {
-                    crate::server::ServedFrom::HotTier => "hot".to_string(),
-                    crate::server::ServedFrom::DiskCache => "cache".to_string(),
-                    crate::server::ServedFrom::Solved(mode) => match mode {
-                        sccl_sched::SolveMode::Sequential => "solved:sequential".to_string(),
-                        sccl_sched::SolveMode::Parallel => "solved:parallel".to_string(),
-                    },
-                };
-                if served.degraded {
-                    provenance.push_str(":degraded");
-                }
-                Ok(report_line(&provenance, &served.timings, &served.payload()))
-            }
-            // Provenance `"hier"` (suffixed `:degraded` when a deadline cut
-            // a stage's frontier short), the real per-stage timing
-            // breakdown and the composition summary as the report payload.
-            Reply::Composition(served) => {
-                let provenance = if served.degraded {
-                    "hier:degraded"
-                } else {
-                    "hier"
-                };
-                let payload = serde_json::to_string(&served.summary).map_err(invalid)?;
-                Ok(report_line(provenance, &served.timings, &payload))
-            }
+            Reply::Response(response) => serde_json::to_string(&response)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+            Reply::Served(answer) => Ok(answer.line()),
         }
     }
+}
+
+/// A served answer, rendering its own `synthesize` success line: its
+/// provenance, its timings and its payload, spliced by [`report_line`].
+trait Answer {
+    fn line(&self) -> String;
+}
+
+impl Answer for Served {
+    fn line(&self) -> String {
+        let provenance = provenance(self.from.tag(), self.degraded);
+        report_line(&provenance, &self.timings, &self.payload())
+    }
+}
+
+/// Provenance `"hier"`, the real per-stage timing breakdown and the
+/// composition summary as the report payload.
+impl Answer for HierServed {
+    fn line(&self) -> String {
+        let payload = serde_json::to_string(&self.summary)
+            .expect("a composition summary holds no float, the one value JSON can refuse");
+        report_line(&provenance("hier", self.degraded), &self.timings, &payload)
+    }
+}
+
+/// `tag`, suffixed `:degraded` when a deadline cut the answer short.
+fn provenance(tag: &str, degraded: bool) -> Cow<'_, str> {
+    if degraded {
+        Cow::Owned(format!("{tag}:degraded"))
+    } else {
+        Cow::Borrowed(tag)
+    }
+}
+
+fn bad_request(message: String) -> ServeError {
+    ServeError::BadRequest { message }
+}
+
+/// The one place a [`ServeError`] — a line that did not parse, an
+/// admission refusal or a failed job — becomes a wire error: its kind,
+/// the rate limit's retry hint, and for a bad request the `requests.bad`
+/// count.
+fn error_reply(server: &Server, error: ServeError) -> Reply {
+    let (kind, retry_after_ms) = match &error {
+        ServeError::QueueFull { .. } => (WireErrorKind::QueueFull, None),
+        ServeError::ClientQuota { .. } => (WireErrorKind::ClientQuota, None),
+        ServeError::MemoryBudget { .. } => (WireErrorKind::MemoryBudget, None),
+        ServeError::RateLimited { retry_after_ms, .. } => {
+            (WireErrorKind::RateLimited, Some(*retry_after_ms))
+        }
+        ServeError::ShuttingDown => (WireErrorKind::Shutdown, None),
+        ServeError::Deadline { .. } => (WireErrorKind::Deadline, None),
+        ServeError::BadRequest { .. } => {
+            server.metrics().add(Counter::BadRequests, 1);
+            (WireErrorKind::BadRequest, None)
+        }
+        ServeError::WorkerLost | ServeError::Synthesis { .. } | ServeError::VerifyFailed { .. } => {
+            (WireErrorKind::Synthesis, None)
+        }
+    };
+    Reply::Response(WireResponse::Error {
+        kind,
+        error: error.to_string(),
+        retry_after_ms,
+    })
 }
 
 /// Serve one connection: read request lines, write response lines, in
@@ -344,9 +361,9 @@ fn handle_connection(
             return Ok(());
         }
         if read == MAX_REQUEST_LINE_BYTES && buffer.last() != Some(&b'\n') {
-            server.metrics().request();
+            server.metrics().add(Counter::Requests, 1);
             let error = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
-            write_line(&mut writer, Reply::bad_request(server, error))?;
+            write_line(&mut writer, error_reply(server, bad_request(error)))?;
             return Ok(());
         }
         let line = std::str::from_utf8(&buffer)
@@ -356,11 +373,11 @@ fn handle_connection(
         if line.trim().is_empty() {
             continue;
         }
-        server.metrics().request();
+        server.metrics().add(Counter::Requests, 1);
         let reply = match serde_json::from_str::<WireRequest>(line) {
-            Err(e) => Reply::bad_request(server, e.to_string()),
+            Err(e) => error_reply(server, bad_request(e.to_string())),
             Ok(WireRequest::Metrics) => {
-                server.metrics().metrics_request();
+                server.metrics().add(Counter::MetricsRequests, 1);
                 Reply::Response(WireResponse::Metrics(serde::to_content(&server.snapshot())))
             }
             Ok(WireRequest::Health) => {
@@ -390,20 +407,25 @@ fn handle_connection(
     }
 }
 
-/// Wait for an admitted job with `line` journaled: append the record now
-/// — the job is already queued or running, so the two fsyncs overlap the
-/// solve instead of preceding it — and remove it once the outcome exists.
-/// If the process dies in between, the restarted daemon replays the
-/// record. `None` (no journal attached, a job a cache tier answers, a
-/// replay) just waits. A failed append is counted by the journal and the
-/// job served without its record.
-fn wait_journaled<T>(server: &Server, line: Option<&str>, wait: impl FnOnce() -> T) -> T {
-    let journaled = line.and_then(|line| {
-        let journal = server.engine().journal()?;
-        let seq = journal.append_queue_record(line).ok()?;
-        Some((journal, seq))
-    });
-    let outcome = wait();
+/// Wait for an admitted job, with `line` journaled if the ticket wants a
+/// record: append the record now — the job is already queued or running,
+/// so the two fsyncs overlap the solve instead of preceding it — and
+/// remove it once the outcome exists. If the process dies in between, the
+/// restarted daemon replays the record. A failed append is counted by the
+/// journal and the job served without its record.
+fn wait_journaled<T>(
+    server: &Server,
+    line: Option<&str>,
+    ticket: Ticket<T>,
+) -> Result<T, ServeError> {
+    let journaled = line
+        .filter(|_| ticket.wants_journal_record())
+        .and_then(|line| {
+            let journal = server.engine().journal()?;
+            let seq = journal.append_queue_record(line).ok()?;
+            Some((journal, seq))
+        });
+    let outcome = ticket.wait();
     if let Some((journal, seq)) = journaled {
         journal.remove_queue_record(seq);
     }
@@ -413,33 +435,42 @@ fn wait_journaled<T>(server: &Server, line: Option<&str>, wait: impl FnOnce() ->
 /// Serve one `synthesize` request; `line` is its verbatim wire line, to be
 /// journaled if the admitted job may solve (absent on a replay, whose
 /// record already exists).
-fn serve_synthesize(
-    server: &Arc<Server>,
-    request: crate::wire::WireSynthesize,
+fn serve_synthesize(server: &Server, request: WireSynthesize, line: Option<&str>) -> Reply {
+    match synthesize(server, &request, line) {
+        Ok(answer) => Reply::Served(answer),
+        Err(error) => error_reply(server, error),
+    }
+}
+
+/// A flat request goes to the gates with its content hash — memoized, or
+/// hashed from the topology it builds — and from there to the hot tier or
+/// the queue. A `groups` request goes to [`Server::submit_hier`], through
+/// the same gates and admission; its stage solves run through the
+/// daemon's engine, so the disk cache applies per group.
+fn synthesize(
+    server: &Server,
+    request: &WireSynthesize,
     line: Option<&str>,
-) -> Reply {
+) -> Result<Box<dyn Answer>, ServeError> {
     // A request seen before names its content hash without a topology
     // built or a key hashed: go to the gates with that.
-    let memo_key = MemoKey::of(&request);
+    let memo_key = MemoKey::of(request);
     let memoized = memo_key.as_ref().and_then(|key| server.key_memo().get(key));
-    let past = match memoized.map(|hash| past_gates(server, hash, &request.client)) {
-        Some(ControlFlow::Break(reply)) => return reply,
-        Some(ControlFlow::Continue(past)) => Some(past),
+    let past = match memoized
+        .map(|hash| server.front_gates(hash, &request.client))
+        .transpose()?
+    {
+        Some(Front::Hot(served)) => return Ok(Box::new(served)),
+        Some(Front::Miss(past)) => Some(past),
         None => None,
     };
-    let topology = match request.parse_topology() {
-        Ok(t) => t,
-        Err(error) => return Reply::bad_request(server, error),
-    };
-    let collective = match request.parse_collective() {
-        Ok(c) => c,
-        Err(error) => return Reply::bad_request(server, error),
-    };
+    let topology = request.parse_topology().map_err(bad_request)?;
+    let collective = request.parse_collective().map_err(bad_request)?;
     // Fold the wire's overrides onto the engine's defaults; the result is
     // the exact config the cache key and solve use, so a daemon answer is
     // interchangeable with an in-process `Engine::synthesize` using the
     // same folded config.
-    let mut config: SynthesisConfig = server.engine().defaults().clone();
+    let mut config = server.engine().defaults().clone();
     if let Some(max_steps) = request.max_steps {
         config.max_steps = max_steps;
     }
@@ -449,8 +480,20 @@ fn serve_synthesize(
     if let Some(k) = request.k {
         config.k = k;
     }
-    if request.groups.is_some() {
-        return serve_hier(server, &request, topology, collective, config, line);
+    let deadline = request.deadline_ms.map(Duration::from_millis);
+    if let Some(spec) = &request.groups {
+        let groups = GroupSpec::parse(spec).map_err(|e| bad_request(e.to_string()))?;
+        let mut hier = HierRequest::new(&topology, collective)
+            .with_groups(groups)
+            .with_config(config);
+        hier.mode = request.mode;
+        if let Some(value) = request.pick.as_deref() {
+            hier.pick = EntryPick::parse(value).ok_or_else(|| {
+                bad_request(format!("invalid pick `{value}` (latency | bandwidth)"))
+            })?;
+        }
+        let ticket = server.submit_hier(hier, &request.client, deadline)?;
+        return Ok(Box::new(wait_journaled(server, line, ticket)?));
     }
     let past = match past {
         Some(past) => past,
@@ -459,108 +502,16 @@ fn serve_synthesize(
             if let Some(key) = memo_key {
                 server.key_memo().put(key, &key_hash);
             }
-            match past_gates(server, key_hash, &request.client) {
-                ControlFlow::Continue(past) => past,
-                ControlFlow::Break(reply) => return reply,
+            match server.front_gates(key_hash, &request.client)? {
+                Front::Hot(served) => return Ok(Box::new(served)),
+                Front::Miss(past) => past,
             }
         }
     };
     let mut job = SynthesisRequest::new(&topology, collective).with_config(config);
     job.mode = request.mode;
-    let deadline = request.deadline_ms.map(Duration::from_millis);
-    match server.enqueue_flat(past, job, &request.client, deadline) {
-        Err(reject) => Reply::error(&reject),
-        Ok(ticket) => {
-            let line = line.filter(|_| ticket.wants_journal_record());
-            match wait_journaled(server, line, || ticket.wait()) {
-                Ok(served) => Reply::Report(served),
-                Err(error) => Reply::error(&error),
-            }
-        }
-    }
-}
-
-/// Take a flat request's content hash through [`Server::front_gates`]:
-/// past them with a job still to queue, or the reply that ends the request
-/// here — a refusal, or the hot tier's answer.
-fn past_gates(server: &Server, key_hash: String, client: &str) -> ControlFlow<Reply, PastGates> {
-    match server.front_gates(key_hash, client) {
-        Err(reject) => ControlFlow::Break(Reply::error(&reject)),
-        Ok(Front::Hot(served)) => ControlFlow::Break(Reply::Report(served)),
-        Ok(Front::Miss(past)) => ControlFlow::Continue(past),
-    }
-}
-
-/// Serve a hierarchical request through the same admission path as flat
-/// ones: queue, quotas, the memory budget (sized by the largest stage
-/// subproblem), rate limits and brownout deadline tightening all apply,
-/// and a drain or SIGTERM sees the in-flight composition like any other
-/// job. The expensive parts — the per-group stage solves — run through
-/// the daemon's engine, so its hot tier and disk cache apply per group
-/// exactly as they do for flat requests.
-fn serve_hier(
-    server: &Arc<Server>,
-    request: &crate::wire::WireSynthesize,
-    topology: sccl_topology::Topology,
-    collective: sccl_collectives::Collective,
-    config: SynthesisConfig,
-    line: Option<&str>,
-) -> Reply {
-    let spec = request.groups.as_deref().expect("caller checked presence");
-    let groups = match sccl_hier::GroupSpec::parse(spec) {
-        Ok(groups) => groups,
-        Err(error) => return Reply::bad_request(server, error.to_string()),
-    };
-    let pick = match request.pick.as_deref() {
-        None => sccl_hier::EntryPick::Latency,
-        Some(value) => match sccl_hier::EntryPick::parse(value) {
-            Some(pick) => pick,
-            None => {
-                let error = format!("invalid pick `{value}` (latency | bandwidth)");
-                return Reply::bad_request(server, error);
-            }
-        },
-    };
-    let mut hier_request = sccl_hier::HierRequest::new(&topology, collective)
-        .with_groups(groups)
-        .with_config(config);
-    if let Some(mode) = request.mode {
-        hier_request = hier_request.with_mode(mode);
-    }
-    if pick == sccl_hier::EntryPick::Bandwidth {
-        hier_request = hier_request.pick_bandwidth();
-    }
-    let deadline = request.deadline_ms.map(Duration::from_millis);
-    match server.submit_hier(hier_request, &request.client, deadline) {
-        Err(reject) => {
-            if matches!(reject, ServeError::BadRequest { .. }) {
-                server.metrics().bad_request();
-            }
-            Reply::error(&reject)
-        }
-        // Compositions are not cached whole: every admitted one may solve.
-        Ok(ticket) => match wait_journaled(server, line, || ticket.wait()) {
-            Ok(served) => Reply::Composition(served),
-            Err(error) => Reply::error(&error),
-        },
-    }
-}
-
-/// Map any [`ServeError`] — admission reject or serving failure — to its
-/// machine-matchable wire kind.
-fn error_kind(error: &ServeError) -> WireErrorKind {
-    match error {
-        ServeError::QueueFull { .. } => WireErrorKind::QueueFull,
-        ServeError::ClientQuota { .. } => WireErrorKind::ClientQuota,
-        ServeError::MemoryBudget { .. } => WireErrorKind::MemoryBudget,
-        ServeError::RateLimited { .. } => WireErrorKind::RateLimited,
-        ServeError::ShuttingDown => WireErrorKind::Shutdown,
-        ServeError::Deadline { .. } => WireErrorKind::Deadline,
-        ServeError::BadRequest { .. } => WireErrorKind::BadRequest,
-        ServeError::WorkerLost | ServeError::Synthesis { .. } | ServeError::VerifyFailed { .. } => {
-            WireErrorKind::Synthesis
-        }
-    }
+    let ticket = server.enqueue_flat(past, job, &request.client, deadline)?;
+    Ok(Box::new(wait_journaled(server, line, ticket)?))
 }
 
 fn write_line(writer: &mut UnixStream, reply: Reply) -> io::Result<()> {
@@ -607,11 +558,11 @@ mod tests {
             compositions += 1;
             let summary = decoded.hier_summary().expect("composition summary");
             for (degraded, provenance) in [(false, "hier"), (true, "hier:degraded")] {
-                let reply = Reply::Composition(HierServed {
+                let reply = Reply::Served(Box::new(HierServed {
                     summary: summary.clone(),
                     timings: *timings,
                     degraded,
-                });
+                }));
                 let expected = WireResponse::Report {
                     provenance: provenance.to_string(),
                     timings: *timings,

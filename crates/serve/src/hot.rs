@@ -1,9 +1,10 @@
 //! The in-memory hot tier in front of the on-disk
 //! [`AlgorithmCache`](sccl_sched::AlgorithmCache): recently served
-//! frontiers kept under their cache-key content hash, with a **lock-free
-//! read path** — a connection thread serving a hot hit touches three
-//! atomics and a `HashMap` probe, never a mutex, so hot hits cannot convoy
-//! behind a solver storing a multi-megabyte report.
+//! frontiers kept under their cache-key content hash, behind one
+//! `RwLock`. A hot hit takes the read lock for one `HashMap` probe and an
+//! `Arc` clone; an insert takes the write lock for one insert and at most
+//! one eviction, never for a render or a solve, so hits do not convoy
+//! behind a worker storing a multi-megabyte report.
 //!
 //! # What a slot holds
 //!
@@ -21,38 +22,12 @@
 //! which content hash a request's `(topology, collective, root, caps)`
 //! spells, so a repeated request can ask the tier before it builds the
 //! topology and hashes the key again.
-//!
-//! # Design: RCU over an immutable map
-//!
-//! The current map lives behind an [`AtomicPtr`]; readers snapshot the
-//! pointer and probe the (immutable) map it addresses. Writers are
-//! serialized by a mutex, build a *new* map (clone + mutate), publish it
-//! with a pointer swap, and retire the old map into a graveyard that is
-//! freed only at a observed quiescent point.
-//!
-//! Reclamation is the whole trick, and it needs no epochs or hazard
-//! pointers here because readers bracket their pointer access with a
-//! `SeqCst` active-reader count:
-//!
-//! * A reader increments `readers`, **then** loads the map pointer, uses
-//!   it, and decrements.
-//! * A writer swaps the pointer, **then** checks `readers == 0`. Under
-//!   `SeqCst`'s single total order, any reader still holding the *old*
-//!   pointer incremented `readers` before its load, i.e. before the
-//!   writer's check read zero — so it has already decremented and let go.
-//!   Any reader that increments after the check loads the pointer after
-//!   the swap and can only see the *new* map.
-//!
-//! A writer that observes a nonzero count simply leaves the retired map
-//! in the graveyard; a later write (or drop) frees it. Readers are thus
-//! wait-free; writers pay the map clone, which is the right trade for a
-//! tier whose hit path is orders of magnitude hotter than its fill path.
 
 use crate::wire::WireSynthesize;
 use sccl_core::pareto::SynthesisReport;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One verified report and, once a response has needed it, the report's
 /// rendered wire payload (see the module docs).
@@ -93,36 +68,19 @@ impl HotEntry {
     }
 }
 
-type Map = HashMap<String, Arc<HotEntry>>;
-
-/// State only writers touch, behind the writer mutex.
-struct WriterState {
-    /// Insertion order of the keys currently in the published map, oldest
-    /// first — the eviction queue.
-    order: Vec<String>,
-    /// Retired map generations not yet proven quiescent.
-    graveyard: Vec<*mut Map>,
+/// The tier's entries and their eviction queue, mutated in place.
+#[derive(Default)]
+struct Slots {
+    map: HashMap<String, Arc<HotEntry>>,
+    /// The keys of `map` in insertion order, oldest first.
+    order: VecDeque<String>,
 }
 
-/// A bounded, lock-free-read hot cache of synthesis reports.
+/// A bounded hot cache of synthesis reports (see the module docs).
 pub struct HotTier {
-    /// The published map. Always a valid `Box<Map>` leaked into the
-    /// pointer; never null.
-    map: AtomicPtr<Map>,
-    /// Readers currently between their increment and decrement.
-    readers: AtomicUsize,
-    writer: Mutex<WriterState>,
+    slots: RwLock<Slots>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
-
-// SAFETY: the raw pointers in `map` and `graveyard` address heap maps of
-// `String → Arc<HotEntry>`, both `Send + Sync`; all mutation is
-// funneled through the writer mutex and the documented publish/retire
-// protocol, and readers only ever take shared references.
-unsafe impl Send for HotTier {}
-unsafe impl Sync for HotTier {}
 
 impl HotTier {
     /// An empty tier retaining at most `capacity` reports (insertion
@@ -130,15 +88,8 @@ impl HotTier {
     /// misses and every insert is dropped).
     pub fn new(capacity: usize) -> Self {
         HotTier {
-            map: AtomicPtr::new(Box::into_raw(Box::new(Map::new()))),
-            readers: AtomicUsize::new(0),
-            writer: Mutex::new(WriterState {
-                order: Vec::new(),
-                graveyard: Vec::new(),
-            }),
+            slots: RwLock::new(Slots::default()),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -147,8 +98,7 @@ impl HotTier {
         self.capacity
     }
 
-    /// Look up a report by cache-key content hash. Lock-free: two
-    /// `SeqCst` counter updates and one pointer load, no mutex.
+    /// Look up a report by cache-key content hash.
     pub fn lookup(&self, hash: &str) -> Option<Arc<SynthesisReport>> {
         self.lookup_entry(hash)
             .map(|entry| Arc::clone(entry.report()))
@@ -157,25 +107,11 @@ impl HotTier {
     /// [`HotTier::lookup`], returning the whole slot: the report and its
     /// once-rendered payload.
     pub fn lookup_entry(&self, hash: &str) -> Option<Arc<HotEntry>> {
-        // Increment BEFORE the pointer load: a writer that later observes
-        // readers == 0 is thereby guaranteed this load saw its new map.
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        let map = self.map.load(Ordering::SeqCst);
-        // SAFETY: `map` was published by a writer and cannot be freed
-        // while this reader is counted (see the module docs' quiescence
-        // argument).
-        let found = unsafe { &*map }.get(hash).cloned();
-        self.readers.fetch_sub(1, Ordering::SeqCst);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.read().map.get(hash).cloned()
     }
 
-    /// Publish a report under its content hash, evicting the oldest
-    /// entries if the tier is over capacity. Writers serialize on a
-    /// mutex; readers are never blocked.
+    /// Publish a report under its content hash, evicting the oldest entry
+    /// if the tier is over capacity.
     pub fn insert(&self, hash: String, report: Arc<SynthesisReport>) {
         self.insert_entry(hash, HotEntry::new(report));
     }
@@ -186,22 +122,16 @@ impl HotTier {
         if self.capacity == 0 {
             return;
         }
-        let mut state = self.writer.lock().expect("hot-tier writer lock");
-        // Clone-and-mutate: the published map is immutable by contract.
-        let current = self.map.load(Ordering::SeqCst);
-        // SAFETY: only writers retire maps, and this thread holds the
-        // writer lock, so `current` stays valid for the clone.
-        let mut next = unsafe { &*current }.clone();
-        if next.insert(hash.clone(), entry).is_none() {
-            state.order.push(hash);
+        let mut slots = self.slots.write().expect("hot-tier lock");
+        if slots.map.insert(hash.clone(), entry).is_none() {
+            slots.order.push_back(hash);
         }
-        while next.len() > self.capacity {
-            // `order` tracks exactly the published keys, so it cannot run
+        while slots.map.len() > self.capacity {
+            // `order` holds exactly the keys of `map`, so it cannot run
             // dry while the map is over capacity.
-            let victim = state.order.remove(0);
-            next.remove(&victim);
+            let victim = slots.order.pop_front().expect("a key per entry");
+            slots.map.remove(&victim);
         }
-        self.publish(Box::into_raw(Box::new(next)), &mut state);
     }
 
     /// Drop the entry published under `hash`, if any. Returns whether an
@@ -211,46 +141,28 @@ impl HotTier {
     /// the engine prunes an entry (capacity eviction or encoder-version
     /// sweep), the server forwards the pruned hashes here so the tier
     /// cannot keep replaying a frontier the durable store no longer
-    /// backs. Same clone-and-publish discipline as [`HotTier::insert`];
-    /// readers are never blocked.
+    /// backs.
     pub fn invalidate(&self, hash: &str) -> bool {
-        if self.capacity == 0 {
+        let mut slots = self.slots.write().expect("hot-tier lock");
+        if slots.map.remove(hash).is_none() {
             return false;
         }
-        let mut state = self.writer.lock().expect("hot-tier writer lock");
-        let current = self.map.load(Ordering::SeqCst);
-        // SAFETY: only writers retire maps, and this thread holds the
-        // writer lock, so `current` stays valid for the clone.
-        let mut next = unsafe { &*current }.clone();
-        if next.remove(hash).is_none() {
-            return false;
-        }
-        state.order.retain(|key| key != hash);
-        self.publish(Box::into_raw(Box::new(next)), &mut state);
+        slots.order.retain(|key| key != hash);
         true
     }
 
     /// Entries currently published.
     pub fn len(&self) -> usize {
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        let map = self.map.load(Ordering::SeqCst);
-        // SAFETY: as in `lookup`.
-        let len = unsafe { &*map }.len();
-        self.readers.fetch_sub(1, Ordering::SeqCst);
-        len
+        self.read().map.len()
     }
 
     /// Rendered payload bytes the published entries hold right now.
     pub fn resident_bytes(&self) -> usize {
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        let map = self.map.load(Ordering::SeqCst);
-        // SAFETY: as in `lookup`.
-        let bytes = unsafe { &*map }
+        self.read()
+            .map
             .values()
             .map(|entry| entry.resident_bytes())
-            .sum();
-        self.readers.fetch_sub(1, Ordering::SeqCst);
-        bytes
+            .sum()
     }
 
     /// `true` if no report is published.
@@ -258,45 +170,8 @@ impl HotTier {
         self.len() == 0
     }
 
-    /// `(hits, misses)` counters of this tier.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Swap `next` in as the published map and retire the old one,
-    /// freeing the graveyard if a quiescent point is observed. Callers
-    /// hold the writer lock (witnessed by `state`).
-    fn publish(&self, next: *mut Map, state: &mut WriterState) {
-        let old = self.map.swap(next, Ordering::SeqCst);
-        state.graveyard.push(old);
-        // The swap is SeqCst and so is this load: if it reads 0, every
-        // reader that could have seen any graveyard pointer has already
-        // decremented, so the retired maps are unreachable.
-        if self.readers.load(Ordering::SeqCst) == 0 {
-            for retired in state.graveyard.drain(..) {
-                // SAFETY: unreachable per the quiescence argument; each
-                // pointer came from `Box::into_raw` and is freed once
-                // (drain removes it from the graveyard).
-                drop(unsafe { Box::from_raw(retired) });
-            }
-        }
-    }
-}
-
-impl Drop for HotTier {
-    fn drop(&mut self) {
-        // Exclusive access: no readers or writers can exist during drop.
-        let state = self.writer.get_mut().expect("hot-tier writer lock");
-        for retired in state.graveyard.drain(..) {
-            // SAFETY: exclusively owned leaked boxes, freed exactly once.
-            drop(unsafe { Box::from_raw(retired) });
-        }
-        let current = *self.map.get_mut();
-        // SAFETY: the published map is a leaked box owned by `self`.
-        drop(unsafe { Box::from_raw(current) });
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Slots> {
+        self.slots.read().expect("hot-tier lock")
     }
 }
 
@@ -420,7 +295,6 @@ mod tests {
         tier.insert("k1".to_string(), Arc::clone(&r));
         let hit = tier.lookup("k1").expect("published entry");
         assert!(Arc::ptr_eq(&hit, &r), "the tier must share, not clone");
-        assert_eq!(tier.stats(), (1, 1));
     }
 
     #[test]
@@ -599,8 +473,9 @@ mod tests {
     }
 
     /// Invalidation racing concurrent readers: a reader overlapping the
-    /// retirement of the map it is probing must still see either a miss
-    /// or the *full* retired report — never a freed map or a torn entry.
+    /// invalidation of the entry it is probing must see either a miss or
+    /// the *full* report — its `Arc` keeps the report whole after the slot
+    /// is gone.
     /// This is the quarantine path's contract: when a corrupt disk entry
     /// is quarantined, the server invalidates the hot tier while hot
     /// lookups for the same hash are in flight.
@@ -620,8 +495,8 @@ mod tests {
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         if let Some(report) = tier.lookup("contested") {
-                            // Walk the whole report: a use-after-free here
-                            // would read freed entry vectors.
+                            // Walk the whole report, which may have left
+                            // the tier since the lookup.
                             assert_eq!(report.entries.len(), entries);
                             for entry in &report.entries {
                                 assert!(!entry.algorithm.sends.is_empty());
@@ -634,9 +509,9 @@ mod tests {
             .collect();
 
         // The writer flips the contested key between published and
-        // invalidated, retiring a map generation per flip, until the
-        // readers have provably raced live hits against invalidations
-        // (bounded so a pathological scheduler cannot hang the test).
+        // invalidated until the readers have provably raced live hits
+        // against invalidations (bounded so a pathological scheduler
+        // cannot hang the test).
         let mut flips = 0u64;
         while observed.load(Ordering::Relaxed) < 100 && flips < 2_000_000 {
             tier.insert("contested".to_string(), Arc::clone(&r));

@@ -3,17 +3,20 @@
 //! The engine answers one request at a time from whoever holds it; this
 //! crate turns it into a long-lived, multi-client service:
 //!
-//! * [`Server`] — the in-process core: a **bounded request queue** with
-//!   completion-handle [`Ticket`]s drained by a std-thread worker pool,
-//!   **admission control** (per-client in-flight quotas plus a global
-//!   cap on the estimated solver memory of everything admitted) and the
-//!   [`HotTier`], an in-memory cache of recently served frontiers in
-//!   front of the engine's on-disk store with a **lock-free read path**;
-//!   each slot ([`HotEntry`]) keeps the report's once-rendered wire
-//!   payload, so a hot hit is answered with a copy of bytes.
-//! * [`EngineMetrics`] — a lock-free metrics registry (cache hit rates,
-//!   p50/p99 solve latency, queue depth, candidate-memo hit rate,
-//!   rejection counts) snapshottable as JSON.
+//! * [`Server`] — the in-process core: a **bounded request queue** drained
+//!   by a std-thread worker pool, with one job path for flat and
+//!   hierarchical requests alike (one gate, one admission, one panic
+//!   boundary, one [`Ticket`] type), **admission control** (per-client
+//!   in-flight quotas plus a global cap on the estimated solver memory of
+//!   everything admitted) and the [`HotTier`], an in-memory cache of
+//!   recently served frontiers in front of the engine's on-disk store,
+//!   behind one `RwLock`; each slot ([`HotEntry`]) keeps the report's
+//!   once-rendered wire payload, so a hot hit is answered with a copy of
+//!   bytes.
+//! * [`EngineMetrics`] — one table of atomic counters plus two latency
+//!   histograms (cache hit rates, p50/p99 solve latency, queue depth,
+//!   candidate-memo hit rate, rejection counts), snapshottable as JSON
+//!   through [`Server::snapshot`].
 //! * [`Daemon`] — the socket shell: newline-delimited JSON over a Unix
 //!   domain socket, verbs `synthesize` / `metrics` / `health` / `drain`
 //!   / `shutdown` (see [`wire`] for the exact protocol), one handler
@@ -25,9 +28,12 @@
 //! * [`ServeClient`] — a minimal blocking client for that protocol.
 //!
 //! The `sccl serve` CLI subcommand is a thin flag-parser over
-//! [`Daemon::bind`]; the many-client load bench in `crates/bench` drives
-//! the daemon through [`ServeClient`] and records throughput next to the
-//! solver benches.
+//! [`Daemon::bind`]; the ledger's serve workloads drive the daemon
+//! through [`ServeClient`].
+//!
+//! The one `unsafe` call is the SIGTERM handler's installation.
+
+#![deny(unsafe_code)]
 
 mod client;
 mod daemon;
@@ -41,12 +47,12 @@ pub use client::{RetryPolicy, ServeClient};
 pub use daemon::Daemon;
 pub use hot::{HotEntry, HotTier};
 pub use metrics::{
-    CacheCounters, DaemonCounters, DaemonGauges, EngineMetrics, FaultCounters, FaultGauges,
-    HierCounters, Histogram, HotCounters, HotTierGauges, LatencyCounters, LatencySnapshot,
-    MetricsSnapshot, PoolCounters, QueueGauges, RegistryGauges, RejectionCounters, RequestCounters,
+    CacheCounters, DaemonCounters, EngineMetrics, FaultCounters, HierCounters, HotCounters,
+    LatencyCounters, LatencySnapshot, MetricsSnapshot, PoolCounters, QueueGauges,
+    RejectionCounters, RequestCounters,
 };
 pub use server::{
-    solve_estimate_cells, Health, HierOutcome, HierServed, HierTicket, Outcome, ServeConfig,
-    ServeError, Served, ServedFrom, Server, Ticket,
+    solve_estimate_cells, Health, HierServed, ServeConfig, ServeError, Served, ServedFrom, Server,
+    Ticket,
 };
 pub use wire::{WireErrorKind, WireRequest, WireResponse, WireSynthesize, WireTimings};

@@ -1,11 +1,24 @@
 //! The serving core: a bounded request queue drained by a std-thread
-//! worker pool, fronted by admission control and the lock-free
-//! [`HotTier`]. The daemon's socket layer is a thin shell over this —
-//! everything testable lives here, in-process.
+//! worker pool, fronted by admission control and the [`HotTier`]. The
+//! daemon's socket layer is a thin shell over this — everything testable
+//! lives here, in-process.
+//!
+//! # One job path
+//!
+//! A flat submission and a hierarchical (`groups`) one are the same job to
+//! everything but the solve. Both pass the same gates (drain, then the
+//! client's token bucket), both are admitted under the queue lock by the
+//! same rules, and both run as one [`Job`]: a worker isolates the solve
+//! from panics, hands it what the queue wait left of the deadline,
+//! releases the job's reservation and resolves its [`Ticket`]. Only
+//! [`Work::solve`] tells them apart — a flat job solves one problem
+//! through the engine, a composition plans, solves and stitches its
+//! stages — which is PCCL's framing of a flat collective as a one-group
+//! process-group collective.
 //!
 //! # Admission
 //!
-//! A `synthesize` submission is either *served inline* (hot-tier hit),
+//! A submission is either *served inline* (a flat hot-tier hit),
 //! *admitted* (queued, returning a [`Ticket`] the caller blocks on) or
 //! *rejected immediately* with a typed [`ServeError`] — the queue never
 //! grows past its bound and a rejected caller is never left hanging:
@@ -22,12 +35,22 @@
 //!   when nothing else is running — the budget caps *concurrent* memory,
 //!   it must not make any single problem permanently unserveable.
 //!
+//! A deadline is measured from the gates, so queue wait counts against
+//! it. On expiry a job degrades gracefully: whatever part of the frontier
+//! was solved in time is served with its `degraded` flag set; only a
+//! deadline that expires with *nothing* solved resolves the ticket to
+//! [`ServeError::Deadline`]. Hot-tier and disk-cache hits always serve
+//! complete reports, deadline notwithstanding.
+//!
 //! Workers drain the queue in FIFO order, solve through the shared
 //! [`Engine`] (one memo of decided candidates and one on-disk cache
 //! across all workers), publish results into the hot tier and complete tickets.
 
 use crate::hot::{HotEntry, HotTier, KeyMemo};
-use crate::metrics::{EngineMetrics, FaultGauges, HotTierGauges, MetricsSnapshot, RegistryGauges};
+use crate::metrics::{
+    CacheCounters, Counter, DaemonCounters, EngineMetrics, FaultCounters, HierCounters,
+    HotCounters, MetricsSnapshot, PoolCounters, QueueGauges, RejectionCounters, RequestCounters,
+};
 use crate::wire::WireTimings;
 use sccl_collectives::Collective;
 use sccl_core::incremental::IncrementalStats;
@@ -36,7 +59,7 @@ use sccl_hier::{HierError, HierRequest, HierSummary, Partition};
 use sccl_sched::{CacheKey, Engine, Error, Provenance, SolveMode, SynthesisRequest};
 use sccl_topology::Topology;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -265,7 +288,19 @@ pub enum ServedFrom {
     Solved(SolveMode),
 }
 
-/// A successfully served `synthesize` submission.
+impl ServedFrom {
+    /// The provenance a `synthesize` success line names this tier by.
+    pub fn tag(self) -> &'static str {
+        match self {
+            ServedFrom::HotTier => "hot",
+            ServedFrom::DiskCache => "cache",
+            ServedFrom::Solved(SolveMode::Sequential) => "solved:sequential",
+            ServedFrom::Solved(SolveMode::Parallel) => "solved:parallel",
+        }
+    }
+}
+
+/// A successfully served flat submission.
 #[derive(Clone, Debug)]
 pub struct Served {
     /// The frontier (shared with the hot tier).
@@ -294,9 +329,6 @@ impl Served {
     }
 }
 
-/// The outcome a [`Ticket`] resolves to.
-pub type Outcome = Result<Served, ServeError>;
-
 /// A successfully served hierarchical submission. The composition is
 /// carried as its compact [`HierSummary`] — exactly what the wire
 /// serializes — rather than the full stitched algorithm.
@@ -312,113 +344,70 @@ pub struct HierServed {
     pub degraded: bool,
 }
 
-/// The outcome a [`HierTicket`] resolves to.
-pub type HierOutcome = Result<HierServed, ServeError>;
-
 /// Completion slot shared by a ticket and the worker resolving it.
 struct Slot<T> {
-    outcome: Mutex<Option<T>>,
+    outcome: Mutex<Option<Result<T, ServeError>>>,
     done: Condvar,
 }
 
 impl<T> Slot<T> {
-    fn new() -> Arc<Slot<T>> {
-        Arc::new(Slot {
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
-        })
-    }
-
-    fn complete(&self, outcome: T) {
+    fn complete(&self, outcome: Result<T, ServeError>) {
         *self.outcome.lock().expect("ticket lock") = Some(outcome);
         self.done.notify_all();
     }
-
-    fn is_resolved(&self) -> bool {
-        self.outcome
-            .lock()
-            .map(|slot| slot.is_some())
-            .unwrap_or(false)
-    }
-
-    fn wait(&self) -> T {
-        let mut slot = self.outcome.lock().expect("ticket lock");
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            slot = self.done.wait(slot).expect("ticket wait");
-        }
-    }
-
-    fn wait_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut slot = self.outcome.lock().expect("ticket lock");
-        loop {
-            if let Some(outcome) = slot.take() {
-                return Some(outcome);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            slot = self
-                .done
-                .wait_timeout(slot, deadline - now)
-                .expect("ticket wait")
-                .0;
-        }
-    }
 }
 
-type TicketState = Slot<Outcome>;
-type HierTicketState = Slot<HierOutcome>;
-
-/// A completion handle for one admitted job. [`Ticket::wait`] blocks
-/// until a worker resolves it.
-pub struct Ticket {
-    state: Arc<TicketState>,
+/// A completion handle for one submission: [`Ticket::wait`] blocks until
+/// a worker resolves it to what the job serves — a [`Served`] frontier, or
+/// a [`HierServed`] composition.
+pub struct Ticket<T = Served> {
+    slot: Arc<Slot<T>>,
     wants_journal_record: bool,
 }
 
-impl std::fmt::Debug for Ticket {
+impl<T> std::fmt::Debug for Ticket<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let resolved = self.slot.outcome.lock().is_ok_and(|slot| slot.is_some());
         f.debug_struct("Ticket")
-            .field("resolved", &self.state.is_resolved())
+            .field("resolved", &resolved)
             .field("wants_journal_record", &self.wants_journal_record)
             .finish()
     }
 }
 
-impl Ticket {
-    fn pair(wants_journal_record: bool) -> (Ticket, Arc<TicketState>) {
-        let state = Slot::new();
+impl<T> Ticket<T> {
+    fn pair(wants_journal_record: bool) -> (Ticket<T>, Arc<Slot<T>>) {
+        let slot = Arc::new(Slot {
+            outcome: Mutex::new(None),
+            done: Condvar::new(),
+        });
         let ticket = Ticket {
-            state: Arc::clone(&state),
+            slot: Arc::clone(&slot),
             wants_journal_record,
         };
-        (ticket, state)
-    }
-
-    fn resolved(outcome: Outcome) -> Ticket {
-        let (ticket, state) = Ticket::pair(false);
-        state.complete(outcome);
-        ticket
+        (ticket, slot)
     }
 
     /// `true` when a crash before this ticket resolves could lose work a
     /// journal record would recover: the engine carries a journal, and the
-    /// job may run a solve — it missed the hot tier and the disk cache
-    /// does not index its key. A ticket a cache tier will answer says
-    /// `false`; replaying its record would be a lookup whose result is
-    /// thrown away (see the daemon's module docs for what that gives up).
+    /// job may run a solve — a composition, or a flat job that missed the
+    /// hot tier and whose key the disk cache does not index. A ticket a
+    /// cache tier will answer says `false`; replaying its record would be
+    /// a lookup whose result is thrown away (see the daemon's module docs
+    /// for what that gives up).
     pub fn wants_journal_record(&self) -> bool {
         self.wants_journal_record
     }
 
     /// Block until the job completes and take its outcome.
-    pub fn wait(self) -> Outcome {
-        self.state.wait()
+    pub fn wait(self) -> Result<T, ServeError> {
+        let slot = self.slot.outcome.lock().expect("ticket lock");
+        let mut slot = self
+            .slot
+            .done
+            .wait_while(slot, |outcome| outcome.is_none())
+            .expect("ticket wait");
+        slot.take().expect("a resolved ticket")
     }
 
     /// Block until the job completes or `timeout` elapses. Returns `None`
@@ -426,41 +415,14 @@ impl Ticket {
     /// to keep waiting. A belt-and-braces bound for callers that cannot
     /// afford to trust worker liveness (workers already complete tickets
     /// with [`ServeError::WorkerLost`] when a solve panics).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Outcome> {
-        self.state.wait_timeout(timeout)
-    }
-}
-
-/// A completion handle for one admitted hierarchical job — the same
-/// contract as [`Ticket`], resolving to a [`HierServed`] composition.
-/// There is no cache tier for whole compositions, so every admitted one
-/// may solve and is worth a journal record.
-pub struct HierTicket(Arc<HierTicketState>);
-
-impl std::fmt::Debug for HierTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HierTicket")
-            .field("resolved", &self.0.is_resolved())
-            .finish()
-    }
-}
-
-impl HierTicket {
-    fn pair() -> (HierTicket, Arc<HierTicketState>) {
-        let state = Slot::new();
-        (HierTicket(Arc::clone(&state)), state)
-    }
-
-    /// Block until the composition completes and take its outcome.
-    pub fn wait(self) -> HierOutcome {
-        self.0.wait()
-    }
-
-    /// Block until the composition completes or `timeout` elapses
-    /// (`None` on timeout, ticket still usable — see
-    /// [`Ticket::wait_timeout`]).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<HierOutcome> {
-        self.0.wait_timeout(timeout)
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<T, ServeError>> {
+        let slot = self.slot.outcome.lock().expect("ticket lock");
+        let (mut slot, _) = self
+            .slot
+            .done
+            .wait_timeout_while(slot, timeout, |outcome| outcome.is_none())
+            .expect("ticket wait");
+        slot.take()
     }
 }
 
@@ -481,25 +443,26 @@ pub(crate) struct PastGates {
     submitted: Instant,
 }
 
-/// What an admitted job actually solves: a flat synthesis problem or a
-/// hierarchical composition. Both kinds share one queue, one worker
-/// pool and one reservation ledger — drain, quotas and the memory
-/// budget cannot tell them apart, which is the point.
-enum JobWork {
-    Flat {
-        request: SynthesisRequest,
-        key_hash: String,
-        ticket: Arc<TicketState>,
-    },
-    Hier {
-        request: HierRequest,
-        ticket: Arc<HierTicketState>,
-    },
+/// What an admitted job solves and serves. Everything else about a job —
+/// admission, the queue, panic isolation, the deadline, the reservation,
+/// the ticket — is [`Job`]'s, the same for every kind.
+trait Work: Send + 'static {
+    type Served: Send + 'static;
+
+    /// Solve in what the queue wait left of the job's deadline.
+    fn solve(self, server: &Server, started: &Started) -> Result<Self::Served, ServeError>;
+}
+
+/// A flat job: one synthesis problem and its cache key's content hash.
+struct FlatWork {
+    request: SynthesisRequest,
+    key_hash: String,
 }
 
 /// One admitted job, queued for a worker.
-struct Job {
-    work: JobWork,
+struct Job<W: Work> {
+    work: W,
+    slot: Arc<Slot<W::Served>>,
     client: String,
     reserved_cells: usize,
     submitted: Instant,
@@ -508,9 +471,33 @@ struct Job {
     deadline: Option<Duration>,
 }
 
+/// A job of any kind, as the queue holds it.
+type Queued = Box<dyn FnOnce(&Server) + Send>;
+
+/// A job as its worker picks it up.
+struct Started {
+    submitted: Instant,
+    queue_wait: Duration,
+    /// The job's deadline, measured from `submitted`.
+    deadline: Option<Duration>,
+    /// What the queue wait left of `deadline`.
+    remaining: Option<Duration>,
+}
+
+impl Started {
+    /// The queue wait and the time since submission, as wire timings.
+    fn timings(&self) -> WireTimings {
+        WireTimings {
+            queue_micros: micros(self.queue_wait),
+            total_micros: micros(self.submitted.elapsed()),
+            ..WireTimings::default()
+        }
+    }
+}
+
 /// State behind the queue lock.
 struct QueueState {
-    queue: VecDeque<Job>,
+    queue: VecDeque<Queued>,
     /// Admitted (queued or solving) jobs per client identity.
     inflight: HashMap<String, usize>,
     /// Estimated cells of all admitted jobs.
@@ -574,7 +561,7 @@ pub struct Server {
     buckets: Mutex<HashMap<String, TokenBucket>>,
     /// Journaled queue records replayed at startup (set once by the
     /// daemon after recovery).
-    journal_replayed: std::sync::atomic::AtomicU64,
+    journal_replayed: AtomicU64,
     started: Instant,
     started_unix_ms: u64,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -608,7 +595,7 @@ impl Server {
             draining: AtomicBool::new(false),
             browned_out: AtomicBool::new(false),
             buckets: Mutex::new(HashMap::new()),
-            journal_replayed: std::sync::atomic::AtomicU64::new(0),
+            journal_replayed: AtomicU64::new(0),
             started: Instant::now(),
             started_unix_ms: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
@@ -626,7 +613,7 @@ impl Server {
 
     /// Spawn one worker thread. The thread holds a [`RespawnGuard`]: if it
     /// ever dies by panic (solver panics are caught *inside*
-    /// [`Server::run`], so this is the backstop for panics outside that
+    /// [`Job::run`], so this is the backstop for panics outside that
     /// window — a poisoned lock, a metrics bug), the guard spawns a
     /// replacement so the pool never shrinks silently.
     fn spawn_worker(server: &Arc<Server>, index: usize) -> std::thread::JoinHandle<()> {
@@ -663,35 +650,90 @@ impl Server {
         &self.config
     }
 
-    /// Snapshot every metric, folding in the hot tier's and the candidate
-    /// memo's current occupancy plus the engine's quarantine gauge.
+    /// Snapshot every metric: the registry's counters and histograms, and
+    /// the gauges the hot tier, the key memo, the engine (its memo, cache
+    /// and journal) and the server's own lifecycle flags hold right now.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        use Counter::*;
+        let count = |counter| self.metrics.get(counter);
+        let ratio = |part: u64, whole: u64| {
+            if whole == 0 {
+                0.0
+            } else {
+                part as f64 / whole as f64
+            }
+        };
         let journal = self.engine.journal();
-        self.metrics.snapshot(
-            HotTierGauges {
-                len: self.hot.len() as u64,
-                capacity: self.hot.capacity() as u64,
+        let (hot_hits, disk_hits, solved) = (count(HotHits), count(DiskHits), count(Solved));
+        let (memo_hits, warm_candidates) = (count(MemoHits), count(WarmCandidates));
+        MetricsSnapshot {
+            requests: RequestCounters {
+                total: count(Requests),
+                synthesize: count(SynthesizeRequests),
+                metrics: count(MetricsRequests),
+                bad: count(BadRequests),
+                synthesis_errors: count(SynthesisErrors),
+            },
+            rejections: RejectionCounters {
+                queue_full: count(RejectedQueueFull),
+                client_quota: count(RejectedClientQuota),
+                memory_budget: count(RejectedMemoryBudget),
+                rate_limited: count(RejectedRateLimited),
+                shutdown: count(RejectedShutdown),
+            },
+            cache: CacheCounters {
+                hot_hits,
+                disk_hits,
+                solved,
+                hit_rate: ratio(hot_hits + disk_hits, hot_hits + disk_hits + solved),
+                hot_len: self.hot.len() as u64,
+                hot_capacity: self.hot.capacity() as u64,
+            },
+            hot: HotCounters {
                 resident_bytes: self.hot.resident_bytes() as u64,
                 key_memo_hits: self.key_memo.hits(),
             },
-            RegistryGauges {
-                len: self.engine.memo_len() as u64,
-                weight: self.engine.memo_weight() as u64,
+            queue: QueueGauges {
+                depth: count(QueueDepth),
+                peak_depth: count(QueuePeakDepth),
             },
-            FaultGauges {
+            pool: PoolCounters {
+                memo_hits,
+                warm_candidates,
+                pool_checkins: count(PoolCheckins),
+                memo_hit_rate: ratio(memo_hits, memo_hits + warm_candidates),
+                registry_len: self.engine.memo_len() as u64,
+                registry_weight: self.engine.memo_weight() as u64,
+            },
+            faults: FaultCounters {
+                panics_caught: count(PanicsCaught),
+                worker_respawns: count(WorkerRespawns),
+                deadline_expired: count(DeadlineExpired),
+                deadline_degraded: count(DeadlineDegraded),
+                verify_failures: count(VerifyFailures),
                 cache_quarantined: self.engine.cache_stats().map_or(0, |s| s.quarantined),
             },
-            crate::metrics::DaemonGauges {
+            hier: HierCounters {
+                requests: count(HierRequests),
+                stage_solves: count(HierStageSolves),
+                cache_hits: count(HierCacheHits),
+                degraded: count(HierDegraded),
+                verify_failures: count(HierVerifyFailures),
+            },
+            daemon: DaemonCounters {
                 uptime_ms: self.started.elapsed().as_millis() as u64,
                 started_unix_ms: self.started_unix_ms,
                 journal_replayed: self.journal_replayed.load(Ordering::Relaxed),
                 checkpoints_written: journal.map_or(0, |j| j.checkpoints_written()),
                 journal_records_written: journal.map_or(0, |j| j.records_written()),
                 journal_write_errors: journal.map_or(0, |j| j.write_errors()),
+                rate_limited: count(RejectedRateLimited),
                 brownout_active: self.browned_out.load(Ordering::Relaxed),
+                brownout_entered: count(BrownoutEntered),
                 draining: self.health().draining,
             },
-        )
+            latency_micros: self.metrics.latency(),
+        }
     }
 
     /// `true` once [`Server::shutdown`] has begun.
@@ -749,7 +791,7 @@ impl Server {
         }
         let deficit = 1.0 - bucket.tokens;
         let retry_after_ms = ((deficit / rate) * 1000.0).ceil() as u64;
-        self.metrics.rejected_rate_limited();
+        self.metrics.add(Counter::RejectedRateLimited, 1);
         Err(ServeError::RateLimited {
             client: client.to_string(),
             retry_after_ms: retry_after_ms.max(1),
@@ -771,7 +813,7 @@ impl Server {
         let memory_low = !above(reserved_cells, self.config.memory_budget_cells, 1, 2);
         if queue_high || memory_high {
             if !self.browned_out.swap(true, Ordering::Relaxed) {
-                self.metrics.brownout_entered();
+                self.metrics.add(Counter::BrownoutEntered, 1);
             }
         } else if queue_low && memory_low {
             self.browned_out.store(false, Ordering::Relaxed);
@@ -792,59 +834,77 @@ impl Server {
         mode: Option<SolveMode>,
         client: &str,
     ) -> Result<Ticket, ServeError> {
-        self.submit_with_deadline(topology, collective, config, mode, client, None)
-    }
-
-    /// [`Server::submit`] with a wall-clock deadline measured from this
-    /// call — queue wait counts against it. On expiry the job degrades
-    /// gracefully: whatever part of the frontier was solved in time is
-    /// served with [`Served::degraded`] set; only a deadline that expires
-    /// with *nothing* solved resolves the ticket to
-    /// [`ServeError::Deadline`]. Hot-tier and disk-cache hits always
-    /// serve complete reports, deadline notwithstanding.
-    pub fn submit_with_deadline(
-        &self,
-        topology: Topology,
-        collective: Collective,
-        config: SynthesisConfig,
-        mode: Option<SolveMode>,
-        client: &str,
-        deadline: Option<std::time::Duration>,
-    ) -> Result<Ticket, ServeError> {
         let key_hash = CacheKey::new(&topology, collective, &config).content_hash();
         match self.front_gates(key_hash, client)? {
-            Front::Hot(served) => Ok(Ticket::resolved(Ok(served))),
+            Front::Hot(served) => {
+                let (ticket, slot) = Ticket::pair(false);
+                slot.complete(Ok(served));
+                Ok(ticket)
+            }
             Front::Miss(past) => {
                 let mut request = SynthesisRequest::new(&topology, collective).with_config(config);
                 request.mode = mode;
-                self.enqueue_flat(past, request, client, deadline)
+                self.enqueue_flat(past, request, client, None)
             }
         }
     }
 
-    /// The gates every flat submission passes before anything is queued,
-    /// in their one order — drain/shutdown, then the client's token bucket,
-    /// then the hot tier — with the counters each of them owns. All the
-    /// content hash's owner needs to get here is the hash, which is what
-    /// lets the daemon answer a memoized request without building its
-    /// topology; [`Server::submit_with_deadline`] comes through here too.
-    pub(crate) fn front_gates(&self, key_hash: String, client: &str) -> Result<Front, ServeError> {
-        self.metrics.synthesize_request();
-        if self.is_shutting_down() || self.draining.load(Ordering::SeqCst) {
-            self.metrics.rejected_shutdown();
+    /// Submit one hierarchical composition job through the same gates and
+    /// admission as a flat one, with the memory reservation sized by the
+    /// *largest stage subproblem* (stages solve serially on one worker, so
+    /// that is the job's peak footprint). `deadline` bounds the whole
+    /// composition from this call. There is no hot-tier lane —
+    /// compositions are not cached whole, so every admitted one may solve
+    /// and is worth a journal record; their stage solves hit the engine's
+    /// disk cache per group instead.
+    pub fn submit_hier(
+        &self,
+        request: HierRequest,
+        client: &str,
+        deadline: Option<Duration>,
+    ) -> Result<Ticket<HierServed>, ServeError> {
+        self.metrics.add(Counter::HierRequests, 1);
+        let submitted = self.gates(client)?;
+        let reserve = self.hier_estimate_cells(&request)?;
+        let wants_journal_record = self.engine.journal().is_some();
+        self.enqueue(
+            request,
+            client,
+            reserve,
+            submitted,
+            deadline,
+            wants_journal_record,
+        )
+    }
+
+    /// The gates every submission passes first, in their one order —
+    /// drain/shutdown, then the client's token bucket (so hot-tier hits
+    /// spend tokens too: the bucket bounds the *request* rate) — with the
+    /// counters each of them owns. Returns when the submission's clock
+    /// starts.
+    fn gates(&self, client: &str) -> Result<Instant, ServeError> {
+        self.metrics.add(Counter::SynthesizeRequests, 1);
+        if self.health().draining {
+            self.metrics.add(Counter::RejectedShutdown, 1);
             return Err(ServeError::ShuttingDown);
         }
-        // Rate limiting precedes every tier: the token bucket bounds the
-        // *request* rate, so hot-tier hits spend tokens too.
         self.check_rate_limit(client)?;
-        let submitted = Instant::now();
+        Ok(Instant::now())
+    }
+
+    /// The gates, then the hot tier, for a flat submission. All the
+    /// content hash's owner needs to get here is the hash, which is what
+    /// lets the daemon answer a memoized request without building its
+    /// topology.
+    pub(crate) fn front_gates(&self, key_hash: String, client: &str) -> Result<Front, ServeError> {
+        let submitted = self.gates(client)?;
         let Some(entry) = self.hot.lookup_entry(&key_hash) else {
             return Ok(Front::Miss(PastGates {
                 key_hash,
                 submitted,
             }));
         };
-        self.metrics.hot_hit();
+        self.metrics.add(Counter::HotHits, 1);
         let total = submitted.elapsed();
         self.metrics.served(total);
         Ok(Front::Hot(Served {
@@ -862,9 +922,9 @@ impl Server {
     }
 
     /// Queue a flat job that passed [`Server::front_gates`] and missed the
-    /// hot tier: the under-lock admission checks, then a worker's turn.
-    /// `request.config` must be the config `past`'s key was hashed from;
-    /// `deadline` is measured from the gates, `request.deadline` unused.
+    /// hot tier. `request.config` must be the config `past`'s key was
+    /// hashed from; `deadline` is measured from the gates, `request.deadline`
+    /// unused.
     pub(crate) fn enqueue_flat(
         &self,
         past: PastGates,
@@ -887,90 +947,32 @@ impl Server {
             &request.topology,
             request.config.as_ref().unwrap_or(self.engine.defaults()),
         );
-        let (ticket, ticket_state) = Ticket::pair(wants_journal_record);
-        {
-            let mut state = self.state.lock().expect("queue lock");
-            let deadline = self.admit(&mut state, client, reserve, deadline)?;
-            state.queue.push_back(Job {
-                work: JobWork::Flat {
-                    request,
-                    key_hash,
-                    ticket: ticket_state,
-                },
-                client: client.to_string(),
-                reserved_cells: reserve,
-                submitted,
-                deadline,
-            });
-            self.metrics.queue_depth(state.queue.len());
-            self.work_ready.notify_one();
-        }
-        Ok(ticket)
+        let work = FlatWork { request, key_hash };
+        self.enqueue(
+            work,
+            client,
+            reserve,
+            submitted,
+            deadline,
+            wants_journal_record,
+        )
     }
 
-    /// Submit one hierarchical composition job. The same admission chain
-    /// as [`Server::submit`] applies — drain/shutdown, rate limiting,
-    /// queue bound, per-client quota, memory budget, brownout deadline
-    /// tightening — with the memory reservation sized by the *largest
-    /// stage subproblem* (the biggest group or the leader graph at the
-    /// stage chunk cap of 1): stages solve serially on one worker, so
-    /// that is the job's peak concurrent footprint. `deadline` bounds
-    /// the whole composition from this call; queue wait counts against
-    /// it. There is no hot-tier lane — compositions are not cached whole;
-    /// their stage solves hit the engine's disk cache per group instead.
-    pub fn submit_hier(
+    /// Admit a job past the gates and queue it: bound the queue, enforce
+    /// the per-client quota and the memory budget, record the reservation,
+    /// and tighten the deadline while the brownout controller is active.
+    fn enqueue<W: Work>(
         &self,
-        request: HierRequest,
-        client: &str,
-        deadline: Option<Duration>,
-    ) -> Result<HierTicket, ServeError> {
-        self.metrics.synthesize_request();
-        self.metrics.hier_request();
-        if self.is_shutting_down() || self.draining.load(Ordering::SeqCst) {
-            self.metrics.rejected_shutdown();
-            return Err(ServeError::ShuttingDown);
-        }
-        self.check_rate_limit(client)?;
-        let submitted = Instant::now();
-        // Admission-time partition: sizes the reservation and bounces a
-        // malformed carve before it occupies a queue slot. The planner
-        // re-partitions when the job runs: one pass over the links each
-        // time, ~1 ms at 256 nodes against stage solves of tens of ms.
-        let reserve = self.hier_estimate_cells(&request)?;
-        let (ticket, ticket_state) = HierTicket::pair();
-        {
-            let mut state = self.state.lock().expect("queue lock");
-            let deadline = self.admit(&mut state, client, reserve, deadline)?;
-            state.queue.push_back(Job {
-                work: JobWork::Hier {
-                    request,
-                    ticket: ticket_state,
-                },
-                client: client.to_string(),
-                reserved_cells: reserve,
-                submitted,
-                deadline,
-            });
-            self.metrics.queue_depth(state.queue.len());
-            self.work_ready.notify_one();
-        }
-        Ok(ticket)
-    }
-
-    /// The under-lock half of admission, shared by flat and hierarchical
-    /// submissions: bound the queue, enforce the per-client quota and the
-    /// memory budget, record the reservation, and tighten the deadline
-    /// while the brownout controller is active. Returns the effective
-    /// deadline for the admitted job.
-    fn admit(
-        &self,
-        state: &mut QueueState,
+        work: W,
         client: &str,
         reserve: usize,
+        submitted: Instant,
         deadline: Option<Duration>,
-    ) -> Result<Option<Duration>, ServeError> {
+        wants_journal_record: bool,
+    ) -> Result<Ticket<W::Served>, ServeError> {
+        let mut state = self.state.lock().expect("queue lock");
         if state.queue.len() >= self.config.queue_capacity {
-            self.metrics.rejected_queue_full();
+            self.metrics.add(Counter::RejectedQueueFull, 1);
             return Err(ServeError::QueueFull {
                 depth: state.queue.len(),
                 capacity: self.config.queue_capacity,
@@ -978,7 +980,7 @@ impl Server {
         }
         let inflight = state.inflight.get(client).copied().unwrap_or(0);
         if inflight >= self.config.per_client_inflight {
-            self.metrics.rejected_client_quota();
+            self.metrics.add(Counter::RejectedClientQuota, 1);
             return Err(ServeError::ClientQuota {
                 client: client.to_string(),
                 inflight,
@@ -990,7 +992,7 @@ impl Server {
         if state.reserved_cells > 0
             && state.reserved_cells.saturating_add(reserve) > self.config.memory_budget_cells
         {
-            self.metrics.rejected_memory_budget();
+            self.metrics.add(Counter::RejectedMemoryBudget, 1);
             return Err(ServeError::MemoryBudget {
                 requested_cells: reserve,
                 reserved_cells: state.reserved_cells,
@@ -1005,25 +1007,43 @@ impl Server {
         // Brownout tightens the effective deadline: under sustained
         // overload admitted jobs degrade to partial-frontier answers
         // (freeing workers sooner) before admission starts rejecting.
-        if self.browned_out.load(Ordering::Relaxed) && self.config.brownout_deadline_ms > 0 {
-            let cap = Duration::from_millis(self.config.brownout_deadline_ms);
-            Ok(Some(deadline.map_or(cap, |d| d.min(cap))))
-        } else {
-            Ok(deadline)
-        }
+        let deadline =
+            if self.browned_out.load(Ordering::Relaxed) && self.config.brownout_deadline_ms > 0 {
+                let cap = Duration::from_millis(self.config.brownout_deadline_ms);
+                Some(deadline.map_or(cap, |d| d.min(cap)))
+            } else {
+                deadline
+            };
+        let (ticket, slot) = Ticket::pair(wants_journal_record);
+        let job = Job {
+            work,
+            slot,
+            client: client.to_string(),
+            reserved_cells: reserve,
+            submitted,
+            deadline,
+        };
+        state
+            .queue
+            .push_back(Box::new(move |server: &Server| job.run(server)));
+        self.metrics.queue_depth(state.queue.len());
+        self.work_ready.notify_one();
+        Ok(ticket)
     }
 
     /// The memory reservation of one hierarchical job: the largest
     /// [`solve_estimate_cells`] over its group subtopologies and its
     /// leader graph, at the planner's forced per-stage chunk cap of 1.
-    /// A partition failure here is a [`ServeError::BadRequest`] — the
-    /// carve can never succeed, no queue slot should be spent on it.
+    /// A carve that fails, or a collective with no composition rule, is a
+    /// [`ServeError::BadRequest`] here: the job can never succeed, so it
+    /// gets no queue slot, no reservation and no journal record.
     fn hier_estimate_cells(&self, request: &HierRequest) -> Result<usize, ServeError> {
-        let partition = Partition::new(&request.topology, &request.groups).map_err(|error| {
-            ServeError::BadRequest {
-                message: format!("partition: {error}"),
-            }
-        })?;
+        let bad_request = |error: HierError| ServeError::BadRequest {
+            message: error.to_string(),
+        };
+        let partition = Partition::new(&request.topology, &request.groups)
+            .map_err(|error| bad_request(HierError::Partition(error)))?;
+        sccl_hier::check_composable(request.collective).map_err(bad_request)?;
         let mut config = request
             .config
             .clone()
@@ -1062,7 +1082,7 @@ impl Server {
                     state = self.work_ready.wait(state).expect("queue wait");
                 }
             };
-            self.run(job);
+            job(self);
         }
     }
 
@@ -1091,55 +1111,40 @@ impl Server {
         swept
     }
 
-    /// Solve one admitted job, publish the report, release its admission
-    /// reservations and resolve its ticket.
-    ///
-    /// The solve-and-publish stage runs inside `catch_unwind`: a panicking
-    /// solver (which stores nothing in the engine's memo) must not take the reservation accounting or the waiter's ticket down
-    /// with it. On a caught panic the ticket resolves to
-    /// [`ServeError::WorkerLost`] and the worker keeps draining the queue.
-    fn run(&self, job: Job) {
-        let Job {
-            work,
-            client,
-            reserved_cells,
+    /// A worker's start on a job submitted at `submitted`: the queue wait,
+    /// and what it left of `deadline`. A deadline the queue used up
+    /// expires here — nothing was solved, nothing to serve.
+    fn started(
+        &self,
+        submitted: Instant,
+        deadline: Option<Duration>,
+    ) -> Result<Started, ServeError> {
+        let queue_wait = submitted.elapsed();
+        let remaining = match deadline {
+            Some(deadline) => Some(
+                deadline
+                    .checked_sub(queue_wait)
+                    .ok_or_else(|| self.expired(Some(deadline)))?,
+            ),
+            None => None,
+        };
+        Ok(Started {
             submitted,
+            queue_wait,
             deadline,
-        } = job;
-        match work {
-            JobWork::Flat {
-                request,
-                key_hash,
-                ticket,
-            } => {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.execute(request, &key_hash, submitted, deadline)
-                }))
-                .unwrap_or_else(|_panic| {
-                    self.metrics.panic_caught();
-                    Err(ServeError::WorkerLost)
-                });
-                self.finish(&client, reserved_cells, submitted);
-                ticket.complete(outcome);
-            }
-            JobWork::Hier { request, ticket } => {
-                // The planner contains stage-solve panics itself (typed
-                // `StagePanic`); this outer boundary is the backstop for
-                // panics in the stitch/verify machinery around them.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.execute_hier(request, submitted, deadline)
-                }))
-                .unwrap_or_else(|_panic| {
-                    self.metrics.panic_caught();
-                    Err(ServeError::WorkerLost)
-                });
-                self.finish(&client, reserved_cells, submitted);
-                ticket.complete(outcome);
-            }
+            remaining,
+        })
+    }
+
+    /// Count a deadline that expired with nothing solved, as its error.
+    fn expired(&self, deadline: Option<Duration>) -> ServeError {
+        self.metrics.add(Counter::DeadlineExpired, 1);
+        ServeError::Deadline {
+            deadline_ms: deadline.map_or(0, |d| d.as_millis() as u64),
         }
     }
 
-    /// Post-execution bookkeeping shared by both job kinds: record the
+    /// Post-execution bookkeeping shared by every job: record the
     /// end-to-end latency and release the admission reservations.
     fn finish(&self, client: &str, reserved_cells: usize, submitted: Instant) {
         self.metrics.served(submitted.elapsed());
@@ -1156,29 +1161,86 @@ impl Server {
         self.update_brownout(state.queue.len(), state.reserved_cells);
     }
 
-    /// The panic-isolated stage of [`Server::run`]: deadline bookkeeping,
-    /// the engine solve, decode-time verification and hot-tier publish.
-    fn execute(
-        &self,
-        mut request: SynthesisRequest,
-        key_hash: &str,
-        submitted: Instant,
-        deadline: Option<std::time::Duration>,
-    ) -> Outcome {
-        let queue_wait = submitted.elapsed();
-        if let Some(deadline) = deadline {
-            // The deadline is measured from submission; hand the engine
-            // only what the queue left over. Expiry while queued degrades
-            // to a typed error — nothing was solved, nothing to serve.
-            match deadline.checked_sub(queue_wait) {
-                Some(remaining) => request = request.with_deadline(remaining),
-                None => {
-                    self.metrics.deadline_expired();
-                    return Err(ServeError::Deadline {
-                        deadline_ms: deadline.as_millis() as u64,
-                    });
+    /// Map a planner failure onto the serving error ladder, recording
+    /// the fault counters as a side effect: composition-verifier
+    /// rejections count as (hier) verify failures, contained stage
+    /// panics as caught panics, unachievable deadlines as expiries.
+    fn hier_error(&self, error: HierError) -> ServeError {
+        match error {
+            HierError::Deadline { deadline_ms } => {
+                self.metrics.add(Counter::DeadlineExpired, 1);
+                ServeError::Deadline { deadline_ms }
+            }
+            HierError::Composition(_) => {
+                self.metrics.add(Counter::VerifyFailures, 1);
+                self.metrics.add(Counter::HierVerifyFailures, 1);
+                ServeError::VerifyFailed {
+                    message: error.to_string(),
                 }
             }
+            HierError::StagePanic { .. } => {
+                self.metrics.add(Counter::PanicsCaught, 1);
+                ServeError::Synthesis {
+                    message: error.to_string(),
+                }
+            }
+            HierError::Partition(_) | HierError::Unsupported { .. } => ServeError::BadRequest {
+                message: error.to_string(),
+            },
+            other => {
+                self.metrics.add(Counter::SynthesisErrors, 1);
+                ServeError::Synthesis {
+                    message: other.to_string(),
+                }
+            }
+        }
+    }
+}
+
+impl<W: Work> Job<W> {
+    /// Solve the job, release its admission reservations and resolve its
+    /// ticket.
+    ///
+    /// The solve runs inside the server's one unwind boundary: a
+    /// panicking solve (which stores nothing in the engine's memo; the
+    /// hierarchical planner contains its stage-solve panics itself, so
+    /// for a composition this is the backstop for the stitch and verify
+    /// around them) must not take the reservation accounting or the
+    /// waiter's ticket down with it. On a caught panic the ticket resolves
+    /// to [`ServeError::WorkerLost`] and the worker keeps draining the
+    /// queue.
+    fn run(self, server: &Server) {
+        let Job {
+            work,
+            slot,
+            client,
+            reserved_cells,
+            submitted,
+            deadline,
+        } = self;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            work.solve(server, &server.started(submitted, deadline)?)
+        }))
+        .unwrap_or_else(|_panic| {
+            server.metrics.add(Counter::PanicsCaught, 1);
+            Err(ServeError::WorkerLost)
+        });
+        server.finish(&client, reserved_cells, submitted);
+        slot.complete(outcome);
+    }
+}
+
+impl Work for FlatWork {
+    type Served = Served;
+
+    /// The engine solve, decode-time verification and hot-tier publish.
+    fn solve(self, server: &Server, started: &Started) -> Result<Served, ServeError> {
+        let FlatWork {
+            mut request,
+            key_hash,
+        } = self;
+        if let Some(remaining) = started.remaining {
+            request = request.with_deadline(remaining);
         }
         let topology = request.topology.clone();
         let collective = request.collective;
@@ -1191,15 +1253,13 @@ impl Server {
             mode: request.mode,
             deadline: None,
         };
-        let mut response = match self.engine.synthesize(request) {
-            Ok(response) => response,
-            Err(error) => {
-                self.metrics.synthesis_error();
-                return Err(ServeError::Synthesis {
-                    message: error.to_string(),
-                });
+        let metrics = &server.metrics;
+        let mut response = server.engine.synthesize(request).map_err(|error| {
+            metrics.add(Counter::SynthesisErrors, 1);
+            ServeError::Synthesis {
+                message: error.to_string(),
             }
-        };
+        })?;
         // Decode-time verification: replay every frontier algorithm
         // against the collective's pre/post relation before it can enter
         // the hot tier. A disk-backed report that fails is quarantined and
@@ -1208,13 +1268,14 @@ impl Server {
         // engine just persisted it).
         if let Err(message) = crate::verify::verify_report(&topology, collective, &response.report)
         {
-            self.metrics.verify_failure();
-            self.engine
-                .quarantine_cached(key_hash, &format!("decode-time verification: {message}"));
-            self.drain_pruned();
+            metrics.add(Counter::VerifyFailures, 1);
+            server
+                .engine
+                .quarantine_cached(&key_hash, &format!("decode-time verification: {message}"));
+            server.drain_pruned();
             let was_cache_hit = response.provenance == Provenance::CacheHit;
             let retry = was_cache_hit
-                .then(|| self.engine.synthesize(retry_template).ok())
+                .then(|| server.engine.synthesize(retry_template).ok())
                 .flatten();
             match retry {
                 Some(resolved)
@@ -1230,28 +1291,27 @@ impl Server {
         }
         let from = match response.provenance {
             Provenance::CacheHit => {
-                self.metrics.disk_hit();
+                metrics.add(Counter::DiskHits, 1);
                 ServedFrom::DiskCache
             }
             Provenance::Solved(mode) => {
-                self.metrics.solved(response.timings.solve);
+                metrics.solved(response.timings.solve);
                 ServedFrom::Solved(mode)
             }
         };
         if let Some(stats) = &response.incremental {
-            self.metrics.incremental(stats);
+            metrics.add(Counter::MemoHits, stats.memo_hits);
+            metrics.add(Counter::WarmCandidates, stats.warm_candidates);
+            metrics.add(Counter::PoolCheckins, stats.pool_checkins);
         }
         if response.degraded {
             if response.report.entries.is_empty() {
                 // The deadline cut before any candidate was decided:
                 // nothing to degrade to. Counted as an expiry, not a
                 // degradation — exactly one deadline outcome per request.
-                self.metrics.deadline_expired();
-                return Err(ServeError::Deadline {
-                    deadline_ms: deadline.map(|d| d.as_millis() as u64).unwrap_or_default(),
-                });
+                return Err(server.expired(started.deadline));
             }
-            self.metrics.deadline_degraded();
+            metrics.add(Counter::DeadlineDegraded, 1);
         }
         let entry = HotEntry::new(Arc::new(response.report));
         if !response.degraded {
@@ -1259,122 +1319,62 @@ impl Server {
             // frontier is timing-dependent and must not be replayed
             // forever (the engine refuses to persist it for the same
             // reason).
-            self.hot
-                .insert_entry(key_hash.to_string(), Arc::clone(&entry));
+            server.hot.insert_entry(key_hash, Arc::clone(&entry));
         }
         // The store above may have pushed the disk cache over capacity and
         // pruned entries this tier still holds; drain the engine's
         // pruned-hash mailbox so a hash the durable store evicted can't
         // keep being replayed hot.
-        self.drain_pruned();
-        let total = submitted.elapsed();
+        server.drain_pruned();
         Ok(Served {
             report: Arc::clone(entry.report()),
             from,
             timings: WireTimings {
-                queue_micros: micros(queue_wait),
                 lookup_micros: micros(response.timings.lookup),
                 encode_micros: micros(response.timings.encode),
                 solve_micros: micros(response.timings.solve),
                 store_micros: micros(response.timings.store),
-                total_micros: micros(total),
-                ..WireTimings::default()
+                ..started.timings()
             },
             incremental: response.incremental,
             degraded: response.degraded,
             entry,
         })
     }
+}
 
-    /// The panic-isolated stage of a hierarchical [`Server::run`]:
-    /// deadline bookkeeping, the full partition → stage solves → stitch →
-    /// verify pipeline, and the metrics fold.
-    fn execute_hier(
-        &self,
-        mut request: HierRequest,
-        submitted: Instant,
-        deadline: Option<Duration>,
-    ) -> HierOutcome {
-        let queue_wait = submitted.elapsed();
-        if let Some(deadline) = deadline {
-            // The deadline is measured from submission; hand the planner
-            // only what the queue left over (a request-level deadline set
-            // by a direct library caller still applies if tighter).
-            match deadline.checked_sub(queue_wait) {
-                Some(remaining) => {
-                    request.deadline =
-                        Some(request.deadline.map_or(remaining, |d| d.min(remaining)))
-                }
-                None => {
-                    self.metrics.deadline_expired();
-                    return Err(ServeError::Deadline {
-                        deadline_ms: deadline.as_millis() as u64,
-                    });
-                }
-            }
+impl Work for HierRequest {
+    type Served = HierServed;
+
+    /// The partition → stage solves → stitch → verify pipeline, and the
+    /// metrics fold.
+    fn solve(mut self, server: &Server, started: &Started) -> Result<HierServed, ServeError> {
+        // A request-level deadline set by a direct library caller still
+        // applies if tighter.
+        if let Some(remaining) = started.remaining {
+            self.deadline = Some(self.deadline.map_or(remaining, |d| d.min(remaining)));
         }
-        let response = match sccl_hier::synthesize_hier(&self.engine, &request) {
-            Ok(response) => response,
-            Err(error) => return Err(self.hier_error(error)),
-        };
-        self.metrics.hier_stage_solves(
-            response.stats.stage_solves as u64,
-            response.stats.cache_hits as u64,
-        );
+        let response =
+            sccl_hier::synthesize_hier(&server.engine, &self).map_err(|e| server.hier_error(e))?;
+        let metrics = &server.metrics;
+        metrics.add(Counter::HierStageSolves, response.stats.stage_solves as u64);
+        metrics.add(Counter::HierCacheHits, response.stats.cache_hits as u64);
         if response.degraded {
-            // Exactly one deadline outcome per request, mirroring the
-            // flat path: degraded-and-served or expired-and-typed-error.
-            self.metrics.deadline_degraded();
-            self.metrics.hier_degraded();
+            // Exactly one deadline outcome per request, as on the flat
+            // path: degraded-and-served or expired-and-typed-error.
+            metrics.add(Counter::DeadlineDegraded, 1);
+            metrics.add(Counter::HierDegraded, 1);
         }
-        let total = submitted.elapsed();
         Ok(HierServed {
             summary: response.summary(),
             timings: WireTimings {
-                queue_micros: micros(queue_wait),
                 solve_micros: micros(response.timings.solve),
                 stitch_micros: micros(response.timings.stitch),
                 verify_micros: micros(response.timings.verify),
-                total_micros: micros(total),
-                ..WireTimings::default()
+                ..started.timings()
             },
             degraded: response.degraded,
         })
-    }
-
-    /// Map a planner failure onto the serving error ladder, recording
-    /// the fault counters as a side effect: composition-verifier
-    /// rejections count as (hier) verify failures, contained stage
-    /// panics as caught panics, unachievable deadlines as expiries.
-    fn hier_error(&self, error: HierError) -> ServeError {
-        match error {
-            HierError::Deadline { deadline_ms } => {
-                self.metrics.deadline_expired();
-                ServeError::Deadline { deadline_ms }
-            }
-            HierError::Composition(_) => {
-                self.metrics.verify_failure();
-                self.metrics.hier_verify_failure();
-                ServeError::VerifyFailed {
-                    message: error.to_string(),
-                }
-            }
-            HierError::StagePanic { .. } => {
-                self.metrics.panic_caught();
-                ServeError::Synthesis {
-                    message: error.to_string(),
-                }
-            }
-            HierError::Partition(_) | HierError::Unsupported { .. } => ServeError::BadRequest {
-                message: error.to_string(),
-            },
-            other => {
-                self.metrics.synthesis_error();
-                ServeError::Synthesis {
-                    message: other.to_string(),
-                }
-            }
-        }
     }
 }
 
@@ -1393,7 +1393,7 @@ impl Drop for Server {
 }
 
 /// Dropped by a worker thread on its way out. If the thread is unwinding
-/// (a panic escaped [`Server::run`]'s isolation window) and the server is
+/// (a panic escaped [`Job::run`]'s isolation window) and the server is
 /// not shutting down, a replacement worker is spawned and its handle is
 /// parked in the workers list for [`Server::shutdown`] to join. A
 /// replacement spawned in the narrow race after shutdown's handle-take is
@@ -1406,7 +1406,7 @@ struct RespawnGuard {
 impl Drop for RespawnGuard {
     fn drop(&mut self) {
         if std::thread::panicking() && !self.server.is_shutting_down() {
-            self.server.metrics.worker_respawned();
+            self.server.metrics.add(Counter::WorkerRespawns, 1);
             let handle = Server::spawn_worker(&self.server, self.index);
             self.server
                 .workers

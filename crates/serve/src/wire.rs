@@ -437,17 +437,6 @@ pub enum WireResponse {
 }
 
 impl WireResponse {
-    /// The provenance tag for a response served by the in-process engine.
-    pub fn provenance_tag(provenance: sccl_sched::Provenance, from_hot_tier: bool) -> String {
-        if from_hot_tier {
-            return "hot".to_string();
-        }
-        match provenance {
-            sccl_sched::Provenance::CacheHit => "cache".to_string(),
-            sccl_sched::Provenance::Solved(mode) => format!("solved:{}", mode_name(mode)),
-        }
-    }
-
     /// Decode the carried report into a typed `SynthesisReport`. Errors
     /// on non-report responses.
     pub fn report(&self) -> Result<sccl_core::pareto::SynthesisReport, String> {
