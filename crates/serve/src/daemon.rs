@@ -110,6 +110,9 @@ fn install_sigterm_handler() {
         fn signal(signum: i32, handler: usize) -> usize;
     }
     const SIGTERM_SIGNUM: i32 = 15;
+    // SAFETY: `signal` is libc's, declared with its C signature (a handler
+    // is a pointer-sized value); the handler is an `extern "C" fn(i32)`
+    // that lives for the whole process and only does an atomic store.
     unsafe {
         signal(SIGTERM_SIGNUM, on_sigterm as extern "C" fn(i32) as usize);
     }

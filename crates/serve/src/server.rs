@@ -1120,14 +1120,12 @@ impl Server {
         deadline: Option<Duration>,
     ) -> Result<Started, ServeError> {
         let queue_wait = submitted.elapsed();
-        let remaining = match deadline {
-            Some(deadline) => Some(
-                deadline
-                    .checked_sub(queue_wait)
-                    .ok_or_else(|| self.expired(Some(deadline)))?,
-            ),
-            None => None,
-        };
+        let remaining = deadline
+            .map(|d| {
+                d.checked_sub(queue_wait)
+                    .ok_or_else(|| self.expired(deadline))
+            })
+            .transpose()?;
         Ok(Started {
             submitted,
             queue_wait,
