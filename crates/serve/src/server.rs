@@ -290,7 +290,7 @@ pub enum ServedFrom {
 
 impl ServedFrom {
     /// The provenance a `synthesize` success line names this tier by.
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             ServedFrom::HotTier => "hot",
             ServedFrom::DiskCache => "cache",
