@@ -31,8 +31,8 @@ pub mod verify;
 
 pub use partition::{Group, GroupSpec, Partition, PartitionError};
 pub use plan::{
-    check_composable, synthesize_hier, ComposedStage, EntryPick, HierEngineExt, HierError,
-    HierRequest, HierResponse, HierStats, HierSummary, HierTimings, HierarchicalAlgorithm,
-    PartitionSummary, StageLevel, StageSummary,
+    check_composable, ComposedStage, EntryPick, HierEngineExt, HierError, HierRequest,
+    HierResponse, HierStats, HierSummary, HierTimings, HierarchicalAlgorithm, PartitionSummary,
+    StageLevel, StageSummary,
 };
 pub use verify::{verify_composition, CompositionError};

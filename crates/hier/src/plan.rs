@@ -75,12 +75,12 @@ pub struct HierRequest {
     pub mode: Option<SolveMode>,
     /// Which frontier entry each stage uses.
     pub pick: EntryPick,
-    /// Wall-clock budget for the whole composition. Each stage solve is
-    /// handed the *remaining* budget; on expiry the planner degrades to
+    /// The instant the whole composition must finish by. Every stage
+    /// solve gets the same instant; once it passes the planner degrades to
     /// partial stage frontiers where a stage produced anything usable
     /// ([`HierResponse::degraded`]) and returns [`HierError::Deadline`]
     /// only when no composition is achievable at all.
-    pub deadline: Option<Duration>,
+    pub deadline: Option<Instant>,
 }
 
 impl HierRequest {
@@ -121,8 +121,8 @@ impl HierRequest {
         self
     }
 
-    /// Bound the whole composition to `deadline` of wall-clock time.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+    /// Bound the whole composition to finish by `deadline`.
+    pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
     }
@@ -433,11 +433,6 @@ fn saturating_micros(d: Duration) -> u64 {
     d.as_micros().min(u64::MAX as u128) as u64
 }
 
-/// A `Duration` in milliseconds, saturating instead of truncating.
-fn saturating_millis(d: Duration) -> u64 {
-    d.as_millis().min(u64::MAX as u128) as u64
-}
-
 /// Hierarchical synthesis as a method on the existing [`Engine`].
 pub trait HierEngineExt {
     /// Partition, plan, solve per stage, stitch, verify.
@@ -446,7 +441,7 @@ pub trait HierEngineExt {
 
 impl HierEngineExt for Engine {
     fn synthesize_hier(&self, request: HierRequest) -> Result<HierResponse, HierError> {
-        synthesize_hier(self, &request)
+        synthesize_hier(self, request)
     }
 }
 
@@ -492,10 +487,11 @@ struct StageSolver<'a> {
     pick: EntryPick,
     memo: Vec<(String, Collective, Algorithm)>,
     stats: HierStats,
-    /// When the whole request started, for remaining-budget computation.
-    start: Instant,
-    /// The request's total wall-clock budget, if any.
-    deadline: Option<Duration>,
+    /// The request's deadline, handed unchanged to every stage solve.
+    deadline: Option<Instant>,
+    /// The budget `deadline` gave the composition, for
+    /// [`HierError::Deadline`].
+    deadline_ms: u64,
     /// Summed end-to-end time of the stage solves.
     solve_time: Duration,
 }
@@ -519,28 +515,21 @@ impl StageSolver<'_> {
         if let Some(mode) = self.mode {
             request = request.with_mode(mode);
         }
+        if let Some(deadline) = self.deadline {
+            request = request.with_deadline(deadline);
+        }
         // The stage solve is isolated: a panic anywhere under it (the
         // `hier.stage` chaos site included) is contained as a typed
         // error, and the solve it unwound through stores nothing in the
-        // engine's memo. The failpoint fires *before* the remaining
-        // budget is computed so a Sleep action faithfully eats the
-        // deadline.
-        let deadline = self.deadline;
-        let start = self.start;
-        let engine = self.engine;
+        // engine's memo. The failpoint fires *before* the deadline is
+        // checked so a Sleep action faithfully eats it.
+        let (engine, deadline_ms) = (self.engine, self.deadline_ms);
         let outcome = catch_unwind(AssertUnwindSafe(move || -> Result<_, HierError> {
             if failpoint::fire("hier.stage") {
                 panic!("failpoint hier.stage triggered");
             }
-            let mut request = request;
-            if let Some(total) = deadline {
-                let remaining = total.saturating_sub(start.elapsed());
-                if remaining.is_zero() {
-                    return Err(HierError::Deadline {
-                        deadline_ms: saturating_millis(total),
-                    });
-                }
-                request = request.with_deadline(remaining);
+            if request.deadline.is_some_and(|at| Instant::now() >= at) {
+                return Err(HierError::Deadline { deadline_ms });
             }
             engine.synthesize(request).map_err(HierError::Engine)
         }));
@@ -563,7 +552,7 @@ impl StageSolver<'_> {
                 // The cut arrived before this stage found anything: no
                 // composition is achievable, degraded or otherwise.
                 return Err(HierError::Deadline {
-                    deadline_ms: self.deadline.map(saturating_millis).unwrap_or(0),
+                    deadline_ms: self.deadline_ms,
                 });
             }
             self.stats.degraded_stages += 1;
@@ -597,9 +586,8 @@ fn panic_message(panic: Box<dyn std::any::Any + std::marker::Send>) -> String {
 }
 
 /// Plan, solve, stitch and verify one hierarchical request against the
-/// engine. The free-function twin of
-/// [`HierEngineExt::synthesize_hier`].
-pub fn synthesize_hier(engine: &Engine, request: &HierRequest) -> Result<HierResponse, HierError> {
+/// engine: [`HierEngineExt::synthesize_hier`].
+fn synthesize_hier(engine: &Engine, request: HierRequest) -> Result<HierResponse, HierError> {
     let start = Instant::now();
     let partition = Partition::new(&request.topology, &request.groups)?;
     let partition_time = start.elapsed();
@@ -618,8 +606,16 @@ pub fn synthesize_hier(engine: &Engine, request: &HierRequest) -> Result<HierRes
         pick: request.pick,
         memo: Vec::new(),
         stats: HierStats::default(),
-        start,
         deadline: request.deadline,
+        // Rounded up: a budget fixed just before this call (the CLI's
+        // `--deadline-ms 50`) reads back as 50ms, not 49.
+        deadline_ms: request.deadline.map_or(0, |at| {
+            let budget = at
+                .saturating_duration_since(start)
+                .as_nanos()
+                .div_ceil(1_000_000);
+            budget.min(u64::MAX as u128) as u64
+        }),
         solve_time: Duration::ZERO,
     };
 

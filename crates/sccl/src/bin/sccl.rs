@@ -30,7 +30,7 @@ use sccl_sched::{parse_manifest, BatchReport};
 use sccl_solver::{Limits, SolverConfig};
 use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // The declarative flag-spec table
@@ -728,6 +728,15 @@ fn cmd_probe(
     }
 }
 
+/// The instant `--deadline-ms` names, fixed once, when the command reads
+/// it. `0` (the default) and a budget past the clock's range are no
+/// deadline.
+fn deadline_after(deadline_ms: usize) -> Option<Instant> {
+    (deadline_ms > 0)
+        .then(|| Instant::now().checked_add(Duration::from_millis(deadline_ms as u64)))
+        .flatten()
+}
+
 fn cmd_pareto(
     topology: &Topology,
     collective: Collective,
@@ -737,8 +746,8 @@ fn cmd_pareto(
     let engine = build_engine(flags, None, None)?;
     let mut request = SynthesisRequest::new(topology, collective).with_config(config);
     let deadline_ms = get_usize(flags, "deadline-ms", 0)?;
-    if deadline_ms > 0 {
-        request = request.with_deadline(Duration::from_millis(deadline_ms as u64));
+    if let Some(at) = deadline_after(deadline_ms) {
+        request = request.with_deadline(at);
     }
     let response = engine.synthesize(request)?;
     if response.degraded {
@@ -821,8 +830,8 @@ fn cmd_hier(
         request = request.pick_bandwidth();
     }
     let deadline_ms = get_usize(flags, "deadline-ms", 0)?;
-    if deadline_ms > 0 {
-        request = request.with_deadline(Duration::from_millis(deadline_ms as u64));
+    if let Some(at) = deadline_after(deadline_ms) {
+        request = request.with_deadline(at);
     }
     let response = match engine.synthesize_hier(request) {
         Ok(response) => response,

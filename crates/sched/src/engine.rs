@@ -191,14 +191,14 @@ pub struct SynthesisRequest {
     pub config: Option<SynthesisConfig>,
     /// How to solve on a cache miss; `None` uses the engine's default mode.
     pub mode: Option<SolveMode>,
-    /// Wall-clock budget for the whole request. On expiry a watchdog
-    /// raises the cooperative deadline flag
+    /// The instant the whole request must finish by. The solver compares
+    /// it with the clock at its budget checks
     /// ([`sccl_solver::Limits::deadline`]); whatever part of the frontier
-    /// is already solved comes back with
+    /// is already solved when it passes comes back with
     /// [`SynthesisResponse::degraded`] set, and the partial report is never
     /// persisted. Deadlines are not part of the cache key: an expired
     /// request that *was* fully cached still hits.
-    pub deadline: Option<Duration>,
+    pub deadline: Option<Instant>,
 }
 
 impl SynthesisRequest {
@@ -213,8 +213,8 @@ impl SynthesisRequest {
         }
     }
 
-    /// Bound the request to `deadline` of wall-clock time (builder style).
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+    /// Bound the request to finish by `deadline` (builder style).
+    pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
     }
@@ -240,73 +240,6 @@ impl SynthesisRequest {
     /// the sweep.
     pub fn parallel(self) -> Self {
         self.with_mode(SolveMode::Parallel)
-    }
-}
-
-/// A one-shot watchdog backing [`SynthesisRequest::deadline`]: a thread
-/// that raises a cooperative stop flag once the deadline elapses, unless
-/// disarmed (dropped) first. Solvers poll the flag at their budget checks,
-/// so expiry aborts in-flight solves within a poll interval instead of
-/// killing anything.
-struct DeadlineWatchdog {
-    expired: Arc<std::sync::atomic::AtomicBool>,
-    done: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl DeadlineWatchdog {
-    fn arm(deadline: Duration) -> Self {
-        let expired = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let done = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
-        let handle = {
-            let expired = Arc::clone(&expired);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                let due = Instant::now() + deadline;
-                let (finished, wake) = &*done;
-                let mut finished = finished.lock().expect("watchdog lock");
-                loop {
-                    if *finished {
-                        return;
-                    }
-                    let now = Instant::now();
-                    if now >= due {
-                        expired.store(true, std::sync::atomic::Ordering::SeqCst);
-                        return;
-                    }
-                    finished = wake
-                        .wait_timeout(finished, due - now)
-                        .expect("watchdog lock")
-                        .0;
-                }
-            })
-        };
-        DeadlineWatchdog {
-            expired,
-            done,
-            handle: Some(handle),
-        }
-    }
-
-    /// The flag the watchdog raises; attach via
-    /// [`sccl_solver::Limits::with_deadline_flag`].
-    fn flag(&self) -> Arc<std::sync::atomic::AtomicBool> {
-        Arc::clone(&self.expired)
-    }
-
-    /// `true` once the deadline fired.
-    fn expired(&self) -> bool {
-        self.expired.load(std::sync::atomic::Ordering::SeqCst)
-    }
-}
-
-impl Drop for DeadlineWatchdog {
-    fn drop(&mut self) {
-        *self.done.0.lock().expect("watchdog lock") = true;
-        self.done.1.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -835,25 +768,21 @@ impl Engine {
 
     /// Serve one synthesis request: cache lookup, solve on miss (in the
     /// request's or engine's mode), persist, respond. A request deadline
-    /// arms a watchdog that raises the cooperative deadline flag on
-    /// expiry; the response then carries the partial frontier with
+    /// rides in the per-instance solver limits; once it passes, the
+    /// response carries the partial frontier with
     /// [`SynthesisResponse::degraded`] set (see [`SynthesisRequest::deadline`]).
     pub fn synthesize(&self, request: SynthesisRequest) -> Result<SynthesisResponse, Error> {
         let mode = request.mode.unwrap_or(self.mode);
-        let watchdog = request.deadline.map(DeadlineWatchdog::arm);
         let mut owned;
-        let config = match (&watchdog, request.config.as_ref()) {
+        let config = match (request.deadline, request.config.as_ref()) {
             (None, Some(config)) => config,
             (None, None) => &self.defaults,
-            (Some(watchdog), config) => {
-                // The deadline flag rides in the per-instance limits but is
+            (Some(deadline), config) => {
+                // The deadline rides in the per-instance limits but is
                 // deliberately not part of the cache key (it changes whether
                 // a run completes, never its result).
                 owned = config.cloned().unwrap_or_else(|| self.defaults.clone());
-                owned.per_instance_limits = owned
-                    .per_instance_limits
-                    .clone()
-                    .with_deadline_flag(watchdog.flag());
+                owned.per_instance_limits.deadline = Some(deadline);
                 &owned
             }
         };
@@ -864,8 +793,8 @@ impl Engine {
             MissPolicy::Solve(mode),
         )?;
         let mut response = response.expect("a solving policy always produces a response");
-        if let Some(watchdog) = watchdog {
-            response.degraded = watchdog.expired() && response.report.budget_exhausted;
+        if let Some(deadline) = request.deadline {
+            response.degraded = Instant::now() >= deadline && response.report.budget_exhausted;
         }
         Ok(response)
     }

@@ -12,7 +12,9 @@
 //! solve via `sccl_solver::Limits::stop` — and waits for the one it was
 //! asked for; when the sweep returns, everything still outstanding is
 //! cancelled the same way. A candidate cancelled before a worker reaches
-//! it builds no formula.
+//! it builds no formula. `stop` is the only flag: a request deadline is
+//! the instant `sccl_solver::Limits::deadline`, which every worker's
+//! limits carry unchanged beside its own stop flag.
 //!
 //! The workers decide candidates through the same `solve` the sequential
 //! mode calls inline, so the sweep itself — resume, checkpoints, errors,

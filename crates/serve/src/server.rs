@@ -9,8 +9,8 @@
 //! everything but the solve. Both pass the same gates (drain, then the
 //! client's token bucket), both are admitted under the queue lock by the
 //! same rules, and both run as one [`Job`]: a worker isolates the solve
-//! from panics, hands it what the queue wait left of the deadline,
-//! releases the job's reservation and resolves its [`Ticket`]. Only
+//! from panics, hands it the job's deadline, releases the job's
+//! reservation and resolves its [`Ticket`]. Only
 //! [`Work::solve`] tells them apart — a flat job solves one problem
 //! through the engine, a composition plans, solves and stitches its
 //! stages — which is PCCL's framing of a flat collective as a one-group
@@ -36,11 +36,13 @@
 //!   it must not make any single problem permanently unserveable.
 //!
 //! A deadline is measured from the gates, so queue wait counts against
-//! it. On expiry a job degrades gracefully: whatever part of the frontier
-//! was solved in time is served with its `degraded` flag set; only a
-//! deadline that expires with *nothing* solved resolves the ticket to
-//! [`ServeError::Deadline`]. Hot-tier and disk-cache hits always serve
-//! complete reports, deadline notwithstanding.
+//! it: the job carries it as one instant, fixed there, which the solver
+//! compares with the clock at its budget checks. On expiry a job degrades
+//! gracefully: whatever part of the frontier was solved in time is served
+//! with its `degraded` flag set; only a deadline that expires with
+//! *nothing* solved resolves the ticket to [`ServeError::Deadline`].
+//! Hot-tier and disk-cache hits always serve complete reports, deadline
+//! notwithstanding.
 //!
 //! Workers drain the queue in FIFO order, solve through the shared
 //! [`Engine`] (one memo of decided candidates and one on-disk cache
@@ -55,7 +57,7 @@ use crate::wire::WireTimings;
 use sccl_collectives::Collective;
 use sccl_core::incremental::IncrementalStats;
 use sccl_core::pareto::{SynthesisConfig, SynthesisReport};
-use sccl_hier::{HierError, HierRequest, HierSummary, Partition};
+use sccl_hier::{HierEngineExt, HierError, HierRequest, HierSummary, Partition};
 use sccl_sched::{CacheKey, Engine, Error, Provenance, SolveMode, SynthesisRequest};
 use sccl_topology::Topology;
 use std::collections::{HashMap, VecDeque};
@@ -449,7 +451,7 @@ pub(crate) struct PastGates {
 trait Work: Send + 'static {
     type Served: Send + 'static;
 
-    /// Solve in what the queue wait left of the job's deadline.
+    /// Solve by the job's deadline ([`Started::deadline`]).
     fn solve(self, server: &Server, started: &Started) -> Result<Self::Served, ServeError>;
 }
 
@@ -466,9 +468,9 @@ struct Job<W: Work> {
     client: String,
     reserved_cells: usize,
     submitted: Instant,
-    /// Wall-clock budget measured from `submitted` — queue wait counts
-    /// against it. `None` means unbounded.
-    deadline: Option<Duration>,
+    /// When the job must be answered by: its budget added to `submitted`,
+    /// so queue wait counts against it. `None` means unbounded.
+    deadline: Option<Instant>,
 }
 
 /// A job of any kind, as the queue holds it.
@@ -478,10 +480,8 @@ type Queued = Box<dyn FnOnce(&Server) + Send>;
 struct Started {
     submitted: Instant,
     queue_wait: Duration,
-    /// The job's deadline, measured from `submitted`.
-    deadline: Option<Duration>,
-    /// What the queue wait left of `deadline`.
-    remaining: Option<Duration>,
+    /// The job's deadline, as [`Job::deadline`].
+    deadline: Option<Instant>,
 }
 
 impl Started {
@@ -1004,16 +1004,18 @@ impl Server {
         state.reserved_cells = state.reserved_cells.saturating_add(reserve);
         *state.inflight.entry(client.to_string()).or_insert(0) += 1;
         self.update_brownout(state.queue.len() + 1, state.reserved_cells);
-        // Brownout tightens the effective deadline: under sustained
-        // overload admitted jobs degrade to partial-frontier answers
-        // (freeing workers sooner) before admission starts rejecting.
-        let deadline =
-            if self.browned_out.load(Ordering::Relaxed) && self.config.brownout_deadline_ms > 0 {
-                let cap = Duration::from_millis(self.config.brownout_deadline_ms);
-                Some(deadline.map_or(cap, |d| d.min(cap)))
-            } else {
-                deadline
-            };
+        // The deadline is fixed here, from the gates. Brownout tightens
+        // it: under sustained overload admitted jobs degrade to
+        // partial-frontier answers (freeing workers sooner) before
+        // admission starts rejecting. A budget past the clock's range is
+        // no deadline.
+        let mut deadline = deadline.and_then(|d| submitted.checked_add(d));
+        if self.browned_out.load(Ordering::Relaxed) && self.config.brownout_deadline_ms > 0 {
+            let cap =
+                submitted.checked_add(Duration::from_millis(self.config.brownout_deadline_ms));
+            // The earlier of the two.
+            deadline = deadline.into_iter().chain(cap).min();
+        }
         let (ticket, slot) = Ticket::pair(wants_journal_record);
         let job = Job {
             work,
@@ -1111,34 +1113,34 @@ impl Server {
         swept
     }
 
-    /// A worker's start on a job submitted at `submitted`: the queue wait,
-    /// and what it left of `deadline`. A deadline the queue used up
-    /// expires here — nothing was solved, nothing to serve.
+    /// A worker's start on a job submitted at `submitted`. A deadline the
+    /// queue wait used up expires here — nothing was solved, nothing to
+    /// serve.
     fn started(
         &self,
         submitted: Instant,
-        deadline: Option<Duration>,
+        deadline: Option<Instant>,
     ) -> Result<Started, ServeError> {
-        let queue_wait = submitted.elapsed();
-        let remaining = deadline
-            .map(|d| {
-                d.checked_sub(queue_wait)
-                    .ok_or_else(|| self.expired(deadline))
-            })
-            .transpose()?;
-        Ok(Started {
+        let started = Started {
             submitted,
-            queue_wait,
+            queue_wait: submitted.elapsed(),
             deadline,
-            remaining,
-        })
+        };
+        if deadline.is_some_and(|at| Instant::now() >= at) {
+            return Err(self.expired(&started));
+        }
+        Ok(started)
     }
 
-    /// Count a deadline that expired with nothing solved, as its error.
-    fn expired(&self, deadline: Option<Duration>) -> ServeError {
+    /// Count a deadline that expired with nothing solved, as its error,
+    /// which names the job's budget.
+    fn expired(&self, started: &Started) -> ServeError {
         self.metrics.add(Counter::DeadlineExpired, 1);
+        let budget = started
+            .deadline
+            .map_or(Duration::ZERO, |at| at.duration_since(started.submitted));
         ServeError::Deadline {
-            deadline_ms: deadline.map_or(0, |d| d.as_millis() as u64),
+            deadline_ms: budget.as_millis() as u64,
         }
     }
 
@@ -1237,9 +1239,7 @@ impl Work for FlatWork {
             mut request,
             key_hash,
         } = self;
-        if let Some(remaining) = started.remaining {
-            request = request.with_deadline(remaining);
-        }
+        request.deadline = started.deadline;
         let topology = request.topology.clone();
         let collective = request.collective;
         // Kept for the one-shot re-solve after a verification quarantine:
@@ -1307,7 +1307,7 @@ impl Work for FlatWork {
                 // The deadline cut before any candidate was decided:
                 // nothing to degrade to. Counted as an expiry, not a
                 // degradation — exactly one deadline outcome per request.
-                return Err(server.expired(started.deadline));
+                return Err(server.expired(started));
             }
             metrics.add(Counter::DeadlineDegraded, 1);
         }
@@ -1348,12 +1348,12 @@ impl Work for HierRequest {
     /// metrics fold.
     fn solve(mut self, server: &Server, started: &Started) -> Result<HierServed, ServeError> {
         // A request-level deadline set by a direct library caller still
-        // applies if tighter.
-        if let Some(remaining) = started.remaining {
-            self.deadline = Some(self.deadline.map_or(remaining, |d| d.min(remaining)));
-        }
-        let response =
-            sccl_hier::synthesize_hier(&server.engine, &self).map_err(|e| server.hier_error(e))?;
+        // applies if earlier.
+        self.deadline = self.deadline.into_iter().chain(started.deadline).min();
+        let response = server
+            .engine
+            .synthesize_hier(self)
+            .map_err(|e| server.hier_error(e))?;
         let metrics = &server.metrics;
         metrics.add(Counter::HierStageSolves, response.stats.stage_solves as u64);
         metrics.add(Counter::HierCacheHits, response.stats.cache_hits as u64);

@@ -93,12 +93,11 @@ pub struct Limits {
     /// of the CDCL restart loop. Used by the parallel Pareto scheduler to
     /// stop in-flight solves whose instances have become dominated.
     pub stop: Option<Arc<AtomicBool>>,
-    /// A second cooperative stop flag with identical semantics, reserved
-    /// for request deadlines. Kept separate from `stop` because the
-    /// parallel Pareto scheduler overwrites `stop` with its own
-    /// per-candidate cancel flag ([`Limits::with_stop`] replaces); a
-    /// deadline raised by the serving layer must survive that.
-    pub deadline: Option<Arc<AtomicBool>>,
+    /// A request's wall-clock deadline: once the clock passes it, the
+    /// search aborts with [`SolveResult::Unknown`] at the same budget
+    /// checks that poll `stop`. Unlike `max_time`, it is an absolute
+    /// instant that every solve of one request shares.
+    pub deadline: Option<Instant>,
 }
 
 impl Limits {
@@ -129,16 +128,15 @@ impl Limits {
         self
     }
 
-    /// Attach a deadline stop flag (builder style). Checked alongside the
-    /// ordinary stop flag; raising either aborts the search.
-    pub fn with_deadline_flag(mut self, deadline: Arc<AtomicBool>) -> Self {
+    /// Attach a wall-clock deadline (builder style).
+    pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
     }
 
     /// What is left of these limits after a solve that took `conflicts`
     /// conflicts and `elapsed` wall clock (saturating at zero, where the
-    /// next budget check fires); the stop and deadline flags are shared.
+    /// next budget check fires); the stop flag and the deadline are shared.
     /// Lets two solver runs for one query draw on one budget.
     pub fn after(mut self, conflicts: u64, elapsed: Duration) -> Limits {
         self.max_conflicts = self.max_conflicts.map(|c| c.saturating_sub(conflicts));
@@ -146,15 +144,13 @@ impl Limits {
         self
     }
 
-    /// `true` once either attached stop flag (if any) has been raised.
+    /// `true` once the stop flag (if any) has been raised or the deadline
+    /// (if any) has passed. The clock is read only when a deadline is set.
     pub fn stop_requested(&self) -> bool {
         self.stop
             .as_ref()
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
-            || self
-                .deadline
-                .as_ref()
-                .is_some_and(|flag| flag.load(Ordering::Relaxed))
+            || self.deadline.is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -1598,38 +1594,48 @@ mod tests {
 
     #[test]
     fn pre_raised_stop_flag_aborts_immediately() {
-        let mut s = hard_pigeonhole(10);
+        // A raised stop flag and a deadline already in the past abort alike.
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let start = std::time::Instant::now();
-        let result = s.solve_limited(Limits::none().with_stop(stop));
-        assert_eq!(result, SolveResult::Unknown);
-        // The search must abort at the first budget check, long before the
-        // instance could be decided.
-        assert!(start.elapsed() < Duration::from_secs(5));
+        for limits in [
+            Limits::none().with_stop(stop),
+            Limits::none().with_deadline(Instant::now()),
+        ] {
+            let mut s = hard_pigeonhole(10);
+            let start = Instant::now();
+            assert_eq!(s.solve_limited(limits), SolveResult::Unknown);
+            // The search must abort at the first budget check, long before
+            // the instance could be decided.
+            assert!(start.elapsed() < Duration::from_secs(5));
+        }
     }
 
     #[test]
     fn stop_flag_interrupts_long_running_solve() {
         // A 12-pigeon instance takes far longer than the interrupt delay;
-        // the solve must return Unknown shortly after the flag is raised.
-        let mut solver = hard_pigeonhole(12);
+        // the solve must return Unknown shortly after the flag is raised,
+        // or the deadline passes.
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let flag = std::sync::Arc::clone(&stop);
         let interrupter = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
             flag.store(true, std::sync::atomic::Ordering::Relaxed);
         });
-        let start = std::time::Instant::now();
-        let result = solver.solve_limited(Limits::none().with_stop(stop));
+        let near = Instant::now() + Duration::from_millis(50);
+        for limits in [
+            Limits::none().with_stop(stop),
+            Limits::none().with_deadline(near),
+        ] {
+            let mut solver = hard_pigeonhole(12);
+            let start = Instant::now();
+            assert_eq!(solver.solve_limited(limits), SolveResult::Unknown);
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "stop request was not honoured in time"
+            );
+            // The solver remains usable after an interrupted solve.
+            assert!(solver.is_ok());
+        }
         interrupter.join().expect("interrupter thread");
-        assert_eq!(result, SolveResult::Unknown);
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "stop flag was not honoured in time"
-        );
-        // The solver remains usable after an interrupted solve: the same
-        // instance still decides UNSAT when run to completion.
-        assert!(solver.is_ok());
         assert!(hard_pigeonhole(6).solve().is_unsat());
     }
 
