@@ -23,10 +23,7 @@
 //! `<root>/ab/cdef….json` — so a store shared by thousands of serving
 //! processes never funnels every create/rename/readdir through one
 //! directory (and stays friendly to NFS-style backends with per-directory
-//! lock contention). Stores written by older versions used a flat
-//! `<root>/<sha256>.json` layout; those entries are still indexed and
-//! served transparently, and every new write lands in the sharded layout,
-//! so a legacy store migrates incrementally as it is used.
+//! lock contention).
 
 use crate::sha256;
 use sccl_collectives::Collective;
@@ -183,8 +180,7 @@ pub struct AlgorithmCache {
 
 impl AlgorithmCache {
     /// Open (creating if necessary) a cache directory and build the
-    /// in-memory index from the entries already on disk — both the sharded
-    /// `ab/cdef….json` layout and legacy flat `<sha256>.json` files.
+    /// in-memory index from the `ab/cdef….json` entries already on disk.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
@@ -200,11 +196,8 @@ impl AlgorithmCache {
                 }
                 let shard = shard.to_string();
                 for entry in std::fs::read_dir(&path)? {
-                    Self::index_file(&mut index, entry?.path(), Some(&shard));
+                    Self::index_file(&mut index, entry?.path(), &shard);
                 }
-            } else {
-                // Legacy flat-layout entry (pre-sharding stores).
-                Self::index_file(&mut index, path, None);
             }
         }
         Ok(AlgorithmCache {
@@ -216,27 +209,20 @@ impl AlgorithmCache {
         })
     }
 
-    /// Record `path` in the index if it looks like a cache entry: inside a
-    /// shard directory the file stem is the hash remainder (62 hex digits),
-    /// in the legacy flat layout it is the full 64-digit hash. When both
-    /// layouts hold the same hash, whichever is indexed last wins — they
-    /// decode to the same report, so the choice is immaterial.
-    fn index_file(index: &mut HashMap<String, PathBuf>, path: PathBuf, shard: Option<&str>) {
+    /// Record `path`, found in the `shard` directory, in the index if it
+    /// looks like a cache entry: its file stem is the hash remainder (62
+    /// hex digits).
+    fn index_file(index: &mut HashMap<String, PathBuf>, path: PathBuf, shard: &str) {
         if path.extension().and_then(|e| e.to_str()) != Some("json") {
             return;
         }
         let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
             return;
         };
-        if !stem.bytes().all(|b| b.is_ascii_hexdigit()) {
+        if stem.len() != 62 || !stem.bytes().all(|b| b.is_ascii_hexdigit()) {
             return;
         }
-        let hash = match shard {
-            Some(prefix) if stem.len() == 62 => format!("{prefix}{stem}"),
-            _ if stem.len() == 64 => stem.to_string(),
-            _ => return,
-        };
-        index.insert(hash, path);
+        index.insert(format!("{shard}{stem}"), path);
     }
 
     /// The sharded on-disk location for a content hash.
@@ -409,13 +395,10 @@ impl AlgorithmCache {
         ReadOutcome::Report(entry.report)
     }
 
-    /// Persist a report (always into the sharded layout). The write is
-    /// atomic (temp file + rename) so a concurrent reader never observes a
-    /// torn entry, and durable (the temp file is fsynced before the rename
-    /// and the shard directory after it) so an entry the store reported
-    /// written survives power loss. A legacy flat-layout file for the same
-    /// hash, if any, is removed so the store converges on the sharded
-    /// layout as it is used.
+    /// Persist a report. The write is atomic (temp file + rename) so a
+    /// concurrent reader never observes a torn entry, and durable (the temp
+    /// file is fsynced before the rename and the shard directory after it)
+    /// so an entry the store reported written survives power loss.
     pub fn store(&self, key: &CacheKey, report: &SynthesisReport) -> io::Result<()> {
         let hash = key.content_hash();
         let entry = CacheEntry {
@@ -445,9 +428,9 @@ impl AlgorithmCache {
         }
         // Chaos hook: simulate the process dying between the temp write and
         // the rename. The temp file is deliberately left behind, exactly as
-        // a crash would leave it — `open` never indexes dot-prefixed files
-        // in the root, so a reopened cache must agree with the pre-store
-        // index (the crash-consistency test asserts this).
+        // a crash would leave it — `open` never indexes files in the root,
+        // so a reopened cache must agree with the pre-store index (the
+        // crash-consistency test asserts this).
         if sccl_core::failpoint::fire("cache.store") {
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
@@ -460,11 +443,6 @@ impl AlgorithmCache {
         std::fs::File::open(path.parent().expect("sharded paths have a parent"))
             .and_then(|dir| dir.sync_all())?;
         let mut state = self.state.lock().expect("cache lock");
-        if let Some(old) = state.index.get(&hash) {
-            if old != &path {
-                let _ = std::fs::remove_file(old);
-            }
-        }
         state.touch(&hash);
         state.index.insert(hash.clone(), path);
         state.memo.insert(hash, report.clone());
@@ -541,54 +519,6 @@ impl AlgorithmCache {
         }
         Ok(removed)
     }
-
-    /// Evict every entry written by a different encoder version. Stale
-    /// entries can never be looked up again — the current encoder version
-    /// is part of every [`CacheKey`], so their hashes are unreachable —
-    /// but they linger on disk occupying capacity, and a hot tier that
-    /// was populated before the bump may still hold copies keyed by the
-    /// old hashes. Returns the evicted content hashes so such tiers can
-    /// be notified.
-    pub fn sweep_stale(&self) -> io::Result<Vec<String>> {
-        let snapshot: Vec<(String, PathBuf)> = {
-            let state = self.state.lock().expect("cache lock");
-            state
-                .index
-                .iter()
-                .map(|(hash, path)| (hash.clone(), path.clone()))
-                .collect()
-        };
-        // Unlocked: read each entry's stored key. Unreadable entries count
-        // as stale — they can't serve a hit either.
-        let stale: Vec<(String, PathBuf)> = snapshot
-            .into_iter()
-            .filter(|(_, path)| {
-                let version = std::fs::read_to_string(path)
-                    .ok()
-                    .and_then(|text| serde_json::from_str::<CacheEntry>(&text).ok())
-                    .map(|entry| entry.key.encoder_version);
-                version != Some(sccl_core::encoding::ENCODER_VERSION)
-            })
-            .collect();
-        let mut evicted: Vec<(String, PathBuf)> = Vec::with_capacity(stale.len());
-        {
-            let mut state = self.state.lock().expect("cache lock");
-            for (hash, path) in stale {
-                if state.index.get(&hash) == Some(&path) {
-                    state.index.remove(&hash);
-                    state.memo.remove(&hash);
-                    state.recency.remove(&hash);
-                    evicted.push((hash, path));
-                }
-            }
-        }
-        let mut removed = Vec::with_capacity(evicted.len());
-        for (hash, path) in evicted {
-            let _ = std::fs::remove_file(&path);
-            removed.push(hash);
-        }
-        Ok(removed)
-    }
 }
 
 #[cfg(test)]
@@ -650,40 +580,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
-    #[test]
-    fn sweep_stale_evicts_only_old_encoder_entries() {
-        use sccl_core::pareto::pareto_synthesize;
-
-        let cache = AlgorithmCache::open(tmp_dir("sweep")).expect("open");
-        let ring = builders::ring(4, 1);
-        let config = SynthesisConfig {
-            max_steps: 4,
-            max_chunks: 2,
-            ..Default::default()
-        };
-        let report = pareto_synthesize(&ring, Collective::Allgather, &config).expect("synthesis");
-        let current = CacheKey::new(&ring, Collective::Allgather, &config);
-        // An entry left behind by an older encoder: same problem, previous
-        // version. Unreachable through lookups, but it occupies capacity
-        // and a hot tier populated before the bump may still replay it.
-        let mut stale = current.clone();
-        stale.encoder_version -= 1;
-        cache.store(&current, &report).expect("store current");
-        cache.store(&stale, &report).expect("store stale");
-        assert_eq!(cache.len(), 2);
-
-        let evicted = cache.sweep_stale().expect("sweep");
-        assert_eq!(evicted, vec![stale.content_hash()]);
-        assert_eq!(cache.len(), 1);
-        assert!(
-            cache.lookup(&current).is_some(),
-            "current-version entry must survive the sweep"
-        );
-        // A second sweep finds nothing left to evict.
-        assert!(cache.sweep_stale().expect("re-sweep").is_empty());
-        let _ = std::fs::remove_dir_all(cache.root());
-    }
-
     fn tiny_report(chunks: usize) -> (CacheKey, SynthesisReport) {
         use sccl_core::pareto::pareto_synthesize;
         let ring = builders::ring(4, 1);
@@ -712,39 +608,6 @@ mod tests {
         assert_eq!(reopened.len(), 1);
         assert_eq!(reopened.lookup(&key), Some(report));
         let _ = std::fs::remove_dir_all(cache.root());
-    }
-
-    #[test]
-    fn legacy_flat_entries_are_served_and_migrated() {
-        let dir = tmp_dir("legacy");
-        let (key, report) = tiny_report(2);
-        let hash = key.content_hash();
-        // Simulate a pre-sharding store: write the blob flat into the root.
-        {
-            let cache = AlgorithmCache::open(&dir).expect("open");
-            cache.store(&key, &report).expect("store");
-            let sharded = cache
-                .root()
-                .join(&hash[..2])
-                .join(format!("{}.json", &hash[2..]));
-            let flat = dir.join(format!("{hash}.json"));
-            std::fs::rename(&sharded, &flat).expect("flatten");
-            let _ = std::fs::remove_dir(dir.join(&hash[..2]));
-        }
-        // A fresh handle reads the legacy layout transparently…
-        let cache = AlgorithmCache::open(&dir).expect("reopen");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(&key), Some(report.clone()));
-        // …and re-storing migrates the entry into the sharded layout.
-        cache.store(&key, &report).expect("restore");
-        assert!(!dir.join(format!("{hash}.json")).exists());
-        assert!(cache
-            .root()
-            .join(&hash[..2])
-            .join(format!("{}.json", &hash[2..]))
-            .is_file());
-        assert_eq!(cache.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
