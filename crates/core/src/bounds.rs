@@ -168,6 +168,30 @@ mod tests {
         Some(best)
     }
 
+    /// A ring backbone plus random extra links, bandwidths in 1..=3.
+    fn random_connected_topology() -> impl Strategy<Value = Topology> {
+        (
+            3usize..8,
+            prop::collection::vec((0usize..8, 0usize..8, 1u64..4), 0..12),
+            1u64..3,
+        )
+            .prop_map(|(n, extras, ring_bw)| {
+                let mut t = builders::ring(n, ring_bw);
+                for (a, b, bw) in extras {
+                    if a % n != b % n {
+                        t.add_link(a % n, b % n, bw);
+                    }
+                }
+                t
+            })
+    }
+
+    /// The Allgather bound at one chunk per node.
+    fn allgather_bound(topology: &Topology) -> Option<Rational> {
+        let spec = Collective::Allgather.spec(topology.num_nodes(), 1);
+        bandwidth_lower_bound(topology, &spec, 1)
+    }
+
     fn non_combining() -> Vec<Collective> {
         Collective::all_with_root_zero()
             .into_iter()
@@ -211,6 +235,35 @@ mod tests {
                     reference_bandwidth_lower_bound(&topo, &spec, c),
                     "{} on {:?}", collective, topo
                 );
+            }
+        }
+
+        /// Adding links never increases the Allgather bandwidth bound.
+        #[test]
+        fn extra_links_only_lower_the_allgather_bound(
+            n in 4usize..8,
+            a in 0usize..8,
+            b in 0usize..8,
+        ) {
+            prop_assume!(a % n != b % n);
+            let base = builders::ring(n, 1);
+            let mut extended = base.clone();
+            extended.add_bidi_link(a % n, b % n, 2);
+            let b_base = allgather_bound(&base).expect("connected");
+            let b_ext = allgather_bound(&extended).expect("connected");
+            prop_assert!(b_ext <= b_base);
+        }
+
+        /// The single-node ingress bound is always a valid lower bound on
+        /// the cut-based Allgather bound.
+        #[test]
+        fn ingress_bound_is_dominated_by_cut_bound(topo in random_connected_topology()) {
+            let p = topo.num_nodes() as u64;
+            let cut_bound = allgather_bound(&topo).expect("connected");
+            for n in 0..topo.num_nodes() {
+                let ingress = topo.in_bandwidth(n);
+                prop_assert!(ingress > 0);
+                prop_assert!(cut_bound >= Rational::new(p - 1, ingress));
             }
         }
     }

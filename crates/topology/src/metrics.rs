@@ -1,9 +1,9 @@
 //! Topology metrics used by the Pareto-synthesis procedure (Algorithm 1):
-//! the diameter (latency lower bound `a_l`) and cut-based bandwidth lower
-//! bounds (`b_l`, the "inverse bisection bandwidth" of the paper).
+//! the diameter (latency lower bound `a_l`) and the cut bandwidths that
+//! `sccl_core::bounds` turns into the bandwidth lower bound `b_l` (the
+//! "inverse bisection bandwidth" of the paper).
 
 use crate::model::Topology;
-use crate::rational::Rational;
 use std::collections::VecDeque;
 
 /// Total per-round budget of the `links` (as [`Topology::link_bandwidths`]
@@ -77,90 +77,12 @@ impl Topology {
             .filter_map(|&(s, d)| self.link_bandwidth(s, d))
             .sum()
     }
-
-    /// Total per-round chunk budget of edges crossing *out of* the node set.
-    pub fn cut_out_bandwidth(&self, inside: &[bool]) -> u64 {
-        assert_eq!(inside.len(), self.num_nodes());
-        self.links()
-            .iter()
-            .filter(|&&(s, d)| inside[s] && !inside[d])
-            .filter_map(|&(s, d)| self.link_bandwidth(s, d))
-            .sum()
-    }
-
-    /// Bandwidth lower bound `b_l` (in rounds per chunk, `R/C`) for
-    /// Allgather-style collectives where every node's data must reach every
-    /// other node.
-    ///
-    /// For every non-empty proper subset `S` of nodes, at least
-    /// `P − |S|` distinct chunks (per per-node chunk) must enter `S`, so any
-    /// algorithm needs at least `(P − |S|) / in_bw(S)` rounds per chunk. The
-    /// bound is the maximum over all cuts; for `P ≤ 20` all cuts are
-    /// enumerated, otherwise only single-node and complement cuts are used.
-    /// The single-node cut reproduces the paper's DGX-1 bound of 7/6
-    /// (§2.4), and the half-cut is the classical bisection bound.
-    pub fn allgather_bandwidth_lower_bound(&self) -> Option<Rational> {
-        let p = self.num_nodes();
-        if p == 1 {
-            return Some(Rational::zero());
-        }
-        let links = self.link_bandwidths();
-        let mut best = Rational::zero();
-        // One cut: `outside` chunks (per per-node chunk) must enter it over
-        // `bw` chunks per round.
-        let mut consider = |outside: usize, bw: u64| -> Option<()> {
-            if bw == 0 {
-                return None; // disconnected: no finite bound
-            }
-            best = best.max(Rational::new(outside as u64, bw));
-            Some(())
-        };
-        if p <= 20 {
-            // Node sets as bitmasks: a million cuts at `P = 20`, each
-            // `O(|links|)` bit tests.
-            for inside in 1u32..(1 << p) - 1 {
-                let bw = cut_bandwidth(&links, |n| inside >> n & 1 == 1);
-                consider(p - inside.count_ones() as usize, bw)?;
-            }
-        } else {
-            for n in 0..p {
-                consider(p - 1, cut_bandwidth(&links, |m| m == n))?;
-                consider(1, cut_bandwidth(&links, |m| m != n))?;
-            }
-        }
-        Some(best)
-    }
-
-    /// Bandwidth lower bound `R/C` for a rooted Broadcast from `root`: every
-    /// other node must receive `C` chunks, so every single-node cut not
-    /// containing the root gives a bound of `1 / in_bw(n)`.
-    pub fn broadcast_bandwidth_lower_bound(&self, root: usize) -> Option<Rational> {
-        let p = self.num_nodes();
-        if p == 1 {
-            return Some(Rational::zero());
-        }
-        let mut best = Rational::zero();
-        for n in 0..p {
-            if n == root {
-                continue;
-            }
-            let mut inside = vec![false; p];
-            inside[n] = true;
-            let bw = self.cut_in_bandwidth(&inside);
-            if bw == 0 {
-                return None;
-            }
-            best = best.max(Rational::new(1, bw));
-        }
-        Some(best)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::builders;
     use crate::model::Topology;
-    use crate::rational::Rational;
 
     #[test]
     fn ring_diameter() {
@@ -188,87 +110,12 @@ mod tests {
         t.add_bidi_link(2, 3, 1);
         assert_eq!(t.diameter(), None);
         assert!(!t.is_strongly_connected());
-        assert_eq!(t.allgather_bandwidth_lower_bound(), None);
     }
 
     #[test]
     fn dgx1_diameter_is_two() {
         let t = builders::dgx1();
         assert_eq!(t.diameter(), Some(2));
-    }
-
-    #[test]
-    fn dgx1_allgather_bound_is_seven_sixths() {
-        // §2.4: each node must receive 7 chunks over 6 incoming NVLinks.
-        let t = builders::dgx1();
-        assert_eq!(
-            t.allgather_bandwidth_lower_bound(),
-            Some(Rational::new(7, 6))
-        );
-    }
-
-    /// The per-cut implementation the bitmask enumeration replaced, kept as
-    /// its reference: one `Vec<bool>` and one `cut_in_bandwidth` per cut.
-    fn reference_allgather_bound(t: &Topology) -> Option<Rational> {
-        let p = t.num_nodes();
-        let masks: Vec<Vec<bool>> = if p <= 20 {
-            (1u32..(1 << p) - 1)
-                .map(|mask| (0..p).map(|i| mask >> i & 1 == 1).collect())
-                .collect()
-        } else {
-            (0..p)
-                .flat_map(|n| {
-                    [true, false].map(|single| (0..p).map(|m| (m == n) == single).collect())
-                })
-                .collect()
-        };
-        let mut best = Rational::zero();
-        for inside in masks {
-            let outside = inside.iter().filter(|&&b| !b).count() as u64;
-            match t.cut_in_bandwidth(&inside) {
-                0 => return None,
-                bw => best = best.max(Rational::new(outside, bw)),
-            }
-        }
-        Some(best)
-    }
-
-    #[test]
-    fn bitmask_allgather_bound_equals_the_per_cut_reference() {
-        let mut lopsided = builders::chain(6, 2);
-        lopsided.add_link(5, 0, 1).add_link(2, 4, 3);
-        lopsided.add_shared_constraint([(0, 1), (2, 1)], 1);
-        let mut one_way = Topology::new("one-way", 3);
-        one_way.add_link(0, 1, 1).add_link(1, 2, 1);
-        for t in [
-            builders::dgx1(),
-            builders::ring(5, 1),
-            builders::mesh2d(3, 4, 1),
-            builders::star(6, 2),
-            lopsided,
-            one_way,
-            // Beyond 20 nodes: single-node cuts and complements only.
-            builders::ring(24, 2),
-            builders::ring_of_rings(4, 6, 2, 1),
-        ] {
-            assert_eq!(
-                t.allgather_bandwidth_lower_bound(),
-                reference_allgather_bound(&t),
-                "{}",
-                t.name()
-            );
-        }
-    }
-
-    #[test]
-    fn ring_allgather_bound() {
-        // Bidirectional ring of 8 with unit links: each node has 2 incoming
-        // links and must receive 7 chunks -> 7/2 rounds per chunk.
-        let t = builders::ring(8, 1);
-        assert_eq!(
-            t.allgather_bandwidth_lower_bound(),
-            Some(Rational::new(7, 2))
-        );
     }
 
     #[test]
@@ -280,28 +127,17 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_bound_unit_ring() {
-        let t = builders::ring(4, 1);
-        assert_eq!(
-            t.broadcast_bandwidth_lower_bound(0),
-            Some(Rational::new(1, 2))
-        );
-    }
-
-    #[test]
     fn cut_bandwidth_directionality() {
         let mut t = Topology::new("dir", 2);
         t.add_link(0, 1, 3);
-        let inside = vec![false, true];
-        assert_eq!(t.cut_in_bandwidth(&inside), 3);
-        assert_eq!(t.cut_out_bandwidth(&inside), 0);
+        assert_eq!(t.cut_in_bandwidth(&[false, true]), 3);
+        assert_eq!(t.cut_in_bandwidth(&[true, false]), 0);
     }
 
     #[test]
     fn single_node_topology() {
         let t = Topology::new("solo", 1);
         assert_eq!(t.diameter(), Some(0));
-        assert_eq!(t.allgather_bandwidth_lower_bound(), Some(Rational::zero()));
     }
 
     #[test]
@@ -324,9 +160,5 @@ mod tests {
         // so the latency-optimal Allgather takes 4 steps (Table 5).
         let t = builders::amd_z52();
         assert_eq!(t.diameter(), Some(4));
-        assert_eq!(
-            t.allgather_bandwidth_lower_bound(),
-            Some(Rational::new(7, 2))
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for topology metrics.
 
 use proptest::prelude::*;
-use sccl_topology::{builders, Rational, Topology};
+use sccl_topology::{builders, Topology};
 
 /// Strategy: a random connected topology built from a ring backbone plus
 /// random extra links, with bandwidths in 1..=3.
@@ -36,8 +36,8 @@ proptest! {
         prop_assert!(d >= 1);
     }
 
-    /// Adding links never increases the diameter or the Allgather bandwidth
-    /// lower bound.
+    /// Adding links never increases the diameter. (The bandwidth half of
+    /// this property is `sccl_core::bounds`'.)
     #[test]
     fn extra_links_only_help(n in 4usize..8, a in 0usize..8, b in 0usize..8) {
         let a = a % n;
@@ -49,9 +49,6 @@ proptest! {
         let d_base = base.diameter().expect("connected");
         let d_ext = extended.diameter().expect("connected");
         prop_assert!(d_ext <= d_base);
-        let b_base = base.allgather_bandwidth_lower_bound().expect("connected");
-        let b_ext = extended.allgather_bandwidth_lower_bound().expect("connected");
-        prop_assert!(b_ext <= b_base);
     }
 
     /// Reversing a topology preserves node count, link count and (for the
@@ -76,20 +73,6 @@ proptest! {
         let dist = topo.distances_from(node);
         let max_dist = dist.iter().map(|d| d.expect("connected")).max().unwrap_or(0);
         prop_assert_eq!(ecc, max_dist);
-    }
-
-    /// The single-node ingress bound is always a valid lower bound on the
-    /// cut-based Allgather bound.
-    #[test]
-    fn ingress_bound_is_dominated_by_cut_bound(topo in random_connected_topology()) {
-        let p = topo.num_nodes() as u64;
-        let cut_bound = topo.allgather_bandwidth_lower_bound().expect("connected");
-        for n in 0..topo.num_nodes() {
-            let ingress = topo.in_bandwidth(n);
-            prop_assert!(ingress > 0);
-            let node_bound = Rational::new(p - 1, ingress);
-            prop_assert!(cut_bound >= node_bound);
-        }
     }
 
     /// Bandwidth symmetry of the standard builders: every node of a ring,
