@@ -650,8 +650,8 @@ pub struct Engine {
     /// of `(base topology, base collective, config)` (see [`Memo`]).
     /// Bounded by [`EngineBuilder::memo_capacity`].
     memo: Memo,
-    /// Content hashes evicted from the disk cache (capacity prunes and
-    /// encoder-version sweeps) that no layer above has collected yet.
+    /// Content hashes evicted from the disk cache (capacity prunes) that
+    /// no layer above has collected yet.
     /// A serving tier that replicates cache entries drains this mailbox
     /// via [`Engine::take_pruned_hashes`] to invalidate its copies —
     /// without it, a hot tier could replay a frontier the disk cache no
@@ -730,31 +730,11 @@ impl Engine {
     }
 
     /// Drain the mailbox of content hashes evicted from the disk cache
-    /// since the last drain (capacity prunes and encoder-version sweeps).
+    /// since the last drain (capacity prunes).
     /// A serving tier that replicates cache entries calls this after each
     /// served job and invalidates its copies of the returned hashes.
     pub fn take_pruned_hashes(&self) -> Vec<String> {
         std::mem::take(&mut *self.pruned.lock().expect("pruned mailbox lock"))
-    }
-
-    /// Evict disk-cache entries written by a different encoder version
-    /// and record their hashes in the pruned mailbox (see
-    /// [`Engine::take_pruned_hashes`]). Stale entries can never serve a
-    /// hit — the encoder version is part of every cache key — but they
-    /// occupy capacity, and tiers populated before a version bump may
-    /// still replay them. Returns the evicted hashes. No-op without a
-    /// cache.
-    pub fn sweep_stale_cache(&self) -> Vec<String> {
-        let Some(cache) = self.cache.as_ref() else {
-            return Vec::new();
-        };
-        match cache.sweep_stale() {
-            Ok(evicted) => {
-                self.record_pruned(evicted.clone());
-                evicted
-            }
-            Err(_) => Vec::new(),
-        }
     }
 
     fn record_pruned(&self, evicted: Vec<String>) {

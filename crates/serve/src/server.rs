@@ -1088,10 +1088,9 @@ impl Server {
         }
     }
 
-    /// Forward disk-cache evictions (capacity prunes, encoder-version
-    /// sweeps) to the hot tier: every hash the engine reports as pruned
-    /// is invalidated so the tier never replays a frontier the durable
-    /// store no longer backs.
+    /// Forward disk-cache evictions (capacity prunes) to the hot tier:
+    /// every hash the engine reports as pruned is invalidated so the tier
+    /// never replays a frontier the durable store no longer backs.
     pub fn drain_pruned(&self) -> usize {
         let mut invalidated = 0;
         for hash in self.engine.take_pruned_hashes() {
@@ -1100,17 +1099,6 @@ impl Server {
             }
         }
         invalidated
-    }
-
-    /// Evict disk-cache entries written by a different encoder version
-    /// and invalidate the hot tier's copies. Call after a deploy that
-    /// bumped [`sccl_core::encoding::ENCODER_VERSION`] while the daemon
-    /// kept running; returns how many stale entries the disk cache
-    /// dropped.
-    pub fn sweep_stale(&self) -> usize {
-        let swept = self.engine.sweep_stale_cache().len();
-        self.drain_pruned();
-        swept
     }
 
     /// A worker's start on a job submitted at `submitted`. A deadline the

@@ -28,7 +28,6 @@
 //! ```
 
 pub mod clause;
-pub mod dimacs;
 pub mod heap;
 pub mod intvar;
 pub mod luby;
@@ -38,7 +37,6 @@ pub mod solver;
 pub mod stats;
 pub mod types;
 
-pub use dimacs::Cnf;
 pub use intvar::{add_linear_eq, IntVar};
 pub use model::Model;
 pub use reference::ReferenceFormula;

@@ -83,23 +83,6 @@ impl Lit {
     pub fn from_code(code: usize) -> Self {
         Lit(code as u32)
     }
-
-    /// DIMACS-style representation: 1-based, negative for negated literals.
-    pub fn to_dimacs(self) -> i64 {
-        let v = self.var().index() as i64 + 1;
-        if self.sign() {
-            v
-        } else {
-            -v
-        }
-    }
-
-    /// Parse a DIMACS-style literal (non-zero integer).
-    pub fn from_dimacs(value: i64) -> Self {
-        assert!(value != 0, "DIMACS literal must be non-zero");
-        let var = Var::from_index((value.unsigned_abs() - 1) as usize);
-        Lit::new(var, value > 0)
-    }
 }
 
 impl Not for Lit {
@@ -194,13 +177,6 @@ mod tests {
                 let l = Lit::new(Var::from_index(idx), sign);
                 assert_eq!(!!l, l);
             }
-        }
-    }
-
-    #[test]
-    fn dimacs_roundtrip() {
-        for value in [-5i64, -1, 1, 9] {
-            assert_eq!(Lit::from_dimacs(value).to_dimacs(), value);
         }
     }
 
