@@ -275,7 +275,7 @@ const COMMANDS: &[CommandSpec] = &[
                 val(
                     "deadline-ms",
                     "MS",
-                    "whole-composition deadline; stages get the remaining budget",
+                    "whole-composition deadline; every stage solve runs against it",
                 ),
             ],
         ],

@@ -37,8 +37,8 @@
 //! (`"latency"` | `"bandwidth"`) chooses the frontier entry each stage
 //! uses and is rejected without `groups`. Hierarchical requests pass
 //! through the same admission chain as flat ones (queue, quotas, memory
-//! budget, rate limits, drain) and honour `deadline_ms`: each stage
-//! solve is handed the remaining wall clock, an expiry mid-search
+//! budget, rate limits, drain) and honour `deadline_ms`: every stage
+//! solve runs against the same deadline, an expiry mid-search
 //! degrades the answer (provenance `"hier:degraded"`, stages picked
 //! from partial frontiers, composition still verified), and only a
 //! deadline that leaves no composition achievable at all is a
@@ -102,8 +102,8 @@ pub struct WireSynthesize {
     pub client: String,
     /// Wall-clock budget in milliseconds, measured from admission (queue
     /// wait counts). Expiry degrades the answer to the partial frontier
-    /// rather than cancelling it — for hierarchical requests each stage
-    /// solve is handed the remaining budget.
+    /// rather than cancelling it — for hierarchical requests every stage
+    /// solve runs against the same deadline.
     pub deadline_ms: Option<u64>,
 }
 
