@@ -1614,17 +1614,7 @@ mod tests {
         // A 12-pigeon instance takes far longer than the interrupt delay;
         // the solve must return Unknown shortly after the flag is raised,
         // or the deadline passes.
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = std::sync::Arc::clone(&stop);
-        let interrupter = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            flag.store(true, std::sync::atomic::Ordering::Relaxed);
-        });
-        let near = Instant::now() + Duration::from_millis(50);
-        for limits in [
-            Limits::none().with_stop(stop),
-            Limits::none().with_deadline(near),
-        ] {
+        let interrupted = |limits: Limits| {
             let mut solver = hard_pigeonhole(12);
             let start = Instant::now();
             assert_eq!(solver.solve_limited(limits), SolveResult::Unknown);
@@ -1634,8 +1624,16 @@ mod tests {
             );
             // The solver remains usable after an interrupted solve.
             assert!(solver.is_ok());
-        }
+        };
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = std::sync::Arc::clone(&stop);
+        let interrupter = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            flag.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        interrupted(Limits::none().with_stop(stop));
         interrupter.join().expect("interrupter thread");
+        interrupted(Limits::none().with_deadline(Instant::now() + Duration::from_millis(50)));
         assert!(hard_pigeonhole(6).solve().is_unsat());
     }
 
