@@ -31,9 +31,9 @@ impl LinkUtilization {
             *counts[send.step].entry((send.src, send.dst)).or_insert(0) += 1;
         }
         let capacities = topology
-            .links()
+            .link_bandwidths()
             .into_iter()
-            .map(|(s, d)| ((s, d), topology.link_bandwidth(s, d).unwrap_or(0)))
+            .map(|(s, d, b)| ((s, d), b))
             .collect();
         LinkUtilization {
             counts,

@@ -2,8 +2,8 @@
 //! the latency lower bound `a_l` and bandwidth lower bound `b_l`.
 
 use sccl_collectives::CollectiveSpec;
-use sccl_topology::metrics::cut_bandwidth;
 use sccl_topology::{Rational, Topology};
+use std::collections::BTreeMap;
 
 /// Latency lower bound `a_l` in steps: the largest shortest-path distance
 /// any chunk has to travel from one of its pre-condition nodes to a
@@ -13,10 +13,7 @@ use sccl_topology::{Rational, Topology};
 /// Returns `None` if some required delivery is impossible (disconnected
 /// topology).
 pub fn latency_lower_bound(topology: &Topology, spec: &CollectiveSpec) -> Option<usize> {
-    // Distances from every node (BFS each source once).
-    let dist: Vec<Vec<Option<usize>>> = (0..topology.num_nodes())
-        .map(|src| topology.distances_from(src))
-        .collect();
+    let dist = topology.distances();
     let mut bound = 0usize;
     for &(chunk, dst) in &spec.post {
         let best = spec
@@ -44,6 +41,16 @@ pub fn latency_lower_bound(topology: &Topology, spec: &CollectiveSpec) -> Option
 /// Alltoall. All `2^P − 2` cuts are enumerated for `P ≤ 16`; beyond that
 /// only single-node cuts and their complements are considered.
 ///
+/// The cuts are visited in Gray-code order, so consecutive cuts differ in
+/// one node and `in_bandwidth(S)` is updated from that node's links alone.
+/// `crossing(S)` is counted from buckets: the chunks held by a single
+/// pre-node are grouped by their post-condition set and by how many of
+/// them each pre-node holds, so a bucket whose post set meets `S`
+/// contributes its multiplicity times the number of its pre-nodes outside
+/// `S`. Every other chunk is tested directly, chunks with equal pre and
+/// post sets as one. The worst cut is kept as an unreduced ratio and
+/// reduced once at the end.
+///
 /// Returns `None` if some cut has zero incoming bandwidth but requires a
 /// crossing (disconnected for this collective).
 pub fn bandwidth_lower_bound(
@@ -56,20 +63,30 @@ pub fn bandwidth_lower_bound(
     if p == 1 {
         return Some(Rational::zero());
     }
-    let links = topology.link_bandwidths();
-    let mut best = Rational::zero();
-    // One cut: `need > 0` chunks must cross into it, `bw` per round can.
-    let mut consider = |need: usize, bw: u64| -> Option<()> {
+    // Every node's incoming `(src, b)` and outgoing `(dst, b)` links, from
+    // one pass over the link budgets.
+    let mut in_links = vec![Vec::new(); p];
+    let mut out_links = vec![Vec::new(); p];
+    for (src, dst, bw) in topology.link_bandwidths() {
+        in_links[dst].push((src, bw));
+        out_links[src].push((dst, bw));
+    }
+    // The worst cut so far as `need / (bw·C)`, compared by
+    // cross-multiplication: `need > 0` chunks must cross into the cut,
+    // `bw` per round can.
+    let mut best = (0u64, 1u64);
+    let mut consider = |need: u64, bw: u64| -> Option<()> {
         if bw == 0 {
             return None;
         }
-        best = best.max(Rational::new(need as u64, bw * per_node_chunks as u64));
+        let den = bw * per_node_chunks as u64;
+        if u128::from(need) * u128::from(best.1) > u128::from(best.0) * u128::from(den) {
+            best = (need, den);
+        }
         Some(())
     };
     if p <= 16 {
-        // Node sets as bitmasks, built once: a 16-node stage has 65 534
-        // cuts, and each must cost `O(G + |links|)` bit tests rather than
-        // a rescan of the pre/post relations.
+        let full = (1u32 << p) - 1;
         let mut chunks = vec![(0u32, 0u32); spec.num_chunks];
         for &(c, n) in &spec.pre {
             chunks[c].0 |= 1 << n;
@@ -77,13 +94,70 @@ pub fn bandwidth_lower_bound(
         for &(c, n) in &spec.post {
             chunks[c].1 |= 1 << n;
         }
-        for inside in 1u32..(1 << p) - 1 {
-            let need = chunks
+        // Chunks with equal masks count together, as one `(pre, post, m)`.
+        // Those held by one node are then merged across holders into
+        // buckets `(post, pres, m)`: each node of `pres` holds `m` chunks
+        // owed to `post`. A bucket of one holder stays a direct test.
+        let mut weights: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+        for (pre, post) in chunks {
+            *weights.entry((pre, post)).or_default() += 1;
+        }
+        let mut holders: BTreeMap<(u32, u64), u32> = BTreeMap::new();
+        let mut direct = Vec::new();
+        for ((pre, post), m) in weights {
+            if pre.count_ones() == 1 {
+                *holders.entry((post, m)).or_default() |= pre;
+            } else {
+                direct.push((pre, post, m));
+            }
+        }
+        let mut buckets = Vec::new();
+        for ((post, m), pres) in holders {
+            if pres.count_ones() == 1 {
+                direct.push((pres, post, m));
+            } else {
+                buckets.push((post, pres, m));
+            }
+        }
+        // Gray code: step `i` toggles node `trailing_zeros(i)`, and steps
+        // `1..=full` visit every non-empty node set once.
+        let (mut inside, mut bw) = (0u32, 0u64);
+        for step in 1..=full {
+            let v = step.trailing_zeros() as usize;
+            let from_outside: u64 = in_links[v]
                 .iter()
-                .filter(|&&(pre, post)| pre & inside == 0 && post & inside != 0)
-                .count();
+                .filter(|&&(src, _)| inside >> src & 1 == 0)
+                .map(|&(_, b)| b)
+                .sum();
+            let to_inside: u64 = out_links[v]
+                .iter()
+                .filter(|&&(dst, _)| inside >> dst & 1 == 1)
+                .map(|&(_, b)| b)
+                .sum();
+            // Joining, `v`'s links from outside start crossing and its links
+            // into the cut stop; leaving, the other way round.
+            bw = if inside >> v & 1 == 0 {
+                bw + from_outside - to_inside
+            } else {
+                bw + to_inside - from_outside
+            };
+            inside ^= 1 << v;
+            if inside == full {
+                continue;
+            }
+            let outside = full & !inside;
+            let need = buckets
+                .iter()
+                .filter(|&&(post, _, _)| post & inside != 0)
+                .map(|&(_, pres, m)| m * u64::from((pres & outside).count_ones()))
+                .sum::<u64>()
+                + direct
+                    .iter()
+                    .filter(|&&(pre, post, _)| pre & inside == 0 && post & inside != 0)
+                    .map(|&(_, _, m)| m)
+                    .sum::<u64>();
             if need > 0 {
-                consider(need, cut_bandwidth(&links, |n| inside >> n & 1 == 1))?;
+                consider(need, bw)?;
             }
         }
     } else {
@@ -95,8 +169,9 @@ pub fn bandwidth_lower_bound(
             chunks[c].1.push(n);
         }
         for n in 0..p {
-            // `{n}`, then its complement.
-            for single in [true, false] {
+            // `{n}`, entered by every link into `n`; then its complement,
+            // entered by every link out of `n`.
+            for (single, links) in [(true, &in_links[n]), (false, &out_links[n])] {
                 let inside = |m: usize| (m == n) == single;
                 let need = chunks
                     .iter()
@@ -105,12 +180,12 @@ pub fn bandwidth_lower_bound(
                     })
                     .count();
                 if need > 0 {
-                    consider(need, cut_bandwidth(&links, inside))?;
+                    consider(need as u64, links.iter().map(|&(_, b)| b).sum())?;
                 }
             }
         }
     }
-    Some(best)
+    Some(Rational::new(best.0, best.1))
 }
 
 #[cfg(test)]
@@ -166,6 +241,87 @@ mod tests {
             }
         }
         Some(best)
+    }
+
+    /// The bitmask enumeration the Gray-code walk replaced: every cut in
+    /// counting order, its demand from a scan of all chunks' masks and its
+    /// bandwidth from a scan of all links. Fast enough to be the reference
+    /// at sixteen nodes, where [`reference_bandwidth_lower_bound`] is not.
+    fn bitmask_bandwidth_lower_bound(
+        topology: &Topology,
+        spec: &CollectiveSpec,
+        per_node_chunks: usize,
+    ) -> Option<Rational> {
+        let p = topology.num_nodes();
+        assert!((2..=16).contains(&p));
+        let links = topology.link_bandwidths();
+        let mut chunks = vec![(0u32, 0u32); spec.num_chunks];
+        for &(c, n) in &spec.pre {
+            chunks[c].0 |= 1 << n;
+        }
+        for &(c, n) in &spec.post {
+            chunks[c].1 |= 1 << n;
+        }
+        let mut best = Rational::zero();
+        for inside in 1u32..(1 << p) - 1 {
+            let need = chunks
+                .iter()
+                .filter(|&&(pre, post)| pre & inside == 0 && post & inside != 0)
+                .count() as u64;
+            if need == 0 {
+                continue;
+            }
+            let bw: u64 = links
+                .iter()
+                .filter(|&&(src, dst, _)| inside >> src & 1 == 0 && inside >> dst & 1 == 1)
+                .map(|&(_, _, bw)| bw)
+                .sum();
+            if bw == 0 {
+                return None;
+            }
+            best = best.max(Rational::new(need, bw * per_node_chunks as u64));
+        }
+        Some(best)
+    }
+
+    /// The Gray-code walk and its bucketed demand equal the bitmask
+    /// enumeration where they matter: sixteen-node stages, including a
+    /// shared egress cap (so a link's budget is not its own constraint's)
+    /// and a ring of rings (two bandwidth tiers), and Alltoall's per-pair
+    /// buckets on twelve nodes.
+    #[test]
+    fn gray_code_bound_equals_the_bitmask_reference_at_sixteen_nodes() {
+        let mut capped = builders::ring(16, 2);
+        capped.add_shared_constraint([(0, 1), (0, 15)], 1);
+        let machines = [
+            builders::ring(16, 1),
+            builders::hypercube(4, 1),
+            builders::ring_of_rings(4, 4, 2, 1),
+            capped,
+        ];
+        for topo in &machines {
+            assert_eq!(topo.num_nodes(), 16);
+            for collective in [
+                Collective::Allgather,
+                Collective::Broadcast { root: 0 },
+                Collective::Gather { root: 0 },
+                Collective::Scatter { root: 0 },
+            ] {
+                let spec = collective.spec(16, 1);
+                assert_eq!(
+                    bandwidth_lower_bound(topo, &spec, 1),
+                    bitmask_bandwidth_lower_bound(topo, &spec, 1),
+                    "{collective} on {}",
+                    topo.name()
+                );
+            }
+        }
+        let ring12 = builders::ring(12, 1);
+        let spec = Collective::Alltoall.spec(12, 12);
+        assert_eq!(
+            bandwidth_lower_bound(&ring12, &spec, 12),
+            bitmask_bandwidth_lower_bound(&ring12, &spec, 12)
+        );
     }
 
     /// A ring backbone plus random extra links, bandwidths in 1..=3.

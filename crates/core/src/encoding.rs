@@ -342,7 +342,7 @@ fn solve_quotient(
 
     // Distance pruning data: dist[c][n] = shortest hop count from any
     // pre-node of chunk c to node n.
-    let dist_from: Vec<Vec<Option<usize>>> = (0..p).map(|n| topology.distances_from(n)).collect();
+    let dist_from = topology.distances();
     let chunk_dist = |c: usize, n: usize| -> Option<usize> {
         spec.pre
             .iter()

@@ -250,8 +250,7 @@ impl IncrementalEncoder {
         let edges: Vec<(usize, usize)> = topology.links().into_iter().collect();
         let never = max_steps as i64 + 1;
 
-        let dist_from: Vec<Vec<Option<usize>>> =
-            (0..p).map(|n| topology.distances_from(n)).collect();
+        let dist_from = topology.distances();
         let chunk_dist = |c: usize, n: usize| -> Option<usize> {
             spec.pre
                 .iter()

@@ -286,56 +286,59 @@ impl Partition {
         // Leaders first: the member with the most inter-group links (in
         // either direction), ties to the smallest global index, so the
         // leader graph uses the best-connected node of each group.
+        let mut cross_degree = vec![0usize; num_nodes];
+        for &(s, d) in links.keys() {
+            if node_group[s] != node_group[d] {
+                cross_degree[s] += 1;
+                cross_degree[d] += 1;
+            }
+        }
         let leaders: Vec<usize> = member_lists
             .iter()
             .map(|members| {
                 members
                     .iter()
                     .copied()
-                    .max_by_key(|&n| {
-                        let degree = links
-                            .keys()
-                            .filter(|&&(s, d)| {
-                                (s == n && node_group[d] != node_group[n])
-                                    || (d == n && node_group[s] != node_group[n])
-                            })
-                            .count();
-                        // max_by_key keeps the *last* max; invert the index
-                        // so ties resolve to the smallest node.
-                        (degree, usize::MAX - n)
-                    })
+                    // max_by_key keeps the *last* max; invert the index so
+                    // ties resolve to the smallest node.
+                    .max_by_key(|&n| (cross_degree[n], usize::MAX - n))
                     .expect("groups are non-empty")
             })
             .collect();
 
         // Subtopologies, deduplicated into structural classes so identical
         // groups are identical topology values (one cache key downstream).
-        let mut class_signatures: Vec<String> = Vec::new();
+        let mut classes: Vec<(Restriction, Topology)> = Vec::new();
         let mut groups = Vec::with_capacity(member_lists.len());
-        for (g, members) in member_lists.iter().enumerate() {
-            let (signature, constraints, transports) = restrict(topology, members);
-            let class = match class_signatures.iter().position(|s| *s == signature) {
+        let restrictions = restrict(topology, &links, &member_lists, &node_group);
+        for ((members, restriction), leader) in member_lists
+            .into_iter()
+            .zip(restrictions)
+            .zip(leaders.iter().copied())
+        {
+            let class = match classes.iter().position(|(r, _)| *r == restriction) {
                 Some(c) => c,
                 None => {
-                    class_signatures.push(signature);
-                    class_signatures.len() - 1
+                    let mut sub = Topology::new(
+                        format!("{}#g{}x{}", topology.name(), classes.len(), members.len()),
+                        members.len(),
+                    );
+                    let (_, constraints, transports) = &restriction;
+                    for (edges, bandwidth) in constraints {
+                        sub.add_shared_constraint(edges.iter().copied(), *bandwidth);
+                    }
+                    for ((s, d), t) in transports {
+                        sub.set_transport(*s, *d, t.clone());
+                    }
+                    classes.push((restriction, sub));
+                    classes.len() - 1
                 }
             };
-            let mut sub = Topology::new(
-                format!("{}#g{}x{}", topology.name(), class, members.len()),
-                members.len(),
-            );
-            for (edges, bandwidth) in constraints {
-                sub.add_shared_constraint(edges, bandwidth);
-            }
-            for ((s, d), t) in transports {
-                sub.set_transport(s, d, t);
-            }
             groups.push(Group {
-                members: members.clone(),
-                leader: leaders[g],
+                members,
+                leader,
                 class,
-                topology: sub,
+                topology: classes[class].1.clone(),
             });
         }
 
@@ -397,43 +400,59 @@ impl Partition {
     }
 }
 
-/// Restrict the full topology's constraints and transports to a group,
-/// remapped to local indices, in a canonical (sorted) order. Returns the
-/// structural signature used for class deduplication.
-#[allow(clippy::type_complexity)]
-fn restrict(
-    topology: &Topology,
-    members: &[usize],
-) -> (
-    String,
+/// A group's size, constraints and transports, remapped to local indices
+/// and sorted: groups with equal restrictions form one structural class.
+type Restriction = (
+    usize,
     Vec<(BTreeSet<(usize, usize)>, u64)>,
     Vec<((usize, usize), String)>,
-) {
-    let local_of = |global: usize| members.binary_search(&global).ok();
-    let mut constraints: Vec<(BTreeSet<(usize, usize)>, u64)> = Vec::new();
-    for c in topology.constraints() {
-        let edges: BTreeSet<(usize, usize)> = c
-            .edges
-            .iter()
-            .filter_map(|&(s, d)| Some((local_of(s)?, local_of(d)?)))
-            .collect();
-        if !edges.is_empty() {
-            constraints.push((edges, c.chunks_per_round));
+);
+
+/// Restrict the full topology's constraints, and the transports of its
+/// usable `links`, to every group at once: one pass over the constraints
+/// and one over the links. Each edge goes to the group holding both its
+/// ends, remapped to local indices; each group's lists are then sorted
+/// into canonical order.
+fn restrict(
+    topology: &Topology,
+    links: &BTreeMap<(usize, usize), u64>,
+    member_lists: &[Vec<usize>],
+    node_group: &[usize],
+) -> Vec<Restriction> {
+    let mut local = vec![0; topology.num_nodes()];
+    for members in member_lists {
+        for (j, &n) in members.iter().enumerate() {
+            local[n] = j;
         }
     }
-    constraints.sort();
-    let mut transports: Vec<((usize, usize), String)> = Vec::new();
-    for &(s, d) in &topology.links() {
-        if let (Some(ls), Some(ld)) = (local_of(s), local_of(d)) {
-            if let Some(t) = topology.transport(s, d) {
-                transports.push(((ls, ld), t.to_string()));
+    let inner = |s: usize, d: usize| (node_group[s] == node_group[d]).then_some(node_group[s]);
+    let mut restrictions: Vec<Restriction> = member_lists
+        .iter()
+        .map(|members| (members.len(), Vec::new(), Vec::new()))
+        .collect();
+    for c in topology.constraints() {
+        let mut by_group: BTreeMap<usize, BTreeSet<(usize, usize)>> = BTreeMap::new();
+        for &(s, d) in &c.edges {
+            if let Some(g) = inner(s, d) {
+                by_group.entry(g).or_default().insert((local[s], local[d]));
             }
         }
+        for (g, edges) in by_group {
+            restrictions[g].1.push((edges, c.chunks_per_round));
+        }
     }
-    transports.sort();
-    let signature = serde_json::to_string(&(members.len(), &constraints, &transports))
-        .expect("signature serialization cannot fail");
-    (signature, constraints, transports)
+    for &(s, d) in links.keys() {
+        if let (Some(g), Some(t)) = (inner(s, d), topology.transport(s, d)) {
+            restrictions[g]
+                .2
+                .push(((local[s], local[d]), t.to_string()));
+        }
+    }
+    for (_, constraints, transports) in &mut restrictions {
+        constraints.sort();
+        transports.sort();
+    }
+    restrictions
 }
 
 /// Auto-detect groups: nodes joined (in either direction) by a link at the
@@ -483,7 +502,129 @@ fn auto_groups(topology: &Topology) -> Result<Vec<Vec<usize>>, PartitionError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sccl_topology::builders;
+
+    /// The per-group carving [`Partition::new`] replaced: each member's
+    /// cross-group degree counted over every link, and each group's
+    /// constraints and transports restricted by a pass of its own over the
+    /// topology. Returns every group's leader and subtopology.
+    fn reference_groups(
+        topology: &Topology,
+        member_lists: &[Vec<usize>],
+    ) -> Vec<(usize, Topology)> {
+        let mut node_group = vec![0; topology.num_nodes()];
+        for (g, members) in member_lists.iter().enumerate() {
+            for &n in members {
+                node_group[n] = g;
+            }
+        }
+        let links = topology.links();
+        let mut classes: Vec<Restriction> = Vec::new();
+        let mut groups = Vec::new();
+        for members in member_lists {
+            let leader = members
+                .iter()
+                .copied()
+                .max_by_key(|&n| {
+                    let degree = links
+                        .iter()
+                        .filter(|&&(s, d)| {
+                            (s == n && node_group[d] != node_group[n])
+                                || (d == n && node_group[s] != node_group[n])
+                        })
+                        .count();
+                    (degree, usize::MAX - n)
+                })
+                .expect("non-empty");
+            let local_of = |global: usize| members.binary_search(&global).ok();
+            let mut constraints = Vec::new();
+            for c in topology.constraints() {
+                let edges: BTreeSet<(usize, usize)> = c
+                    .edges
+                    .iter()
+                    .filter_map(|&(s, d)| Some((local_of(s)?, local_of(d)?)))
+                    .collect();
+                if !edges.is_empty() {
+                    constraints.push((edges, c.chunks_per_round));
+                }
+            }
+            constraints.sort();
+            let mut transports = Vec::new();
+            for &(s, d) in &links {
+                if let (Some(ls), Some(ld), Some(t)) =
+                    (local_of(s), local_of(d), topology.transport(s, d))
+                {
+                    transports.push(((ls, ld), t.to_string()));
+                }
+            }
+            transports.sort();
+            let restriction = (members.len(), constraints, transports);
+            let class = match classes.iter().position(|r| *r == restriction) {
+                Some(class) => class,
+                None => {
+                    classes.push(restriction.clone());
+                    classes.len() - 1
+                }
+            };
+            let mut sub = Topology::new(
+                format!("{}#g{}x{}", topology.name(), class, members.len()),
+                members.len(),
+            );
+            for (edges, bandwidth) in &restriction.1 {
+                sub.add_shared_constraint(edges.iter().copied(), *bandwidth);
+            }
+            for ((s, d), t) in &restriction.2 {
+                sub.set_transport(*s, *d, t.clone());
+            }
+            groups.push((leader, sub));
+        }
+        groups
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-pass carving equals the per-group reference on random
+        /// directed machines: interleaved groups (so local indices are not
+        /// offsets), one-way and zero-budget links, transports, and a
+        /// shared constraint that spans groups.
+        #[test]
+        fn one_pass_carving_equals_the_per_group_reference(
+            num_groups in 2usize..4,
+            n in 6usize..11,
+            links in prop::collection::vec((0usize..10, 0usize..10, 0u64..3), 0..24),
+            shared in prop::collection::vec((0usize..10, 0usize..10), 0..4),
+        ) {
+            let mut topo = Topology::new(format!("random-{n}"), n);
+            for &(a, b, bw) in &links {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    topo.add_link(a, b, bw);
+                    topo.set_transport(a, b, format!("t{bw}"));
+                }
+            }
+            let shared: Vec<(usize, usize)> =
+                shared.iter().map(|&(a, b)| (a % n, b % n)).filter(|&(a, b)| a != b).collect();
+            if !shared.is_empty() {
+                topo.add_shared_constraint(shared, 1);
+            }
+            let member_lists: Vec<Vec<usize>> = (0..num_groups)
+                .map(|g| (g..n).step_by(num_groups).collect())
+                .collect();
+            let partition = Partition::new(
+                &topo,
+                &GroupSpec::Explicit { groups: member_lists.clone() },
+            )
+            .expect("a partition");
+            let reference = reference_groups(&topo, &member_lists);
+            prop_assert_eq!(partition.groups.len(), reference.len());
+            for (group, (leader, sub)) in partition.groups.iter().zip(&reference) {
+                prop_assert_eq!(group.leader, *leader);
+                prop_assert_eq!(&group.topology, sub);
+            }
+        }
+    }
 
     #[test]
     fn uniform_blocks_partition_a_ring_of_rings() {

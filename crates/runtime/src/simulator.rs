@@ -56,6 +56,11 @@ pub fn simulate_time(
 ) -> f64 {
     let cost = effective_cost_model(base, lowering);
     let chunk_bytes = input_bytes as f64 / algorithm.per_node_chunks as f64;
+    let budgets: BTreeMap<(usize, usize), u64> = topology
+        .link_bandwidths()
+        .into_iter()
+        .map(|(src, dst, bw)| ((src, dst), bw))
+        .collect();
     let mut total = 0.0;
     for step in 0..algorithm.num_steps() {
         // Chunks crossing each link during this step.
@@ -66,7 +71,7 @@ pub fn simulate_time(
         let busiest = per_link
             .iter()
             .map(|(&(src, dst), &count)| {
-                let bw = topology.link_bandwidth(src, dst).unwrap_or(1).max(1) as f64;
+                let bw = budgets.get(&(src, dst)).copied().unwrap_or(1) as f64;
                 count as f64 / bw
             })
             .fold(0.0f64, f64::max);

@@ -1,45 +1,56 @@
 //! Topology metrics used by the Pareto-synthesis procedure (Algorithm 1):
-//! the diameter (latency lower bound `a_l`) and the cut bandwidths that
-//! `sccl_core::bounds` turns into the bandwidth lower bound `b_l` (the
-//! "inverse bisection bandwidth" of the paper).
+//! hop distances and the diameter (latency lower bound `a_l`), and cut
+//! bandwidths, which `sccl_core::bounds` turns into the bandwidth lower
+//! bound `b_l` (the "inverse bisection bandwidth" of the paper).
 
 use crate::model::Topology;
 use std::collections::VecDeque;
 
-/// Total per-round budget of the `links` (as [`Topology::link_bandwidths`]
-/// lists them) that cross *into* the node set `inside` from its complement.
-/// Cut enumeration lists the links once and calls this per cut.
-pub fn cut_bandwidth(links: &[(usize, usize, u64)], inside: impl Fn(usize) -> bool) -> u64 {
-    links
-        .iter()
-        .filter(|&&(src, dst, _)| !inside(src) && inside(dst))
-        .map(|&(_, _, bw)| bw)
-        .sum()
+/// Shortest hop distances from `src` over the out-adjacency lists `out`.
+fn bfs(out: &[Vec<usize>], src: usize) -> Vec<Option<usize>> {
+    let mut dist = vec![None; out.len()];
+    dist[src] = Some(0);
+    let mut queue = VecDeque::from([src]);
+    while let Some(n) = queue.pop_front() {
+        let d = dist[n].expect("visited");
+        for &m in &out[n] {
+            if dist[m].is_none() {
+                dist[m] = Some(d + 1);
+                queue.push_back(m);
+            }
+        }
+    }
+    dist
 }
 
 impl Topology {
+    /// Out-neighbours of every node, in [`Topology::links`] order, from one
+    /// pass over the usable links.
+    fn out_adjacency(&self) -> Vec<Vec<usize>> {
+        let mut out = vec![Vec::new(); self.num_nodes()];
+        for (src, dst) in self.links() {
+            out[src].push(dst);
+        }
+        out
+    }
+
     /// Shortest hop distances from `src` to every node (BFS over usable
     /// links). Unreachable nodes get `None`.
     pub fn distances_from(&self, src: usize) -> Vec<Option<usize>> {
-        let mut dist = vec![None; self.num_nodes()];
-        dist[src] = Some(0);
-        let mut queue = VecDeque::new();
-        queue.push_back(src);
-        while let Some(n) = queue.pop_front() {
-            let d = dist[n].expect("visited");
-            for m in self.out_neighbors(n) {
-                if dist[m].is_none() {
-                    dist[m] = Some(d + 1);
-                    queue.push_back(m);
-                }
-            }
-        }
-        dist
+        bfs(&self.out_adjacency(), src)
+    }
+
+    /// All-pairs shortest hop distances: `distances()[src][dst]`, `None`
+    /// where `dst` is unreachable from `src`. One BFS per source over one
+    /// adjacency built once.
+    pub fn distances(&self) -> Vec<Vec<Option<usize>>> {
+        let out = self.out_adjacency();
+        (0..self.num_nodes()).map(|src| bfs(&out, src)).collect()
     }
 
     /// `true` if every node can reach every other node.
     pub fn is_strongly_connected(&self) -> bool {
-        (0..self.num_nodes()).all(|src| self.distances_from(src).iter().all(|d| d.is_some()))
+        self.distances().iter().flatten().all(Option::is_some)
     }
 
     /// The diameter of the topology (maximum shortest-path hop count), or
@@ -49,13 +60,10 @@ impl Topology {
     /// algorithm can complete an all-to-all-style collective in fewer steps
     /// than the diameter.
     pub fn diameter(&self) -> Option<usize> {
-        let mut max = 0;
-        for src in 0..self.num_nodes() {
-            for d in self.distances_from(src) {
-                max = max.max(d?);
-            }
-        }
-        Some(max)
+        self.distances()
+            .into_iter()
+            .flatten()
+            .try_fold(0usize, |acc, d| d.map(|d| acc.max(d)))
     }
 
     /// Eccentricity of a node: the largest hop distance from `root` to any
@@ -71,10 +79,10 @@ impl Topology {
     /// `inside` from its complement.
     pub fn cut_in_bandwidth(&self, inside: &[bool]) -> u64 {
         assert_eq!(inside.len(), self.num_nodes());
-        self.links()
-            .iter()
-            .filter(|&&(s, d)| !inside[s] && inside[d])
-            .filter_map(|&(s, d)| self.link_bandwidth(s, d))
+        self.link_bandwidths()
+            .into_iter()
+            .filter(|&(src, dst, _)| !inside[src] && inside[dst])
+            .map(|(_, _, bw)| bw)
             .sum()
     }
 }

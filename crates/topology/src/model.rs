@@ -193,10 +193,9 @@ impl Topology {
     }
 
     /// Every usable edge with its per-round chunk budget, `(src, dst, b)` in
-    /// edge order: what [`Topology::links`] and [`Topology::link_bandwidth`]
-    /// answer edge by edge, in one pass over the constraints (each of those
-    /// calls walks every constraint again, which cut enumeration cannot
-    /// afford per cut).
+    /// [`Topology::links`] order, from one pass over the constraints: the
+    /// table to read when a query needs the budget of more than one edge,
+    /// since each [`Topology::link_bandwidth`] call walks every constraint.
     pub fn link_bandwidths(&self) -> Vec<(usize, usize, u64)> {
         let mut budgets: BTreeMap<Edge, u64> = BTreeMap::new();
         for c in &self.constraints {
@@ -233,17 +232,19 @@ impl Topology {
     /// Total per-round chunk budget entering `node`
     /// (sum of per-link budgets of incoming links).
     pub fn in_bandwidth(&self, node: usize) -> u64 {
-        self.in_neighbors(node)
-            .iter()
-            .filter_map(|&s| self.link_bandwidth(s, node))
+        self.link_bandwidths()
+            .into_iter()
+            .filter(|&(_, dst, _)| dst == node)
+            .map(|(_, _, bw)| bw)
             .sum()
     }
 
     /// Total per-round chunk budget leaving `node`.
     pub fn out_bandwidth(&self, node: usize) -> u64 {
-        self.out_neighbors(node)
-            .iter()
-            .filter_map(|&d| self.link_bandwidth(node, d))
+        self.link_bandwidths()
+            .into_iter()
+            .filter(|&(src, _, _)| src == node)
+            .map(|(_, _, bw)| bw)
             .sum()
     }
 

@@ -191,6 +191,47 @@ mod tests {
         }
     }
 
+    /// Every permutation of `0..p`, in lexicographic order.
+    fn permutations(p: usize) -> Vec<Vec<usize>> {
+        if p == 0 {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for first in 0..p {
+            for rest in permutations(p - 1) {
+                let mut perm = vec![first];
+                perm.extend(rest.into_iter().map(|n| n + usize::from(n >= first)));
+                all.push(perm);
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn the_dgx1_root_stabiliser_is_trivial() {
+        // All 8! relabellings: the DGX-1 has exactly four automorphisms,
+        // the identity and the three free ones. Of the 5 040 that fix node
+        // 0, only the identity is one, so no symmetry (with any chunk
+        // permutation) maps a collective rooted at a GPU onto itself.
+        let dgx1 = builders::dgx1();
+        let all = permutations(8);
+        assert_eq!(all.len(), 40_320);
+        let automorphisms: Vec<&Vec<usize>> = all
+            .iter()
+            .filter(|perm| dgx1.is_automorphism(perm))
+            .collect();
+        assert_eq!(automorphisms.len(), 4);
+        assert_eq!(all.iter().filter(|perm| perm[0] == 0).count(), 5_040);
+        let stabiliser: Vec<&Vec<usize>> = automorphisms
+            .iter()
+            .copied()
+            .filter(|perm| perm[0] == 0)
+            .collect();
+        assert_eq!(stabiliser, vec![&(0..8).collect::<Vec<usize>>()]);
+        let free = dgx1.fixed_point_free_automorphisms();
+        assert!(free.iter().all(|perm| automorphisms.contains(&perm)));
+    }
+
     #[test]
     fn the_search_is_bounded_on_a_crossbar() {
         // Every derangement of 16 nodes is an automorphism (about 7.7e12 of

@@ -2,6 +2,24 @@
 
 use proptest::prelude::*;
 use sccl_topology::{builders, Topology};
+use std::collections::VecDeque;
+
+/// BFS from `src` that asks the topology for each dequeued node's
+/// out-neighbours: the reference [`Topology::distances`] must equal.
+fn reference_distances_from(topology: &Topology, src: usize) -> Vec<Option<usize>> {
+    let mut dist = vec![None; topology.num_nodes()];
+    dist[src] = Some(0);
+    let mut queue = VecDeque::from([src]);
+    while let Some(n) = queue.pop_front() {
+        for m in topology.out_neighbors(n) {
+            if dist[m].is_none() {
+                dist[m] = Some(dist[n].expect("visited") + 1);
+                queue.push_back(m);
+            }
+        }
+    }
+    dist
+}
 
 /// Strategy: a random connected topology built from a ring backbone plus
 /// random extra links, with bandwidths in 1..=3.
@@ -73,6 +91,32 @@ proptest! {
         let dist = topo.distances_from(node);
         let max_dist = dist.iter().map(|d| d.expect("connected")).max().unwrap_or(0);
         prop_assert_eq!(ecc, max_dist);
+    }
+
+    /// All-pairs distances equal one reference BFS per source on random
+    /// directed topologies: no backbone, so some pairs are unreachable, and
+    /// zero-budget constraints make some mentioned edges unusable.
+    #[test]
+    fn all_pairs_distances_equal_per_source_bfs(
+        n in 1usize..10,
+        links in prop::collection::vec((0usize..10, 0usize..10, 0u64..3), 0..16),
+    ) {
+        let mut topo = Topology::new(format!("random-{n}"), n);
+        for &(a, b, bw) in &links {
+            if a % n != b % n {
+                topo.add_link(a % n, b % n, bw);
+            }
+        }
+        let all = topo.distances();
+        prop_assert_eq!(all.len(), n);
+        for (src, row) in all.iter().enumerate() {
+            prop_assert_eq!(row, &reference_distances_from(&topo, src));
+            prop_assert_eq!(row, &topo.distances_from(src));
+        }
+        let reachable = all.iter().flatten().all(Option::is_some);
+        prop_assert_eq!(topo.is_strongly_connected(), reachable);
+        let diameter = all.iter().flatten().try_fold(0, |acc, d| d.map(|d| acc.max(d)));
+        prop_assert_eq!(topo.diameter(), diameter);
     }
 
     /// Bandwidth symmetry of the standard builders: every node of a ring,
