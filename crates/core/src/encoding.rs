@@ -1108,6 +1108,96 @@ mod tests {
         })
     }
 
+    /// `(num_vars, num_clauses, num_pb_constraints, conflicts)` of one
+    /// formula solved without limits.
+    type Pin = (usize, usize, usize, u64);
+
+    fn pin(topo: &Topology, inst: &SynCollInstance, group: &Group, sat: bool) -> Pin {
+        let (run, conflicts) = solve_quotient(
+            topo,
+            inst,
+            &EncodingOptions::default(),
+            SolverConfig::default(),
+            group,
+            Limits::none(),
+        );
+        assert_eq!(run.outcome.is_sat(), sat, "verdict");
+        if let SynthesisOutcome::Satisfiable(alg) = run.outcome {
+            alg.validate(topo, &inst.spec).expect("valid");
+        }
+        let stats = run.encoding;
+        (
+            stats.num_vars,
+            stats.num_clauses,
+            stats.num_pb_constraints,
+            conflicts,
+        )
+    }
+
+    #[test]
+    fn formula_sizes_and_search_effort_are_pinned() {
+        // A change to how the formula is built that keeps the formula —
+        // same variables, clauses and constraints in the same order — keeps
+        // every pin, the search included. `None`: the instance has no free
+        // symmetry (every one fixes the root), so there is no quotient.
+        let dgx1 = builders::dgx1();
+        let ring8 = builders::ring(8, 1);
+        let rows: [(&Topology, SynCollInstance, bool, Option<Pin>, Pin); 5] = [
+            (
+                &dgx1,
+                instance(Collective::Allgather, 8, 3, 2, 4),
+                false,
+                Some((569, 597, 64, 10)),
+                (2_261, 2_379, 250, 20),
+            ),
+            (
+                &dgx1,
+                instance(Collective::Alltoall, 8, 8, 3, 3),
+                true,
+                Some((2_177, 3_489, 138, 182)),
+                (8_705, 13_953, 552, 2_088),
+            ),
+            (
+                &dgx1,
+                instance(Collective::Broadcast { root: 0 }, 8, 6, 3, 3),
+                true,
+                None,
+                (817, 1_183, 114, 156),
+            ),
+            (
+                &dgx1,
+                instance(Collective::Gather { root: 0 }, 8, 6, 7, 7),
+                true,
+                None,
+                (14_593, 25_825, 566, 6_911),
+            ),
+            (
+                &ring8,
+                instance(Collective::Allgather, 8, 1, 4, 4),
+                true,
+                Some((91, 134, 18, 0)),
+                (721, 1_065, 144, 0),
+            ),
+        ];
+        for (topo, inst, sat, quotient, full) in rows {
+            let free = Group::free(&inst.spec, &topo.fixed_point_free_automorphisms());
+            let got = (
+                (free.order() > 1).then(|| pin(topo, &inst, &free, sat)),
+                pin(topo, &inst, &Group::trivial(&inst.spec), sat),
+            );
+            assert_eq!(
+                got,
+                (quotient, full),
+                "{} ({},{},{}) on {}",
+                inst.spec.collective,
+                inst.per_node_chunks,
+                inst.num_steps,
+                inst.num_rounds,
+                topo.name()
+            );
+        }
+    }
+
     #[test]
     fn the_quotient_of_a_dgx1_alltoall_is_a_quarter_of_the_formula() {
         // Four rotations, acting freely on pairs and triples: every orbit
