@@ -337,19 +337,34 @@ fn solve_quotient(
     let r_rounds = instance.num_rounds;
 
     let mut solver = Solver::with_config(solver_config);
-    let edges: Vec<(usize, usize)> = topology.links().into_iter().collect();
+    let links = Links::of(topology);
+    let e_count = links.edges.len();
     let never = s_steps as i64 + 1; // arrival time meaning "not within S steps"
 
-    // Distance pruning data: dist[c][n] = shortest hop count from any
+    // Presence grids, indexed `c * p + n`.
+    let mut in_pre = vec![false; g * p];
+    let mut in_post = vec![false; g * p];
+    for &(c, n) in &spec.pre {
+        in_pre[c * p + n] = true;
+    }
+    for &(c, n) in &spec.post {
+        in_post[c * p + n] = true;
+    }
+
+    // Distance pruning data: floor[c * p + n] = shortest hop count from any
     // pre-node of chunk c to node n.
-    let dist_from = topology.distances();
-    let chunk_dist = |c: usize, n: usize| -> Option<usize> {
-        spec.pre
-            .iter()
-            .filter(|&&(pc, _)| pc == c)
-            .filter_map(|&(_, src)| dist_from[src][n])
-            .min()
-    };
+    let mut floor: Vec<Option<usize>> = vec![None; g * p];
+    if options.distance_pruning {
+        let dist_from = topology.distances();
+        for &(c, src) in &spec.pre {
+            for (slot, &d) in floor[c * p..(c + 1) * p].iter_mut().zip(&dist_from[src]) {
+                *slot = match (*slot, d) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+        }
+    }
 
     // r_s: rounds per step, each at least 1 (C6 ties their sum to R). No
     // symmetry moves a step, so these are their own orbits.
@@ -365,7 +380,10 @@ fn solve_quotient(
     // time(c, n) arrival times with C1/C2 and optional distance pruning:
     // one variable per orbit, which every other pair of the orbit aliases
     // (its representative is the least pair, so it came first).
+    // `pair_orbit[c * p + n]` numbers the orbits in the order they lead.
     let mut time_vars: Vec<Vec<IntVar>> = Vec::with_capacity(g);
+    let mut pair_orbit: Vec<usize> = Vec::with_capacity(g * p);
+    let mut pair_orbits = 0;
     for c in 0..g {
         let mut row: Vec<IntVar> = Vec::with_capacity(p);
         for n in 0..p {
@@ -374,14 +392,16 @@ fn solve_quotient(
                 let rep_row = if rep_c == c { &row } else { &time_vars[rep_c] };
                 let alias = rep_row[rep_n].clone();
                 row.push(alias);
+                pair_orbit.push(pair_orbit[rep_c * p + rep_n]);
                 continue;
             }
-            let in_pre = spec.pre.contains(&(c, n));
-            let var = if in_pre {
+            pair_orbit.push(pair_orbits);
+            pair_orbits += 1;
+            let var = if in_pre[c * p + n] {
                 IntVar::new(&mut solver, 0, 0) // C1: time = 0
             } else {
                 let lo = if options.distance_pruning {
-                    match chunk_dist(c, n) {
+                    match floor[c * p + n] {
                         Some(d) => d as i64,
                         // Unreachable node: it can never receive the chunk.
                         None => never,
@@ -391,7 +411,7 @@ fn solve_quotient(
                 };
                 IntVar::new(&mut solver, lo.min(never), never)
             };
-            if spec.post.contains(&(c, n)) {
+            if in_post[c * p + n] {
                 var.assert_le(&mut solver, s_steps as i64); // C2
             }
             row.push(var);
@@ -399,33 +419,42 @@ fn solve_quotient(
         time_vars.push(row);
     }
 
-    // snd(n, c, n') Booleans, one per orbit. Sends into a chunk's pre-nodes
-    // are useless and omitted (those nodes hold the chunk from time 0).
-    let mut snd_vars: BTreeMap<(usize, usize, usize), Lit> = BTreeMap::new();
+    // snd(n, c, n') Booleans at `snd[c * E + e]` for link `e`, one per
+    // orbit. Sends into a chunk's pre-nodes are useless and omitted (those
+    // nodes hold the chunk from time 0). `send_orbit` numbers the orbits,
+    // `send_reps` lists each orbit's least `(c, e)`: the order they lead.
+    let mut snd: Vec<Option<Lit>> = vec![None; g * e_count];
+    let mut send_orbit: Vec<usize> = vec![0; g * e_count];
+    let mut send_reps: Vec<(usize, usize)> = Vec::new();
     for c in 0..g {
-        for &(src, dst) in &edges {
-            if spec.pre.contains(&(c, dst)) {
+        for (e, &(src, dst)) in links.edges.iter().enumerate() {
+            if in_pre[c * p + dst] {
                 continue;
             }
-            let rep = group.triple(c, src, dst);
-            let lit = match rep == (c, src, dst) {
-                true => solver.new_var().positive(),
-                false => snd_vars[&rep],
-            };
-            snd_vars.insert((c, src, dst), lit);
+            let (rep_c, rep_src, rep_dst) = group.triple(c, src, dst);
+            let rep_e = links.find(rep_src, rep_dst);
+            let rep = rep_c * e_count + rep_e.expect("a symmetry maps links onto links");
+            if rep == c * e_count + e {
+                snd[rep] = Some(solver.new_var().positive());
+                send_orbit[rep] = send_reps.len();
+                send_reps.push((c, e));
+            } else {
+                // The least triple came first: its literal exists.
+                snd[c * e_count + e] = snd[rep];
+                send_orbit[c * e_count + e] = send_orbit[rep];
+            }
         }
     }
 
     // C3: a non-pre node that obtains a chunk receives it exactly once.
     for c in 0..g {
         for n in 0..p {
-            if spec.pre.contains(&(c, n)) || group.pair(c, n) != (c, n) {
+            if in_pre[c * p + n] || group.pair(c, n) != (c, n) {
                 continue;
             }
-            let incoming: Vec<Lit> = edges
+            let incoming: Vec<Lit> = links.into[n]
                 .iter()
-                .filter(|&&(_, dst)| dst == n)
-                .filter_map(|&(src, dst)| snd_vars.get(&(c, src, dst)).copied())
+                .filter_map(|&e| snd[c * e_count + e])
                 .collect();
             let arrives = time_vars[c][n].le(&mut solver, s_steps as i64);
             // arrives → at least one incoming send.
@@ -440,32 +469,31 @@ fn solve_quotient(
 
     // C4: a chunk must be present at the source strictly before it becomes
     // available at the destination.
-    for (&(c, src, dst), &snd) in &snd_vars {
-        if group.triple(c, src, dst) == (c, src, dst) {
-            IntVar::imply_less_than(&mut solver, snd, &time_vars[c][src], &time_vars[c][dst]);
-        }
+    for &(c, e) in &send_reps {
+        let (src, dst) = links.edges[e];
+        let send = snd[c * e_count + e].expect("an orbit's least send has a literal");
+        IntVar::imply_less_than(&mut solver, send, &time_vars[c][src], &time_vars[c][dst]);
     }
 
     // C5: per-step bandwidth constraints, scaled by the step's round count,
     // for the constraint that leads its orbit. A send over edge (src, dst)
     // of chunk c "occupies" step s iff snd(c, src, dst) ∧ time(c, dst) = s;
     // the product is Tseitin-encoded once per orbit of (c, dst, s) arrival
-    // literals and of (c, src, dst, s) tuples. Where a symmetry maps the
-    // constraint onto itself two of its sends share a literal, which
-    // `add_pb_le` merges into one term of twice the weight.
-    let mut eq_lits: BTreeMap<(usize, usize, usize), Lit> = BTreeMap::new();
-    let mut occupy_lits: BTreeMap<(usize, usize, usize, usize), Lit> = BTreeMap::new();
-    let usable: std::collections::BTreeSet<(usize, usize)> = topology.links();
+    // literals and of (c, src, dst, s) tuples, kept at `orbit * S + s - 1`.
+    // Where a symmetry maps the constraint onto itself two of its sends
+    // share a literal, which `add_pb_le` merges into one term of twice the
+    // weight.
+    let mut eq_lits: Vec<Option<Lit>> = vec![None; pair_orbits * s_steps];
+    let mut occupy_lits: Vec<Option<Lit>> = vec![None; send_reps.len() * s_steps];
     for constraint in topology.constraints() {
         let b = constraint.chunks_per_round;
         if b == 0 || !group.leads(&constraint.edges) {
             continue;
         }
-        let constrained_edges: Vec<(usize, usize)> = constraint
+        let constrained_edges: Vec<usize> = constraint
             .edges
             .iter()
-            .copied()
-            .filter(|e| usable.contains(e))
+            .filter_map(|&(src, dst)| links.find(src, dst))
             .collect();
         if constrained_edges.is_empty() {
             continue;
@@ -473,9 +501,10 @@ fn solve_quotient(
         for (step_idx, r_var) in round_vars.iter().enumerate() {
             let arrival_time = step_idx + 1; // time value s for sends of this step
             let mut terms: Vec<(u64, Lit)> = Vec::new();
-            for &(src, dst) in &constrained_edges {
+            for &e in &constrained_edges {
+                let dst = links.edges[e].1;
                 for c in 0..g {
-                    let Some(&snd) = snd_vars.get(&(c, src, dst)) else {
+                    let Some(send) = snd[c * e_count + e] else {
                         continue;
                     };
                     // Skip chunks that can never arrive at `dst` at this time.
@@ -483,19 +512,15 @@ fn solve_quotient(
                     if (arrival_time as i64) < t.lo() || (arrival_time as i64) > t.hi() {
                         continue;
                     }
-                    let (rep_c, rep_dst) = group.pair(c, dst);
-                    let eq = *eq_lits
-                        .entry((rep_c, rep_dst, arrival_time))
-                        .or_insert_with(|| t.eq_lit(&mut solver, arrival_time as i64));
-                    let (rep_c, rep_src, rep_dst) = group.triple(c, src, dst);
-                    let occ = *occupy_lits
-                        .entry((rep_c, rep_src, rep_dst, arrival_time))
-                        .or_insert_with(|| {
+                    let eq = *eq_lits[pair_orbit[c * p + dst] * s_steps + step_idx]
+                        .get_or_insert_with(|| t.eq_lit(&mut solver, arrival_time as i64));
+                    let occ = *occupy_lits[send_orbit[c * e_count + e] * s_steps + step_idx]
+                        .get_or_insert_with(|| {
                             let x = solver.new_var().positive();
                             // snd ∧ (time = s) → x ; the reverse directions are
                             // unnecessary for a ≤ bound (x may be true spuriously,
                             // which only tightens the constraint).
-                            solver.add_clause(&[!snd, !eq, x]);
+                            solver.add_clause(&[!send, !eq, x]);
                             x
                         });
                     terms.push((1, occ));
@@ -536,8 +561,14 @@ fn solve_quotient(
         // full formula it satisfies each constraint, because each is the
         // image of one that was stated.
         SolveResult::Sat(model) => {
+            let sends = (0..g).flat_map(|c| {
+                let snd = &snd[c * e_count..(c + 1) * e_count];
+                snd.iter()
+                    .zip(&links.edges)
+                    .filter_map(move |(&send, &(src, dst))| Some(((c, src, dst), send?)))
+            });
             let (rounds_per_step, sends) =
-                decode_schedule(spec, s_steps, &time_vars, &snd_vars, &round_vars, &model);
+                decode_schedule(spec, s_steps, &time_vars, sends, &round_vars, &model);
             SynthesisOutcome::Satisfiable(Algorithm {
                 collective: spec.collective,
                 topology_name: topology.name().to_string(),
@@ -557,6 +588,35 @@ fn solve_quotient(
         solves: 1,
     };
     (run, solver.stats().conflicts)
+}
+
+/// The machine's usable links, numbered in ascending `(src, dst)` order:
+/// the index of the encoder's per-link tables.
+struct Links {
+    edges: Vec<(usize, usize)>,
+    /// `index[src * P + dst]`: the number of link `src → dst`, if usable.
+    index: Vec<Option<usize>>,
+    /// Per node: the numbers of the links into it, ascending.
+    into: Vec<Vec<usize>>,
+}
+
+impl Links {
+    fn of(topology: &Topology) -> Links {
+        let p = topology.num_nodes();
+        let edges: Vec<(usize, usize)> = topology.links().into_iter().collect();
+        let mut index = vec![None; p * p];
+        let mut into = vec![Vec::new(); p];
+        for (e, &(src, dst)) in edges.iter().enumerate() {
+            index[src * p + dst] = Some(e);
+            into[dst].push(e);
+        }
+        Links { edges, index, into }
+    }
+
+    /// The number of link `src → dst`, if it is usable.
+    fn find(&self, src: usize, dst: usize) -> Option<usize> {
+        self.index[src * self.into.len() + dst]
+    }
 }
 
 /// Per-round ingress of every node: the summed budgets of its incoming
@@ -634,13 +694,12 @@ pub(crate) fn add_ingress_cuts(
     round_vars: &[IntVar],
     gate: Option<Lit>,
 ) {
-    for (n, &bw) in ingress.iter().enumerate() {
-        let needed: Vec<usize> = spec
-            .post
-            .iter()
-            .filter(|&&(c, node)| node == n && !spec.pre.contains(&(c, n)))
-            .map(|&(c, _)| c)
-            .collect();
+    // Per node, the post chunks it does not start with, ascending.
+    let mut needed: Vec<Vec<usize>> = vec![Vec::new(); ingress.len()];
+    for &(c, n) in spec.post.difference(&spec.pre) {
+        needed[n].push(c);
+    }
+    for (n, (&bw, needed)) in ingress.iter().zip(&needed).enumerate() {
         if needed.is_empty() || !stated_for(n) {
             continue;
         }
@@ -674,15 +733,15 @@ pub(crate) fn decode_schedule(
     spec: &CollectiveSpec,
     num_steps: usize,
     time_vars: &[Vec<IntVar>],
-    snd_vars: &BTreeMap<(usize, usize, usize), Lit>,
+    snd_vars: impl IntoIterator<Item = ((usize, usize, usize), Lit)>,
     round_vars: &[IntVar],
     model: &Model,
 ) -> (Vec<u64>, Vec<Send>) {
     let deadline = num_steps as i64;
     let raw = snd_vars
-        .iter()
-        .filter(|&(_, &lit)| model.lit_value(lit))
-        .filter_map(|(&(c, src, dst), _)| {
+        .into_iter()
+        .filter(|&(_, lit)| model.lit_value(lit))
+        .filter_map(|((c, src, dst), _)| {
             let arrival = time_vars[c][dst].value_in(model);
             (arrival <= deadline).then(|| Send::copy(c, src, dst, (arrival - 1) as usize))
         })

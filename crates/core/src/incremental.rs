@@ -628,7 +628,7 @@ impl IncrementalEncoder {
                     &self.spec,
                     num_steps,
                     &self.time_vars,
-                    &self.snd_vars,
+                    self.snd_vars.iter().map(|(&send, &lit)| (send, lit)),
                     &self.layers[&num_steps].round_vars,
                     &model,
                 );
