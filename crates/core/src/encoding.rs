@@ -9,9 +9,9 @@
 //!   and per-step round-count integers `r_s`.
 //! * [`synthesize_naive`] — the direct encoding with one Boolean per tuple
 //!   `(c, n, n', s)` plus per-step presence Booleans, which the paper
-//!   reports does not scale (§5.4.3). Kept for the encoding-ablation bench
-//!   and as the reference the property tests hold the other two encoders
-//!   to: it has neither the symmetry nor the strengthenings below.
+//!   reports does not scale (§5.4.3). Kept as the reference the property
+//!   tests hold [`synthesize`] and the layered encoder to: it has neither
+//!   the symmetry, nor the chunk order, nor the strengthenings below.
 //!
 //! # Symmetry
 //!
@@ -62,7 +62,30 @@
 //! ([`Topology::fixed_point_free_automorphisms`], once per sweep). Every
 //! orbit of nodes then has `|H|` members, and no two literals of one C3
 //! or of one ingress cut are merged. Rooted collectives have no such
-//! symmetry (every one fixes the root) and are solved as before.
+//! symmetry (every one fixes the root): they are solved on the full
+//! formula, where the chunk order below does the pruning.
+//!
+//! # Chunk order
+//!
+//! The chunks of one `(pre nodes, post nodes)` signature are
+//! *interchangeable*: the `C` chunks a Broadcast root holds, those of one
+//! Gather source or one Allgather node. Permuting them, nodes fixed, maps
+//! every constraint onto a constraint — C1/C2 and the distance floors
+//! because their pre and post nodes agree, C3/C4 because they are stated
+//! per chunk, C5 and the ingress cuts because they only sum over chunks —
+//! so it maps schedules onto schedules, and a search that does not know
+//! this refutes every relabelling of a dead end again. The full formula
+//! therefore makes each class `c₁ < c₂ < …` of at least two such chunks
+//! reach `n*`, its least node in `post ∖ pre`, in order:
+//! `time(cᵢ, n*) ≤ time(cᵢ₊₁, n*)`, ties allowed (two chunks may arrive in
+//! one step). Any schedule, its chunks relabelled by their arrival at
+//! `n*`, satisfies the order, so an unsatisfiable formula is still a
+//! verdict. These are binary clauses over the order encoding's existing
+//! literals. They are not stated on a quotient: a chunk order is not
+//! invariant under a symmetry that moves `n*`, and an `H`-invariant
+//! schedule need not be ordered. On the DGX-1 this takes Gather `(6,7,7)`
+//! from 6 911 conflicts to 790 and refutes Broadcast `(7,3,3)` in 398
+//! instead of ~1 350.
 //!
 //! # Redundant strengthenings
 //!
@@ -90,7 +113,7 @@
 #![allow(clippy::needless_range_loop)] // chunk x node grids read best with explicit indices
 
 use crate::algorithm::{Algorithm, Send};
-use crate::symmetry::Group;
+use crate::symmetry::{interchangeable_chunks, Group};
 use sccl_collectives::CollectiveSpec;
 use sccl_solver::{add_linear_eq, IntVar, Limits, Lit, Model, SolveResult, Solver, SolverConfig};
 use sccl_topology::Topology;
@@ -120,7 +143,10 @@ use std::time::{Duration, Instant};
 /// 6 — a candidate whose instance has symmetries is decided on the
 /// quotient formula first (see "Symmetry" in the module docs): the same
 /// `(C, S, R)` points, symmetric schedules behind them.
-pub const ENCODER_VERSION: u32 = 6;
+/// 7 — the full formula orders interchangeable chunks by their arrival
+/// (see "Chunk order" in the module docs): the same verdicts, schedules
+/// with their chunks relabelled.
+pub const ENCODER_VERSION: u32 = 7;
 
 /// One synthesis query: find a `(S, R)` k-synchronous schedule implementing
 /// `spec` on `topology` (the SynColl instance of §3.2 with its parameters).
@@ -417,6 +443,18 @@ fn solve_quotient(
             row.push(var);
         }
         time_vars.push(row);
+    }
+
+    // The chunk order: interchangeable chunks reach the first node owed
+    // them in ascending order, ties allowed — on the full formula only (see
+    // "Chunk order" in the module docs).
+    if group.order() == 1 {
+        for (node, chunks) in interchangeable_chunks(spec) {
+            for pair in chunks.windows(2) {
+                let [first, next] = [pair[0], pair[1]].map(|c| &time_vars[c][node]);
+                IntVar::assert_le_var(&mut solver, first, next);
+            }
+        }
     }
 
     // snd(n, c, n') Booleans at `snd[c * E + e]` for link `e`, one per
@@ -795,8 +833,8 @@ fn prune_dead_sends(spec: &CollectiveSpec, sends: Vec<Send>) -> Vec<Send> {
 /// `(c, n, n', s)` and one presence Boolean per `(c, n, s)`.
 ///
 /// This is the "more direct encoding" of §5.4.3 that the paper reports
-/// failing to solve the 24-chunk Alltoall within an hour; it is retained to
-/// reproduce that ablation at smaller scales.
+/// failing to solve the 24-chunk Alltoall within an hour; it is retained as
+/// the reference `tests/proptest_synthesis.rs` holds [`synthesize`] to.
 pub fn synthesize_naive(
     topology: &Topology,
     instance: &SynCollInstance,
@@ -1198,7 +1236,11 @@ mod tests {
         // A change to how the formula is built that keeps the formula —
         // same variables, clauses and constraints in the same order — keeps
         // every pin, the search included. `None`: the instance has no free
-        // symmetry (every one fixes the root), so there is no quotient.
+        // symmetry (every one fixes the root), so there is no quotient. The
+        // chunk order adds clauses to the full formulas of Allgather
+        // (3,2,4), Broadcast and Gather only: Alltoall's and a one-chunk
+        // Allgather's classes have one chunk each. It takes the Gather
+        // (6,7,7) row from 6 911 conflicts to 790.
         let dgx1 = builders::dgx1();
         let ring8 = builders::ring(8, 1);
         let rows: [(&Topology, SynCollInstance, bool, Option<Pin>, Pin); 5] = [
@@ -1207,7 +1249,7 @@ mod tests {
                 instance(Collective::Allgather, 8, 3, 2, 4),
                 false,
                 Some((569, 597, 64, 10)),
-                (2_261, 2_379, 250, 20),
+                (2_261, 2_389, 250, 18),
             ),
             (
                 &dgx1,
@@ -1221,14 +1263,14 @@ mod tests {
                 instance(Collective::Broadcast { root: 0 }, 8, 6, 3, 3),
                 true,
                 None,
-                (817, 1_183, 114, 156),
+                (817, 1_193, 114, 118),
             ),
             (
                 &dgx1,
                 instance(Collective::Gather { root: 0 }, 8, 6, 7, 7),
                 true,
                 None,
-                (14_593, 25_825, 566, 6_911),
+                (14_593, 26_020, 566, 790),
             ),
             (
                 &ring8,
@@ -1255,6 +1297,45 @@ mod tests {
                 topo.name()
             );
         }
+    }
+
+    #[test]
+    fn the_chunk_order_allows_ties() {
+        // The root sends both of its chunks to both other nodes in one
+        // round of one step: they reach node 1, the first node owed them,
+        // at the same time.
+        let topo = builders::fully_connected(3, 2);
+        let inst = instance(Collective::Broadcast { root: 0 }, 3, 2, 1, 1);
+        assert_eq!(interchangeable_chunks(&inst.spec), vec![(1, vec![0, 1])]);
+        let alg = run_default(&topo, &inst).outcome.algorithm().expect("SAT");
+        alg.validate(&topo, &inst.spec).expect("valid");
+        assert_eq!(alg.sends.len(), 4);
+        assert!(alg.sends.iter().all(|send| send.step == 0));
+    }
+
+    #[test]
+    fn the_chunk_order_binds_within_a_class_only() {
+        // Gather to node 2 down the chain 0 - 1 - 2 in four one-round
+        // steps: the link 1 → 2 carries the four chunks one per step, and
+        // node 0's two chunks, two hops out, cannot take step 1. Ordered
+        // within their classes the chunks fit; ordered across the classes
+        // (node 0's before node 1's) they would not.
+        let topo = builders::chain(3, 1);
+        let inst = instance(Collective::Gather { root: 2 }, 3, 2, 4, 4);
+        let classes = interchangeable_chunks(&inst.spec);
+        assert_eq!(classes.len(), 2);
+        assert!(classes
+            .iter()
+            .all(|(node, chunks)| *node == 2 && chunks.len() == 2));
+        let alg = run_default(&topo, &inst).outcome.algorithm().expect("SAT");
+        alg.validate(&topo, &inst.spec).expect("valid");
+        let into_root: Vec<usize> = alg
+            .sends
+            .iter()
+            .filter(|send| send.dst == 2)
+            .map(|send| send.step)
+            .collect();
+        assert_eq!(into_root, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! them that *acts freely on the nodes*; [`Group`]'s other methods name
 //! the representative — the least image — of a node, a `(chunk, node)`
 //! pair, a `(chunk, src, dst)` triple and a bandwidth constraint, which is
-//! all the encoder needs to know about orbits.
+//! all the encoder needs to know about orbits. [`interchangeable_chunks`]
+//! names the classes of chunks the full formula orders (the
+//! "Chunk order" section of [`crate::encoding`]).
 
 use sccl_collectives::CollectiveSpec;
 use sccl_topology::Edge;
@@ -78,6 +80,22 @@ impl ChunkSignatures {
         }
         Some(chunks)
     }
+}
+
+/// The chunks the full formula orders by their arrival: per class of at
+/// least two interchangeable chunks (one `(pre nodes, post nodes)`
+/// signature) that some node is owed without starting with them, the
+/// least such node and the class, ascending.
+pub(crate) fn interchangeable_chunks(spec: &CollectiveSpec) -> Vec<(usize, Vec<usize>)> {
+    ChunkSignatures::new(spec)
+        .chunks_of
+        .into_iter()
+        .filter(|(_, chunks)| chunks.len() > 1)
+        .filter_map(|((pre, post), chunks)| {
+            let node = post.into_iter().find(|n| !pre.contains(n))?;
+            Some((node, chunks))
+        })
+        .collect()
 }
 
 /// The node permutations `generators` generate, identity first, or `None`
@@ -293,6 +311,34 @@ mod tests {
         // A permutation that is no symmetry of the collective: Gather's root.
         let gather = Collective::Gather { root: 0 }.spec(p, 1);
         assert_eq!(ChunkSignatures::new(&gather).induced(&rotation), None);
+    }
+
+    #[test]
+    fn interchangeable_chunks_share_sources_and_destinations() {
+        // An Allgather node's C chunks, owed to every other node (node 0
+        // first, or node 1 for node 0's own); a Gather source's, owed to
+        // the root; a Broadcast root's, owed to every other node.
+        let allgather = Collective::Allgather.spec(4, 3);
+        let classes = interchangeable_chunks(&allgather);
+        assert_eq!(classes.len(), 4);
+        for (node, chunks) in &classes {
+            assert_eq!(chunks.len(), 3);
+            let source = chunks[0] % 4;
+            assert!(chunks.iter().all(|&c| c % 4 == source));
+            assert_eq!(*node, usize::from(source == 0));
+        }
+        let gather = Collective::Gather { root: 3 }.spec(4, 2);
+        assert!(interchangeable_chunks(&gather)
+            .iter()
+            .all(|(node, chunks)| *node == 3 && chunks.len() == 2));
+        assert_eq!(
+            interchangeable_chunks(&Collective::Broadcast { root: 2 }.spec(4, 2)),
+            vec![(0, vec![0, 1])]
+        );
+        // One chunk per (source, destination), and one per node: nothing
+        // to order.
+        assert!(interchangeable_chunks(&Collective::Alltoall.spec(4, 4)).is_empty());
+        assert!(interchangeable_chunks(&Collective::Allgather.spec(4, 1)).is_empty());
     }
 
     #[test]
