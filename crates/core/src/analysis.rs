@@ -3,8 +3,7 @@
 //!
 //! Bandwidth-optimal schedules keep every link busy every step (the 6-ring
 //! DGX-1 Allgather uses all 48 NVLink units in all 7 steps); these helpers
-//! quantify that and are used by the examples and the lowering-ablation
-//! discussion.
+//! quantify that, and the `dgx1_pareto` example prints them.
 
 use crate::algorithm::Algorithm;
 use sccl_topology::Topology;

@@ -759,10 +759,11 @@ pub(crate) fn add_ingress_cuts(
 /// Read a model out as `(rounds_per_step, sends)` through the variables
 /// the encoding above and the layered one in
 /// [`crate::incremental`] share — `time(c, n)` indexed `[chunk][node]`,
-/// `snd(c, src, dst)` and the `S` per-step round counts: every true send
-/// whose destination arrives within the `num_steps` deadline (later means
-/// "never"), scheduled one step before the arrival, with the sends no post
-/// pair depends on pruned (see [`prune_dead_sends`]). The result is a
+/// each send's `((c, src, dst), snd)`, in any order, and the `S` per-step
+/// round counts: every true send whose destination arrives within the
+/// `num_steps` deadline (later means "never"), scheduled one step before
+/// the arrival, with the sends no post pair depends on pruned (see
+/// [`prune_dead_sends`]). The result is a
 /// function of the model, so it is only as deterministic as the solve that
 /// produced it: a fresh solver is deterministic given `(topology,
 /// instance, options, SolverConfig)`, a long-lived one depends on its

@@ -174,7 +174,7 @@ pub struct SolverConfig {
     /// variables should stay off.
     pub default_polarity: bool,
     /// Enable clause learning. Disabling it degrades the solver to
-    /// chronological backtracking (used by the encoding-ablation bench).
+    /// chronological backtracking (the property tests check both).
     pub clause_learning: bool,
     /// Enable VSIDS; when disabled variables are picked in index order.
     pub vsids: bool,
