@@ -384,10 +384,7 @@ fn solve_quotient(
         let dist_from = topology.distances();
         for &(c, src) in &spec.pre {
             for (slot, &d) in floor[c * p..(c + 1) * p].iter_mut().zip(&dist_from[src]) {
-                *slot = match (*slot, d) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+                *slot = (*slot).into_iter().chain(d).min();
             }
         }
     }
