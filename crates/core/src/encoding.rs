@@ -10,8 +10,8 @@
 //! * [`synthesize_naive`] — the direct encoding with one Boolean per tuple
 //!   `(c, n, n', s)` plus per-step presence Booleans, which the paper
 //!   reports does not scale (§5.4.3). Kept as the reference the property
-//!   tests hold [`synthesize`] and the layered encoder to: it has neither
-//!   the symmetry, nor the chunk order, nor the strengthenings below.
+//!   tests hold [`synthesize`] to: it has neither the symmetry, nor the
+//!   chunk order, nor the strengthenings below.
 //!
 //! # Symmetry
 //!
@@ -106,9 +106,7 @@
 //! pass: the DGX-1 Allgather rows that break the bound by one round are
 //! refuted before the first decision instead of after 60 000 or 300 000
 //! conflicts, and the rows that meet it exactly are found satisfiable in a
-//! few thousand. The cuts are always on — there is no option to tune — and
-//! are written once, for this encoder and the layered one in
-//! [`crate::incremental`] alike.
+//! few thousand. The cuts are always on — there is no option to tune.
 
 #![allow(clippy::needless_range_loop)] // chunk x node grids read best with explicit indices
 
@@ -225,6 +223,10 @@ pub struct SynthesisRun {
     /// cancelled before encoding, two where the quotient settled nothing
     /// and the full formula was solved as well.
     pub solves: u64,
+    /// Conflicts the solver met, summed over those formulas.
+    pub conflicts: u64,
+    /// Literals the solver propagated, summed over those formulas.
+    pub propagations: u64,
 }
 
 impl SynthesisRun {
@@ -237,6 +239,8 @@ impl SynthesisRun {
             solve_time: Duration::ZERO,
             encoding: EncodingStats::default(),
             solves: 0,
+            conflicts: 0,
+            propagations: 0,
         }
     }
 
@@ -307,9 +311,9 @@ pub(crate) fn synthesize_on(
     // is left of the limits.
     let symmetries = Group::free(spec, automorphisms);
     let mut limits = limits;
-    let (mut solve_time, mut solves) = (Duration::ZERO, 0);
+    let mut quotient = SynthesisRun::unsolved(SynthesisOutcome::Unknown);
     if symmetries.order() > 1 {
-        let (run, conflicts) = solve_quotient(
+        let run = solve_quotient(
             topology,
             instance,
             options,
@@ -325,16 +329,18 @@ pub(crate) fn synthesize_on(
                 ..run
             };
         }
-        limits = limits.after(conflicts, run.solve_time);
-        (solve_time, solves) = (run.solve_time, run.solves);
+        limits = limits.after(run.conflicts, run.solve_time);
+        quotient = run;
     }
     let full = Group::trivial(spec);
-    let (run, _) = solve_quotient(topology, instance, options, solver_config, &full, limits);
-    solve_time += run.solve_time;
+    let run = solve_quotient(topology, instance, options, solver_config, &full, limits);
+    let solve_time = quotient.solve_time + run.solve_time;
     SynthesisRun {
         encode_time: start.elapsed().saturating_sub(solve_time),
         solve_time,
-        solves: solves + run.solves,
+        solves: quotient.solves + run.solves,
+        conflicts: quotient.conflicts + run.conflicts,
+        propagations: quotient.propagations + run.propagations,
         ..run
     }
 }
@@ -342,8 +348,7 @@ pub(crate) fn synthesize_on(
 /// Encode the quotient of `instance`'s formula under `group` — C1–C6, the
 /// distance floors and the ingress cuts, every variable and constraint
 /// once per orbit — and solve it within `limits`. Under the trivial group
-/// this is the full formula. Returns the run and the conflicts it took. A
-/// cancelled candidate builds no formula.
+/// this is the full formula. A cancelled candidate builds no formula.
 fn solve_quotient(
     topology: &Topology,
     instance: &SynCollInstance,
@@ -351,10 +356,10 @@ fn solve_quotient(
     solver_config: SolverConfig,
     group: &Group,
     limits: Limits,
-) -> (SynthesisRun, u64) {
+) -> SynthesisRun {
     let encode_start = Instant::now();
     if limits.stop_requested() {
-        return (SynthesisRun::unsolved(SynthesisOutcome::Unknown), 0);
+        return SynthesisRun::unsolved(SynthesisOutcome::Unknown);
     }
     let spec = &instance.spec;
     let g = spec.num_chunks;
@@ -577,7 +582,6 @@ fn solve_quotient(
         spec,
         &time_vars,
         &round_vars,
-        None,
     );
 
     let encoding = EncodingStats {
@@ -615,14 +619,15 @@ fn solve_quotient(
             })
         }
     };
-    let run = SynthesisRun {
+    SynthesisRun {
         outcome,
         encode_time,
         solve_time: solve_start.elapsed(),
         encoding,
         solves: 1,
-    };
-    (run, solver.stats().conflicts)
+        conflicts: solver.stats().conflicts,
+        propagations: solver.stats().propagations,
+    }
 }
 
 /// The machine's usable links, numbered in ascending `(src, dst)` order:
@@ -656,38 +661,12 @@ impl Links {
 
 /// Per-round ingress of every node: the summed budgets of its incoming
 /// links, the single-node cut of §3.6.
-pub(crate) fn node_ingress(topology: &Topology) -> Vec<u64> {
+fn node_ingress(topology: &Topology) -> Vec<u64> {
     let mut ingress = vec![0; topology.num_nodes()];
     for (_, dst, budget) in topology.link_bandwidths() {
         ingress[dst] += budget;
     }
     ingress
-}
-
-/// Add `Σ terms ≤ bound`, or — for a constraint that belongs to a warm
-/// step layer — `gate → Σ terms ≤ bound`: the gate enters with the
-/// big-M coefficient that uses up exactly the slack a false gate leaves,
-/// so the budget is real while the layer is assumed and vacuous
-/// otherwise. A constraint whose coefficients cannot exceed its bound is
-/// not added at all.
-pub(crate) fn add_budget(
-    solver: &mut Solver,
-    mut terms: Vec<(u64, Lit)>,
-    bound: u64,
-    gate: Option<Lit>,
-) {
-    let total: u64 = terms.iter().map(|&(coef, _)| coef).sum();
-    if total <= bound {
-        return;
-    }
-    match gate {
-        None => solver.add_pb_le(&terms, bound),
-        Some(gate) => {
-            let big_m = total - bound;
-            terms.push((big_m, gate));
-            solver.add_pb_le(&terms, bound + big_m)
-        }
-    };
 }
 
 /// The ingress cuts: for every node `n` and every step boundary
@@ -714,20 +693,17 @@ pub(crate) fn add_budget(
 /// and on a tight instance the cut forces "this many arrivals per step"
 /// before any link is chosen.
 ///
-/// `round_vars[i]` is the round count of step `i + 1`; `gate` is the
-/// step layer's literal when the rounds belong to one (see
-/// [`add_budget`]); `stated_for` picks the nodes to state the cut for —
-/// one per orbit in a quotient, whose other nodes' cuts are its images.
-/// One emitter, called by the fresh-formula encoding above and by
-/// [`crate::incremental::IncrementalEncoder`]'s step layers.
-pub(crate) fn add_ingress_cuts(
+/// `round_vars[i]` is the round count of step `i + 1`; `stated_for`
+/// picks the nodes to state the cut for — one per orbit in a quotient,
+/// whose other nodes' cuts are its images. A cut whose coefficients cannot
+/// exceed its bound is not stated at all.
+fn add_ingress_cuts(
     solver: &mut Solver,
     ingress: &[u64],
     stated_for: impl Fn(usize) -> bool,
     spec: &CollectiveSpec,
     time_vars: &[Vec<IntVar>],
     round_vars: &[IntVar],
-    gate: Option<Lit>,
 ) {
     // Per node, the post chunks it does not start with, ascending.
     let mut needed: Vec<Vec<usize>> = vec![Vec::new(); ingress.len()];
@@ -748,24 +724,23 @@ pub(crate) fn add_ingress_cuts(
                 terms.extend(r.slack_terms(bw));
                 bound += bw * r.hi() as u64;
             }
-            add_budget(solver, terms, bound, gate);
+            if terms.iter().map(|&(coef, _)| coef).sum::<u64>() > bound {
+                solver.add_pb_le(&terms, bound);
+            }
         }
     }
 }
 
-/// Read a model out as `(rounds_per_step, sends)` through the variables
-/// the encoding above and the layered one in
-/// [`crate::incremental`] share — `time(c, n)` indexed `[chunk][node]`,
-/// each send's `((c, src, dst), snd)`, in any order, and the `S` per-step
-/// round counts: every true send whose destination arrives within the
-/// `num_steps` deadline (later means "never"), scheduled one step before
-/// the arrival, with the sends no post pair depends on pruned (see
-/// [`prune_dead_sends`]). The result is a
-/// function of the model, so it is only as deterministic as the solve that
-/// produced it: a fresh solver is deterministic given `(topology,
-/// instance, options, SolverConfig)`, a long-lived one depends on its
-/// history.
-pub(crate) fn decode_schedule(
+/// Read a model out as `(rounds_per_step, sends)` through the encoding's
+/// variables — `time(c, n)` indexed `[chunk][node]`, each send's `((c,
+/// src, dst), snd)`, in any order, and the `S` per-step round counts:
+/// every true send whose destination arrives within the `num_steps`
+/// deadline (later means "never"), scheduled one step before the arrival,
+/// with the sends no post pair depends on pruned (see
+/// [`prune_dead_sends`]). The result is a function of the model, and a
+/// fresh solver is deterministic given `(topology, instance, options,
+/// SolverConfig)`.
+fn decode_schedule(
     spec: &CollectiveSpec,
     num_steps: usize,
     time_vars: &[Vec<IntVar>],
@@ -952,6 +927,7 @@ pub fn synthesize_naive(
     let solve_start = Instant::now();
     let result = solver.solve_limited(limits);
     let solve_time = solve_start.elapsed();
+    let (conflicts, propagations) = (solver.stats().conflicts, solver.stats().propagations);
 
     let outcome = match result {
         SolveResult::Unsat => SynthesisOutcome::Unsatisfiable,
@@ -992,6 +968,8 @@ pub fn synthesize_naive(
         solve_time,
         encoding,
         solves: 1,
+        conflicts,
+        propagations,
     }
 }
 
@@ -1186,9 +1164,9 @@ mod tests {
     }
 
     /// The two formulas [`synthesize`] may solve for `inst`, each on its
-    /// own and without limits: `(run, conflicts)` of the quotient under
-    /// the machine's free group and of the full formula.
-    fn both_formulas(topo: &Topology, inst: &SynCollInstance) -> [(SynthesisRun, u64); 2] {
+    /// own and without limits: the quotient under the machine's free group
+    /// and the full formula.
+    fn both_formulas(topo: &Topology, inst: &SynCollInstance) -> [SynthesisRun; 2] {
         let symmetries = Group::free(&inst.spec, &topo.fixed_point_free_automorphisms());
         assert!(symmetries.order() > 1, "the instance has symmetries");
         [symmetries, Group::trivial(&inst.spec)].map(|group| {
@@ -1208,7 +1186,7 @@ mod tests {
     type Pin = (usize, usize, usize, u64);
 
     fn pin(topo: &Topology, inst: &SynCollInstance, group: &Group, sat: bool) -> Pin {
-        let (run, conflicts) = solve_quotient(
+        let run = solve_quotient(
             topo,
             inst,
             &EncodingOptions::default(),
@@ -1225,7 +1203,7 @@ mod tests {
             stats.num_vars,
             stats.num_clauses,
             stats.num_pb_constraints,
-            conflicts,
+            run.conflicts,
         )
     }
 
@@ -1279,14 +1257,7 @@ mod tests {
             ),
         ];
         for (topo, inst, sat, quotient, full) in rows {
-            let free = Group::free(&inst.spec, &topo.fixed_point_free_automorphisms());
-            let got = (
-                (free.order() > 1).then(|| pin(topo, &inst, &free, sat)),
-                pin(topo, &inst, &Group::trivial(&inst.spec), sat),
-            );
-            assert_eq!(
-                got,
-                (quotient, full),
+            let name = format!(
                 "{} ({},{},{}) on {}",
                 inst.spec.collective,
                 inst.per_node_chunks,
@@ -1294,6 +1265,23 @@ mod tests {
                 inst.num_rounds,
                 topo.name()
             );
+            let free = Group::free(&inst.spec, &topo.fixed_point_free_automorphisms());
+            let got = (
+                (free.order() > 1).then(|| pin(topo, &inst, &free, sat)),
+                pin(topo, &inst, &Group::trivial(&inst.spec), sat),
+            );
+            assert_eq!(got, (quotient, full), "{name}");
+            // `synthesize` counts the conflicts of every formula it solved:
+            // the quotient's alone where its model settles the candidate,
+            // the quotient's and the full formula's where it is refuted
+            // (Allgather (3,2,4): 10 + 18).
+            let expected = match quotient {
+                Some((.., q)) if sat => (1, q),
+                Some((.., q)) => (2, q + full.3),
+                None => (1, full.3),
+            };
+            let run = run_default(topo, &inst);
+            assert_eq!((run.solves, run.conflicts), expected, "{name}");
         }
     }
 
@@ -1342,7 +1330,7 @@ mod tests {
         // has four members, and only the constant-true variable is alone.
         let topo = builders::dgx1();
         let inst = instance(Collective::Alltoall, 8, 8, 3, 3);
-        let [(quotient, _), (full, _)] = both_formulas(&topo, &inst);
+        let [quotient, full] = both_formulas(&topo, &inst);
         assert_eq!(quotient.encoding.num_vars, 2_177);
         assert_eq!(full.encoding.num_vars, 8_705);
         assert_eq!(4 * (2_177 - 1), 8_705 - 1);
@@ -1364,7 +1352,8 @@ mod tests {
         // first — which proves nothing — and the full formula after it.
         let topo = builders::dgx1();
         let inst = instance(Collective::Allgather, 8, 3, 2, 4);
-        let [(quotient, q), (full, f)] = both_formulas(&topo, &inst);
+        let [quotient, full] = both_formulas(&topo, &inst);
+        let (q, f) = (quotient.conflicts, full.conflicts);
         assert!(matches!(quotient.outcome, SynthesisOutcome::Unsatisfiable));
         assert!(matches!(full.outcome, SynthesisOutcome::Unsatisfiable));
         assert!(q > 0 && f > 0, "both took search: {q} + {f} conflicts");
@@ -1381,7 +1370,7 @@ mod tests {
         // (budgets are checked between conflicts, so it can be under `f`).
         let need = (0..=f)
             .find(|&budget| {
-                let (run, _) = solve_quotient(
+                let run = solve_quotient(
                     &topo,
                     &inst,
                     &EncodingOptions::default(),
@@ -1428,7 +1417,7 @@ mod tests {
         topo.add_bidi_link(0, 1, 1);
         topo.add_shared_constraint([(0, 1), (1, 0)], 1);
         let inst = instance(Collective::Allgather, 2, 1, 2, 2);
-        let [(quotient, _), (full, _)] = both_formulas(&topo, &inst);
+        let [quotient, full] = both_formulas(&topo, &inst);
         assert!(matches!(quotient.outcome, SynthesisOutcome::Unsatisfiable));
         assert!(full.outcome.is_sat());
         let run = run_default(&topo, &inst);
@@ -1480,7 +1469,6 @@ mod tests {
             &inst.spec,
             &time_vars,
             &round_vars,
-            None,
         );
         assert_eq!(solver.num_pb_constraints(), 1);
         let late: Vec<Lit> = [1, 2]

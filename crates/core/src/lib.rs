@@ -28,8 +28,9 @@
 //! nothing), a function of `(topology, instance, options, SolverConfig)`
 //! alone; a memo only remembers what that function returned. Their
 //! frontiers are therefore byte-identical by construction — see
-//! [`pareto::BaseProblem::solve`]. The layered [`incremental`] encoder of
-//! earlier sweeps is out of production and kept as a library type.
+//! [`pareto::BaseProblem::solve`]. [`incremental`] keeps the name of the
+//! warm encoder of earlier sweeps as an adapter over [`encoding::synthesize`]
+//! for the benchmark ledger; no sweep calls it.
 //!
 //! ```
 //! use sccl_core::pareto::{pareto_synthesize, SynthesisConfig};

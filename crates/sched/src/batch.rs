@@ -37,9 +37,9 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolveMode {
     /// One candidate at a time, in decision order.
+    #[default]
     Sequential,
     /// Worker threads deciding candidates ahead of the sweep.
-    #[default]
     Parallel,
 }
 

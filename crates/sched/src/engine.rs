@@ -464,7 +464,7 @@ impl Default for EngineBuilder {
             journal_dir: None,
             memo_capacity: Engine::DEFAULT_MEMO_CAPACITY,
             threads: None,
-            mode: SolveMode::Parallel,
+            mode: SolveMode::default(),
             cost_model: CostModel::nvlink(),
             config: SynthesisConfig::default(),
             lowering: LoweringOptions::default(),
@@ -1043,6 +1043,20 @@ mod tests {
             .expect("parallel");
         assert_eq!(par.provenance, Provenance::Solved(SolveMode::Parallel));
         assert!(par.report.same_frontier(&seq.report));
+    }
+
+    #[test]
+    fn an_unconfigured_engine_solves_sequentially() {
+        let engine = Engine::builder().build().expect("engine");
+        assert_eq!(engine.mode(), SolveMode::Sequential);
+        let ring = builders::ring(4, 1);
+        let response = engine
+            .synthesize(SynthesisRequest::new(&ring, Collective::Allgather))
+            .expect("solved");
+        assert_eq!(
+            response.provenance,
+            Provenance::Solved(SolveMode::Sequential)
+        );
     }
 
     #[test]

@@ -125,25 +125,12 @@ impl IntVar {
         ok
     }
 
-    /// Pseudo-Boolean terms summing to `coef · (x − lo)`.
-    ///
-    /// Useful to place the variable on the left-hand side of a `≤`
-    /// constraint: `x − lo = Σ_v [x ≥ v]`.
-    pub fn value_terms(&self, coef: u64) -> Vec<(u64, Lit)> {
-        self.ge_lits.iter().map(|&l| (coef, l)).collect()
-    }
-
     /// Pseudo-Boolean terms summing to `coef · (hi − x)`.
     ///
     /// Used to move `−coef·x` to the left-hand side of a `≤` constraint:
     /// `hi − x = Σ_v ¬[x ≥ v]`.
     pub fn slack_terms(&self, coef: u64) -> Vec<(u64, Lit)> {
         self.ge_lits.iter().map(|&l| (coef, !l)).collect()
-    }
-
-    /// Domain width `hi − lo`.
-    pub fn width(&self) -> u64 {
-        (self.hi - self.lo) as u64
     }
 
     /// Extract the integer value from a model.
@@ -162,10 +149,11 @@ pub fn add_linear_eq(solver: &mut Solver, vars: &[&IntVar], total: i64) -> bool 
         // Unsatisfiable: force it through an empty clause.
         return solver.add_clause(&[]);
     }
-    // Upper bound: Σ (xᵢ − loᵢ) ≤ total − lo_sum.
+    // Upper bound: Σ (xᵢ − loᵢ) ≤ total − lo_sum, where xᵢ − loᵢ is the
+    // number of true `[xᵢ ≥ v]` literals.
     let mut up_terms: Vec<(u64, Lit)> = Vec::new();
     for v in vars {
-        up_terms.extend(v.value_terms(1));
+        up_terms.extend(v.ge_lits.iter().map(|&l| (1, l)));
     }
     let ok1 = solver.add_pb_le(&up_terms, (total - lo_sum) as u64);
     // Lower bound: Σ (hiᵢ − xᵢ) ≤ hi_sum − total.
@@ -317,27 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn value_terms_in_pb_constraint() {
-        // 2·x + y ≤ 5 with x ≥ 2 forces y ≤ 1.
-        let mut s = Solver::new();
-        let x = IntVar::new(&mut s, 0, 3);
-        let y = IntVar::new(&mut s, 0, 3);
-        let mut terms = x.value_terms(2);
-        terms.extend(y.value_terms(1));
-        s.add_pb_le(&terms, 5);
-        x.assert_ge(&mut s, 2);
-        y.assert_ge(&mut s, 1);
-        let m = s.solve().model().expect("sat");
-        assert!(2 * x.value_in(&m) + y.value_in(&m) <= 5);
-        assert_eq!(y.value_in(&m), 1);
-    }
-
-    #[test]
     fn singleton_domain() {
         let mut s = Solver::new();
         let x = IntVar::new(&mut s, 7, 7);
         let m = s.solve().model().expect("sat");
         assert_eq!(x.value_in(&m), 7);
-        assert_eq!(x.width(), 0);
+        assert_eq!((x.lo(), x.hi()), (7, 7));
     }
 }
