@@ -758,8 +758,8 @@ fn cmd_pareto(
     if flags.contains_key("json") {
         // An in-memory report always serializes (the cache round-trips the
         // same type); a failure here is a bug, not a user error.
-        let json =
-            serde_json::to_string_pretty(&response.report).expect("synthesis reports serialize");
+        let json = serde_json::to_string_pretty(response.report.as_ref())
+            .expect("synthesis reports serialize");
         println!("{json}");
         return Ok(ExitCode::SUCCESS);
     }

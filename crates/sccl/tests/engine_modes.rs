@@ -80,7 +80,7 @@ fn four_modes_one_request_path_identical_reports() {
         .expect("warm");
     assert_eq!(warm.provenance, Provenance::CacheHit);
     assert!(warm.from_cache());
-    assert_eq!(warm.report, *cold_report, "cache must round-trip exactly");
+    assert_eq!(*warm.report, *cold_report, "cache must round-trip exactly");
     assert!(warm.report.same_frontier(&reference));
 
     // A warm batch is all hits and still reports a finite throughput.

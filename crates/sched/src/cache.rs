@@ -14,8 +14,28 @@
 //! (pruning them is [`AlgorithmCache::prune`]'s job). Entries are JSON
 //! blobs holding the key alongside the report, so a lookup can verify it
 //! did not collide and a human can inspect the store with standard tools.
-//! An in-memory index (and report memo) makes repeat lookups run in
-//! microseconds without touching the filesystem.
+//!
+//! # Resident entries
+//!
+//! An in-memory index maps every content hash on disk to its file, and a
+//! memo holds the reports this handle has read or written, so a repeat
+//! lookup runs in microseconds without touching the filesystem. A memo
+//! slot is one shared [`CachedReport`]: the `Arc`'d report, its JSON
+//! rendering (made at most once, by the first caller that asks for it) and
+//! a *verified* mark. A memo hit hands out a clone of the `Arc`, never a
+//! copy of the report, and a serving tier layered over the store (the
+//! daemon's hot tier) holds clones of the same `Arc`s, so each resident
+//! report is in memory once.
+//!
+//! The cache itself checks only that an entry parses and sits at its
+//! key's address. Whether a report is *correct* — every frontier
+//! algorithm replays to the collective's post-condition — is the caller's
+//! check: the serving layer replays each report it reads or solves once,
+//! sets the mark with [`CachedReport::mark_verified`] when the replay
+//! passes, and from then on answers the hash straight from
+//! [`AlgorithmCache::verified`] without a queue slot, a key hash or a
+//! replay. A report that fails is [quarantined](AlgorithmCache::quarantine)
+//! and leaves the memo with its file.
 //!
 //! # On-disk layout
 //!
@@ -33,7 +53,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The canonical identity of one synthesis problem. Every field that can
 /// change the resulting frontier is included; the cooperative stop flag
@@ -119,6 +140,81 @@ struct CacheEntry {
     report: SynthesisReport,
 }
 
+/// A [`CacheEntry`] borrowed for writing: a store serializes the caller's
+/// key and report where they are instead of copying them into an entry.
+/// Writes the bytes the derived `Serialize for CacheEntry` would.
+struct CacheEntryRef<'a> {
+    key: &'a CacheKey,
+    report: &'a SynthesisReport,
+}
+
+impl Serialize for CacheEntryRef<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_content(serde::Content::Map(vec![
+            ("key".to_string(), serde::to_content(self.key)),
+            ("report".to_string(), serde::to_content(self.report)),
+        ]))
+    }
+}
+
+/// One resident report, shared by the cache's memo and every tier layered
+/// over it (see the module docs): the report, its JSON rendering once
+/// someone has asked for it, and whether its caller's correctness check
+/// has passed on it.
+#[derive(Debug)]
+pub struct CachedReport {
+    report: Arc<SynthesisReport>,
+    payload: OnceLock<Arc<str>>,
+    /// Set with `Release` by [`CachedReport::mark_verified`], read with
+    /// `Acquire` by [`CachedReport::is_verified`]: a reader that sees the
+    /// mark sees everything the verifying thread did before setting it.
+    verified: AtomicBool,
+}
+
+impl CachedReport {
+    /// Wrap a report: nothing rendered, not verified.
+    pub fn new(report: Arc<SynthesisReport>) -> Arc<CachedReport> {
+        Arc::new(CachedReport {
+            report,
+            payload: OnceLock::new(),
+            verified: AtomicBool::new(false),
+        })
+    }
+
+    /// The report.
+    pub fn report(&self) -> &Arc<SynthesisReport> {
+        &self.report
+    }
+
+    /// `serde_json::to_string(report)` — the text a daemon's `synthesize`
+    /// answer carries — rendered by the first caller and shared by every
+    /// later one.
+    pub fn payload(&self) -> Arc<str> {
+        Arc::clone(self.payload.get_or_init(|| {
+            serde_json::to_string(self.report.as_ref())
+                .expect("a report holds no float, the one value JSON rendering can refuse")
+                .into()
+        }))
+    }
+
+    /// Payload bytes this entry holds (0 until first rendered).
+    pub fn payload_bytes(&self) -> usize {
+        self.payload.get().map_or(0, |payload| payload.len())
+    }
+
+    /// Record that the caller's correctness check passed on this report.
+    /// Set once and never cleared: an entry that fails a later check is
+    /// quarantined, which drops it from the memo instead.
+    pub fn mark_verified(&self) {
+        self.verified.store(true, Ordering::Release);
+    }
+
+    /// Whether [`CachedReport::mark_verified`] has been called.
+    pub fn is_verified(&self) -> bool {
+        self.verified.load(Ordering::Acquire)
+    }
+}
+
 /// Hit/miss counters of one cache handle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -148,8 +244,9 @@ enum ReadOutcome {
 struct CacheState {
     /// hash → entry file path, for every entry present on disk.
     index: HashMap<String, PathBuf>,
-    /// hash → parsed report, for entries touched by this handle.
-    memo: HashMap<String, SynthesisReport>,
+    /// hash → resident report, for entries read or stored through this
+    /// handle (and still indexed).
+    memo: HashMap<String, Arc<CachedReport>>,
     /// hash → logical access time for entries touched by this handle.
     /// Monotonic per handle; the primary LRU signal for pruning, since
     /// filesystem mtimes can be quantized coarsely enough that entries
@@ -168,7 +265,18 @@ impl CacheState {
     /// Record an access to `hash` at the next logical tick.
     fn touch(&mut self, hash: &str) {
         self.clock += 1;
-        self.recency.insert(hash.to_string(), self.clock);
+        match self.recency.get_mut(hash) {
+            Some(tick) => *tick = self.clock,
+            None => {
+                self.recency.insert(hash.to_string(), self.clock);
+            }
+        }
+    }
+
+    /// Forget `hash` everywhere but the index.
+    fn forget(&mut self, hash: &str) {
+        self.memo.remove(hash);
+        self.recency.remove(hash);
     }
 }
 
@@ -268,24 +376,54 @@ impl AlgorithmCache {
 
     /// Look up the report for a synthesis problem. Returns `None` (and
     /// counts a miss) if absent; hits are memoized in memory so repeated
-    /// lookups skip the filesystem entirely.
+    /// lookups skip the filesystem entirely. Returns a copy of the report,
+    /// made outside the cache's lock; [`AlgorithmCache::lookup_shared`]
+    /// returns the resident entry itself.
     pub fn lookup(&self, key: &CacheKey) -> Option<SynthesisReport> {
-        let hash = key.content_hash();
-        let mut state = self.state.lock().expect("cache lock");
-        if let Some(report) = state.memo.get(&hash).cloned() {
-            state.stats.hits += 1;
-            state.touch(&hash);
-            return Some(report);
-        }
-        let Some(path) = state.index.get(&hash).cloned() else {
-            state.stats.misses += 1;
-            return None;
+        self.lookup_shared(&key.content_hash(), key)
+            .map(|entry| SynthesisReport::clone(entry.report()))
+    }
+
+    /// [`AlgorithmCache::lookup`] for a caller that already holds the key's
+    /// content hash (`hash` must be `key.content_hash()`), returning the
+    /// shared resident entry. A memo hit takes the lock for one map probe
+    /// and an `Arc` clone; the first read of an entry parses its file
+    /// outside the lock.
+    pub fn lookup_shared(&self, hash: &str, key: &CacheKey) -> Option<Arc<CachedReport>> {
+        let path = {
+            let mut state = self.state.lock().expect("cache lock");
+            if let Some(entry) = state.memo.get(hash).cloned() {
+                state.stats.hits += 1;
+                state.touch(hash);
+                return Some(entry);
+            }
+            let Some(path) = state.index.get(hash).cloned() else {
+                state.stats.misses += 1;
+                return None;
+            };
+            path
         };
-        match self.read_entry(&path, key) {
+        let outcome = self.read_entry(&path, key);
+        let mut state = self.state.lock().expect("cache lock");
+        // A prune, quarantine or store may have moved the entry while the
+        // file was read: only an index that still names the file read
+        // speaks for it.
+        let current = state.index.get(hash) == Some(&path);
+        match outcome {
             ReadOutcome::Report(report) => {
                 state.stats.hits += 1;
-                state.touch(&hash);
-                state.memo.insert(hash, report.clone());
+                if !current {
+                    return Some(CachedReport::new(Arc::new(report)));
+                }
+                state.touch(hash);
+                // A concurrent first read may have published the entry
+                // already; keep that one, so the report stays resident once.
+                let entry = Arc::clone(
+                    state
+                        .memo
+                        .entry(hash.to_string())
+                        .or_insert_with(|| CachedReport::new(Arc::new(report))),
+                );
                 // Refresh the entry's mtime (best effort, outside the
                 // lock) so LRU pruning sees reads, not just writes, as
                 // recency. Only the first read per handle pays this —
@@ -296,14 +434,16 @@ impl AlgorithmCache {
                 if let Ok(file) = std::fs::File::options().append(true).open(&path) {
                     let _ = file.set_modified(std::time::SystemTime::now());
                 }
-                Some(report)
+                Some(entry)
             }
             ReadOutcome::Missing => {
                 // The file vanished (e.g. pruned by a concurrent process)
                 // or a transient read error: treat as a miss; a subsequent
                 // store re-creates it.
                 state.stats.misses += 1;
-                state.index.remove(&hash);
+                if current {
+                    state.index.remove(hash);
+                }
                 None
             }
             ReadOutcome::Corrupt(reason) => {
@@ -313,16 +453,32 @@ impl AlgorithmCache {
                 // report the address so layered tiers drop their copies;
                 // the caller re-solves transparently.
                 state.stats.misses += 1;
+                if !current {
+                    return None;
+                }
                 state.stats.quarantined += 1;
-                state.index.remove(&hash);
-                state.memo.remove(&hash);
-                state.recency.remove(&hash);
-                state.quarantined.push(hash.clone());
+                state.index.remove(hash);
+                state.forget(hash);
+                state.quarantined.push(hash.to_string());
                 drop(state);
-                self.quarantine_file(&hash, &path, reason);
+                self.quarantine_file(hash, &path, reason);
                 None
             }
         }
+    }
+
+    /// The resident entry for `hash` if the caller's correctness check has
+    /// passed on it ([`CachedReport::mark_verified`]): one map probe under
+    /// the lock, counted as a hit. `None` — no access counted — for a hash
+    /// that is not resident or not yet verified; the caller then takes
+    /// [`AlgorithmCache::lookup_shared`]'s path.
+    pub fn verified(&self, hash: &str) -> Option<Arc<CachedReport>> {
+        let mut state = self.state.lock().expect("cache lock");
+        let entry = state.memo.get(hash).filter(|entry| entry.is_verified())?;
+        let entry = Arc::clone(entry);
+        state.stats.hits += 1;
+        state.touch(hash);
+        Some(entry)
     }
 
     /// Move a condemned entry file into `<root>/quarantine/<hash>.json`
@@ -362,8 +518,7 @@ impl AlgorithmCache {
             let Some(path) = state.index.remove(hash) else {
                 return false;
             };
-            state.memo.remove(hash);
-            state.recency.remove(hash);
+            state.forget(hash);
             state.stats.quarantined += 1;
             state.quarantined.push(hash.to_string());
             path
@@ -399,15 +554,52 @@ impl AlgorithmCache {
     /// concurrent reader never observes a torn entry, and durable (the temp
     /// file is fsynced before the rename and the shard directory after it)
     /// so an entry the store reported written survives power loss.
+    ///
+    /// The report is borrowed, so it does not become resident: a resident
+    /// entry an earlier read left for the key is dropped, and the next
+    /// lookup reads the new file. [`AlgorithmCache::store_shared`] stores a
+    /// report the caller shares and keeps it resident.
     pub fn store(&self, key: &CacheKey, report: &SynthesisReport) -> io::Result<()> {
         let hash = key.content_hash();
-        let entry = CacheEntry {
-            key: key.clone(),
-            report: report.clone(),
-        };
-        let json = serde_json::to_string_pretty(&entry)
+        let path = self.write_entry(&hash, key, report)?;
+        let mut state = self.state.lock().expect("cache lock");
+        state.touch(&hash);
+        state.memo.remove(&hash);
+        state.index.insert(hash, path);
+        state.stats.stores += 1;
+        Ok(())
+    }
+
+    /// [`AlgorithmCache::store`] for a caller that already holds the key's
+    /// content hash (`hash` must be `key.content_hash()`) and shares the
+    /// report: the report becomes the key's resident entry, which is
+    /// returned (not yet verified).
+    pub fn store_shared(
+        &self,
+        hash: &str,
+        key: &CacheKey,
+        report: Arc<SynthesisReport>,
+    ) -> io::Result<Arc<CachedReport>> {
+        let path = self.write_entry(hash, key, &report)?;
+        let entry = CachedReport::new(report);
+        let mut state = self.state.lock().expect("cache lock");
+        state.touch(hash);
+        state.memo.insert(hash.to_string(), Arc::clone(&entry));
+        state.index.insert(hash.to_string(), path);
+        state.stats.stores += 1;
+        Ok(entry)
+    }
+
+    /// Write `key`'s entry durably to its sharded path and return the path.
+    fn write_entry(
+        &self,
+        hash: &str,
+        key: &CacheKey,
+        report: &SynthesisReport,
+    ) -> io::Result<PathBuf> {
+        let json = serde_json::to_string_pretty(&CacheEntryRef { key, report })
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let path = self.sharded_path(&hash);
+        let path = self.sharded_path(hash);
         std::fs::create_dir_all(path.parent().expect("sharded paths have a parent"))?;
         // Unique per write (pid + counter) so two threads storing the same
         // key cannot clobber each other's temp file mid-rename.
@@ -442,12 +634,7 @@ impl AlgorithmCache {
         // it so the publication survives power loss too.
         std::fs::File::open(path.parent().expect("sharded paths have a parent"))
             .and_then(|dir| dir.sync_all())?;
-        let mut state = self.state.lock().expect("cache lock");
-        state.touch(&hash);
-        state.index.insert(hash.clone(), path);
-        state.memo.insert(hash, report.clone());
-        state.stats.stores += 1;
-        Ok(())
+        Ok(path)
     }
 
     /// Evict least-recently-used entries (by file modification time, the
@@ -505,8 +692,7 @@ impl AlgorithmCache {
             for (_, _, hash, path) in aged.into_iter().take(excess) {
                 if state.index.get(&hash) == Some(&path) {
                     state.index.remove(&hash);
-                    state.memo.remove(&hash);
-                    state.recency.remove(&hash);
+                    state.forget(&hash);
                     evicted.push((hash, path));
                 }
             }
@@ -742,6 +928,69 @@ mod tests {
         // A probe is not a lookup: it counts as neither hit nor miss.
         assert_eq!(cache.stats().hits, stats.hits);
         assert_eq!(cache.stats().misses, stats.misses);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_borrowed_entry_writes_the_derived_bytes() {
+        let (key, report) = tiny_report(2);
+        let borrowed = serde_json::to_string_pretty(&CacheEntryRef {
+            key: &key,
+            report: &report,
+        })
+        .expect("json");
+        let owned = serde_json::to_string_pretty(&CacheEntry { key, report }).expect("json");
+        assert_eq!(borrowed, owned);
+    }
+
+    #[test]
+    fn a_resident_report_is_shared_and_answered_only_once_verified() {
+        let dir = tmp_dir("resident");
+        let cache = AlgorithmCache::open(&dir).expect("open");
+        let (key, report) = tiny_report(2);
+        let hash = key.content_hash();
+        let report = Arc::new(report);
+        let stored = cache
+            .store_shared(&hash, &key, Arc::clone(&report))
+            .expect("store");
+        assert!(Arc::ptr_eq(stored.report(), &report), "stored, not copied");
+        // Every hit hands out the one entry.
+        let hit = cache.lookup_shared(&hash, &key).expect("hit");
+        assert!(Arc::ptr_eq(&hit, &stored));
+        assert_eq!(cache.lookup(&key).as_ref(), Some(report.as_ref()));
+        // Not verified yet: no answer, and no access counted.
+        let stats = cache.stats();
+        assert!(cache.verified(&hash).is_none());
+        assert_eq!(cache.stats(), stats);
+        hit.mark_verified();
+        let verified = cache.verified(&hash).expect("verified entry");
+        assert!(Arc::ptr_eq(&verified, &stored));
+        assert_eq!(cache.stats().hits, stats.hits + 1);
+        // The rendering is made once, whoever asks.
+        assert!(Arc::ptr_eq(&verified.payload(), &stored.payload()));
+
+        // A borrowed store replaces the file and drops the resident entry:
+        // the next lookup reads the new file, unverified.
+        cache.store(&key, &report).expect("store");
+        assert!(cache.verified(&hash).is_none());
+        let reread = cache.lookup_shared(&hash, &key).expect("re-read");
+        assert!(!Arc::ptr_eq(&reread, &stored));
+        assert!(!reread.is_verified());
+        assert_eq!(reread.report().as_ref(), report.as_ref());
+
+        // Quarantine and prune take the resident entry with the file.
+        reread.mark_verified();
+        assert!(cache.quarantine(&hash, "test"));
+        assert!(cache.verified(&hash).is_none());
+        assert!(cache.lookup_shared(&hash, &key).is_none());
+        let again = cache
+            .store_shared(&hash, &key, Arc::clone(&report))
+            .expect("store");
+        again.mark_verified();
+        let (other_key, other_report) = tiny_report(3);
+        cache.store(&other_key, &other_report).expect("store");
+        assert_eq!(cache.prune(1).expect("prune"), vec![hash.clone()]);
+        assert!(cache.verified(&hash).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

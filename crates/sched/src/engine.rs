@@ -51,7 +51,7 @@
 //! ```
 
 use crate::batch::{BatchJob, BatchReport, BatchResult, ManifestError, SolveMode};
-use crate::cache::{AlgorithmCache, CacheKey, CacheStats};
+use crate::cache::{AlgorithmCache, CacheKey, CacheStats, CachedReport};
 use crate::journal::Journal;
 use crate::memo::Memo;
 use crate::parallel::with_workers;
@@ -275,8 +275,9 @@ pub struct ResponseTimings {
 /// The engine's answer to a [`SynthesisRequest`].
 #[derive(Clone, Debug)]
 pub struct SynthesisResponse {
-    /// The Pareto frontier (identical whether cached or freshly solved).
-    pub report: SynthesisReport,
+    /// The Pareto frontier (identical whether cached or freshly solved),
+    /// shared with the cache's resident entry when there is one.
+    pub report: Arc<SynthesisReport>,
     /// Whether the report was served from the cache or solved.
     pub provenance: Provenance,
     /// Wall-clock breakdown of the request.
@@ -294,12 +295,26 @@ pub struct SynthesisResponse {
     topology: Topology,
     /// The engine's cost model at response time.
     cost_model: CostModel,
+    /// The cache's resident entry holding `report`, if the report is
+    /// resident (see [`SynthesisResponse::resident`]).
+    resident: Option<Arc<CachedReport>>,
 }
 
 impl SynthesisResponse {
     /// `true` if the report came out of the cache without solving.
     pub fn from_cache(&self) -> bool {
         self.provenance == Provenance::CacheHit
+    }
+
+    /// The attached cache's resident entry for this request — the one
+    /// whose report *is* [`SynthesisResponse::report`] — when the report
+    /// was read from the cache or stored into it. `None` without a cache
+    /// and for a report the cache refused (budget-truncated, or a failed
+    /// store). A caller that checks the report marks the entry
+    /// ([`CachedReport::mark_verified`]) so later readers can skip the
+    /// check.
+    pub fn resident(&self) -> Option<&Arc<CachedReport>> {
+        self.resident.as_ref()
     }
 
     /// Lower the first frontier entry — the one with the fewest steps.
@@ -797,7 +812,7 @@ impl Engine {
             let (outcome, from_cache) = match served {
                 Ok(Some(response)) => {
                     let from_cache = response.from_cache();
-                    (Ok(response.report), from_cache)
+                    (Ok(Arc::unwrap_or_clone(response.report)), from_cache)
                 }
                 Ok(None) => unreachable!("a solving policy always produces a response"),
                 Err(Error::Synthesis(e)) => (Err(e), false),
@@ -862,26 +877,34 @@ impl Engine {
         let start = Instant::now();
         let mut timings = ResponseTimings::default();
         let cache = self.cache.as_ref();
-        let key = cache.map(|_| CacheKey::new(topology, collective, config));
+        // The request's key and its content hash, computed once: the cache
+        // lookup, the store and the sweep checkpoint's address all use it.
+        // `timings.lookup` includes building and hashing the key.
+        let lookup_start = Instant::now();
+        let key = (cache.is_some() || self.journal.is_some()).then(|| {
+            let key = CacheKey::new(topology, collective, config);
+            let hash = key.content_hash();
+            (key, hash)
+        });
 
-        if let (Some(cache), Some(key)) = (cache, &key) {
-            let lookup_start = Instant::now();
-            let hit = cache.lookup(key);
+        if let (Some(cache), Some((key, hash))) = (cache, &key) {
+            let hit = cache.lookup_shared(hash, key);
             timings.lookup = lookup_start.elapsed();
             // A lookup that found a torn or misaddressed entry quarantined
             // it; surface the address through the pruned mailbox so a hot
             // tier layered on this engine drops its copy too.
             self.record_pruned(cache.take_quarantined());
-            if let Some(report) = hit {
+            if let Some(entry) = hit {
                 timings.total = start.elapsed();
                 return Ok(Some(SynthesisResponse {
-                    report,
+                    report: Arc::clone(entry.report()),
                     provenance: Provenance::CacheHit,
                     timings,
                     incremental: None,
                     degraded: false,
                     topology: topology.clone(),
                     cost_model: self.cost_model,
+                    resident: Some(entry),
                 }));
             }
         }
@@ -932,13 +955,10 @@ impl Engine {
         // addressed by the *request's* cache-key hash (not the memo's base
         // hash): the merge state being saved belongs to this request's
         // candidate plan.
-        let checkpoint_key = self.journal.as_ref().map(|journal| {
-            let hash = key
-                .as_ref()
-                .map(|key| key.content_hash())
-                .unwrap_or_else(|| CacheKey::new(topology, collective, config).content_hash());
-            (journal, hash)
-        });
+        let checkpoint_key = self
+            .journal
+            .as_ref()
+            .zip(key.as_ref().map(|(_, hash)| hash));
         let resume = checkpoint_key
             .as_ref()
             .and_then(|(journal, hash)| journal.load_checkpoint(hash));
@@ -967,17 +987,20 @@ impl Engine {
         if let Some((journal, hash)) = &checkpoint_key {
             journal.remove_checkpoint(hash);
         }
+        let report = Arc::new(report);
         let incremental = stats.into_inner();
         timings.solve = solve_start.elapsed();
 
-        if let (Some(cache), Some(key)) = (cache, &key) {
+        let mut resident = None;
+        if let (Some(cache), Some((key, hash))) = (cache, &key) {
             // Budget-truncated frontiers are timing-dependent (a contended
             // run may drop entries a quiet one would find); persisting one
             // would serve the degraded result forever. A failed store leaves
             // the response intact; the next request simply re-solves.
             if !report.budget_exhausted {
                 let store_start = Instant::now();
-                if cache.store(key, &report).is_ok() {
+                resident = cache.store_shared(hash, key, Arc::clone(&report)).ok();
+                if resident.is_some() {
                     // Prune with 10% slack so a store at capacity does not
                     // pay an O(entries) metadata scan on every request;
                     // the store stays within capacity + capacity/10.
@@ -1002,6 +1025,7 @@ impl Engine {
             degraded: false,
             topology: topology.clone(),
             cost_model: self.cost_model,
+            resident,
         }))
     }
 }

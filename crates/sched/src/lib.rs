@@ -64,7 +64,7 @@ pub use batch::{
     parse_manifest, render_manifest, render_manifest_json, BatchJob, BatchReport, BatchResult,
     ManifestError, SolveMode,
 };
-pub use cache::{AlgorithmCache, CacheKey, CacheStats};
+pub use cache::{AlgorithmCache, CacheKey, CacheStats, CachedReport};
 pub use engine::{
     Engine, EngineBuilder, Error, LibraryRequest, LibraryResponse, LoweredAlgorithm, Provenance,
     ResponseTimings, SynthesisRequest, SynthesisResponse,

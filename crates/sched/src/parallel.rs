@@ -188,7 +188,9 @@ mod tests {
         let request = SynthesisRequest::new(topology, collective)
             .with_config(quick_config())
             .parallel();
-        engine.synthesize(request).map(|response| response.report)
+        engine
+            .synthesize(request)
+            .map(|response| std::sync::Arc::unwrap_or_clone(response.report))
     }
 
     #[test]

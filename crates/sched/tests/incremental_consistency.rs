@@ -60,7 +60,10 @@ fn engine_sequential(
                 .sequential(),
         )
         .expect("sequential");
-    (response.report, response.incremental.expect("solved"))
+    (
+        std::sync::Arc::unwrap_or_clone(response.report),
+        response.incremental.expect("solved"),
+    )
 }
 
 /// Assert frontier equality across the reference, the engine's sequential

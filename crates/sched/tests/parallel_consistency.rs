@@ -19,7 +19,7 @@ fn parallel_allgather(
     let request = SynthesisRequest::new(topology, Collective::Allgather)
         .with_config(config.clone())
         .parallel();
-    engine.synthesize(request).expect("parallel").report
+    std::sync::Arc::unwrap_or_clone(engine.synthesize(request).expect("parallel").report)
 }
 
 fn check_identical(topology: &Topology, config: &SynthesisConfig, threads: usize) {

@@ -48,18 +48,20 @@
 //!
 //! # What a `synthesize` answer costs
 //!
-//! A report is rendered to JSON once — the payload lives in its hot-tier
-//! entry ([`crate::HotEntry`]) — and every `synthesize` success, whatever
+//! A report is rendered to JSON once — the payload lives in its shared
+//! resident entry ([`crate::HotEntry`], which the hot tier and the disk
+//! cache's memo hold alike) — and every `synthesize` success, whatever
 //! its provenance, is written as a splice around those bytes
 //! ([`crate::wire::report_line`]); no `Content` tree of a report is built
 //! here. On the request side the daemon remembers which content hash a
 //! flat request's `(topology, collective, root, caps)` spells (the
 //! server's key memo, filled by every request that takes the ordinary
 //! path) and on a memo hit goes to [`Server::front_gates`] with the hash
-//! alone: a hot hit is then a line parse, two map probes and a copy of
-//! bytes, with no topology built and no key hashed. A memoized request the
-//! tier no longer holds carries on down the ordinary path from past the
-//! gates, its hash in hand. `groups` requests bypass the memo.
+//! alone: a hot hit, or a hit of a verified report resident in the disk
+//! cache, is then a line parse, a few map probes and a copy of bytes, with
+//! no topology built, no key hashed and no worker involved. A memoized
+//! request neither tier answers carries on down the ordinary path from
+//! past the gates, its hash in hand. `groups` requests bypass the memo.
 //!
 //! A request line is read into one buffer reused for the connection's
 //! life and may not run past [`MAX_REQUEST_LINE_BYTES`]: a longer one gets
@@ -446,8 +448,8 @@ fn serve_synthesize(server: &Server, request: WireSynthesize, line: Option<&str>
 }
 
 /// A flat request goes to the gates with its content hash — memoized, or
-/// hashed from the topology it builds — and from there to the hot tier or
-/// the queue. A `groups` request goes to [`Server::submit_hier`], through
+/// hashed from the topology it builds — and from there to a memory tier
+/// or the queue. A `groups` request goes to [`Server::submit_hier`], through
 /// the same gates and admission; its stage solves run through the
 /// daemon's engine, so the disk cache applies per group.
 fn synthesize(
@@ -463,7 +465,7 @@ fn synthesize(
         .map(|hash| server.front_gates(hash, &request.client))
         .transpose()?
     {
-        Some(Front::Hot(served)) => return Ok(Box::new(served)),
+        Some(Front::Answered(served)) => return Ok(Box::new(served)),
         Some(Front::Miss(past)) => Some(past),
         None => None,
     };
@@ -506,7 +508,7 @@ fn synthesize(
                 server.key_memo().put(key, &key_hash);
             }
             match server.front_gates(key_hash, &request.client)? {
-                Front::Hot(served) => return Ok(Box::new(served)),
+                Front::Answered(served) => return Ok(Box::new(served)),
                 Front::Miss(past) => past,
             }
         }

@@ -8,65 +8,48 @@
 //!
 //! # What a slot holds
 //!
-//! A slot is one [`HotEntry`]: the verified `Arc<SynthesisReport>` and the
-//! report's rendered wire payload — the JSON text a `synthesize` response
-//! carries under `"report"`. The payload is rendered at most once per
-//! entry, by the first response that needs it (an in-process
-//! [`Server::submit`](crate::Server::submit) caller that never asks never
-//! pays), and every later hot hit writes those bytes as they are. Report
-//! and bytes share the slot, so whatever drops the entry — capacity
-//! eviction, a disk-cache prune, a quarantine's [`HotTier::invalidate`] —
-//! drops both: a payload cannot outlive its report.
+//! A slot is one [`HotEntry`] — the disk cache's shared resident entry
+//! ([`sccl_sched::CachedReport`]), not a copy of it: the verified
+//! `Arc<SynthesisReport>`, the report's rendered wire payload (the JSON
+//! text a `synthesize` response carries under `"report"`) and the mark
+//! that says decode-time verification passed on it. When the engine has a
+//! disk cache the tier holds the very `Arc` the cache's memo holds, so a
+//! report resident in both is in memory once and rendered once, whichever
+//! tier answers first. Without a disk cache the tier's slot is the only
+//! one.
+//!
+//! Who does what to an entry:
+//!
+//! * a worker ([`Server`](crate::Server)'s flat job) runs
+//!   [`verify_report`](crate::verify::verify_report) on every report it
+//!   reads from disk or solves, and marks the entry verified when the
+//!   replay passes — the only place the mark is set;
+//! * the first response that needs the payload renders it (an in-process
+//!   [`Server::submit`](crate::Server::submit) caller that never asks never
+//!   pays), and every later answer, hot or resident, writes those bytes
+//!   as they are.
+//!
+//! The tier is bounded by its capacity (`--hot`); the cache's memo behind
+//! it is not, and [`Server`](crate::Server)'s gates answer a verified memo
+//! entry after a hot miss without a queue slot. Whatever drops a slot —
+//! capacity eviction, a disk-cache prune, a quarantine's
+//! [`HotTier::invalidate`] — drops the tier's reference; the payload goes
+//! with the last reference to the report.
 //!
 //! Beside the tier sits the [`KeyMemo`]: the daemon's bounded memory of
 //! which content hash a request's `(topology, collective, root, caps)`
-//! spells, so a repeated request can ask the tier before it builds the
+//! spells, so a repeated request can ask the tiers before it builds the
 //! topology and hashes the key again.
 
 use crate::wire::WireSynthesize;
 use sccl_core::pareto::SynthesisReport;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
-/// One verified report and, once a response has needed it, the report's
-/// rendered wire payload (see the module docs).
-#[derive(Debug)]
-pub struct HotEntry {
-    report: Arc<SynthesisReport>,
-    payload: OnceLock<Arc<str>>,
-}
-
-impl HotEntry {
-    /// Wrap a report that passed decode-time verification. Nothing is
-    /// rendered yet.
-    pub fn new(report: Arc<SynthesisReport>) -> Arc<HotEntry> {
-        Arc::new(HotEntry {
-            report,
-            payload: OnceLock::new(),
-        })
-    }
-
-    /// The report.
-    pub fn report(&self) -> &Arc<SynthesisReport> {
-        &self.report
-    }
-
-    /// The report as the wire carries it: `serde_json::to_string(report)`,
-    /// rendered by the first caller and shared by every later one.
-    pub fn payload(&self) -> Arc<str> {
-        Arc::clone(self.payload.get_or_init(|| {
-            serde_json::to_string(self.report.as_ref())
-                .expect("a report holds no float, the one value JSON rendering can refuse")
-                .into()
-        }))
-    }
-
-    /// Payload bytes this entry currently holds (0 until first rendered).
-    fn resident_bytes(&self) -> usize {
-        self.payload.get().map_or(0, |payload| payload.len())
-    }
-}
+/// One slot of the tier: the disk cache's shared resident entry (see the
+/// module docs).
+pub use sccl_sched::CachedReport as HotEntry;
 
 /// The tier's entries and their eviction queue, mutated in place.
 #[derive(Default)]
@@ -161,7 +144,7 @@ impl HotTier {
         self.read()
             .map
             .values()
-            .map(|entry| entry.resident_bytes())
+            .map(|entry| entry.payload_bytes())
             .sum()
     }
 
@@ -181,8 +164,10 @@ impl HotTier {
 const MEMO_KEY_MAX_BYTES: usize = 256;
 
 /// The memo is emptied when it would outgrow this many entries per hot-tier
-/// slot: several spellings may name one hash (`k` absent or spelled out),
-/// and a key the tier no longer holds is worth nothing here.
+/// slot: several spellings may name one hash (`k` absent or spelled out).
+/// Forgetting a hash whose report is still resident in the disk cache
+/// costs its next request a topology build and a key hash, never a wrong
+/// answer.
 const MEMO_ENTRIES_PER_HOT_SLOT: usize = 4;
 
 /// Everything a flat request's content hash depends on that the wire can
@@ -232,7 +217,8 @@ pub(crate) struct KeyMemo {
 
 impl KeyMemo {
     /// A memo sized for a hot tier of `hot_capacity` slots (none: a memo
-    /// that remembers nothing, since no hit could use it).
+    /// that remembers nothing, so a daemon without a hot tier hashes every
+    /// request's key).
     pub(crate) fn new(hot_capacity: usize) -> KeyMemo {
         KeyMemo {
             map: RwLock::new(HashMap::new()),

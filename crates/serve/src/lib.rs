@@ -10,9 +10,11 @@
 //!   in-flight quotas plus a global cap on the estimated solver memory of
 //!   everything admitted) and the [`HotTier`], an in-memory cache of
 //!   recently served frontiers in front of the engine's on-disk store,
-//!   behind one `RwLock`; each slot ([`HotEntry`]) keeps the report's
-//!   once-rendered wire payload, so a hot hit is answered with a copy of
-//!   bytes.
+//!   behind one `RwLock`. Each slot ([`HotEntry`]) is the disk cache's
+//!   shared resident entry: the verified report and its once-rendered
+//!   wire payload, so a hot hit is answered with a copy of bytes — and so
+//!   is a hot miss whose verified report the disk cache already holds in
+//!   memory, at the same gate, without a queue slot.
 //! * [`EngineMetrics`] — one table of atomic counters plus two latency
 //!   histograms (cache hit rates, p50/p99 solve latency, queue depth,
 //!   candidate-memo hit rate, rejection counts), snapshottable as JSON

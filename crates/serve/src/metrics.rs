@@ -300,7 +300,9 @@ pub struct DaemonCounters {
 pub struct CacheCounters {
     /// Served from the in-memory hot tier (no queue, no disk).
     pub hot_hits: u64,
-    /// Served from the on-disk [`AlgorithmCache`](sccl_sched::AlgorithmCache).
+    /// Served from the on-disk [`AlgorithmCache`](sccl_sched::AlgorithmCache):
+    /// a first read by a worker, or — at the gate, with no queue — a
+    /// verified report the cache already holds in memory.
     pub disk_hits: u64,
     /// Freshly solved.
     pub solved: u64,

@@ -18,10 +18,20 @@
 //!
 //! # Admission
 //!
-//! A submission is either *served inline* (a flat hot-tier hit),
-//! *admitted* (queued, returning a [`Ticket`] the caller blocks on) or
-//! *rejected immediately* with a typed [`ServeError`] — the queue never
-//! grows past its bound and a rejected caller is never left hanging:
+//! A submission is either *served inline* (a flat request whose verified
+//! report is already in memory), *admitted* (queued, returning a
+//! [`Ticket`] the caller blocks on) or *rejected immediately* with a typed
+//! [`ServeError`] — the queue never grows past its bound and a rejected
+//! caller is never left hanging.
+//!
+//! A flat request is served inline from one of two memory tiers, asked in
+//! this order by [`Server::front_gates`] with nothing but the request's
+//! content hash: the [`HotTier`] (provenance `hot`), then the disk cache's
+//! resident entries (provenance `cache`, counted in `cache.disk_hits`),
+//! which answer only a report a worker has already verified. Either answer
+//! writes the entry's once-rendered payload; neither takes a queue slot,
+//! builds a topology, hashes a key or replays the report. Everything else
+//! — a first read from disk, a solve — is admitted:
 //!
 //! * **queue capacity** — at most `queue_capacity` jobs waiting;
 //! * **per-client quota** — at most `per_client_inflight` admitted jobs
@@ -46,7 +56,9 @@
 //!
 //! Workers drain the queue in FIFO order, solve through the shared
 //! [`Engine`] (one memo of decided candidates and one on-disk cache
-//! across all workers), publish results into the hot tier and complete tickets.
+//! across all workers), verify each report against its collective before
+//! anything serves it (marking the cache's resident entry verified), publish
+//! results into the hot tier and complete tickets.
 
 use crate::hot::{HotEntry, HotTier, KeyMemo};
 use crate::metrics::{
@@ -58,7 +70,9 @@ use sccl_collectives::Collective;
 use sccl_core::incremental::IncrementalStats;
 use sccl_core::pareto::{SynthesisConfig, SynthesisReport};
 use sccl_hier::{HierEngineExt, HierError, HierRequest, HierSummary, Partition};
-use sccl_sched::{CacheKey, Engine, Error, Provenance, SolveMode, SynthesisRequest};
+use sccl_sched::{
+    CacheKey, Engine, Error, Provenance, SolveMode, SynthesisRequest, SynthesisResponse,
+};
 use sccl_topology::Topology;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -284,7 +298,9 @@ pub fn solve_estimate_cells(topology: &Topology, config: &SynthesisConfig) -> us
 pub enum ServedFrom {
     /// The in-memory hot tier (served inline, never queued).
     HotTier,
-    /// The on-disk algorithm cache.
+    /// The on-disk algorithm cache: a worker's first read of the entry,
+    /// or — inline, never queued — its verified report already resident
+    /// in memory.
     DiskCache,
     /// Freshly solved in the given mode.
     Solved(SolveMode),
@@ -305,7 +321,8 @@ impl ServedFrom {
 /// A successfully served flat submission.
 #[derive(Clone, Debug)]
 pub struct Served {
-    /// The frontier (shared with the hot tier).
+    /// The frontier (shared with the hot tier and the disk cache's
+    /// resident entry).
     pub report: Arc<SynthesisReport>,
     /// Which tier answered.
     pub from: ServedFrom,
@@ -317,15 +334,16 @@ pub struct Served {
     /// is the partial frontier found before the cut. Degraded reports are
     /// never persisted or hot-tier cached — a later request re-solves.
     pub degraded: bool,
-    /// `report` with its once-rendered wire payload: the hot tier's own
-    /// slot unless the answer is degraded, so whichever response renders
-    /// the payload first renders it for every later hot hit.
+    /// `report` with its once-rendered wire payload: the entry the hot
+    /// tier and the disk cache's memo hold, unless the answer is
+    /// degraded, so whichever response renders the payload first renders
+    /// it for every later answer from either.
     entry: Arc<HotEntry>,
 }
 
 impl Served {
     /// `report` as the wire carries it (`serde_json::to_string(report)`),
-    /// rendered at most once for the life of the hot-tier entry.
+    /// rendered at most once for the life of the shared entry.
     pub fn payload(&self) -> Arc<str> {
         self.entry.payload()
     }
@@ -430,16 +448,18 @@ impl<T> Ticket<T> {
 
 /// What [`Server::front_gates`] made of a flat submission.
 pub(crate) enum Front {
-    /// The hot tier answered; nothing was queued.
-    Hot(Served),
-    /// Every gate passed and the tier does not hold the key.
+    /// A memory tier answered (hot, or a verified resident cache entry);
+    /// nothing was queued.
+    Answered(Served),
+    /// Every gate passed and no memory tier holds a verified report for
+    /// the key.
     Miss(PastGates),
 }
 
 /// Proof that a flat submission passed [`Server::front_gates`] — counted,
-/// not draining, a token spent — and missed the hot tier: the only way
-/// into [`Server::enqueue_flat`], so no job reaches the queue around the
-/// gates or through them twice.
+/// not draining, a token spent — and missed the memory tiers: the only
+/// way into [`Server::enqueue_flat`], so no job reaches the queue around
+/// the gates or through them twice.
 pub(crate) struct PastGates {
     key_hash: String,
     submitted: Instant,
@@ -822,10 +842,10 @@ impl Server {
 
     /// Submit one synthesize job. `config` must already have the
     /// engine's defaults folded in (it is used verbatim for the cache
-    /// key, the hot-tier key and the solve). Hot-tier hits are served
-    /// inline on the calling thread — the returned ticket is already
-    /// resolved; everything else is admitted or rejected per the module
-    /// docs.
+    /// key, the hot-tier key and the solve). Memory-tier answers are
+    /// served inline on the calling thread — the returned ticket is
+    /// already resolved; everything else is admitted or rejected per the
+    /// module docs.
     pub fn submit(
         &self,
         topology: Topology,
@@ -836,7 +856,7 @@ impl Server {
     ) -> Result<Ticket, ServeError> {
         let key_hash = CacheKey::new(&topology, collective, &config).content_hash();
         match self.front_gates(key_hash, client)? {
-            Front::Hot(served) => {
+            Front::Answered(served) => {
                 let (ticket, slot) = Ticket::pair(false);
                 slot.complete(Ok(served));
                 Ok(ticket)
@@ -892,24 +912,36 @@ impl Server {
         Ok(Instant::now())
     }
 
-    /// The gates, then the hot tier, for a flat submission. All the
-    /// content hash's owner needs to get here is the hash, which is what
-    /// lets the daemon answer a memoized request without building its
-    /// topology.
+    /// The gates, then the memory tiers, for a flat submission: the hot
+    /// tier, then the disk cache's resident entry if a worker has verified
+    /// it (which the hot tier then publishes, as it would a worker's disk
+    /// hit). All the content hash's owner needs to get here is the hash,
+    /// which is what lets the daemon answer a memoized request without
+    /// building its topology.
     pub(crate) fn front_gates(&self, key_hash: String, client: &str) -> Result<Front, ServeError> {
         let submitted = self.gates(client)?;
-        let Some(entry) = self.hot.lookup_entry(&key_hash) else {
+        let (entry, from) = if let Some(entry) = self.hot.lookup_entry(&key_hash) {
+            self.metrics.add(Counter::HotHits, 1);
+            (entry, ServedFrom::HotTier)
+        } else if let Some(entry) = self
+            .engine
+            .cache()
+            .and_then(|cache| cache.verified(&key_hash))
+        {
+            self.metrics.add(Counter::DiskHits, 1);
+            self.hot.insert_entry(key_hash, Arc::clone(&entry));
+            (entry, ServedFrom::DiskCache)
+        } else {
             return Ok(Front::Miss(PastGates {
                 key_hash,
                 submitted,
             }));
         };
-        self.metrics.add(Counter::HotHits, 1);
         let total = submitted.elapsed();
         self.metrics.served(total);
-        Ok(Front::Hot(Served {
+        Ok(Front::Answered(Served {
             report: Arc::clone(entry.report()),
-            from: ServedFrom::HotTier,
+            from,
             timings: WireTimings {
                 lookup_micros: micros(total),
                 total_micros: micros(total),
@@ -922,7 +954,7 @@ impl Server {
     }
 
     /// Queue a flat job that passed [`Server::front_gates`] and missed the
-    /// hot tier. `request.config` must be the config `past`'s key was
+    /// memory tiers. `request.config` must be the config `past`'s key was
     /// hashed from; `deadline` is measured from the gates, `request.deadline`
     /// unused.
     pub(crate) fn enqueue_flat(
@@ -1228,12 +1260,13 @@ impl Work for FlatWork {
             key_hash,
         } = self;
         request.deadline = started.deadline;
-        let topology = request.topology.clone();
         let collective = request.collective;
         // Kept for the one-shot re-solve after a verification quarantine:
-        // the retry must pose the *same* problem (same cache key).
-        let retry_template = SynthesisRequest {
-            topology: topology.clone(),
+        // the retry must pose the *same* problem (same cache key). Its
+        // topology is the one clone this job makes; verification borrows
+        // it.
+        let retry = SynthesisRequest {
+            topology: request.topology.clone(),
             collective,
             config: request.config.clone(),
             mode: request.mode,
@@ -1246,34 +1279,34 @@ impl Work for FlatWork {
                 message: error.to_string(),
             }
         })?;
+        let verify = |response: &SynthesisResponse| {
+            crate::verify::verify_report(&retry.topology, collective, &response.report)
+        };
         // Decode-time verification: replay every frontier algorithm
-        // against the collective's pre/post relation before it can enter
-        // the hot tier. A disk-backed report that fails is quarantined and
+        // against the collective's pre/post relation before anything can
+        // serve it. A disk-backed report that fails is quarantined and
         // re-solved once, transparently; a freshly solved failure is a
         // solver bug surfaced as a typed error (and quarantined too — the
         // engine just persisted it).
-        if let Err(message) = crate::verify::verify_report(&topology, collective, &response.report)
-        {
+        if let Err(message) = verify(&response) {
             metrics.add(Counter::VerifyFailures, 1);
             server
                 .engine
                 .quarantine_cached(&key_hash, &format!("decode-time verification: {message}"));
             server.drain_pruned();
             let was_cache_hit = response.provenance == Provenance::CacheHit;
-            let retry = was_cache_hit
-                .then(|| server.engine.synthesize(retry_template).ok())
+            let resolved = was_cache_hit
+                .then(|| server.engine.synthesize(retry.clone()).ok())
                 .flatten();
-            match retry {
-                Some(resolved)
-                    if crate::verify::verify_report(&topology, collective, &resolved.report)
-                        .is_ok() =>
-                {
-                    response = resolved;
-                }
-                _ => {
-                    return Err(ServeError::VerifyFailed { message });
-                }
+            match resolved {
+                Some(resolved) if verify(&resolved).is_ok() => response = resolved,
+                _ => return Err(ServeError::VerifyFailed { message }),
             }
+        }
+        // The report passed: from now on the gates answer its resident
+        // cache entry without a worker.
+        if let Some(resident) = response.resident() {
+            resident.mark_verified();
         }
         let from = match response.provenance {
             Provenance::CacheHit => {
@@ -1299,7 +1332,12 @@ impl Work for FlatWork {
             }
             metrics.add(Counter::DeadlineDegraded, 1);
         }
-        let entry = HotEntry::new(Arc::new(response.report));
+        // The cache's resident entry when there is one, so the hot tier
+        // shares its report and payload.
+        let entry = match response.resident() {
+            Some(resident) => Arc::clone(resident),
+            None => HotEntry::new(Arc::clone(&response.report)),
+        };
         if !response.degraded {
             // Only complete reports enter the hot tier: a degraded
             // frontier is timing-dependent and must not be replayed
@@ -1588,7 +1626,7 @@ mod tests {
         );
         // The hash now names the new entry, whose payload is the re-solved
         // report's — rendered by whichever answer asks first, once.
-        let Ok(Front::Hot(rehit)) = server.front_gates(pruned_hash, "t") else {
+        let Ok(Front::Answered(rehit)) = server.front_gates(pruned_hash, "t") else {
             panic!("the re-solved entry must serve hot");
         };
         assert!(Arc::ptr_eq(&rehit.report, &evicted.report));
