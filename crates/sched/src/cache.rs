@@ -140,27 +140,15 @@ struct CacheEntry {
     report: SynthesisReport,
 }
 
-/// A [`CacheEntry`] borrowed for writing: a store serializes the caller's
-/// key and report where they are instead of copying them into an entry.
-/// Writes the bytes the derived `Serialize for CacheEntry` would.
-struct CacheEntryRef<'a> {
-    key: &'a CacheKey,
-    report: &'a SynthesisReport,
-}
-
-impl Serialize for CacheEntryRef<'_> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_content(serde::Content::Map(vec![
-            ("key".to_string(), serde::to_content(self.key)),
-            ("report".to_string(), serde::to_content(self.report)),
-        ]))
-    }
-}
-
 /// One resident report, shared by the cache's memo and every tier layered
 /// over it (see the module docs): the report, its JSON rendering once
 /// someone has asked for it, and whether its caller's correctness check
 /// has passed on it.
+///
+/// The memo keeps an entry, and so its rendered payload, for as long as
+/// the cache indexes the key (until a prune or a quarantine), whatever
+/// the bound of a tier layered over it: a daemon's `--hot` bounds only
+/// the hot tier's slots, and `hot.resident_bytes` counts only theirs.
 #[derive(Debug)]
 pub struct CachedReport {
     report: Arc<SynthesisReport>,
@@ -386,44 +374,24 @@ impl AlgorithmCache {
 
     /// [`AlgorithmCache::lookup`] for a caller that already holds the key's
     /// content hash (`hash` must be `key.content_hash()`), returning the
-    /// shared resident entry. A memo hit takes the lock for one map probe
-    /// and an `Arc` clone; the first read of an entry parses its file
-    /// outside the lock.
+    /// shared resident entry: a memo hit is a refcount bump.
     pub fn lookup_shared(&self, hash: &str, key: &CacheKey) -> Option<Arc<CachedReport>> {
-        let path = {
-            let mut state = self.state.lock().expect("cache lock");
-            if let Some(entry) = state.memo.get(hash).cloned() {
-                state.stats.hits += 1;
-                state.touch(hash);
-                return Some(entry);
-            }
-            let Some(path) = state.index.get(hash).cloned() else {
-                state.stats.misses += 1;
-                return None;
-            };
-            path
-        };
-        let outcome = self.read_entry(&path, key);
         let mut state = self.state.lock().expect("cache lock");
-        // A prune, quarantine or store may have moved the entry while the
-        // file was read: only an index that still names the file read
-        // speaks for it.
-        let current = state.index.get(hash) == Some(&path);
-        match outcome {
+        if let Some(entry) = state.memo.get(hash).cloned() {
+            state.stats.hits += 1;
+            state.touch(hash);
+            return Some(entry);
+        }
+        let Some(path) = state.index.get(hash).cloned() else {
+            state.stats.misses += 1;
+            return None;
+        };
+        match self.read_entry(&path, key) {
             ReadOutcome::Report(report) => {
                 state.stats.hits += 1;
-                if !current {
-                    return Some(CachedReport::new(Arc::new(report)));
-                }
                 state.touch(hash);
-                // A concurrent first read may have published the entry
-                // already; keep that one, so the report stays resident once.
-                let entry = Arc::clone(
-                    state
-                        .memo
-                        .entry(hash.to_string())
-                        .or_insert_with(|| CachedReport::new(Arc::new(report))),
-                );
+                let entry = CachedReport::new(Arc::new(report));
+                state.memo.insert(hash.to_string(), Arc::clone(&entry));
                 // Refresh the entry's mtime (best effort, outside the
                 // lock) so LRU pruning sees reads, not just writes, as
                 // recency. Only the first read per handle pays this —
@@ -441,9 +409,7 @@ impl AlgorithmCache {
                 // or a transient read error: treat as a miss; a subsequent
                 // store re-creates it.
                 state.stats.misses += 1;
-                if current {
-                    state.index.remove(hash);
-                }
+                state.index.remove(hash);
                 None
             }
             ReadOutcome::Corrupt(reason) => {
@@ -453,9 +419,6 @@ impl AlgorithmCache {
                 // report the address so layered tiers drop their copies;
                 // the caller re-solves transparently.
                 state.stats.misses += 1;
-                if !current {
-                    return None;
-                }
                 state.stats.quarantined += 1;
                 state.index.remove(hash);
                 state.forget(hash);
@@ -554,20 +517,9 @@ impl AlgorithmCache {
     /// concurrent reader never observes a torn entry, and durable (the temp
     /// file is fsynced before the rename and the shard directory after it)
     /// so an entry the store reported written survives power loss.
-    ///
-    /// The report is borrowed, so it does not become resident: a resident
-    /// entry an earlier read left for the key is dropped, and the next
-    /// lookup reads the new file. [`AlgorithmCache::store_shared`] stores a
-    /// report the caller shares and keeps it resident.
     pub fn store(&self, key: &CacheKey, report: &SynthesisReport) -> io::Result<()> {
-        let hash = key.content_hash();
-        let path = self.write_entry(&hash, key, report)?;
-        let mut state = self.state.lock().expect("cache lock");
-        state.touch(&hash);
-        state.memo.remove(&hash);
-        state.index.insert(hash, path);
-        state.stats.stores += 1;
-        Ok(())
+        self.store_shared(&key.content_hash(), key, Arc::new(report.clone()))
+            .map(drop)
     }
 
     /// [`AlgorithmCache::store`] for a caller that already holds the key's
@@ -580,24 +532,11 @@ impl AlgorithmCache {
         key: &CacheKey,
         report: Arc<SynthesisReport>,
     ) -> io::Result<Arc<CachedReport>> {
-        let path = self.write_entry(hash, key, &report)?;
-        let entry = CachedReport::new(report);
-        let mut state = self.state.lock().expect("cache lock");
-        state.touch(hash);
-        state.memo.insert(hash.to_string(), Arc::clone(&entry));
-        state.index.insert(hash.to_string(), path);
-        state.stats.stores += 1;
-        Ok(entry)
-    }
-
-    /// Write `key`'s entry durably to its sharded path and return the path.
-    fn write_entry(
-        &self,
-        hash: &str,
-        key: &CacheKey,
-        report: &SynthesisReport,
-    ) -> io::Result<PathBuf> {
-        let json = serde_json::to_string_pretty(&CacheEntryRef { key, report })
+        let entry = CacheEntry {
+            key: key.clone(),
+            report: SynthesisReport::clone(&report),
+        };
+        let json = serde_json::to_string_pretty(&entry)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let path = self.sharded_path(hash);
         std::fs::create_dir_all(path.parent().expect("sharded paths have a parent"))?;
@@ -634,7 +573,13 @@ impl AlgorithmCache {
         // it so the publication survives power loss too.
         std::fs::File::open(path.parent().expect("sharded paths have a parent"))
             .and_then(|dir| dir.sync_all())?;
-        Ok(path)
+        let entry = CachedReport::new(report);
+        let mut state = self.state.lock().expect("cache lock");
+        state.touch(hash);
+        state.memo.insert(hash.to_string(), Arc::clone(&entry));
+        state.index.insert(hash.to_string(), path);
+        state.stats.stores += 1;
+        Ok(entry)
     }
 
     /// Evict least-recently-used entries (by file modification time, the
@@ -932,18 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn a_borrowed_entry_writes_the_derived_bytes() {
-        let (key, report) = tiny_report(2);
-        let borrowed = serde_json::to_string_pretty(&CacheEntryRef {
-            key: &key,
-            report: &report,
-        })
-        .expect("json");
-        let owned = serde_json::to_string_pretty(&CacheEntry { key, report }).expect("json");
-        assert_eq!(borrowed, owned);
-    }
-
-    #[test]
     fn a_resident_report_is_shared_and_answered_only_once_verified() {
         let dir = tmp_dir("resident");
         let cache = AlgorithmCache::open(&dir).expect("open");
@@ -969,11 +902,11 @@ mod tests {
         // The rendering is made once, whoever asks.
         assert!(Arc::ptr_eq(&verified.payload(), &stored.payload()));
 
-        // A borrowed store replaces the file and drops the resident entry:
-        // the next lookup reads the new file, unverified.
+        // A store replaces the file and the resident entry with a new,
+        // unverified one.
         cache.store(&key, &report).expect("store");
         assert!(cache.verified(&hash).is_none());
-        let reread = cache.lookup_shared(&hash, &key).expect("re-read");
+        let reread = cache.lookup_shared(&hash, &key).expect("stored entry");
         assert!(!Arc::ptr_eq(&reread, &stored));
         assert!(!reread.is_verified());
         assert_eq!(reread.report().as_ref(), report.as_ref());

@@ -139,7 +139,9 @@ impl HotTier {
         self.read().map.len()
     }
 
-    /// Rendered payload bytes the published entries hold right now.
+    /// Rendered payload bytes the published entries hold right now. An
+    /// entry the tier evicted keeps its payload while the disk cache's memo
+    /// holds it; those bytes are not counted here.
     pub fn resident_bytes(&self) -> usize {
         self.read()
             .map

@@ -318,7 +318,8 @@ pub struct CacheCounters {
 /// memory on rendered payloads, and a second lookup in front of the first.
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct HotCounters {
-    /// Rendered wire-payload bytes the tier's entries hold right now.
+    /// Rendered wire-payload bytes the tier's entries hold right now
+    /// (payloads only the disk cache's memo still holds are not counted).
     pub resident_bytes: u64,
     /// `synthesize` requests whose content hash came from the key memo
     /// instead of a topology build and a key hash.

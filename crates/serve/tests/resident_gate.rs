@@ -172,9 +172,9 @@ fn a_stored_report_that_fails_verification_is_never_answered_at_the_gate() {
     assert_eq!(snapshot.cache.disk_hits, 1);
     assert_eq!(snapshot.faults.verify_failures, 1);
 
-    // Filing the bad report again drops the resident entry with it: the
-    // gate does not answer from memory what the disk no longer holds, and
-    // the worker catches the bad file once more.
+    // Filing the bad report again replaces the resident entry with an
+    // unverified one: the gate does not answer it, and the worker catches
+    // the bad report once more.
     cache
         .store(&CacheKey::new(&ring, collective, &config()), &bad)
         .expect("store");
