@@ -7,7 +7,6 @@ use crate::cost::AlgorithmCost;
 use sccl_collectives::{Collective, CollectiveSpec};
 use sccl_topology::Topology;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// What happens to the payload when a send is received.
@@ -214,11 +213,6 @@ impl Algorithm {
         Replay::new(topology, self, spec.pre.iter().copied())?.finish(spec.post.iter().copied())
     }
 
-    /// The set of distinct links used by the schedule.
-    pub fn used_links(&self) -> BTreeSet<(usize, usize)> {
-        self.sends.iter().map(|s| (s.src, s.dst)).collect()
-    }
-
     /// A compact `(C, S, R)` label like the ones used in the paper's plots,
     /// e.g. `(6,7,7)`.
     pub fn label(&self) -> String {
@@ -380,7 +374,6 @@ mod tests {
     #[test]
     fn used_links_and_step_queries() {
         let (alg, _, _) = ring_allgather();
-        assert_eq!(alg.used_links().len(), 4);
         assert_eq!(alg.sends_at_step(0).len(), 4);
         assert_eq!(alg.sends_at_step(2).len(), 4);
     }

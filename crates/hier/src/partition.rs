@@ -186,11 +186,6 @@ impl Group {
         self.members.binary_search(&global).ok()
     }
 
-    /// Global index of a local node.
-    pub fn global_of(&self, local: usize) -> usize {
-        self.members[local]
-    }
-
     /// The leader's local index.
     pub fn leader_local(&self) -> usize {
         self.local_of(self.leader)
@@ -382,11 +377,6 @@ impl Partition {
     /// Global leader indices, one per group.
     pub fn leaders(&self) -> Vec<usize> {
         self.groups.iter().map(|g| g.leader).collect()
-    }
-
-    /// The largest group size.
-    pub fn max_group_size(&self) -> usize {
-        self.groups.iter().map(Group::len).max().unwrap_or(0)
     }
 
     /// Number of distinct structural group classes (the number of intra

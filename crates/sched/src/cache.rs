@@ -37,6 +37,14 @@
 //! replay. A report that fails is [quarantined](AlgorithmCache::quarantine)
 //! and leaves the memo with its file.
 //!
+//! An entry that leaves the memo is *retired*
+//! ([`CachedReport::is_retired`]): a prune, a quarantine or a corrupt read
+//! takes it out with its file, and a store replaces it with a new entry
+//! for the same hash. Only this module sets the mark, and it is never
+//! cleared, so a tier holding a clone of the entry's `Arc` stops answering
+//! it without being told which hashes left: the disk no longer backs that
+//! report.
+//!
 //! # On-disk layout
 //!
 //! Entries are sharded by the first two hex digits of their content hash —
@@ -146,9 +154,10 @@ struct CacheEntry {
 /// has passed on it.
 ///
 /// The memo keeps an entry, and so its rendered payload, for as long as
-/// the cache indexes the key (until a prune or a quarantine), whatever
-/// the bound of a tier layered over it: a daemon's `--hot` bounds only
-/// the hot tier's slots, and `hot.resident_bytes` counts only theirs.
+/// the cache indexes the key (until a prune, a quarantine or a re-store
+/// retires it), whatever the bound of a tier layered over it: a daemon's
+/// `--hot` bounds only the hot tier's slots, and `hot.resident_bytes`
+/// counts only theirs.
 #[derive(Debug)]
 pub struct CachedReport {
     report: Arc<SynthesisReport>,
@@ -157,6 +166,10 @@ pub struct CachedReport {
     /// `Acquire` by [`CachedReport::is_verified`]: a reader that sees the
     /// mark sees everything the verifying thread did before setting it.
     verified: AtomicBool,
+    /// Set with `Release` when the entry leaves the cache's memo, read
+    /// with `Acquire` by [`CachedReport::is_retired`] (see the module
+    /// docs).
+    retired: AtomicBool,
 }
 
 impl CachedReport {
@@ -166,6 +179,7 @@ impl CachedReport {
             report,
             payload: OnceLock::new(),
             verified: AtomicBool::new(false),
+            retired: AtomicBool::new(false),
         })
     }
 
@@ -192,7 +206,7 @@ impl CachedReport {
 
     /// Record that the caller's correctness check passed on this report.
     /// Set once and never cleared: an entry that fails a later check is
-    /// quarantined, which drops it from the memo instead.
+    /// quarantined, which retires it instead.
     pub fn mark_verified(&self) {
         self.verified.store(true, Ordering::Release);
     }
@@ -200,6 +214,17 @@ impl CachedReport {
     /// Whether [`CachedReport::mark_verified`] has been called.
     pub fn is_verified(&self) -> bool {
         self.verified.load(Ordering::Acquire)
+    }
+
+    /// Whether the cache has dropped this entry — pruned, quarantined or
+    /// replaced by a later store — so the disk no longer backs it. A tier
+    /// holding the entry must not answer it any more.
+    pub fn is_retired(&self) -> bool {
+        self.retired.load(Ordering::Acquire)
+    }
+
+    fn retire(&self) {
+        self.retired.store(true, Ordering::Release);
     }
 }
 
@@ -242,10 +267,6 @@ struct CacheState {
     recency: HashMap<String, u64>,
     /// Logical clock feeding `recency`.
     clock: u64,
-    /// Content hashes quarantined since the last [`AlgorithmCache::take_quarantined`]
-    /// drain — the mailbox a hot tier layered over this store polls so it
-    /// stops replaying entries the disk no longer backs.
-    quarantined: Vec<String>,
     stats: CacheStats,
 }
 
@@ -261,9 +282,12 @@ impl CacheState {
         }
     }
 
-    /// Forget `hash` everywhere but the index.
+    /// Forget `hash` everywhere but the index, retiring its resident
+    /// entry.
     fn forget(&mut self, hash: &str) {
-        self.memo.remove(hash);
+        if let Some(entry) = self.memo.remove(hash) {
+            entry.retire();
+        }
         self.recency.remove(hash);
     }
 }
@@ -415,14 +439,12 @@ impl AlgorithmCache {
             ReadOutcome::Corrupt(reason) => {
                 // A torn, garbled or misaddressed entry must never be
                 // served — and must not be silently deleted either, so an
-                // operator can inspect what went wrong. Move it aside and
-                // report the address so layered tiers drop their copies;
-                // the caller re-solves transparently.
+                // operator can inspect what went wrong. Move it aside; the
+                // caller re-solves transparently.
                 state.stats.misses += 1;
                 state.stats.quarantined += 1;
                 state.index.remove(hash);
                 state.forget(hash);
-                state.quarantined.push(hash.to_string());
                 drop(state);
                 self.quarantine_file(hash, &path, reason);
                 None
@@ -461,19 +483,11 @@ impl AlgorithmCache {
         }
     }
 
-    /// Drain the content hashes quarantined since the last call. The
-    /// serving layer folds these into its pruned-hash feed so the hot tier
-    /// drops any copy it still holds.
-    pub fn take_quarantined(&self) -> Vec<String> {
-        std::mem::take(&mut self.state.lock().expect("cache lock").quarantined)
-    }
-
     /// Forcibly quarantine the indexed entry at `hash` — the escalation a
     /// caller uses when an entry *parsed* fine but failed a deeper check
     /// (decode-time verification). Same mechanics as the corrupt-read
-    /// path: the file moves to `quarantine/` with a reason sidecar, the
-    /// entry leaves the index and memo, and the hash is reported via
-    /// [`AlgorithmCache::take_quarantined`]. Returns `true` if an entry
+    /// path: the file moves to `quarantine/` with a reason sidecar and the
+    /// entry leaves the index and memo, retired. Returns `true` if an entry
     /// was present.
     pub fn quarantine(&self, hash: &str, reason: &str) -> bool {
         let path = {
@@ -483,7 +497,6 @@ impl AlgorithmCache {
             };
             state.forget(hash);
             state.stats.quarantined += 1;
-            state.quarantined.push(hash.to_string());
             path
         };
         self.quarantine_file(hash, &path, reason);
@@ -525,7 +538,8 @@ impl AlgorithmCache {
     /// [`AlgorithmCache::store`] for a caller that already holds the key's
     /// content hash (`hash` must be `key.content_hash()`) and shares the
     /// report: the report becomes the key's resident entry, which is
-    /// returned (not yet verified).
+    /// returned (not yet verified). The entry it replaces, if any, is
+    /// retired.
     pub fn store_shared(
         &self,
         hash: &str,
@@ -576,7 +590,9 @@ impl AlgorithmCache {
         let entry = CachedReport::new(report);
         let mut state = self.state.lock().expect("cache lock");
         state.touch(hash);
-        state.memo.insert(hash.to_string(), Arc::clone(&entry));
+        if let Some(replaced) = state.memo.insert(hash.to_string(), Arc::clone(&entry)) {
+            replaced.retire();
+        }
         state.index.insert(hash.to_string(), path);
         state.stats.stores += 1;
         Ok(entry)
@@ -587,8 +603,7 @@ impl AlgorithmCache {
     /// `max_entries` remain. Eviction is advisory: an entry whose file has
     /// already vanished (e.g. pruned by a concurrent process) just drops
     /// out of the index. Returns the content hashes of the removed
-    /// entries, so a hot tier layered over this store can drop its copies
-    /// instead of replaying frontiers the disk no longer backs.
+    /// entries; their resident entries are retired.
     ///
     /// The O(entries) metadata scan and the unlinks run *outside* the
     /// cache's state lock, so concurrent lookups and stores are only
@@ -791,15 +806,12 @@ mod tests {
         assert!(cache.lookup(&key).is_none());
         assert_eq!(cache.stats().quarantined, 1);
         assert_eq!(cache.stats().misses, 1);
-        // …move it aside for inspection…
+        // …and move it aside for inspection.
         assert!(!path.exists());
         assert!(dir
             .join("quarantine")
             .join(format!("{hash}.json"))
             .is_file());
-        // …and report the address exactly once so layered tiers drop it.
-        assert_eq!(cache.take_quarantined(), vec![hash.clone()]);
-        assert!(cache.take_quarantined().is_empty());
         // A re-store (the transparent re-solve's write) serves again.
         cache.store(&key, &report).expect("restore");
         assert_eq!(cache.lookup(&key), Some(report));
@@ -832,7 +844,7 @@ mod tests {
         let cache = AlgorithmCache::open(&dir).expect("reopen");
         assert!(cache.lookup(&key_b).is_none());
         assert_eq!(cache.stats().quarantined, 1);
-        assert_eq!(cache.take_quarantined(), vec![hash_b]);
+        assert!(!cache.contains(&hash_b));
         // The correctly addressed entry still serves.
         assert_eq!(cache.lookup(&key_a), Some(report_a));
         let _ = std::fs::remove_dir_all(&dir);
@@ -903,17 +915,21 @@ mod tests {
         assert!(Arc::ptr_eq(&verified.payload(), &stored.payload()));
 
         // A store replaces the file and the resident entry with a new,
-        // unverified one.
+        // unverified one, and retires the entry it replaced.
+        assert!(!stored.is_retired());
         cache.store(&key, &report).expect("store");
+        assert!(stored.is_retired());
         assert!(cache.verified(&hash).is_none());
         let reread = cache.lookup_shared(&hash, &key).expect("stored entry");
         assert!(!Arc::ptr_eq(&reread, &stored));
-        assert!(!reread.is_verified());
+        assert!(!reread.is_verified() && !reread.is_retired());
         assert_eq!(reread.report().as_ref(), report.as_ref());
 
-        // Quarantine and prune take the resident entry with the file.
+        // Quarantine and prune take the resident entry with the file and
+        // retire it.
         reread.mark_verified();
         assert!(cache.quarantine(&hash, "test"));
+        assert!(reread.is_retired());
         assert!(cache.verified(&hash).is_none());
         assert!(cache.lookup_shared(&hash, &key).is_none());
         let again = cache
@@ -923,6 +939,7 @@ mod tests {
         let (other_key, other_report) = tiny_report(3);
         cache.store(&other_key, &other_report).expect("store");
         assert_eq!(cache.prune(1).expect("prune"), vec![hash.clone()]);
+        assert!(again.is_retired());
         assert!(cache.verified(&hash).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -68,7 +68,7 @@ use sccl_solver::Limits;
 use sccl_topology::Topology;
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -499,8 +499,10 @@ impl EngineBuilder {
     /// store pushes the index 10% past the bound, least-recently-used
     /// entries (by file modification time, refreshed on reads) are evicted
     /// back down to `max_entries` — the slack keeps a store at capacity
-    /// from paying an O(entries) metadata scan on every request. No effect
-    /// without [`EngineBuilder::cache_dir`].
+    /// from paying an O(entries) metadata scan on every request. An
+    /// evicted entry's resident copy is retired
+    /// ([`CachedReport::is_retired`]), so no tier sharing it answers it
+    /// again. No effect without [`EngineBuilder::cache_dir`].
     pub fn cache_capacity(mut self, max_entries: usize) -> Self {
         self.cache_capacity = Some(max_entries);
         self
@@ -626,7 +628,6 @@ impl EngineBuilder {
             defaults: self.config,
             lowering: self.lowering,
             memo: Memo::new(self.memo_capacity),
-            pruned: Mutex::new(Vec::new()),
         })
     }
 }
@@ -665,13 +666,6 @@ pub struct Engine {
     /// of `(base topology, base collective, config)` (see [`Memo`]).
     /// Bounded by [`EngineBuilder::memo_capacity`].
     memo: Memo,
-    /// Content hashes evicted from the disk cache (capacity prunes) that
-    /// no layer above has collected yet.
-    /// A serving tier that replicates cache entries drains this mailbox
-    /// via [`Engine::take_pruned_hashes`] to invalidate its copies —
-    /// without it, a hot tier could replay a frontier the disk cache no
-    /// longer backs.
-    pruned: Mutex<Vec<String>>,
 }
 
 impl Engine {
@@ -715,20 +709,6 @@ impl Engine {
         self.memo.weight()
     }
 
-    /// Forcibly quarantine the persisted cache entry at `hash` (e.g. after
-    /// it failed decode-time verification): the entry file moves to the
-    /// cache's `quarantine/` subdirectory and the hash lands in the pruned
-    /// mailbox so serving tiers invalidate their copies. Returns `true` if
-    /// an indexed entry was quarantined. No-op without a cache.
-    pub fn quarantine_cached(&self, hash: &str, reason: &str) -> bool {
-        let Some(cache) = self.cache.as_ref() else {
-            return false;
-        };
-        let quarantined = cache.quarantine(hash, reason);
-        self.record_pruned(cache.take_quarantined());
-        quarantined
-    }
-
     /// The engine's (α, β) cost model.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
@@ -742,23 +722,6 @@ impl Engine {
     /// The engine's default search configuration.
     pub fn defaults(&self) -> &SynthesisConfig {
         &self.defaults
-    }
-
-    /// Drain the mailbox of content hashes evicted from the disk cache
-    /// since the last drain (capacity prunes).
-    /// A serving tier that replicates cache entries calls this after each
-    /// served job and invalidates its copies of the returned hashes.
-    pub fn take_pruned_hashes(&self) -> Vec<String> {
-        std::mem::take(&mut *self.pruned.lock().expect("pruned mailbox lock"))
-    }
-
-    fn record_pruned(&self, evicted: Vec<String>) {
-        if !evicted.is_empty() {
-            self.pruned
-                .lock()
-                .expect("pruned mailbox lock")
-                .extend(evicted);
-        }
     }
 
     /// Serve one synthesis request: cache lookup, solve on miss (in the
@@ -890,10 +853,6 @@ impl Engine {
         if let (Some(cache), Some((key, hash))) = (cache, &key) {
             let hit = cache.lookup_shared(hash, key);
             timings.lookup = lookup_start.elapsed();
-            // A lookup that found a torn or misaddressed entry quarantined
-            // it; surface the address through the pruned mailbox so a hot
-            // tier layered on this engine drops its copy too.
-            self.record_pruned(cache.take_quarantined());
             if let Some(entry) = hit {
                 timings.total = start.elapsed();
                 return Ok(Some(SynthesisResponse {
@@ -1003,12 +962,11 @@ impl Engine {
                 if resident.is_some() {
                     // Prune with 10% slack so a store at capacity does not
                     // pay an O(entries) metadata scan on every request;
-                    // the store stays within capacity + capacity/10.
+                    // the store stays within capacity + capacity/10. A
+                    // pruned entry is retired, so no tier answers it again.
                     if let Some(capacity) = self.cache_capacity {
                         if cache.len() > capacity + (capacity / 10).max(1) {
-                            if let Ok(evicted) = cache.prune(capacity) {
-                                self.record_pruned(evicted);
-                            }
+                            let _ = cache.prune(capacity);
                         }
                     }
                 }

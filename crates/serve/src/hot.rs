@@ -31,10 +31,14 @@
 //!
 //! The tier is bounded by its capacity (`--hot`); the cache's memo behind
 //! it is not, and [`Server`](crate::Server)'s gates answer a verified memo
-//! entry after a hot miss without a queue slot. Whatever drops a slot —
-//! capacity eviction, a disk-cache prune, a quarantine's
-//! [`HotTier::invalidate`] — drops the tier's reference; the payload goes
-//! with the last reference to the report.
+//! entry after a hot miss without a queue slot. When the disk cache drops
+//! an entry — a prune, a quarantine, a re-store of its key — it retires
+//! the shared entry ([`HotEntry::is_retired`]), and from then on the tier
+//! treats its slot as empty: a lookup misses, and neither
+//! [`HotTier::len`] nor [`HotTier::resident_bytes`] counts it. The slot
+//! itself is freed by capacity eviction or by the next insert of its
+//! hash, which drops the tier's reference; the payload goes with the last
+//! reference to the report.
 //!
 //! Beside the tier sits the [`KeyMemo`]: the daemon's bounded memory of
 //! which content hash a request's `(topology, collective, root, caps)`
@@ -57,6 +61,13 @@ struct Slots {
     map: HashMap<String, Arc<HotEntry>>,
     /// The keys of `map` in insertion order, oldest first.
     order: VecDeque<String>,
+}
+
+impl Slots {
+    /// The entries the disk cache has not retired.
+    fn live(&self) -> impl Iterator<Item = &Arc<HotEntry>> {
+        self.map.values().filter(|entry| !entry.is_retired())
+    }
 }
 
 /// A bounded hot cache of synthesis reports (see the module docs).
@@ -88,9 +99,13 @@ impl HotTier {
     }
 
     /// [`HotTier::lookup`], returning the whole slot: the report and its
-    /// once-rendered payload.
+    /// once-rendered payload. A retired entry is a miss.
     pub fn lookup_entry(&self, hash: &str) -> Option<Arc<HotEntry>> {
-        self.read().map.get(hash).cloned()
+        self.read()
+            .map
+            .get(hash)
+            .filter(|entry| !entry.is_retired())
+            .cloned()
     }
 
     /// Publish a report under its content hash, evicting the oldest entry
@@ -117,37 +132,16 @@ impl HotTier {
         }
     }
 
-    /// Drop the entry published under `hash`, if any. Returns whether an
-    /// entry was removed.
-    ///
-    /// This is the invalidation hook for the disk cache underneath: when
-    /// the engine prunes an entry (capacity eviction or encoder-version
-    /// sweep), the server forwards the pruned hashes here so the tier
-    /// cannot keep replaying a frontier the durable store no longer
-    /// backs.
-    pub fn invalidate(&self, hash: &str) -> bool {
-        let mut slots = self.slots.write().expect("hot-tier lock");
-        if slots.map.remove(hash).is_none() {
-            return false;
-        }
-        slots.order.retain(|key| key != hash);
-        true
-    }
-
-    /// Entries currently published.
+    /// Live (not retired) entries currently published.
     pub fn len(&self) -> usize {
-        self.read().map.len()
+        self.read().live().count()
     }
 
-    /// Rendered payload bytes the published entries hold right now. An
-    /// entry the tier evicted keeps its payload while the disk cache's memo
-    /// holds it; those bytes are not counted here.
+    /// Rendered payload bytes the live published entries hold right now.
+    /// An entry the tier evicted keeps its payload while the disk cache's
+    /// memo holds it; those bytes are not counted here.
     pub fn resident_bytes(&self) -> usize {
-        self.read()
-            .map
-            .values()
-            .map(|entry| entry.payload_bytes())
-            .sum()
+        self.read().live().map(|entry| entry.payload_bytes()).sum()
     }
 
     /// `true` if no report is published.
@@ -261,18 +255,44 @@ mod tests {
     use super::*;
     use sccl_collectives::Collective;
     use sccl_core::pareto::{pareto_synthesize, SynthesisConfig};
+    use sccl_sched::{AlgorithmCache, CacheKey};
     use sccl_topology::builders;
 
-    fn report(chunks: usize) -> Arc<SynthesisReport> {
-        let config = SynthesisConfig {
+    fn config(chunks: usize) -> SynthesisConfig {
+        SynthesisConfig {
             max_steps: 4,
             max_chunks: chunks,
             ..Default::default()
-        };
+        }
+    }
+
+    fn report(chunks: usize) -> Arc<SynthesisReport> {
         Arc::new(
-            pareto_synthesize(&builders::ring(4, 1), Collective::Allgather, &config)
-                .expect("tiny synthesis"),
+            pareto_synthesize(
+                &builders::ring(4, 1),
+                Collective::Allgather,
+                &config(chunks),
+            )
+            .expect("tiny synthesis"),
         )
+    }
+
+    /// The key `report(chunks)` answers, and its content hash.
+    fn key(chunks: usize) -> (CacheKey, String) {
+        let key = CacheKey::new(
+            &builders::ring(4, 1),
+            Collective::Allgather,
+            &config(chunks),
+        );
+        let hash = key.content_hash();
+        (key, hash)
+    }
+
+    /// An empty disk cache in a fresh temp directory.
+    fn scratch_cache(tag: &str) -> AlgorithmCache {
+        let dir = std::env::temp_dir().join(format!("sccl-hot-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        AlgorithmCache::open(dir).expect("open cache")
     }
 
     #[test]
@@ -314,29 +334,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_the_entry_and_its_eviction_slot() {
-        let tier = HotTier::new(2);
-        let r = report(1);
-        tier.insert("a".to_string(), Arc::clone(&r));
-        tier.insert("b".to_string(), Arc::clone(&r));
-        assert!(tier.invalidate("a"));
-        assert!(!tier.invalidate("a"), "already gone");
-        assert!(tier.lookup("a").is_none());
-        assert_eq!(tier.len(), 1);
-        // "a" must also have left the eviction queue: two more inserts
-        // evict "b" (now the oldest), not a phantom "a".
-        tier.insert("c".to_string(), Arc::clone(&r));
-        tier.insert("d".to_string(), Arc::clone(&r));
-        assert!(tier.lookup("b").is_none());
-        assert!(tier.lookup("c").is_some());
-        assert!(tier.lookup("d").is_some());
-    }
-
-    #[test]
     fn a_payload_is_rendered_once_and_leaves_with_its_entry() {
+        let cache = scratch_cache("payload");
         let tier = HotTier::new(2);
-        let entry = HotEntry::new(report(1));
-        tier.insert_entry("a".to_string(), Arc::clone(&entry));
+        let (key, a) = key(1);
+        let entry = cache.store_shared(&a, &key, report(1)).expect("store");
+        tier.insert_entry(a.clone(), Arc::clone(&entry));
         tier.insert("b".to_string(), report(2));
         assert_eq!(tier.resident_bytes(), 0, "nothing rendered yet");
         // The response that renders first renders for the tier's slot…
@@ -345,18 +348,21 @@ mod tests {
             &*payload,
             serde_json::to_string(entry.report().as_ref()).expect("json")
         );
-        let hit = tier.lookup_entry("a").expect("published entry");
+        let hit = tier.lookup_entry(&a).expect("published entry");
         assert!(Arc::ptr_eq(&hit.payload(), &payload), "one render, shared");
         assert_eq!(tier.resident_bytes(), payload.len());
-        // …and the bytes go when the entry goes, by invalidation or eviction.
+        // …and the bytes go when the entry goes, by retirement or eviction.
         let other = tier.lookup_entry("b").expect("published entry").payload();
         assert_eq!(tier.resident_bytes(), payload.len() + other.len());
-        assert!(tier.invalidate("a"));
+        assert!(cache.quarantine(&a, "test"));
+        assert!(tier.lookup_entry(&a).is_none(), "retired");
         assert_eq!(tier.resident_bytes(), other.len());
+        assert_eq!(tier.len(), 1);
         tier.insert("c".to_string(), report(1));
         tier.insert("d".to_string(), report(1));
         assert!(tier.lookup("b").is_none(), "evicted");
         assert_eq!(tier.resident_bytes(), 0);
+        let _ = std::fs::remove_dir_all(cache.root());
     }
 
     #[test]
@@ -460,16 +466,19 @@ mod tests {
         assert!(tier.len() <= 4);
     }
 
-    /// Invalidation racing concurrent readers: a reader overlapping the
-    /// invalidation of the entry it is probing must see either a miss or
-    /// the *full* report — its `Arc` keeps the report whole after the slot
-    /// is gone.
-    /// This is the quarantine path's contract: when a corrupt disk entry
-    /// is quarantined, the server invalidates the hot tier while hot
-    /// lookups for the same hash are in flight.
+    /// Retirement racing concurrent readers: a reader overlapping the
+    /// retirement of the entry it is probing sees either a miss or the
+    /// *full* report — its `Arc` keeps the report whole after the disk
+    /// cache has dropped it — and a lookup that starts after the
+    /// retirement misses. This is the quarantine and prune paths' contract:
+    /// the cache retires an entry while hot lookups for its hash are in
+    /// flight.
     #[test]
-    fn invalidation_racing_readers_never_serves_a_freed_report() {
+    fn retirement_racing_readers_never_serves_a_freed_report() {
+        const ROUNDS: u64 = 20;
+        let cache = scratch_cache("race");
         let tier = Arc::new(HotTier::new(4));
+        let (key, hash) = key(1);
         let r = report(1);
         let entries = r.entries.len();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -478,13 +487,14 @@ mod tests {
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let tier = Arc::clone(&tier);
+                let hash = hash.clone();
                 let stop = Arc::clone(&stop);
                 let observed = Arc::clone(&observed);
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        if let Some(report) = tier.lookup("contested") {
-                            // Walk the whole report, which may have left
-                            // the tier since the lookup.
+                        if let Some(report) = tier.lookup(&hash) {
+                            // Walk the whole report, which may have been
+                            // retired since the lookup.
                             assert_eq!(report.entries.len(), entries);
                             for entry in &report.entries {
                                 assert!(!entry.algorithm.sends.is_empty());
@@ -496,28 +506,39 @@ mod tests {
             })
             .collect();
 
-        // The writer flips the contested key between published and
-        // invalidated until the readers have provably raced live hits
-        // against invalidations (bounded so a pathological scheduler
-        // cannot hang the test).
-        let mut flips = 0u64;
-        while observed.load(Ordering::Relaxed) < 100 && flips < 2_000_000 {
-            tier.insert("contested".to_string(), Arc::clone(&r));
-            tier.invalidate("contested");
-            flips += 1;
+        // Each round stores the report, publishes the cache's resident
+        // entry, waits (bounded, so a pathological scheduler cannot hang
+        // the test) until a reader has hit it, and retires it while the
+        // readers keep probing: by a quarantine, then by a prune.
+        for round in 0..ROUNDS {
+            let stored = cache
+                .store_shared(&hash, &key, Arc::clone(&r))
+                .expect("store");
+            let entry = cache.lookup_shared(&hash, &key).expect("resident");
+            assert!(Arc::ptr_eq(&entry, &stored));
+            let seen = observed.load(Ordering::Relaxed);
+            tier.insert_entry(hash.clone(), entry);
+            let patience = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while observed.load(Ordering::Relaxed) == seen && std::time::Instant::now() < patience {
+                std::thread::yield_now();
+            }
+            if round % 2 == 0 {
+                assert!(cache.quarantine(&hash, "test"));
+            } else {
+                assert_eq!(cache.prune(0).expect("prune"), vec![hash.clone()]);
+            }
+            assert!(stored.is_retired());
+            assert!(tier.lookup(&hash).is_none(), "retired in round {round}");
         }
-        // Leave it invalidated; a lookup that starts after this point
-        // must miss (readers may still be draining earlier hits).
-        assert!(tier.lookup("contested").is_none());
         stop.store(true, Ordering::Relaxed);
         for reader in readers {
             reader.join().expect("reader");
         }
         assert!(
-            observed.load(Ordering::Relaxed) >= 100,
-            "the race must actually interleave hits with invalidations \
-             ({flips} flips)"
+            observed.load(Ordering::Relaxed) >= ROUNDS,
+            "the readers must hit every published entry before its retirement"
         );
-        assert_eq!(tier.len(), 0);
+        assert_eq!(tier.len(), 0, "a retired slot is not a live entry");
+        let _ = std::fs::remove_dir_all(cache.root());
     }
 }

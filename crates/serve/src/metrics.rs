@@ -308,7 +308,8 @@ pub struct CacheCounters {
     pub solved: u64,
     /// `(hot_hits + disk_hits) / answered`.
     pub hit_rate: f64,
-    /// Entries currently in the hot tier.
+    /// Live entries currently in the hot tier (a slot whose entry the
+    /// disk cache has retired is not counted).
     pub hot_len: u64,
     /// The hot tier's entry bound.
     pub hot_capacity: u64,
@@ -318,7 +319,7 @@ pub struct CacheCounters {
 /// memory on rendered payloads, and a second lookup in front of the first.
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct HotCounters {
-    /// Rendered wire-payload bytes the tier's entries hold right now
+    /// Rendered wire-payload bytes the tier's live entries hold right now
     /// (payloads only the disk cache's memo still holds are not counted).
     pub resident_bytes: u64,
     /// `synthesize` requests whose content hash came from the key memo

@@ -28,7 +28,11 @@
 //! this order by [`Server::front_gates`] with nothing but the request's
 //! content hash: the [`HotTier`] (provenance `hot`), then the disk cache's
 //! resident entries (provenance `cache`, counted in `cache.disk_hits`),
-//! which answer only a report a worker has already verified. Either answer
+//! which answer only a report a worker has already verified. Neither
+//! answers an entry the disk cache has retired — pruned, quarantined or
+//! replaced by a later store ([`sccl_sched::CachedReport::is_retired`]):
+//! the two tiers share the one entry, so the cache need tell no one which
+//! hashes left. Either answer
 //! writes the entry's once-rendered payload; neither takes a queue slot,
 //! builds a topology, hashes a key or replays the report. Everything else
 //! — a first read from disk, a solve — is admitted:
@@ -531,6 +535,27 @@ struct TokenBucket {
     last_refill: Instant,
 }
 
+impl TokenBucket {
+    /// The tokens the bucket holds at `now`.
+    fn refilled(&self, now: Instant, rate: f64, burst: f64) -> f64 {
+        let elapsed = now.saturating_duration_since(self.last_refill);
+        (self.tokens + elapsed.as_secs_f64() * rate).min(burst)
+    }
+}
+
+/// The token buckets of the clients that have spent tokens lately. A
+/// bucket that has refilled to the burst behaves exactly like a missing
+/// one, so full buckets are swept out whenever the map has doubled since
+/// the last sweep: the map stays proportional to the clients still
+/// drawing it down, whatever number of identities the wire has sent,
+/// at an amortized O(1) per request.
+#[derive(Default)]
+struct Buckets {
+    map: HashMap<String, TokenBucket>,
+    /// `map.len()` after the last sweep.
+    swept_len: usize,
+}
+
 /// The server's liveness as reported by the `health` wire verb.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Health {
@@ -578,7 +603,7 @@ pub struct Server {
     browned_out: AtomicBool,
     /// Per-client token buckets; lazily created, only touched when rate
     /// limiting is enabled.
-    buckets: Mutex<HashMap<String, TokenBucket>>,
+    buckets: Mutex<Buckets>,
     /// Journaled queue records replayed at startup (set once by the
     /// daemon after recovery).
     journal_replayed: AtomicU64,
@@ -614,7 +639,7 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             browned_out: AtomicBool::new(false),
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Mutex::new(Buckets::default()),
             journal_replayed: AtomicU64::new(0),
             started: Instant::now(),
             started_unix_ms: std::time::SystemTime::now()
@@ -798,12 +823,20 @@ impl Server {
         let burst = f64::from(self.config.rate_limit_burst);
         let now = Instant::now();
         let mut buckets = self.buckets.lock().expect("bucket lock");
-        let bucket = buckets.entry(client.to_string()).or_insert(TokenBucket {
-            tokens: burst,
-            last_refill: now,
-        });
-        let elapsed = now.saturating_duration_since(bucket.last_refill);
-        bucket.tokens = (bucket.tokens + elapsed.as_secs_f64() * rate).min(burst);
+        if buckets.map.len() > 2 * buckets.swept_len {
+            buckets
+                .map
+                .retain(|_, bucket| bucket.refilled(now, rate, burst) < burst);
+            buckets.swept_len = buckets.map.len();
+        }
+        let bucket = buckets
+            .map
+            .entry(client.to_string())
+            .or_insert(TokenBucket {
+                tokens: burst,
+                last_refill: now,
+            });
+        bucket.tokens = bucket.refilled(now, rate, burst);
         bucket.last_refill = now;
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
@@ -1120,19 +1153,6 @@ impl Server {
         }
     }
 
-    /// Forward disk-cache evictions (capacity prunes) to the hot tier:
-    /// every hash the engine reports as pruned is invalidated so the tier
-    /// never replays a frontier the durable store no longer backs.
-    pub fn drain_pruned(&self) -> usize {
-        let mut invalidated = 0;
-        for hash in self.engine.take_pruned_hashes() {
-            if self.hot.invalidate(&hash) {
-                invalidated += 1;
-            }
-        }
-        invalidated
-    }
-
     /// A worker's start on a job submitted at `submitted`. A deadline the
     /// queue wait used up expires here — nothing was solved, nothing to
     /// serve.
@@ -1287,13 +1307,13 @@ impl Work for FlatWork {
         // serve it. A disk-backed report that fails is quarantined and
         // re-solved once, transparently; a freshly solved failure is a
         // solver bug surfaced as a typed error (and quarantined too — the
-        // engine just persisted it).
+        // engine just persisted it). The quarantine retires the resident
+        // entry, which a hot slot may share.
         if let Err(message) = verify(&response) {
             metrics.add(Counter::VerifyFailures, 1);
-            server
-                .engine
-                .quarantine_cached(&key_hash, &format!("decode-time verification: {message}"));
-            server.drain_pruned();
+            if let Some(cache) = server.engine.cache() {
+                cache.quarantine(&key_hash, &format!("decode-time verification: {message}"));
+            }
             let was_cache_hit = response.provenance == Provenance::CacheHit;
             let resolved = was_cache_hit
                 .then(|| server.engine.synthesize(retry.clone()).ok())
@@ -1345,11 +1365,6 @@ impl Work for FlatWork {
             // reason).
             server.hot.insert_entry(key_hash, Arc::clone(&entry));
         }
-        // The store above may have pushed the disk cache over capacity and
-        // pruned entries this tier still holds; drain the engine's
-        // pruned-hash mailbox so a hash the durable store evicted can't
-        // keep being replayed hot.
-        server.drain_pruned();
         Ok(Served {
             report: Arc::clone(entry.report()),
             from,
@@ -1943,6 +1958,25 @@ mod tests {
         let snap = server.snapshot();
         assert_eq!(snap.rejections.rate_limited, 1);
         assert_eq!(snap.daemon.rate_limited, 1);
+    }
+
+    #[test]
+    fn full_token_buckets_are_swept_so_client_names_cannot_grow_the_map() {
+        // A refill rate at which every bucket is full again by the next
+        // request: each client's bucket is as good as missing, so however
+        // many identities arrive, the map holds O(1) of them.
+        let server = server(ServeConfig {
+            workers: 1,
+            rate_limit_per_sec: 1e12,
+            rate_limit_burst: 1,
+            ..Default::default()
+        });
+        for i in 0..10_000 {
+            assert!(server.check_rate_limit(&format!("client-{i}")).is_ok());
+        }
+        let held = server.buckets.lock().expect("bucket lock").map.len();
+        assert!(held <= 4, "{held} buckets held for 10000 one-shot clients");
+        assert_eq!(server.snapshot().rejections.rate_limited, 0);
     }
 
     #[test]

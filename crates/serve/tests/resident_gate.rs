@@ -2,7 +2,9 @@
 //! cache holds in memory is answered at the gate — provenance `cache`, no
 //! queue slot, no worker — but only once a worker has replayed it through
 //! `verify_report` in this daemon. Everything else takes the worker path,
-//! quarantine and re-solve included.
+//! quarantine and re-solve included. A report the disk cache has dropped
+//! (quarantined, pruned or replaced by a later store) is answered by
+//! neither memory tier.
 
 use sccl_collectives::Collective;
 use sccl_core::failpoint::{self, FailAction};
@@ -221,6 +223,73 @@ fn resident_answers_publish_into_a_hot_tier_that_stays_bounded() {
     assert_eq!(snapshot.cache.disk_hits, 2);
     assert_eq!(snapshot.cache.hot_hits, 2);
     assert_eq!(snapshot.cache.solved, 3);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_hot_report_the_disk_cache_drops_is_never_answered_hot_again() {
+    let _serial = serialize();
+    let dir = cache_dir("retired");
+    let server = server(&dir, 1, 4);
+    let ring = builders::ring(4, 1);
+    let collective = Collective::Allgather;
+    let key = CacheKey::new(&ring, collective, &config());
+    let hash = key.content_hash();
+    let cache = server.engine().cache().expect("a disk cache");
+    let first = serve(&server, collective);
+    assert!(
+        matches!(first.from, ServedFrom::Solved(_)),
+        "{:?}",
+        first.from
+    );
+    assert_eq!(serve(&server, collective).from, ServedFrom::HotTier);
+
+    // (a) A quarantine made on the cache itself, with no worker job in
+    // between: the hot slot shares the entry the quarantine retires, so
+    // the next request misses both memory tiers and is solved afresh.
+    assert!(cache.quarantine(&hash, "test"));
+    let before = server.snapshot();
+    assert_eq!(
+        before.cache.hot_len, 0,
+        "a retired slot is not a live entry"
+    );
+    let resolved = serve(&server, collective);
+    assert!(
+        matches!(resolved.from, ServedFrom::Solved(_)),
+        "a quarantined report answered from {:?}",
+        resolved.from
+    );
+    assert!(!Arc::ptr_eq(&resolved.report, &first.report));
+    let after = server.snapshot();
+    assert_eq!(after.cache.hot_hits, before.cache.hot_hits);
+    assert_eq!(after.cache.disk_hits, before.cache.disk_hits);
+    let hot = serve(&server, collective);
+    assert_eq!(hot.from, ServedFrom::HotTier);
+    assert!(Arc::ptr_eq(&hot.report, &resolved.report));
+
+    // (b) A report that fails verification, re-filed under the key: the
+    // store retires the verified entry the hot tier holds, so the next
+    // request goes to the worker, which catches the bad report.
+    let bad = pareto_synthesize(&ring, Collective::Broadcast { root: 0 }, &config())
+        .expect("broadcast frontier");
+    assert!(verify::verify_report(&ring, collective, &bad).is_err());
+    cache.store(&key, &bad).expect("store");
+    let before = server.snapshot();
+    let healed = serve(&server, collective);
+    assert!(
+        matches!(healed.from, ServedFrom::Solved(_)),
+        "a replaced report answered from {:?}",
+        healed.from
+    );
+    assert!(verify::verify_report(&ring, collective, &healed.report).is_ok());
+    let after = server.snapshot();
+    assert_eq!(
+        after.faults.verify_failures,
+        before.faults.verify_failures + 1
+    );
+    assert_eq!(after.cache.hot_hits, before.cache.hot_hits);
+    assert_eq!(after.cache.disk_hits, before.cache.disk_hits);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

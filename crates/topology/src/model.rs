@@ -220,15 +220,6 @@ impl Topology {
             .collect()
     }
 
-    /// Incoming neighbours of a node.
-    pub fn in_neighbors(&self, node: usize) -> Vec<usize> {
-        self.links()
-            .iter()
-            .filter(|&&(_, d)| d == node)
-            .map(|&(s, _)| s)
-            .collect()
-    }
-
     /// Total per-round chunk budget entering `node`
     /// (sum of per-link budgets of incoming links).
     pub fn in_bandwidth(&self, node: usize) -> u64 {
@@ -361,8 +352,6 @@ mod tests {
         t.add_link(0, 2, 1);
         t.add_link(2, 0, 1);
         assert_eq!(t.out_neighbors(0), vec![1, 2]);
-        assert_eq!(t.in_neighbors(0), vec![2]);
-        assert_eq!(t.in_neighbors(1), vec![0]);
     }
 
     #[test]

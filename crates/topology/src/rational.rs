@@ -61,11 +61,6 @@ impl Rational {
         self.num as f64 / self.den as f64
     }
 
-    /// `true` if this is an integer value.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// Smallest integer ≥ this rational.
     pub fn ceil(&self) -> u64 {
         self.num.div_ceil(self.den)
