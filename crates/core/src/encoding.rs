@@ -219,8 +219,8 @@ pub struct SynthesisRun {
     /// Size of the last formula solved: the quotient's when its model
     /// settled the candidate, the full formula's otherwise.
     pub encoding: EncodingStats,
-    /// Formulas handed to the solver: none for a candidate rejected or
-    /// cancelled before encoding, two where the quotient settled nothing
+    /// Formulas handed to the solver: none for a candidate rejected before
+    /// encoding or reached after its deadline, two where the quotient settled nothing
     /// and the full formula was solved as well.
     pub solves: u64,
     /// Conflicts the solver met, summed over those formulas.
@@ -231,7 +231,8 @@ pub struct SynthesisRun {
 
 impl SynthesisRun {
     /// A run that handed the solver nothing: a candidate rejected before
-    /// it was encoded (`Unsatisfiable`) or cancelled (`Unknown`).
+    /// it was encoded (`Unsatisfiable`) or reached after its deadline
+    /// (`Unknown`).
     pub fn unsolved(outcome: SynthesisOutcome) -> Self {
         SynthesisRun {
             outcome,
@@ -348,7 +349,8 @@ pub(crate) fn synthesize_on(
 /// Encode the quotient of `instance`'s formula under `group` — C1–C6, the
 /// distance floors and the ingress cuts, every variable and constraint
 /// once per orbit — and solve it within `limits`. Under the trivial group
-/// this is the full formula. A cancelled candidate builds no formula.
+/// this is the full formula. A candidate reached after its deadline builds
+/// no formula.
 fn solve_quotient(
     topology: &Topology,
     instance: &SynCollInstance,
@@ -1393,14 +1395,14 @@ mod tests {
         assert_eq!(short.solves, 2);
         // A quotient that runs out of budget is no verdict either.
         assert!(matches!(under(q - 1).outcome, SynthesisOutcome::Unknown));
-        // Nor is a raised stop flag, which builds no formula at all.
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        // Nor is a deadline that has already passed, which builds no
+        // formula at all.
         let cancelled = synthesize(
             &topo,
             &inst,
             &EncodingOptions::default(),
             SolverConfig::default(),
-            Limits::none().with_stop(stop),
+            Limits::none().with_deadline(std::time::Instant::now()),
         );
         assert!(matches!(cancelled.outcome, SynthesisOutcome::Unknown));
         assert_eq!((cancelled.solves, cancelled.encoding.num_vars), (0, 0));

@@ -21,7 +21,7 @@
 //!    hierarchical verifiers are calls to it.
 //!
 //! Determinism: *one fresh solve per candidate*. Every sweep — plain,
-//! memoized or parallel in the scheduler, resumed from a checkpoint — is
+//! memoized in the scheduler, resumed from a checkpoint — is
 //! [`pareto::sweep`] and decides a candidate by one
 //! [`encoding::synthesize`] of it (on the quotient of its formula under
 //! the machine's symmetries first, on the full formula if that settles

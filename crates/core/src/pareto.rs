@@ -10,20 +10,20 @@
 //!    [`CandidatePlan`]: the full, ordered list of `(S, R, C)` SynColl
 //!    instances the loop could ever consider.
 //! 2. [`ParetoMerge`] is the decision procedure itself, a state machine
-//!    over the plan: it asks for the outcome of one candidate at a time
-//!    ([`MergeAction::Need`]), in increasing index order, and assembles the
+//!    over the plan: it names the one candidate whose outcome it needs next
+//!    ([`ParetoMerge::next`]), in increasing index order, and assembles the
 //!    frontier. Only [`sweep`] drives it.
 //! 3. [`base_problem`] / [`finalize_report`] bracket the non-combining
 //!    search with the combining-collective derivations of §3.5 (inversion
 //!    duals and the Allreduce composition).
 //!
-//! [`sweep`] asks an `answer` callback for every outcome the merge needs.
-//! [`pareto_synthesize`] answers with [`BaseProblem::solve`] and keeps
-//! nothing; the scheduler answers from its memo of decided candidates or
-//! from worker threads that solve ahead of the merge. Whatever answers,
-//! a decided outcome is what [`BaseProblem::solve`] returns for that
-//! candidate — a pure function — so every way of running a sweep reports
-//! the same frontier, byte for byte.
+//! [`sweep`] is a plain loop that asks a `solve` callback for every
+//! outcome the merge needs, one at a time. [`pareto_synthesize`] answers
+//! with [`BaseProblem::solve`] and keeps nothing; the scheduler answers
+//! from its memo of decided candidates. Whatever answers, a decided
+//! outcome is what [`BaseProblem::solve`] returns for that candidate — a
+//! pure function — so every way of running a sweep reports the same
+//! frontier, byte for byte.
 
 use crate::algorithm::Algorithm;
 use crate::bounds::{bandwidth_lower_bound, latency_lower_bound};
@@ -216,9 +216,9 @@ impl SynthesisReport {
     /// termination and `(C, S, R)` entries with identical algorithms —
     /// everything except wall-clock synthesis times and formula-size
     /// statistics. Algorithms are compared byte-for-byte: every candidate
-    /// is decided by [`BaseProblem::solve`], so sequential, memoized,
-    /// parallel and resumed searches report the identical algorithm per
-    /// entry. Formula sizes are diagnostic and excluded, like the timings.
+    /// is decided by [`BaseProblem::solve`], so plain, memoized and resumed
+    /// searches report the identical algorithm per entry. Formula sizes are
+    /// diagnostic and excluded, like the timings.
     pub fn same_frontier(&self, other: &SynthesisReport) -> bool {
         self.collective == other.collective
             && self.topology_name == other.topology_name
@@ -274,8 +274,7 @@ fn chunk_step(collective: Collective, num_nodes: usize) -> usize {
 // Candidate enumeration
 // ---------------------------------------------------------------------
 
-/// One `(S, R, C)` SynColl instance the Pareto search may have to solve: a
-/// self-contained job description a scheduler can ship to a worker thread.
+/// One `(S, R, C)` SynColl instance the Pareto search may have to solve.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CandidateJob {
     /// Position in the sequential decision order (index into
@@ -403,16 +402,6 @@ pub fn enumerate_candidates(
 // The deterministic merge state machine
 // ---------------------------------------------------------------------
 
-/// What the decision procedure wants next.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergeAction {
-    /// The outcome of candidate `jobs[index]` decides the next frontier
-    /// step; supply it with [`ParetoMerge::supply`].
-    Need(usize),
-    /// The search is finished; call [`ParetoMerge::into_report`].
-    Done,
-}
-
 /// Version stamp of the [`SweepCheckpoint`] wire format. A checkpoint
 /// written by a different version is rejected at resume time rather than
 /// misinterpreted.
@@ -451,10 +440,9 @@ pub struct SweepCheckpoint {
 }
 
 /// The Algorithm 1 decision order over candidate outcomes, wherever those
-/// outcomes come from (an inline solver call, a memo, worker threads).
-/// It asks for candidates in strictly increasing index order and never
-/// returns to one it passed over, so when it asks for index `i` every
-/// candidate below `i` is either supplied or will never be read.
+/// outcomes come from (a solver call or a memo). It asks for candidates in
+/// strictly increasing index order and never returns to one it passed
+/// over.
 #[derive(Debug)]
 pub struct ParetoMerge {
     plan: CandidatePlan,
@@ -569,25 +557,26 @@ impl ParetoMerge {
     }
 
     /// Advance to the next candidate whose outcome is needed, passing
-    /// over every dominated one.
+    /// over every dominated one; `None` once the search is finished (call
+    /// [`ParetoMerge::into_report`]). Asking again before `supply` returns
+    /// the same candidate.
     ///
     /// (Deliberately named like, but not implementing, `Iterator::next`:
-    /// the caller must answer each `Need` with `supply` before advancing.)
+    /// the caller must answer each candidate with `supply` before
+    /// advancing.)
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> MergeAction {
+    pub fn next(&mut self) -> Option<&CandidateJob> {
         if self.termination.is_some() {
-            return MergeAction::Done;
+            return None;
         }
         while self.cursor < self.plan.jobs.len() {
-            let job = &self.plan.jobs[self.cursor];
-            if self.skippable(job) {
-                self.cursor += 1;
-                continue;
+            if !self.skippable(&self.plan.jobs[self.cursor]) {
+                return Some(&self.plan.jobs[self.cursor]);
             }
-            return MergeAction::Need(self.cursor);
+            self.cursor += 1;
         }
         self.termination = Some(self.exhausted_reason());
-        MergeAction::Done
+        None
     }
 
     /// Termination cause when every candidate in the plan is settled
@@ -618,11 +607,7 @@ impl ParetoMerge {
 
     /// Supply the solver outcome of the candidate last returned by
     /// [`ParetoMerge::next`].
-    pub fn supply(&mut self, index: usize, run: SynthesisRun) {
-        assert_eq!(
-            index, self.cursor,
-            "supply must answer the job most recently returned by next()"
-        );
+    pub fn supply(&mut self, run: SynthesisRun) {
         assert!(self.termination.is_none(), "merge already finished");
         let job = self.plan.jobs[self.cursor].clone();
         self.cursor += 1;
@@ -818,7 +803,7 @@ pub fn finalize_report(
 /// ReduceScatter via their inversion duals on the reversed topology;
 /// Allreduce as inverse-Allgather followed by Allgather): [`sweep`] over
 /// [`BaseProblem::solve`], nothing kept between candidates. This is the
-/// reference every memoized, parallel or resumed sweep is compared with.
+/// reference every memoized or resumed sweep is compared with.
 pub fn pareto_synthesize(
     topology: &Topology,
     collective: Collective,
@@ -832,7 +817,7 @@ pub fn pareto_synthesize(
         config,
         None,
         |_| {},
-        |jobs, index| base.solve(&jobs[index], config, config.per_instance_limits.clone()),
+        |job| base.solve(job, config, config.per_instance_limits.clone()),
     )
 }
 
@@ -842,16 +827,12 @@ pub fn pareto_synthesize(
 /// nor what answers it re-derives the topology clone, the dual reversal and
 /// the machine's symmetries.
 ///
-/// `answer(jobs, index)` returns the outcome of `jobs[index]`, the plan's
-/// candidates in decision order. It is asked for strictly increasing
-/// indices and for nothing else, and a *decided* outcome (anything but
-/// `Unknown`) must be what [`BaseProblem::solve`] returns for that
-/// candidate; where it comes from is the caller's business — solved on the
-/// spot, read from a memo of earlier sweeps, or taken from a worker that
-/// solved it ahead of time. An answer source that works ahead needs no
-/// list of the candidates the merge passed over: being asked for `index`
-/// *is* the statement that nothing below it will be read again, and the
-/// return of `sweep` that nothing at all will.
+/// `solve(job)` returns the outcome of one candidate of the plan; it is
+/// called once per candidate the merge needs, in decision order, on the
+/// caller's thread. A *decided* outcome (anything but `Unknown`) must be
+/// what [`BaseProblem::solve`] returns for that candidate; where it comes
+/// from is the caller's business — solved on the spot or read from a memo
+/// of earlier sweeps.
 ///
 /// Crash recovery: `resume` is an optional [`SweepCheckpoint`] to re-enter
 /// the sweep from (already-decided candidates are not asked for again —
@@ -876,7 +857,7 @@ pub fn sweep(
     config: &SynthesisConfig,
     resume: Option<&SweepCheckpoint>,
     mut on_progress: impl FnMut(&ParetoMerge),
-    mut answer: impl FnMut(&[CandidateJob], usize) -> SynthesisRun,
+    mut solve: impl FnMut(&CandidateJob) -> SynthesisRun,
 ) -> Result<SynthesisReport, SynthesisError> {
     if topology.num_nodes() < 2 {
         return Err(SynthesisError::TooFewNodes);
@@ -890,12 +871,10 @@ pub fn sweep(
         }
         None => ParetoMerge::new(plan),
     };
-    let mut action = merge.next();
-    while let MergeAction::Need(index) = action {
-        let run = answer(&merge.plan().jobs, index);
-        merge.supply(index, run);
-        action = merge.next();
-        if action != MergeAction::Done {
+    while let Some(job) = merge.next() {
+        let run = solve(job);
+        merge.supply(run);
+        if merge.next().is_some() {
             on_progress(&merge);
         }
     }
@@ -1131,13 +1110,14 @@ mod tests {
         let total = plan.jobs.len();
         let mut merge = ParetoMerge::new(plan);
         let config = quick_config();
-        // The `Need` sequence alone says what is passed over: asking for an
-        // index gives up everything below it that was not asked for, and
-        // `Done` gives up the rest.
+        // The sequence of needed candidates alone says what is passed over:
+        // asking for an index gives up everything below it that was not
+        // asked for, and the end of the sweep gives up the rest.
         let (mut solved, mut passed_over) = (Vec::new(), Vec::new());
-        while let MergeAction::Need(index) = merge.next() {
+        while let Some(job) = merge.next() {
+            let index = job.index;
             passed_over.extend(solved.last().map_or(0, |last| last + 1)..index);
-            let instance = merge.plan().jobs[index].instance(Collective::Allgather, 4);
+            let instance = job.instance(Collective::Allgather, 4);
             let run = synthesize(
                 &topo,
                 &instance,
@@ -1146,7 +1126,7 @@ mod tests {
                 Limits::none(),
             );
             solved.push(index);
-            merge.supply(index, run);
+            merge.supply(run);
         }
         passed_over.extend(solved.last().map_or(0, |last| last + 1)..total);
         // Every candidate was either solved or passed over, exactly once.
@@ -1186,9 +1166,11 @@ mod tests {
             }],
         };
         let mut merge = ParetoMerge::new(plan);
-        let MergeAction::Need(0) = merge.next() else {
-            panic!("expected the single candidate to be needed");
-        };
+        assert_eq!(
+            merge.next().map(|job| job.index),
+            Some(0),
+            "expected the single candidate to be needed"
+        );
         let algorithm = Algorithm {
             collective: Collective::Alltoall,
             topology_name: "synthetic".to_string(),
@@ -1198,11 +1180,10 @@ mod tests {
             rounds_per_step: vec![1; 4],
             sends: Vec::new(),
         };
-        merge.supply(
-            0,
-            SynthesisRun::unsolved(SynthesisOutcome::Satisfiable(algorithm)),
-        );
-        assert_eq!(merge.next(), MergeAction::Done);
+        merge.supply(SynthesisRun::unsolved(SynthesisOutcome::Satisfiable(
+            algorithm,
+        )));
+        assert_eq!(merge.next(), None);
         let report = merge.into_report();
         assert_eq!(report.termination, TerminationReason::ChunkLimited);
         assert!(!report.hit_step_cap);
@@ -1248,8 +1229,8 @@ mod tests {
             &config,
             None,
             |_| {},
-            |jobs, index| {
-                let run = base.solve(&jobs[index], &config, Limits::none());
+            |job| {
+                let run = base.solve(job, &config, Limits::none());
                 runs.push(run.solves);
                 run
             },
@@ -1317,9 +1298,9 @@ mod tests {
                     "progress is only reported while a candidate remains to decide"
                 );
             },
-            |jobs, index| {
+            |job| {
                 solves += 1;
-                base.solve(&jobs[index], &config, Limits::none())
+                base.solve(job, &config, Limits::none())
             },
         )
         .expect("sweep");

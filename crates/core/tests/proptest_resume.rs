@@ -55,7 +55,7 @@ proptest! {
             &config,
             None,
             |merge| checkpoints.push(merge.checkpoint()),
-            |jobs, index| base.solve(&jobs[index], &config, Limits::none()),
+            |job| base.solve(job, &config, Limits::none()),
         )
         .expect("connected topology");
 
@@ -73,7 +73,7 @@ proptest! {
             &config,
             Some(&restored),
             |_| {},
-            |jobs, index| base.solve(&jobs[index], &config, Limits::none()),
+            |job| base.solve(job, &config, Limits::none()),
         )
         .expect("connected topology");
 

@@ -71,8 +71,6 @@ pub struct HierRequest {
     /// The chunk cap is always forced to 1: stages are synthesized at one
     /// chunk per node and widened by lane replication instead.
     pub config: Option<SynthesisConfig>,
-    /// Solve mode for stage misses; `None` uses the engine's default.
-    pub mode: Option<SolveMode>,
     /// Which frontier entry each stage uses.
     pub pick: EntryPick,
     /// The instant the whole composition must finish by. Every stage
@@ -91,7 +89,6 @@ impl HierRequest {
             collective,
             groups: GroupSpec::Auto,
             config: None,
-            mode: None,
             pick: EntryPick::default(),
             deadline: None,
         }
@@ -109,9 +106,9 @@ impl HierRequest {
         self
     }
 
-    /// Override the solve mode for stage misses.
-    pub fn with_mode(mut self, mode: SolveMode) -> Self {
-        self.mode = Some(mode);
+    /// Accepted and ignored: every stage miss is solved one candidate at
+    /// a time. Kept only for the benchmark ledger; its re-cut deletes it.
+    pub fn with_mode(self, _mode: SolveMode) -> Self {
         self
     }
 
@@ -483,7 +480,6 @@ struct PlannedStage {
 struct StageSolver<'a> {
     engine: &'a Engine,
     config: SynthesisConfig,
-    mode: Option<SolveMode>,
     pick: EntryPick,
     memo: Vec<(String, Collective, Algorithm)>,
     stats: HierStats,
@@ -512,9 +508,6 @@ impl StageSolver<'_> {
         }
         let mut request =
             SynthesisRequest::new(topology, collective).with_config(self.config.clone());
-        if let Some(mode) = self.mode {
-            request = request.with_mode(mode);
-        }
         if let Some(deadline) = self.deadline {
             request = request.with_deadline(deadline);
         }
@@ -602,7 +595,6 @@ fn synthesize_hier(engine: &Engine, request: HierRequest) -> Result<HierResponse
     let mut solver = StageSolver {
         engine,
         config,
-        mode: request.mode,
         pick: request.pick,
         memo: Vec::new(),
         stats: HierStats::default(),

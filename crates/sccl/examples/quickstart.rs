@@ -33,7 +33,7 @@ fn main() {
         report.bandwidth_lower_bound,
         match response.provenance {
             Provenance::CacheHit => "from cache".to_string(),
-            Provenance::Solved(_) => format!("solved in {:.2?}", response.timings.solve),
+            Provenance::Solved => format!("solved in {:.2?}", response.timings.solve),
         }
     );
     for entry in &report.entries {

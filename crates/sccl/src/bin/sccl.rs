@@ -1,8 +1,8 @@
 //! The `sccl` command-line tool, built on [`sccl::Engine`]: synthesize
 //! collective algorithms for a topology, print Pareto frontiers, probe
 //! individual `(C, S, R)` points, compute structural lower bounds, emit
-//! generated code, and drive batch synthesis through the engine's parallel
-//! scheduler and persistent algorithm cache.
+//! generated code, and drive batch synthesis through the engine and its
+//! persistent algorithm cache.
 //!
 //! ```bash
 //! cargo run --release --bin sccl -- bounds --topology dgx1 --collective allgather
@@ -10,7 +10,7 @@
 //! cargo run --release --bin sccl -- pareto --topology ring:4 --collective allreduce --max-steps 6 --json
 //! cargo run --release --bin sccl -- pareto --topology ring:4 --collective allgather --cache .sccl-cache
 //! cargo run --release --bin sccl -- codegen --topology ring:4 --collective allgather --chunks 1 --steps 3 --rounds 3
-//! cargo run --release --bin sccl -- batch --manifest jobs.txt --threads 8 --cache .sccl-cache
+//! cargo run --release --bin sccl -- batch --manifest jobs.txt --cache .sccl-cache
 //! cargo run --release --bin sccl -- warmup --manifest jobs.txt
 //! cargo run --release --bin sccl -- serve --socket /tmp/sccl.sock --cache .sccl-cache --journal .sccl-journal
 //! cargo run --release --bin sccl -- client --socket /tmp/sccl.sock --verb health
@@ -106,16 +106,15 @@ const SEARCH_FLAGS: &[FlagSpec] = &[
     ),
 ];
 
-/// Engine construction: worker pool, solve mode and persistent cache.
+/// Engine construction: the persistent cache. `--sequential` is accepted
+/// and ignored (every sweep runs one candidate at a time); the benchmark
+/// ledger still starts its daemon with it, and its re-cut deletes it.
 const ENGINE_FLAGS: &[FlagSpec] = &[
-    val(
-        "threads",
-        "N",
-        "worker threads, 0 = one per core (default 0)",
-    ),
     val("cache", "DIR", "persistent algorithm cache directory"),
-    switch("sequential", "solve with the sequential loop (the default)"),
-    switch("parallel", "solve with the work-queue parallel scheduler"),
+    switch(
+        "sequential",
+        "accepted and ignored: every solve is sequential",
+    ),
 ];
 
 /// Group selection and stage picking for hierarchical composition.
@@ -485,9 +484,9 @@ fn require_problem(flags: &HashMap<String, String>) -> Result<(Topology, Collect
 /// Synthesis search configuration from the common flags.
 ///
 /// The per-instance budget is `--timeout SECS` wall-clock (0 = unlimited)
-/// and/or `--max-conflicts N`. Conflict budgets are machine-independent and
-/// keep parallel runs bit-identical to sequential ones; wall-clock budgets
-/// near the limit can differ run-to-run (see `sccl_sched::parallel`).
+/// and/or `--max-conflicts N`. Conflict budgets are machine-independent,
+/// so two runs report the same frontier; wall-clock budgets near the limit
+/// can differ run-to-run.
 fn synthesis_config(
     flags: &HashMap<String, String>,
     default_timeout: usize,
@@ -511,38 +510,16 @@ fn synthesis_config(
     })
 }
 
-/// Build the engine a command's flags describe: worker pool, solve mode
-/// (sequential unless `--parallel` opts in: under a sweep of small
-/// candidates, and under a daemon whose request workers are already the
-/// parallelism, the work-queue scheduler loses), optional persistent cache.
+/// Build the engine a command's flags describe: search defaults and an
+/// optional persistent cache.
 fn build_engine(
     flags: &HashMap<String, String>,
     default_cache: Option<&str>,
     defaults: Option<SynthesisConfig>,
 ) -> Result<Engine, Error> {
-    let mode = match (
-        flags.contains_key("sequential"),
-        flags.contains_key("parallel"),
-    ) {
-        (true, true) => {
-            return Err(Error::Flag {
-                flag: "parallel".to_string(),
-                message: "conflicts with --sequential".to_string(),
-            })
-        }
-        (false, true) => SolveMode::Parallel,
-        _ => SolveMode::Sequential,
-    };
-    // The CLI keeps `--threads 0` meaning "one per core" (its documented
-    // default); the builder reserves an explicit 0 as a config error, so
-    // auto-sizing is expressed by not calling threads() at all.
-    let mut builder = Engine::builder().mode(mode);
+    let mut builder = Engine::builder();
     if let Some(config) = defaults {
         builder = builder.synthesis_defaults(config);
-    }
-    let threads = get_usize(flags, "threads", 0)?;
-    if threads > 0 {
-        builder = builder.threads(threads);
     }
     if let Some(dir) = flags.get("cache").map(String::as_str).or(default_cache) {
         builder = builder.cache_dir(dir);
@@ -793,11 +770,7 @@ fn cmd_pareto(
             "served from cache in {:.2?} (lookup {:.2?})",
             response.timings.total, response.timings.lookup
         ),
-        Provenance::Solved(mode) => println!(
-            "solved in {:.2?} ({} mode)",
-            response.timings.total,
-            mode_label(mode)
-        ),
+        Provenance::Solved => println!("solved in {:.2?}", response.timings.total),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1031,13 +1004,6 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<ExitCode, Error> {
     })
 }
 
-fn mode_label(mode: SolveMode) -> &'static str {
-    match mode {
-        SolveMode::Sequential => "sequential",
-        SolveMode::Parallel => "parallel",
-    }
-}
-
 fn print_batch_report(report: &BatchReport, engine: &Engine, warmup: bool) {
     for result in &report.results {
         let source = if result.from_cache { "cache" } else { "solved" };
@@ -1062,12 +1028,11 @@ fn print_batch_report(report: &BatchReport, engine: &Engine, warmup: bool) {
         }
     }
     println!(
-        "{}: {} jobs in {:.2?} ({:.2} jobs/s, {} mode): {} solved, {} from cache, {} failed, {} frontier entries",
+        "{}: {} jobs in {:.2?} ({:.2} jobs/s): {} solved, {} from cache, {} failed, {} frontier entries",
         if warmup { "warmup" } else { "batch" },
         report.results.len(),
         report.wall_time,
         report.throughput(),
-        mode_label(engine.mode()),
         report.solved(),
         report.cache_hits(),
         report.failures(),

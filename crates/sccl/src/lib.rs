@@ -6,12 +6,11 @@
 //! hardware topology, plus the lowering, execution and benchmarking
 //! infrastructure around it.
 //!
-//! The front door is [`Engine`]: a long-lived handle that owns the worker
-//! threads, the persistent algorithm cache, the memo of decided candidates
-//! and the cost model, and serves typed [`SynthesisRequest`] →
-//! [`SynthesisResponse`] calls. Single-shot, parallel, batch and library
-//! requests share one request path; the response chains into lowering,
-//! code generation and simulation.
+//! The front door is [`Engine`]: a long-lived handle that owns the
+//! persistent algorithm cache, the memo of decided candidates and the cost
+//! model, and serves typed [`SynthesisRequest`] → [`SynthesisResponse`]
+//! calls. Single-shot, batch and library requests share one request path;
+//! the response chains into lowering, code generation and simulation.
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
@@ -22,8 +21,8 @@
 //! * [`program`] — rank-program IR, lowering and CUDA-flavoured codegen.
 //! * [`runtime`] — threaded executor and (α, β) simulator.
 //! * [`baselines`] — NCCL/RCCL-style ring algorithms.
-//! * [`sched`] — the [`Engine`], its memo and worker threads, persistent
-//!   cache, batch manifests.
+//! * [`sched`] — the [`Engine`], its memo of decided candidates,
+//!   persistent cache, batch manifests.
 //! * [`hier`] — hierarchical process-group synthesis: partition a large
 //!   topology into groups, compose per-level stage schedules through the
 //!   engine, verify the stitched result against the pre/post relation.
@@ -36,8 +35,8 @@
 //! use sccl::prelude::*;
 //!
 //! // A long-lived engine: add .cache_dir("...") to persist frontiers
-//! // across processes, .threads(n) to bound the worker pool.
-//! let engine = Engine::builder().threads(2).build().expect("engine");
+//! // across processes.
+//! let engine = Engine::builder().build().expect("engine");
 //!
 //! // Synthesize the Pareto frontier of Allgather algorithms for a 4-node
 //! // ring, lower the latency-optimal one, and emit CUDA-flavoured code.

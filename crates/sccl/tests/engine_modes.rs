@@ -1,7 +1,7 @@
-//! Acceptance test for the engine redesign: all four execution modes —
-//! single-shot sequential, work-queue parallel, batch, and warm-cache —
-//! flow through `Engine`'s one request path and produce identical reports
-//! (and the same frontiers as the pre-engine drivers).
+//! Acceptance test for the engine redesign: every way in — single-shot,
+//! batch, and warm-cache — flows through `Engine`'s one request path and
+//! produces identical reports (and the same frontiers as the pre-engine
+//! drivers).
 
 use sccl::prelude::*;
 use sccl::sched::parse_manifest;
@@ -21,6 +21,8 @@ fn quick_config() -> SynthesisConfig {
     }
 }
 
+/// (Named for the four modes it once compared; one of them, worker
+/// threads solving ahead of the sweep, is gone.)
 #[test]
 fn four_modes_one_request_path_identical_reports() {
     let dir = tmp_dir("four");
@@ -31,34 +33,18 @@ fn four_modes_one_request_path_identical_reports() {
     let reference =
         pareto_synthesize(&ring, Collective::Allgather, &config).expect("reference synthesis");
 
-    // Mode 1 — single-shot sequential through the engine (no cache).
+    // Single-shot through the engine (no cache).
     let engine = Engine::builder().build().expect("engine");
     let single = engine
-        .synthesize(
-            SynthesisRequest::new(&ring, Collective::Allgather)
-                .with_config(config.clone())
-                .sequential(),
-        )
+        .synthesize(SynthesisRequest::new(&ring, Collective::Allgather).with_config(config.clone()))
         .expect("single-shot");
-    assert_eq!(single.provenance, Provenance::Solved(SolveMode::Sequential));
+    assert_eq!(single.provenance, Provenance::Solved);
     assert!(single.report.same_frontier(&reference));
 
-    // Mode 2 — work-queue parallel through the same request path.
-    let parallel = engine
-        .synthesize(
-            SynthesisRequest::new(&ring, Collective::Allgather)
-                .with_config(config.clone())
-                .parallel(),
-        )
-        .expect("parallel");
-    assert_eq!(parallel.provenance, Provenance::Solved(SolveMode::Parallel));
-    assert!(parallel.report.same_frontier(&reference));
-
-    // Mode 3 — batch through a cache-backed engine (cold: everything
+    // Batch through a cache-backed engine (cold: everything
     // solves and persists).
     let cached_engine = Engine::builder()
         .cache_dir(&dir)
-        .threads(2)
         .build()
         .expect("cached engine");
     let jobs = parse_manifest("ring:4 allgather\n").expect("manifest");
@@ -69,7 +55,7 @@ fn four_modes_one_request_path_identical_reports() {
     let cold_report = cold.results[0].outcome.as_ref().expect("cold report");
     assert!(cold_report.same_frontier(&reference));
 
-    // Mode 4 — warm-cache serving: a *fresh* engine on the same directory
+    // Warm-cache serving: a *fresh* engine on the same directory
     // answers from the store without solving, with the identical report.
     let warm_engine = Engine::builder()
         .cache_dir(&dir)
@@ -94,7 +80,7 @@ fn four_modes_one_request_path_identical_reports() {
 
 #[test]
 fn response_chains_into_lowering_codegen_and_simulation() {
-    let engine = Engine::builder().threads(2).build().expect("engine");
+    let engine = Engine::builder().build().expect("engine");
     let ring = builders::ring(4, 1);
     let response = engine
         .synthesize(SynthesisRequest::new(&ring, Collective::Allgather).with_config(quick_config()))
@@ -126,7 +112,6 @@ fn engine_library_serves_size_switching_selection() {
     let ring = builders::ring(4, 1);
     let engine = Engine::builder()
         .cache_dir(&dir)
-        .threads(2)
         .cost_model(CostModel::nvlink())
         .synthesis_defaults(quick_config())
         .build()

@@ -31,15 +31,16 @@ use sccl_topology::{builders, Topology};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::time::Duration;
 
-/// How a cache miss is solved: every candidate on the sweep's own thread,
-/// or on worker threads that solve ahead of it. The frontier is identical
-/// either way; the mode is pure execution policy.
+/// Accepted and ignored: every cache miss is solved one candidate at a
+/// time, in decision order, on the sweep's own thread. The enum stays
+/// only because the wire's `mode` field and the benchmark ledger still
+/// name it; the ledger re-cut deletes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SolveMode {
-    /// One candidate at a time, in decision order.
+    /// The one way a sweep runs.
     #[default]
     Sequential,
-    /// Worker threads deciding candidates ahead of the sweep.
+    /// Accepted and ignored; solves like [`SolveMode::Sequential`].
     Parallel,
 }
 

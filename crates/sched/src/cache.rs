@@ -65,8 +65,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The canonical identity of one synthesis problem. Every field that can
-/// change the resulting frontier is included; the cooperative stop flag
-/// (which only affects *whether* a run completes, not its result) is not.
+/// change the resulting frontier is included; a request's deadline (which
+/// only affects *whether* a run completes, not its result) is not.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CacheKey {
     /// [`sccl_core::encoding::ENCODER_VERSION`] at key-construction time:

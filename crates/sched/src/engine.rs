@@ -1,22 +1,20 @@
 //! The serving engine: one request/response API over synthesis, caching,
 //! scheduling and lowering.
 //!
-//! [`Engine`] is a long-lived handle that owns the worker-thread count,
-//! the persistent [`AlgorithmCache`], the [`Memo`] of decided candidates
-//! and the cost model. All execution modes — single-shot sequential,
-//! parallel, batch manifests and cached serving — are one code path:
+//! [`Engine`] is a long-lived handle that owns the persistent
+//! [`AlgorithmCache`], the [`Memo`] of decided candidates and the cost
+//! model. Single-shot requests, batch manifests, library hydration and
+//! cached serving are one code path:
 //!
 //! 1. build the canonical [`CacheKey`] for the request,
 //! 2. look it up in the cache (if one is attached),
-//! 3. on a miss, run the one [`sweep`] over one solve closure: a candidate
-//!    is answered from the memo if an earlier sweep over the same base
-//!    problem decided it, and by one fresh
-//!    [`BaseProblem::solve`](sccl_core::pareto::BaseProblem::solve)
+//! 3. on a miss, run the one [`sweep`] over one solve closure, on the
+//!    request's thread: a candidate is answered from the memo if an
+//!    earlier sweep over the same base problem decided it, and by one
+//!    fresh [`BaseProblem::solve`](sccl_core::pareto::BaseProblem::solve)
 //!    otherwise (of the formula's quotient under the machine's symmetries
 //!    first; see `sccl_core::encoding`), which the memo then keeps. The
-//!    request's [`SolveMode`] only says whether the closure runs on the
-//!    sweep's thread or on worker threads ahead of it; the frontier is
-//!    the plain sequential loop's either way, byte for byte,
+//!    frontier is the plain sequential loop's, byte for byte,
 //! 4. persist reproducible results (evicting LRU entries when a
 //!    [`EngineBuilder::cache_capacity`] is configured), and
 //! 5. return a [`SynthesisResponse`] carrying the report, its
@@ -24,7 +22,7 @@
 //!    the sweep's [`IncrementalStats`].
 //!
 //! With a [journal](EngineBuilder::journal_dir) attached the sweep also
-//! checkpoints and resumes, in either mode.
+//! checkpoints and resumes.
 //!
 //! The response offers a fluent follow-on stage: [`SynthesisResponse::lower`]
 //! turns a frontier entry into a [`LoweredAlgorithm`] that can emit
@@ -39,7 +37,7 @@
 //! use sccl_program::LoweringOptions;
 //! use sccl_topology::builders;
 //!
-//! let engine = Engine::builder().threads(2).build().expect("engine");
+//! let engine = Engine::builder().build().expect("engine");
 //! let ring = builders::ring(4, 1);
 //! let config = SynthesisConfig { max_steps: 6, max_chunks: 4, ..Default::default() };
 //! let response = engine
@@ -54,17 +52,12 @@ use crate::batch::{BatchJob, BatchReport, BatchResult, ManifestError, SolveMode}
 use crate::cache::{AlgorithmCache, CacheKey, CacheStats, CachedReport};
 use crate::journal::Journal;
 use crate::memo::Memo;
-use crate::parallel::with_workers;
 use sccl_collectives::Collective;
-use sccl_core::encoding::SynthesisRun;
 use sccl_core::incremental::IncrementalStats;
-use sccl_core::pareto::{
-    base_problem, sweep, CandidateJob, SynthesisConfig, SynthesisError, SynthesisReport,
-};
+use sccl_core::pareto::{base_problem, sweep, SynthesisConfig, SynthesisError, SynthesisReport};
 use sccl_core::{Algorithm, CostModel};
 use sccl_program::{generate_cuda, lower, LoweringOptions, Program};
 use sccl_runtime::{simulate_time, CollectiveLibrary};
-use sccl_solver::Limits;
 use sccl_topology::Topology;
 use std::io;
 use std::path::PathBuf;
@@ -93,9 +86,9 @@ pub enum Error {
         message: String,
     },
     /// An [`EngineBuilder`] (or serving-layer) knob was set to a value that
-    /// cannot mean anything — e.g. zero worker threads or a zero-entry
-    /// cache. Rejected at build time so the misconfiguration surfaces where
-    /// it was written, not as a hung or memoryless engine later.
+    /// cannot mean anything — e.g. a zero-entry cache. Rejected at build
+    /// time so the misconfiguration surfaces where it was written, not as
+    /// a memoryless engine later.
     Config {
         /// The builder field that was invalid.
         field: &'static str,
@@ -189,8 +182,6 @@ pub struct SynthesisRequest {
     pub collective: Collective,
     /// Search configuration; `None` uses the engine's defaults.
     pub config: Option<SynthesisConfig>,
-    /// How to solve on a cache miss; `None` uses the engine's default mode.
-    pub mode: Option<SolveMode>,
     /// The instant the whole request must finish by. The solver compares
     /// it with the clock at its budget checks
     /// ([`sccl_solver::Limits::deadline`]); whatever part of the frontier
@@ -202,13 +193,12 @@ pub struct SynthesisRequest {
 }
 
 impl SynthesisRequest {
-    /// A request with the engine's default configuration and solve mode.
+    /// A request with the engine's default configuration.
     pub fn new(topology: &Topology, collective: Collective) -> Self {
         SynthesisRequest {
             topology: topology.clone(),
             collective,
             config: None,
-            mode: None,
             deadline: None,
         }
     }
@@ -225,21 +215,16 @@ impl SynthesisRequest {
         self
     }
 
-    /// Override the solve mode for this request.
-    pub fn with_mode(mut self, mode: SolveMode) -> Self {
-        self.mode = Some(mode);
+    /// Accepted and ignored: every miss is solved one candidate at a
+    /// time. Kept only for the benchmark ledger; its re-cut deletes it.
+    pub fn with_mode(self, _mode: SolveMode) -> Self {
         self
     }
 
-    /// Solve cache misses one candidate at a time.
+    /// Accepted and ignored, like [`SynthesisRequest::with_mode`]. Kept
+    /// only for the benchmark ledger; its re-cut deletes it.
     pub fn sequential(self) -> Self {
-        self.with_mode(SolveMode::Sequential)
-    }
-
-    /// Solve cache misses with worker threads deciding candidates ahead of
-    /// the sweep.
-    pub fn parallel(self) -> Self {
-        self.with_mode(SolveMode::Parallel)
+        self
     }
 }
 
@@ -248,8 +233,8 @@ impl SynthesisRequest {
 pub enum Provenance {
     /// Served from the persistent cache without solving.
     CacheHit,
-    /// Freshly solved in the given mode.
-    Solved(SolveMode),
+    /// Freshly solved.
+    Solved,
 }
 
 /// Wall-clock breakdown of one request.
@@ -462,10 +447,6 @@ pub struct EngineBuilder {
     cache_capacity: Option<usize>,
     journal_dir: Option<PathBuf>,
     memo_capacity: usize,
-    /// `None` = one worker per available core; an explicit count otherwise.
-    /// `Some(0)` is representable but rejected by [`EngineBuilder::build`].
-    threads: Option<usize>,
-    mode: SolveMode,
     cost_model: CostModel,
     config: SynthesisConfig,
     lowering: LoweringOptions,
@@ -478,8 +459,6 @@ impl Default for EngineBuilder {
             cache_capacity: None,
             journal_dir: None,
             memo_capacity: Engine::DEFAULT_MEMO_CAPACITY,
-            threads: None,
-            mode: SolveMode::default(),
             cost_model: CostModel::nvlink(),
             config: SynthesisConfig::default(),
             lowering: LoweringOptions::default(),
@@ -516,10 +495,7 @@ impl EngineBuilder {
     /// process that dies mid-solve resumes the sweep on the next request
     /// for the same key instead of starting over, and reaches the
     /// identical frontier. Checkpoints are removed once the solve
-    /// completes. Both solve modes checkpoint and resume: the merge is
-    /// supplied in its own cursor order whichever thread decided a
-    /// candidate, and a resumed parallel sweep starts its workers at the
-    /// checkpoint's cursor.
+    /// completes.
     pub fn journal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.journal_dir = Some(dir.into());
         self
@@ -538,23 +514,22 @@ impl EngineBuilder {
         self
     }
 
-    /// Worker threads for parallel solves. Not calling this (the default)
-    /// means one worker per available core; an explicit `0` is rejected by
-    /// [`EngineBuilder::build`] with [`Error::Config`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+    /// Accepted and ignored: a sweep runs on the request's own thread.
+    /// Kept only for the benchmark ledger; its re-cut deletes it.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// Default solve mode for requests that don't specify one.
-    pub fn mode(mut self, mode: SolveMode) -> Self {
-        self.mode = mode;
+    /// Accepted and ignored: every miss is solved one candidate at a
+    /// time. Kept only for the benchmark ledger; its re-cut deletes it.
+    pub fn mode(self, _mode: SolveMode) -> Self {
         self
     }
 
-    /// Solve one candidate at a time by default.
+    /// Accepted and ignored, like [`EngineBuilder::mode`]. Kept only for
+    /// the benchmark ledger; its re-cut deletes it.
     pub fn sequential(self) -> Self {
-        self.mode(SolveMode::Sequential)
+        self
     }
 
     /// The (α, β) cost model used for library selection and simulation.
@@ -580,18 +555,9 @@ impl EngineBuilder {
     /// Build the engine, opening the cache directory if one was configured.
     ///
     /// Nonsense knob values are rejected with [`Error::Config`] rather than
-    /// silently reinterpreted: an explicit `threads(0)` (a pool that could
-    /// never solve anything), `cache_capacity(0)` (a cache evicted on every
-    /// store) or `memo_capacity(0)` (a memo that retains nothing).
+    /// silently reinterpreted: `cache_capacity(0)` (a cache evicted on
+    /// every store) or `memo_capacity(0)` (a memo that retains nothing).
     pub fn build(self) -> Result<Engine, Error> {
-        if self.threads == Some(0) {
-            return Err(Error::Config {
-                field: "threads",
-                message: "0 worker threads cannot solve anything; omit threads() \
-                          for one worker per core"
-                    .to_string(),
-            });
-        }
         if self.cache_capacity == Some(0) {
             return Err(Error::Config {
                 field: "cache_capacity",
@@ -620,10 +586,6 @@ impl EngineBuilder {
             cache,
             cache_capacity: self.cache_capacity,
             journal,
-            threads: self
-                .threads
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-            mode: self.mode,
             cost_model: self.cost_model,
             defaults: self.config,
             lowering: self.lowering,
@@ -640,25 +602,21 @@ impl EngineBuilder {
 #[derive(Clone, Copy, Debug)]
 enum MissPolicy {
     /// Solve the problem (the normal serving path).
-    Solve(SolveMode),
+    Solve,
     /// Report the miss without solving (cache-only hydration).
     Skip,
 }
 
-/// A long-lived synthesis-serving handle: owns the worker-thread count,
-/// the persistent cache, the memo of decided candidates and the cost
-/// model, and serves single-shot, parallel, batch and library requests
-/// through one path.
+/// A long-lived synthesis-serving handle: owns the persistent cache, the
+/// memo of decided candidates and the cost model, and serves single-shot,
+/// batch and library requests through one path.
 pub struct Engine {
     cache: Option<AlgorithmCache>,
     cache_capacity: Option<usize>,
     /// Crash-recovery journal: sweep checkpoints (written by the solve
-    /// path, in either mode) plus the daemon's queue records.
+    /// path) plus the daemon's queue records.
     /// `None` unless [`EngineBuilder::journal_dir`] was configured.
     journal: Option<Arc<Journal>>,
-    /// Worker threads of a parallel solve.
-    threads: usize,
-    mode: SolveMode,
     cost_model: CostModel,
     defaults: SynthesisConfig,
     lowering: LoweringOptions,
@@ -714,23 +672,17 @@ impl Engine {
         &self.cost_model
     }
 
-    /// The default solve mode for requests that don't specify one.
-    pub fn mode(&self) -> SolveMode {
-        self.mode
-    }
-
     /// The engine's default search configuration.
     pub fn defaults(&self) -> &SynthesisConfig {
         &self.defaults
     }
 
-    /// Serve one synthesis request: cache lookup, solve on miss (in the
-    /// request's or engine's mode), persist, respond. A request deadline
+    /// Serve one synthesis request: cache lookup, solve on miss, persist,
+    /// respond. A request deadline
     /// rides in the per-instance solver limits; once it passes, the
     /// response carries the partial frontier with
     /// [`SynthesisResponse::degraded`] set (see [`SynthesisRequest::deadline`]).
     pub fn synthesize(&self, request: SynthesisRequest) -> Result<SynthesisResponse, Error> {
-        let mode = request.mode.unwrap_or(self.mode);
         let mut owned;
         let config = match (request.deadline, request.config.as_ref()) {
             (None, Some(config)) => config,
@@ -748,7 +700,7 @@ impl Engine {
             &request.topology,
             request.collective,
             config,
-            MissPolicy::Solve(mode),
+            MissPolicy::Solve,
         )?;
         let mut response = response.expect("a solving policy always produces a response");
         if let Some(deadline) = request.deadline {
@@ -766,12 +718,7 @@ impl Engine {
         let mut results = Vec::with_capacity(jobs.len());
         for job in jobs {
             let job_start = Instant::now();
-            let served = self.serve(
-                &job.topology,
-                job.collective,
-                config,
-                MissPolicy::Solve(self.mode),
-            );
+            let served = self.serve(&job.topology, job.collective, config, MissPolicy::Solve);
             let (outcome, from_cache) = match served {
                 Ok(Some(response)) => {
                     let from_cache = response.from_cache();
@@ -802,7 +749,7 @@ impl Engine {
         let config = request.config.as_ref().unwrap_or(&self.defaults);
         let lowering = request.lowering.unwrap_or(self.lowering);
         let policy = if request.solve_misses {
-            MissPolicy::Solve(self.mode)
+            MissPolicy::Solve
         } else {
             MissPolicy::Skip
         };
@@ -868,46 +815,15 @@ impl Engine {
             }
         }
 
-        let mode = match policy {
-            MissPolicy::Solve(mode) => mode,
-            MissPolicy::Skip => return Ok(None),
-        };
+        if let MissPolicy::Skip = policy {
+            return Ok(None);
+        }
         let solve_start = Instant::now();
         // The base problem is computed exactly once per request (it clones
         // the topology, reverses it for inversion duals and searches it
         // for symmetries).
         let base = base_problem(topology, collective);
         let base_hash = CacheKey::new(&base.topology, base.collective, config).content_hash();
-        // How this request decides a candidate, on whichever thread: the
-        // memo's answer if an earlier sweep over the same base left one,
-        // one fresh solve otherwise, which the memo then keeps.
-        let stats = parking_lot::Mutex::new(IncrementalStats::default());
-        let solve = |job: &CandidateJob, limits: Limits| -> SynthesisRun {
-            let mut answered = IncrementalStats {
-                pool_checkins: 1,
-                ..Default::default()
-            };
-            let run = match self.memo.get(&base_hash, job) {
-                Some(run) => {
-                    answered.memo_hits = 1;
-                    run
-                }
-                None => {
-                    sccl_core::failpoint::fire("pool.solve");
-                    let solve_start = Instant::now();
-                    let run = base.solve(job, config, limits);
-                    answered.cold_solve_time = solve_start.elapsed();
-                    // A candidate cancelled before it was encoded took no
-                    // solver.
-                    answered.warm_candidates = u64::from(run.solves > 0);
-                    answered.solve_calls = run.solves;
-                    self.memo.put(&base_hash, job, &run);
-                    run
-                }
-            };
-            stats.lock().absorb(&answered);
-            run
-        };
         // With a journal attached, the sweep checkpoints after every
         // decided candidate that leaves another to decide and resumes from
         // any checkpoint a crashed process left behind. Checkpoints are
@@ -921,33 +837,42 @@ impl Engine {
         let resume = checkpoint_key
             .as_ref()
             .and_then(|(journal, hash)| journal.load_checkpoint(hash));
-        let limits = &config.per_instance_limits;
-        let run_sweep = |answer: &mut dyn FnMut(&[CandidateJob], usize) -> SynthesisRun| {
-            sweep(
-                &base,
-                topology,
-                collective,
-                config,
-                resume.as_ref(),
-                |merge| {
-                    if let Some((journal, hash)) = &checkpoint_key {
-                        let _ = journal.store_checkpoint(hash, &merge.checkpoint());
-                    }
-                },
-                answer,
-            )
-        };
-        let report = match mode {
-            SolveMode::Sequential => {
-                run_sweep(&mut |jobs, index| solve(&jobs[index], limits.clone()))
-            }
-            SolveMode::Parallel => with_workers(self.threads, limits, &solve, run_sweep),
-        }?;
+        // How this request decides a candidate: the memo's answer if an
+        // earlier sweep over the same base left one, one fresh solve
+        // otherwise, which the memo then keeps.
+        let mut incremental = IncrementalStats::default();
+        let report = sweep(
+            &base,
+            topology,
+            collective,
+            config,
+            resume.as_ref(),
+            |merge| {
+                if let Some((journal, hash)) = &checkpoint_key {
+                    let _ = journal.store_checkpoint(hash, &merge.checkpoint());
+                }
+            },
+            |job| {
+                incremental.pool_checkins += 1;
+                if let Some(run) = self.memo.get(&base_hash, job) {
+                    incremental.memo_hits += 1;
+                    return run;
+                }
+                sccl_core::failpoint::fire("pool.solve");
+                let solve_start = Instant::now();
+                let run = base.solve(job, config, config.per_instance_limits.clone());
+                incremental.cold_solve_time += solve_start.elapsed();
+                // A candidate reached after the deadline took no solver.
+                incremental.warm_candidates += u64::from(run.solves > 0);
+                incremental.solve_calls += run.solves;
+                self.memo.put(&base_hash, job, &run);
+                run
+            },
+        )?;
         if let Some((journal, hash)) = &checkpoint_key {
             journal.remove_checkpoint(hash);
         }
         let report = Arc::new(report);
-        let incremental = stats.into_inner();
         timings.solve = solve_start.elapsed();
 
         let mut resident = None;
@@ -977,7 +902,7 @@ impl Engine {
         timings.total = start.elapsed();
         Ok(Some(SynthesisResponse {
             report,
-            provenance: Provenance::Solved(mode),
+            provenance: Provenance::Solved,
             timings,
             incremental: Some(incremental),
             degraded: false,
@@ -991,6 +916,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sccl_solver::Limits;
     use sccl_topology::builders;
 
     fn quick_config() -> SynthesisConfig {
@@ -1009,47 +935,22 @@ mod tests {
     }
 
     #[test]
-    fn request_mode_overrides_engine_mode() {
-        let engine = Engine::builder()
-            .sequential()
-            .synthesis_defaults(quick_config())
-            .build()
-            .expect("engine");
-        let ring = builders::ring(4, 1);
-        let seq = engine
-            .synthesize(SynthesisRequest::new(&ring, Collective::Allgather))
-            .expect("sequential");
-        assert_eq!(seq.provenance, Provenance::Solved(SolveMode::Sequential));
-        let par = engine
-            .synthesize(SynthesisRequest::new(&ring, Collective::Allgather).parallel())
-            .expect("parallel");
-        assert_eq!(par.provenance, Provenance::Solved(SolveMode::Parallel));
-        assert!(par.report.same_frontier(&seq.report));
-    }
-
-    #[test]
     fn an_unconfigured_engine_solves_sequentially() {
         let engine = Engine::builder().build().expect("engine");
-        assert_eq!(engine.mode(), SolveMode::Sequential);
         let ring = builders::ring(4, 1);
         let response = engine
             .synthesize(SynthesisRequest::new(&ring, Collective::Allgather))
             .expect("solved");
-        assert_eq!(
-            response.provenance,
-            Provenance::Solved(SolveMode::Sequential)
-        );
+        assert_eq!(response.provenance, Provenance::Solved);
     }
 
     #[test]
     fn sequential_serves_checkpoint_through_the_journal() {
-        // (Named for the mode that checkpointed first; both do.)
         let ring = builders::ring(4, 1);
         // A sweep long enough to be interrupted in several places.
         let collective = Collective::Broadcast { root: 0 };
         let config = quick_config();
         let reference = Engine::builder()
-            .sequential()
             .synthesis_defaults(config.clone())
             .build()
             .expect("engine")
@@ -1078,50 +979,46 @@ mod tests {
             &config,
             None,
             |merge| interrupted.push(merge.checkpoint()),
-            |jobs, index| base.solve(&jobs[index], &config, Limits::none()),
+            |job| base.solve(job, &config, Limits::none()),
         )
         .expect("uninterrupted sweep");
         assert!(interrupted.len() > 2, "{} checkpoints", interrupted.len());
 
-        for mode in [SolveMode::Sequential, SolveMode::Parallel] {
-            let dir = tmp_dir(&format!("journal-{mode:?}"));
-            let engine = Engine::builder()
-                .mode(mode)
-                .threads(2)
-                .synthesis_defaults(config.clone())
-                .journal_dir(&dir)
-                .build()
-                .expect("engine with journal");
-            let journal = engine.journal().expect("journal attached");
-            // Attempts, not successes: the `journal.write` failpoint is
-            // process-global and a journal test holds it armed for a moment.
-            let attempts = || journal.checkpoints_written() + journal.write_errors();
-            for (seeded, checkpoint) in std::iter::once(&stale).chain(&interrupted).enumerate() {
-                while journal.store_checkpoint(&hash, checkpoint).is_err() {}
-                let before = attempts();
-                let served = engine
-                    .synthesize(SynthesisRequest::new(&ring, collective))
-                    .expect("journaled solve");
-                assert!(
-                    served.report.same_frontier(&reference.report),
-                    "{mode:?}: a stale checkpoint must degrade to a cold start and a \
-                     valid one resume, neither to a wrong frontier (checkpoint {seeded})"
-                );
-                // The stale checkpoint (0) restarts cold and persists the
-                // whole sweep's progress; resuming from the i-th skips the
-                // i candidates it had already decided.
-                assert_eq!(
-                    (attempts() - before) as usize,
-                    interrupted.len() - seeded,
-                    "{mode:?}, checkpoint {seeded}"
-                );
-                assert!(
-                    journal.load_checkpoint(&hash).is_none(),
-                    "checkpoint is consumed once the solve completes"
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmp_dir("journal");
+        let engine = Engine::builder()
+            .synthesis_defaults(config.clone())
+            .journal_dir(&dir)
+            .build()
+            .expect("engine with journal");
+        let journal = engine.journal().expect("journal attached");
+        // Attempts, not successes: the `journal.write` failpoint is
+        // process-global and a journal test holds it armed for a moment.
+        let attempts = || journal.checkpoints_written() + journal.write_errors();
+        for (seeded, checkpoint) in std::iter::once(&stale).chain(&interrupted).enumerate() {
+            while journal.store_checkpoint(&hash, checkpoint).is_err() {}
+            let before = attempts();
+            let served = engine
+                .synthesize(SynthesisRequest::new(&ring, collective))
+                .expect("journaled solve");
+            assert!(
+                served.report.same_frontier(&reference.report),
+                "a stale checkpoint must degrade to a cold start and a valid one \
+                 resume, neither to a wrong frontier (checkpoint {seeded})"
+            );
+            // The stale checkpoint (0) restarts cold and persists the
+            // whole sweep's progress; resuming from the i-th skips the
+            // i candidates it had already decided.
+            assert_eq!(
+                (attempts() - before) as usize,
+                interrupted.len() - seeded,
+                "checkpoint {seeded}"
+            );
+            assert!(
+                journal.load_checkpoint(&hash).is_none(),
+                "checkpoint is consumed once the solve completes"
+            );
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1129,42 +1026,30 @@ mod tests {
         // The candidate that finishes a sweep writes no checkpoint: its
         // frontier is returned (and stored) next, so the write would
         // recover nothing. k decided candidates, k - 1 checkpoints; a
-        // one-candidate sweep never touches the journal. In either mode:
-        // workers may decide more candidates than the sweep reads, but
-        // only what it reads is progress.
+        // one-candidate sweep never touches the journal.
         for (topology, one_candidate) in [
             (builders::ring(4, 1), false),
             (builders::fully_connected(3, 1), true),
         ] {
-            let mut read = None;
-            for mode in [SolveMode::Sequential, SolveMode::Parallel] {
-                let dir = tmp_dir(&format!("ckpt-count-{}-{mode:?}", topology.num_nodes()));
-                let engine = Engine::builder()
-                    .mode(mode)
-                    .threads(2)
-                    .synthesis_defaults(quick_config())
-                    .journal_dir(&dir)
-                    .build()
-                    .expect("engine with journal");
-                let served = engine
-                    .synthesize(SynthesisRequest::new(&topology, Collective::Allgather))
-                    .expect("journaled solve");
-                // Sequentially, the candidates answered are the candidates
-                // read; the parallel sweep reads the same ones.
-                let answered = served.incremental.expect("solved").pool_checkins;
-                let candidates = *read.get_or_insert(answered);
-                assert!(answered >= candidates);
-                assert_eq!(candidates == 1, one_candidate, "{candidates} candidates");
-                let journal = engine.journal().expect("journal attached");
-                // Attempts, not successes: the `journal.write` failpoint is
-                // process-global and another test may hold it armed.
-                assert_eq!(
-                    journal.checkpoints_written() + journal.write_errors(),
-                    candidates - 1,
-                    "{mode:?}"
-                );
-                let _ = std::fs::remove_dir_all(&dir);
-            }
+            let dir = tmp_dir(&format!("ckpt-count-{}", topology.num_nodes()));
+            let engine = Engine::builder()
+                .synthesis_defaults(quick_config())
+                .journal_dir(&dir)
+                .build()
+                .expect("engine with journal");
+            let served = engine
+                .synthesize(SynthesisRequest::new(&topology, Collective::Allgather))
+                .expect("journaled solve");
+            let candidates = served.incremental.expect("solved").pool_checkins;
+            assert_eq!(candidates == 1, one_candidate, "{candidates} candidates");
+            let journal = engine.journal().expect("journal attached");
+            // Attempts, not successes: the `journal.write` failpoint is
+            // process-global and another test may hold it armed.
+            assert_eq!(
+                journal.checkpoints_written() + journal.write_errors(),
+                candidates - 1
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
@@ -1178,19 +1063,6 @@ mod tests {
                 Ok(_) => panic!("nonsense knob must be rejected"),
             }
         }
-        // An explicit zero thread count can never solve anything.
-        let err = build_err(Engine::builder().threads(0));
-        assert!(
-            matches!(
-                err,
-                Error::Config {
-                    field: "threads",
-                    ..
-                }
-            ),
-            "was: {err:?}"
-        );
-        assert!(err.to_string().contains("threads"), "was: {err}");
         // A zero-entry cache would evict every store immediately.
         let err = build_err(Engine::builder().cache_capacity(0));
         assert!(
@@ -1217,9 +1089,10 @@ mod tests {
         );
         // Config errors have no upstream cause to chain to.
         assert!(std::error::Error::source(&err).is_none());
-        // The default (no explicit threads) still means one per core.
         assert!(Engine::builder().build().is_ok());
-        assert!(Engine::builder().threads(1).build().is_ok());
+        // The solve-mode knobs the benchmark ledger still calls are
+        // accepted and ignored, whatever their value.
+        assert!(Engine::builder().threads(0).sequential().build().is_ok());
     }
 
     #[test]
@@ -1288,22 +1161,16 @@ mod tests {
             .build()
             .expect("engine");
         let ring = builders::ring(4, 1);
-        for request in [
-            SynthesisRequest::new(&ring, Collective::Allgather).sequential(),
-            SynthesisRequest::new(&ring, Collective::Allgather).parallel(),
-        ] {
-            let sequential = matches!(request.mode, Some(SolveMode::Sequential));
-            let response = engine.synthesize(request).expect("solved");
+        for first in [true, false] {
+            let response = engine
+                .synthesize(SynthesisRequest::new(&ring, Collective::Allgather))
+                .expect("solved");
             let inc = response.incremental.expect("solved responses carry stats");
-            // The first (sequential) request decides its candidates by
-            // fresh solves; the second is answered from the memo those
-            // left behind.
-            if sequential {
+            // The first request decides its candidates by fresh solves;
+            // the second is answered from the memo those left behind.
+            if first {
                 assert!(inc.warm_candidates > 0 && inc.memo_hits == 0);
                 assert!(inc.solve_calls >= inc.warm_candidates);
-                // Only meaningful sequentially: parallel workers' solve
-                // time is summed across threads (so it can exceed the
-                // wall clock).
                 assert!(response.timings.solve >= inc.cold_solve_time);
                 assert!(inc.cold_solve_time > Duration::ZERO);
             } else {
@@ -1380,7 +1247,6 @@ mod tests {
         let dir = tmp_dir("library");
         let engine = Engine::builder()
             .cache_dir(&dir)
-            .threads(2)
             .synthesis_defaults(quick_config())
             .build()
             .expect("engine");

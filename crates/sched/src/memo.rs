@@ -4,15 +4,16 @@
 //! (keyed by the content hash of `(base topology, base collective,
 //! config)`), the runs that decided its candidates: `(C, S, R)` → the
 //! [`SynthesisRun`] that [`BaseProblem::solve`] returned. Requests that
-//! reduce to the same base — Allgather and Allreduce on one machine, a
-//! parallel sweep after a sequential one — share it, reuse the report
-//! cache cannot see because the requests have distinct cache keys.
+//! reduce to the same base — Allgather, Allreduce and ReduceScatter on one
+//! machine — share it, reuse the report cache cannot see because the
+//! requests have distinct cache keys.
 //!
 //! There is no protocol: [`Memo::get`] before a solve, [`Memo::put`] after
 //! it, one mutex held for the length of a map operation and never while a
-//! solver runs. Two workers that race on one candidate both solve it and
-//! both store the same bytes. `Unknown` outcomes — out of budget,
-//! cancelled — are never stored, and a solve that panics never reaches
+//! solver runs. Two requests that race on one candidate (a daemon's
+//! workers share the engine) both solve it and both store the same bytes.
+//! `Unknown` outcomes — out of budget, past the deadline — are never
+//! stored, and a solve that panics never reaches
 //! `put`, so nothing can leave the memo half-updated.
 //!
 //! The memo is bounded by what it retains, not by entry count: a run
@@ -252,7 +253,7 @@ mod tests {
         let run = solve_into(&memo, "ring4", &job(2, 2, 1));
         let once = memo.weight();
         assert_eq!(once, weigh(&run));
-        // Two workers that raced on one candidate both store it.
+        // Two requests that raced on one candidate both store it.
         memo.put("ring4", &job(2, 2, 1), &run);
         assert_eq!(memo.weight(), once);
         // A lighter run for the same candidate replaces the weight too.
@@ -300,7 +301,6 @@ mod tests {
         // quotient under the machine's symmetries was refuted, and none
         // at all when the memo answers.
         let engine = Engine::builder()
-            .sequential()
             .synthesis_defaults(SynthesisConfig {
                 k: 2,
                 max_steps: 3,

@@ -12,7 +12,7 @@ use sccl_sched::{Engine, SynthesisRequest};
 use sccl_topology::builders;
 
 fn engine() -> Engine {
-    Engine::builder().sequential().build().expect("engine")
+    Engine::builder().build().expect("engine")
 }
 
 fn config(max_steps: usize, max_chunks: usize) -> SynthesisConfig {
@@ -83,11 +83,7 @@ fn frontier_chunks_are_multiples_of_the_node_count() {
 fn chunk_limited_reports_survive_the_cache_roundtrip() {
     let dir = std::env::temp_dir().join(format!("sccl-alltoall-cache-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let engine = Engine::builder()
-        .sequential()
-        .cache_dir(&dir)
-        .build()
-        .expect("engine");
+    let engine = Engine::builder().cache_dir(&dir).build().expect("engine");
     let ring = builders::ring(4, 1);
     let request = SynthesisRequest::new(&ring, Collective::Alltoall).with_config(config(8, 3));
     let cold = engine.synthesize(request.clone()).expect("cold solve");

@@ -1,27 +1,24 @@
-//! One sweep, however it is answered: the engine's sequential and parallel
-//! modes must produce byte-identical frontiers to the memo-free reference
+//! One sweep, however it is answered: the engine must produce
+//! byte-identical frontiers to the memo-free reference
 //! `pareto_synthesize` — `same_frontier` compares bounds, termination,
 //! per-entry `(C, S, R)` costs, optimality labels and the synthesized
 //! algorithms themselves, everything except wall-clock timings and formula
 //! statistics.
 //!
-//! All three run `sccl_core::pareto::sweep` and decide a candidate by one
+//! Both run `sccl_core::pareto::sweep` and decide a candidate by one
 //! fresh `BaseProblem::solve`, a pure function, so equality holds by
 //! construction; what this suite pins down is that nothing around that
-//! function — the engine's memo of decided candidates, worker threads
-//! solving ahead of the merge, cancellation — leaks into the result. (The
-//! file's name is from when the engine's sweeps ran on warm incremental
-//! encoders and this was a property of their decode.)
+//! function — the engine's memo of decided candidates, its checkpoints —
+//! leaks into the result. (The file's name is from when the engine's
+//! sweeps ran on warm incremental encoders and this was a property of
+//! their decode.)
 //!
-//! Three paths are compared on every topology of the acceptance matrix
+//! Two paths are compared on every topology of the acceptance matrix
 //! (ring:4, ring:8, line:4, dgx1):
 //!
 //! * **reference** — `sccl_core::pareto::pareto_synthesize`: nothing kept
 //!   between candidates,
-//! * **sequential** — an `Engine` request in `SolveMode::Sequential`: each
-//!   candidate through the memo, on the sweep's thread,
-//! * **parallel** — the same request in `SolveMode::Parallel`: each
-//!   candidate through the memo, on worker threads.
+//! * **engine** — an `Engine` request: each candidate through the memo.
 //!
 //! A property test then re-checks the equality on random small connected
 //! topologies, where nothing can rely on any structure the named
@@ -54,11 +51,7 @@ fn engine_sequential(
 ) -> (SynthesisReport, IncrementalStats) {
     let engine = Engine::builder().build().expect("engine");
     let response = engine
-        .synthesize(
-            SynthesisRequest::new(topology, collective)
-                .with_config(config.clone())
-                .sequential(),
-        )
+        .synthesize(SynthesisRequest::new(topology, collective).with_config(config.clone()))
         .expect("sequential");
     (
         std::sync::Arc::unwrap_or_clone(response.report),
@@ -66,9 +59,9 @@ fn engine_sequential(
     )
 }
 
-/// Assert frontier equality across the reference, the engine's sequential
-/// mode and its parallel mode for one synthesis problem.
-fn assert_three_way(topology: &Topology, collective: Collective, config: &SynthesisConfig) {
+/// Assert frontier equality between the reference and the engine for one
+/// synthesis problem.
+fn assert_same_frontier(topology: &Topology, collective: Collective, config: &SynthesisConfig) {
     let cold = pareto_synthesize(topology, collective, config).expect("sequential-cold");
     let (warm, incremental) = engine_sequential(topology, collective, config);
     assert!(
@@ -82,22 +75,6 @@ fn assert_three_way(topology: &Topology, collective: Collective, config: &Synthe
         "the warm sweep must not re-solve anything cold for {collective} on {}",
         topology.name()
     );
-    let engine = Engine::builder()
-        .threads(3)
-        .build()
-        .expect("a cacheless engine builds infallibly");
-    let parallel = engine
-        .synthesize(
-            SynthesisRequest::new(topology, collective)
-                .with_config(config.clone())
-                .parallel(),
-        )
-        .expect("parallel-warm");
-    assert!(
-        parallel.report.same_frontier(&cold),
-        "parallel-warm diverged from sequential-cold for {collective} on {}",
-        topology.name()
-    );
 }
 
 #[test]
@@ -109,10 +86,10 @@ fn ring4_frontiers_are_identical_across_drivers() {
         Collective::Broadcast { root: 0 },
         Collective::Allreduce,
     ] {
-        assert_three_way(&topo, collective, &cfg);
+        assert_same_frontier(&topo, collective, &cfg);
     }
-    // The chronological-backtracking ablation goes through the memo and
-    // the workers like any other configuration.
+    // The chronological-backtracking ablation goes through the memo like
+    // any other configuration.
     let ablation = SynthesisConfig {
         solver: SolverConfig {
             clause_learning: false,
@@ -120,7 +97,7 @@ fn ring4_frontiers_are_identical_across_drivers() {
         },
         ..config(4, 2, 0)
     };
-    assert_three_way(&topo, Collective::Allgather, &ablation);
+    assert_same_frontier(&topo, Collective::Allgather, &ablation);
 }
 
 #[test]
@@ -128,7 +105,7 @@ fn ring8_frontiers_are_identical_across_drivers() {
     let topo = builders::ring(8, 1);
     let cfg = config(8, 4, 0);
     for collective in [Collective::Allgather, Collective::Broadcast { root: 0 }] {
-        assert_three_way(&topo, collective, &cfg);
+        assert_same_frontier(&topo, collective, &cfg);
     }
 }
 
@@ -141,7 +118,7 @@ fn line4_frontiers_are_identical_across_drivers() {
         Collective::Broadcast { root: 0 },
         Collective::ReduceScatter,
     ] {
-        assert_three_way(&topo, collective, &cfg);
+        assert_same_frontier(&topo, collective, &cfg);
     }
 }
 
@@ -150,7 +127,7 @@ fn dgx1_frontiers_are_identical_across_drivers() {
     let topo = builders::dgx1();
     let cfg = config(4, 4, 1);
     for collective in [Collective::Allgather, Collective::Broadcast { root: 0 }] {
-        assert_three_way(&topo, collective, &cfg);
+        assert_same_frontier(&topo, collective, &cfg);
     }
 }
 
@@ -164,7 +141,6 @@ fn engine_reuses_warm_pools_across_requests() {
     let topo = builders::ring(4, 1);
     let cfg = config(8, 8, 1);
     let engine = Engine::builder()
-        .sequential()
         .synthesis_defaults(cfg.clone())
         .build()
         .expect("engine");
@@ -197,48 +173,6 @@ fn engine_reuses_warm_pools_across_requests() {
     }
 }
 
-/// Cross-request reuse under `SolveMode::Parallel`: workers decide
-/// candidates through the same memo-backed solve, so a second parallel
-/// request over the same base problem must be answered (at least partly)
-/// from what the first request stored.
-#[test]
-fn parallel_workers_reuse_warm_pools_across_requests() {
-    let topo = builders::ring(4, 1);
-    let cfg = config(8, 8, 1);
-    let engine = Engine::builder()
-        .threads(3)
-        .synthesis_defaults(cfg.clone())
-        .build()
-        .expect("engine");
-    let first = engine
-        .synthesize(SynthesisRequest::new(&topo, Collective::Allgather).parallel())
-        .expect("first parallel request");
-    let first_stats = first.incremental.expect("stats");
-    assert!(
-        first_stats.pool_checkins > 0,
-        "parallel workers must answer through the engine's solve"
-    );
-    let second = engine
-        .synthesize(SynthesisRequest::new(&topo, Collective::Allgather).parallel())
-        .expect("second parallel request");
-    let stats = second.incremental.expect("stats");
-    assert!(
-        stats.memo_hits > 0,
-        "the second parallel request must hit the first one's memos"
-    );
-    let cold = pareto_synthesize(&topo, Collective::Allgather, &cfg).expect("cold reference");
-    assert!(second.report.same_frontier(&cold));
-    // A combining collective reducing to the same Allgather base shares the
-    // same memo, parallel mode included.
-    let allreduce = engine
-        .synthesize(SynthesisRequest::new(&topo, Collective::Allreduce).parallel())
-        .expect("allreduce over the shared base");
-    assert!(
-        allreduce.incremental.expect("stats").memo_hits > 0,
-        "Allreduce must reuse the Allgather base's memo under parallelism"
-    );
-}
-
 /// The engine's memo is bounded by *cells*, not entry count: with a 1-cell
 /// capacity (below any real schedule), serving distinct base problems
 /// cannot accumulate them — only the newest survives each store. (The
@@ -247,7 +181,6 @@ fn parallel_workers_reuse_warm_pools_across_requests() {
 fn warm_pool_capacity_bounds_the_registry() {
     let cfg = config(4, 2, 0);
     let engine = Engine::builder()
-        .sequential()
         .memo_capacity(1)
         .synthesis_defaults(cfg)
         .build()
@@ -349,8 +282,8 @@ proptest! {
         }
     }
 
-    /// Sequential and parallel engine frontiers equal reference frontiers on
-    /// random cloud-shape topologies: ring-of-rings backbones with asymmetric
+    /// Engine frontiers equal reference frontiers on random cloud-shape
+    /// topologies: ring-of-rings backbones with asymmetric
     /// local/cross bandwidths and a random subset of groups carrying a
     /// second NIC. The named suites above all run on symmetric machines;
     /// here bandwidth tiers and link multiplicity vary per instance, so
@@ -384,20 +317,6 @@ proptest! {
         prop_assert!(
             warm.same_frontier(&cold),
             "warm diverged from cold for {collective} on {} (nics {:?})",
-            topo.name(),
-            second_nics
-        );
-        let engine = Engine::builder().threads(2).build().expect("engine");
-        let parallel = engine
-            .synthesize(
-                SynthesisRequest::new(&topo, collective)
-                    .with_config(cfg)
-                    .parallel(),
-            )
-            .expect("parallel-warm");
-        prop_assert!(
-            parallel.report.same_frontier(&cold),
-            "parallel-warm diverged from cold for {collective} on {} (nics {:?})",
             topo.name(),
             second_nics
         );

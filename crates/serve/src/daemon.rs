@@ -491,7 +491,6 @@ fn synthesize(
         let mut hier = HierRequest::new(&topology, collective)
             .with_groups(groups)
             .with_config(config);
-        hier.mode = request.mode;
         if let Some(value) = request.pick.as_deref() {
             hier.pick = EntryPick::parse(value).ok_or_else(|| {
                 bad_request(format!("invalid pick `{value}` (latency | bandwidth)"))
@@ -513,8 +512,7 @@ fn synthesize(
             }
         }
     };
-    let mut job = SynthesisRequest::new(&topology, collective).with_config(config);
-    job.mode = request.mode;
+    let job = SynthesisRequest::new(&topology, collective).with_config(config);
     let ticket = server.enqueue_flat(past, job, &request.client, deadline)?;
     Ok(Box::new(wait_journaled(server, line, ticket)?))
 }

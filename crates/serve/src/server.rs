@@ -306,7 +306,9 @@ pub enum ServedFrom {
     /// or — inline, never queued — its verified report already resident
     /// in memory.
     DiskCache,
-    /// Freshly solved in the given mode.
+    /// Freshly solved. The payload is always [`SolveMode::Sequential`]:
+    /// it stays only because `tests/resident_gate.rs` matches `Solved(_)`,
+    /// and goes with `SolveMode` in the ledger re-cut.
     Solved(SolveMode),
 }
 
@@ -316,8 +318,7 @@ impl ServedFrom {
         match self {
             ServedFrom::HotTier => "hot",
             ServedFrom::DiskCache => "cache",
-            ServedFrom::Solved(SolveMode::Sequential) => "solved:sequential",
-            ServedFrom::Solved(SolveMode::Parallel) => "solved:parallel",
+            ServedFrom::Solved(_) => "solved:sequential",
         }
     }
 }
@@ -878,13 +879,16 @@ impl Server {
     /// key, the hot-tier key and the solve). Memory-tier answers are
     /// served inline on the calling thread — the returned ticket is
     /// already resolved; everything else is admitted or rejected per the
-    /// module docs.
+    /// module docs. `_mode` is accepted and ignored (every miss is solved
+    /// one candidate at a time); it stays only because `tests/chaos.rs` and
+    /// `tests/resident_gate.rs` pass it, and goes with `SolveMode` in the
+    /// ledger re-cut.
     pub fn submit(
         &self,
         topology: Topology,
         collective: Collective,
         config: SynthesisConfig,
-        mode: Option<SolveMode>,
+        _mode: Option<SolveMode>,
         client: &str,
     ) -> Result<Ticket, ServeError> {
         let key_hash = CacheKey::new(&topology, collective, &config).content_hash();
@@ -895,8 +899,7 @@ impl Server {
                 Ok(ticket)
             }
             Front::Miss(past) => {
-                let mut request = SynthesisRequest::new(&topology, collective).with_config(config);
-                request.mode = mode;
+                let request = SynthesisRequest::new(&topology, collective).with_config(config);
                 self.enqueue_flat(past, request, client, None)
             }
         }
@@ -1289,7 +1292,6 @@ impl Work for FlatWork {
             topology: request.topology.clone(),
             collective,
             config: request.config.clone(),
-            mode: request.mode,
             deadline: None,
         };
         let metrics = &server.metrics;
@@ -1333,9 +1335,9 @@ impl Work for FlatWork {
                 metrics.add(Counter::DiskHits, 1);
                 ServedFrom::DiskCache
             }
-            Provenance::Solved(mode) => {
+            Provenance::Solved => {
                 metrics.solved(response.timings.solve);
-                ServedFrom::Solved(mode)
+                ServedFrom::Solved(SolveMode::Sequential)
             }
         };
         if let Some(stats) = &response.incremental {
@@ -1471,7 +1473,6 @@ mod tests {
 
     fn server(config: ServeConfig) -> Arc<Server> {
         let engine = Engine::builder()
-            .sequential()
             .synthesis_defaults(quick_config())
             .build()
             .expect("engine");
@@ -1581,7 +1582,6 @@ mod tests {
             std::env::temp_dir().join(format!("sccl-serve-prune-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let engine = Engine::builder()
-            .sequential()
             .cache_dir(&dir)
             .cache_capacity(1)
             .synthesis_defaults(quick_config())
@@ -1602,7 +1602,7 @@ mod tests {
             CacheKey::new(&ring, Collective::Allgather, &quick_config()).content_hash();
         // Three distinct problems through a capacity-1 store: the third
         // store trips the slack bound and prunes the two oldest entries,
-        // whose hashes the worker drains into hot-tier invalidations.
+        // retiring their shared entries, which the hot tier holds too.
         for collective in [
             Collective::Allgather,
             Collective::Broadcast { root: 0 },
@@ -1875,7 +1875,6 @@ mod tests {
             .wait()
             .expect("served");
         let direct = Engine::builder()
-            .sequential()
             .build()
             .expect("engine")
             .synthesize(

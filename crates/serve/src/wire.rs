@@ -21,9 +21,11 @@
 //! `dgx1-single`, `amd`); `collective` is a collective name with an
 //! optional `root` (default 0) for rooted collectives.
 //! `max_steps`, `max_chunks` and `k` override the daemon engine's search
-//! defaults; `mode` (`"sequential"` | `"parallel"`) overrides its solve
-//! mode. `client` names the requester for per-client admission quotas
-//! (connections that don't identify share the `"anonymous"` quota).
+//! defaults. `mode` (`"sequential"` | `"parallel"`) is accepted and
+//! ignored: every miss is solved one candidate at a time, and the mode is
+//! not part of the cache key. `client` names the requester for per-client
+//! admission quotas (connections that don't identify share the
+//! `"anonymous"` quota).
 //! `deadline_ms` bounds the request's wall clock from admission: on
 //! expiry the daemon answers with whatever partial frontier was already
 //! solved (provenance suffixed `:degraded`), or a `"deadline"` error if
@@ -52,9 +54,9 @@
 //! `"memory_budget"`, `"shutdown"`, `"bad_request"`, `"synthesis"`,
 //! `"deadline"`). A `synthesize` success carries the report (bytes
 //! identical to what the in-process `Engine::synthesize` would have
-//! serialized), its provenance (`"hot"`, `"cache"`, `"solved:sequential"`,
-//! `"solved:parallel"`, each suffixed `:degraded` when a deadline cut the
-//! frontier short) and per-stage timings in microseconds.
+//! serialized), its provenance (`"hot"`, `"cache"` or `"solved:sequential"`,
+//! each suffixed `:degraded` when a deadline cut the frontier short) and
+//! per-stage timings in microseconds.
 
 use sccl_collectives::Collective;
 use sccl_sched::SolveMode;
@@ -88,7 +90,10 @@ pub struct WireSynthesize {
     pub max_steps: Option<usize>,
     pub max_chunks: Option<usize>,
     pub k: Option<u64>,
-    /// Solve-mode override (`"sequential"` / `"parallel"`).
+    /// `"sequential"` / `"parallel"`: parsed and serialized, otherwise
+    /// ignored (every miss is solved one candidate at a time). Kept so
+    /// existing clients' requests still parse; the ledger re-cut deletes
+    /// it.
     pub mode: Option<SolveMode>,
     /// Hierarchical composition: a group spec (`auto`, `uniform:M` or an
     /// explicit `0,1;2,3` partition). Presence routes the request through
@@ -404,8 +409,8 @@ pub struct WireTimings {
 pub enum WireResponse {
     /// A served `synthesize` request.
     Report {
-        /// `"hot"`, `"cache"`, `"solved:sequential"` or
-        /// `"solved:parallel"`.
+        /// `"hot"`, `"cache"` or `"solved:sequential"`, each suffixed
+        /// `:degraded` when a deadline cut the frontier short.
         provenance: String,
         timings: WireTimings,
         /// The `SynthesisReport`, as received.

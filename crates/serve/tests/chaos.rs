@@ -271,7 +271,7 @@ fn an_expired_deadline_yields_a_typed_or_degraded_answer() {
     let mut client = ServeClient::connect(daemon.socket_path()).expect("connect");
 
     // The first solver run stalls well past the deadline; by the time it
-    // wakes the watchdog has raised the cooperative flag, so the sweep
+    // wakes the request's deadline `Instant` has passed, so the sweep
     // winds down with whatever it had (here: nothing).
     failpoint::arm_times(
         "pool.solve",

@@ -111,7 +111,8 @@ fn a_memoized_key_whose_entry_was_pruned_re_solves_and_serves_the_new_payload() 
     let (provenance, old_payload) = served(&mut client, &pruned);
     assert_eq!(provenance, "hot");
     // Two more problems through a capacity-1 store: the third store prunes
-    // the two oldest entries and the worker invalidates their hot copies.
+    // the two oldest entries and retires their shared entries, hot copies
+    // included.
     for collective in ["broadcast", "gather"] {
         let other = WireSynthesize::new("ring:4", collective);
         assert_eq!(served(&mut client, &other).0, "solved:sequential");

@@ -39,8 +39,6 @@
 //! the shared base problem once and activates one `(S, R)` candidate at a
 //! time purely through assumptions.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::clause::{CRef, ClauseDb};
@@ -88,15 +86,11 @@ pub struct Limits {
     pub max_conflicts: Option<u64>,
     /// Maximum wall-clock duration before giving up.
     pub max_time: Option<Duration>,
-    /// Cooperative cancellation: when another thread sets this flag, the
-    /// search aborts with [`SolveResult::Unknown`] at the next budget check
-    /// of the CDCL restart loop. Used by the parallel Pareto scheduler to
-    /// stop in-flight solves whose instances have become dominated.
-    pub stop: Option<Arc<AtomicBool>>,
     /// A request's wall-clock deadline: once the clock passes it, the
-    /// search aborts with [`SolveResult::Unknown`] at the same budget
-    /// checks that poll `stop`. Unlike `max_time`, it is an absolute
-    /// instant that every solve of one request shares.
+    /// search aborts with [`SolveResult::Unknown`] at the next budget check
+    /// of the CDCL restart loop, or at the next poll inside propagation.
+    /// Unlike `max_time`, it is an absolute instant that every solve of one
+    /// request shares.
     pub deadline: Option<Instant>,
 }
 
@@ -122,12 +116,6 @@ impl Limits {
         }
     }
 
-    /// Attach a cooperative stop flag (builder style).
-    pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> Self {
-        self.stop = Some(stop);
-        self
-    }
-
     /// Attach a wall-clock deadline (builder style).
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
@@ -136,7 +124,7 @@ impl Limits {
 
     /// What is left of these limits after a solve that took `conflicts`
     /// conflicts and `elapsed` wall clock (saturating at zero, where the
-    /// next budget check fires); the stop flag and the deadline are shared.
+    /// next budget check fires); the deadline is kept as it is.
     /// Lets two solver runs for one query draw on one budget.
     pub fn after(mut self, conflicts: u64, elapsed: Duration) -> Limits {
         self.max_conflicts = self.max_conflicts.map(|c| c.saturating_sub(conflicts));
@@ -144,13 +132,10 @@ impl Limits {
         self
     }
 
-    /// `true` once the stop flag (if any) has been raised or the deadline
-    /// (if any) has passed. The clock is read only when a deadline is set.
+    /// `true` once the deadline (if any) has passed. The clock is read
+    /// only when a deadline is set.
     pub fn stop_requested(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
-            || self.deadline.is_some_and(|at| Instant::now() >= at)
+        self.deadline.is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -653,12 +638,12 @@ impl Solver {
     }
 
     /// How many watcher / pseudo-Boolean-occurrence *visits* `propagate`
-    /// performs between polls of the cooperative stop flag. Polling per
-    /// trail literal is not enough: one literal with a very long watcher or
-    /// PB-occurrence list is traversed in full before the next poll, so a
-    /// dense formula could delay cancellation arbitrarily. Counting visits
-    /// bounds the poll latency by work actually done, while keeping the
-    /// atomic load off the hot path.
+    /// performs between polls of the deadline. Polling per trail literal is
+    /// not enough: one literal with a very long watcher or PB-occurrence
+    /// list is traversed in full before the next poll, so a dense formula
+    /// could delay the abort arbitrarily. Counting visits bounds the poll
+    /// latency by work actually done, while keeping the clock read off the
+    /// hot path.
     const STOP_POLL_INTERVAL: u32 = 2048;
 
     fn propagate(&mut self, limits: &Limits) -> Option<Conflict> {
@@ -678,7 +663,7 @@ impl Solver {
                 }
             }
             if stopped {
-                // The flag is sticky (only ever raised), so cutting the pass
+                // A passed deadline stays passed, so cutting the pass
                 // short here is safe: the restart loop's budget check sees
                 // the same value and aborts before any decision is made on
                 // the partially propagated trail. Rewind the queue head so
@@ -1552,7 +1537,7 @@ mod tests {
     }
 
     /// A hard pigeonhole instance (UNSAT, large search tree) used by the
-    /// cancellation tests.
+    /// deadline tests.
     fn hard_pigeonhole(n: usize) -> Solver {
         let h = n - 1;
         let mut s = Solver::new();
@@ -1574,9 +1559,9 @@ mod tests {
 
     #[test]
     fn limits_after_a_solve_keep_the_flags_and_what_is_left() {
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let deadline = Instant::now() + Duration::from_secs(600);
         let limits = Limits::conflicts(10)
-            .with_stop(std::sync::Arc::clone(&stop))
+            .with_deadline(deadline)
             .after(4, Duration::from_secs(1));
         assert_eq!((limits.max_conflicts, limits.max_time), (Some(6), None));
         let spent = limits.clone().after(7, Duration::ZERO);
@@ -1588,52 +1573,43 @@ mod tests {
         );
         let timed = Limits::time(Duration::from_secs(3)).after(0, Duration::from_secs(2));
         assert_eq!(timed.max_time, Some(Duration::from_secs(1)));
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        assert!(limits.stop_requested(), "the flag is shared, not copied");
+        // The deadline is an instant, not a budget: nothing is taken off it.
+        assert_eq!(limits.deadline, Some(deadline));
+        assert!(!limits.stop_requested());
     }
 
     #[test]
     fn pre_raised_stop_flag_aborts_immediately() {
-        // A raised stop flag and a deadline already in the past abort alike.
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        for limits in [
-            Limits::none().with_stop(stop),
-            Limits::none().with_deadline(Instant::now()),
-        ] {
-            let mut s = hard_pigeonhole(10);
-            let start = Instant::now();
-            assert_eq!(s.solve_limited(limits), SolveResult::Unknown);
-            // The search must abort at the first budget check, long before
-            // the instance could be decided.
-            assert!(start.elapsed() < Duration::from_secs(5));
-        }
+        // A deadline already in the past aborts at the first budget check.
+        let mut s = hard_pigeonhole(10);
+        let start = Instant::now();
+        assert_eq!(
+            s.solve_limited(Limits::none().with_deadline(Instant::now())),
+            SolveResult::Unknown
+        );
+        // The search must abort at the first budget check, long before
+        // the instance could be decided.
+        assert!(start.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
     fn stop_flag_interrupts_long_running_solve() {
-        // A 12-pigeon instance takes far longer than the interrupt delay;
-        // the solve must return Unknown shortly after the flag is raised,
-        // or the deadline passes.
-        let interrupted = |limits: Limits| {
-            let mut solver = hard_pigeonhole(12);
-            let start = Instant::now();
-            assert_eq!(solver.solve_limited(limits), SolveResult::Unknown);
-            assert!(
-                start.elapsed() < Duration::from_secs(30),
-                "stop request was not honoured in time"
-            );
-            // The solver remains usable after an interrupted solve.
-            assert!(solver.is_ok());
-        };
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = std::sync::Arc::clone(&stop);
-        let interrupter = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            flag.store(true, std::sync::atomic::Ordering::Relaxed);
-        });
-        interrupted(Limits::none().with_stop(stop));
-        interrupter.join().expect("interrupter thread");
-        interrupted(Limits::none().with_deadline(Instant::now() + Duration::from_millis(50)));
+        // A 12-pigeon instance takes far longer than the deadline; the
+        // solve must return Unknown shortly after the deadline passes.
+        let mut solver = hard_pigeonhole(12);
+        let start = Instant::now();
+        assert_eq!(
+            solver.solve_limited(
+                Limits::none().with_deadline(Instant::now() + Duration::from_millis(50))
+            ),
+            SolveResult::Unknown
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "the deadline was not honoured in time"
+        );
+        // The solver remains usable after an interrupted solve.
+        assert!(solver.is_ok());
         assert!(hard_pigeonhole(6).solve().is_unsat());
     }
 
