@@ -38,14 +38,20 @@ pub fn latency_lower_bound(topology: &Topology, spec: &CollectiveSpec) -> Option
 ///
 /// This generalizes both the per-node ingress bound the paper uses for the
 /// DGX-1 Allgather (7/6, §2.4) and the bisection bound that is binding for
-/// Alltoall. All `2^P − 2` cuts are enumerated for `P ≤ 16`; beyond that
-/// only single-node cuts and their complements are considered.
+/// Alltoall. For `P ≤ 16` every cut counts, but only the weakly connected
+/// node sets (over links with a positive budget) are visited: if `S` splits
+/// into parts with no link between them, their in-bandwidths add up to
+/// `S`'s and `S`'s crossing is at most the sum of theirs, so `S`'s ratio is
+/// at most the larger part ratio, and a crossing into zero in-bandwidth
+/// shows on a part. The cost is the number of connected sets: 240 on a
+/// 16-node ring, all `2^16 − 2` on a complete graph. Beyond 16 nodes only
+/// single-node cuts and their complements are considered.
 ///
-/// The cuts are visited in Gray-code order, so consecutive cuts differ in
-/// one node and `in_bandwidth(S)` is updated from that node's links alone.
-/// `crossing(S)` is counted from buckets: the chunks held by a single
-/// pre-node are grouped by their post-condition set and by how many of
-/// them each pre-node holds, so a bucket whose post set meets `S`
+/// Each set is grown from its least node one neighbour at a time
+/// (ESU-style), so `in_bandwidth(S)` is updated from that neighbour's
+/// links alone. `crossing(S)` is counted from buckets: the chunks held by
+/// a single pre-node are grouped by their post-condition set and by how
+/// many of them each pre-node holds, so a bucket whose post set meets `S`
 /// contributes its multiplicity times the number of its pre-nodes outside
 /// `S`. Every other chunk is tested directly, chunks with equal pre and
 /// post sets as one. The worst cut is kept as an unreduced ratio and
@@ -58,33 +64,37 @@ pub fn bandwidth_lower_bound(
     spec: &CollectiveSpec,
     per_node_chunks: usize,
 ) -> Option<Rational> {
+    bound_and_sets_visited(topology, spec, per_node_chunks).0
+}
+
+/// [`bandwidth_lower_bound`] and how many connected sets it visited (`P ≤ 16`).
+fn bound_and_sets_visited(
+    topology: &Topology,
+    spec: &CollectiveSpec,
+    per_node_chunks: usize,
+) -> (Option<Rational>, usize) {
     let p = topology.num_nodes();
     assert!(per_node_chunks > 0);
-    if p == 1 {
-        return Some(Rational::zero());
-    }
     // Every node's incoming `(src, b)` and outgoing `(dst, b)` links, from
     // one pass over the link budgets.
     let mut in_links = vec![Vec::new(); p];
     let mut out_links = vec![Vec::new(); p];
-    for (src, dst, bw) in topology.link_bandwidths() {
+    let budgets = topology.link_bandwidths();
+    for &(src, dst, bw) in &budgets {
         in_links[dst].push((src, bw));
         out_links[src].push((dst, bw));
     }
     // The worst cut so far as `need / (bw·C)`, compared by
     // cross-multiplication: `need > 0` chunks must cross into the cut,
-    // `bw` per round can.
+    // `bw` per round can; `bw = 0` makes `need / 0`, worse than any.
     let mut best = (0u64, 1u64);
-    let mut consider = |need: u64, bw: u64| -> Option<()> {
-        if bw == 0 {
-            return None;
-        }
+    let mut consider = |need: u64, bw: u64| {
         let den = bw * per_node_chunks as u64;
         if u128::from(need) * u128::from(best.1) > u128::from(best.0) * u128::from(den) {
             best = (need, den);
         }
-        Some(())
     };
+    let mut visited = 0;
     if p <= 16 {
         let full = (1u32 << p) - 1;
         let mut chunks = vec![(0u32, 0u32); spec.num_chunks];
@@ -119,11 +129,23 @@ pub fn bandwidth_lower_bound(
                 buckets.push((post, pres, m));
             }
         }
-        // Gray code: step `i` toggles node `trailing_zeros(i)`, and steps
-        // `1..=full` visit every non-empty node set once.
-        let (mut inside, mut bw) = (0u32, 0u64);
-        for step in 1..=full {
-            let v = step.trailing_zeros() as usize;
+        let mut adjacent = vec![0u32; p];
+        for &(src, dst, _) in &budgets {
+            adjacent[src] |= 1 << dst;
+            adjacent[dst] |= 1 << src;
+        }
+        // A frame: a connected set, its in-bandwidth, the nodes it may still
+        // grow by, and the nodes it may not (its own and those tried before).
+        let mut stack = vec![(0u32, 0u64, full, 0u32)];
+        while let Some(top) = stack.last_mut() {
+            let (inside, bw, grow, banned) = *top;
+            if grow == 0 {
+                stack.pop();
+                continue;
+            }
+            let v = grow.trailing_zeros() as usize;
+            let banned = banned | 1 << v;
+            *top = (inside, bw, grow & !banned, banned);
             let from_outside: u64 = in_links[v]
                 .iter()
                 .filter(|&&(src, _)| inside >> src & 1 == 0)
@@ -134,22 +156,20 @@ pub fn bandwidth_lower_bound(
                 .filter(|&&(dst, _)| inside >> dst & 1 == 1)
                 .map(|&(_, b)| b)
                 .sum();
-            // Joining, `v`'s links from outside start crossing and its links
-            // into the cut stop; leaving, the other way round.
-            bw = if inside >> v & 1 == 0 {
-                bw + from_outside - to_inside
-            } else {
-                bw + to_inside - from_outside
-            };
-            inside ^= 1 << v;
+            // Joining, `v`'s links from outside start crossing and its
+            // links into the set stop. A seed grows by its neighbours only.
+            let bw = bw + from_outside - to_inside;
+            let grow = adjacent[v] | if inside == 0 { 0 } else { grow };
+            let inside = inside | 1 << v;
+            stack.push((inside, bw, grow & !banned, banned));
             if inside == full {
                 continue;
             }
-            let outside = full & !inside;
+            visited += 1;
             let need = buckets
                 .iter()
                 .filter(|&&(post, _, _)| post & inside != 0)
-                .map(|&(_, pres, m)| m * u64::from((pres & outside).count_ones()))
+                .map(|&(_, pres, m)| m * u64::from((pres & !inside).count_ones()))
                 .sum::<u64>()
                 + direct
                     .iter()
@@ -157,7 +177,7 @@ pub fn bandwidth_lower_bound(
                     .map(|&(_, _, m)| m)
                     .sum::<u64>();
             if need > 0 {
-                consider(need, bw)?;
+                consider(need, bw);
             }
         }
     } else {
@@ -180,12 +200,12 @@ pub fn bandwidth_lower_bound(
                     })
                     .count();
                 if need > 0 {
-                    consider(need as u64, links.iter().map(|&(_, b)| b).sum())?;
+                    consider(need as u64, links.iter().map(|&(_, b)| b).sum());
                 }
             }
         }
     }
-    Some(Rational::new(best.0, best.1))
+    ((best.1 > 0).then(|| Rational::new(best.0, best.1)), visited)
 }
 
 #[cfg(test)]
@@ -243,10 +263,10 @@ mod tests {
         Some(best)
     }
 
-    /// The bitmask enumeration the Gray-code walk replaced: every cut in
-    /// counting order, its demand from a scan of all chunks' masks and its
-    /// bandwidth from a scan of all links. Fast enough to be the reference
-    /// at sixteen nodes, where [`reference_bandwidth_lower_bound`] is not.
+    /// A bitmask enumeration of every cut in counting order, its demand
+    /// from a scan of all chunks' masks and its bandwidth from a scan of
+    /// all links. Fast enough to be the reference at sixteen nodes, where
+    /// [`reference_bandwidth_lower_bound`] is not.
     fn bitmask_bandwidth_lower_bound(
         topology: &Topology,
         spec: &CollectiveSpec,
@@ -284,13 +304,13 @@ mod tests {
         Some(best)
     }
 
-    /// The Gray-code walk and its bucketed demand equal the bitmask
+    /// The connected-set walk and its bucketed demand equal the bitmask
     /// enumeration where they matter: sixteen-node stages, including a
     /// shared egress cap (so a link's budget is not its own constraint's)
     /// and a ring of rings (two bandwidth tiers), and Alltoall's per-pair
     /// buckets on twelve nodes.
     #[test]
-    fn gray_code_bound_equals_the_bitmask_reference_at_sixteen_nodes() {
+    fn connected_set_bound_equals_the_bitmask_reference_at_sixteen_nodes() {
         let mut capped = builders::ring(16, 2);
         capped.add_shared_constraint([(0, 1), (0, 15)], 1);
         let machines = [
@@ -322,6 +342,21 @@ mod tests {
             bandwidth_lower_bound(&ring12, &spec, 12),
             bitmask_bandwidth_lower_bound(&ring12, &spec, 12)
         );
+    }
+
+    /// Only the connected node sets are visited: the 16 · 15 arcs of a
+    /// ring, every proper subset of a complete graph.
+    #[test]
+    fn connected_sets_visited_are_counted_exactly() {
+        let spec = Collective::Allgather.spec(16, 1);
+        for (topo, sets) in [
+            (builders::ring(16, 1), 240),
+            (builders::fully_connected(16, 1), (1 << 16) - 2),
+        ] {
+            let (bound, visited) = bound_and_sets_visited(&topo, &spec, 1);
+            assert_eq!(bound, bitmask_bandwidth_lower_bound(&topo, &spec, 1));
+            assert_eq!(visited, sets, "{}", topo.name());
+        }
     }
 
     /// A ring backbone plus random extra links, bandwidths in 1..=3.
@@ -389,6 +424,43 @@ mod tests {
                 prop_assert_eq!(
                     bandwidth_lower_bound(&topo, &spec, c),
                     reference_bandwidth_lower_bound(&topo, &spec, c),
+                    "{} on {:?}", collective, topo
+                );
+            }
+        }
+
+        /// The connected-set walk against the bitmask reference on 11 to
+        /// 16 nodes: directed links only, some with a zero budget, an
+        /// optional shared egress cap, and a chain backbone some cases
+        /// leave out (so disconnected sets and `None` answers are compared).
+        #[test]
+        fn connected_set_bound_equals_the_bitmask_reference(
+            n in 11usize..=16,
+            backbone in any::<bool>(),
+            links in prop::collection::vec((0usize..16, 0usize..16, 0u64..4), 0..24),
+            shared_cap in 0u64..3,
+            chunks in 1usize..3,
+        ) {
+            let mut topo = Topology::new(format!("random-{n}"), n);
+            if backbone {
+                for i in 0..n - 1 {
+                    topo.add_link(i, i + 1, 1);
+                }
+            }
+            for &(a, b, bw) in &links {
+                if a % n != b % n {
+                    topo.add_link(a % n, b % n, bw);
+                }
+            }
+            if shared_cap > 0 {
+                topo.add_shared_constraint((1..n).map(|d| (0, d)), shared_cap);
+            }
+            for collective in non_combining() {
+                let c = chunks * if collective == Collective::Alltoall { n } else { 1 };
+                let spec = collective.spec(n, c);
+                prop_assert_eq!(
+                    bandwidth_lower_bound(&topo, &spec, c),
+                    bitmask_bandwidth_lower_bound(&topo, &spec, c),
                     "{} on {:?}", collective, topo
                 );
             }

@@ -62,8 +62,9 @@
 //! ([`Topology::fixed_point_free_automorphisms`], once per sweep). Every
 //! orbit of nodes then has `|H|` members, and no two literals of one C3
 //! or of one ingress cut are merged. Rooted collectives have no such
-//! symmetry (every one fixes the root): they are solved on the full
-//! formula, where the chunk order below does the pruning.
+//! symmetry (every one fixes the root), so their machine is not even
+//! searched for it: they are solved on the full formula, where the chunk
+//! order below does the pruning.
 //!
 //! # Chunk order
 //!
@@ -112,7 +113,7 @@
 
 use crate::algorithm::{Algorithm, Send};
 use crate::symmetry::{interchangeable_chunks, Group};
-use sccl_collectives::CollectiveSpec;
+use sccl_collectives::{Collective, CollectiveSpec};
 use sccl_solver::{add_linear_eq, IntVar, Limits, Lit, Model, SolveResult, Solver, SolverConfig};
 use sccl_topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -265,7 +266,7 @@ pub fn synthesize(
     limits: Limits,
 ) -> SynthesisRun {
     let start = Instant::now();
-    let automorphisms = topology.fixed_point_free_automorphisms();
+    let automorphisms = quotient_automorphisms(topology, instance.spec.collective);
     let searched = start.elapsed();
     let mut run = synthesize_on(
         topology,
@@ -279,9 +280,23 @@ pub fn synthesize(
     run
 }
 
+/// The automorphisms [`synthesize_on`] takes `collective`'s quotient
+/// under: `topology`'s fixed-point-free ones, none for a rooted
+/// collective. Every symmetry of a rooted spec fixes its root, so
+/// [`Group::free`] would keep only the identity of whatever a search found.
+pub(crate) fn quotient_automorphisms(
+    topology: &Topology,
+    collective: Collective,
+) -> Vec<Vec<usize>> {
+    match collective.root() {
+        Some(_) => Vec::new(),
+        None => topology.fixed_point_free_automorphisms(),
+    }
+}
+
 /// [`synthesize`] for a sweep that searched its machine once:
-/// `automorphisms` are `topology`'s
-/// ([`Topology::fixed_point_free_automorphisms`]; any subset is sound,
+/// `automorphisms` are [`quotient_automorphisms`] (any subset of
+/// `topology`'s [`Topology::fixed_point_free_automorphisms`] is sound,
 /// anything else is not).
 pub(crate) fn synthesize_on(
     topology: &Topology,
@@ -978,7 +993,6 @@ pub fn synthesize_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sccl_collectives::Collective;
     use sccl_topology::builders;
 
     fn instance(
@@ -1004,6 +1018,41 @@ mod tests {
             SolverConfig::default(),
             Limits::none(),
         )
+    }
+
+    /// Not searching a rooted collective's machine loses nothing: the free
+    /// group a search would grow for it is the identity alone, at both
+    /// ends of the node order, for Reduce through its dual too.
+    #[test]
+    fn rooted_collectives_have_only_the_trivial_free_group() {
+        for machine in ["ring:8", "hypercube:3", "dgx1", "amd", "mesh:2x3"] {
+            let topo = builders::parse_spec(machine).expect("a known machine");
+            assert!(
+                !topo.fixed_point_free_automorphisms().is_empty(),
+                "{machine}"
+            );
+            let p = topo.num_nodes();
+            for root in [0, p - 1] {
+                for collective in [
+                    Collective::Broadcast { root },
+                    Collective::Gather { root },
+                    Collective::Scatter { root },
+                    Collective::Reduce { root },
+                ] {
+                    let base = crate::pareto::base_problem(&topo, collective);
+                    let automorphisms = base.topology.fixed_point_free_automorphisms();
+                    assert!(quotient_automorphisms(&base.topology, base.collective).is_empty());
+                    for chunks in [1, 2] {
+                        let spec = base.collective.spec(p, chunks);
+                        assert_eq!(
+                            Group::free(&spec, &automorphisms).order(),
+                            1,
+                            "{collective} (C = {chunks}) on {machine}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! next candidate. The benchmark re-cut that drops those metrics deletes it.
 
 use crate::encoding::{
-    synthesize_on, EncodingOptions, EncodingStats, SynCollInstance, SynthesisRun,
+    quotient_automorphisms, synthesize_on, EncodingOptions, EncodingStats, SynCollInstance,
+    SynthesisRun,
 };
 use sccl_collectives::CollectiveSpec;
 use sccl_solver::{Limits, SolverConfig, SolverStats};
@@ -83,7 +84,7 @@ impl IncrementalStats {
 /// decided by a fresh [`synthesize`](crate::encoding::synthesize).
 pub struct IncrementalEncoder {
     topology: Topology,
-    /// The machine's fixed-point-free automorphisms, searched once.
+    /// The [`quotient_automorphisms`] of the machine, searched once.
     automorphisms: Vec<Vec<usize>>,
     spec: CollectiveSpec,
     per_node_chunks: usize,
@@ -113,7 +114,7 @@ impl IncrementalEncoder {
     ) -> Self {
         IncrementalEncoder {
             topology: topology.clone(),
-            automorphisms: topology.fixed_point_free_automorphisms(),
+            automorphisms: quotient_automorphisms(topology, spec.collective),
             spec,
             per_node_chunks,
             max_steps,

@@ -30,12 +30,14 @@ use crate::bounds::{bandwidth_lower_bound, latency_lower_bound};
 use crate::combining::{compose_allreduce, invert};
 use crate::cost::AlgorithmCost;
 use crate::encoding::{
-    synthesize_on, EncodingOptions, EncodingStats, SynCollInstance, SynthesisOutcome, SynthesisRun,
+    quotient_automorphisms, synthesize_on, EncodingOptions, EncodingStats, SynCollInstance,
+    SynthesisOutcome, SynthesisRun,
 };
 use sccl_collectives::{Collective, CollectiveClass};
 use sccl_solver::{Limits, SolverConfig};
 use sccl_topology::{Rational, Topology};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Parameters of the Pareto search.
@@ -687,10 +689,12 @@ pub struct BaseProblem {
     pub topology: Topology,
     /// Non-combining collective to synthesize.
     pub collective: Collective,
-    /// [`Topology::fixed_point_free_automorphisms`] of `topology`, searched
-    /// once here for every candidate of the sweep to take its quotient
-    /// under (see "Symmetry" in [`crate::encoding`]).
-    automorphisms: Vec<Vec<usize>>,
+    /// [`quotient_automorphisms`] of `topology` for `collective`, searched
+    /// by the first [`BaseProblem::solve`] for every candidate of the sweep
+    /// to take its quotient under (see "Symmetry" in [`crate::encoding`]).
+    /// A base that never solves — a bound, a sweep of memo hits — never
+    /// searches; a rooted collective's is empty without a search.
+    automorphisms: OnceLock<Vec<Vec<usize>>>,
 }
 
 /// Reduce a synthesis request to its underlying non-combining search.
@@ -704,16 +708,16 @@ pub fn base_problem(topology: &Topology, collective: Collective) -> BaseProblem 
         }
     };
     BaseProblem {
-        automorphisms: topology.fixed_point_free_automorphisms(),
         topology,
         collective,
+        automorphisms: OnceLock::new(),
     }
 }
 
 impl BaseProblem {
     /// Decide one candidate of this base problem under `limits`: one fresh
     /// [`synthesize`](crate::encoding::synthesize) of it, on the quotient
-    /// under the automorphisms found when the base was built. A pure
+    /// under the automorphisms the base's first solve found. A pure
     /// function of the base, the candidate and `config`'s encoding and
     /// solver options, and the only way a candidate of any sweep is
     /// decided: whoever reports a schedule for a candidate reports this
@@ -725,9 +729,12 @@ impl BaseProblem {
         config: &SynthesisConfig,
         limits: Limits,
     ) -> SynthesisRun {
+        let automorphisms = self
+            .automorphisms
+            .get_or_init(|| quotient_automorphisms(&self.topology, self.collective));
         synthesize_on(
             &self.topology,
-            &self.automorphisms,
+            automorphisms,
             &job.instance(self.collective, self.topology.num_nodes()),
             &config.encoding,
             config.solver.clone(),
