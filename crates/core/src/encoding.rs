@@ -55,13 +55,13 @@
 //! two different sends into `n` — `m → n` and `h(m) → n` — fall into one
 //! orbit and share a literal; C3's at-most-one over the sends into `n`
 //! then counts that literal twice and forbids it, and the quotient is
-//! refuted at level 0 although the instance is fine. `H` is therefore
-//! grown (`crate::symmetry`) as a group in which only the identity fixes
-//! a node — the rotations of a ring, the translations of a hypercube —
-//! out of the fixed-point-free automorphisms the topology finds
-//! ([`Topology::fixed_point_free_automorphisms`], once per sweep). Every
-//! orbit of nodes then has `|H|` members, and no two literals of one C3
-//! or of one ingress cut are merged. Rooted collectives have no such
+//! refuted at level 0 although the instance is fine. `H` is therefore a
+//! group in which only the identity fixes a node — the rotations of a
+//! ring, the translations of a hypercube: the machine's free group, which
+//! one search returns ([`Topology::free_group`], once per sweep), each
+//! element with the chunk permutation it induces (`crate::symmetry`).
+//! Every orbit of nodes then has `|H|` members, and no two literals of one
+//! C3 or of one ingress cut are merged. Rooted collectives have no such
 //! symmetry (every one fixes the root), so their machine is not even
 //! searched for it: they are solved on the full formula, where the chunk
 //! order below does the pruning.
@@ -266,41 +266,30 @@ pub fn synthesize(
     limits: Limits,
 ) -> SynthesisRun {
     let start = Instant::now();
-    let automorphisms = quotient_automorphisms(topology, instance.spec.collective);
+    let group = quotient_group(topology, instance.spec.collective);
     let searched = start.elapsed();
-    let mut run = synthesize_on(
-        topology,
-        &automorphisms,
-        instance,
-        options,
-        solver_config,
-        limits,
-    );
+    let mut run = synthesize_on(topology, &group, instance, options, solver_config, limits);
     run.encode_time += searched;
     run
 }
 
-/// The automorphisms [`synthesize_on`] takes `collective`'s quotient
-/// under: `topology`'s fixed-point-free ones, none for a rooted
-/// collective. Every symmetry of a rooted spec fixes its root, so
+/// The node permutations [`synthesize_on`] takes `collective`'s quotient
+/// under: `topology`'s [free group](Topology::free_group), none for a
+/// rooted collective. Every symmetry of a rooted spec fixes its root, so
 /// [`Group::free`] would keep only the identity of whatever a search found.
-pub(crate) fn quotient_automorphisms(
-    topology: &Topology,
-    collective: Collective,
-) -> Vec<Vec<usize>> {
+pub(crate) fn quotient_group(topology: &Topology, collective: Collective) -> Vec<Vec<usize>> {
     match collective.root() {
         Some(_) => Vec::new(),
-        None => topology.fixed_point_free_automorphisms(),
+        None => topology.free_group(),
     }
 }
 
-/// [`synthesize`] for a sweep that searched its machine once:
-/// `automorphisms` are [`quotient_automorphisms`] (any subset of
-/// `topology`'s [`Topology::fixed_point_free_automorphisms`] is sound,
-/// anything else is not).
+/// [`synthesize`] for a sweep that searched its machine once: `group` is
+/// [`quotient_group`] (any group of `topology`'s automorphisms that acts
+/// freely, identity first, is sound; anything else is not).
 pub(crate) fn synthesize_on(
     topology: &Topology,
-    automorphisms: &[Vec<usize>],
+    group: &[Vec<usize>],
     instance: &SynCollInstance,
     options: &EncodingOptions,
     solver_config: SolverConfig,
@@ -313,7 +302,7 @@ pub(crate) fn synthesize_on(
         topology.num_nodes(),
         "spec/topology node count mismatch"
     );
-    debug_assert!(automorphisms.iter().all(|a| topology.is_automorphism(a)));
+    debug_assert!(group.iter().all(|a| topology.is_automorphism(a)));
 
     // A step with zero rounds sends nothing, so R < S is vacuously
     // infeasible for any schedule that actually uses S steps.
@@ -325,7 +314,7 @@ pub(crate) fn synthesize_on(
     // refuted quotient says that no schedule has the symmetry, one out of
     // budget says nothing — either way the full formula decides, on what
     // is left of the limits.
-    let symmetries = Group::free(spec, automorphisms);
+    let symmetries = Group::free(spec, group);
     let mut limits = limits;
     let mut quotient = SynthesisRun::unsolved(SynthesisOutcome::Unknown);
     if symmetries.order() > 1 {
@@ -1027,10 +1016,7 @@ mod tests {
     fn rooted_collectives_have_only_the_trivial_free_group() {
         for machine in ["ring:8", "hypercube:3", "dgx1", "amd", "mesh:2x3"] {
             let topo = builders::parse_spec(machine).expect("a known machine");
-            assert!(
-                !topo.fixed_point_free_automorphisms().is_empty(),
-                "{machine}"
-            );
+            assert!(topo.free_group().len() > 1, "{machine}");
             let p = topo.num_nodes();
             for root in [0, p - 1] {
                 for collective in [
@@ -1040,12 +1026,12 @@ mod tests {
                     Collective::Reduce { root },
                 ] {
                     let base = crate::pareto::base_problem(&topo, collective);
-                    let automorphisms = base.topology.fixed_point_free_automorphisms();
-                    assert!(quotient_automorphisms(&base.topology, base.collective).is_empty());
+                    let group = base.topology.free_group();
+                    assert!(quotient_group(&base.topology, base.collective).is_empty());
                     for chunks in [1, 2] {
                         let spec = base.collective.spec(p, chunks);
                         assert_eq!(
-                            Group::free(&spec, &automorphisms).order(),
+                            Group::free(&spec, &group).order(),
                             1,
                             "{collective} (C = {chunks}) on {machine}"
                         );
@@ -1053,6 +1039,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A 64-node row the whole free group decides: hypercube:6 Allgather
+    /// (1,11,11) is satisfiable on its quotient under the 64 translations,
+    /// one solver run and no full formula.
+    #[test]
+    fn hypercube6_allgather_is_decided_on_its_whole_free_group() {
+        let topo = builders::hypercube(6, 1);
+        let inst = instance(Collective::Allgather, 64, 1, 11, 11);
+        assert_eq!(Group::free(&inst.spec, &topo.free_group()).order(), 64);
+        let run = run_default(&topo, &inst);
+        let alg = run.outcome.algorithm().expect("satisfiable");
+        alg.validate(&topo, &inst.spec).expect("valid");
+        assert_eq!((run.solves, run.conflicts), (1, 275));
     }
 
     #[test]
@@ -1218,7 +1218,7 @@ mod tests {
     /// own and without limits: the quotient under the machine's free group
     /// and the full formula.
     fn both_formulas(topo: &Topology, inst: &SynCollInstance) -> [SynthesisRun; 2] {
-        let symmetries = Group::free(&inst.spec, &topo.fixed_point_free_automorphisms());
+        let symmetries = Group::free(&inst.spec, &topo.free_group());
         assert!(symmetries.order() > 1, "the instance has symmetries");
         [symmetries, Group::trivial(&inst.spec)].map(|group| {
             solve_quotient(
@@ -1316,7 +1316,7 @@ mod tests {
                 inst.num_rounds,
                 topo.name()
             );
-            let free = Group::free(&inst.spec, &topo.fixed_point_free_automorphisms());
+            let free = Group::free(&inst.spec, &topo.free_group());
             let got = (
                 (free.order() > 1).then(|| pin(topo, &inst, &free, sat)),
                 pin(topo, &inst, &Group::trivial(&inst.spec), sat),

@@ -14,8 +14,7 @@
 //! next candidate. The benchmark re-cut that drops those metrics deletes it.
 
 use crate::encoding::{
-    quotient_automorphisms, synthesize_on, EncodingOptions, EncodingStats, SynCollInstance,
-    SynthesisRun,
+    quotient_group, synthesize_on, EncodingOptions, EncodingStats, SynCollInstance, SynthesisRun,
 };
 use sccl_collectives::CollectiveSpec;
 use sccl_solver::{Limits, SolverConfig, SolverStats};
@@ -84,8 +83,8 @@ impl IncrementalStats {
 /// decided by a fresh [`synthesize`](crate::encoding::synthesize).
 pub struct IncrementalEncoder {
     topology: Topology,
-    /// The [`quotient_automorphisms`] of the machine, searched once.
-    automorphisms: Vec<Vec<usize>>,
+    /// The [`quotient_group`] of the machine, searched once.
+    group: Vec<Vec<usize>>,
     spec: CollectiveSpec,
     per_node_chunks: usize,
     max_steps: usize,
@@ -114,7 +113,7 @@ impl IncrementalEncoder {
     ) -> Self {
         IncrementalEncoder {
             topology: topology.clone(),
-            automorphisms: quotient_automorphisms(topology, spec.collective),
+            group: quotient_group(topology, spec.collective),
             spec,
             per_node_chunks,
             max_steps,
@@ -163,7 +162,7 @@ impl IncrementalEncoder {
         };
         let run = synthesize_on(
             &self.topology,
-            &self.automorphisms,
+            &self.group,
             &instance,
             &self.options,
             self.solver_config.clone(),

@@ -30,7 +30,7 @@ use crate::bounds::{bandwidth_lower_bound, latency_lower_bound};
 use crate::combining::{compose_allreduce, invert};
 use crate::cost::AlgorithmCost;
 use crate::encoding::{
-    quotient_automorphisms, synthesize_on, EncodingOptions, EncodingStats, SynCollInstance,
+    quotient_group, synthesize_on, EncodingOptions, EncodingStats, SynCollInstance,
     SynthesisOutcome, SynthesisRun,
 };
 use sccl_collectives::{Collective, CollectiveClass};
@@ -689,12 +689,13 @@ pub struct BaseProblem {
     pub topology: Topology,
     /// Non-combining collective to synthesize.
     pub collective: Collective,
-    /// [`quotient_automorphisms`] of `topology` for `collective`, searched
-    /// by the first [`BaseProblem::solve`] for every candidate of the sweep
-    /// to take its quotient under (see "Symmetry" in [`crate::encoding`]).
-    /// A base that never solves — a bound, a sweep of memo hits — never
-    /// searches; a rooted collective's is empty without a search.
-    automorphisms: OnceLock<Vec<Vec<usize>>>,
+    /// The [`quotient_group`] of `topology` for `collective`: the
+    /// machine's free group, searched by the first [`BaseProblem::solve`]
+    /// for every candidate of the sweep to take its quotient under (see
+    /// "Symmetry" in [`crate::encoding`]). A base that never solves — a
+    /// bound, a sweep of memo hits — never searches; a rooted collective's
+    /// is empty without a search.
+    group: OnceLock<Vec<Vec<usize>>>,
 }
 
 /// Reduce a synthesis request to its underlying non-combining search.
@@ -710,14 +711,14 @@ pub fn base_problem(topology: &Topology, collective: Collective) -> BaseProblem 
     BaseProblem {
         topology,
         collective,
-        automorphisms: OnceLock::new(),
+        group: OnceLock::new(),
     }
 }
 
 impl BaseProblem {
     /// Decide one candidate of this base problem under `limits`: one fresh
     /// [`synthesize`](crate::encoding::synthesize) of it, on the quotient
-    /// under the automorphisms the base's first solve found. A pure
+    /// under the free group the base's first solve found. A pure
     /// function of the base, the candidate and `config`'s encoding and
     /// solver options, and the only way a candidate of any sweep is
     /// decided: whoever reports a schedule for a candidate reports this
@@ -729,12 +730,12 @@ impl BaseProblem {
         config: &SynthesisConfig,
         limits: Limits,
     ) -> SynthesisRun {
-        let automorphisms = self
-            .automorphisms
-            .get_or_init(|| quotient_automorphisms(&self.topology, self.collective));
+        let group = self
+            .group
+            .get_or_init(|| quotient_group(&self.topology, self.collective));
         synthesize_on(
             &self.topology,
-            automorphisms,
+            group,
             &job.instance(self.collective, self.topology.num_nodes()),
             &config.encoding,
             config.solver.clone(),

@@ -3,13 +3,13 @@
 //!
 //! A symmetry of a SynColl instance is an automorphism of the machine
 //! together with the chunk permutation it induces, such that `pre` and
-//! `post` are mapped onto themselves. [`Group::free`] grows a group of
-//! them that *acts freely on the nodes*; [`Group`]'s other methods name
-//! the representative — the least image — of a node, a `(chunk, node)`
-//! pair, a `(chunk, src, dst)` triple and a bandwidth constraint, which is
-//! all the encoder needs to know about orbits. [`interchangeable_chunks`]
-//! names the classes of chunks the full formula orders (the
-//! "Chunk order" section of [`crate::encoding`]).
+//! `post` are mapped onto themselves. [`Group::free`] takes the machine's
+//! free group as one; [`Group`]'s other methods name the representative —
+//! the least image — of a node, a `(chunk, node)` pair, a `(chunk, src,
+//! dst)` triple and a bandwidth constraint, which is all the encoder needs
+//! to know about orbits. [`interchangeable_chunks`] names the classes of
+//! chunks the full formula orders (the "Chunk order" section of
+//! [`crate::encoding`]).
 
 use sccl_collectives::CollectiveSpec;
 use sccl_topology::Edge;
@@ -98,29 +98,6 @@ pub(crate) fn interchangeable_chunks(spec: &CollectiveSpec) -> Vec<(usize, Vec<u
         .collect()
 }
 
-/// The node permutations `generators` generate, identity first, or `None`
-/// if one of them other than the identity fixes a node.
-fn generate_free(num_nodes: usize, generators: &[&[usize]]) -> Option<Vec<Vec<usize>>> {
-    let mut elements: Vec<Vec<usize>> = vec![(0..num_nodes).collect()];
-    let mut next = 0;
-    while next < elements.len() {
-        for generator in generators {
-            let product: Vec<usize> = elements[next].iter().map(|&n| generator[n]).collect();
-            if elements.contains(&product) {
-                continue;
-            }
-            // A free action has one element per image of node 0 at most.
-            let free = product.iter().enumerate().all(|(n, &image)| n != image);
-            if !free || elements.len() == num_nodes {
-                return None;
-            }
-            elements.push(product);
-        }
-        next += 1;
-    }
-    Some(elements)
-}
-
 impl Group {
     /// The group of the identity alone: every index is its own orbit, and
     /// the quotient under it is the full formula.
@@ -131,47 +108,21 @@ impl Group {
         }])
     }
 
-    /// Grow, greedily and in the order given, a group out of those
-    /// `automorphisms` of the machine that are symmetries of `spec`,
-    /// keeping the action on the nodes free: a generator joins only if the
-    /// group it then generates has no element but the identity that fixes
-    /// a node. (An element fixing node `n` sends two different sends into
-    /// `n` to one orbit; merged into one literal, C3's at-most-one then
-    /// forbids both and the quotient is refuted for no reason of the
-    /// instance's.)
-    pub(crate) fn free(spec: &CollectiveSpec, automorphisms: &[Vec<usize>]) -> Group {
-        if automorphisms.is_empty() {
-            return Group::trivial(spec);
-        }
+    /// `elements`, a free group of machine automorphisms with the identity
+    /// first ([`sccl_topology::Topology::free_group`]), as symmetries of
+    /// `spec`, or the trivial group if one induces no chunk permutation (as
+    /// every element but the identity does for a rooted spec).
+    pub(crate) fn free(spec: &CollectiveSpec, elements: &[Vec<usize>]) -> Group {
         let signatures = ChunkSignatures::new(spec);
-        let mut generators: Vec<&[usize]> = Vec::new();
-        let mut elements = vec![(0..spec.num_nodes).collect::<Vec<usize>>()];
-        for candidate in automorphisms {
-            // Two elements that agree on node 0 differ by one that fixes it.
-            if elements.iter().any(|e| e[0] == candidate[0])
-                || signatures.induced(candidate).is_none()
-            {
-                continue;
-            }
-            generators.push(candidate);
-            match generate_free(spec.num_nodes, &generators) {
-                Some(larger) => elements = larger,
-                None => {
-                    generators.pop();
-                }
-            }
+        let symmetry = |nodes: &Vec<usize>| {
+            let chunks = signatures.induced(nodes)?;
+            let nodes = nodes.clone();
+            Some(Symmetry { nodes, chunks })
+        };
+        match elements.iter().map(symmetry).collect::<Option<Vec<_>>>() {
+            Some(symmetries) if !symmetries.is_empty() => Group(symmetries),
+            _ => Group::trivial(spec),
         }
-        Group(
-            elements
-                .into_iter()
-                .map(|nodes| Symmetry {
-                    chunks: signatures
-                        .induced(&nodes)
-                        .expect("a product of symmetries is a symmetry"),
-                    nodes,
-                })
-                .collect(),
-        )
     }
 
     /// Number of elements; 1 for the trivial group.
@@ -231,7 +182,7 @@ mod tests {
 
     fn free_order(topology: &Topology, collective: Collective, chunks: usize) -> usize {
         let spec = collective.spec(topology.num_nodes(), chunks);
-        let group = Group::free(&spec, &topology.fixed_point_free_automorphisms());
+        let group = Group::free(&spec, &topology.free_group());
         // Whatever was grown is a group of symmetries acting freely.
         for g in &group.0 {
             assert!(topology.is_automorphism(&g.nodes));
@@ -261,6 +212,21 @@ mod tests {
                 8
             );
             assert_eq!(free_order(&builders::dgx1(), collective, chunks), 4);
+        }
+        // The whole free group of machines up to 64 nodes.
+        for (machine, order) in [
+            ("hypercube:5", 32),
+            ("hypercube:6", 64),
+            ("mesh:8x8", 4),
+            ("ring:32", 32),
+            ("fc:16", 16),
+        ] {
+            let topology = builders::parse_spec(machine).expect("a known machine");
+            assert_eq!(
+                free_order(&topology, Collective::Allgather, 1),
+                order,
+                "{machine}"
+            );
         }
         assert_eq!(
             free_order(&builders::chain(6, 1), Collective::Allgather, 1),
@@ -345,7 +311,7 @@ mod tests {
     fn representatives_are_least_images() {
         let ring = builders::ring(4, 1);
         let spec = Collective::Allgather.spec(4, 1);
-        let group = Group::free(&spec, &ring.fixed_point_free_automorphisms());
+        let group = Group::free(&spec, &ring.free_group());
         assert_eq!(group.order(), 4);
         // One orbit of nodes; chunk c starts on node c, so a pair's orbit
         // is named by the distance between the two.

@@ -42,6 +42,175 @@ fn random_connected_topology() -> impl Strategy<Value = Topology> {
         })
 }
 
+/// Strategy: a random directed topology on 1 to 9 nodes with no backbone,
+/// so some pairs are unreachable, and with zero-budget links, so some
+/// mentioned edges are unusable.
+fn random_directed_topology() -> impl Strategy<Value = Topology> {
+    (
+        1usize..10,
+        prop::collection::vec((0usize..10, 0usize..10, 0u64..3), 0..16),
+    )
+        .prop_map(|(n, links)| {
+            let mut topo = Topology::new(format!("random-{n}"), n);
+            for &(a, b, bw) in &links {
+                if a % n != b % n {
+                    topo.add_link(a % n, b % n, bw);
+                }
+            }
+            topo
+        })
+}
+
+/// Strategy: a random directed circulant on 2 to 7 nodes, `n → n + offset`
+/// for every node and a random set of offsets and budgets, so the rotations
+/// are automorphisms and a free group of at least `P` elements exists;
+/// sometimes one node's egress is also capped, which breaks them.
+fn random_circulant_topology() -> impl Strategy<Value = Topology> {
+    (
+        2usize..8,
+        prop::collection::vec((1usize..7, 1u64..3), 1..4),
+        0usize..3,
+    )
+        .prop_map(|(n, offsets, capped)| {
+            let mut topo = Topology::new(format!("circulant-{n}"), n);
+            for &(offset, bw) in &offsets {
+                if offset % n != 0 {
+                    for a in 0..n {
+                        topo.add_link(a, (a + offset) % n, bw);
+                    }
+                }
+            }
+            if capped == 0 && n > 2 {
+                topo.add_shared_constraint([(0, 1 % n), (0, n - 1)], 1);
+            }
+            topo
+        })
+}
+
+/// Every permutation of `0..p`, in lexicographic order.
+fn permutations(p: usize) -> Vec<Vec<usize>> {
+    if p == 0 {
+        return vec![Vec::new()];
+    }
+    let mut all = Vec::new();
+    for first in 0..p {
+        for rest in permutations(p - 1) {
+            let mut perm = vec![first];
+            perm.extend(rest.into_iter().map(|n| n + usize::from(n >= first)));
+            all.push(perm);
+        }
+    }
+    all
+}
+
+/// The group `generators` generate, in breadth-first order from the
+/// identity, or `None` once it has an element other than the identity
+/// that fixes a node (it then does not act freely).
+fn free_closure(p: usize, generators: &[Vec<usize>]) -> Option<Vec<Vec<usize>>> {
+    let mut elements: Vec<Vec<usize>> = vec![(0..p).collect()];
+    let mut next = 0;
+    while next < elements.len() {
+        for g in generators {
+            let product: Vec<usize> = elements[next].iter().map(|&n| g[n]).collect();
+            if !elements.contains(&product) {
+                if product.iter().enumerate().any(|(n, &m)| n == m) {
+                    return None;
+                }
+                elements.push(product);
+            }
+        }
+        next += 1;
+    }
+    Some(elements)
+}
+
+/// The reference [`Topology::free_group`] must equal: the greedy pass over
+/// all `P!` permutations in lexicographic order, where one that
+/// `is_automorphism` accepts joins if the group does not reach its image of
+/// node 0 yet and stays free with it.
+fn brute_force_free_group(topology: &Topology) -> Vec<Vec<usize>> {
+    let p = topology.num_nodes();
+    let mut generators: Vec<Vec<usize>> = Vec::new();
+    let mut group = vec![(0..p).collect::<Vec<usize>>()];
+    for perm in permutations(p) {
+        if group.iter().any(|h| h[0] == perm[0]) || !topology.is_automorphism(&perm) {
+            continue;
+        }
+        generators.push(perm);
+        match free_closure(p, &generators) {
+            Some(larger) => group = larger,
+            None => drop(generators.pop()),
+        }
+    }
+    group
+}
+
+/// [`Topology::free_group`] equals the brute-force reference, element for
+/// element, and is a group of automorphisms in which only the identity
+/// fixes a node.
+fn assert_free_group_is_the_reference(topology: &Topology) {
+    let group = topology.free_group();
+    assert_eq!(
+        group,
+        brute_force_free_group(topology),
+        "{}",
+        topology.name()
+    );
+    for g in &group {
+        assert!(topology.is_automorphism(g));
+        let fixes_a_node = g.iter().enumerate().any(|(n, &m)| n == m);
+        assert_eq!(fixes_a_node, *g == group[0], "only the identity");
+        for h in &group {
+            let product: Vec<usize> = g.iter().map(|&n| h[n]).collect();
+            assert!(group.contains(&product), "closed");
+        }
+    }
+}
+
+#[test]
+fn free_groups_of_small_named_machines_are_the_brute_force_ones() {
+    let named = [
+        "ring:4",
+        "ring:5",
+        "ring:6",
+        "ring:7",
+        "uniring:6",
+        "chain:5",
+        "chain:6",
+        "star:5",
+        "fc:3",
+        "fc:4",
+        "fc:5",
+        "fc:6",
+        "hypercube:2",
+        "mesh:2x3",
+        "dgx1",
+        "amd",
+    ];
+    for spec in named {
+        assert_free_group_is_the_reference(&builders::parse_spec(spec).expect("a machine"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// On random machines of up to 7 nodes, the search returns the group
+    /// the brute-force greedy pass does, element for element.
+    #[test]
+    fn free_group_is_the_brute_force_greedy_group(
+        connected in random_connected_topology(),
+        directed in random_directed_topology(),
+        circulant in random_circulant_topology(),
+    ) {
+        assert_free_group_is_the_reference(&connected);
+        assert_free_group_is_the_reference(&circulant);
+        if directed.num_nodes() <= 7 {
+            assert_free_group_is_the_reference(&directed);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -97,16 +266,8 @@ proptest! {
     /// directed topologies: no backbone, so some pairs are unreachable, and
     /// zero-budget constraints make some mentioned edges unusable.
     #[test]
-    fn all_pairs_distances_equal_per_source_bfs(
-        n in 1usize..10,
-        links in prop::collection::vec((0usize..10, 0usize..10, 0u64..3), 0..16),
-    ) {
-        let mut topo = Topology::new(format!("random-{n}"), n);
-        for &(a, b, bw) in &links {
-            if a % n != b % n {
-                topo.add_link(a % n, b % n, bw);
-            }
-        }
+    fn all_pairs_distances_equal_per_source_bfs(topo in random_directed_topology()) {
+        let n = topo.num_nodes();
         let all = topo.distances();
         prop_assert_eq!(all.len(), n);
         for (src, row) in all.iter().enumerate() {
