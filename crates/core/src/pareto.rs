@@ -38,7 +38,7 @@ use sccl_solver::{Limits, SolverConfig};
 use sccl_topology::{Rational, Topology};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Parameters of the Pareto search.
 #[derive(Clone, Debug)]
@@ -691,10 +691,11 @@ pub struct BaseProblem {
     pub collective: Collective,
     /// The [`quotient_group`] of `topology` for `collective`: the
     /// machine's free group, searched by the first [`BaseProblem::solve`]
-    /// for every candidate of the sweep to take its quotient under (see
-    /// "Symmetry" in [`crate::encoding`]). A base that never solves — a
-    /// bound, a sweep of memo hits — never searches; a rooted collective's
-    /// is empty without a search.
+    /// (and charged to that candidate's encode time) for every candidate of
+    /// the sweep to take its quotient under (see "Symmetry" in
+    /// [`crate::encoding`]). A base that never solves — a bound, a sweep of
+    /// memo hits — never searches; a rooted collective's is empty without a
+    /// search.
     group: OnceLock<Vec<Vec<usize>>>,
 }
 
@@ -730,17 +731,23 @@ impl BaseProblem {
         config: &SynthesisConfig,
         limits: Limits,
     ) -> SynthesisRun {
-        let group = self
-            .group
-            .get_or_init(|| quotient_group(&self.topology, self.collective));
-        synthesize_on(
+        let mut searched = Duration::ZERO;
+        let group = self.group.get_or_init(|| {
+            let start = Instant::now();
+            let group = quotient_group(&self.topology, self.collective);
+            searched = start.elapsed();
+            group
+        });
+        let mut run = synthesize_on(
             &self.topology,
             group,
             &job.instance(self.collective, self.topology.num_nodes()),
             &config.encoding,
             config.solver.clone(),
             limits,
-        )
+        );
+        run.encode_time += searched;
+        run
     }
 }
 
