@@ -12,13 +12,14 @@
 # pairs of `ledger run --seed $SEED --seconds <BENCHMARK.json's
 # run_seconds>` (seed default 1) run through the benchmark's own entry
 # point (crates/bench/src/bin/ledger/run.sh), alternating which side runs
-# first.
+# first, then one `--trace` run of each side for the per-layer metrics.
 #
 # OUT.json holds, per workload and end-to-end metric, the median and the
-# interquartile range of each side's runs and their change/parent ratio,
-# plus `nproc`, the load average before the first run, both commit ids
-# and the pair order. The values are context on a shared machine, not a
-# gate: the ratio of the two columns is the trajectory.
+# interquartile range of each side's runs and their change/parent ratio;
+# per workload and per-layer metric (`layers`), each side's traced value
+# and their ratio; plus `nproc`, the load average before the first run,
+# both commit ids and the pair order. The values are context on a shared
+# machine, not a gate: the ratio of the two columns is the trajectory.
 set -euo pipefail
 
 out="${1:?usage: scripts/bench_pair.sh OUT.json [PARENT [CHANGE]]}"
@@ -54,17 +55,21 @@ for side in parent change; do
             --manifest-path crates/bench/src/bin/ledger/Cargo.toml >&2)
 done
 
-# One run: the last line the ledger prints is its JSON summary.
+# One run: the last line the ledger prints is its JSON summary. Extra
+# arguments (`--trace`) go to the ledger.
 run() {
     local side="$1" workload="$2"
+    shift 2
     (cd "$dir/$side" && CARGO_TARGET_DIR="$dir/$side/target" \
         bash crates/bench/src/bin/ledger/run.sh \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" 2>>"$dir/$side.log" |
+        --workload "$workload" --seed "$seed" --seconds "$seconds" "$@" 2>>"$dir/$side.log" |
         tail -n 1)
 }
 
 runs="$dir/runs.ndjson"
+traces="$dir/traces.ndjson"
 : >"$runs"
+: >"$traces"
 loadavg="$(cut -d' ' -f1-3 /proc/loadavg)"
 order=()
 for workload in $workloads; do
@@ -78,6 +83,12 @@ for workload in $workloads; do
                 '{workload: $w, side: $s, summary: .}' <<<"$summary" >>"$runs"
         done
     done
+    for side in parent change; do
+        echo "$workload traced: $side" >&2
+        summary="$(run "$side" "$workload" --trace)"
+        jq -c --arg w "$workload" --arg s "$side" \
+            '{workload: $w, side: $s, summary: .}' <<<"$summary" >>"$traces"
+    done
 done
 
 # Median and IQR (linear-interpolated quartiles) of each side, per metric.
@@ -85,7 +96,8 @@ jq -s \
     --arg parent "$parent" --arg change "$change" --argjson worktree "$worktree" \
     --argjson nproc "$(nproc)" --arg loadavg "$loadavg" \
     --argjson pairs "$pairs" --arg seconds "$seconds" --arg seed "$seed" \
-    --argjson order "$(printf '%s\n' "${order[@]}" | jq -R . | jq -s .)" '
+    --argjson order "$(printf '%s\n' "${order[@]}" | jq -R . | jq -s .)" \
+    --slurpfile traces "$traces" '
     def q($p): sort as $v | (($v | length - 1) * $p) as $x | ($x | floor) as $lo
         | $v[$lo] + ($v[[$lo + 1, ($v | length - 1)] | min] - $v[$lo]) * ($x - $lo);
     def side($rs; $s; $m): [$rs[] | select(.side == $s) | .summary.metrics[$m].value]
@@ -95,6 +107,14 @@ jq -s \
         parent: side($rs; "parent"; $m),
         change: side($rs; "change"; $m)
     } | .ratio = (if .parent.median == 0 then null else .change.median / .parent.median end);
+    def traced($w; $s): first($traces[] | select(.workload == $w and .side == $s)).summary.metrics;
+    def layers($w): traced($w; "parent") as $p | traced($w; "change") as $c
+        | $p | keys_unsorted | map({key: ., value: {
+            unit: $p[.].unit,
+            parent: $p[.].value,
+            change: $c[.].value,
+            ratio: (if $p[.].value == 0 then null else $c[.].value / $p[.].value end)
+        }}) | from_entries;
     {
         parent_commit: $parent,
         change_commit: $change,
@@ -110,7 +130,8 @@ jq -s \
                 correct: all($rs[]; .summary.correct),
                 failed: ([$rs[].summary.failed] | add),
                 metrics: ($rs[0].summary.metrics | keys_unsorted
-                    | map({key: ., value: metric($rs; .)}) | from_entries)
+                    | map({key: ., value: metric($rs; .)}) | from_entries),
+                layers: layers($rs[0].workload)
             }
         }) | from_entries)
     }' "$runs" >"$out"
