@@ -145,9 +145,8 @@ use std::time::{Duration, Instant};
 /// 7 — the full formula orders interchangeable chunks by their arrival
 /// (see "Chunk order" in the module docs): the same verdicts, schedules
 /// with their chunks relabelled.
-/// 8 — the quotient is taken under the machine's whole free group, found
-/// by one search (`Topology::free_group`): larger or different groups on
-/// hypercube:5/6, fc:6 and up, mesh:8x8 and larger rings of rings.
+/// 8 — the quotient is under the whole free group one search finds
+/// (`Topology::free_group`): a larger or another group on some machines.
 pub const ENCODER_VERSION: u32 = 8;
 
 /// One synthesis query: find a `(S, R)` k-synchronous schedule implementing

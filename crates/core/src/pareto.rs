@@ -689,13 +689,12 @@ pub struct BaseProblem {
     pub topology: Topology,
     /// Non-combining collective to synthesize.
     pub collective: Collective,
-    /// The [`quotient_group`] of `topology` for `collective`: the
-    /// machine's free group, searched by the first [`BaseProblem::solve`]
-    /// (and charged to that candidate's encode time) for every candidate of
-    /// the sweep to take its quotient under (see "Symmetry" in
-    /// [`crate::encoding`]). A base that never solves — a bound, a sweep of
-    /// memo hits — never searches; a rooted collective's is empty without a
-    /// search.
+    /// The [`quotient_group`] of `topology` for `collective`, searched by
+    /// the first [`BaseProblem::solve`] (and charged to its encode time)
+    /// for every candidate of the sweep to take its quotient under (see
+    /// "Symmetry" in [`crate::encoding`]). A base that never solves — a
+    /// bound, a sweep of memo hits — never searches; a rooted collective's
+    /// is empty without a search.
     group: OnceLock<Vec<Vec<usize>>>,
 }
 
