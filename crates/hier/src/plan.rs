@@ -28,7 +28,7 @@ use crate::verify::{verify_composition, CompositionError};
 use sccl_collectives::Collective;
 use sccl_core::failpoint;
 use sccl_core::pareto::{SynthesisConfig, TerminationReason};
-use sccl_core::{Algorithm, AlgorithmCost, CostModel, Send};
+use sccl_core::{Algorithm, AlgorithmCost, Send};
 use sccl_sched::{Engine, Error as EngineError, SolveMode, SynthesisRequest};
 use sccl_topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -285,12 +285,6 @@ impl HierarchicalAlgorithm {
     /// summed across stages.
     pub fn cost(&self) -> AlgorithmCost {
         self.composed.cost()
-    }
-
-    /// Predicted wall-clock time under an (α, β) model: the sum of the
-    /// stage costs by construction (steps and rounds add across stages).
-    pub fn predicted_time(&self, model: &CostModel, input_bytes: u64) -> f64 {
-        self.cost().predicted_time(model, input_bytes)
     }
 }
 

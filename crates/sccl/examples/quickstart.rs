@@ -1,7 +1,7 @@
 //! Quickstart: build an [`Engine`], synthesize the Pareto frontier of
-//! Allgather algorithms for a small ring through one request, chain the
-//! response into lowering and code generation, and run the program on
-//! threads with real data.
+//! Allgather algorithms for a small ring through one request, lower a
+//! frontier entry and generate code for it, and run the program on threads
+//! with real data.
 //!
 //! ```bash
 //! cargo run --release --example quickstart
@@ -48,35 +48,37 @@ fn main() {
         println!("{}", entry.algorithm);
     }
 
-    // 3. The fluent follow-on stage: lower the first (fewest-steps) entry —
-    //    here the latency-optimal point, since the uncapped ring frontier
-    //    reaches the latency bound — print generated code, predict times.
-    let lowered = response
-        .lower(LoweringOptions::default())
-        .expect("nonempty frontier");
-    println!("{}", lowered.program);
+    // 3. Lower the first (fewest-steps) entry — here the latency-optimal
+    //    point, since the uncapped ring frontier reaches the latency bound —
+    //    print generated code, and predict times under the NVLink (α, β)
+    //    cost model.
+    let algorithm = &report.entries.first().expect("nonempty frontier").algorithm;
+    let options = LoweringOptions::default();
+    let program = lower(algorithm, options);
+    println!("{program}");
     println!("--- generated code (excerpt) ---");
-    let code = lowered.cuda();
+    let code = generate_cuda(&program);
     for line in code.lines().take(25) {
         println!("{line}");
     }
     println!("... ({} lines total)", code.lines().count());
+    let predict =
+        |bytes| simulate_time(algorithm, &topology, bytes, &CostModel::nvlink(), &options);
     println!(
         "predicted: {:.2} µs at 1 KiB, {:.2} µs at 256 MiB",
-        lowered.simulate(1 << 10),
-        lowered.simulate(1 << 28)
+        predict(1 << 10),
+        predict(1 << 28)
     );
 
     // 4. Execute it on one thread per rank and check the result against a
     //    sequential oracle.
-    let algorithm = &lowered.algorithm;
     let exec_config = ExecutionConfig {
         chunk_elems: 32,
         mode: ExecutionMode::Fused,
     };
     let inputs = oracle::allgather_inputs(4, algorithm.num_chunks, exec_config.chunk_elems, 42);
     let valid = oracle::scattered_valid(4, algorithm.num_chunks);
-    let result = sccl_runtime::execute(&lowered.program, &inputs, &valid, exec_config);
+    let result = execute(&program, &inputs, &valid, exec_config);
     let expected =
         oracle::allgather_expected(&inputs, 4, algorithm.num_chunks, exec_config.chunk_elems);
     assert_eq!(result.buffers, expected);

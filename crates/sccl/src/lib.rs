@@ -7,10 +7,11 @@
 //! infrastructure around it.
 //!
 //! The front door is [`Engine`]: a long-lived handle that owns the
-//! persistent algorithm cache, the memo of decided candidates and the cost
-//! model, and serves typed [`SynthesisRequest`] → [`SynthesisResponse`]
-//! calls. Single-shot, batch and library requests share one request path;
-//! the response chains into lowering, code generation and simulation.
+//! persistent algorithm cache and the memo of decided candidates, and
+//! serves typed [`SynthesisRequest`] → [`SynthesisResponse`] calls.
+//! Single-shot and batch requests share one request path. The response's
+//! frontier entries are plain algorithms: lowering ([`program`]),
+//! simulation and size-based selection ([`runtime`]) take them directly.
 //!
 //! This facade crate re-exports the workspace's public API:
 //!
@@ -39,7 +40,7 @@
 //! let engine = Engine::builder().build().expect("engine");
 //!
 //! // Synthesize the Pareto frontier of Allgather algorithms for a 4-node
-//! // ring, lower the latency-optimal one, and emit CUDA-flavoured code.
+//! // ring, lower the fewest-steps entry, and emit CUDA-flavoured code.
 //! let ring = sccl::topology::builders::ring(4, 1);
 //! let config = SynthesisConfig { max_steps: 6, max_chunks: 4, ..Default::default() };
 //! let response = engine
@@ -47,9 +48,11 @@
 //!     .expect("synthesis succeeds");
 //! assert!(!response.from_cache());
 //!
-//! let lowered = response.lower(LoweringOptions::default()).expect("nonempty frontier");
-//! assert!(lowered.cuda().contains("__global__"));
-//! assert!(lowered.simulate(1 << 20) > 0.0);
+//! let algorithm = &response.report.entries[0].algorithm;
+//! let options = LoweringOptions::default();
+//! let program = lower(algorithm, options);
+//! assert!(generate_cuda(&program).contains("__global__"));
+//! assert!(simulate_time(algorithm, &ring, 1 << 20, &CostModel::nvlink(), &options) > 0.0);
 //! ```
 
 pub use sccl_baselines as baselines;
@@ -68,8 +71,8 @@ pub use sccl_hier::{
     GroupSpec, HierEngineExt, HierError, HierRequest, HierResponse, HierarchicalAlgorithm,
 };
 pub use sccl_sched::{
-    Engine, EngineBuilder, Error, LibraryRequest, LibraryResponse, LoweredAlgorithm, Provenance,
-    ResponseTimings, SolveMode, SynthesisRequest, SynthesisResponse,
+    Engine, EngineBuilder, Error, Provenance, ResponseTimings, SolveMode, SynthesisRequest,
+    SynthesisResponse,
 };
 pub use sccl_serve::{Daemon, ServeClient, ServeConfig, Server};
 
@@ -82,7 +85,7 @@ pub mod prelude {
     pub use sccl_program::{generate_cuda, lower, LoweringOptions};
     pub use sccl_runtime::{execute, simulate_time, ExecutionConfig, ExecutionMode};
     pub use sccl_sched::{
-        Engine, Error, LibraryRequest, Provenance, SolveMode, SynthesisRequest, SynthesisResponse,
+        Engine, Error, Provenance, SolveMode, SynthesisRequest, SynthesisResponse,
     };
     pub use sccl_topology::{builders, Rational, Topology};
 }

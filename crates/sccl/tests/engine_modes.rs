@@ -79,74 +79,6 @@ fn four_modes_one_request_path_identical_reports() {
 }
 
 #[test]
-fn response_chains_into_lowering_codegen_and_simulation() {
-    let engine = Engine::builder().build().expect("engine");
-    let ring = builders::ring(4, 1);
-    let response = engine
-        .synthesize(SynthesisRequest::new(&ring, Collective::Allgather).with_config(quick_config()))
-        .expect("synthesis");
-
-    // The fluent chain: response → lowered program → code / predicted time.
-    let lowered = response
-        .lower(LoweringOptions::default())
-        .expect("nonempty frontier");
-    assert_eq!(lowered.algorithm.collective, Collective::Allgather);
-    let cuda = lowered.cuda();
-    assert!(cuda.contains("__global__"), "no kernel in generated code");
-    // Predicted times grow with input size under the (α, β) model.
-    let small = lowered.simulate(1 << 10);
-    let large = lowered.simulate(1 << 28);
-    assert!(small > 0.0 && large > small);
-
-    // Entry selection: the last entry is the bandwidth end of the frontier.
-    let last = response.report.entries.len() - 1;
-    let bandwidth_end = response
-        .lower_entry(last, LoweringOptions::default())
-        .expect("last entry");
-    assert!(bandwidth_end.algorithm.num_steps() >= lowered.algorithm.num_steps());
-}
-
-#[test]
-fn engine_library_serves_size_switching_selection() {
-    let dir = tmp_dir("library");
-    let ring = builders::ring(4, 1);
-    let engine = Engine::builder()
-        .cache_dir(&dir)
-        .cost_model(CostModel::nvlink())
-        .synthesis_defaults(quick_config())
-        .build()
-        .expect("engine");
-
-    let warm = engine
-        .library(LibraryRequest::new(&ring, &[Collective::Allgather]))
-        .expect("library");
-    assert_eq!(warm.synthesized, 1);
-    let small = warm
-        .library
-        .select(Collective::Allgather, 1 << 10)
-        .expect("small");
-    let large = warm
-        .library
-        .select(Collective::Allgather, 1 << 30)
-        .expect("large");
-    assert!(small.algorithm.num_steps() <= large.algorithm.num_steps());
-
-    // A second engine hydrates the same library purely from the cache.
-    let cold = Engine::builder()
-        .cache_dir(&dir)
-        .synthesis_defaults(quick_config())
-        .build()
-        .expect("rehydrating engine");
-    let hydrated = cold
-        .library(LibraryRequest::new(&ring, &[Collective::Allgather]).cache_only())
-        .expect("hydrate");
-    assert!(hydrated.misses.is_empty());
-    assert_eq!(hydrated.synthesized, 0);
-    assert_eq!(hydrated.library.len(), warm.library.len());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn unified_error_covers_synthesis_and_manifest_failures() {
     let engine = Engine::builder().build().expect("engine");
 

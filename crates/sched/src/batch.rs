@@ -1,5 +1,5 @@
 //! The batch front-end: parse a manifest of `topology × collective` jobs
-//! (text or JSON), render manifests back out, and summarize throughput.
+//! (text or JSON) and summarize throughput.
 //! Batch execution itself runs through [`crate::Engine::run_batch`].
 //!
 //! Text manifest format — one job per line:
@@ -28,7 +28,7 @@
 use sccl_collectives::Collective;
 use sccl_core::pareto::{SynthesisError, SynthesisReport};
 use sccl_topology::{builders, Topology};
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Deserialize, Deserializer};
 use std::time::Duration;
 
 /// Accepted and ignored: every cache miss is solved one candidate at a
@@ -117,22 +117,6 @@ struct JsonJob {
     topology: String,
     collective: String,
     root: Option<usize>,
-}
-
-impl Serialize for JsonJob {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut fields = vec![
-            ("topology".to_string(), serde::to_content(&self.topology)),
-            (
-                "collective".to_string(),
-                serde::to_content(&self.collective),
-            ),
-        ];
-        if let Some(root) = self.root {
-            fields.push(("root".to_string(), serde::to_content(&root)));
-        }
-        serializer.serialize_content(serde::Content::Map(fields))
-    }
 }
 
 impl<'de> Deserialize<'de> for JsonJob {
@@ -234,36 +218,6 @@ fn parse_text_manifest(text: &str) -> Result<Vec<BatchJob>, ManifestError> {
         jobs.push(build_job(topo_spec, coll_spec, root, line)?);
     }
     Ok(jobs)
-}
-
-/// Render jobs back into the line-oriented text manifest format;
-/// `parse_manifest(&render_manifest(&jobs))` reproduces the jobs.
-pub fn render_manifest(jobs: &[BatchJob]) -> String {
-    let mut out = String::new();
-    for job in jobs {
-        out.push_str(&job.topology_spec);
-        out.push(' ');
-        out.push_str(job.collective.spec_name());
-        if let Some(root) = job.collective.root() {
-            out.push_str(&format!(" root={root}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render jobs into the JSON manifest format (also accepted by
-/// [`parse_manifest`]).
-pub fn render_manifest_json(jobs: &[BatchJob]) -> String {
-    let entries: Vec<JsonJob> = jobs
-        .iter()
-        .map(|job| JsonJob {
-            topology: job.topology_spec.clone(),
-            collective: job.collective.spec_name().to_string(),
-            root: job.collective.root(),
-        })
-        .collect();
-    serde_json::to_string_pretty(&entries).expect("manifest entries serialize")
 }
 
 /// Outcome of one job.

@@ -1,10 +1,9 @@
-//! The serving engine: one request/response API over synthesis, caching,
-//! scheduling and lowering.
+//! The serving engine: one request/response API over synthesis and
+//! caching.
 //!
 //! [`Engine`] is a long-lived handle that owns the persistent
-//! [`AlgorithmCache`], the [`Memo`] of decided candidates and the cost
-//! model. Single-shot requests, batch manifests, library hydration and
-//! cached serving are one code path:
+//! [`AlgorithmCache`] and the [`Memo`] of decided candidates. Single-shot
+//! requests, batch manifests and cached serving are one code path:
 //!
 //! 1. build the canonical [`CacheKey`] for the request,
 //! 2. look it up in the cache (if one is attached),
@@ -24,17 +23,17 @@
 //! With a [journal](EngineBuilder::journal_dir) attached the sweep also
 //! checkpoints and resumes.
 //!
-//! The response offers a fluent follow-on stage: [`SynthesisResponse::lower`]
-//! turns a frontier entry into a [`LoweredAlgorithm`] that can emit
-//! CUDA-flavoured code ([`LoweredAlgorithm::cuda`]) or predict execution
-//! time under the engine's (α, β) cost model
-//! ([`LoweredAlgorithm::simulate`]).
+//! The engine stops at the report. Lowering, code generation and
+//! simulation are the next stages, called on a frontier entry's
+//! algorithm directly:
 //!
 //! ```
 //! use sccl_sched::{Engine, SynthesisRequest};
 //! use sccl_core::pareto::SynthesisConfig;
+//! use sccl_core::CostModel;
 //! use sccl_collectives::Collective;
-//! use sccl_program::LoweringOptions;
+//! use sccl_program::{generate_cuda, lower, LoweringOptions};
+//! use sccl_runtime::simulate_time;
 //! use sccl_topology::builders;
 //!
 //! let engine = Engine::builder().build().expect("engine");
@@ -43,9 +42,11 @@
 //! let response = engine
 //!     .synthesize(SynthesisRequest::new(&ring, Collective::Allgather).with_config(config))
 //!     .expect("synthesis succeeds");
-//! let lowered = response.lower(LoweringOptions::default()).expect("nonempty frontier");
-//! assert!(lowered.cuda().contains("__global__"));
-//! assert!(lowered.simulate(1 << 20) > 0.0);
+//! let algorithm = &response.report.entries[0].algorithm;
+//! let options = LoweringOptions::default();
+//! let program = lower(algorithm, options);
+//! assert!(generate_cuda(&program).contains("__global__"));
+//! assert!(simulate_time(algorithm, &ring, 1 << 20, &CostModel::nvlink(), &options) > 0.0);
 //! ```
 
 use crate::batch::{BatchJob, BatchReport, BatchResult, ManifestError, SolveMode};
@@ -55,9 +56,6 @@ use crate::memo::Memo;
 use sccl_collectives::Collective;
 use sccl_core::incremental::IncrementalStats;
 use sccl_core::pareto::{base_problem, sweep, SynthesisConfig, SynthesisError, SynthesisReport};
-use sccl_core::{Algorithm, CostModel};
-use sccl_program::{generate_cuda, lower, LoweringOptions, Program};
-use sccl_runtime::{simulate_time, CollectiveLibrary};
 use sccl_topology::Topology;
 use std::io;
 use std::path::PathBuf;
@@ -95,20 +93,6 @@ pub enum Error {
         /// Why the value was rejected.
         message: String,
     },
-    /// A follow-on stage asked for a frontier entry that does not exist
-    /// (the frontier is empty, or the index is out of range).
-    NoSuchEntry {
-        /// The entry index that was requested.
-        index: usize,
-        /// How many entries the frontier actually has.
-        len: usize,
-        /// The collective that was requested.
-        collective: Collective,
-        /// The topology it was requested on.
-        topology: String,
-    },
-    /// A lowered program failed its send/receive matching check.
-    Program(String),
 }
 
 impl std::fmt::Display for Error {
@@ -119,23 +103,6 @@ impl std::fmt::Display for Error {
             Error::Cache(e) => write!(f, "cache: {e}"),
             Error::Flag { flag, message } => write!(f, "flag --{flag}: {message}"),
             Error::Config { field, message } => write!(f, "config {field}: {message}"),
-            Error::NoSuchEntry {
-                index,
-                len,
-                collective,
-                topology,
-            } => {
-                if *len == 0 {
-                    write!(f, "the frontier of {collective} on {topology} is empty")
-                } else {
-                    write!(
-                        f,
-                        "the frontier of {collective} on {topology} has {len} entries, \
-                         no entry {index}"
-                    )
-                }
-            }
-            Error::Program(e) => write!(f, "lowered program is inconsistent: {e}"),
         }
     }
 }
@@ -275,11 +242,6 @@ pub struct SynthesisResponse {
     /// is the partial frontier found before the cut — graceful degradation
     /// rather than an error. Degraded reports are never persisted.
     pub degraded: bool,
-    /// The topology the request was posed on (kept for the fluent
-    /// lowering/simulation stage).
-    topology: Topology,
-    /// The engine's cost model at response time.
-    cost_model: CostModel,
     /// The cache's resident entry holding `report`, if the report is
     /// resident (see [`SynthesisResponse::resident`]).
     resident: Option<Arc<CachedReport>>,
@@ -301,139 +263,6 @@ impl SynthesisResponse {
     pub fn resident(&self) -> Option<&Arc<CachedReport>> {
         self.resident.as_ref()
     }
-
-    /// Lower the first frontier entry — the one with the fewest steps.
-    /// Whenever the frontier reaches the latency lower bound that entry is
-    /// the latency-optimal point; on a capped or budget-truncated search it
-    /// is merely the best found (check
-    /// [`SynthesisReport::latency_optimal`](sccl_core::pareto::SynthesisReport::latency_optimal)
-    /// when the distinction matters).
-    pub fn lower(&self, options: LoweringOptions) -> Result<LoweredAlgorithm, Error> {
-        self.lower_entry(0, options)
-    }
-
-    /// Lower the frontier entry at `index` (entries are in increasing step
-    /// order: index 0 has the fewest steps, the last is the cheapest in
-    /// bandwidth).
-    pub fn lower_entry(
-        &self,
-        index: usize,
-        options: LoweringOptions,
-    ) -> Result<LoweredAlgorithm, Error> {
-        let entry = self
-            .report
-            .entries
-            .get(index)
-            .ok_or_else(|| Error::NoSuchEntry {
-                index,
-                len: self.report.entries.len(),
-                collective: self.report.collective,
-                topology: self.report.topology_name.clone(),
-            })?;
-        let program = lower(&entry.algorithm, options);
-        program.check_matching().map_err(Error::Program)?;
-        Ok(LoweredAlgorithm {
-            algorithm: entry.algorithm.clone(),
-            program,
-            options,
-            topology: self.topology.clone(),
-            cost_model: self.cost_model,
-        })
-    }
-}
-
-/// A frontier entry lowered to a rank program, ready for code generation or
-/// simulation — the follow-on stage of the request/response chain.
-#[derive(Clone, Debug)]
-pub struct LoweredAlgorithm {
-    /// The synthesized algorithm that was lowered.
-    pub algorithm: Algorithm,
-    /// Its SPMD rank program.
-    pub program: Program,
-    /// The lowering options that produced the program.
-    pub options: LoweringOptions,
-    topology: Topology,
-    cost_model: CostModel,
-}
-
-impl LoweredAlgorithm {
-    /// Generate CUDA-flavoured code for the program.
-    pub fn cuda(&self) -> String {
-        generate_cuda(&self.program)
-    }
-
-    /// Predicted execution time (µs) for an input of `input_bytes` bytes
-    /// under the engine's (α, β) cost model.
-    pub fn simulate(&self, input_bytes: u64) -> f64 {
-        simulate_time(
-            &self.algorithm,
-            &self.topology,
-            input_bytes,
-            &self.cost_model,
-            &self.options,
-        )
-    }
-}
-
-/// A request for a hydrated, size-switching [`CollectiveLibrary`].
-#[derive(Clone, Debug)]
-pub struct LibraryRequest {
-    /// The machine the library targets.
-    pub topology: Topology,
-    /// The collectives it should serve.
-    pub collectives: Vec<Collective>,
-    /// Search configuration; `None` uses the engine's defaults.
-    pub config: Option<SynthesisConfig>,
-    /// Lowering options registered with every frontier entry; `None` uses
-    /// the engine's defaults.
-    pub lowering: Option<LoweringOptions>,
-    /// `true` (default): synthesize whatever the cache is missing and
-    /// persist it. `false`: hydrate from the cache only, reporting misses.
-    pub solve_misses: bool,
-}
-
-impl LibraryRequest {
-    /// A warm-library request (misses are synthesized and persisted).
-    pub fn new(topology: &Topology, collectives: &[Collective]) -> Self {
-        LibraryRequest {
-            topology: topology.clone(),
-            collectives: collectives.to_vec(),
-            config: None,
-            lowering: None,
-            solve_misses: true,
-        }
-    }
-
-    /// Override the search configuration.
-    pub fn with_config(mut self, config: SynthesisConfig) -> Self {
-        self.config = Some(config);
-        self
-    }
-
-    /// Override the lowering options.
-    pub fn with_lowering(mut self, lowering: LoweringOptions) -> Self {
-        self.lowering = Some(lowering);
-        self
-    }
-
-    /// Hydrate from the cache only; collectives without an entry are
-    /// reported as misses instead of synthesized.
-    pub fn cache_only(mut self) -> Self {
-        self.solve_misses = false;
-        self
-    }
-}
-
-/// The engine's answer to a [`LibraryRequest`].
-#[derive(Debug)]
-pub struct LibraryResponse {
-    /// The hydrated library.
-    pub library: CollectiveLibrary,
-    /// How many collectives had to be synthesized (cache misses that were
-    /// solved).
-    pub synthesized: usize,
-    /// Collectives left unserved (only non-empty for cache-only requests).
-    pub misses: Vec<Collective>,
 }
 
 // ---------------------------------------------------------------------
@@ -447,9 +276,7 @@ pub struct EngineBuilder {
     cache_capacity: Option<usize>,
     journal_dir: Option<PathBuf>,
     memo_capacity: usize,
-    cost_model: CostModel,
     config: SynthesisConfig,
-    lowering: LoweringOptions,
 }
 
 impl Default for EngineBuilder {
@@ -459,9 +286,7 @@ impl Default for EngineBuilder {
             cache_capacity: None,
             journal_dir: None,
             memo_capacity: Engine::DEFAULT_MEMO_CAPACITY,
-            cost_model: CostModel::nvlink(),
             config: SynthesisConfig::default(),
-            lowering: LoweringOptions::default(),
         }
     }
 }
@@ -532,23 +357,9 @@ impl EngineBuilder {
         self
     }
 
-    /// The (α, β) cost model used for library selection and simulation.
-    pub fn cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
     /// Default search configuration for requests that don't carry one.
     pub fn synthesis_defaults(mut self, config: SynthesisConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Default lowering options for library hydration (requests without an
-    /// explicit [`LibraryRequest::lowering`]). The fluent
-    /// [`SynthesisResponse::lower`] stage takes its options per call.
-    pub fn lowering(mut self, lowering: LoweringOptions) -> Self {
-        self.lowering = lowering;
         self
     }
 
@@ -586,9 +397,7 @@ impl EngineBuilder {
             cache,
             cache_capacity: self.cache_capacity,
             journal,
-            cost_model: self.cost_model,
             defaults: self.config,
-            lowering: self.lowering,
             memo: Memo::new(self.memo_capacity),
         })
     }
@@ -598,18 +407,9 @@ impl EngineBuilder {
 // The engine
 // ---------------------------------------------------------------------
 
-/// How the unified request path treats a cache miss.
-#[derive(Clone, Copy, Debug)]
-enum MissPolicy {
-    /// Solve the problem (the normal serving path).
-    Solve,
-    /// Report the miss without solving (cache-only hydration).
-    Skip,
-}
-
-/// A long-lived synthesis-serving handle: owns the persistent cache, the
-/// memo of decided candidates and the cost model, and serves single-shot,
-/// batch and library requests through one path.
+/// A long-lived synthesis-serving handle: owns the persistent cache and the
+/// memo of decided candidates, and serves single-shot and batch requests
+/// through one path.
 pub struct Engine {
     cache: Option<AlgorithmCache>,
     cache_capacity: Option<usize>,
@@ -617,9 +417,7 @@ pub struct Engine {
     /// path) plus the daemon's queue records.
     /// `None` unless [`EngineBuilder::journal_dir`] was configured.
     journal: Option<Arc<Journal>>,
-    cost_model: CostModel,
     defaults: SynthesisConfig,
-    lowering: LoweringOptions,
     /// Decided candidates held across requests, keyed by the content hash
     /// of `(base topology, base collective, config)` (see [`Memo`]).
     /// Bounded by [`EngineBuilder::memo_capacity`].
@@ -667,11 +465,6 @@ impl Engine {
         self.memo.weight()
     }
 
-    /// The engine's (α, β) cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-
     /// The engine's default search configuration.
     pub fn defaults(&self) -> &SynthesisConfig {
         &self.defaults
@@ -696,13 +489,7 @@ impl Engine {
                 &owned
             }
         };
-        let response = self.serve(
-            &request.topology,
-            request.collective,
-            config,
-            MissPolicy::Solve,
-        )?;
-        let mut response = response.expect("a solving policy always produces a response");
+        let mut response = self.serve(&request.topology, request.collective, config)?;
         if let Some(deadline) = request.deadline {
             response.degraded = Instant::now() >= deadline && response.report.budget_exhausted;
         }
@@ -718,17 +505,12 @@ impl Engine {
         let mut results = Vec::with_capacity(jobs.len());
         for job in jobs {
             let job_start = Instant::now();
-            let served = self.serve(&job.topology, job.collective, config, MissPolicy::Solve);
-            let (outcome, from_cache) = match served {
-                Ok(Some(response)) => {
+            let (outcome, from_cache) = match self.serve(&job.topology, job.collective, config) {
+                Ok(response) => {
                     let from_cache = response.from_cache();
                     (Ok(Arc::unwrap_or_clone(response.report)), from_cache)
                 }
-                Ok(None) => unreachable!("a solving policy always produces a response"),
-                Err(Error::Synthesis(e)) => (Err(e), false),
-                Err(other) => {
-                    unreachable!("the serve path only fails with synthesis errors, got {other}")
-                }
+                Err(e) => (Err(e), false),
             };
             results.push(BatchResult {
                 job: job.clone(),
@@ -743,47 +525,15 @@ impl Engine {
         }
     }
 
-    /// Hydrate (and optionally warm) a size-switching collective library
-    /// through the same request path.
-    pub fn library(&self, request: LibraryRequest) -> Result<LibraryResponse, Error> {
-        let config = request.config.as_ref().unwrap_or(&self.defaults);
-        let lowering = request.lowering.unwrap_or(self.lowering);
-        let policy = if request.solve_misses {
-            MissPolicy::Solve
-        } else {
-            MissPolicy::Skip
-        };
-        let mut library = CollectiveLibrary::new(request.topology.clone(), self.cost_model);
-        let mut synthesized = 0;
-        let mut misses = Vec::new();
-        for &collective in &request.collectives {
-            match self.serve(&request.topology, collective, config, policy)? {
-                Some(response) => {
-                    if !response.from_cache() {
-                        synthesized += 1;
-                    }
-                    library.register_frontier(&response.report, lowering);
-                }
-                None => misses.push(collective),
-            }
-        }
-        Ok(LibraryResponse {
-            library,
-            synthesized,
-            misses,
-        })
-    }
-
     // -- the one code path -------------------------------------------------
 
-    /// The unified request path.
+    /// The unified request path. The sweep is its only fallible step.
     fn serve(
         &self,
         topology: &Topology,
         collective: Collective,
         config: &SynthesisConfig,
-        policy: MissPolicy,
-    ) -> Result<Option<SynthesisResponse>, Error> {
+    ) -> Result<SynthesisResponse, SynthesisError> {
         let start = Instant::now();
         let mut timings = ResponseTimings::default();
         let cache = self.cache.as_ref();
@@ -802,22 +552,17 @@ impl Engine {
             timings.lookup = lookup_start.elapsed();
             if let Some(entry) = hit {
                 timings.total = start.elapsed();
-                return Ok(Some(SynthesisResponse {
+                return Ok(SynthesisResponse {
                     report: Arc::clone(entry.report()),
                     provenance: Provenance::CacheHit,
                     timings,
                     incremental: None,
                     degraded: false,
-                    topology: topology.clone(),
-                    cost_model: self.cost_model,
                     resident: Some(entry),
-                }));
+                });
             }
         }
 
-        if let MissPolicy::Skip = policy {
-            return Ok(None);
-        }
         let solve_start = Instant::now();
         // The base problem is computed exactly once per request (it clones
         // the topology, reverses it for inversion duals and searches it
@@ -900,16 +645,14 @@ impl Engine {
         }
 
         timings.total = start.elapsed();
-        Ok(Some(SynthesisResponse {
+        Ok(SynthesisResponse {
             report,
             provenance: Provenance::Solved,
             timings,
             incremental: Some(incremental),
             degraded: false,
-            topology: topology.clone(),
-            cost_model: self.cost_model,
             resident,
-        }))
+        })
     }
 }
 
@@ -1108,53 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn lowering_an_empty_frontier_is_an_error() {
-        let engine = Engine::builder()
-            .synthesis_defaults(SynthesisConfig {
-                max_steps: 1,
-                max_chunks: 1,
-                ..Default::default()
-            })
-            .build()
-            .expect("engine");
-        // A 4-ring Allgather needs at least 2 steps, so max_steps = 1
-        // produces an empty frontier.
-        let response = engine
-            .synthesize(SynthesisRequest::new(
-                &builders::ring(4, 1),
-                Collective::Allgather,
-            ))
-            .expect("response");
-        assert!(response.report.entries.is_empty());
-        let err = response.lower(LoweringOptions::default()).unwrap_err();
-        assert!(matches!(err, Error::NoSuchEntry { len: 0, .. }));
-        assert!(err.to_string().contains("is empty"), "was: {err}");
-    }
-
-    #[test]
-    fn lowering_an_out_of_range_entry_names_the_index() {
-        let engine = Engine::builder()
-            .synthesis_defaults(quick_config())
-            .build()
-            .expect("engine");
-        let response = engine
-            .synthesize(SynthesisRequest::new(
-                &builders::ring(4, 1),
-                Collective::Allgather,
-            ))
-            .expect("response");
-        let len = response.report.entries.len();
-        assert!(len > 0);
-        let err = response
-            .lower_entry(len + 3, LoweringOptions::default())
-            .unwrap_err();
-        // The error must not claim the frontier is empty — it isn't.
-        assert!(matches!(err, Error::NoSuchEntry { .. }));
-        assert!(err.to_string().contains("no entry"), "was: {err}");
-        assert!(!err.to_string().contains("is empty"), "was: {err}");
-    }
-
-    #[test]
     fn solved_responses_carry_incremental_accounting() {
         let engine = Engine::builder()
             .synthesis_defaults(quick_config())
@@ -1239,39 +935,6 @@ mod tests {
             .synthesize(SynthesisRequest::new(&ring, Collective::Gather { root: 0 }))
             .expect("lookup");
         assert!(hot.from_cache());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_only_library_reports_misses_then_warm_fills_them() {
-        let dir = tmp_dir("library");
-        let engine = Engine::builder()
-            .cache_dir(&dir)
-            .synthesis_defaults(quick_config())
-            .build()
-            .expect("engine");
-        let ring = builders::ring(4, 1);
-        let wanted = [Collective::Allgather, Collective::ReduceScatter];
-
-        let cold = engine
-            .library(LibraryRequest::new(&ring, &wanted).cache_only())
-            .expect("hydrate");
-        assert_eq!(cold.misses, wanted.to_vec());
-        assert!(cold.library.is_empty());
-
-        let warm = engine
-            .library(LibraryRequest::new(&ring, &wanted))
-            .expect("warm");
-        assert_eq!(warm.synthesized, 2);
-        assert!(warm.misses.is_empty());
-        assert!(warm.library.select(Collective::Allgather, 1024).is_some());
-
-        // Everything is now served from the cache.
-        let hot = engine
-            .library(LibraryRequest::new(&ring, &wanted).cache_only())
-            .expect("rehydrate");
-        assert!(hot.misses.is_empty());
-        assert_eq!(hot.synthesized, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

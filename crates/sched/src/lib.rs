@@ -1,18 +1,16 @@
 //! # sccl-sched
 //!
 //! The serving layer of the SCCL reproduction: the [`Engine`] — one
-//! request/response API over synthesis, caching, scheduling and lowering —
-//! plus the machinery underneath it.
+//! request/response API over synthesis, caching and scheduling — plus the
+//! machinery underneath it.
 //!
 //! Layers:
 //!
 //! * [`engine`] — the [`Engine`]: a long-lived handle (built via
 //!   [`Engine::builder`]) that owns the persistent [`AlgorithmCache`], the
-//!   [`Memo`] and the cost model, and serves [`SynthesisRequest`] →
-//!   [`SynthesisResponse`] calls. Single-shot, batch and library requests
-//!   are one code path differing only in policy; responses chain into
-//!   lowering, code generation and simulation. It is the only way into
-//!   this crate's synthesis: every request runs
+//!   [`Memo`], and serves [`SynthesisRequest`] → [`SynthesisResponse`]
+//!   calls. Single-shot and batch requests are one code path. It is the
+//!   only way into this crate's synthesis: every request runs
 //!   `sccl_core::pareto::sweep` once, one candidate at a time.
 //! * [`memo`] — what the engine keeps between requests: per base problem,
 //!   the runs that decided its candidates, in one bounded map. A second
@@ -24,8 +22,8 @@
 //!   in-memory index, so nothing is ever synthesized twice.
 //! * [`journal`] — the crash-recovery journal: sweep checkpoints and the
 //!   daemon's queue records.
-//! * [`batch`] — manifest parsing/rendering (text and JSON) and the batch
-//!   report types.
+//! * [`batch`] — manifest parsing (text and JSON) and the batch report
+//!   types.
 //!
 //! ## Example
 //!
@@ -54,14 +52,10 @@ pub mod journal;
 pub mod memo;
 mod sha256;
 
-pub use batch::{
-    parse_manifest, render_manifest, render_manifest_json, BatchJob, BatchReport, BatchResult,
-    ManifestError, SolveMode,
-};
+pub use batch::{parse_manifest, BatchJob, BatchReport, BatchResult, ManifestError, SolveMode};
 pub use cache::{AlgorithmCache, CacheKey, CacheStats, CachedReport};
 pub use engine::{
-    Engine, EngineBuilder, Error, LibraryRequest, LibraryResponse, LoweredAlgorithm, Provenance,
-    ResponseTimings, SynthesisRequest, SynthesisResponse,
+    Engine, EngineBuilder, Error, Provenance, ResponseTimings, SynthesisRequest, SynthesisResponse,
 };
 pub use journal::{Journal, QueueRecord};
 pub use memo::Memo;

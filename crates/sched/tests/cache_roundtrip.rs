@@ -5,7 +5,10 @@
 
 use sccl_collectives::Collective;
 use sccl_core::pareto::{pareto_synthesize, SynthesisConfig};
-use sccl_sched::{parse_manifest, AlgorithmCache, CacheKey, Engine, LibraryRequest};
+use sccl_core::CostModel;
+use sccl_program::LoweringOptions;
+use sccl_runtime::CollectiveLibrary;
+use sccl_sched::{parse_manifest, AlgorithmCache, CacheKey, Engine, Provenance, SynthesisRequest};
 use sccl_topology::builders;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -131,16 +134,16 @@ fn hydrated_library_preserves_size_crossover() {
             .expect("store");
     }
 
+    // A fresh engine over the stored directory answers from the cache:
+    // nothing is solved.
     let engine = Engine::builder().cache_dir(&dir).build().expect("reopen");
     let hydrated = engine
-        .library(
-            LibraryRequest::new(&ring, &[Collective::Allgather])
-                .with_config(config)
-                .cache_only(),
-        )
-        .expect("cache-only hydration never solves");
-    assert!(hydrated.misses.is_empty());
-    let library = hydrated.library;
+        .synthesize(SynthesisRequest::new(&ring, Collective::Allgather).with_config(config))
+        .expect("cache hit");
+    assert_eq!(hydrated.provenance, Provenance::CacheHit);
+    assert!(hydrated.incremental.is_none());
+    let mut library = CollectiveLibrary::new(ring.clone(), CostModel::nvlink());
+    library.register_frontier(&hydrated.report, LoweringOptions::default());
     assert_eq!(library.len(), report.entries.len());
 
     // Small buffer → fewest steps (latency-optimal).
