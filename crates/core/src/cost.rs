@@ -1,5 +1,5 @@
-//! The (α, β) cost model of §2.3/§3.6 and Pareto-dominance between
-//! algorithm costs (§3.7).
+//! The (α, β) cost model of §2.3/§3.6 and the `(S, R, C)` algorithm costs
+//! it prices (§3.7).
 
 use sccl_topology::Rational;
 use serde::{Deserialize, Serialize};
@@ -34,16 +34,6 @@ impl AlgorithmCost {
     /// Bandwidth cost `b = R / C` (the L·β multiplier).
     pub fn bandwidth_cost(&self) -> Rational {
         Rational::new(self.rounds, self.chunks)
-    }
-
-    /// `true` if `self` Pareto-dominates `other`: no worse in both
-    /// dimensions and strictly better in at least one.
-    pub fn dominates(&self, other: &AlgorithmCost) -> bool {
-        let a_le = self.latency_cost() <= other.latency_cost();
-        let b_le = self.bandwidth_cost() <= other.bandwidth_cost();
-        let strict = self.latency_cost() < other.latency_cost()
-            || self.bandwidth_cost() < other.bandwidth_cost();
-        a_le && b_le && strict
     }
 
     /// `true` if this algorithm is k-synchronous for the given `k`
@@ -117,49 +107,6 @@ impl CostModel {
     }
 }
 
-/// Maintain the set of non-dominated costs seen so far (the Pareto
-/// frontier of §3.7).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ParetoFront {
-    entries: Vec<AlgorithmCost>,
-}
-
-impl ParetoFront {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert a cost; returns `true` if it is non-dominated (and prunes any
-    /// entries it dominates).
-    pub fn insert(&mut self, cost: AlgorithmCost) -> bool {
-        if self
-            .entries
-            .iter()
-            .any(|e| e.dominates(&cost) || *e == cost)
-        {
-            return false;
-        }
-        self.entries.retain(|e| !cost.dominates(e));
-        self.entries.push(cost);
-        true
-    }
-
-    /// The current non-dominated costs, sorted by latency cost.
-    pub fn entries(&self) -> Vec<AlgorithmCost> {
-        let mut v = self.entries.clone();
-        v.sort_by_key(|c| (c.latency_cost(), c.bandwidth_cost()));
-        v
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,19 +118,6 @@ mod tests {
         assert_eq!(c.latency_cost(), 7);
         assert_eq!(c.bandwidth_cost(), Rational::new(7, 6));
         assert!(c.is_k_synchronous(0));
-    }
-
-    #[test]
-    fn dominance() {
-        let lat_opt = AlgorithmCost::new(2, 3, 2); // (2,2,3) in table order C,S,R
-        let bw_opt = AlgorithmCost::new(3, 7, 6);
-        let worse = AlgorithmCost::new(7, 7, 6);
-        assert!(bw_opt.dominates(&worse));
-        assert!(!lat_opt.dominates(&bw_opt));
-        assert!(!bw_opt.dominates(&lat_opt));
-        assert!(!worse.dominates(&bw_opt));
-        // A cost never dominates itself.
-        assert!(!lat_opt.dominates(&lat_opt));
     }
 
     #[test]
@@ -229,23 +163,6 @@ mod tests {
         let a = AlgorithmCost::new(3, 7, 6);
         let b = AlgorithmCost::new(7, 7, 6);
         assert_eq!(model.crossover_bytes(&a, &b), None);
-    }
-
-    #[test]
-    fn pareto_front_keeps_non_dominated() {
-        let mut front = ParetoFront::new();
-        assert!(front.insert(AlgorithmCost::new(7, 7, 6)));
-        assert!(front.insert(AlgorithmCost::new(2, 3, 2)));
-        // Dominates the first entry (same bandwidth, fewer steps).
-        assert!(front.insert(AlgorithmCost::new(3, 7, 6)));
-        // Now dominated by the third entry.
-        assert!(!front.insert(AlgorithmCost::new(4, 7, 6)));
-        // Duplicate rejected.
-        assert!(!front.insert(AlgorithmCost::new(2, 3, 2)));
-        let entries = front.entries();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0], AlgorithmCost::new(2, 3, 2));
-        assert_eq!(entries[1], AlgorithmCost::new(3, 7, 6));
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod symmetry;
 
 pub use algorithm::{Algorithm, Send, SendOp, ValidationError};
 pub use analysis::LinkUtilization;
-pub use cost::{AlgorithmCost, CostModel, ParetoFront};
+pub use cost::{AlgorithmCost, CostModel};
 pub use encoding::{
     synthesize, synthesize_naive, EncodingOptions, EncodingStats, SynCollInstance,
     SynthesisOutcome, SynthesisRun,

@@ -23,7 +23,7 @@
 //! cost is the sum of the stage (α, β) costs, and it is re-checked by the
 //! [composition verifier](crate::verify) before being returned.
 
-use crate::partition::{GroupSpec, Partition, PartitionError};
+use crate::partition::{Group, GroupSpec, Partition, PartitionError};
 use crate::verify::{verify_composition, CompositionError};
 use sccl_collectives::Collective;
 use sccl_core::failpoint;
@@ -68,8 +68,7 @@ pub struct HierRequest {
     /// How to carve the machine into process groups.
     pub groups: GroupSpec,
     /// Per-stage search configuration; `None` uses the engine's defaults.
-    /// The chunk cap is always forced to 1: stages are synthesized at one
-    /// chunk per node and widened by lane replication instead.
+    /// The chunk cap is always forced to 1 ([`HierRequest::stage_config`]).
     pub config: Option<SynthesisConfig>,
     /// Which frontier entry each stage uses.
     pub pick: EntryPick,
@@ -122,6 +121,18 @@ impl HierRequest {
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
+    }
+
+    /// The search configuration every stage is solved under: the
+    /// request's own, else `defaults`, with the chunk cap forced to 1.
+    /// Stages are synthesized at one chunk per node; chunk-lane
+    /// replication widens them during stitching. A larger per-stage chunk
+    /// cap would split global chunks into sub-chunks the composition does
+    /// not model.
+    pub fn stage_config(&self, defaults: &SynthesisConfig) -> SynthesisConfig {
+        let mut config = self.config.clone().unwrap_or_else(|| defaults.clone());
+        config.max_chunks = 1;
+        config
     }
 }
 
@@ -328,7 +339,8 @@ pub struct HierTimings {
     pub stitch: Duration,
     /// The composition verifier's replay of the stitched schedule.
     pub verify: Duration,
-    /// End-to-end time of the request.
+    /// End-to-end time of the request (partition + stage solves +
+    /// stitch + verify).
     pub total: Duration,
 }
 
@@ -347,9 +359,6 @@ pub struct HierResponse {
     /// request's deadline expired mid-search. The composition is still
     /// verified — degraded means possibly suboptimal, never unsound.
     pub degraded: bool,
-    /// End-to-end planning time (partition + stage solves + stitch +
-    /// verify).
-    pub elapsed: Duration,
 }
 
 /// Compact, serializable view of a response for CLI/wire reporting (no
@@ -414,7 +423,7 @@ impl HierResponse {
             stage_solves: self.stats.stage_solves,
             cache_hits: self.stats.cache_hits,
             degraded_stages: self.stats.degraded_stages,
-            elapsed_micros: saturating_micros(self.elapsed),
+            elapsed_micros: saturating_micros(self.timings.total),
         }
     }
 }
@@ -469,10 +478,11 @@ struct PlannedStage {
     instances: Vec<Instance>,
 }
 
-/// Memoizing stage solver: one engine solve per distinct
-/// `(topology name, collective)` stage problem.
+/// Memoizing stage solver over one partition: one engine solve per
+/// distinct `(topology name, collective)` stage problem.
 struct StageSolver<'a> {
     engine: &'a Engine,
+    partition: &'a Partition,
     config: SynthesisConfig,
     pick: EntryPick,
     memo: Vec<(String, Collective, Algorithm)>,
@@ -578,17 +588,10 @@ fn synthesize_hier(engine: &Engine, request: HierRequest) -> Result<HierResponse
     let start = Instant::now();
     let partition = Partition::new(&request.topology, &request.groups)?;
     let partition_time = start.elapsed();
-    // Stages are synthesized at one chunk per node; chunk-lane replication
-    // widens them during stitching. A larger per-stage chunk cap would
-    // split global chunks into sub-chunks the composition does not model.
-    let mut config = request
-        .config
-        .clone()
-        .unwrap_or_else(|| engine.defaults().clone());
-    config.max_chunks = 1;
     let mut solver = StageSolver {
         engine,
-        config,
+        partition: &partition,
+        config: request.stage_config(engine.defaults()),
         pick: request.pick,
         memo: Vec::new(),
         stats: HierStats::default(),
@@ -605,7 +608,7 @@ fn synthesize_hier(engine: &Engine, request: HierRequest) -> Result<HierResponse
         solve_time: Duration::ZERO,
     };
 
-    let planned = plan_stages(request.collective, &partition, &mut solver)?;
+    let planned = plan_stages(request.collective, &mut solver)?;
 
     // Stitch: offset each stage's steps past the previous stage, scale its
     // round counts by the lane factor, and remap sends to global indices.
@@ -722,285 +725,188 @@ fn synthesize_hier(engine: &Engine, request: HierRequest) -> Result<HierResponse
             total: start.elapsed(),
         },
         degraded,
-        elapsed: start.elapsed(),
     })
 }
 
-/// The per-collective composition rules.
+/// Which global chunks ride each stage-local chunk of an intra stage.
+#[derive(Clone, Copy)]
+enum Lanes {
+    /// Local chunk `j` carries member `j`'s own chunk.
+    Own,
+    /// One lane carrying every chunk outside the group.
+    Remote,
+    /// One lane carrying every chunk.
+    All,
+    /// Chunk 0 only.
+    Zero,
+}
+
+impl StageSolver<'_> {
+    /// One intra stage: for each group whose index `runs` admits, in group
+    /// order, solve `collective(group)` on the group and replay it over
+    /// the members with `lanes`. The stage records `recorded`.
+    fn intra(
+        &mut self,
+        name: &'static str,
+        recorded: Collective,
+        runs: impl Fn(usize) -> bool,
+        collective: impl Fn(&Group) -> Collective,
+        lanes: Lanes,
+    ) -> Result<PlannedStage, HierError> {
+        let partition = self.partition;
+        let mut instances = Vec::new();
+        for (gi, group) in partition.groups.iter().enumerate() {
+            if !runs(gi) {
+                continue;
+            }
+            let algorithm = self.solve(&group.topology, collective(group), name)?;
+            let chunks = 0..partition.node_group.len();
+            let chunk_lanes = match lanes {
+                Lanes::Own => group.members.iter().map(|&m| vec![m]).collect(),
+                Lanes::Remote => vec![chunks.filter(|&c| partition.node_group[c] != gi).collect()],
+                Lanes::All => vec![chunks.collect()],
+                Lanes::Zero => vec![vec![0]],
+            };
+            instances.push(Instance {
+                algorithm,
+                node_map: group.members.clone(),
+                chunk_lanes,
+            });
+        }
+        Ok(PlannedStage {
+            name,
+            level: StageLevel::Intra,
+            collective: recorded,
+            instances,
+        })
+    }
+
+    /// The leader stage: solve `collective` on the leader graph. A
+    /// Broadcast carries chunk 0; the other rules carry each group's
+    /// members' chunks on that group's chunk.
+    fn leaders(
+        &mut self,
+        name: &'static str,
+        collective: Collective,
+    ) -> Result<PlannedStage, HierError> {
+        let partition = self.partition;
+        let algorithm = self.solve(&partition.leader_topology, collective, name)?;
+        let chunk_lanes = match collective {
+            Collective::Broadcast { .. } => vec![vec![0]],
+            _ => partition.groups.iter().map(|g| g.members.clone()).collect(),
+        };
+        Ok(PlannedStage {
+            name,
+            level: StageLevel::Leaders,
+            collective,
+            instances: vec![Instance {
+                algorithm,
+                node_map: partition.leaders(),
+                chunk_lanes,
+            }],
+        })
+    }
+}
+
+/// The per-collective composition rules: three stages each, in solve
+/// order. A stage no group runs is dropped when stitching.
 fn plan_stages(
     collective: Collective,
-    partition: &Partition,
     solver: &mut StageSolver<'_>,
 ) -> Result<Vec<PlannedStage>, HierError> {
+    use Collective::{Allgather, Broadcast, Gather, Scatter};
     check_composable(collective)?;
-    let groups = &partition.groups;
-    let leaders = partition.leaders();
-    let num_groups = partition.num_groups();
-    let total_nodes: usize = groups.iter().map(|g| g.len()).sum();
-    let all_chunks: Vec<usize> = (0..total_nodes).collect();
-
-    match collective {
-        Collective::Allgather => {
-            let mut intra_ag = Vec::with_capacity(num_groups);
-            for group in groups {
-                let algorithm =
-                    solver.solve(&group.topology, Collective::Allgather, "intra-allgather")?;
-                intra_ag.push(Instance {
-                    algorithm,
-                    node_map: group.members.clone(),
-                    chunk_lanes: group.members.iter().map(|&m| vec![m]).collect(),
-                });
-            }
-            let leader_alg = solver.solve(
-                &partition.leader_topology,
-                Collective::Allgather,
-                "leader-allgather",
-            )?;
-            let leader_stage = Instance {
-                algorithm: leader_alg,
-                node_map: leaders.clone(),
-                chunk_lanes: groups.iter().map(|g| g.members.clone()).collect(),
-            };
-            let mut intra_bcast = Vec::with_capacity(num_groups);
-            for (gi, group) in groups.iter().enumerate() {
-                let root = group.leader_local();
-                let algorithm = solver.solve(
-                    &group.topology,
-                    Collective::Broadcast { root },
-                    "intra-broadcast",
-                )?;
-                let remote: Vec<usize> = (0..total_nodes)
-                    .filter(|&c| partition.node_group[c] != gi)
-                    .collect();
-                intra_bcast.push(Instance {
-                    algorithm,
-                    node_map: group.members.clone(),
-                    chunk_lanes: vec![remote],
-                });
-            }
-            Ok(vec![
-                PlannedStage {
-                    name: "intra-allgather",
-                    level: StageLevel::Intra,
-                    collective: Collective::Allgather,
-                    instances: intra_ag,
-                },
-                PlannedStage {
-                    name: "leader-allgather",
-                    level: StageLevel::Leaders,
-                    collective: Collective::Allgather,
-                    instances: vec![leader_stage],
-                },
-                PlannedStage {
-                    name: "intra-broadcast",
-                    level: StageLevel::Intra,
-                    collective: Collective::Broadcast { root: 0 },
-                    instances: intra_bcast,
-                },
-            ])
-        }
-
-        Collective::Broadcast { root } => {
-            let rg = partition.node_group[root];
-            let root_group = &groups[rg];
-            let root_local = root_group
-                .local_of(root)
-                .expect("node_group maps the root into its group");
-            let seed_alg = solver.solve(
-                &root_group.topology,
-                Collective::Broadcast { root: root_local },
+    // Where a rooted collective's root sits (Allgather uses none of it).
+    let root = collective.root().unwrap_or(0);
+    let rg = solver.partition.node_group[root];
+    let root_group = &solver.partition.groups[rg];
+    let root_local = root_group
+        .local_of(root)
+        .expect("node_group maps the root into its group");
+    // A Gather's buffer lands on the root group's leader and a Scatter's
+    // chunks must leave from it: a root elsewhere in that group needs an
+    // intra broadcast (over-delivery inside the group is allowed by the
+    // post relation).
+    let off_leader = root_group.leader != root;
+    let every = |_| true;
+    let from_leader = |g: &Group| Broadcast {
+        root: g.leader_local(),
+    };
+    Ok(match collective {
+        Allgather => vec![
+            solver.intra(
+                "intra-allgather",
+                Allgather,
+                every,
+                |_| Allgather,
+                Lanes::Own,
+            )?,
+            solver.leaders("leader-allgather", Allgather)?,
+            solver.intra(
+                "intra-broadcast",
+                Broadcast { root: 0 },
+                every,
+                from_leader,
+                Lanes::Remote,
+            )?,
+        ],
+        Broadcast { .. } => vec![
+            solver.intra(
                 "root-group-broadcast",
-            )?;
-            let seed = Instance {
-                algorithm: seed_alg,
-                node_map: root_group.members.clone(),
-                chunk_lanes: vec![vec![0]],
-            };
-            let leader_alg = solver.solve(
-                &partition.leader_topology,
-                Collective::Broadcast { root: rg },
-                "leader-broadcast",
-            )?;
-            let leader_stage = Instance {
-                algorithm: leader_alg,
-                node_map: leaders.clone(),
-                chunk_lanes: vec![vec![0]],
-            };
-            let mut fanout = Vec::new();
-            for (gi, group) in groups.iter().enumerate() {
-                if gi == rg {
-                    continue;
-                }
-                let gr = group.leader_local();
-                let algorithm = solver.solve(
-                    &group.topology,
-                    Collective::Broadcast { root: gr },
-                    "intra-broadcast",
-                )?;
-                fanout.push(Instance {
-                    algorithm,
-                    node_map: group.members.clone(),
-                    chunk_lanes: vec![vec![0]],
-                });
-            }
-            Ok(vec![
-                PlannedStage {
-                    name: "root-group-broadcast",
-                    level: StageLevel::Intra,
-                    collective: Collective::Broadcast { root: root_local },
-                    instances: vec![seed],
+                Broadcast { root: root_local },
+                |gi| gi == rg,
+                |_| Broadcast { root: root_local },
+                Lanes::Zero,
+            )?,
+            solver.leaders("leader-broadcast", Broadcast { root: rg })?,
+            solver.intra(
+                "intra-broadcast",
+                Broadcast { root: 0 },
+                |gi| gi != rg,
+                from_leader,
+                Lanes::Zero,
+            )?,
+        ],
+        Gather { .. } => vec![
+            solver.intra(
+                "intra-gather",
+                Gather { root: 0 },
+                every,
+                |g| Gather {
+                    root: g.leader_local(),
                 },
-                PlannedStage {
-                    name: "leader-broadcast",
-                    level: StageLevel::Leaders,
-                    collective: Collective::Broadcast { root: rg },
-                    instances: vec![leader_stage],
+                Lanes::Own,
+            )?,
+            solver.leaders("leader-gather", Gather { root: rg })?,
+            solver.intra(
+                "root-delivery",
+                Broadcast { root: 0 },
+                |gi| gi == rg && off_leader,
+                from_leader,
+                Lanes::All,
+            )?,
+        ],
+        Scatter { .. } => vec![
+            solver.intra(
+                "root-group-spread",
+                Broadcast { root: 0 },
+                |gi| gi == rg && off_leader,
+                |_| Broadcast { root: root_local },
+                Lanes::All,
+            )?,
+            solver.leaders("leader-scatter", Scatter { root: rg })?,
+            solver.intra(
+                "intra-scatter",
+                Scatter { root: 0 },
+                every,
+                |g| Scatter {
+                    root: g.leader_local(),
                 },
-                PlannedStage {
-                    name: "intra-broadcast",
-                    level: StageLevel::Intra,
-                    collective: Collective::Broadcast { root: 0 },
-                    instances: fanout,
-                },
-            ])
-        }
-
-        Collective::Gather { root } => {
-            let rg = partition.node_group[root];
-            let mut intra = Vec::with_capacity(num_groups);
-            for group in groups {
-                let gr = group.leader_local();
-                let algorithm = solver.solve(
-                    &group.topology,
-                    Collective::Gather { root: gr },
-                    "intra-gather",
-                )?;
-                intra.push(Instance {
-                    algorithm,
-                    node_map: group.members.clone(),
-                    chunk_lanes: group.members.iter().map(|&m| vec![m]).collect(),
-                });
-            }
-            let leader_alg = solver.solve(
-                &partition.leader_topology,
-                Collective::Gather { root: rg },
-                "leader-gather",
-            )?;
-            let leader_stage = Instance {
-                algorithm: leader_alg,
-                node_map: leaders.clone(),
-                chunk_lanes: groups.iter().map(|g| g.members.clone()).collect(),
-            };
-            let mut delivery = Vec::new();
-            if leaders[rg] != root {
-                // The gathered buffer sits on the root group's leader; move
-                // it to the root with an intra broadcast (over-delivery to
-                // the rest of the group is allowed by the post relation).
-                let group = &groups[rg];
-                let gr = group.leader_local();
-                let algorithm = solver.solve(
-                    &group.topology,
-                    Collective::Broadcast { root: gr },
-                    "root-delivery",
-                )?;
-                delivery.push(Instance {
-                    algorithm,
-                    node_map: group.members.clone(),
-                    chunk_lanes: vec![all_chunks.clone()],
-                });
-            }
-            Ok(vec![
-                PlannedStage {
-                    name: "intra-gather",
-                    level: StageLevel::Intra,
-                    collective: Collective::Gather { root: 0 },
-                    instances: intra,
-                },
-                PlannedStage {
-                    name: "leader-gather",
-                    level: StageLevel::Leaders,
-                    collective: Collective::Gather { root: rg },
-                    instances: vec![leader_stage],
-                },
-                PlannedStage {
-                    name: "root-delivery",
-                    level: StageLevel::Intra,
-                    collective: Collective::Broadcast { root: 0 },
-                    instances: delivery,
-                },
-            ])
-        }
-
-        Collective::Scatter { root } => {
-            let rg = partition.node_group[root];
-            let root_group = &groups[rg];
-            let mut spread = Vec::new();
-            if leaders[rg] != root {
-                // Chunks start on the root; flood the root group so the
-                // leader holds them before the leader scatter (over-delivery
-                // inside the root group is allowed by the post relation).
-                let root_local = root_group
-                    .local_of(root)
-                    .expect("node_group maps the root into its group");
-                let algorithm = solver.solve(
-                    &root_group.topology,
-                    Collective::Broadcast { root: root_local },
-                    "root-group-spread",
-                )?;
-                spread.push(Instance {
-                    algorithm,
-                    node_map: root_group.members.clone(),
-                    chunk_lanes: vec![all_chunks.clone()],
-                });
-            }
-            let leader_alg = solver.solve(
-                &partition.leader_topology,
-                Collective::Scatter { root: rg },
-                "leader-scatter",
-            )?;
-            let leader_stage = Instance {
-                algorithm: leader_alg,
-                node_map: leaders.clone(),
-                chunk_lanes: groups.iter().map(|g| g.members.clone()).collect(),
-            };
-            let mut intra = Vec::with_capacity(num_groups);
-            for group in groups {
-                let gr = group.leader_local();
-                let algorithm = solver.solve(
-                    &group.topology,
-                    Collective::Scatter { root: gr },
-                    "intra-scatter",
-                )?;
-                intra.push(Instance {
-                    algorithm,
-                    node_map: group.members.clone(),
-                    chunk_lanes: group.members.iter().map(|&m| vec![m]).collect(),
-                });
-            }
-            Ok(vec![
-                PlannedStage {
-                    name: "root-group-spread",
-                    level: StageLevel::Intra,
-                    collective: Collective::Broadcast { root: 0 },
-                    instances: spread,
-                },
-                PlannedStage {
-                    name: "leader-scatter",
-                    level: StageLevel::Leaders,
-                    collective: Collective::Scatter { root: rg },
-                    instances: vec![leader_stage],
-                },
-                PlannedStage {
-                    name: "intra-scatter",
-                    level: StageLevel::Intra,
-                    collective: Collective::Scatter { root: 0 },
-                    instances: intra,
-                },
-            ])
-        }
-
+                Lanes::Own,
+            )?,
+        ],
         _ => unreachable!("check_composable admits only the collectives planned above"),
-    }
+    })
 }
 
 /// `Ok` when `collective` has a hierarchical composition rule, else the

@@ -355,6 +355,39 @@ fn usage() -> ExitCode {
 // Spec-driven flag parsing
 // ---------------------------------------------------------------------
 
+/// Why a command failed: a flag it could not use, reported with the usage
+/// text, or an engine error.
+#[derive(Debug)]
+enum CliError {
+    /// The offending flag, without the leading `--`, and what was wrong
+    /// with it.
+    Flag { flag: String, message: String },
+    /// The engine, the serving layer or a manifest failed the command.
+    Engine(Error),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Flag { flag, message } => write!(f, "flag --{flag}: {message}"),
+            CliError::Engine(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl From<Error> for CliError {
+    fn from(e: Error) -> Self {
+        CliError::Engine(e)
+    }
+}
+
+fn flag_error(flag: &str, message: impl Into<String>) -> CliError {
+    CliError::Flag {
+        flag: flag.to_string(),
+        message: message.into(),
+    }
+}
+
 fn find_flag(command: &CommandSpec, name: &str) -> Option<&'static FlagSpec> {
     command
         .flags
@@ -366,33 +399,36 @@ fn find_flag(command: &CommandSpec, name: &str) -> Option<&'static FlagSpec> {
 /// Parse `args` against the command's spec: `--key value` and `--key=value`
 /// for value flags, bare `--key` for switches; anything not in the spec is
 /// an error rather than silently ignored.
-fn parse_flags(command: &CommandSpec, args: &[String]) -> Result<HashMap<String, String>, Error> {
+fn parse_flags(
+    command: &CommandSpec,
+    args: &[String],
+) -> Result<HashMap<String, String>, CliError> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let Some(key) = args[i].strip_prefix("--") else {
-            return Err(Error::Flag {
-                flag: args[i].clone(),
-                message: format!("expected a --flag, found positional argument `{}`", args[i]),
-            });
+            return Err(flag_error(
+                &args[i],
+                format!("expected a --flag, found positional argument `{}`", args[i]),
+            ));
         };
         let (key, inline_value) = match key.split_once('=') {
             Some((key, value)) => (key, Some(value.to_string())),
             None => (key, None),
         };
         let Some(spec) = find_flag(command, key) else {
-            return Err(Error::Flag {
-                flag: key.to_string(),
-                message: format!("unknown flag for `{}`", command.name),
-            });
+            return Err(flag_error(
+                key,
+                format!("unknown flag for `{}`", command.name),
+            ));
         };
         let value = match (spec.value, inline_value) {
             (None, None) => "true".to_string(),
             (None, Some(value)) => {
-                return Err(Error::Flag {
-                    flag: key.to_string(),
-                    message: format!("switch takes no value, found `{value}`"),
-                })
+                return Err(flag_error(
+                    key,
+                    format!("switch takes no value, found `{value}`"),
+                ))
             }
             (Some(_), Some(value)) => value,
             (Some(placeholder), None) => {
@@ -400,10 +436,7 @@ fn parse_flags(command: &CommandSpec, args: &[String]) -> Result<HashMap<String,
                     i += 1;
                     args[i].clone()
                 } else {
-                    return Err(Error::Flag {
-                        flag: key.to_string(),
-                        message: format!("expected a value ({placeholder})"),
-                    });
+                    return Err(flag_error(key, format!("expected a value ({placeholder})")));
                 }
             }
         };
@@ -416,67 +449,56 @@ fn parse_flags(command: &CommandSpec, args: &[String]) -> Result<HashMap<String,
 /// Numeric flag value, or `default` when absent. A present-but-unparseable
 /// value is an error, not a silent fallback: running with a different
 /// configuration than the user asked for is worse than stopping.
-fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, Error> {
+fn get_usize(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: usize,
+) -> Result<usize, CliError> {
     match flags.get(key) {
         None => Ok(default),
-        Some(value) => value.parse().map_err(|_| Error::Flag {
-            flag: key.to_string(),
-            message: format!("invalid value `{value}` (expected a number)"),
-        }),
+        Some(value) => value
+            .parse()
+            .map_err(|_| flag_error(key, format!("invalid value `{value}` (expected a number)"))),
     }
 }
 
 /// Like [`get_usize`] for fractional flag values (the rate-limit refill
 /// rate can legitimately be below one request per second).
-fn get_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, Error> {
+fn get_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, CliError> {
     match flags.get(key) {
         None => Ok(default),
         Some(value) => match value.parse::<f64>() {
             Ok(parsed) if parsed.is_finite() && parsed >= 0.0 => Ok(parsed),
-            _ => Err(Error::Flag {
-                flag: key.to_string(),
-                message: format!("invalid value `{value}` (expected a non-negative number)"),
-            }),
+            _ => Err(flag_error(
+                key,
+                format!("invalid value `{value}` (expected a non-negative number)"),
+            )),
         },
     }
 }
 
 /// The topology + collective pair most commands require.
-fn require_problem(flags: &HashMap<String, String>) -> Result<(Topology, Collective), Error> {
+fn require_problem(flags: &HashMap<String, String>) -> Result<(Topology, Collective), CliError> {
     let topology = match flags.get("topology") {
-        Some(spec) => builders::parse_spec(spec).ok_or_else(|| Error::Flag {
-            flag: "topology".to_string(),
-            message: format!("unknown topology `{spec}`"),
-        })?,
-        None => {
-            return Err(Error::Flag {
-                flag: "topology".to_string(),
-                message: "required".to_string(),
-            })
-        }
+        Some(spec) => builders::parse_spec(spec)
+            .ok_or_else(|| flag_error("topology", format!("unknown topology `{spec}`")))?,
+        None => return Err(flag_error("topology", "required")),
     };
     let root = get_usize(flags, "root", 0)?;
     if root >= topology.num_nodes() {
-        return Err(Error::Flag {
-            flag: "root".to_string(),
-            message: format!(
+        return Err(flag_error(
+            "root",
+            format!(
                 "{root} out of range for {} ({} nodes)",
                 topology.name(),
                 topology.num_nodes()
             ),
-        });
+        ));
     }
     let collective = match flags.get("collective") {
-        Some(spec) => Collective::parse_spec(spec, root).ok_or_else(|| Error::Flag {
-            flag: "collective".to_string(),
-            message: format!("unknown collective `{spec}`"),
-        })?,
-        None => {
-            return Err(Error::Flag {
-                flag: "collective".to_string(),
-                message: "required".to_string(),
-            })
-        }
+        Some(spec) => Collective::parse_spec(spec, root)
+            .ok_or_else(|| flag_error("collective", format!("unknown collective `{spec}`")))?,
+        None => return Err(flag_error("collective", "required")),
     };
     Ok((topology, collective))
 }
@@ -490,7 +512,7 @@ fn require_problem(flags: &HashMap<String, String>) -> Result<(Topology, Collect
 fn synthesis_config(
     flags: &HashMap<String, String>,
     default_timeout: usize,
-) -> Result<SynthesisConfig, Error> {
+) -> Result<SynthesisConfig, CliError> {
     let timeout = get_usize(flags, "timeout", default_timeout)?;
     let mut limits = if timeout == 0 {
         Limits::none()
@@ -516,7 +538,7 @@ fn build_engine(
     flags: &HashMap<String, String>,
     default_cache: Option<&str>,
     defaults: Option<SynthesisConfig>,
-) -> Result<Engine, Error> {
+) -> Result<Engine, CliError> {
     let mut builder = Engine::builder();
     if let Some(config) = defaults {
         builder = builder.synthesis_defaults(config);
@@ -529,7 +551,7 @@ fn build_engine(
     if let Some(dir) = flags.get("journal") {
         builder = builder.journal_dir(dir);
     }
-    builder.build()
+    Ok(builder.build()?)
 }
 
 // ---------------------------------------------------------------------
@@ -549,14 +571,14 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             match e {
-                Error::Flag { .. } => usage(),
-                _ => ExitCode::FAILURE,
+                CliError::Flag { .. } => usage(),
+                CliError::Engine(_) => ExitCode::FAILURE,
             }
         }
     }
 }
 
-fn run_command(command: &CommandSpec, args: &[String]) -> Result<ExitCode, Error> {
+fn run_command(command: &CommandSpec, args: &[String]) -> Result<ExitCode, CliError> {
     let flags = parse_flags(command, args)?;
     match command.name {
         "bounds" => {
@@ -583,7 +605,7 @@ fn run_command(command: &CommandSpec, args: &[String]) -> Result<ExitCode, Error
     }
 }
 
-fn cmd_bounds(topology: &Topology, collective: Collective) -> Result<ExitCode, Error> {
+fn cmd_bounds(topology: &Topology, collective: Collective) -> Result<ExitCode, CliError> {
     let reference_chunks = match collective {
         Collective::Alltoall => topology.num_nodes(),
         _ => 1,
@@ -616,9 +638,7 @@ fn cmd_bounds(topology: &Topology, collective: Collective) -> Result<ExitCode, E
             println!("bandwidth lower bound (dual): {bl} rounds/chunk");
             Ok(ExitCode::SUCCESS)
         }
-        _ => Err(Error::Synthesis(
-            sccl_core::pareto::SynthesisError::Disconnected,
-        )),
+        _ => Err(Error::Synthesis(sccl_core::pareto::SynthesisError::Disconnected).into()),
     }
 }
 
@@ -627,7 +647,7 @@ fn cmd_probe(
     collective: Collective,
     flags: &HashMap<String, String>,
     codegen: bool,
-) -> Result<ExitCode, Error> {
+) -> Result<ExitCode, CliError> {
     let chunks = get_usize(flags, "chunks", 1)?;
     let steps = get_usize(flags, "steps", 1)?;
     let rounds = get_usize(flags, "rounds", steps)? as u64;
@@ -718,7 +738,7 @@ fn cmd_pareto(
     topology: &Topology,
     collective: Collective,
     flags: &HashMap<String, String>,
-) -> Result<ExitCode, Error> {
+) -> Result<ExitCode, CliError> {
     let config = synthesis_config(flags, 120)?;
     let engine = build_engine(flags, None, None)?;
     let mut request = SynthesisRequest::new(topology, collective).with_config(config);
@@ -779,19 +799,18 @@ fn cmd_hier(
     topology: &Topology,
     collective: Collective,
     flags: &HashMap<String, String>,
-) -> Result<ExitCode, Error> {
+) -> Result<ExitCode, CliError> {
     let groups = match flags.get("groups") {
         None => GroupSpec::Auto,
-        Some(spec) => GroupSpec::parse(spec).map_err(|e| Error::Flag {
-            flag: "groups".to_string(),
-            message: e.to_string(),
-        })?,
+        Some(spec) => GroupSpec::parse(spec).map_err(|e| flag_error("groups", e.to_string()))?,
     };
     let pick = match flags.get("pick") {
         None => sccl::hier::EntryPick::Latency,
-        Some(value) => sccl::hier::EntryPick::parse(value).ok_or_else(|| Error::Flag {
-            flag: "pick".to_string(),
-            message: format!("invalid pick `{value}` (latency | bandwidth)"),
+        Some(value) => sccl::hier::EntryPick::parse(value).ok_or_else(|| {
+            flag_error(
+                "pick",
+                format!("invalid pick `{value}` (latency | bandwidth)"),
+            )
         })?,
     };
     let config = synthesis_config(flags, 120)?;
@@ -866,17 +885,14 @@ fn cmd_hier(
     );
     println!(
         "{} stage solves ({} from cache) in {:.2?}",
-        response.stats.stage_solves, response.stats.cache_hits, response.elapsed,
+        response.stats.stage_solves, response.stats.cache_hits, response.timings.total,
     );
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_batch(flags: &HashMap<String, String>, warmup: bool) -> Result<ExitCode, Error> {
+fn cmd_batch(flags: &HashMap<String, String>, warmup: bool) -> Result<ExitCode, CliError> {
     let Some(manifest_path) = flags.get("manifest") else {
-        return Err(Error::Flag {
-            flag: "manifest".to_string(),
-            message: "required".to_string(),
-        });
+        return Err(flag_error("manifest", "required"));
     };
     let text = std::fs::read_to_string(manifest_path).map_err(|e| {
         Error::Manifest(sccl_sched::ManifestError {
@@ -884,12 +900,13 @@ fn cmd_batch(flags: &HashMap<String, String>, warmup: bool) -> Result<ExitCode, 
             message: format!("cannot read {manifest_path}: {e}"),
         })
     })?;
-    let jobs = parse_manifest(&text)?;
+    let jobs = parse_manifest(&text).map_err(Error::Manifest)?;
     if jobs.is_empty() {
         return Err(Error::Manifest(sccl_sched::ManifestError {
             line: 0,
             message: "manifest contains no jobs".to_string(),
-        }));
+        })
+        .into());
     }
 
     let config = synthesis_config(flags, 120)?;
@@ -906,7 +923,7 @@ fn cmd_batch(flags: &HashMap<String, String>, warmup: bool) -> Result<ExitCode, 
     }
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, Error> {
+fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, CliError> {
     // The search flags become the daemon's synthesis defaults; each wire
     // request may override max-steps/max-chunks/k per call.
     let config = synthesis_config(flags, 120)?;
@@ -941,7 +958,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<ExitCode, Error> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_client(flags: &HashMap<String, String>) -> Result<ExitCode, Error> {
+fn cmd_client(flags: &HashMap<String, String>) -> Result<ExitCode, CliError> {
     let socket = flags
         .get("socket")
         .map(String::as_str)
@@ -975,20 +992,20 @@ fn cmd_client(flags: &HashMap<String, String>) -> Result<ExitCode, Error> {
             let (Some(topology), Some(collective)) =
                 (flags.get("topology"), flags.get("collective"))
             else {
-                return Err(Error::Flag {
-                    flag: "topology".to_string(),
-                    message: "--verb synthesize requires --topology and --collective".to_string(),
-                });
+                return Err(flag_error(
+                    "topology",
+                    "--verb synthesize requires --topology and --collective",
+                ));
             };
             client.synthesize(WireSynthesize::new(topology, collective).with_client("sccl-cli"))
         }
         other => {
-            return Err(Error::Flag {
-                flag: "verb".to_string(),
-                message: format!(
+            return Err(flag_error(
+                "verb",
+                format!(
                     "unknown verb `{other}` (synthesize | metrics | health | drain | shutdown)"
                 ),
-            })
+            ))
         }
     }
     .map_err(Error::Cache)?;

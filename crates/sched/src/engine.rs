@@ -66,8 +66,8 @@ use std::time::{Duration, Instant};
 // The unified error surface
 // ---------------------------------------------------------------------
 
-/// Every way a request to the engine (or the CLI built on it) can fail,
-/// unified into one enum so callers match on a single type instead of four.
+/// Every way a request to the engine can fail, unified into one enum so
+/// callers match on a single type instead of four.
 #[derive(Debug)]
 pub enum Error {
     /// Synthesis could not start (disconnected topology, too few nodes).
@@ -76,13 +76,6 @@ pub enum Error {
     Manifest(ManifestError),
     /// The persistent cache could not be opened or written.
     Cache(io::Error),
-    /// A command-line flag failed to parse (used by the `sccl` CLI).
-    Flag {
-        /// The offending flag, without the leading `--`.
-        flag: String,
-        /// What was wrong with it.
-        message: String,
-    },
     /// An [`EngineBuilder`] (or serving-layer) knob was set to a value that
     /// cannot mean anything — e.g. a zero-entry cache. Rejected at build
     /// time so the misconfiguration surfaces where it was written, not as
@@ -101,7 +94,6 @@ impl std::fmt::Display for Error {
             Error::Synthesis(e) => write!(f, "synthesis: {e}"),
             Error::Manifest(e) => write!(f, "{e}"),
             Error::Cache(e) => write!(f, "cache: {e}"),
-            Error::Flag { flag, message } => write!(f, "flag --{flag}: {message}"),
             Error::Config { field, message } => write!(f, "config {field}: {message}"),
         }
     }

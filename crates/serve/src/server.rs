@@ -1114,11 +1114,7 @@ impl Server {
         let partition = Partition::new(&request.topology, &request.groups)
             .map_err(|error| bad_request(HierError::Partition(error)))?;
         sccl_hier::check_composable(request.collective).map_err(bad_request)?;
-        let mut config = request
-            .config
-            .clone()
-            .unwrap_or_else(|| self.engine.defaults().clone());
-        config.max_chunks = 1;
+        let config = request.stage_config(self.engine.defaults());
         let mut cells = solve_estimate_cells(&partition.leader_topology, &config);
         for group in &partition.groups {
             cells = cells.max(solve_estimate_cells(&group.topology, &config));

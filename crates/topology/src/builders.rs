@@ -169,35 +169,6 @@ pub fn nvswitch(n: usize, bandwidth: u64) -> Topology {
     t
 }
 
-/// Two DGX-1 boxes bridged by `cross_links` InfiniBand-style links between
-/// corresponding GPUs (GPU `i` of box 0 to GPU `i` of box 1), each with
-/// `cross_bandwidth` chunks per round.
-///
-/// The paper synthesizes for a single node and leaves hierarchical
-/// multi-node algorithms to systems like Horovod/BlueConnect/PLink (§6);
-/// this builder exercises that future-work direction: the same synthesis
-/// machinery runs unchanged on the 16-GPU two-box graph, it just gets a
-/// much smaller bisection bandwidth.
-pub fn dual_dgx1(cross_links: usize, cross_bandwidth: u64) -> Topology {
-    assert!((1..=8).contains(&cross_links));
-    let single = dgx1();
-    let links = single.link_bandwidths();
-    let mut t = Topology::new("dual-dgx1", 16);
-    for box_id in 0..2usize {
-        let offset = box_id * 8;
-        for &(src, dst, bw) in &links {
-            t.add_link(src + offset, dst + offset, bw);
-            t.set_transport(src + offset, dst + offset, "nvlink");
-        }
-    }
-    for i in 0..cross_links {
-        t.add_bidi_link(i, i + 8, cross_bandwidth);
-        t.set_transport(i, i + 8, "infiniband");
-        t.set_transport(i + 8, i, "infiniband");
-    }
-    t
-}
-
 /// A ring of rings: `groups` local rings of `group_size` nodes each, with
 /// the first node of every group forming an outer ring at a (typically
 /// lower) cross bandwidth.
@@ -442,31 +413,6 @@ mod tests {
         assert_eq!(t.num_links(), 16 * 15);
         assert_eq!(t.diameter(), Some(1));
         assert_eq!(t.transport(3, 9), Some("nvswitch"));
-    }
-
-    #[test]
-    fn dual_dgx1_structure() {
-        let t = dual_dgx1(4, 1);
-        assert_eq!(t.num_nodes(), 16);
-        // Intra-box NVLink structure is preserved in both boxes.
-        assert_eq!(t.link_bandwidth(0, 1), Some(2));
-        assert_eq!(t.link_bandwidth(8, 9), Some(2));
-        assert!(!t.has_link(0, 9));
-        // Cross-box InfiniBand bridges on the first four GPUs.
-        assert!(t.has_link(2, 10));
-        assert!(!t.has_link(5, 13));
-        assert_eq!(t.transport(2, 10), Some("infiniband"));
-        assert!(t.is_strongly_connected());
-        assert_eq!(t.diameter(), Some(4));
-        // The bisection between the two boxes is the 4 IB links each way.
-        let inside: Vec<bool> = (0..16).map(|i| i >= 8).collect();
-        assert_eq!(t.cut_in_bandwidth(&inside), 4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn dual_dgx1_requires_at_least_one_cross_link() {
-        dual_dgx1(0, 1);
     }
 
     #[test]
